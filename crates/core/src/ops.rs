@@ -33,26 +33,65 @@ fn check_cancel(cancel: Option<&CancelToken>) {
 
 /// A fast, non-cryptographic hasher for join/aggregation keys (FxHash's
 /// multiply-xor scheme; HashDoS is not a concern inside a query engine).
+///
+/// std's `HashMap` (hashbrown) consumes a hash at both ends: the **low**
+/// bits pick the bucket group a probe starts at, the **top 7** bits are
+/// the control tag compared before any key is. The per-word step
+/// `(h.rotl(5) ^ v) * SEED` only ever carries entropy *upwards* — the low
+/// `k` bits of a product depend on the low `k` bits of its factors alone —
+/// while the engine's keys keep theirs at the top: an Int64 join key is
+/// canonicalised to its f64 bit pattern ([`join_key_of`]), whose low ~36
+/// bits are zero for every TPC-H-sized integer, and Float64 group and
+/// count-distinct keys are raw `to_bits()` ([`key_of`]). Returning the
+/// state as it stands put all such keys into one probe chain (a join build
+/// quadratic in its rows). [`finish`](Hasher::finish) therefore folds:
+/// the high half onto the low half, a multiply that carries the result
+/// back up to the tag bits, and a second downward fold — every input bit
+/// reaches both ends. (`h ^ (h >> 32)` alone is not enough: bits 32..36
+/// of those f64 patterns are zero too, which leaves 2 048 distinct values
+/// in the low 16 bits of 65 536 consecutive keys.)
 #[derive(Default)]
 pub struct FxHasher {
     hash: u64,
 }
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// Multiplier of the finishing fold (2^64 / φ, odd).
+const FOLD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
 
 impl Hasher for FxHasher {
     fn finish(&self) -> u64 {
-        self.hash
+        let h = (self.hash ^ (self.hash >> 32)).wrapping_mul(FOLD);
+        h ^ (h >> 29)
     }
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.hash = (self.hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
+            self.write_u64(u64::from(b));
         }
+    }
+
+    // One multiply round per integer, whatever its width: the derived
+    // `Hash` of a `Key` writes a `usize` length prefix and an `isize`
+    // discriminant per part (both arrive at `write_usize`), a `u8`
+    // terminator per string, and only then the `u64`/`i64` payloads.
+    // Without these the provided methods feed each integer to `write`
+    // byte by byte, eight rounds apiece.
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
     }
 
     fn write_u64(&mut self, v: u64) {
         self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(SEED);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
     }
 
     fn write_i64(&mut self, v: i64) {
@@ -854,6 +893,89 @@ mod tests {
                 Column::Str(["zero", "one", "two", "zero2"].into_iter().collect(), None),
             ],
         )
+    }
+
+    /// Distinct values of the two bit ranges hashbrown consumes — the low
+    /// 16 bits (bucket index of a 64 Ki-slot table) and the top 7 (control
+    /// tag) — over the hashes of `keys`.
+    fn spread<K: std::hash::Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<FxHasher>::default();
+        let (mut low, mut top) = (HashSet::new(), HashSet::new());
+        for k in keys {
+            let h = build.hash_one(&k);
+            low.insert(h & 0xffff);
+            top.insert(h >> 57);
+        }
+        (low.len(), top.len())
+    }
+
+    #[test]
+    fn hash_spreads_keys_whose_entropy_sits_in_the_high_bits() {
+        const N: u64 = 1 << 16;
+        let families = [
+            (
+                "Int64 join keys (canonical f64 bits)",
+                spread((1..=N).map(|i| vec![KeyPart::F64(canon_f64_bits(i as f64))])),
+            ),
+            (
+                "Float64 group keys (f64 bits as i64)",
+                spread((1..=N).map(|i| vec![KeyPart::I64((i as f64).to_bits() as i64)])),
+            ),
+            (
+                "count-distinct members (bare KeyPart)",
+                spread((1..=N).map(|i| KeyPart::I64((i as f64).to_bits() as i64))),
+            ),
+            (
+                "u64 differing only above bit 32",
+                spread((1..=N).map(|i| i << 32)),
+            ),
+        ];
+        for (family, (low, top)) in families {
+            // 65 536 keys can take at most 65 536 low-bit and 128 tag
+            // values; a uniform hash reaches ≈ 63 % of the former and all
+            // of the latter. Before the fold every family took exactly one
+            // low-bit value.
+            assert!(low >= 32_768, "{family}: {low} distinct low-16-bit values");
+            assert!(top >= 64, "{family}: {top} distinct 7-bit tags");
+        }
+        // Small integers (entropy at the bottom) must keep spreading too.
+        let (low, top) = spread((1..=N).map(|i| vec![KeyPart::I64(i as i64)]));
+        assert!(low >= 32_768 && top >= 64, "small ints: {low} / {top}");
+    }
+
+    fn int_key_table(name: &str, rows: i64) -> Table {
+        Table::new(
+            Schema::new(vec![Field::new(name, DataType::Int64)]),
+            vec![Column::I64((0..rows).collect(), None)],
+        )
+    }
+
+    #[test]
+    fn join_cost_scales_with_rows_not_their_square() {
+        // Build + probe over n distinct Int64 keys, best of five.
+        let cost = |n: i64| {
+            let (build, probe) = (int_key_table("b", n), int_key_table("p", n));
+            (0..5)
+                .map(|_| {
+                    let started = std::time::Instant::now();
+                    let jt = JoinTable::build(build.clone(), &[0]);
+                    let out = probe_join(&probe, &jt, &[0], JoinKind::Inner, &driver(), None);
+                    assert_eq!(out.rows(), n as usize);
+                    started.elapsed()
+                })
+                .min()
+                .expect("five runs")
+        };
+        let (small, large) = (cost(16_000), cost(160_000));
+        // 10× the rows cost 12–30× when keys spread: the 16 k-key table
+        // and its heap-allocated keys sit in L2, the 160 k-key one does
+        // not (≈ 120 → 300 ns per build row). With every key in one probe
+        // chain they cost 95–150×.
+        assert!(
+            large <= small * 40,
+            "160 k keys cost {large:?}, 16 k cost {small:?}: more than 40×"
+        );
     }
 
     #[test]

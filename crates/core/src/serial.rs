@@ -857,11 +857,18 @@ fn dec_schema(r: &mut Rd<'_>) -> DecodeResult<Schema> {
 /// parameter tables between node processes and the coordinator.
 pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
-    enc_schema(&mut out, table.schema());
-    put_u64(&mut out, table.rows() as u64);
-    let ser = RowSerializer::new(table.schema());
-    ser.serialize_range(table, 0..table.rows(), &mut out);
+    enc_table(&mut out, table);
     out
+}
+
+/// [`encode_table`] appended to `out`: lets a caller that frames the table
+/// (a `StageDone` reply) encode it where it will be sent from instead of
+/// copying a temporary.
+pub(crate) fn enc_table(out: &mut Vec<u8>, table: &Table) {
+    enc_schema(out, table.schema());
+    put_u64(out, table.rows() as u64);
+    let ser = RowSerializer::new(table.schema());
+    ser.serialize_range(table, 0..table.rows(), out);
 }
 
 /// Decode a table produced by [`encode_table`].

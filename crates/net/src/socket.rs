@@ -10,7 +10,9 @@
 //!
 //! * **Length-prefixed framing** — every message is `u32` little-endian
 //!   length followed by the payload ([`write_frame`]/[`read_frame`]). The
-//!   same framing carries the coordinator's control protocol.
+//!   same framing carries the coordinator's control protocol, which has
+//!   no buffered writer in front of its sockets and therefore builds each
+//!   frame in one buffer and writes it once ([`Frame`]).
 //! * **Handshake preamble** — each connection opens with magic, protocol
 //!   version, the dialer's role (data peer vs coordinator control), its
 //!   node id, and the cluster size ([`Preamble`]), so a node can reject
@@ -126,15 +128,62 @@ pub fn read_preamble(r: &mut impl Read) -> io::Result<Preamble> {
     })
 }
 
-/// Write one length-prefixed frame.
+/// Bytes of the little-endian length prefix that opens every frame.
+const FRAME_PREFIX: usize = 4;
+
+/// Write one length-prefixed frame as two writes (prefix, then payload).
+///
+/// This is the data path's writer: the payload is a pooled exchange
+/// message that must not be copied, and the two writes land in the peer
+/// writer thread's `BufWriter`, which coalesces them before the kernel
+/// sees anything. On an unbuffered socket use [`Frame`] instead — two
+/// small writes followed by a read are the pattern Nagle's algorithm and
+/// delayed ACKs punish.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)
 }
 
+/// One complete frame — length prefix and body — in a single buffer.
+///
+/// The control protocol's writer. The prefix is reserved at the head of
+/// the buffer the body is built in and patched once the body is complete,
+/// so a frame costs no copy and reaches an unbuffered `TcpStream` as
+/// exactly one `write_all`: one segment on the wire instead of a 4-byte
+/// one the peer may sit on before acknowledging. [`read_frame`] reads it
+/// back like any other frame.
+pub struct Frame(Vec<u8>);
+
+impl Frame {
+    /// Build a frame whose body is whatever `body` appends to the buffer.
+    /// Fails with `InvalidInput` when the body exceeds [`MAX_FRAME`] (the
+    /// reader would reject it anyway; the writer must not truncate the
+    /// length silently).
+    pub fn build(body: impl FnOnce(&mut Vec<u8>)) -> io::Result<Self> {
+        let mut buf = vec![0u8; FRAME_PREFIX];
+        body(&mut buf);
+        let len = buf.len() - FRAME_PREFIX;
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+            ));
+        }
+        buf[..FRAME_PREFIX].copy_from_slice(&(len as u32).to_le_bytes());
+        Ok(Self(buf))
+    }
+
+    /// Hand the whole frame to `w` in one `write_all`, then flush (a no-op
+    /// on a `TcpStream`). A frame can be written to several connections.
+    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        w.write_all(&self.0)?;
+        w.flush()
+    }
+}
+
 /// Read one length-prefixed frame.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
+    let mut len = [0u8; FRAME_PREFIX];
     r.read_exact(&mut len)?;
     let len = u32::from_le_bytes(len) as usize;
     if len > MAX_FRAME {
@@ -531,5 +580,43 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"abc");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert!(read_frame(&mut r).is_err()); // clean EOF
+    }
+
+    /// A sink that counts how often it is written to.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn built_frame_is_one_write_and_reads_back() {
+        let mut w = CountingWrite::default();
+        let frame = Frame::build(|out| out.extend_from_slice(b"stage")).unwrap();
+        frame.write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 1, "prefix and body must leave in one write");
+        Frame::build(|_| {}).unwrap().write_to(&mut w).unwrap();
+        assert_eq!(w.writes, 2);
+        // Same bytes on the wire as the two-write data-path writer.
+        let mut two = CountingWrite::default();
+        write_frame(&mut two, b"stage").unwrap();
+        assert_eq!(two.writes, 2);
+        write_frame(&mut two, b"").unwrap();
+        assert_eq!(w.bytes, two.bytes);
+        let mut r = &w.bytes[..];
+        assert_eq!(read_frame(&mut r).unwrap(), b"stage");
+        assert_eq!(read_frame(&mut r).unwrap(), b"");
     }
 }

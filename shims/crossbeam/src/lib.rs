@@ -119,6 +119,12 @@ pub mod channel {
     impl<T> Drop for Sender<T> {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::SeqCst) == 1 {
+                // Pass through the queue lock before notifying. A receiver
+                // reads `senders` and enters `wait` under that lock, so
+                // without this the notification can fall between its read
+                // (still 1) and its wait: a lost wakeup that parks it for
+                // good, and with it whoever joins its thread.
+                drop(self.shared.queue.lock().unwrap_or_else(|p| p.into_inner()));
                 self.shared.ready.notify_all();
             }
         }
@@ -245,6 +251,44 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(5)),
                 Err(RecvTimeoutError::Timeout)
             );
+        }
+
+        /// The last sender going away must wake a receiver that is just
+        /// entering `recv` (a node's query worker looping back for its
+        /// next stage while the control thread retires the query). The
+        /// window is a few instructions wide, so one long-lived receiver
+        /// works through many channels while the dropping side sweeps its
+        /// delay across that window; a drop that notified without passing
+        /// through the queue lock parked the receiver in about every
+        /// third `--release` run of this test (and once per ~40 000
+        /// queries on a two-node socket cluster).
+        #[test]
+        fn sender_drop_racing_recv_never_loses_the_wakeup() {
+            const ROUNDS: usize = 200_000;
+            let (hand_over, channels) = std::sync::mpsc::channel::<Receiver<i32>>();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let receiver = std::thread::spawn(move || {
+                for rx in channels {
+                    if done_tx.send(rx.recv()).is_err() {
+                        return;
+                    }
+                }
+            });
+            for round in 0..ROUNDS {
+                let (tx, rx) = unbounded::<i32>();
+                hand_over.send(rx).unwrap();
+                for _ in 0..round % 512 {
+                    std::hint::spin_loop();
+                }
+                drop(tx);
+                assert_eq!(
+                    done_rx.recv_timeout(Duration::from_secs(10)),
+                    Ok(Err(RecvError)),
+                    "round {round}: receiver still parked after the last sender dropped"
+                );
+            }
+            drop(hand_over);
+            receiver.join().unwrap();
         }
 
         #[test]
