@@ -16,10 +16,24 @@
 //! Message layout on the wire (after Figure 7's message header): the first
 //! part of a message (RDMA key, NUMA node, retain count) never leaves the
 //! machine; only the second part is transmitted — query id, exchange id,
-//! last-message flag, partition bucket, used byte count, then serialized
-//! tuples in the Figure 8 format. The query id lets the multiplexers route
-//! and account traffic of several concurrently running queries over the
-//! same fabric.
+//! last-message flag, partition bucket, used byte count ([`HEADER_LEN`]
+//! bytes), then the tuples as one or more chunks of column runs, the
+//! [`crate::wire`] format. The query id lets the multiplexers route and
+//! account traffic of several concurrently running queries over the same
+//! fabric.
+//!
+//! The data path is column-at-a-time at both ends. Sending, a worker turns
+//! each morsel into a **bucket vector** (one CRC32 per row, computed a key
+//! column at a time, [`crate::exec::bucket_vector`]), scatters the row ids
+//! into one **selection vector** per destination, and hands each selection
+//! to its [`MessageWriter`], which serializes it as **column runs** into
+//! the destination's open message and cuts messages from a prefix sum of
+//! row sizes, so that none outgrows its pooled buffer. Repartition,
+//! broadcast and gather differ only in which destinations they write to.
+//! Receiving is **decode-into**: a consuming worker appends every chunk of
+//! every message it pops straight onto its destination columns
+//! ([`crate::wire::RowDeserializer::decode_into`]) — no table per message,
+//! and with one worker per node no copy after that.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,6 +49,11 @@ use hsqp_net::{
     TransportEvent,
 };
 use hsqp_numa::{AllocPolicy, SocketId, Topology};
+use hsqp_storage::Table;
+
+use crate::exec::NodeCtx;
+use crate::profile::NodeRecorder;
+use crate::wire::{rows_that_fit, RowSerializer, Rows};
 
 /// Size of the wire header preceding serialized tuples.
 pub const HEADER_LEN: usize = 4 + 4 + 1 + 2 + 4;
@@ -200,6 +219,186 @@ impl MessagePool {
     /// Number of times a pooled registration was reused.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Message writer
+// ---------------------------------------------------------------------------
+
+/// Sender side of one exchange operator on one worker (Figure 7, steps
+/// 2–4): the open message of every destination, filled chunk by chunk with
+/// the rows headed there and passed on when the next row no longer fits.
+///
+/// A destination is a partition bucket — node `dest / units`, parallel
+/// unit `dest % units`, `units` being 1 outside classic mode — or, for a
+/// broadcast writer, the single destination 0 that stands for every node.
+/// The writer does everything that happens to a message between pool and
+/// multiplexer: the NUMA charge for writing the buffer, the header, the
+/// recorder's wire accounting, the short cut through the receive hub for
+/// this node's own share, and classic mode's duplicate per remote unit.
+pub struct MessageWriter<'a> {
+    ctx: &'a NodeCtx,
+    query: QueryId,
+    exchange: u32,
+    /// Recorder and the exchange operator's index in it.
+    recorder: Option<(&'a NodeRecorder, usize)>,
+    ser: &'a RowSerializer,
+    worker_socket: SocketId,
+    broadcast: bool,
+    /// Per destination: the open message and the socket its memory is on.
+    open: Vec<Option<(Vec<u8>, SocketId)>>,
+    /// Scratch: wire size of each row of the selection being written.
+    sizes: Vec<usize>,
+}
+
+impl<'a> MessageWriter<'a> {
+    /// Writer for a worker on `worker_socket` partitioning exchange
+    /// `exchange` of `query` over `dests` buckets.
+    pub fn partitioned(
+        ctx: &'a NodeCtx,
+        query: QueryId,
+        exchange: u32,
+        recorder: Option<(&'a NodeRecorder, usize)>,
+        ser: &'a RowSerializer,
+        worker_socket: SocketId,
+        dests: usize,
+    ) -> Self {
+        Self {
+            ctx,
+            query,
+            exchange,
+            recorder,
+            ser,
+            worker_socket,
+            broadcast: false,
+            open: (0..dests).map(|_| None).collect(),
+            sizes: Vec::new(),
+        }
+    }
+
+    /// Writer whose destination 0 is every node, this one included. A
+    /// message is serialized once and retained per target; classic mode
+    /// ships one more copy per further remote unit, the (n·t−1)-copy cost
+    /// the paper attributes to classic exchange operators.
+    pub fn broadcast(
+        ctx: &'a NodeCtx,
+        query: QueryId,
+        exchange: u32,
+        recorder: Option<(&'a NodeRecorder, usize)>,
+        ser: &'a RowSerializer,
+        worker_socket: SocketId,
+    ) -> Self {
+        Self {
+            broadcast: true,
+            ..Self::partitioned(ctx, query, exchange, recorder, ser, worker_socket, 1)
+        }
+    }
+
+    /// Append `rows` of `table` to destination `dest`'s message, passing
+    /// it on and opening the next whenever a row does not fit: a message
+    /// body never exceeds the node's message capacity, except to carry a
+    /// single row that is larger than that.
+    pub fn write(&mut self, dest: usize, table: &Table, rows: Rows<'_>) {
+        let (ctx, ser) = (self.ctx, self.ser);
+        ser.row_sizes(table, rows, &mut self.sizes);
+        let limit = HEADER_LEN + ctx.message_capacity;
+        let mut done = 0;
+        while done < rows.len() {
+            let (buf, _) = self.open[dest].get_or_insert_with(|| {
+                let (mut buf, socket) =
+                    ctx.pool
+                        .take(ctx.alloc_policy, self.worker_socket, &ctx.topology);
+                buf.resize(HEADER_LEN, 0);
+                (buf, socket)
+            });
+            let room = limit.saturating_sub(buf.len());
+            let fit = rows_that_fit(&self.sizes[done..], room, buf.len() == HEADER_LEN);
+            ser.serialize(table, rows.slice(done..done + fit), buf);
+            done += fit;
+            if done < rows.len() {
+                self.flush(dest);
+            }
+        }
+    }
+
+    /// Pass on every open message ("only the used part is sent").
+    pub fn finish(mut self) {
+        for dest in 0..self.open.len() {
+            self.flush(dest);
+        }
+    }
+
+    fn flush(&mut self, dest: usize) {
+        let Some((mut buf, mem_socket)) = self.open[dest].take() else {
+            return;
+        };
+        let ctx = self.ctx;
+        let units = ctx.classic_units.unwrap_or(1);
+        // Writing a remote buffer costs QPI time (Figure 9's effect).
+        ctx.topology
+            .charge_access(self.worker_socket, mem_socket, buf.len());
+        let (target, unit) = if self.broadcast {
+            (ctx.node, 0)
+        } else {
+            (
+                NodeId((dest / units as usize) as u16),
+                (dest % units as usize) as u16,
+            )
+        };
+        patch_header(self.query, self.exchange, 0, unit, &mut buf);
+        if target != ctx.node {
+            self.net_send(buf.len(), 1);
+            self.to_mux(MuxCmd::Send {
+                target,
+                payload: Bytes::from(buf),
+                pool_socket: mem_socket,
+            });
+            return;
+        }
+        // This node's share never touches the network.
+        let bytes = Bytes::from(buf);
+        let queue = match ctx.classic_units {
+            Some(_) => unit as usize,
+            None => mem_socket.0 as usize,
+        };
+        let data = bytes.slice(HEADER_LEN..);
+        ctx.hub.deliver(
+            self.query,
+            self.exchange,
+            queue,
+            Some(RecvMsg { data, mem_socket }),
+            false,
+        );
+        if self.broadcast && ctx.nodes > 1 {
+            let copies = u64::from(ctx.nodes - 1) * u64::from(units);
+            self.net_send(bytes.len() * copies as usize, copies);
+            for unit in 0..units {
+                let payload = if unit == 0 {
+                    bytes.clone()
+                } else {
+                    let mut dup = bytes.to_vec();
+                    patch_header(self.query, self.exchange, FLAG_DUP, unit, &mut dup);
+                    Bytes::from(dup)
+                };
+                self.to_mux(MuxCmd::Broadcast {
+                    payload,
+                    pool_socket: mem_socket,
+                    copies_per_node: 1,
+                });
+            }
+        }
+        ctx.pool.recycle(mem_socket);
+    }
+
+    fn net_send(&self, bytes: usize, messages: u64) {
+        if let Some((rec, op_idx)) = self.recorder {
+            rec.net_send(op_idx, bytes as u64, messages);
+        }
+    }
+
+    fn to_mux(&self, cmd: MuxCmd) {
+        self.ctx.to_mux.send(cmd).expect("multiplexer alive");
     }
 }
 
@@ -541,6 +740,12 @@ pub fn spawn_multiplexer(
     (tx, handle)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Rounds of the multiplexer's polling loop run on this thread.
+    static POLL_ROUNDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 fn mux_loop(
     cfg: &MuxConfig,
     endpoint: &dyn NetTransport,
@@ -551,14 +756,33 @@ fn mux_loop(
     rx: &Receiver<MuxCmd>,
 ) {
     let n = cfg.nodes;
+    if n <= 1 {
+        // A single node's exchanges never come here: there is no peer to
+        // receive from, and the exchange operators queue nothing (last
+        // markers, broadcast copies and gathers are for other nodes; a
+        // node's own partition goes to its receive hub directly). So there
+        // is nothing to poll for — sleep until told to stop.
+        while let Ok(cmd) = rx.recv() {
+            if matches!(cmd, MuxCmd::Shutdown) {
+                break;
+            }
+        }
+        if let Some(s) = scheduler {
+            s.leave();
+        }
+        return;
+    }
     let mut queues: Vec<std::collections::VecDeque<(Bytes, SocketId)>> =
         (0..n).map(|_| Default::default()).collect();
-    let schedule = Schedule::new(n.max(1));
+    let schedule = Schedule::new(n);
     let mut phase: u16 = 1;
     let mut recv_rr: u64 = 0;
     let mut shutdown = false;
 
     loop {
+        #[cfg(test)]
+        POLL_ROUNDS.with(|rounds| rounds.set(rounds.get() + 1));
+
         // Route incoming completions to the receive queues, alternating
         // NUMA sockets ("receives messages for every NUMA region in turn").
         let mut received = false;
@@ -604,11 +828,6 @@ fn mux_loop(
                 handle_event(cfg, hub, ev, &mut recv_rr);
             }
             return;
-        }
-
-        if n <= 1 {
-            std::thread::sleep(Duration::from_micros(20));
-            continue;
         }
 
         if cfg.scheduling {
@@ -915,6 +1134,50 @@ mod tests {
         let mut rr = 0;
         route_incoming(&cfg, &hub, Bytes::from(frame), &mut rr);
         assert!(hub.is_aborted(Q));
+    }
+
+    #[test]
+    fn single_node_multiplexer_blocks_instead_of_polling() {
+        let fabric = Arc::new(Fabric::new(1, FabricConfig::qdr()));
+        let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
+        let endpoint = net.endpoint(NodeId(0));
+        let hub = RecvHub::new(1);
+        let pool = MessagePool::new(fabric, NodeId(0), 1, 1024);
+        let stats = QueryStatsRegistry::new();
+        let cfg = MuxConfig {
+            node: NodeId(0),
+            nodes: 1,
+            scheduling: true,
+            batch_per_phase: 8,
+            classic_units: None,
+            sockets: 1,
+            alloc_policy: AllocPolicy::NumaAware,
+        };
+        let (tx, rx) = unbounded();
+        let rounds = std::thread::scope(|scope| {
+            let mux = scope.spawn(|| {
+                mux_loop(&cfg, &endpoint, &hub, &pool, None, &stats, &rx);
+                POLL_ROUNDS.with(std::cell::Cell::get)
+            });
+            // Two commands, then shutdown: the thread must get from each
+            // to the next — and to its exit — without a polling round.
+            for _ in 0..2 {
+                tx.send(MuxCmd::Broadcast {
+                    payload: Bytes::new(),
+                    pool_socket: SocketId(0),
+                    copies_per_node: 1,
+                })
+                .unwrap();
+            }
+            tx.send(MuxCmd::Shutdown).unwrap();
+            mux.join().unwrap()
+        });
+        assert_eq!(rounds, 0, "a single-node multiplexer must not poll");
+
+        // All senders gone is a shutdown too.
+        let (tx, rx) = unbounded::<MuxCmd>();
+        drop(tx);
+        mux_loop(&cfg, &endpoint, &hub, &pool, None, &stats, &rx);
     }
 
     #[test]

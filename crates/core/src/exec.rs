@@ -19,29 +19,21 @@ use parking_lot::RwLock;
 
 use hsqp_net::{Fabric, NodeId, QueryId};
 use hsqp_numa::{AllocPolicy, SocketId, Topology};
-use hsqp_storage::placement::{crc32, crc32_i64};
+use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
 use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
 use crate::exchange::{
-    encode_header, patch_header, MessagePool, MuxCmd, RecvHub, RecvMsg, FLAG_DUP, FLAG_LAST,
-    HEADER_LEN,
+    encode_header, MessagePool, MessageWriter, MuxCmd, RecvHub, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::{eval, Expr};
 use crate::local::MorselDriver;
-use crate::ops::{
-    aggregate_with, canon_f64_bits, i64_as_f64_exact, probe_join, sort_table, JoinTable,
-};
+use crate::ops::{aggregate_with, canon_f64_bits, probe_join, sort_table, JoinTable};
 use crate::plan::{ExchangeKind, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
 use crate::serve::CancelToken;
 use crate::vm::{BoundProgram, CompiledStage, ExprProgram, OpPrograms};
-use crate::wire::{RowDeserializer, RowSerializer};
-
-/// How many serialized rows a send loop processes between cancellation
-/// checks (the morsel-equivalent granularity of the row-at-a-time
-/// broadcast/gather serializers).
-const CANCEL_CHECK_ROWS: usize = 4096;
+use crate::wire::{RowDeserializer, RowSerializer, Rows};
 
 /// Shared, long-lived state of one simulated server node.
 pub struct NodeCtx {
@@ -446,7 +438,7 @@ impl<'a> NodeExec<'a> {
         let ctx = self.ctx;
         let n = ctx.nodes;
         let me = ctx.node;
-        let schema = input.schema().clone();
+        let schema = input.schema();
 
         let expected_lasts = match kind {
             ExchangeKind::Gather if me.0 != 0 => 0,
@@ -456,278 +448,105 @@ impl<'a> NodeExec<'a> {
         ctx.hub.expect_lasts(self.query, id, expected_lasts);
 
         let send_t0 = Instant::now();
+        let ser = RowSerializer::new(schema);
+        let recorder = self.recorder.map(|rec| (rec, op_idx));
+        let socket0 = ctx.driver.worker_socket(0);
         match kind {
             ExchangeKind::HashPartition(keys) => {
                 let key_idx: Vec<usize> = keys.iter().map(|k| schema.index_of(k)).collect();
-                self.partition_and_send(op_idx, id, input, &key_idx);
+                self.partition_and_send(id, recorder, &ser, input, &key_idx);
             }
-            ExchangeKind::Broadcast => self.broadcast_send(op_idx, id, input),
-            ExchangeKind::Gather => self.gather_send(op_idx, id, input),
+            ExchangeKind::Broadcast => self.send_in_order(
+                MessageWriter::broadcast(ctx, self.query, id, recorder, &ser, socket0),
+                input,
+            ),
+            // Everything goes to bucket 0, the coordinator's, whose own
+            // rows pass through below without being serialized.
+            ExchangeKind::Gather if me.0 != 0 => self.send_in_order(
+                MessageWriter::partitioned(ctx, self.query, id, recorder, &ser, socket0, 1),
+                input,
+            ),
+            ExchangeKind::Gather => {}
         }
         self.send_lasts(id, kind);
         if let Some(rec) = self.recorder {
             rec.add_send_time(op_idx, send_t0.elapsed());
         }
 
-        // Gather keeps a local pass-through of node 0's own rows.
-        let local_part = match kind {
-            ExchangeKind::Gather if me.0 == 0 => Some(input.clone()),
+        let out = match kind {
+            // Non-coordinators produce nothing further.
+            ExchangeKind::Gather if me.0 != 0 => Table::empty(schema.clone()),
             ExchangeKind::Gather => {
-                // Non-coordinators produce nothing further.
-                ctx.hub.finish(self.query, id);
-                return Table::empty(schema);
+                let mut out = self.consume(op_idx, id, input, n as usize);
+                out.append(input);
+                out
             }
-            _ => None,
+            ExchangeKind::Broadcast => self.consume(op_idx, id, input, n as usize),
+            ExchangeKind::HashPartition(_) => self.consume(op_idx, id, input, 1),
         };
-
-        let mut out = self.consume(op_idx, id, &schema);
-        if let Some(local) = local_part {
-            out.append(&local);
-        }
         ctx.hub.finish(self.query, id);
         out
     }
 
-    /// Figure 7 steps 1–4: consume, partition by CRC32, serialize into
-    /// pooled messages, pass full messages to the multiplexer.
-    fn partition_and_send(&self, op_idx: usize, id: u32, input: &Table, key_idx: &[usize]) {
+    /// Figure 7 steps 1–4, a morsel at a time: one bucket per row from the
+    /// CRC32 of its key, the row ids scattered into one selection vector
+    /// per bucket, each selection serialized as column runs into that
+    /// bucket's message.
+    fn partition_and_send(
+        &self,
+        id: u32,
+        recorder: Option<(&NodeRecorder, usize)>,
+        ser: &RowSerializer,
+        input: &Table,
+        key_idx: &[usize],
+    ) {
         let ctx = self.ctx;
-        let units = ctx.classic_units.unwrap_or(1);
-        let buckets_total = ctx.nodes as usize * units as usize;
-        let ser = RowSerializer::new(input.schema());
+        let buckets = ctx.nodes as usize * ctx.classic_units.unwrap_or(1) as usize;
         // Same canonicalization as the join hash: a Decimal repartition key
         // must land on the node where the equal Float64 key lands.
         let key_cols = crate::ops::join_key_cols(input, key_idx);
 
-        let leftovers = ctx.driver.run(
+        struct Scatter<'a> {
+            writer: MessageWriter<'a>,
+            bucket_of: Vec<u32>,
+            selections: Vec<Vec<usize>>,
+        }
+        let workers = ctx.driver.run(
             input.rows(),
-            |_| PartitionState::new(buckets_total),
-            |st, w, m| {
+            |w| Scatter {
+                writer: MessageWriter::partitioned(
+                    ctx, self.query, id, recorder, ser, w.socket, buckets,
+                ),
+                bucket_of: Vec::new(),
+                selections: vec![Vec::new(); buckets],
+            },
+            |st, _, m| {
                 self.check_cancel();
-                for row in m.range() {
-                    let bucket = row_bucket(&key_cols, row, buckets_total);
-                    let buf = st.buffer(bucket, ctx, w.socket);
-                    ser.serialize_row(input, row, buf);
-                    if st.bufs[bucket].as_ref().expect("just filled").0.len()
-                        >= ctx.message_capacity
-                    {
-                        let (buf, socket) = st.bufs[bucket].take().expect("present");
-                        self.flush_message(op_idx, id, bucket, buf, socket, w.socket, units);
-                    }
+                bucket_vector(&key_cols, m.range(), buckets, &mut st.bucket_of);
+                for (row, &bucket) in m.range().zip(&st.bucket_of) {
+                    st.selections[bucket as usize].push(row);
+                }
+                for (bucket, selection) in st.selections.iter_mut().enumerate() {
+                    st.writer.write(bucket, input, Rows::Sel(selection));
+                    selection.clear();
                 }
             },
         );
-        // Flush partially-filled messages ("only the used part is sent").
-        for st in leftovers {
-            for (bucket, slot) in st.bufs.into_iter().enumerate() {
-                if let Some((buf, socket)) = slot {
-                    if buf.len() > HEADER_LEN {
-                        self.flush_message(
-                            op_idx,
-                            id,
-                            bucket,
-                            buf,
-                            socket,
-                            ctx.driver.worker_socket(0),
-                            units,
-                        );
-                    } else {
-                        ctx.pool.recycle(socket);
-                    }
-                }
-            }
+        for st in workers {
+            st.writer.finish();
         }
     }
 
-    fn flush_message(
-        &self,
-        op_idx: usize,
-        id: u32,
-        bucket: usize,
-        mut buf: Vec<u8>,
-        mem_socket: SocketId,
-        worker_socket: SocketId,
-        units: u16,
-    ) {
-        let ctx = self.ctx;
-        let target = NodeId((bucket / units as usize) as u16);
-        let local_bucket = (bucket % units as usize) as u16;
-        patch_header(self.query, id, 0, local_bucket, &mut buf);
-        // Writing a remote buffer costs QPI time (Figure 9's effect).
-        ctx.topology
-            .charge_access(worker_socket, mem_socket, buf.len());
-        if target == ctx.node {
-            let queue = if ctx.is_classic() {
-                local_bucket as usize
-            } else {
-                mem_socket.0 as usize
-            };
-            let data = Bytes::from(buf).slice(HEADER_LEN..);
-            ctx.hub.deliver(
-                self.query,
-                id,
-                queue,
-                Some(RecvMsg { data, mem_socket }),
-                false,
-            );
-            ctx.pool.recycle(mem_socket);
-        } else {
-            if let Some(rec) = self.recorder {
-                rec.net_send(op_idx, buf.len() as u64, 1);
-            }
-            ctx.to_mux
-                .send(MuxCmd::Send {
-                    target,
-                    payload: Bytes::from(buf),
-                    pool_socket: mem_socket,
-                })
-                .expect("multiplexer alive");
+    /// Broadcast and gather: serialize the input in row order through
+    /// `writer`'s single destination, checking for cancellation per chunk.
+    fn send_in_order(&self, mut writer: MessageWriter<'_>, input: &Table) {
+        let step = self.ctx.driver.morsel_size();
+        for start in (0..input.rows()).step_by(step) {
+            self.check_cancel();
+            let end = (start + step).min(input.rows());
+            writer.write(0, input, Rows::Span(start, end));
         }
-    }
-
-    /// Broadcast: serialize once; remote copies share the buffer via the
-    /// retain counter (Bytes refcount). Classic mode additionally ships one
-    /// duplicate per remote *unit*, paying the (n·t−1)-copy network cost the
-    /// paper attributes to classic exchange operators.
-    fn broadcast_send(&self, op_idx: usize, id: u32, input: &Table) {
-        let ctx = self.ctx;
-        let ser = RowSerializer::new(input.schema());
-        let units = ctx.classic_units.unwrap_or(1);
-        let worker_socket = ctx.driver.worker_socket(0);
-
-        let flush = |mut buf: Vec<u8>, socket: SocketId| {
-            patch_header(self.query, id, 0, 0, &mut buf);
-            ctx.topology.charge_access(worker_socket, socket, buf.len());
-            // Local retain.
-            let bytes = Bytes::from(buf);
-            ctx.hub.deliver(
-                self.query,
-                id,
-                if ctx.is_classic() {
-                    0
-                } else {
-                    socket.0 as usize
-                },
-                Some(RecvMsg {
-                    data: bytes.slice(HEADER_LEN..),
-                    mem_socket: socket,
-                }),
-                false,
-            );
-            if ctx.nodes > 1 {
-                let remote = u64::from(ctx.nodes - 1);
-                if let Some(rec) = self.recorder {
-                    // Each broadcast ships one wire copy per remote node
-                    // (plus one per remote classic unit below).
-                    rec.net_send(
-                        op_idx,
-                        bytes.len() as u64 * remote * u64::from(units),
-                        remote * u64::from(units),
-                    );
-                }
-                ctx.to_mux
-                    .send(MuxCmd::Broadcast {
-                        payload: bytes.clone(),
-                        pool_socket: socket,
-                        copies_per_node: 1,
-                    })
-                    .expect("multiplexer alive");
-                // Classic: each further remote unit receives its own copy.
-                for u in 1..units {
-                    let mut dup = bytes.to_vec();
-                    patch_header(self.query, id, FLAG_DUP, u, &mut dup);
-                    ctx.to_mux
-                        .send(MuxCmd::Broadcast {
-                            payload: Bytes::from(dup),
-                            pool_socket: socket,
-                            copies_per_node: 1,
-                        })
-                        .expect("multiplexer alive");
-                }
-            }
-            ctx.pool.recycle(socket);
-        };
-
-        let (mut buf, mut socket) = ctx
-            .pool
-            .take(ctx.alloc_policy, worker_socket, &ctx.topology);
-        buf.resize(HEADER_LEN, 0);
-        for row in 0..input.rows() {
-            if row % CANCEL_CHECK_ROWS == 0 {
-                self.check_cancel();
-            }
-            ser.serialize_row(input, row, &mut buf);
-            if buf.len() >= ctx.message_capacity {
-                flush(buf, socket);
-                let fresh = ctx
-                    .pool
-                    .take(ctx.alloc_policy, worker_socket, &ctx.topology);
-                buf = fresh.0;
-                socket = fresh.1;
-                buf.resize(HEADER_LEN, 0);
-            }
-        }
-        if buf.len() > HEADER_LEN {
-            flush(buf, socket);
-        } else {
-            ctx.pool.recycle(socket);
-        }
-    }
-
-    /// Gather: ship everything to node 0.
-    fn gather_send(&self, op_idx: usize, id: u32, input: &Table) {
-        let ctx = self.ctx;
-        if ctx.node.0 == 0 || ctx.nodes <= 1 {
-            return; // coordinator keeps its rows as a local pass-through
-        }
-        let ser = RowSerializer::new(input.schema());
-        let worker_socket = ctx.driver.worker_socket(0);
-        let (mut buf, mut socket) = ctx
-            .pool
-            .take(ctx.alloc_policy, worker_socket, &ctx.topology);
-        buf.resize(HEADER_LEN, 0);
-        for row in 0..input.rows() {
-            if row % CANCEL_CHECK_ROWS == 0 {
-                self.check_cancel();
-            }
-            ser.serialize_row(input, row, &mut buf);
-            if buf.len() >= ctx.message_capacity {
-                let mut full = buf;
-                patch_header(self.query, id, 0, 0, &mut full);
-                if let Some(rec) = self.recorder {
-                    rec.net_send(op_idx, full.len() as u64, 1);
-                }
-                ctx.to_mux
-                    .send(MuxCmd::Send {
-                        target: NodeId(0),
-                        payload: Bytes::from(full),
-                        pool_socket: socket,
-                    })
-                    .expect("multiplexer alive");
-                let fresh = ctx
-                    .pool
-                    .take(ctx.alloc_policy, worker_socket, &ctx.topology);
-                buf = fresh.0;
-                socket = fresh.1;
-                buf.resize(HEADER_LEN, 0);
-            }
-        }
-        if buf.len() > HEADER_LEN {
-            let mut full = buf;
-            patch_header(self.query, id, 0, 0, &mut full);
-            if let Some(rec) = self.recorder {
-                rec.net_send(op_idx, full.len() as u64, 1);
-            }
-            ctx.to_mux
-                .send(MuxCmd::Send {
-                    target: NodeId(0),
-                    payload: Bytes::from(full),
-                    pool_socket: socket,
-                })
-                .expect("multiplexer alive");
-        } else {
-            ctx.pool.recycle(socket);
-        }
+        writer.finish();
     }
 
     fn send_lasts(&self, id: u32, kind: &ExchangeKind) {
@@ -762,79 +581,74 @@ impl<'a> NodeExec<'a> {
 
     /// Figure 7 steps 5–7: workers drain NUMA-local receive queues (5a),
     /// steal across sockets when idle (5b), deserialize (6), and hand the
-    /// tuples to the next pipeline (7) — here: collect into a table.
-    fn consume(&self, op_idx: usize, id: u32, schema: &Schema) -> Table {
+    /// tuples to the next pipeline (7) — here: every message's chunks are
+    /// appended straight onto the worker's columns, and the workers'
+    /// columns become the result table.
+    ///
+    /// A worker's columns start out sized for its share of what a balanced
+    /// exchange delivers to this node, `copies` times the node's own
+    /// `input`: once for a repartition (every node keeps 1/n of every
+    /// node's rows), n times for a broadcast and at the coordinator of a
+    /// gather — and an eighth over, because no split is exactly even and a
+    /// column that outgrows its reserve by one row is moved whole. A wrong
+    /// guess costs little — columns still grow on demand, and reserve that
+    /// is never written is never paged in — while a right one saves
+    /// regrowing every column a dozen times under the messages being freed
+    /// around it.
+    fn consume(&self, op_idx: usize, id: u32, input: &Table, copies: usize) -> Table {
         let ctx = self.ctx;
+        let schema = input.schema();
         let de = RowDeserializer::new(schema);
         let stealing = !ctx.is_classic();
-        let workers = ctx.driver.workers();
+        let workers = ctx.driver.workers() as usize;
+        let share = |own: usize| own * copies / workers * 9 / 8;
 
-        let query = self.query;
-        let recorder = self.recorder;
-        let cancel = self.cancel;
-        let pieces: Vec<Table> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers as usize);
-            for w in 0..workers {
-                let de = &de;
-                let hub = &ctx.hub;
-                let topo = &ctx.topology;
-                let driver = &ctx.driver;
-                handles.push(scope.spawn(move || {
-                    let socket = driver.worker_socket(w);
-                    let own_queue = if stealing {
-                        socket.0 as usize
-                    } else {
-                        w as usize
-                    };
-                    let mut out = Table::empty(de_schema(de));
-                    let mut wait = Duration::ZERO;
-                    let mut batches = 0u64;
-                    loop {
-                        // Time blocked on the receive hub: the worker's
-                        // share of network wait at this exchange boundary.
-                        // The cancellable pop polls the token while
-                        // blocked, so a cancel/deadline lands even when
-                        // this node is starved waiting on its peers.
-                        let pop_t0 = Instant::now();
-                        let msg = hub.pop_cancellable(query, id, own_queue, stealing, cancel);
-                        wait += pop_t0.elapsed();
-                        let Some(msg) = msg else { break };
-                        batches += 1;
-                        // Reading a remote message buffer crosses QPI.
-                        topo.charge_access(socket, msg.mem_socket, msg.data.len());
-                        let t = de.deserialize(&msg.data);
-                        out.append(&t);
-                    }
-                    if let Some(rec) = recorder {
-                        rec.add_consume(op_idx, wait, batches);
-                    }
-                    out
-                }));
+        let pieces = ctx.driver.on_each_worker(|w| {
+            let own_queue = if stealing {
+                w.socket.0 as usize
+            } else {
+                w.id as usize
+            };
+            let mut columns = de.empty_columns();
+            for (column, like) in columns.iter_mut().zip(input.columns()) {
+                column.reserve(share(like.len()), share(like.str_bytes()));
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("consumer worker panicked"))
-                .collect()
+            let mut wait = Duration::ZERO;
+            let mut batches = 0u64;
+            loop {
+                // Time blocked on the receive hub: the worker's share of
+                // network wait at this exchange boundary. The cancellable
+                // pop polls the token while blocked, so a cancel/deadline
+                // lands even when this node is starved waiting on its
+                // peers.
+                let pop_t0 = Instant::now();
+                let msg = ctx
+                    .hub
+                    .pop_cancellable(self.query, id, own_queue, stealing, self.cancel);
+                wait += pop_t0.elapsed();
+                let Some(msg) = msg else { break };
+                batches += 1;
+                // Reading a remote message buffer crosses QPI.
+                ctx.topology
+                    .charge_access(w.socket, msg.mem_socket, msg.data.len());
+                de.decode_into(&msg.data, &mut columns)
+                    .unwrap_or_else(|e| panic!("malformed exchange message: {e}"));
+            }
+            if let Some(rec) = self.recorder {
+                rec.add_consume(op_idx, wait, batches);
+            }
+            Table::new(schema.clone(), columns)
         });
 
         {
             let mut loads = ctx.consume_loads.lock();
-            loads.resize(workers as usize, 0);
-            for (w, p) in pieces.iter().enumerate() {
-                loads[w] += p.rows() as u64;
+            loads.resize(pieces.len(), 0);
+            for (load, piece) in loads.iter_mut().zip(&pieces) {
+                *load += piece.rows() as u64;
             }
         }
-
-        let mut out = Table::empty(schema.clone());
-        for p in pieces {
-            out.append(&p);
-        }
-        out
+        Table::concat(schema, pieces)
     }
-}
-
-fn de_schema(de: &RowDeserializer) -> Schema {
-    de.deserialize(&[]).schema().clone()
 }
 
 /// Project `t` to the named columns, in order.
@@ -869,66 +683,64 @@ fn map_schema(t: &Table, outputs: &[MapExpr], params: &[Value]) -> Schema {
 /// Float64 hashes its canonical bits (−0.0 folded onto +0.0) — so any two
 /// sides of a mixed Int64/Decimal/Float64 join holding the same value land
 /// on the same node when repartitioned (mirrors
-/// [`crate::ops::join_key_of`]).
+/// [`crate::ops::join_key_of`]). A single Int64 key hashes the bytes
+/// `placement::hash_partition` hashes (`canon_i64_bytes`): if the two
+/// disagreed, partitioned placement would stop avoiding shuffles.
+///
+/// This is the definition; the exchange computes it a column at a time
+/// with [`bucket_vector`].
+#[inline]
 pub fn row_bucket(key_cols: &[(&Column, bool)], row: usize, buckets: usize) -> usize {
-    // Canonical hash bytes of one numeric key value.
-    fn i64_bytes(x: i64) -> [u8; 8] {
-        match i64_as_f64_exact(x) {
-            Some(f) => canon_f64_bits(f).to_le_bytes(),
-            None => x.to_le_bytes(),
-        }
-    }
-    let h = if key_cols.len() == 1 {
-        match key_cols[0] {
-            (Column::I64(v, _), true) => {
-                crc32(&canon_f64_bits(decimal_to_f64(v[row])).to_le_bytes())
-            }
-            // Must agree with `placement::hash_partition` (same crc32_i64),
-            // or partitioned placement stops avoiding shuffles.
-            (Column::I64(v, _), false) => crc32_i64(v[row]),
-            (Column::F64(v, _), _) => crc32(&canon_f64_bits(v[row]).to_le_bytes()),
-            (Column::Str(v, _), _) => crc32(v.get(row).as_bytes()),
-        }
-    } else {
-        let mut scratch = Vec::with_capacity(key_cols.len() * 8);
-        for &(c, promote) in key_cols {
-            match (c, promote) {
-                (Column::I64(v, _), true) => {
-                    scratch
-                        .extend_from_slice(&canon_f64_bits(decimal_to_f64(v[row])).to_le_bytes());
-                }
-                (Column::I64(v, _), false) => scratch.extend_from_slice(&i64_bytes(v[row])),
-                (Column::F64(v, _), _) => {
-                    scratch.extend_from_slice(&canon_f64_bits(v[row]).to_le_bytes());
-                }
-                (Column::Str(v, _), _) => scratch.extend_from_slice(v.get(row).as_bytes()),
-            }
-        }
-        crc32(&scratch)
-    };
-    h as usize % buckets
+    let crc = key_cols
+        .iter()
+        .fold(CRC32_INIT, |crc, &(c, promote)| match (c, promote) {
+            (Column::I64(v, _), true) => crc32_update(crc, &decimal_key_bytes(v[row])),
+            (Column::I64(v, _), false) => crc32_update(crc, &canon_i64_bytes(v[row])),
+            (Column::F64(v, _), _) => crc32_update(crc, &f64_key_bytes(v[row])),
+            (Column::Str(v, _), _) => crc32_update(crc, v.get(row).as_bytes()),
+        });
+    crc32_finish(crc) as usize % buckets
 }
 
-/// Per-worker partition/serialize state (one pending message per bucket).
-struct PartitionState {
-    bufs: Vec<Option<(Vec<u8>, SocketId)>>,
+/// [`row_bucket`] of every row in `rows`, into `out` (cleared first): one
+/// running CRC per row, fed a key column at a time by a loop picked once
+/// per column.
+pub fn bucket_vector(
+    key_cols: &[(&Column, bool)],
+    rows: std::ops::Range<usize>,
+    buckets: usize,
+    out: &mut Vec<u32>,
+) {
+    fn feed<T: Copy>(crcs: &mut [u32], vals: &[T], bytes: impl Fn(T) -> [u8; 8]) {
+        for (crc, &v) in crcs.iter_mut().zip(vals) {
+            *crc = crc32_update(*crc, &bytes(v));
+        }
+    }
+    out.clear();
+    out.resize(rows.len(), CRC32_INIT);
+    for &(c, promote) in key_cols {
+        match (c, promote) {
+            (Column::I64(v, _), true) => feed(out, &v[rows.clone()], decimal_key_bytes),
+            (Column::I64(v, _), false) => feed(out, &v[rows.clone()], canon_i64_bytes),
+            (Column::F64(v, _), _) => feed(out, &v[rows.clone()], f64_key_bytes),
+            (Column::Str(v, _), _) => {
+                let bounds = v.offsets()[rows.start..=rows.end].windows(2);
+                for (crc, w) in out.iter_mut().zip(bounds) {
+                    *crc = crc32_update(*crc, &v.data()[w[0] as usize..w[1] as usize]);
+                }
+            }
+        }
+    }
+    for crc in out {
+        *crc = (crc32_finish(*crc) as usize % buckets) as u32;
+    }
 }
 
-impl PartitionState {
-    fn new(buckets: usize) -> Self {
-        Self {
-            bufs: (0..buckets).map(|_| None).collect(),
-        }
-    }
+// Canonical hash bytes of one numeric key value.
+fn f64_key_bytes(x: f64) -> [u8; 8] {
+    canon_f64_bits(x).to_le_bytes()
+}
 
-    fn buffer(&mut self, bucket: usize, ctx: &NodeCtx, worker_socket: SocketId) -> &mut Vec<u8> {
-        if self.bufs[bucket].is_none() {
-            let (mut buf, socket) = ctx
-                .pool
-                .take(ctx.alloc_policy, worker_socket, &ctx.topology);
-            buf.resize(HEADER_LEN, 0);
-            self.bufs[bucket] = Some((buf, socket));
-        }
-        &mut self.bufs[bucket].as_mut().expect("just set").0
-    }
+fn decimal_key_bytes(cents: i64) -> [u8; 8] {
+    f64_key_bytes(decimal_to_f64(cents))
 }

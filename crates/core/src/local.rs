@@ -72,6 +72,17 @@ impl MorselDriver {
         SocketId(core / self.cores_per_socket)
     }
 
+    /// Run `job` once on every worker — inline when there is only one — and
+    /// return the results in worker order (work that is not cut into
+    /// morsels: draining an exchange's receive queues).
+    pub fn on_each_worker<S, J>(&self, job: J) -> Vec<S>
+    where
+        S: Send,
+        J: Fn(WorkerCtx) -> S + Sync,
+    {
+        self.run(0, job, |_, _, _| {})
+    }
+
     /// Run `work` over all morsels of `total_rows` rows in parallel and
     /// return each worker's state.
     ///

@@ -852,9 +852,10 @@ fn dec_schema(r: &mut Rd<'_>) -> DecodeResult<Schema> {
     Ok(Schema::new(fields))
 }
 
-/// Encode a whole table: schema, row count, then the rows in the engine's
-/// row-wise exchange format (Figure 8). Used to ship stage results and
-/// parameter tables between node processes and the coordinator.
+/// Encode a whole table: schema, row count, then the rows as one chunk of
+/// the engine's exchange format ([`crate::wire`]). Used to ship stage
+/// results and parameter tables between node processes and the
+/// coordinator.
 pub fn encode_table(table: &Table) -> Vec<u8> {
     let mut out = Vec::new();
     enc_table(&mut out, table);
@@ -877,7 +878,9 @@ pub fn decode_table(buf: &[u8]) -> DecodeResult<Table> {
     let schema = dec_schema(&mut r)?;
     let rows = r.u64()? as usize;
     let rest = &r.buf[r.pos..];
-    let table = RowDeserializer::new(&schema).deserialize(rest);
+    let table = RowDeserializer::new(&schema)
+        .decode(rest)
+        .map_err(|e| format!("table rows: {e}"))?;
     if table.rows() != rows {
         return Err(format!(
             "table decoded to {} rows, header said {rows}",
@@ -957,6 +960,20 @@ mod tests {
             Value::Str("acid green".into()),
         ];
         assert_eq!(decode_values(&encode_values(&vals)).unwrap(), vals);
+    }
+
+    #[test]
+    fn corrupt_table_rows_are_an_error_not_a_panic() {
+        let db = hsqp_tpch::TpchDb::generate(0.001);
+        let bytes = encode_table(db.table(hsqp_tpch::TpchTable::Nation));
+        // A `StageDone` body cut short, or with a byte of a name flipped
+        // into invalid UTF-8, must come back as `Err` to the coordinator.
+        let err = decode_table(&bytes[..bytes.len() - 1]).unwrap_err();
+        assert!(err.contains("truncated"), "unexpected error: {err}");
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() = 0xFF;
+        let err = decode_table(&bad).unwrap_err();
+        assert!(err.contains("UTF-8"), "unexpected error: {err}");
     }
 
     #[test]

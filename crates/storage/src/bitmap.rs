@@ -46,6 +46,38 @@ impl Bitmap {
         self.len += 1;
     }
 
+    /// Append `n` bits, all set to `value`.
+    pub fn extend_filled(&mut self, n: usize, value: bool) {
+        let old = self.len;
+        self.len += n;
+        self.words
+            .resize(self.len.div_ceil(64), if value { u64::MAX } else { 0 });
+        if value && !old.is_multiple_of(64) {
+            // The word the old tail lives in keeps its low bits and gets
+            // every bit above them.
+            self.words[old / 64] |= u64::MAX << (old % 64);
+        }
+        self.mask_tail();
+    }
+
+    /// Append all bits of `other`, a word at a time.
+    pub fn extend_from(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        self.len += other.len;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            // Bits past `len` are kept zero, so each source word ORs its
+            // low part onto the open word and starts the next with the rest.
+            self.words.reserve(other.words.len());
+            for &w in &other.words {
+                *self.words.last_mut().expect("open word") |= w << shift;
+                self.words.push(w >> (64 - shift));
+            }
+            self.words.truncate(self.len.div_ceil(64));
+        }
+    }
+
     /// Bit at `idx`.
     ///
     /// # Panics
@@ -129,6 +161,36 @@ mod tests {
         // count_set must not count bits beyond len.
         let t = Bitmap::filled(65, true);
         assert_eq!(t.count_set(), 65);
+    }
+
+    #[test]
+    fn bulk_appends_equal_bit_by_bit_pushes_at_every_offset() {
+        let pattern = |i: usize| i % 3 == 1 || i % 7 == 2;
+        for offset in 0..=130 {
+            for extra in [0, 1, 63, 64, 65, 130] {
+                let head: Bitmap = (0..offset).map(pattern).collect();
+                let tail: Bitmap = (offset..offset + extra).map(pattern).collect();
+                let mut joined = head.clone();
+                joined.extend_from(&tail);
+                let pushed: Bitmap = (0..offset + extra).map(pattern).collect();
+                assert_eq!(joined, pushed, "extend_from at {offset} + {extra}");
+
+                for value in [true, false] {
+                    let mut filled = head.clone();
+                    filled.extend_filled(extra, value);
+                    let mut pushed = head.clone();
+                    (0..extra).for_each(|_| pushed.push(value));
+                    assert_eq!(
+                        filled, pushed,
+                        "extend_filled({value}) at {offset} + {extra}"
+                    );
+                    assert_eq!(
+                        filled.count_set(),
+                        head.count_set() + if value { extra } else { 0 }
+                    );
+                }
+            }
+        }
     }
 
     #[test]

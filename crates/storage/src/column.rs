@@ -66,11 +66,78 @@ impl StringColumn {
         self.data.len()
     }
 
+    /// Row boundaries into [`data`](Self::data): string `i` occupies
+    /// `offsets()[i]..offsets()[i + 1]`; `len() + 1` entries.
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
+    /// All strings back to back (column kernels read runs of it without a
+    /// UTF-8 check per string).
+    pub fn data(&self) -> &[u8] {
+        &self.data
+    }
+
+    /// Append every string of `other`: one copy of its data, its offsets
+    /// rebased.
+    ///
+    /// # Panics
+    /// Panics if total data exceeds `u32::MAX` bytes.
+    pub fn extend(&mut self, other: &StringColumn) {
+        let base = self.end_after(other.data.len());
+        self.data.extend_from_slice(&other.data);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| base + o));
+    }
+
+    /// Append `lens.len()` strings that lie back to back in `data`, the
+    /// `i`-th being `lens[i]` bytes long. Fails, leaving the column as it
+    /// was, when the lengths do not add up to `data.len()` or one of them
+    /// ends inside a character.
+    ///
+    /// # Panics
+    /// Panics if total data exceeds `u32::MAX` bytes.
+    pub fn extend_from_run(
+        &mut self,
+        data: &str,
+        lens: impl Iterator<Item = u32>,
+    ) -> Result<(), SplitRun> {
+        let base = self.end_after(data.len());
+        let rows_before = self.offsets.len();
+        let mut end = 0usize;
+        let mut whole = true;
+        self.offsets.extend(lens.map(|len| {
+            end = end.saturating_add(len as usize);
+            whole &= data.is_char_boundary(end);
+            // A wrapped sum fails the boundary check (`end > data.len()`),
+            // so the value stored here is never kept.
+            base.wrapping_add(end as u32)
+        }));
+        if whole && end == data.len() {
+            self.data.extend_from_slice(data.as_bytes());
+            Ok(())
+        } else {
+            self.offsets.truncate(rows_before);
+            Err(SplitRun)
+        }
+    }
+
+    /// Current end offset, after checking that `more` bytes still fit.
+    fn end_after(&self, more: usize) -> u32 {
+        u32::try_from(self.data.len() + more).expect("string column exceeds 4 GiB");
+        self.data.len() as u32
+    }
+
     /// Iterate all strings.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
 }
+
+/// A run of lengths handed to [`StringColumn::extend_from_run`] that does
+/// not cut its data into whole strings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitRun;
 
 impl FromIterator<String> for StringColumn {
     fn from_iter<T: IntoIterator<Item = String>>(iter: T) -> Self {
@@ -257,6 +324,28 @@ impl Column {
         }
     }
 
+    /// Bytes of string data (0 for a column that is not a string column).
+    pub fn str_bytes(&self) -> usize {
+        match self {
+            Column::Str(v, _) => v.data_len(),
+            _ => 0,
+        }
+    }
+
+    /// Make room for `rows` more rows — holding `str_bytes` bytes of
+    /// string data, if this is a string column — so that appending them
+    /// does not regrow the column.
+    pub fn reserve(&mut self, rows: usize, str_bytes: usize) {
+        match self {
+            Column::I64(v, _) => v.reserve(rows),
+            Column::F64(v, _) => v.reserve(rows),
+            Column::Str(v, _) => {
+                v.offsets.reserve(rows);
+                v.data.reserve(str_bytes);
+            }
+        }
+    }
+
     /// Append all rows of `other` onto `self`.
     ///
     /// # Panics
@@ -274,9 +363,7 @@ impl Column {
             }
             (Column::Str(a, abm), Column::Str(b, bbm)) => {
                 append_validity(abm, a.len(), bbm, other_len);
-                for s in b.iter() {
-                    a.push(s);
-                }
+                a.extend(b);
             }
             (a, b) => panic!(
                 "cannot append {} column to {} column",
@@ -307,23 +394,13 @@ fn gather_validity(bm: &Option<Bitmap>, indices: &[usize]) -> Option<Bitmap> {
 fn append_validity(abm: &mut Option<Bitmap>, a_len: usize, bbm: &Option<Bitmap>, b_len: usize) {
     match (abm.as_mut(), bbm) {
         (None, None) => {}
-        (Some(a), None) => {
-            for _ in 0..b_len {
-                a.push(true);
-            }
-        }
+        (Some(a), None) => a.extend_filled(b_len, true),
         (None, Some(b)) => {
             let mut bm = Bitmap::filled(a_len, true);
-            for i in 0..b_len {
-                bm.push(b.get(i));
-            }
+            bm.extend_from(b);
             *abm = Some(bm);
         }
-        (Some(a), Some(b)) => {
-            for i in 0..b_len {
-                a.push(b.get(i));
-            }
-        }
+        (Some(a), Some(b)) => a.extend_from(b),
     }
 }
 
@@ -394,6 +471,78 @@ mod tests {
         assert_eq!(a.value(0), Value::I64(1));
         assert_eq!(a.value(2), Value::Null);
         assert_eq!(a.value(3), Value::I64(9));
+    }
+
+    /// A nullable column of `dtype` whose row `i` is NULL when `null(i)`.
+    fn nullable_column(
+        dtype: DataType,
+        rows: std::ops::Range<usize>,
+        null: fn(usize) -> bool,
+    ) -> Column {
+        let mut c = Column::empty(dtype);
+        for i in rows {
+            c.push_value(&match dtype {
+                _ if null(i) => Value::Null,
+                DataType::Utf8 => Value::Str("é".repeat(i % 4) + &i.to_string()),
+                DataType::Float64 => Value::F64(i as f64 / 4.0),
+                _ => Value::I64(i as i64 - 60),
+            });
+        }
+        c
+    }
+
+    #[test]
+    fn bulk_append_equals_row_wise_push_at_every_bit_offset() {
+        let patterns: [fn(usize) -> bool; 3] = [|_| false, |i| i % 3 == 1, |i| i >= 100];
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            for null in patterns {
+                let whole = nullable_column(dtype, 0..200, null);
+                for offset in 0..=130 {
+                    let mut joined = nullable_column(dtype, 0..offset, null);
+                    joined.append(&nullable_column(dtype, offset..200, null));
+                    assert_eq!(joined.len(), 200);
+                    for row in 0..200 {
+                        assert_eq!(joined.value(row), whole.value(row), "{dtype:?} at {offset}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_runs_append_whole_strings_only() {
+        let mut c: StringColumn = ["ab"].into_iter().collect();
+        c.extend_from_run("héllo", [1u32, 0, 5].into_iter())
+            .unwrap();
+        assert_eq!(c.iter().collect::<Vec<_>>(), ["ab", "h", "", "éllo"]);
+        let before = c.clone();
+        // Inside the two-byte é, short of the data, past the data.
+        assert_eq!(
+            c.extend_from_run("héllo", [2u32, 4].into_iter()),
+            Err(SplitRun)
+        );
+        assert_eq!(
+            c.extend_from_run("héllo", [1u32, 2].into_iter()),
+            Err(SplitRun)
+        );
+        assert_eq!(
+            c.extend_from_run("héllo", [6u32, 1].into_iter()),
+            Err(SplitRun)
+        );
+        assert_eq!(
+            c.extend_from_run("héllo", [u32::MAX, u32::MAX].into_iter()),
+            Err(SplitRun)
+        );
+        assert_eq!(c, before, "a refused run leaves the column as it was");
+
+        let mut d = StringColumn::new();
+        d.extend(&c);
+        d.extend(&StringColumn::new());
+        d.extend(&c);
+        assert_eq!(d.len(), 8);
+        assert_eq!(d.get(3), "éllo");
+        assert_eq!(d.get(4), "ab");
+        assert_eq!(d.get(7), "éllo");
     }
 
     #[test]

@@ -29,18 +29,36 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// CRC-32 of a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+/// Register value of a CRC-32 that has seen no bytes yet: feed it through
+/// [`crc32_update`] and close it with [`crc32_finish`]. A key of several
+/// attributes is hashed by updating one register per row with each
+/// attribute's bytes in turn, which equals [`crc32`] of their concatenation.
+pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
+
+/// Feed `data` into a running CRC-32 register.
+#[inline]
+pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     for &b in data {
         crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
     }
+    crc
+}
+
+/// The CRC-32 a register stands for.
+#[inline]
+pub fn crc32_finish(crc: u32) -> u32 {
     !crc
+}
+
+/// CRC-32 of a byte slice.
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_finish(crc32_update(CRC32_INIT, data))
 }
 
 /// Canonical bit pattern of an f64 join/partition key: `-0.0` folds onto
 /// `+0.0` so the two zeros (equal under IEEE `==`) hash and compare as one
 /// key. All other values — including NaNs — keep their raw bits.
+#[inline]
 pub fn canon_f64_bits(f: f64) -> u64 {
     if f == 0.0 {
         0.0f64.to_bits()
@@ -53,6 +71,7 @@ pub fn canon_f64_bits(f: f64) -> u64 {
 /// exactly `x`. `i64::MAX` is excluded explicitly: `i64::MAX as f64`
 /// rounds *up* to 2⁶³ and the saturating cast back yields `i64::MAX`
 /// again, making the naive round-trip test a false positive.
+#[inline]
 pub fn i64_as_f64_exact(x: i64) -> Option<f64> {
     let f = x as f64;
     if f as i64 == x && x != i64::MAX {
@@ -71,9 +90,16 @@ pub fn i64_as_f64_exact(x: i64) -> Option<f64> {
 /// partitioned placement stops matching exchange buckets and every
 /// partition-key repartition degrades into a full shuffle.
 pub fn crc32_i64(key: i64) -> u32 {
+    crc32(&canon_i64_bytes(key))
+}
+
+/// The bytes an integer key hashes as: its canonical f64 bits when it is
+/// exactly representable as f64, its own bytes otherwise.
+#[inline]
+pub fn canon_i64_bytes(key: i64) -> [u8; 8] {
     match i64_as_f64_exact(key) {
-        Some(f) => crc32(&canon_f64_bits(f).to_le_bytes()),
-        None => crc32(&key.to_le_bytes()),
+        Some(f) => canon_f64_bits(f).to_le_bytes(),
+        None => key.to_le_bytes(),
     }
 }
 
@@ -158,6 +184,15 @@ mod tests {
         // Standard test vector: CRC32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_in_pieces_equals_crc32_of_the_whole() {
+        let data = b"the quick brown fox";
+        for cut in 0..=data.len() {
+            let crc = crc32_update(crc32_update(CRC32_INIT, &data[..cut]), &data[cut..]);
+            assert_eq!(crc32_finish(crc), crc32(data), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -236,6 +236,34 @@ impl Table {
         self.rows += other.rows;
     }
 
+    /// The rows of `pieces`, in order, as one table. A lone non-empty
+    /// piece is moved, not copied; several are copied once, into columns
+    /// sized for all of them.
+    ///
+    /// # Panics
+    /// Panics when a piece's schema is not `schema`.
+    pub fn concat(schema: &Schema, pieces: Vec<Table>) -> Table {
+        let mut pieces = pieces.into_iter().filter(|p| p.rows > 0);
+        let Some(mut out) = pieces.next() else {
+            return Table::empty(schema.clone());
+        };
+        assert_eq!(&out.schema, schema, "schema mismatch on concat");
+        let rest: Vec<Table> = pieces.collect();
+        if !rest.is_empty() {
+            for (i, column) in out.columns.iter_mut().enumerate() {
+                let parts = rest.iter().map(|p| &p.columns[i]);
+                column.reserve(
+                    parts.clone().map(Column::len).sum(),
+                    parts.map(Column::str_bytes).sum(),
+                );
+            }
+            for piece in &rest {
+                out.append(piece);
+            }
+        }
+        out
+    }
+
     /// Keep only the columns at `indices` (projection pushdown).
     pub fn project(&self, indices: &[usize]) -> Table {
         let schema = self.schema.project(indices);
@@ -316,6 +344,24 @@ mod tests {
         a.append(&g);
         assert_eq!(a.rows(), 5);
         assert_eq!(a.value(3, 1), Value::Str("c".into()));
+    }
+
+    #[test]
+    fn concat_moves_a_lone_piece_and_joins_several() {
+        let t = sample();
+        let empty = || Table::empty(t.schema().clone());
+        assert_eq!(Table::concat(t.schema(), vec![]).rows(), 0);
+        assert_eq!(Table::concat(t.schema(), vec![empty(), empty()]).rows(), 0);
+
+        // A lone non-empty piece comes back as it is: same buffer.
+        let piece = t.clone();
+        let data = piece.column(0).i64_values().as_ptr();
+        let alone = Table::concat(t.schema(), vec![empty(), piece, empty()]);
+        assert_eq!(alone, t);
+        assert_eq!(alone.column(0).i64_values().as_ptr(), data);
+
+        let joined = Table::concat(t.schema(), vec![t.gather(&[2]), empty(), t.clone()]);
+        assert_eq!(joined, t.gather(&[2, 0, 1, 2]));
     }
 
     #[test]

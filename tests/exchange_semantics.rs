@@ -1,6 +1,8 @@
 //! Integration tests of the exchange operator semantics across the real
 //! multiplexer path: broadcast retain behaviour, gather, classic-mode
-//! per-unit broadcast cost, message-pool accounting, and shuffle metrics.
+//! per-unit broadcast cost, message-pool accounting, shuffle metrics, and
+//! — in `content` — what each exchange delivers, value for value and node
+//! by node, on every cluster shape from 1 × 1 to 4 × 3, hybrid and classic.
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 use hsqp::engine::expr::{col, lit};
@@ -201,4 +203,185 @@ fn polling_completion_mode_works_end_to_end() {
     let r = c.run(&q).unwrap();
     assert_eq!(r.row_count(), 1);
     c.shutdown();
+}
+
+// -- content, not counts ------------------------------------------------------
+//
+// The benchmark's shuffle digests only count rows for three of its five
+// templates, so what an exchange delivers — every value, every NULL, on the
+// node that owns it — is checked here, across cluster shapes.
+
+mod content {
+    use std::collections::HashMap;
+
+    use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind};
+    use hsqp::engine::exec::{row_bucket, NodeExec};
+    use hsqp::engine::plan::Plan;
+    use hsqp::engine::QueryId;
+    use hsqp::storage::placement::chunk_split;
+    use hsqp::storage::{Column, DataType, Field, Schema, Table, Value};
+    use hsqp::tpch::TpchTable;
+
+    /// Two morsels of rows with a unique `id`, a key `k` that is not always
+    /// an exact f64, strings from empty to longer than a small message, and
+    /// NULLs in a fixed-size and a string column.
+    fn mixed_table() -> Table {
+        const ROWS: usize = 20_000;
+        let schema = Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("k", DataType::Int64),
+            Field::new("s", DataType::Utf8),
+            Field::nullable("f", DataType::Float64),
+            Field::nullable("ns", DataType::Utf8),
+        ]);
+        let mut cols: Vec<Column> = schema
+            .fields()
+            .iter()
+            .map(|f| Column::empty(f.dtype))
+            .collect();
+        let words = ["", "pending", "größer", "日本語のコメント", "x"];
+        for i in 0..ROWS {
+            let key = match i % 5 {
+                0 => (1i64 << 53) + 1 + i as i64, // not an exact f64
+                _ => (i as i64 * 7919) % 1013,
+            };
+            let s = match i {
+                // One row that no 1 KiB message can hold.
+                777 => "long ".repeat(600),
+                _ => format!("{}{}", words[i % words.len()], i % 11),
+            };
+            cols[0].push_value(&Value::I64(i as i64));
+            cols[1].push_value(&Value::I64(key));
+            cols[2].push_value(&Value::Str(s));
+            cols[3].push_value(&match i % 3 {
+                0 => Value::Null,
+                _ => Value::F64(i as f64 / 16.0),
+            });
+            cols[4].push_value(&match i % 4 {
+                1 => Value::Null,
+                _ => Value::Str(words[(i / 4) % words.len()].to_string()),
+            });
+        }
+        Table::new(schema, cols)
+    }
+
+    /// Run `plan` SPMD the way the cluster does and return every node's
+    /// share of the result, not just the coordinator's.
+    fn run_on_every_node(c: &Cluster, plan: &Plan, query: u32) -> Vec<Table> {
+        std::thread::scope(|scope| {
+            let nodes: Vec<_> = (0..c.config().nodes)
+                .map(|n| {
+                    scope.spawn(move || {
+                        NodeExec::new(c.node_ctx(n), QueryId(query), &[], 0)
+                            .execute(plan)
+                            .into_table()
+                    })
+                })
+                .collect();
+            nodes.into_iter().map(|h| h.join().unwrap()).collect()
+        })
+    }
+
+    /// How often each `id` occurs in `part`, after checking that every row
+    /// of `part` is, value for value, the row of `whole` with that id.
+    fn ids_of(part: &Table, whole: &Table, context: &str) -> HashMap<i64, usize> {
+        let ids: Vec<usize> = part
+            .column(0)
+            .i64_values()
+            .iter()
+            .map(|&id| id as usize)
+            .collect();
+        let expect = whole.gather(&ids);
+        for row in 0..part.rows() {
+            assert_eq!(part.row(row), expect.row(row), "{context}: row {row}");
+        }
+        let mut seen = HashMap::new();
+        for id in ids {
+            *seen.entry(id as i64).or_insert(0) += 1;
+        }
+        seen
+    }
+
+    #[test]
+    fn exchanges_deliver_every_row_intact_to_the_node_that_owns_it() {
+        let whole = mixed_table();
+        let once: HashMap<i64, usize> = (0..whole.rows() as i64).map(|id| (id, 1)).collect();
+        let mut query = 1 << 20;
+        for nodes in 1..=4u16 {
+            for workers in 1..=3u16 {
+                for engine in [EngineKind::Hybrid, EngineKind::Classic] {
+                    let context = format!("{nodes} nodes x {workers} workers, {engine:?}");
+                    let c = Cluster::start(ClusterConfig {
+                        workers_per_node: workers,
+                        engine,
+                        // Small messages on the odd shapes: many cuts, and
+                        // one row that outgrows a message.
+                        message_capacity: if (nodes + workers) % 2 == 1 {
+                            1024
+                        } else {
+                            32 * 1024
+                        },
+                        ..ClusterConfig::quick(nodes)
+                    })
+                    .unwrap();
+                    c.load_table(TpchTable::Region, chunk_split(&whole, nodes as usize))
+                        .unwrap();
+                    let units = match engine {
+                        EngineKind::Classic => workers as usize,
+                        EngineKind::Hybrid => 1,
+                    };
+                    let buckets = nodes as usize * units;
+                    let mut run = |plan: Plan| {
+                        query += 1;
+                        run_on_every_node(&c, &plan, query)
+                    };
+
+                    // Repartition: the input as a multiset, each row on the
+                    // node its key's bucket belongs to.
+                    for keys in [&["k"][..], &["ns", "k"]] {
+                        let parts = run(Plan::scan(TpchTable::Region).repartition(keys));
+                        let mut seen = HashMap::new();
+                        for (node, part) in parts.iter().enumerate() {
+                            let key_cols: Vec<(&Column, bool)> = keys
+                                .iter()
+                                .map(|k| (part.column_by_name(k), false))
+                                .collect();
+                            for row in 0..part.rows() {
+                                assert_eq!(
+                                    row_bucket(&key_cols, row, buckets) / units,
+                                    node,
+                                    "{context}: {keys:?} row {row} is on the wrong node"
+                                );
+                            }
+                            for (id, n) in ids_of(part, &whole, &context) {
+                                *seen.entry(id).or_insert(0) += n;
+                            }
+                        }
+                        assert_eq!(seen, once, "{context}: repartition by {keys:?}");
+                    }
+
+                    // Broadcast: the whole input once on every node.
+                    for part in run(Plan::scan(TpchTable::Region).broadcast()) {
+                        assert_eq!(
+                            ids_of(&part, &whole, &context),
+                            once,
+                            "{context}: broadcast"
+                        );
+                    }
+
+                    // Gather: the whole input once at node 0, nothing elsewhere.
+                    let parts = run(Plan::scan(TpchTable::Region).gather());
+                    assert_eq!(
+                        ids_of(&parts[0], &whole, &context),
+                        once,
+                        "{context}: gather"
+                    );
+                    for part in &parts[1..] {
+                        assert_eq!(part.rows(), 0, "{context}: gather left rows behind");
+                    }
+                    c.shutdown();
+                }
+            }
+        }
+    }
 }

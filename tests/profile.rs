@@ -121,6 +121,73 @@ fn repartition_conserves_rows_across_nodes() {
     cluster.shutdown();
 }
 
+/// What the exchange writer and the consumers report must add up to what
+/// the fabric and the nodes saw: every data message is attributed to its
+/// exchange operator (the fabric additionally carries one 15-byte last
+/// marker per sender and target), every message is one consume batch, and
+/// the per-worker consume loads are the rows the consumers decoded.
+#[test]
+fn exchanges_account_for_their_traffic_and_their_rows() {
+    use hsqp::engine::expr::lit;
+    use hsqp::engine::plan::{AggFunc, AggSpec, Plan};
+    use hsqp::tpch::TpchTable;
+
+    let cluster = cluster(2, 1);
+    let count = vec![AggSpec::new(AggFunc::Count, lit(1), "cnt")];
+    let plan = Plan::scan(TpchTable::Lineitem)
+        .repartition(&["l_orderkey"])
+        .aggregate(&[], count)
+        .gather();
+    let loads = |c: &Cluster| -> u64 {
+        (0..2)
+            .map(|n| c.node_ctx(n).consume_loads.lock().iter().sum::<u64>())
+            .sum()
+    };
+    let loads_before = loads(&cluster);
+    let result = cluster.run_plan(&plan).unwrap();
+    let profile = result.profile.as_ref().expect("profiling defaults on");
+    let ops = &profile.stages[0].ops;
+    let repartition = ops
+        .iter()
+        .find(|op| op.label.starts_with("Exchange HashPartition"))
+        .expect("a repartition");
+    let gather = ops
+        .iter()
+        .find(|op| op.label.starts_with("Exchange Gather"))
+        .expect("a gather");
+
+    let lineitems = cluster.table_rows(TpchTable::Lineitem).unwrap();
+    assert_eq!(repartition.rows_in(), lineitems);
+    assert_eq!(repartition.rows_out(), lineitems);
+    let sum = |op: &hsqp::engine::profile::OpProfile,
+               f: fn(&hsqp::engine::profile::OpNodeProfile) -> u64| {
+        op.nodes.iter().map(f).sum::<u64>()
+    };
+    let data_messages = sum(repartition, |n| n.messages_sent) + sum(gather, |n| n.messages_sent);
+    assert!(
+        sum(repartition, |n| n.messages_sent) >= 2,
+        "both nodes ship remote partitions"
+    );
+    assert_eq!(
+        sum(gather, |n| n.messages_sent),
+        1,
+        "node 1 ships its count"
+    );
+    // Last markers: each node to the other for the repartition, node 1 to
+    // node 0 for the gather.
+    assert_eq!(result.messages_sent, data_messages + 3);
+    assert_eq!(
+        result.bytes_shuffled,
+        repartition.bytes_sent() + gather.bytes_sent() + 3 * 15
+    );
+    // Remote messages and the node's own partitions are consumed alike.
+    assert!(sum(repartition, |n| n.batches) > sum(repartition, |n| n.messages_sent));
+    assert_eq!(sum(gather, |n| n.batches), 1);
+    // Everything but the coordinator's own count went through a consumer.
+    assert_eq!(loads(&cluster) - loads_before, lineitems + 1);
+    cluster.shutdown();
+}
+
 /// Four clients running different queries concurrently: each handle's
 /// profile must describe its *own* query — stage count, plan labels, and
 /// result cardinality — not a neighbour's.

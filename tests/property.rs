@@ -4,23 +4,27 @@
 
 use proptest::prelude::*;
 
+use hsqp::engine::exec::{bucket_vector, row_bucket};
 use hsqp::engine::expr::{col, lit, Expr, LikeMatcher};
 use hsqp::engine::local::MorselDriver;
 use hsqp::engine::ops::{aggregate, sort_table};
 use hsqp::engine::plan::{AggFunc, AggSpec, SortKey};
-use hsqp::engine::wire::{RowDeserializer, RowSerializer};
+use hsqp::engine::wire::{rows_that_fit, RowDeserializer, RowSerializer, Rows};
 use hsqp::numa::Topology;
 use hsqp::storage::placement::{chunk_split, crc32_i64, hash_partition};
 use hsqp::storage::types::ymd_of_date;
 use hsqp::storage::{date_from_ymd, Bitmap, Column, DataType, Field, Schema, Table, Value};
 
-/// A random nullable mixed-type table.
+/// A random nullable mixed-type table: every wire class (fixed and
+/// variable-length, NOT NULL and nullable), empty and multi-byte strings.
 fn arb_table() -> impl Strategy<Value = Table> {
     let row = (
         any::<i64>(),
         proptest::option::of(any::<f64>().prop_filter("finite", |f| f.is_finite())),
-        proptest::option::of("[a-z0-9 ]{0,12}"),
+        proptest::option::of("[a-z0-9 éß日𝄞]{0,12}"),
         0i64..1000,
+        proptest::option::of(any::<i64>()),
+        "[a-cü語]{0,5}",
     );
     proptest::collection::vec(row, 0..60).prop_map(|rows| {
         let schema = Schema::new(vec![
@@ -28,20 +32,37 @@ fn arb_table() -> impl Strategy<Value = Table> {
             Field::nullable("f", DataType::Float64),
             Field::nullable("s", DataType::Utf8),
             Field::new("g", DataType::Int64),
+            Field::nullable("n", DataType::Decimal),
+            Field::new("u", DataType::Utf8),
         ]);
         let mut cols: Vec<Column> = schema
             .fields()
             .iter()
             .map(|f| Column::empty(f.dtype))
             .collect();
-        for (k, f, s, g) in rows {
+        for (k, f, s, g, n, u) in rows {
             cols[0].push_value(&Value::I64(k));
             cols[1].push_value(&f.map_or(Value::Null, Value::F64));
             cols[2].push_value(&s.map_or(Value::Null, Value::Str));
             cols[3].push_value(&Value::I64(g));
+            cols[4].push_value(&n.map_or(Value::Null, Value::I64));
+            cols[5].push_value(&Value::Str(u));
         }
         Table::new(schema, cols)
     })
+}
+
+/// `back` holds exactly the rows `sel` of `t`, value for value and NULL
+/// for NULL, as `Table::gather` would produce them.
+fn same_as_gather(back: &Table, t: &Table, sel: &[usize]) -> Result<(), TestCaseError> {
+    let expect = t.gather(sel);
+    prop_assert_eq!(back.rows(), expect.rows());
+    for r in 0..expect.rows() {
+        for c in 0..expect.schema().len() {
+            prop_assert_eq!(back.value(r, c), expect.value(r, c), "row {} col {}", r, c);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -62,11 +83,87 @@ proptest! {
 
     #[test]
     fn wire_row_size_is_exact(t in arb_table()) {
+        // What the sender cuts messages by: a chunk is four bytes plus the
+        // sizes of its rows, whichever rows those are.
         let ser = RowSerializer::new(t.schema());
-        for r in 0..t.rows() {
+        let mut sizes = Vec::new();
+        ser.row_sizes(&t, Rows::Span(0, t.rows()), &mut sizes);
+        prop_assert_eq!(sizes.len(), t.rows());
+        for (r, size) in sizes.iter().enumerate() {
             let mut buf = Vec::new();
-            ser.serialize_row(&t, r, &mut buf);
-            prop_assert_eq!(ser.row_size(&t, r), buf.len());
+            ser.serialize_range(&t, r..r + 1, &mut buf);
+            prop_assert_eq!(4 + size, buf.len());
+        }
+    }
+
+    #[test]
+    fn wire_selection_roundtrip_equals_gather(
+        t in arb_table(),
+        picks in proptest::collection::vec(any::<u64>(), 0..150),
+        morsel in 1usize..40,
+    ) {
+        let ser = RowSerializer::new(t.schema());
+        let de = RowDeserializer::new(t.schema());
+        // Any rows in any order, some more than once; none; all.
+        let random: Vec<usize> = match t.rows() {
+            0 => Vec::new(),
+            rows => picks.iter().map(|&p| (p % rows as u64) as usize).collect(),
+        };
+        for sel in [random, Vec::new(), (0..t.rows()).collect()] {
+            // One chunk.
+            let mut chunk = Vec::new();
+            ser.serialize(&t, Rows::Sel(&sel), &mut chunk);
+            same_as_gather(&de.deserialize(&chunk), &t, &sel)?;
+
+            // The same rows as a sender ships them: a morsel's share at a
+            // time into the open message, a new message when one is full.
+            for capacity in [64, 300, 4096, 65536] {
+                let mut messages: Vec<Vec<u8>> = vec![Vec::new()];
+                let mut sizes = Vec::new();
+                for piece in sel.chunks(morsel) {
+                    let rows = Rows::Sel(piece);
+                    ser.row_sizes(&t, rows, &mut sizes);
+                    let mut done = 0;
+                    while done < piece.len() {
+                        let open = messages.last_mut().expect("one open");
+                        let room = capacity - open.len().min(capacity);
+                        let fit = rows_that_fit(&sizes[done..], room, open.is_empty());
+                        ser.serialize(&t, rows.slice(done..done + fit), open);
+                        done += fit;
+                        if done < piece.len() {
+                            messages.push(Vec::new());
+                        }
+                    }
+                }
+                let mut cols = de.empty_columns();
+                let mut rows = 0;
+                for message in &messages {
+                    let got = de.decode_into(message, &mut cols);
+                    prop_assert!(got.is_ok(), "{:?}", got);
+                    // No message outgrows its buffer, except to carry a
+                    // single row that no message could hold.
+                    prop_assert!(message.len() <= capacity || got == Ok(1));
+                    rows += got.unwrap_or(0);
+                }
+                // No row split, dropped or reordered at a cut.
+                prop_assert_eq!(rows, sel.len());
+                same_as_gather(&Table::new(t.schema().clone(), cols), &t, &sel)?;
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_kernel_equals_row_bucket(t in arb_table(), buckets in 1usize..13) {
+        let key = |name: &str| {
+            let i = t.schema().index_of(name);
+            (t.column(i), t.schema().fields()[i].dtype == DataType::Decimal)
+        };
+        for names in [
+            &["k"][..], &["f"], &["s"], &["n"], &["u"],
+            &["u", "k"], &["n", "s", "f"],
+        ] {
+            let cols: Vec<(&Column, bool)> = names.iter().map(|n| key(n)).collect();
+            kernel_equals_row_bucket(&cols, t.rows(), buckets);
         }
     }
 
@@ -141,6 +238,32 @@ proptest! {
             prop_assert_eq!(bm.get(i), b);
         }
         prop_assert_eq!(bm.count_set(), bits.iter().filter(|&&b| b).count());
+    }
+
+    #[test]
+    fn bulk_append_equals_row_wise_push(
+        ints in proptest::collection::vec(proptest::option::of(any::<i64>()), 0..200),
+        strs in proptest::collection::vec(proptest::option::of("[a-zé語]{0,6}"), 0..200),
+    ) {
+        let ints: Vec<Value> = ints.into_iter().map(|v| v.map_or(Value::Null, Value::I64)).collect();
+        let strs: Vec<Value> = strs.into_iter().map(|v| v.map_or(Value::Null, Value::Str)).collect();
+        for (dtype, values) in [(DataType::Int64, ints), (DataType::Utf8, strs)] {
+            let build = |values: &[Value]| {
+                let mut c = Column::empty(dtype);
+                values.iter().for_each(|v| c.push_value(v));
+                c
+            };
+            // The appended part starts at every bit offset of a word, and
+            // then some.
+            for offset in 0..=values.len().min(130) {
+                let mut joined = build(&values[..offset]);
+                joined.append(&build(&values[offset..]));
+                prop_assert_eq!(joined.len(), values.len());
+                for (row, v) in values.iter().enumerate() {
+                    prop_assert_eq!(&joined.value(row), v, "offset {} row {}", offset, row);
+                }
+            }
+        }
     }
 
     #[test]
@@ -219,6 +342,96 @@ proptest! {
         let keys = g.sample_many(count, 5);
         let f = hsqp::tpch::skew::imbalance(&keys, units);
         prop_assert!(f >= 1.0 - 1e-9);
+    }
+}
+
+/// `bucket_vector` over all rows and over an inner range agrees with the
+/// scalar `row_bucket`, row for row.
+fn kernel_equals_row_bucket(cols: &[(&Column, bool)], rows: usize, buckets: usize) {
+    let mut out = Vec::new();
+    for range in [0..rows, rows / 3..rows - rows / 4] {
+        bucket_vector(cols, range.clone(), buckets, &mut out);
+        let scalar: Vec<u32> = range
+            .map(|row| row_bucket(cols, row, buckets) as u32)
+            .collect();
+        assert_eq!(out, scalar, "{buckets} buckets");
+    }
+}
+
+#[test]
+fn bucket_kernel_on_the_edges_of_the_numeric_domain() {
+    let exact = 1i64 << 53;
+    let ints = Column::I64(
+        vec![
+            0,
+            7,
+            -7,
+            exact,
+            exact + 1,
+            -exact - 1,
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN,
+        ],
+        None,
+    );
+    let floats = Column::F64(
+        vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            7.0,
+            -7.5,
+            f64::INFINITY,
+            1e300,
+            5e-324,
+            -f64::NAN,
+        ],
+        None,
+    );
+    let strs = Column::Str(
+        ["", "a", "ab", "日本", "", "z", "7", "7.0", "\u{0}"]
+            .into_iter()
+            .collect(),
+        None,
+    );
+    for buckets in [1, 2, 3, 6, 64] {
+        for single in [
+            (&ints, false),
+            (&ints, true),
+            (&floats, false),
+            (&strs, false),
+        ] {
+            kernel_equals_row_bucket(&[single], 9, buckets);
+        }
+        kernel_equals_row_bucket(&[(&ints, false), (&strs, false)], 9, buckets);
+        kernel_equals_row_bucket(
+            &[(&floats, false), (&ints, true), (&ints, false)],
+            9,
+            buckets,
+        );
+
+        // A single Int64 key is `placement::hash_partition`'s hash.
+        let mut out = Vec::new();
+        bucket_vector(&[(&ints, false)], 0..9, buckets, &mut out);
+        for (&b, &v) in out.iter().zip(ints.i64_values()) {
+            assert_eq!(b as usize, crc32_i64(v) as usize % buckets);
+        }
+    }
+}
+
+#[test]
+fn equal_numbers_share_a_bucket_whatever_their_type() {
+    let int = Column::I64(vec![7, 0, 0], None);
+    let dec = Column::I64(vec![700, 0, 0], None); // 7.00
+    let flt = Column::F64(vec![7.0, 0.0, -0.0], None);
+    let (mut a, mut b, mut c) = (Vec::new(), Vec::new(), Vec::new());
+    for buckets in [2, 5, 48, 1000] {
+        bucket_vector(&[(&int, false)], 0..3, buckets, &mut a);
+        bucket_vector(&[(&dec, true)], 0..3, buckets, &mut b);
+        bucket_vector(&[(&flt, false)], 0..3, buckets, &mut c);
+        assert_eq!(a, b, "Int64 vs Decimal, {buckets} buckets");
+        assert_eq!(a, c, "Int64 vs Float64, {buckets} buckets");
     }
 }
 
