@@ -1,51 +1,45 @@
-//! The SPMD cluster driver and its concurrent-query dispatcher.
+//! The simulated cluster: `n` database servers inside one process.
 //!
-//! A [`Cluster`] simulates `n` database servers in one process: each node
-//! owns a worker pool, a NUMA topology, a message pool, and a communication
-//! multiplexer thread attached to the shared network fabric. Queries run
-//! SPMD — every node executes the same plan, exchanges redistribute tuples,
-//! and the final result is gathered at node 0 (the coordinator).
+//! A [`Cluster`] is the set-up and load shell of the in-process engine. It
+//! builds the simulated network fabric, starts `n` nodes on it
+//! (`start_node`: worker pool, NUMA topology, message pool, multiplexer
+//! thread), distributes relations across them per the configured
+//! placement, and owns a [`Coordinator`] — to which it derefs, so
+//! `cluster.submit(..)`, `run`, `configure_tenant`, `metrics`, … are the
+//! coordinator's. Admission, scheduling, the stage loop and cleanup live
+//! there ([`crate::coordinator`]), shared with the socket cluster.
 //!
-//! Queries are *admitted* rather than executed inline:
-//! [`Cluster::submit`] assigns a [`QueryId`], tags every wire message with
-//! it, and hands the query to a dispatcher pool that runs up to
-//! [`ClusterConfig::max_concurrent`] queries' stages concurrently over the
-//! shared multiplexers — the [`NetScheduler`] arbitrates the fabric among
-//! them, which is exactly the contended regime the paper's global network
-//! scheduling is designed for. The returned [`QueryHandle`] exposes
-//! `wait`, `try_result`, `cancel`, and live per-query fabric statistics;
-//! [`Cluster::run`] remains as `submit(..)` + `wait()` sugar.
+//! What is particular to this cluster is its `Backend`: a stage runs SPMD
+//! on one scoped thread per node — every node executes the same plan,
+//! exchanges redistribute tuples over the shared multiplexers, the
+//! [`NetScheduler`] arbitrates the fabric among the in-flight queries
+//! (the contended regime the paper's global network scheduling is designed
+//! for) — and node 0's output is the result.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use crossbeam::channel::Sender;
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::Mutex;
 
 use hsqp_net::{
     CompletionMode, Fabric, FabricConfig, LinkSpec, NetScheduler, NodeId, QueryId, QueryNetStats,
     QueryStatsRegistry, RdmaConfig, RdmaNetwork, TcpConfig, TcpNetwork, Transport as NetTransport,
 };
-use hsqp_numa::{AllocPolicy, CostModel, Topology};
+use hsqp_numa::AllocPolicy;
 use hsqp_storage::placement::{chunk_split, hash_partition, Placement};
-use hsqp_storage::{decimal_to_f64, DataType, Schema, Table, Value};
+use hsqp_storage::Table;
 use hsqp_tpch::{TpchDb, TpchTable};
 
+use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome};
+pub use crate::coordinator::{QueryHandle, QueryResult};
 use crate::error::EngineError;
-use crate::exchange::{spawn_multiplexer, MessagePool, MuxCmd, MuxConfig, RecvHub};
-use crate::exec::{Batch, NodeCtx, NodeExec};
-use crate::expr::Expr;
-use crate::local::MorselDriver;
-use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::plan::Plan;
-use crate::planner::QueryPlanner;
-use crate::profile::{plan_node_count, QueryProfile, StageRecorder};
-use crate::queries::{Query, QueryStage, StageRole};
-use crate::serve::{CancelToken, SubmitOptions, TenantConfig, TenantId, TenantMetrics, WdrrQueue};
+use crate::exchange::MuxCmd;
+use crate::exec::{execute_stage, start_node, NodeCtx};
+use crate::metrics::MetricsSnapshot;
+use crate::profile::{plan_node_count, StageRecorder};
+use crate::serve::{TenantConfig, TenantId};
 use crate::stats::StatsCatalog;
-use crate::vm::{compile_stage, CompiledStage};
 
 /// Which network stack the multiplexers use (the three lines of Figure 3).
 #[derive(Debug, Clone)]
@@ -156,6 +150,8 @@ pub struct ClusterConfig {
     /// Collect per-query [`QueryProfile`]s (span-based profiler). The
     /// recorder is lock-free atomics per node thread; turning it off
     /// removes even that overhead for benchmark baselines.
+    ///
+    /// [`QueryProfile`]: crate::profile::QueryProfile
     pub profiling: bool,
     /// Expression engine: compiled vector programs (default) or the
     /// tree-walking oracle.
@@ -218,7 +214,7 @@ impl ClusterConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), EngineError> {
+    pub(crate) fn validate(&self) -> Result<(), EngineError> {
         if self.nodes == 0 {
             return Err(EngineError::Config("need at least one node".into()));
         }
@@ -231,257 +227,43 @@ impl ClusterConfig {
         if self.message_capacity < 1024 {
             return Err(EngineError::Config("message capacity below 1 KiB".into()));
         }
-        if self.max_concurrent == 0 {
-            return Err(EngineError::Config(
-                "need at least one concurrent query slot".into(),
-            ));
-        }
-        for (name, tenant) in &self.tenants {
-            tenant.validate(name)?;
-        }
-        Ok(())
+        Coordinator::validate(self.max_concurrent, &self.tenants)
     }
-}
-
-/// Result of one query execution.
-#[derive(Debug)]
-pub struct QueryResult {
-    /// Id the query ran under.
-    pub query: QueryId,
-    /// The gathered result table (node 0's output).
-    pub table: Table,
-    /// Wall-clock execution time (includes time spent queued for a
-    /// dispatcher slot).
-    pub elapsed: Duration,
-    /// Time the query spent queued for admission before a dispatcher
-    /// slot picked it up (a component of [`elapsed`](Self::elapsed)).
-    pub queue_wait: Duration,
-    /// Bytes this query shipped over the fabric (per-query accounting —
-    /// concurrent queries do not pollute each other's numbers).
-    pub bytes_shuffled: u64,
-    /// Network messages this query sent.
-    pub messages_sent: u64,
-    /// The query's execution profile (`None` when
-    /// [`ClusterConfig::profiling`] is off).
-    pub profile: Option<QueryProfile>,
-}
-
-impl QueryResult {
-    /// Rows in the result.
-    pub fn row_count(&self) -> usize {
-        self.table.rows()
-    }
-}
-
-enum HandleState {
-    Pending,
-    /// Completed; `None` once the result has been taken.
-    Done(Option<Result<QueryResult, EngineError>>),
-}
-
-/// State shared between a [`QueryHandle`] and the dispatcher.
-struct QueryShared {
-    id: QueryId,
-    tenant: TenantId,
-    cancel: CancelToken,
-    stats: Arc<QueryNetStats>,
-    state: Mutex<HandleState>,
-    done: Condvar,
-    /// Accumulating profile; stages are appended as they complete, so a
-    /// cancelled or failed query keeps the stages that finished. The lock
-    /// is touched once per stage, not on the execution hot path.
-    profile: Mutex<QueryProfile>,
-    profiling: bool,
-}
-
-impl QueryShared {
-    fn complete(&self, result: Result<QueryResult, EngineError>) {
-        *self.state.lock() = HandleState::Done(Some(result));
-        self.done.notify_all();
-    }
-}
-
-/// Handle to a submitted query.
-///
-/// Returned by [`Cluster::submit`] (and
-/// [`Session::submit`](crate::session::Session::submit)). The query runs
-/// asynchronously on the cluster's dispatcher; the handle observes and
-/// controls it.
-pub struct QueryHandle {
-    shared: Arc<QueryShared>,
-}
-
-impl QueryHandle {
-    /// The id the cluster assigned to this query (tags all its wire
-    /// messages and temp relations).
-    pub fn id(&self) -> QueryId {
-        self.shared.id
-    }
-
-    /// Block until the query completes and take its result.
-    ///
-    /// Returns [`EngineError::Cancelled`] if [`cancel`](Self::cancel) took
-    /// effect first, and an execution error if the result was already
-    /// taken through [`try_result`](Self::try_result).
-    pub fn wait(self) -> Result<QueryResult, EngineError> {
-        let mut state = self.shared.state.lock();
-        loop {
-            match &mut *state {
-                HandleState::Pending => self.shared.done.wait(&mut state),
-                HandleState::Done(result) => {
-                    return result.take().unwrap_or_else(|| {
-                        Err(EngineError::Execution("query result already taken".into()))
-                    });
-                }
-            }
-        }
-    }
-
-    /// Block until the query completes or `timeout` elapses. Returns
-    /// `None` on timeout (the query keeps running — pair with
-    /// [`cancel`](Self::cancel) to abandon it); otherwise takes the
-    /// result exactly like [`wait`](Self::wait).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<QueryResult, EngineError>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
-        loop {
-            if let HandleState::Done(result) = &mut *state {
-                return Some(result.take().unwrap_or_else(|| {
-                    Err(EngineError::Execution("query result already taken".into()))
-                }));
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
-            }
-            if self.shared.done.wait_for(&mut state, remaining).timed_out()
-                && matches!(&*state, HandleState::Pending)
-            {
-                return None;
-            }
-        }
-    }
-
-    /// The tenant this query was submitted as.
-    pub fn tenant(&self) -> &TenantId {
-        &self.shared.tenant
-    }
-
-    /// Take the result if the query has completed; `None` while it is
-    /// still queued or running. A completed result can be taken once.
-    pub fn try_result(&self) -> Option<Result<QueryResult, EngineError>> {
-        match &mut *self.shared.state.lock() {
-            HandleState::Pending => None,
-            HandleState::Done(result) => result.take(),
-        }
-    }
-
-    /// Whether the query has completed (successfully or not).
-    pub fn is_finished(&self) -> bool {
-        matches!(&*self.shared.state.lock(), HandleState::Done(_))
-    }
-
-    /// Request cancellation. Cooperative and morsel-bounded: a queued
-    /// query never starts, a running one stops at its next morsel (or
-    /// exchange-wait poll) rather than its next stage boundary; either
-    /// way its temp relations, receive-hub slots, and stats registration
-    /// are released and [`wait`](Self::wait) returns
-    /// [`EngineError::Cancelled`]. A query already past its last check
-    /// completes normally.
-    pub fn cancel(&self) {
-        self.shared.cancel.cancel();
-    }
-
-    /// Live per-query fabric statistics (bytes/messages this query has put
-    /// on the wire so far). Remains readable after completion.
-    pub fn net_stats(&self) -> &QueryNetStats {
-        &self.shared.stats
-    }
-
-    /// Snapshot of the query's execution profile: the stages that have
-    /// completed so far (all of them once the query finished; a partial
-    /// prefix while it runs or after cancellation). Empty when the cluster
-    /// runs with [`ClusterConfig::profiling`] off.
-    pub fn profile(&self) -> QueryProfile {
-        self.shared.profile.lock().clone()
-    }
-}
-
-/// One admitted query waiting for (or holding) a dispatcher slot.
-struct Submission {
-    stages: Vec<QueryStage>,
-    /// Compiled expression programs per stage (compile-once at submit
-    /// time; `None` = no program compiled, run the tree walker).
-    programs: Vec<Option<CompiledStage>>,
-    /// Feedback-driven incremental planner: when set, `stages`/`programs`
-    /// are empty and each stage is planned (and compiled) just in time,
-    /// with observed cardinalities fed back between stages.
-    adaptive: Option<Mutex<QueryPlanner>>,
-    submitted: Instant,
-    shared: Arc<QueryShared>,
 }
 
 /// A simulated database cluster.
 ///
-/// Execution state lives in an inner `Arc` shared with the dispatcher
-/// threads; the `Cluster` value itself owns the thread handles and tears
-/// everything down on [`shutdown`](Self::shutdown) or drop.
+/// Derefs to its [`Coordinator`] for everything about submitting and
+/// running queries. Tears everything down on [`shutdown`](Self::shutdown)
+/// or drop.
 pub struct Cluster {
-    inner: Arc<ClusterInner>,
-    dispatchers: Vec<std::thread::JoinHandle<()>>,
+    coordinator: Coordinator,
+    backend: Arc<LocalBackend>,
     mux_handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-struct ClusterInner {
-    cfg: ClusterConfig,
-    fabric: Arc<Fabric>,
-    nodes: Vec<Arc<NodeCtx>>,
-    mux_senders: Vec<Sender<MuxCmd>>,
-    query_stats: Arc<QueryStatsRegistry>,
-    next_query: AtomicU32,
-    down: AtomicBool,
-    scheduler: Option<Arc<NetScheduler>>,
-    metrics: MetricsRegistry,
-    dm: DispatchMetrics,
-    /// Per-tenant admission queues drained weighted-deficit round-robin
-    /// by the dispatcher pool (replaces the old single FIFO channel).
-    submit_queue: WdrrQueue<Submission>,
     /// Column statistics sampled while loading data, consumed by
     /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster).
     stats: Mutex<Option<Arc<StatsCatalog>>>,
 }
 
-/// Pre-resolved dispatcher instruments, so admission and completion paths
-/// never look up the registry by name.
-struct DispatchMetrics {
-    queue_depth: Arc<Gauge>,
-    active: Arc<Gauge>,
-    submitted: Arc<Counter>,
-    completed: Arc<Counter>,
-    failed: Arc<Counter>,
-    cancelled: Arc<Counter>,
-    admission_wait_us: Arc<Histogram>,
-    stage_rounds: Arc<Counter>,
+/// The nodes of a simulated cluster and how a stage runs on them.
+struct LocalBackend {
+    cfg: ClusterConfig,
+    fabric: Arc<Fabric>,
+    nodes: Vec<Arc<NodeCtx>>,
+    scheduler: Option<Arc<NetScheduler>>,
 }
 
-impl DispatchMetrics {
-    fn new(reg: &MetricsRegistry) -> Self {
-        Self {
-            queue_depth: reg.gauge("dispatcher.queue_depth"),
-            active: reg.gauge("queries.active"),
-            submitted: reg.counter("queries.submitted"),
-            completed: reg.counter("queries.completed"),
-            failed: reg.counter("queries.failed"),
-            cancelled: reg.counter("queries.cancelled"),
-            admission_wait_us: reg.histogram("dispatcher.admission_wait_us"),
-            stage_rounds: reg.counter("stages.executed"),
-        }
+impl Deref for Cluster {
+    type Target = Coordinator;
+
+    fn deref(&self) -> &Coordinator {
+        &self.coordinator
     }
 }
 
 impl Cluster {
-    /// Start a cluster: build the fabric, endpoints, message pools, spawn
-    /// one multiplexer thread per node and the dispatcher pool
+    /// Start a cluster: build the fabric and the nodes on it (one
+    /// multiplexer thread each), then the coordinator's dispatcher pool
     /// (`max_concurrent` workers).
     pub fn start(cfg: ClusterConfig) -> Result<Self, EngineError> {
         cfg.validate()?;
@@ -494,7 +276,8 @@ impl Cluster {
         let fabric = Arc::new(Fabric::new(n, fabric_cfg));
         let query_stats = Arc::new(QueryStatsRegistry::new());
 
-        let (scheduling, rdma_net, tcp_net) = match &cfg.transport {
+        type Endpoints = Box<dyn Fn(NodeId) -> Box<dyn NetTransport>>;
+        let (scheduling, endpoint): (bool, Endpoints) = match &cfg.transport {
             Transport::Rdma {
                 scheduling,
                 completion,
@@ -503,171 +286,69 @@ impl Cluster {
                     completion: *completion,
                     ..RdmaConfig::default()
                 };
-                (
-                    *scheduling,
-                    Some(RdmaNetwork::new(Arc::clone(&fabric), rc)),
-                    None,
-                )
-            }
-            Transport::Tcp { config, scheduling } => (
-                *scheduling,
-                None,
-                Some(TcpNetwork::new(Arc::clone(&fabric), *config)),
-            ),
-        };
-
-        let scheduler = (scheduling && n > 1).then(|| NetScheduler::new(n as usize));
-        let cores_per_socket = cfg.workers_per_node.div_ceil(cfg.sockets).max(1);
-        let cost = CostModel::new(cfg.numa_cost_ns);
-
-        let mut nodes = Vec::with_capacity(n as usize);
-        let mut mux_senders = Vec::with_capacity(n as usize);
-        let mut mux_handles = Vec::with_capacity(n as usize);
-        for i in 0..n {
-            let node = NodeId(i);
-            let topology = Arc::new(Topology::new(cfg.sockets, cores_per_socket, cost));
-            let classic_units = (cfg.engine == EngineKind::Classic).then_some(cfg.workers_per_node);
-            let hub_queues = match classic_units {
-                Some(u) => u as usize,
-                None => cfg.sockets as usize,
-            };
-            let hub = RecvHub::new(hub_queues);
-            let pool = Arc::new(MessagePool::new(
-                Arc::clone(&fabric),
-                node,
-                cfg.sockets,
-                cfg.message_capacity,
-            ));
-            let endpoint: Box<dyn NetTransport> = match (&rdma_net, &tcp_net) {
-                (Some(net), _) => {
+                let net = RdmaNetwork::new(Arc::clone(&fabric), rc);
+                let endpoint = move |node| {
                     let ep = net.endpoint(node);
                     // The paper posts the hardware maximum of 16 k work
                     // requests; we provision generously.
                     ep.post_recvs(1 << 30);
-                    Box::new(ep)
-                }
-                (_, Some(net)) => Box::new(net.endpoint(node)),
-                _ => unreachable!("one transport is always built"),
-            };
-            let mux_cfg = MuxConfig {
-                node,
-                nodes: n,
-                scheduling,
-                batch_per_phase: 8,
-                classic_units,
-                sockets: cfg.sockets,
-                alloc_policy: cfg.alloc_policy,
-            };
-            let (tx, handle) = spawn_multiplexer(
-                mux_cfg,
-                endpoint,
-                Arc::clone(&hub),
-                Arc::clone(&pool),
-                scheduler.clone(),
-                Arc::clone(&query_stats),
-            );
-            let driver = MorselDriver::new(
-                cfg.workers_per_node,
-                &topology,
-                hsqp_storage::table::MORSEL_SIZE,
-                cfg.engine == EngineKind::Hybrid,
-            );
-            nodes.push(Arc::new(NodeCtx {
-                node,
-                nodes: n,
-                driver,
-                topology,
-                alloc_policy: cfg.alloc_policy,
-                classic_units,
-                message_capacity: cfg.message_capacity,
-                pool,
-                hub,
-                to_mux: tx.clone(),
-                tables: RwLock::new(HashMap::new()),
-                temps: RwLock::new(HashMap::new()),
-                consume_loads: parking_lot::Mutex::new(Vec::new()),
-                fabric: Arc::clone(&fabric),
-            }));
-            mux_senders.push(tx);
-            mux_handles.push(handle);
-        }
+                    Box::new(ep) as Box<dyn NetTransport>
+                };
+                (*scheduling, Box::new(endpoint))
+            }
+            Transport::Tcp { config, scheduling } => {
+                let net = TcpNetwork::new(Arc::clone(&fabric), *config);
+                let endpoint = move |node| Box::new(net.endpoint(node)) as Box<dyn NetTransport>;
+                (*scheduling, Box::new(endpoint))
+            }
+        };
+        let scheduler = (scheduling && n > 1).then(|| NetScheduler::new(n as usize));
+        let (nodes, mux_handles) = (0..n)
+            .map(|i| {
+                start_node(
+                    NodeId(i),
+                    &cfg,
+                    Arc::clone(&fabric),
+                    endpoint(NodeId(i)),
+                    scheduler.clone(),
+                    Arc::clone(&query_stats),
+                )
+            })
+            .unzip();
 
-        let metrics = MetricsRegistry::new();
-        let dm = DispatchMetrics::new(&metrics);
-        let submit_queue = WdrrQueue::new(&cfg.tenants);
-        let inner = Arc::new(ClusterInner {
+        let backend = Arc::new(LocalBackend {
             cfg,
             fabric,
             nodes,
-            mux_senders,
-            query_stats,
-            next_query: AtomicU32::new(0),
-            down: AtomicBool::new(false),
             scheduler,
-            metrics,
-            dm,
-            submit_queue,
-            stats: Mutex::new(None),
         });
-
-        // Admission/dispatch pool: up to `max_concurrent` queries run
-        // their stages at once; the rest wait in their tenant's queue and
-        // are drained weighted-deficit round-robin across tenants.
-        let dispatchers = (0..inner.cfg.max_concurrent)
-            .map(|d| {
-                let inner = Arc::clone(&inner);
-                std::thread::Builder::new()
-                    .name(format!("dispatch-{d}"))
-                    .spawn(move || {
-                        while let Some((tenant, sub)) = inner.submit_queue.pop() {
-                            inner.execute_submission(sub);
-                            inner.submit_queue.finish(&tenant);
-                        }
-                    })
-                    .expect("spawn dispatcher")
-            })
-            .collect();
-
+        let coordinator = Coordinator::start(
+            Arc::clone(&backend) as Arc<dyn Backend>,
+            query_stats,
+            backend.cfg.max_concurrent,
+            &backend.cfg.tenants,
+        );
         Ok(Self {
-            inner,
-            dispatchers,
+            coordinator,
+            backend,
             mux_handles,
+            stats: Mutex::new(None),
         })
     }
 
     /// The active configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.inner.cfg
+        &self.backend.cfg
     }
 
     /// The network fabric (statistics).
     pub fn fabric(&self) -> &Arc<Fabric> {
-        &self.inner.fabric
+        &self.backend.fabric
     }
 
     /// Per-node execution contexts (benchmark instrumentation).
     pub fn node_ctx(&self, node: u16) -> &Arc<NodeCtx> {
-        &self.inner.nodes[node as usize]
-    }
-
-    /// Snapshot the cluster-wide metrics: dispatcher counters/gauges and
-    /// the admission-wait histogram, plus derived fabric counters (network
-    /// scheduler barrier rounds, per-link bytes and messages).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.inner.metrics.snapshot();
-        if let Some(sched) = &self.inner.scheduler {
-            snap.push_counter("net.scheduler.rounds", sched.rounds());
-        }
-        for i in 0..self.inner.cfg.nodes {
-            let stats = self.inner.fabric.stats(NodeId(i));
-            snap.push_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());
-            snap.push_counter(
-                &format!("net.node{i}.bytes_received"),
-                stats.bytes_received(),
-            );
-            snap.push_counter(&format!("net.node{i}.messages_sent"), stats.messages_sent());
-        }
-        snap
+        &self.backend.nodes[node as usize]
     }
 
     /// Generate TPC-H at `sf` and distribute it per the configured
@@ -683,40 +364,37 @@ impl Cluster {
     /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster) see
     /// whole-table NDV/min-max/null-fraction statistics.
     pub fn load_tpch_db(&self, db: TpchDb) -> Result<(), EngineError> {
-        self.ensure_up()?;
-        let n = self.inner.cfg.nodes as usize;
-        let mut catalog = match &*self.inner.stats.lock() {
+        let n = self.backend.nodes.len();
+        let mut catalog = match &*self.stats.lock() {
             Some(existing) => (**existing).clone(),
             None => StatsCatalog::new(),
         };
         for (kind, table) in db.into_tables() {
             catalog.sample_table(kind, &table);
-            let parts: Vec<Table> = match self.inner.cfg.placement {
+            let parts: Vec<Table> = match self.backend.cfg.placement {
                 Placement::Chunked => chunk_split(&table, n),
                 // Plans are placement-oblivious: a broadcast of a replicated
                 // relation would duplicate rows, so replication is rejected
                 // for query processing and treated as partitioned here.
                 Placement::Partitioned | Placement::Replicated => hash_partition(&table, 0, n),
             };
-            for (node, part) in self.inner.nodes.iter().zip(parts) {
-                node.tables.write().insert(kind, Arc::new(part));
-            }
+            self.load_table(kind, parts)?;
         }
-        *self.inner.stats.lock() = Some(Arc::new(catalog));
+        *self.stats.lock() = Some(Arc::new(catalog));
         Ok(())
     }
 
     /// Load an arbitrary relation with explicit per-node parts.
     pub fn load_table(&self, kind: TpchTable, parts: Vec<Table>) -> Result<(), EngineError> {
-        self.ensure_up()?;
-        if parts.len() != self.inner.nodes.len() {
+        let nodes = &self.backend.nodes;
+        if parts.len() != nodes.len() {
             return Err(EngineError::Config(format!(
                 "expected {} parts, got {}",
-                self.inner.nodes.len(),
+                nodes.len(),
                 parts.len()
             )));
         }
-        for (node, part) in self.inner.nodes.iter().zip(parts) {
+        for (node, part) in nodes.iter().zip(parts) {
             node.tables.write().insert(kind, Arc::new(part));
         }
         Ok(())
@@ -725,7 +403,7 @@ impl Cluster {
     /// The column statistics sampled at load time, if data was loaded via
     /// [`load_tpch`](Self::load_tpch) / [`load_tpch_db`](Self::load_tpch_db).
     pub fn stats_catalog(&self) -> Option<Arc<StatsCatalog>> {
-        self.inner.stats.lock().clone()
+        self.stats.lock().clone()
     }
 
     /// Total rows of `table` across all nodes, if it is loaded (the
@@ -733,7 +411,7 @@ impl Cluster {
     pub fn table_rows(&self, table: TpchTable) -> Option<u64> {
         let mut total = 0u64;
         let mut loaded = false;
-        for node in &self.inner.nodes {
+        for node in &self.backend.nodes {
             if let Some(t) = node.tables.read().get(&table) {
                 total += t.rows() as u64;
                 loaded = true;
@@ -742,246 +420,24 @@ impl Cluster {
         loaded.then_some(total)
     }
 
-    /// Compile every stage's expression sites once, at submit time
-    /// (compile-once / execute-many: dispatcher threads and all node
-    /// threads share the same programs). Never fails: whatever cannot be
-    /// compiled simply stays on the tree walker, and
-    /// [`ExprEngine::Ast`] skips compilation entirely.
-    fn compile_programs(&self, query: &Query) -> Vec<Option<CompiledStage>> {
-        if self.inner.cfg.expr_engine == ExprEngine::Ast {
-            return vec![None; query.stages.len()];
-        }
-        let base = |t: TpchTable| {
-            self.inner.nodes[0]
-                .tables
-                .read()
-                .get(&t)
-                .map(|tbl| tbl.schema().clone())
-        };
-        // Materialized temps become compile targets for later stages.
-        let mut temps: HashMap<String, Schema> = HashMap::new();
-        query
-            .stages
-            .iter()
-            .map(|stage| {
-                let (compiled, schema) = compile_stage(&stage.plan, &base, &temps);
-                if let StageRole::Materialize(name) = &stage.role {
-                    if let Some(s) = schema {
-                        temps.insert(name.clone(), s);
-                    }
-                }
-                (!compiled.is_empty()).then_some(compiled)
-            })
-            .collect()
-    }
-
-    /// Submit a query for asynchronous execution as the default tenant
-    /// with no deadline, returning immediately with a [`QueryHandle`]. At
-    /// most [`max_concurrent`](ClusterConfig::max_concurrent) queries run
-    /// at once; the rest wait their turn per the weighted-fair schedule.
-    pub fn submit(&self, query: &Query) -> Result<QueryHandle, EngineError> {
-        self.submit_with(query, &SubmitOptions::default())
-    }
-
-    /// Submit a query under explicit serving options: the tenant it is
-    /// scheduled and accounted as, and an optional deadline after which
-    /// it is cooperatively cancelled (morsel-bounded) and resolves to
-    /// [`EngineError::DeadlineExceeded`].
-    ///
-    /// Fails fast with [`EngineError::Admission`] when the tenant is at
-    /// its `max_queued` cap.
-    pub fn submit_with(
-        &self,
-        query: &Query,
-        opts: &SubmitOptions,
-    ) -> Result<QueryHandle, EngineError> {
-        self.ensure_up()?;
-        if query.stages.is_empty() {
-            return Err(EngineError::Planner(
-                "query needs at least one stage".into(),
-            ));
-        }
-        let submitted = Instant::now();
-        let shared = self.new_query_shared(query.number, submitted, opts);
-        let submission = Submission {
-            stages: query.stages.clone(),
-            programs: self.compile_programs(query),
-            adaptive: None,
-            submitted,
-            shared: Arc::clone(&shared),
-        };
-        self.enqueue(submission, opts)
-    }
-
-    /// Submit a query for feedback-driven adaptive execution: each stage
-    /// is planned just before it runs, against the cardinalities observed
-    /// from the stages that already finished (see
-    /// [`Planner::begin_query`](crate::planner::Planner::begin_query)).
-    /// `number` tags the query's profile for reporting (0 for ad-hoc).
-    pub fn submit_adaptive(
-        &self,
-        planner: QueryPlanner,
-        number: u32,
-        opts: &SubmitOptions,
-    ) -> Result<QueryHandle, EngineError> {
-        self.ensure_up()?;
-        let submitted = Instant::now();
-        let shared = self.new_query_shared(number, submitted, opts);
-        let submission = Submission {
-            stages: Vec::new(),
-            programs: Vec::new(),
-            adaptive: Some(Mutex::new(planner)),
-            submitted,
-            shared: Arc::clone(&shared),
-        };
-        self.enqueue(submission, opts)
-    }
-
-    fn new_query_shared(
-        &self,
-        number: u32,
-        submitted: Instant,
-        opts: &SubmitOptions,
-    ) -> Arc<QueryShared> {
-        let id = QueryId(self.inner.next_query.fetch_add(1, Ordering::Relaxed));
-        Arc::new(QueryShared {
-            id,
-            tenant: opts.tenant.clone(),
-            cancel: CancelToken::with_deadline(opts.deadline.map(|d| submitted + d)),
-            stats: self.inner.query_stats.register(id),
-            state: Mutex::new(HandleState::Pending),
-            done: Condvar::new(),
-            profile: Mutex::new(QueryProfile::new(id, number)),
-            profiling: self.inner.cfg.profiling,
-        })
-    }
-
-    fn enqueue(
-        &self,
-        submission: Submission,
-        opts: &SubmitOptions,
-    ) -> Result<QueryHandle, EngineError> {
-        let id = submission.shared.id;
-        let shared = Arc::clone(&submission.shared);
-        self.inner.dm.queue_depth.inc();
-        if let Err(e) = self.inner.submit_queue.push(&opts.tenant, submission) {
-            // The submission never reached a dispatcher: nothing will
-            // retire its stats registration, so release it here instead of
-            // leaking the entry until shutdown.
-            self.inner.dm.queue_depth.dec();
-            self.inner.query_stats.retire(id);
-            if matches!(e, EngineError::Admission(_)) {
-                self.inner.tenant_counter(&opts.tenant, "rejected").inc();
-            }
-            return Err(e);
-        }
-        self.inner.dm.submitted.inc();
-        self.inner.tenant_counter(&opts.tenant, "submitted").inc();
-        Ok(QueryHandle { shared })
-    }
-
-    /// Register `tenant` (or update its entitlements if already known)
-    /// without restarting the cluster.
-    pub fn configure_tenant(&self, tenant: &str, cfg: TenantConfig) -> Result<(), EngineError> {
-        cfg.validate(tenant)?;
-        self.inner
-            .submit_queue
-            .configure(&TenantId::new(tenant), cfg);
-        Ok(())
-    }
-
-    /// Per-tenant serving counters rolled up from the metrics registry,
-    /// sorted by tenant name. Tenants appear once they have submitted at
-    /// least one query (or had one rejected).
-    pub fn tenant_metrics(&self) -> Vec<TenantMetrics> {
-        let snap = self.inner.metrics.snapshot();
-        let mut by_tenant: HashMap<String, TenantMetrics> = HashMap::new();
-        for (name, value) in &snap.counters {
-            let Some(rest) = name.strip_prefix("tenant.") else {
-                continue;
-            };
-            let Some((tenant, field)) = rest.rsplit_once('.') else {
-                continue;
-            };
-            let entry = by_tenant
-                .entry(tenant.to_string())
-                .or_insert_with(|| TenantMetrics {
-                    tenant: tenant.to_string(),
-                    ..TenantMetrics::default()
-                });
-            match field {
-                "submitted" => entry.submitted = *value,
-                "completed" => entry.completed = *value,
-                "failed" => entry.failed = *value,
-                "cancelled" => entry.cancelled = *value,
-                "rejected" => entry.rejected = *value,
-                "bytes_shuffled" => entry.bytes_shuffled = *value,
-                "messages_sent" => entry.messages_sent = *value,
-                _ => {}
-            }
-        }
-        let mut out: Vec<TenantMetrics> = by_tenant.into_values().collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        out
-    }
-
-    /// Run a single plan SPMD and return the coordinator's result
-    /// (blocking sugar over [`submit`](Self::submit)).
-    pub fn run_plan(&self, plan: &Plan) -> Result<QueryResult, EngineError> {
-        self.run(&Query::single(0, plan.clone()))
-    }
-
-    /// Run a multi-stage query to completion: parameter stages bind their
-    /// first result row as `Expr::Param` values for later stages,
-    /// materialization stages register per-node temp relations for
-    /// `Plan::TempScan`, and the final stage produces the result. Sugar
-    /// for [`submit`](Self::submit) followed by [`QueryHandle::wait`].
-    pub fn run(&self, query: &Query) -> Result<QueryResult, EngineError> {
-        self.submit(query)?.wait()
-    }
-
     /// Number of queries whose temp namespaces are still registered on
     /// node 0 (leak check: zero once no query is in flight).
     pub fn active_temp_namespaces(&self) -> usize {
-        self.inner.nodes[0].temps.read().len()
-    }
-
-    fn ensure_up(&self) -> Result<(), EngineError> {
-        if self.inner.down.load(Ordering::SeqCst) {
-            return Err(EngineError::ClusterDown);
-        }
-        Ok(())
+        self.backend.nodes[0].temps.read().len()
     }
 
     /// Stop the dispatcher pool and all multiplexer threads, then tear the
     /// cluster down. In-flight queries complete; queued ones fail with
     /// [`EngineError::ClusterDown`].
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
-    }
+    pub fn shutdown(self) {}
+}
 
-    fn shutdown_inner(&mut self) {
-        if self.inner.down.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Close the submission queue: dispatchers drain it (failing queued
-        // submissions fast, since `down` is set) and exit.
-        self.inner.submit_queue.close();
-        for h in self.dispatchers.drain(..) {
-            let _ = h.join();
-        }
-        // Every admitted query has now been executed or failed fast, and
-        // both paths retire the stats registration — anything left is a
-        // leak (the bug this assert guards: registrations abandoned by
-        // queries that never reached a dispatcher).
-        debug_assert_eq!(
-            self.inner.query_stats.tracked(),
-            0,
-            "query stats registry leaked entries at shutdown"
-        );
-        // Only then stop the multiplexers the dispatchers depended on.
-        for tx in &self.inner.mux_senders {
-            let _ = tx.send(MuxCmd::Shutdown);
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        // The dispatchers first, then the multiplexers they depend on.
+        self.coordinator.close();
+        for node in &self.backend.nodes {
+            let _ = node.to_mux.send(MuxCmd::Shutdown);
         }
         for h in self.mux_handles.drain(..) {
             let _ = h.join();
@@ -989,404 +445,113 @@ impl Cluster {
     }
 }
 
-impl Drop for Cluster {
-    fn drop(&mut self) {
-        self.shutdown_inner();
-    }
-}
-
-impl ClusterInner {
-    /// Run one admitted query to completion on this dispatcher thread and
-    /// publish its result. Whatever happens — success, error,
-    /// cancellation — the query's temp namespaces, receive-hub slots, and
-    /// stats registration are released afterwards, so a cancelled query
-    /// can never wedge the multiplexers or leak state.
-    fn execute_submission(&self, sub: Submission) {
-        let queue_wait = sub.submitted.elapsed();
-        self.dm.queue_depth.dec();
-        self.dm
-            .admission_wait_us
-            .observe(queue_wait.as_micros() as u64);
-        self.dm.active.inc();
-        let result = if self.down.load(Ordering::SeqCst) {
-            Err(EngineError::ClusterDown)
-        } else {
-            // Node-thread panics are contained *inside* `execute_spmd`:
-            // a failing node marks the query aborted on every hub first,
-            // so asymmetric mid-exchange failures unblock their peers (the
-            // cross-node abort protocol). This outer net only remains for
-            // panics outside the SPMD scope (stage bookkeeping itself), so
-            // the submitter always gets an error rather than a
-            // forever-blocked `wait()` and the dispatcher slot survives.
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.run_stages(&sub, queue_wait)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(EngineError::Execution(format!(
-                    "query execution panicked: {}",
-                    panic_message(payload.as_ref())
-                )))
-            })
-        };
-        // Morsel-level cancellation surfaces as a contained panic in the
-        // node threads; map it back to the typed error the token records.
-        // Only panic-shaped failures are remapped, so an unrelated error
-        // that merely races a late cancel keeps its own message.
-        let result = match result {
-            Err(EngineError::Execution(msg)) => match sub.shared.cancel.stop_reason() {
-                Some(reason) => Err(reason.into_error()),
-                None => Err(EngineError::Execution(msg)),
-            },
-            other => other,
-        };
-        for node in &self.nodes {
-            node.temps.write().remove(&sub.shared.id);
-            node.hub.finish_query(sub.shared.id);
-        }
-        self.query_stats.retire(sub.shared.id);
-        self.dm.active.dec();
-        let tenant = &sub.shared.tenant;
-        match &result {
-            Ok(_) => {
-                self.dm.completed.inc();
-                self.tenant_counter(tenant, "completed").inc();
-            }
-            Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                self.dm.cancelled.inc();
-                self.tenant_counter(tenant, "cancelled").inc();
-            }
-            Err(_) => {
-                self.dm.failed.inc();
-                self.tenant_counter(tenant, "failed").inc();
-            }
-        }
-        // Per-tenant network rollup: whatever this query put on the wire
-        // (completed or not) is charged to its tenant.
-        self.tenant_counter(tenant, "bytes_shuffled")
-            .add(sub.shared.stats.bytes_sent());
-        self.tenant_counter(tenant, "messages_sent")
-            .add(sub.shared.stats.messages_sent());
-        sub.shared.complete(result);
-    }
-
-    /// The counter `tenant.<name>.<field>`, created on first use. Tenant
-    /// counters live in the shared registry so `--metrics` groups them
-    /// naturally (the rendering is name-sorted).
-    fn tenant_counter(&self, tenant: &TenantId, field: &str) -> Arc<Counter> {
-        self.metrics.counter(&format!("tenant.{tenant}.{field}"))
-    }
-
-    /// Compile one just-planned adaptive stage, mirroring
-    /// [`Cluster::compile_programs`] a stage at a time: `temps`
-    /// accumulates materialized schemas so later stages compile against
-    /// earlier temps.
-    fn compile_adaptive_stage(
+impl Backend for LocalBackend {
+    /// One scoped thread per node. A failing node marks the query aborted
+    /// on *every* node's receive hub before it exits, so peers blocked
+    /// mid-exchange on last-markers that will never arrive panic out of
+    /// `RecvHub::pop` instead of wedging this dispatcher slot — the
+    /// cross-node abort protocol, applied in-process. The first failure is
+    /// reported.
+    fn run_stage(
         &self,
-        stage: &QueryStage,
-        temps: &mut HashMap<String, Schema>,
-    ) -> Option<CompiledStage> {
-        if self.cfg.expr_engine == ExprEngine::Ast {
-            return None;
-        }
-        let base = |t: TpchTable| {
-            self.nodes[0]
-                .tables
-                .read()
-                .get(&t)
-                .map(|tbl| tbl.schema().clone())
+        call: &StageCall<'_>,
+        _tenant: &TenantId,
+        submitted: Instant,
+    ) -> Result<StageOutcome, EngineError> {
+        let (query, plan) = (call.query, &call.stage.plan);
+        // Compile once per stage, not per node thread; `ExprEngine::Ast`
+        // leaves every site on the tree walker.
+        let compiled = match self.cfg.expr_engine {
+            ExprEngine::Compiled => self.nodes[0].compile(query, plan),
+            ExprEngine::Ast => None,
         };
-        let (compiled, schema) = compile_stage(&stage.plan, &base, temps);
-        if let StageRole::Materialize(name) = &stage.role {
-            if let Some(s) = schema {
-                temps.insert(name.clone(), s);
-            }
-        }
-        (!compiled.is_empty()).then_some(compiled)
-    }
-
-    fn run_stages(
-        &self,
-        sub: &Submission,
-        queue_wait: Duration,
-    ) -> Result<QueryResult, EngineError> {
-        let query = sub.shared.id;
-        let cancel = &sub.shared.cancel;
-        let mut params: Vec<Value> = Vec::new();
-        let mut final_table: Option<Table> = None;
-        // Adaptive submissions plan (and compile) each stage just in time;
-        // the temp schemas accumulate so later stages compile against the
-        // materializations of earlier ones.
-        let mut adaptive_temps: HashMap<String, Schema> = HashMap::new();
-        let mut stage_idx = 0usize;
-        loop {
-            let jit: Option<(QueryStage, Option<CompiledStage>)> = match &sub.adaptive {
-                Some(qp) => match qp.lock().next_stage()? {
-                    None => break,
-                    Some(stage) => {
-                        let prog = self.compile_adaptive_stage(&stage, &mut adaptive_temps);
-                        Some((stage, prog))
-                    }
-                },
-                None => {
-                    if stage_idx >= sub.stages.len() {
-                        break;
-                    }
-                    None
-                }
-            };
-            let (stage, jit_prog) = match &jit {
-                Some((stage, prog)) => (stage, prog.as_ref()),
-                None => (&sub.stages[stage_idx], None),
-            };
-            // Cooperative cancellation point: between stages (and before
-            // the first), where no exchange is in flight. The same token
-            // is checked per morsel inside the node threads.
-            if let Some(reason) = cancel.should_stop() {
-                return Err(reason.into_error());
-            }
-            // Reject dangling temp references and unbound parameters before
-            // the plan reaches the node threads: a panic there would unwind
-            // through the SPMD scope and crash the caller instead of
-            // returning an error.
-            let mut referenced = Vec::new();
-            collect_temp_scans(&stage.plan, &mut referenced);
-            {
-                let temps = self.nodes[0].temps.read();
-                let ns = temps.get(&query);
-                if let Some(name) = referenced
-                    .iter()
-                    .find(|n| !ns.is_some_and(|m| m.contains_key(**n)))
-                {
-                    return Err(EngineError::Planner(format!(
-                        "temp relation {name:?} is not materialized by an earlier stage"
-                    )));
-                }
-            }
-            if let Some(m) = plan_max_param(&stage.plan) {
-                if m >= params.len() {
-                    return Err(EngineError::Planner(format!(
-                        "plan references parameter {m}, but earlier stages bind \
-                         only {} parameter(s)",
-                        params.len()
-                    )));
-                }
-            }
-            // Exchange ids are per-query: each stage gets its own disjoint
-            // range, and the query id in the wire header isolates them
-            // from every other in-flight query.
-            let base = (stage_idx as u32) * 100_000;
-            // One recorder per stage, anchored at submission time so every
-            // stage's spans share the query's timeline. Merging under the
-            // profile lock happens once per stage, after the SPMD scope
-            // joined — node threads only ever touch their own cells.
-            let recorder = self.cfg.profiling.then(|| {
-                StageRecorder::new(sub.submitted, self.cfg.nodes, plan_node_count(&stage.plan))
-            });
-            let programs =
-                jit_prog.or_else(|| sub.programs.get(stage_idx).and_then(Option::as_ref));
-            let results = self.execute_spmd(
-                query,
-                &stage.plan,
-                &params,
-                base,
-                recorder.as_ref(),
-                programs,
-                cancel,
-            )?;
-            self.dm.stage_rounds.inc();
-            if let Some(rec) = &recorder {
-                let profile = rec.finish(
-                    &stage.plan,
-                    programs,
-                    stage.role.label(),
-                    stage.estimated_rows,
-                    stage.feedback_rows,
-                );
-                sub.shared.profile.lock().stages.push(profile);
-            }
-            // Observed per-node result cardinalities, fed back to the
-            // adaptive planner after the role handling consumes the batches.
-            let node_rows: Vec<u64> = results.iter().map(|b| b.rows() as u64).collect();
-            match &stage.role {
-                StageRole::Result => {
-                    final_table = Some(
-                        results
-                            .into_iter()
-                            .next()
-                            .expect("node 0 result")
-                            .into_table(),
-                    );
-                }
-                StageRole::Params => {
-                    // Bind row 0 of the stage result as parameters, in
-                    // column order. (The driver broadcasts these tiny
-                    // scalars; the paper piggybacks such values on the
-                    // control channel.)
-                    let coordinator = results.into_iter().next().expect("node 0 result");
-                    if coordinator.rows() == 0 {
-                        return Err(EngineError::Execution(
-                            "parameter stage produced no rows".into(),
-                        ));
-                    }
-                    for c in 0..coordinator.schema().len() {
-                        // Bind Decimal scalars as promoted floats: that is
-                        // how expression evaluation reads Decimal columns,
-                        // so a raw fixed-point i64 here would compare 100x
-                        // off against any downstream column.
-                        let v = match (
-                            coordinator.schema().fields()[c].dtype,
-                            coordinator.value(0, c),
-                        ) {
-                            (DataType::Decimal, Value::I64(cents)) => {
-                                Value::F64(decimal_to_f64(cents))
-                            }
-                            (_, v) => v,
-                        };
-                        params.push(v);
-                    }
-                }
-                StageRole::Materialize(name) => {
-                    for (node, part) in self.nodes.iter().zip(results) {
-                        node.temps
-                            .write()
-                            .entry(query)
-                            .or_default()
-                            .insert(name.clone(), part.into_arc());
-                    }
-                }
-            }
-            if let Some(qp) = &sub.adaptive {
-                qp.lock().observe_rows(&node_rows);
-            }
-            stage_idx += 1;
-        }
-
-        Ok(QueryResult {
-            query,
-            table: final_table
-                .ok_or_else(|| EngineError::Planner("query has no result stage".into()))?,
-            elapsed: sub.submitted.elapsed(),
-            queue_wait,
-            bytes_shuffled: sub.shared.stats.bytes_sent(),
-            messages_sent: sub.shared.stats.messages_sent(),
-            profile: sub
-                .shared
-                .profiling
-                .then(|| sub.shared.profile.lock().clone()),
-        })
-    }
-
-    /// Run one stage SPMD across all node threads.
-    ///
-    /// Each node thread contains its own panics: a failing node marks the
-    /// query aborted on *every* node's receive hub before it dies, so
-    /// peers blocked mid-exchange on last-markers that will never arrive
-    /// panic out of `RecvHub::pop` instead of wedging this dispatcher
-    /// slot — the cross-node abort protocol, applied in-process. The
-    /// first failure is reported as [`EngineError::Execution`].
-    #[allow(clippy::too_many_arguments)]
-    fn execute_spmd(
-        &self,
-        query: QueryId,
-        plan: &Plan,
-        params: &[Value],
-        base: u32,
-        recorder: Option<&StageRecorder>,
-        programs: Option<&CompiledStage>,
-        cancel: &CancelToken,
-    ) -> Result<Vec<Batch>, EngineError> {
-        let outcomes: Vec<Result<Batch, String>> = std::thread::scope(|scope| {
+        let programs = compiled.as_ref();
+        // Node threads only ever touch their own cells of the recorder;
+        // merging happens after the scope joined.
+        let recorder = self
+            .cfg
+            .profiling
+            .then(|| StageRecorder::new(submitted, self.cfg.nodes, plan_node_count(plan)));
+        let outcomes: Result<Vec<(u64, Option<Table>)>, String> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .nodes
                 .iter()
                 .enumerate()
                 .map(|(i, ctx)| {
-                    let node_rec = recorder.map(|r| r.node(i));
-                    let nodes = &self.nodes;
+                    let node_rec = recorder.as_ref().map(|r| r.node(i));
                     scope.spawn(move || {
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            NodeExec::new(ctx, query, params, base)
-                                .with_recorder(node_rec)
-                                .with_programs(programs)
-                                .with_cancel(Some(cancel))
-                                .execute(plan)
-                        }));
-                        r.map_err(|payload| {
-                            let msg = panic_message(payload.as_ref());
-                            // Unblock peers *before* this thread exits:
-                            // they may be waiting on our last-markers.
-                            for peer in nodes.iter() {
-                                peer.hub.abort(query, &format!("node {i} panicked: {msg}"));
+                        execute_stage(ctx, call, programs, node_rec).map_err(|msg| {
+                            let msg = format!("node {i} panicked: {msg}");
+                            for peer in &self.nodes {
+                                peer.hub.abort(query, &msg);
                             }
-                            format!("node {i} panicked: {msg}")
+                            msg
                         })
                     })
                 })
                 .collect();
+            // The first failure; the scope joins whoever is left.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("node thread panicked"))
+                .map(|h| h.join().expect("node thread contains its panics"))
                 .collect()
         });
-        let mut batches = Vec::with_capacity(outcomes.len());
-        for outcome in outcomes {
-            match outcome {
-                Ok(b) => batches.push(b),
-                Err(msg) => {
-                    return Err(EngineError::Execution(format!(
-                        "query execution panicked: {msg}"
-                    )))
-                }
-            }
+        let mut outcomes = outcomes
+            .map_err(|msg| EngineError::Execution(format!("query execution panicked: {msg}")))?;
+        let node0 = outcomes[0].1.take();
+        let node_rows = outcomes.iter().map(|(rows, _)| *rows).collect();
+        Ok(StageOutcome {
+            node_rows,
+            node0,
+            profile: recorder.map(|rec| {
+                rec.finish(
+                    plan,
+                    programs,
+                    call.stage.role.label(),
+                    call.stage.estimated_rows,
+                    call.stage.feedback_rows,
+                )
+            }),
+        })
+    }
+
+    /// Nothing to stop: `run_stage` has joined every node thread.
+    fn abort(&self, _query: QueryId) {}
+
+    /// The multiplexers counted the query's traffic into `stats` as it
+    /// happened; only the nodes' state is left to release.
+    fn retire(&self, query: QueryId, _stats: &QueryNetStats) {
+        for node in &self.nodes {
+            node.temps.write().remove(&query);
+            node.hub.finish_query(query);
         }
-        Ok(batches)
     }
-}
 
-/// Render a caught panic payload as a message string.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Collect every temp-relation name a plan reads through `Plan::TempScan`.
-fn collect_temp_scans<'p>(plan: &'p Plan, out: &mut Vec<&'p str>) {
-    if let Plan::TempScan { name, .. } = plan {
-        out.push(name);
+    /// Network scheduler barrier rounds, per-link bytes and messages.
+    fn net_counters(&self, snap: &mut MetricsSnapshot) {
+        if let Some(sched) = &self.scheduler {
+            snap.push_counter("net.scheduler.rounds", sched.rounds());
+        }
+        for i in 0..self.cfg.nodes {
+            let stats = self.fabric.stats(NodeId(i));
+            snap.push_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());
+            snap.push_counter(
+                &format!("net.node{i}.bytes_received"),
+                stats.bytes_received(),
+            );
+            snap.push_counter(&format!("net.node{i}.messages_sent"), stats.messages_sent());
+        }
     }
-    for child in plan.children() {
-        collect_temp_scans(child, out);
-    }
-}
-
-/// Highest `Expr::Param` index referenced anywhere in a physical plan.
-fn plan_max_param(plan: &Plan) -> Option<usize> {
-    let own = match plan {
-        Plan::Scan { filter, .. } => filter.as_ref().and_then(Expr::max_param),
-        Plan::Filter { predicate, .. } => predicate.max_param(),
-        Plan::Map { outputs, .. } => outputs.iter().filter_map(|o| o.expr.max_param()).max(),
-        Plan::Aggregate { aggs, .. } => aggs.iter().filter_map(|a| a.expr.max_param()).max(),
-        Plan::TempScan { .. }
-        | Plan::HashJoin { .. }
-        | Plan::Sort { .. }
-        | Plan::Exchange { .. } => None,
-    };
-    own.max(
-        plan.children()
-            .iter()
-            .filter_map(|c| plan_max_param(c))
-            .max(),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use crate::plan::{AggFunc, AggSpec};
+    use crate::plan::{AggFunc, AggSpec, Plan};
+    use crate::queries::Query;
+    use hsqp_storage::DataType;
+    use std::time::Duration;
 
     #[test]
     fn start_and_shutdown() {
@@ -1588,7 +753,7 @@ mod tests {
         // Node 1's NATION part lacks the scanned column, so only node 1
         // panics; node 0 partitions its rows and blocks waiting for
         // node 1's last-markers. The cross-node abort must unblock it.
-        let good = c.inner.nodes[0]
+        let good = c.backend.nodes[0]
             .tables
             .read()
             .get(&TpchTable::Nation)

@@ -1,4 +1,4 @@
-//! SPMD plan execution on one node.
+//! One node: its start-up, and SPMD execution of its share of a stage.
 //!
 //! Every node of the cluster executes the same plan ([`NodeExec::execute`]);
 //! [`Plan::Exchange`] nodes are where tuples cross server boundaries. The
@@ -6,6 +6,11 @@
 //! node's [`MorselDriver`] for intra-node parallelism, so work stealing
 //! applies to scans, probes, aggregation, partitioning, and deserialization
 //! alike.
+//!
+//! A node is the same thing in a simulated cluster and in an `hsqp-node`
+//! process: `start_node` builds it around whichever transport endpoint it
+//! is given, and `execute_stage` is what a node thread of the one and a
+//! query worker of the other both run.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -17,22 +22,28 @@ use bytes::Bytes;
 use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 
-use hsqp_net::{Fabric, NodeId, QueryId};
-use hsqp_numa::{AllocPolicy, SocketId, Topology};
+use hsqp_net::{
+    Fabric, NetScheduler, NodeId, QueryId, QueryStatsRegistry, Transport as NetTransport,
+};
+use hsqp_numa::{AllocPolicy, CostModel, SocketId, Topology};
 use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
 use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
+use crate::cluster::{ClusterConfig, EngineKind};
+use crate::coordinator::StageCall;
 use crate::exchange::{
-    encode_header, MessagePool, MessageWriter, MuxCmd, RecvHub, FLAG_LAST, HEADER_LEN,
+    encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, RecvHub,
+    FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::{eval, Expr};
 use crate::local::MorselDriver;
 use crate::ops::{aggregate_with, canon_f64_bits, probe_join, sort_table, JoinTable};
 use crate::plan::{ExchangeKind, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
+use crate::queries::StageRole;
 use crate::serve::CancelToken;
-use crate::vm::{BoundProgram, CompiledStage, ExprProgram, OpPrograms};
+use crate::vm::{compile_stage, BoundProgram, CompiledStage, ExprProgram, OpPrograms};
 use crate::wire::{RowDeserializer, RowSerializer, Rows};
 
 /// Shared, long-lived state of one simulated server node.
@@ -74,7 +85,144 @@ pub struct NodeCtx {
     pub fabric: Arc<Fabric>,
 }
 
+/// Build node `node` of the cluster `cfg` describes around its transport
+/// `endpoint` — topology, receive hub, message pool, worker pool — and
+/// spawn its multiplexer thread, which runs until it is sent
+/// [`MuxCmd::Shutdown`] through `NodeCtx::to_mux`. With a `scheduler` the
+/// multiplexer sends in round-robin phases.
+pub(crate) fn start_node(
+    node: NodeId,
+    cfg: &ClusterConfig,
+    fabric: Arc<Fabric>,
+    endpoint: Box<dyn NetTransport>,
+    scheduler: Option<Arc<NetScheduler>>,
+    query_stats: Arc<QueryStatsRegistry>,
+) -> (Arc<NodeCtx>, std::thread::JoinHandle<()>) {
+    let (workers, sockets) = (cfg.workers_per_node, cfg.sockets);
+    let cores_per_socket = workers.div_ceil(sockets).max(1);
+    let cost = CostModel::new(cfg.numa_cost_ns);
+    let topology = Arc::new(Topology::new(sockets, cores_per_socket, cost));
+    // Classic exchange operators: one parallel unit per worker, and no
+    // work stealing.
+    let classic_units = (cfg.engine == EngineKind::Classic).then_some(workers);
+    let hub = RecvHub::new(classic_units.unwrap_or(sockets) as usize);
+    let pool = Arc::new(MessagePool::new(
+        Arc::clone(&fabric),
+        node,
+        sockets,
+        cfg.message_capacity,
+    ));
+    let mux_cfg = MuxConfig {
+        node,
+        nodes: cfg.nodes,
+        scheduling: scheduler.is_some(),
+        batch_per_phase: 8,
+        classic_units,
+        sockets,
+        alloc_policy: cfg.alloc_policy,
+    };
+    let (to_mux, mux) = spawn_multiplexer(
+        mux_cfg,
+        endpoint,
+        Arc::clone(&hub),
+        Arc::clone(&pool),
+        scheduler,
+        query_stats,
+    );
+    let ctx = Arc::new(NodeCtx {
+        node,
+        nodes: cfg.nodes,
+        driver: MorselDriver::new(
+            workers,
+            &topology,
+            hsqp_storage::table::MORSEL_SIZE,
+            classic_units.is_none(),
+        ),
+        topology,
+        alloc_policy: cfg.alloc_policy,
+        classic_units,
+        message_capacity: cfg.message_capacity,
+        pool,
+        hub,
+        to_mux,
+        tables: RwLock::new(HashMap::new()),
+        temps: RwLock::new(HashMap::new()),
+        consume_loads: parking_lot::Mutex::new(Vec::new()),
+        fabric,
+    });
+    (ctx, mux)
+}
+
+/// Execute this node's share of the stage `call` describes and dispose of
+/// the output by the stage's role: a materialization stays here as a temp
+/// of the query; node 0 returns a `Params` or `Result` table. Also returns
+/// the local result cardinality. A panic in the operators — a stopped
+/// query, a fault — is contained and comes back as its message; the caller
+/// then owes the peers blocked on this node's last-markers an abort.
+pub(crate) fn execute_stage(
+    ctx: &NodeCtx,
+    call: &StageCall<'_>,
+    programs: Option<&CompiledStage>,
+    recorder: Option<&NodeRecorder>,
+) -> Result<(u64, Option<Table>), String> {
+    let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Exchange ids are per-query: each stage gets its own disjoint
+        // range, and the query id in the wire header isolates them from
+        // every other in-flight query.
+        let exec = NodeExec {
+            recorder,
+            programs,
+            cancel: Some(call.cancel),
+            ..NodeExec::new(ctx, call.query, call.params, call.stage_idx * 100_000)
+        };
+        exec.execute(&call.stage.plan)
+    }))
+    .map_err(|payload| panic_message(payload.as_ref()))?;
+    let rows = batch.rows() as u64;
+    let table = match &call.stage.role {
+        StageRole::Materialize(name) => {
+            ctx.temps
+                .write()
+                .entry(call.query)
+                .or_default()
+                .insert(name.clone(), batch.into_arc());
+            None
+        }
+        // Only node 0 holds the gathered output.
+        StageRole::Params | StageRole::Result => (ctx.node.0 == 0).then(|| batch.into_table()),
+    };
+    Ok((rows, table))
+}
+
+/// Render a caught panic payload as a message string.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".into())
+}
+
 impl NodeCtx {
+    /// Compile the expression sites of `plan`, a stage of `query`, against
+    /// this node's base relations and the temps the query's earlier stages
+    /// materialized here. Every node holds the same schemas, so compiling
+    /// on one (a simulated cluster) or on each (node processes) yields the
+    /// same programs. `None` when nothing compiled: the stage then runs on
+    /// the tree walker, as does any single site that failed to.
+    pub(crate) fn compile(&self, query: QueryId, plan: &Plan) -> Option<CompiledStage> {
+        let base = |t: TpchTable| self.tables.read().get(&t).map(|tbl| tbl.schema().clone());
+        let temps: HashMap<String, Schema> = match self.temps.read().get(&query) {
+            Some(ns) => ns
+                .iter()
+                .map(|(name, t)| (name.clone(), t.schema().clone()))
+                .collect(),
+            None => HashMap::new(),
+        };
+        let (compiled, _) = compile_stage(plan, &base, &temps);
+        (!compiled.is_empty()).then_some(compiled)
+    }
+
     fn local_table(&self, t: TpchTable) -> Arc<Table> {
         self.tables
             .read()
@@ -152,8 +300,18 @@ pub struct NodeExec<'a> {
     query: QueryId,
     params: &'a [Value],
     next_exchange: AtomicU32,
+    /// This node's profiling recorder: every operator records a span cell
+    /// (pre-order indexed) as it executes.
     recorder: Option<&'a NodeRecorder>,
+    /// The stage's compiled expression programs (same pre-order operator
+    /// numbering as the recorder). Operators without a program — or whose
+    /// program fails to bind against the runtime table — fall back to the
+    /// tree-walking evaluator.
     programs: Option<&'a CompiledStage>,
+    /// The query's cooperative cancellation token: operator morsel loops,
+    /// send loops, and exchange waits poll it and bail out by panicking
+    /// (contained by [`execute_stage`]), bounding cancel/deadline latency
+    /// by one morsel instead of one stage.
     cancel: Option<&'a CancelToken>,
 }
 
@@ -162,7 +320,8 @@ impl<'a> NodeExec<'a> {
     /// at `exchange_base` (must be identical on all nodes for a given
     /// stage; distinct stages of one query use disjoint ranges). Temp
     /// relations materialized by the query's earlier stages are read from
-    /// the node's per-query namespace.
+    /// the node's per-query namespace. Runs unprofiled, on the tree walker
+    /// and uncancellable; `execute_stage` is how queries run.
     pub fn new(ctx: &'a NodeCtx, query: QueryId, params: &'a [Value], exchange_base: u32) -> Self {
         Self {
             ctx,
@@ -173,31 +332,6 @@ impl<'a> NodeExec<'a> {
             programs: None,
             cancel: None,
         }
-    }
-
-    /// Attach this node's profiling recorder: every operator then records
-    /// a span cell (pre-order indexed) as it executes.
-    pub fn with_recorder(mut self, recorder: Option<&'a NodeRecorder>) -> Self {
-        self.recorder = recorder;
-        self
-    }
-
-    /// Attach the stage's compiled expression programs (same pre-order
-    /// operator numbering as the recorder). Operators without a program —
-    /// or whose program fails to bind against the runtime table — fall
-    /// back to the tree-walking evaluator.
-    pub fn with_programs(mut self, programs: Option<&'a CompiledStage>) -> Self {
-        self.programs = programs;
-        self
-    }
-
-    /// Attach the query's cooperative cancellation token: operator morsel
-    /// loops, send loops, and exchange waits then poll it and bail out by
-    /// panicking (contained by the per-node `catch_unwind`), bounding
-    /// cancel/deadline latency by one morsel instead of one stage.
-    pub fn with_cancel(mut self, cancel: Option<&'a CancelToken>) -> Self {
-        self.cancel = cancel;
-        self
     }
 
     /// Panic out of the current operator if the query was cancelled or

@@ -20,8 +20,11 @@
 //!   comparison, as are chunked vs partitioned data placement.
 //!
 //! [`queries`] contains hand-built physical plans for all 22 TPC-H queries
-//! (the paper's workload); [`cluster`] is the SPMD driver that runs a plan
-//! across all simulated servers and gathers the result.
+//! (the paper's workload). A query is served in three layers: the
+//! [`coordinator`] (admission, scheduling, the stage loop — written once),
+//! a backend that carries each stage to the nodes — threads of a simulated
+//! [`cluster`] or the processes of a [`remote`] one — and the node
+//! ([`exec`]), which executes its share and is the same in both.
 //!
 //! Queries are written against the [`logical`] plan builder and lowered by
 //! the distributed [`planner`], which places exchange operators, chooses
@@ -32,7 +35,7 @@
 //!
 //! Queries are *submitted*, not merely run:
 //! [`Session::submit`](session::Session::submit) returns a
-//! [`QueryHandle`] and the cluster's dispatcher executes up to
+//! [`QueryHandle`] and the coordinator's dispatcher executes up to
 //! [`max_concurrent`](cluster::ClusterConfig::max_concurrent) queries at
 //! once over the shared multiplexers — every wire message is tagged with
 //! a [`QueryId`], temp relations live in per-query namespaces, and
@@ -50,6 +53,7 @@
 //! granularity (explicit [`QueryHandle::cancel`] or a per-query deadline).
 
 pub mod cluster;
+pub mod coordinator;
 pub mod cost;
 pub mod error;
 pub mod exchange;
@@ -71,9 +75,8 @@ pub mod stats;
 pub mod vm;
 pub mod wire;
 
-pub use cluster::{
-    Cluster, ClusterConfig, EngineKind, ExprEngine, QueryHandle, QueryResult, Transport,
-};
+pub use cluster::{Cluster, ClusterConfig, EngineKind, ExprEngine, Transport};
+pub use coordinator::{Coordinator, QueryHandle, QueryResult};
 pub use cost::CostModel;
 pub use error::EngineError;
 pub use expr::Expr;

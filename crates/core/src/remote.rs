@@ -1,15 +1,21 @@
-//! Out-of-process clusters: the `hsqp-node` server and the coordinator.
+//! Out-of-process clusters: the `hsqp-node` server, and the coordinator's
+//! connection to it.
 //!
 //! Everything else in the engine simulates a cluster inside one process;
 //! this module runs the same SPMD plans across *real OS processes*
 //! connected by real TCP sockets. A [`NodeServer`] is one database server:
-//! it listens on a port, joins the mesh
-//! ([`SocketTransport`]), generates its share
-//! of TPC-H locally, and executes its share of every stage shipped to it.
-//! A [`ProcessCluster`] is the coordinator: it plans centrally, ships
-//! serialized stages ([`crate::serial`]) to every node, binds parameter
-//! stages, and collects the gathered result from node 0 — the paper's
-//! coordinator/worker split, §4.
+//! it listens on a port, joins the mesh ([`SocketTransport`]), starts the
+//! same node a simulated cluster runs (`start_node`), generates its
+//! share of TPC-H locally, and executes its share of every stage shipped
+//! to it (`execute_stage`). A [`ProcessCluster`] is the set-up and load
+//! shell on the other side: it connects to the nodes, has them load data,
+//! and owns a [`Coordinator`] — to which it derefs, so `submit`, `run`,
+//! `configure_tenant`, `metrics`, … are the coordinator's, the same code
+//! that drives a simulated cluster ([`crate::coordinator`]). What is
+//! particular to this cluster is its `Backend`: a stage is serialized
+//! ([`crate::serial`]) and shipped to every node over the control
+//! protocol below, and node 0's reply carries the gathered table — the
+//! paper's coordinator/worker split, §4.
 //!
 //! # Control protocol
 //!
@@ -58,11 +64,15 @@
 //! multiplexer kills every in-flight query on that hub) and the
 //! coordinator's control reader fails all pending queries — either way
 //! the coordinator returns [`EngineError::Execution`] instead of hanging.
+//! A cancelled query or one past its deadline is noticed by the stage
+//! wait, which polls the query's token; the coordinator then sends `Abort`
+//! and `Retire`, and the handle resolves to the typed error.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -77,25 +87,22 @@ use hsqp_net::{
     Fabric, FabricConfig, NetStats, NodeId, QueryId, QueryNetStats, QueryStatsRegistry,
     SocketConfig, SocketTransport,
 };
-use hsqp_numa::{AllocPolicy, CostModel, SocketId, Topology};
+use hsqp_numa::SocketId;
 use hsqp_storage::placement::chunk_split;
-use hsqp_storage::{decimal_to_f64, DataType, Schema, Table, Value};
+use hsqp_storage::{Table, Value};
 use hsqp_tpch::{TpchDb, TpchTable};
 
-use crate::cluster::{panic_message, QueryResult};
+use crate::cluster::ClusterConfig;
+use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome};
 use crate::error::EngineError;
-use crate::exchange::{
-    encode_header, spawn_multiplexer, MessagePool, MuxCmd, MuxConfig, RecvHub, FLAG_ABORT,
-    HEADER_LEN,
-};
-use crate::exec::{NodeCtx, NodeExec};
-use crate::local::MorselDriver;
-use crate::planner::QueryPlanner;
-use crate::queries::{Query, QueryStage, StageRole};
+use crate::exchange::{encode_header, MuxCmd, FLAG_ABORT, HEADER_LEN};
+use crate::exec::{execute_stage, start_node, NodeCtx};
+use crate::metrics::MetricsSnapshot;
+use crate::queries::QueryStage;
 use crate::serial::{
     self, decode_stage_tagged, decode_table, decode_values, encode_stage_tagged, encode_values, Rd,
 };
-use crate::serve::{CancelToken, SubmitOptions};
+use crate::serve::{CancelToken, TenantConfig, TenantId};
 
 // Control-protocol opcodes (requests < 100, replies >= 100).
 const OP_JOIN: u8 = 0;
@@ -206,21 +213,27 @@ impl NodeServer {
 
         let join = read_frame(&mut control)?;
         let mut r = Rd::new(&join);
-        let mut parse = || -> Result<(u16, u16, u16, u16, usize, Vec<String>), String> {
+        // The same node a simulated cluster runs, on the real-socket
+        // transport and without network scheduling (the `NetScheduler` is
+        // a shared-memory barrier; real clusters run uncoordinated).
+        let mut parse = || -> Result<(u16, ClusterConfig, Vec<String>), String> {
             if r.u8()? != OP_JOIN {
                 return Err("expected Join as the first control frame".into());
             }
-            let node = r.u16()?;
-            let nodes = r.u16()?;
-            let workers = r.u16()?;
-            let sockets = r.u16()?;
-            let message_capacity = r.u64()? as usize;
-            let addrs = r.strs()?;
-            Ok((node, nodes, workers, sockets, message_capacity, addrs))
+            let (node, nodes) = (r.u16()?, r.u16()?);
+            let cfg = ClusterConfig {
+                workers_per_node: r.u16()?,
+                sockets: r.u16()?,
+                message_capacity: r.u64()? as usize,
+                numa_cost_ns: 0.0,
+                ..ClusterConfig::paper(nodes)
+            };
+            Ok((node, cfg, r.strs()?))
         };
-        let (node, nodes, workers, sockets, message_capacity, addrs) =
+        let (node, cfg, addrs) =
             parse().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if node >= nodes || addrs.len() != nodes as usize || workers == 0 || sockets == 0 {
+        let nodes = cfg.nodes;
+        if node >= nodes || addrs.len() != nodes as usize || cfg.validate().is_err() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!(
@@ -240,58 +253,15 @@ impl NodeServer {
         )?;
         let net_stats = Arc::clone(transport.stats());
 
-        // Build the node context exactly like `Cluster::start` builds one
-        // simulated node, with the real-socket transport plugged in and no
-        // network scheduling (the in-process `NetScheduler` is a
-        // shared-memory barrier; real clusters run uncoordinated).
-        let cores_per_socket = workers.div_ceil(sockets).max(1);
-        let topology = Arc::new(Topology::new(
-            sockets,
-            cores_per_socket,
-            CostModel::new(0.0),
-        ));
-        let hub = RecvHub::new(sockets as usize);
-        let fabric = Arc::new(Fabric::new(nodes, FabricConfig::default()));
-        let pool = Arc::new(MessagePool::new(
-            Arc::clone(&fabric),
-            NodeId(node),
-            sockets,
-            message_capacity,
-        ));
         let query_stats = Arc::new(QueryStatsRegistry::new());
-        let mux_cfg = MuxConfig {
-            node: NodeId(node),
-            nodes,
-            scheduling: false,
-            batch_per_phase: 8,
-            classic_units: None,
-            sockets,
-            alloc_policy: AllocPolicy::NumaAware,
-        };
-        let (to_mux, mux_handle) = spawn_multiplexer(
-            mux_cfg,
+        let (ctx, mux_handle) = start_node(
+            NodeId(node),
+            &cfg,
+            Arc::new(Fabric::new(nodes, FabricConfig::default())),
             Box::new(transport),
-            Arc::clone(&hub),
-            Arc::clone(&pool),
             None,
             Arc::clone(&query_stats),
         );
-        let ctx = Arc::new(NodeCtx {
-            node: NodeId(node),
-            nodes,
-            driver: MorselDriver::new(workers, &topology, hsqp_storage::table::MORSEL_SIZE, true),
-            topology,
-            alloc_policy: AllocPolicy::NumaAware,
-            classic_units: None,
-            message_capacity,
-            pool,
-            hub,
-            to_mux: to_mux.clone(),
-            tables: RwLock::new(HashMap::new()),
-            temps: RwLock::new(HashMap::new()),
-            consume_loads: parking_lot::Mutex::new(Vec::new()),
-            fabric,
-        });
 
         let writer = Arc::new(Mutex::new(control.try_clone()?));
         send_reply(&writer, |out| serial::put_u8(out, OP_JOIN_OK))?;
@@ -332,7 +302,7 @@ impl NodeServer {
             drop(w.jobs);
             let _ = w.handle.join();
         }
-        let _ = to_mux.send(MuxCmd::Shutdown);
+        let _ = ctx.to_mux.send(MuxCmd::Shutdown);
         let _ = mux_handle.join();
         Ok(())
     }
@@ -498,18 +468,11 @@ fn run_query_worker(
     writer: &Arc<Mutex<TcpStream>>,
     cancel: &CancelToken,
 ) {
-    // Schemas of temps this query materialized, for local stage compilation
-    // (deterministic: every node compiles the same plan against the same
-    // generated base schemas).
-    let mut temp_schemas: HashMap<String, Schema> = HashMap::new();
     while let Ok(job) = rx.recv() {
         let outcome = if ctx.hub.is_aborted(query) {
             Err("query aborted".to_string())
         } else {
-            let base = |t: TpchTable| ctx.tables.read().get(&t).map(|tbl| tbl.schema().clone());
-            let (compiled, out_schema) =
-                crate::vm::compile_stage(&job.stage.plan, &base, &temp_schemas);
-            let programs = (!compiled.is_empty()).then_some(&compiled);
+            let programs = ctx.compile(query, &job.stage.plan);
             // The per-stage token shares the coordinator-abort tripwire and
             // adds this stage's remaining deadline budget, so morsel loops
             // stop within one morsel of either signal.
@@ -517,36 +480,17 @@ fn run_query_worker(
                 job.deadline_us
                     .map(|us| Instant::now() + Duration::from_micros(us)),
             );
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                NodeExec::new(ctx, query, &job.params, job.stage_idx * 100_000)
-                    .with_programs(programs)
-                    .with_cancel(Some(&stage_cancel))
-                    .execute(&job.stage.plan)
-            }))
-            .map(|batch| (batch, out_schema))
-            .map_err(|payload| panic_message(payload.as_ref()))
+            let call = StageCall {
+                query,
+                stage_idx: job.stage_idx,
+                stage: &job.stage,
+                params: &job.params,
+                cancel: &stage_cancel,
+            };
+            execute_stage(ctx, &call, programs.as_ref(), None)
         };
         match outcome {
-            Ok((batch, out_schema)) => {
-                let rows = batch.rows() as u64;
-                let table = match &job.stage.role {
-                    StageRole::Materialize(name) => {
-                        if let Some(s) = out_schema {
-                            temp_schemas.insert(name.clone(), s);
-                        }
-                        ctx.temps
-                            .write()
-                            .entry(query)
-                            .or_default()
-                            .insert(name.clone(), batch.into_arc());
-                        None
-                    }
-                    // Only node 0 holds the gathered output; shipping the
-                    // other nodes' empty remainders would be wasted bytes.
-                    StageRole::Params | StageRole::Result => {
-                        (ctx.node.0 == 0).then(|| batch.into_table())
-                    }
-                };
+            Ok((rows, table)) => {
                 let r = send_reply(writer, |out| {
                     put_stage_done(out, query.0, job.stage_idx, rows, table.as_ref());
                 });
@@ -587,11 +531,11 @@ fn run_query_worker(
 }
 
 // ---------------------------------------------------------------------------
-// Coordinator
+// Coordinator side
 // ---------------------------------------------------------------------------
 
-/// Coordinator-side configuration for an out-of-process cluster.
-#[derive(Debug, Clone, Copy)]
+/// Configuration of the coordinator of an out-of-process cluster.
+#[derive(Debug, Clone)]
 pub struct ProcessClusterConfig {
     /// Engine knobs shipped to every node.
     pub engine: RemoteEngineConfig,
@@ -600,6 +544,12 @@ pub struct ProcessClusterConfig {
     /// Watchdog for any single control reply; a cluster that goes silent
     /// longer than this fails the query instead of hanging forever.
     pub reply_timeout: Duration,
+    /// Queries the dispatcher runs concurrently; further submissions
+    /// queue (as [`ClusterConfig::max_concurrent`](crate::cluster::ClusterConfig)).
+    pub max_concurrent: u16,
+    /// Pre-registered tenants with their scheduling weights and admission
+    /// caps; others self-register with [`TenantConfig::default`].
+    pub tenants: Vec<(String, TenantConfig)>,
 }
 
 impl Default for ProcessClusterConfig {
@@ -608,24 +558,17 @@ impl Default for ProcessClusterConfig {
             engine: RemoteEngineConfig::default(),
             connect_timeout: Duration::from_secs(10),
             reply_timeout: Duration::from_secs(60),
+            max_concurrent: 4,
+            tenants: Vec::new(),
         }
     }
 }
 
-/// Where one query execution gets its stages from: a pre-planned physical
-/// [`Query`], or an adaptive [`QueryPlanner`] that lowers each stage only
-/// after the previous one's observed cardinalities were fed back.
-enum StageFeed<'a> {
-    Fixed(&'a Query),
-    Adaptive(&'a mut QueryPlanner),
-}
-
-/// A control reply routed to the query (or control op) that awaits it.
+/// A control reply routed to the query that awaits it.
 enum NodeReply {
     StageDone {
         stage: u32,
-        /// The node's local result cardinality for the stage, fed back to
-        /// the adaptive planner in [`StatsMode::Feedback`].
+        /// The node's local result cardinality for the stage.
         rows: u64,
         table: Option<Table>,
     },
@@ -648,14 +591,7 @@ enum CtlReply {
     StatsOk(u64, u64, u64, u64),
 }
 
-struct CoordShared {
-    /// Per-query reply channels, keyed by query id.
-    pending: Mutex<HashMap<u32, Sender<(usize, NodeReply)>>>,
-    /// Channel for Load/Stats replies (one control op at a time).
-    ctl_tx: Sender<(usize, CtlReply)>,
-    /// Set as soon as any node's control connection dies.
-    dead: AtomicBool,
-}
+type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
 
 struct NodeConn {
     writer: Mutex<TcpStream>,
@@ -665,19 +601,38 @@ struct NodeConn {
 
 /// Coordinator for a cluster of out-of-process [`NodeServer`]s.
 ///
-/// Thread-safe: [`run`](Self::run) can be called from many closed-loop
-/// client threads at once; replies are demultiplexed per query id, exactly
-/// like the in-process dispatcher's concurrent queries.
+/// Derefs to its [`Coordinator`] for everything about submitting and
+/// running queries; any number of queries can be in flight, their replies
+/// demultiplexed per query id.
 pub struct ProcessCluster {
-    conns: Vec<NodeConn>,
-    shared: Arc<CoordShared>,
-    ctl_rx: Mutex<Receiver<(usize, CtlReply)>>,
-    readers: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    next_query: AtomicU32,
+    coordinator: Coordinator,
+    backend: Arc<RemoteBackend>,
+    /// One thread per control connection, routing the node's replies.
+    readers: Vec<std::thread::JoinHandle<()>>,
     table_rows: RwLock<HashMap<TpchTable, u64>>,
-    query_stats: Arc<QueryStatsRegistry>,
-    cfg: ProcessClusterConfig,
-    down: AtomicBool,
+}
+
+/// The control connections to the node processes, and how a stage runs
+/// over them.
+struct RemoteBackend {
+    conns: Vec<NodeConn>,
+    /// Reply channels of the queries that have shipped a stage and not
+    /// retired yet, keyed by query id.
+    pending: Mutex<HashMap<u32, ReplyChannel>>,
+    /// Channel for Load/Stats replies (one control op at a time).
+    ctl_tx: Sender<(usize, CtlReply)>,
+    ctl_rx: Mutex<Receiver<(usize, CtlReply)>>,
+    /// Set as soon as any node's control connection dies.
+    dead: AtomicBool,
+    reply_timeout: Duration,
+}
+
+impl Deref for ProcessCluster {
+    type Target = Coordinator;
+
+    fn deref(&self) -> &Coordinator {
+        &self.coordinator
+    }
 }
 
 impl ProcessCluster {
@@ -688,6 +643,7 @@ impl ProcessCluster {
         if addrs.is_empty() {
             return Err(EngineError::Config("need at least one node address".into()));
         }
+        Coordinator::validate(cfg.max_concurrent, &cfg.tenants)?;
         let nodes = addrs.len() as u16;
         let io_err = |what: &str, e: io::Error| {
             EngineError::Execution(format!("cluster connect: {what}: {e}"))
@@ -739,72 +695,73 @@ impl ProcessCluster {
             }
         }
 
-        let (ctl_tx, ctl_rx) = unbounded();
-        let shared = Arc::new(CoordShared {
-            pending: Mutex::new(HashMap::new()),
-            ctl_tx,
-            dead: AtomicBool::new(false),
-        });
         let mut conns = Vec::with_capacity(streams.len());
-        let mut readers = Vec::with_capacity(streams.len());
-        for (i, stream) in streams.into_iter().enumerate() {
-            let reader_stream = stream.try_clone().map_err(|e| io_err("clone", e))?;
+        let mut reader_streams = Vec::with_capacity(streams.len());
+        for stream in streams {
+            reader_streams.push(stream.try_clone().map_err(|e| io_err("clone", e))?);
             let writer = Mutex::new(stream.try_clone().map_err(|e| io_err("clone", e))?);
             conns.push(NodeConn { writer, stream });
-            let shared = Arc::clone(&shared);
-            readers.push(
+        }
+        let (ctl_tx, ctl_rx) = unbounded();
+        let backend = Arc::new(RemoteBackend {
+            conns,
+            pending: Mutex::new(HashMap::new()),
+            ctl_tx,
+            ctl_rx: Mutex::new(ctl_rx),
+            dead: AtomicBool::new(false),
+            reply_timeout: cfg.reply_timeout,
+        });
+        let readers = reader_streams
+            .into_iter()
+            .enumerate()
+            .map(|(i, stream)| {
+                let backend = Arc::clone(&backend);
                 std::thread::Builder::new()
                     .name(format!("coord-recv-{i}"))
-                    .spawn(move || coord_reader(i, reader_stream, &shared))
-                    .expect("spawn coordinator reader"),
-            );
-        }
+                    .spawn(move || coord_reader(i, stream, &backend))
+                    .expect("spawn coordinator reader")
+            })
+            .collect();
         Ok(Self {
-            conns,
-            shared,
-            ctl_rx: Mutex::new(ctl_rx),
-            readers: Mutex::new(readers),
-            next_query: AtomicU32::new(0),
+            coordinator: Coordinator::start(
+                Arc::clone(&backend) as Arc<dyn Backend>,
+                Arc::new(QueryStatsRegistry::new()),
+                cfg.max_concurrent,
+                &cfg.tenants,
+            ),
+            backend,
+            readers,
             table_rows: RwLock::new(HashMap::new()),
-            query_stats: Arc::new(QueryStatsRegistry::new()),
-            cfg,
-            down: AtomicBool::new(false),
         })
     }
 
     /// Cluster size.
     pub fn nodes(&self) -> u16 {
-        self.conns.len() as u16
+        self.backend.conns.len() as u16
     }
 
     /// Have every node generate TPC-H at `sf` and keep its chunk. Returns
     /// once all nodes report their local row counts (summed into
     /// [`table_rows`](Self::table_rows) for exact planner cardinalities).
     pub fn load_tpch(&self, sf: f64) -> Result<(), EngineError> {
-        self.ensure_up()?;
-        let ctl = self.ctl_rx.lock();
-        self.broadcast(|out| {
-            serial::put_u8(out, OP_LOAD);
-            serial::put_f64(out, sf);
-        })?;
         // Data generation is CPU-bound and scales with sf; be generous.
-        let deadline = self.cfg.reply_timeout.max(Duration::from_secs(600));
+        let timeout = self.backend.reply_timeout.max(Duration::from_secs(600));
+        let replies = self.backend.control_op(
+            "loading TPC-H",
+            timeout,
+            |out| {
+                serial::put_u8(out, OP_LOAD);
+                serial::put_f64(out, sf);
+            },
+            |reply| match reply {
+                CtlReply::LoadOk(rows) => Some(rows),
+                CtlReply::StatsOk(..) => None,
+            },
+        )?;
         let mut totals: HashMap<TpchTable, u64> = HashMap::new();
-        for _ in 0..self.conns.len() {
-            match ctl.recv_timeout(deadline) {
-                Ok((_, CtlReply::LoadOk(rows))) => {
-                    for (name, n) in rows {
-                        if let Some(kind) = TpchTable::from_name(&name) {
-                            *totals.entry(kind).or_insert(0) += n;
-                        }
-                    }
-                }
-                Ok((_, CtlReply::StatsOk(..))) => {}
-                Err(_) => {
-                    return Err(EngineError::Execution(
-                        "cluster went silent while loading TPC-H".into(),
-                    ))
-                }
+        for (name, n) in replies.into_iter().flatten() {
+            if let Some(kind) = TpchTable::from_name(&name) {
+                *totals.entry(kind).or_insert(0) += n;
             }
         }
         *self.table_rows.write() = totals;
@@ -821,289 +778,56 @@ impl ProcessCluster {
     /// cluster-wide sums: `(bytes_sent, bytes_received, messages_sent,
     /// messages_received)`.
     pub fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
-        self.ensure_up()?;
-        let ctl = self.ctl_rx.lock();
-        self.broadcast(|out| serial::put_u8(out, OP_STATS))?;
-        let mut sums = (0u64, 0u64, 0u64, 0u64);
-        for _ in 0..self.conns.len() {
-            match ctl.recv_timeout(self.cfg.reply_timeout) {
-                Ok((_, CtlReply::StatsOk(bs, br, ms, mr))) => {
-                    sums.0 += bs;
-                    sums.1 += br;
-                    sums.2 += ms;
-                    sums.3 += mr;
-                }
-                Ok((_, CtlReply::LoadOk(_))) => {}
-                Err(_) => {
-                    return Err(EngineError::Execution(
-                        "cluster went silent while reporting stats".into(),
-                    ))
-                }
+        self.backend.net_stats()
+    }
+
+    /// Shut the node processes down and disconnect. In-flight queries
+    /// complete; queued ones fail with [`EngineError::ClusterDown`].
+    pub fn shutdown(self) {}
+}
+
+impl Drop for ProcessCluster {
+    fn drop(&mut self) {
+        self.coordinator.close();
+        let backend = &self.backend;
+        // Not `broadcast`: a dead node must not keep the ones after it
+        // from hearing the Shutdown.
+        if let Ok(frame) = Frame::build(|out| serial::put_u8(out, OP_SHUTDOWN)) {
+            for conn in &backend.conns {
+                let _ = frame.write_to(&mut *conn.writer.lock());
             }
         }
-        Ok(sums)
-    }
-
-    /// Run a multi-stage query across the node processes and gather the
-    /// result, mirroring the in-process driver's stage loop: parameter
-    /// stages bind their first result row, materialization stages leave
-    /// per-node temps behind, the final stage's gathered table comes back
-    /// from node 0.
-    pub fn run(&self, query: &Query) -> Result<QueryResult, EngineError> {
-        self.run_with(query, &SubmitOptions::default())
-    }
-
-    /// [`run`](Self::run) with serving-layer options: the submitting
-    /// tenant is shipped to the nodes for observability and an optional
-    /// deadline bounds the whole query — each stage carries the remaining
-    /// budget, node-side morsel loops stop within one morsel of it
-    /// elapsing, and the coordinator returns
-    /// [`EngineError::DeadlineExceeded`] after aborting and retiring the
-    /// query on every node.
-    pub fn run_with(
-        &self,
-        query: &Query,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        if query.stages.is_empty() {
-            return Err(EngineError::Planner(
-                "query needs at least one stage".into(),
-            ));
+        for conn in &backend.conns {
+            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
-        self.run_inner(&mut StageFeed::Fixed(query), opts)
-    }
-
-    /// Run a query planned stage-at-a-time by an adaptive
-    /// [`QueryPlanner`]: after each stage completes, the per-node observed
-    /// cardinalities are fed back so later stages (in
-    /// [`StatsMode::Feedback`](crate::stats::StatsMode)) are lowered
-    /// against actuals instead of static estimates.
-    pub fn run_adaptive(
-        &self,
-        mut planner: QueryPlanner,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        self.run_inner(&mut StageFeed::Adaptive(&mut planner), opts)
-    }
-
-    fn run_inner(
-        &self,
-        feed: &mut StageFeed<'_>,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        self.ensure_up()?;
-        let start = Instant::now();
-        let deadline = opts.deadline.map(|d| start + d);
-        let id = self.next_query.fetch_add(1, Ordering::Relaxed);
-        let stats = self.query_stats.register(QueryId(id));
-        let (tx, rx) = unbounded();
-        self.shared.pending.lock().insert(id, tx);
-
-        let mut outcome = self.run_stages(id, feed, opts, deadline, &rx);
-        if outcome.is_err() && !self.down.load(Ordering::SeqCst) {
-            // Unwedge every node first (ordered before Retire on each
-            // control connection), then clean up.
-            let _ = self.broadcast(|out| {
-                serial::put_u8(out, OP_ABORT);
-                serial::put_u32(out, id);
-            });
-        }
-        self.retire(id, &rx, &stats);
-        self.shared.pending.lock().remove(&id);
-        self.query_stats.retire(QueryId(id));
-
-        // A node that stopped at its shipped deadline reports StageFail
-        // with the token's panic message; fold that back into the typed
-        // error the in-process driver returns for the same condition.
-        if let Err(EngineError::Execution(_)) = &outcome {
-            if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                outcome = Err(EngineError::DeadlineExceeded);
-            }
-        }
-
-        let table = outcome?;
-        Ok(QueryResult {
-            query: QueryId(id),
-            table,
-            elapsed: start.elapsed(),
-            queue_wait: Duration::ZERO,
-            bytes_shuffled: stats.bytes_sent(),
-            messages_sent: stats.messages_sent(),
-            profile: None,
-        })
-    }
-
-    fn run_stages(
-        &self,
-        id: u32,
-        feed: &mut StageFeed<'_>,
-        opts: &SubmitOptions,
-        deadline: Option<Instant>,
-        rx: &Receiver<(usize, NodeReply)>,
-    ) -> Result<Table, EngineError> {
-        if self.shared.dead.load(Ordering::SeqCst) {
-            return Err(EngineError::Execution("a cluster node is down".into()));
-        }
-        let n = self.conns.len();
-        let mut params: Vec<Value> = Vec::new();
-        let mut final_table: Option<Table> = None;
-        let mut stage_idx = 0usize;
-        loop {
-            let stage: QueryStage = match &mut *feed {
-                StageFeed::Adaptive(qp) => match qp.next_stage()? {
-                    None => break,
-                    Some(s) => s,
-                },
-                StageFeed::Fixed(q) => {
-                    if stage_idx >= q.stages.len() {
-                        break;
-                    }
-                    q.stages[stage_idx].clone()
-                }
-            };
-            // Ship the remaining budget, not the absolute deadline: the
-            // node processes' clocks are not synchronized with ours.
-            let remaining = match deadline {
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return Err(EngineError::DeadlineExceeded);
-                    }
-                    Some(left)
-                }
-                None => None,
-            };
-            let params_bytes = encode_values(&params);
-            let stage_bytes = encode_stage_tagged(
-                &stage,
-                Some(opts.tenant.as_str()),
-                remaining.map(|d| d.as_micros() as u64),
-            );
-            self.broadcast(|out| {
-                serial::put_u8(out, OP_STAGE);
-                serial::put_u32(out, id);
-                serial::put_u32(out, stage_idx as u32);
-                serial::put_u32(out, params_bytes.len() as u32);
-                out.extend_from_slice(&params_bytes);
-                serial::put_u32(out, stage_bytes.len() as u32);
-                out.extend_from_slice(&stage_bytes);
-            })?;
-
-            let mut done = vec![false; n];
-            let mut node_rows = vec![0u64; n];
-            let mut node0_table: Option<Table> = None;
-            while done.iter().any(|d| !d) {
-                // Wait no longer than the deadline allows; the nodes stop
-                // themselves too, this is the coordinator-side backstop.
-                let wait = match deadline {
-                    Some(dl) => self
-                        .cfg
-                        .reply_timeout
-                        .min(dl.saturating_duration_since(Instant::now())),
-                    None => self.cfg.reply_timeout,
-                };
-                let (node, reply) = rx.recv_timeout(wait).map_err(|_| {
-                    if deadline.is_some_and(|dl| Instant::now() >= dl) {
-                        EngineError::DeadlineExceeded
-                    } else {
-                        EngineError::Execution(format!(
-                            "stage {stage_idx} of q{id} timed out after {:?}",
-                            self.cfg.reply_timeout
-                        ))
-                    }
-                })?;
-                match reply {
-                    NodeReply::StageDone { stage, rows, table } if stage == stage_idx as u32 => {
-                        done[node] = true;
-                        node_rows[node] = rows;
-                        if node == 0 {
-                            node0_table = table;
-                        }
-                    }
-                    NodeReply::StageFail { stage, msg } if stage == stage_idx as u32 => {
-                        return Err(EngineError::Execution(format!(
-                            "node {node} failed stage {stage_idx}: {msg}"
-                        )));
-                    }
-                    NodeReply::NodeDown(msg) => {
-                        return Err(EngineError::Execution(format!(
-                            "node {node} died mid-query: {msg}"
-                        )));
-                    }
-                    // Stale replies (earlier stage of a restarted loop, a
-                    // late RetireOk) are dropped.
-                    _ => {}
-                }
-            }
-
-            match &stage.role {
-                StageRole::Result => {
-                    final_table = Some(node0_table.ok_or_else(|| {
-                        EngineError::Execution("node 0 returned no result table".into())
-                    })?);
-                }
-                StageRole::Params => {
-                    let t = node0_table.ok_or_else(|| {
-                        EngineError::Execution("node 0 returned no parameter table".into())
-                    })?;
-                    if t.rows() == 0 {
-                        return Err(EngineError::Execution(
-                            "parameter stage produced no rows".into(),
-                        ));
-                    }
-                    for c in 0..t.schema().len() {
-                        // Decimal scalars bind as promoted floats, exactly
-                        // like the in-process driver.
-                        let v = match (t.schema().fields()[c].dtype, t.value(0, c)) {
-                            (DataType::Decimal, Value::I64(cents)) => {
-                                Value::F64(decimal_to_f64(cents))
-                            }
-                            (_, v) => v,
-                        };
-                        params.push(v);
-                    }
-                }
-                StageRole::Materialize(_) => {}
-            }
-
-            if let StageFeed::Adaptive(qp) = &mut *feed {
-                qp.observe_rows(&node_rows);
-            }
-            stage_idx += 1;
-        }
-        final_table.ok_or_else(|| EngineError::Planner("query has no result stage".into()))
-    }
-
-    /// Release the query's state on every node and fold the per-node
-    /// network counters it reports into `stats`. Best-effort: dead nodes
-    /// simply do not report.
-    fn retire(&self, id: u32, rx: &Receiver<(usize, NodeReply)>, stats: &QueryNetStats) {
-        if self.down.load(Ordering::SeqCst) {
-            return;
-        }
-        let sent = self.broadcast(|out| {
-            serial::put_u8(out, OP_RETIRE);
-            serial::put_u32(out, id);
-        });
-        if sent.is_err() {
-            return;
-        }
-        let mut acked = 0;
-        let deadline = Instant::now() + self.cfg.reply_timeout;
-        while acked < self.conns.len() && Instant::now() < deadline {
-            match rx.recv_timeout(Duration::from_millis(200)) {
-                Ok((_, NodeReply::RetireOk { bytes, msgs })) => {
-                    stats.add(bytes, msgs);
-                    acked += 1;
-                }
-                Ok((_, NodeReply::NodeDown(_))) => acked += 1,
-                Ok(_) => {} // stray stage replies of the aborted query
-                Err(_) if self.shared.dead.load(Ordering::SeqCst) => return,
-                Err(_) => {}
-            }
+        for h in self.readers.drain(..) {
+            let _ = h.join();
         }
     }
+}
 
+/// Collect replies from `rx` until `nodes` of them *match* — `pick` keeps
+/// a reply, or drops one that answers some other request, such as the late
+/// answer to an operation that timed out — or until `timeout` has passed.
+/// Returns what matched; fewer than `nodes` means the wait timed out.
+fn collect_replies<R, T>(
+    rx: &Receiver<(usize, R)>,
+    nodes: usize,
+    timeout: Duration,
+    mut pick: impl FnMut(R) -> Option<T>,
+) -> Vec<T> {
+    let deadline = Instant::now() + timeout;
+    let mut picked = Vec::with_capacity(nodes);
+    while picked.len() < nodes {
+        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+            Ok((_, reply)) => picked.extend(pick(reply)),
+            Err(_) => break,
+        }
+    }
+    picked
+}
+
+impl RemoteBackend {
     /// Send one request frame, built once, to every node: one `write_all`
     /// per connection (the latency invariant of the module docs).
     fn broadcast(&self, body: impl FnOnce(&mut Vec<u8>)) -> Result<(), EngineError> {
@@ -1117,58 +841,204 @@ impl ProcessCluster {
         Ok(())
     }
 
-    fn ensure_up(&self) -> Result<(), EngineError> {
-        if self.down.load(Ordering::SeqCst) {
-            return Err(EngineError::ClusterDown);
+    /// One coordinator-wide request (`Load`, `Stats`) and its reply from
+    /// every node; one such operation runs at a time.
+    fn control_op<T>(
+        &self,
+        what: &str,
+        timeout: Duration,
+        request: impl FnOnce(&mut Vec<u8>),
+        pick: impl FnMut(CtlReply) -> Option<T>,
+    ) -> Result<Vec<T>, EngineError> {
+        let ctl = self.ctl_rx.lock();
+        self.broadcast(request)?;
+        let replies = collect_replies(&ctl, self.conns.len(), timeout, pick);
+        if replies.len() < self.conns.len() {
+            return Err(EngineError::Execution(format!(
+                "cluster went silent while {what}"
+            )));
         }
-        Ok(())
+        Ok(replies)
     }
 
-    /// Shut the node processes down and disconnect.
-    pub fn shutdown(mut self) {
-        self.shutdown_inner();
+    fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
+        let replies = self.control_op(
+            "reporting stats",
+            self.reply_timeout,
+            |out| serial::put_u8(out, OP_STATS),
+            |reply| match reply {
+                CtlReply::StatsOk(bs, br, ms, mr) => Some((bs, br, ms, mr)),
+                CtlReply::LoadOk(_) => None,
+            },
+        )?;
+        Ok(replies.into_iter().fold((0, 0, 0, 0), |sum, r| {
+            (sum.0 + r.0, sum.1 + r.1, sum.2 + r.2, sum.3 + r.3)
+        }))
     }
 
-    fn shutdown_inner(&mut self) {
-        if self.down.swap(true, Ordering::SeqCst) {
-            return;
+    /// The reply channel of a query that has shipped a stage.
+    fn replies_of(&self, query: QueryId) -> Option<Receiver<(usize, NodeReply)>> {
+        let pending = self.pending.lock();
+        pending.get(&query.0).map(|(_, rx)| rx.clone())
+    }
+
+    /// Ship the stage to every node and wait for all their `StageDone`s.
+    fn ship_stage(
+        &self,
+        call: &StageCall<'_>,
+        tenant: &TenantId,
+    ) -> Result<StageOutcome, EngineError> {
+        if self.dead.load(Ordering::SeqCst) {
+            return Err(EngineError::Execution("a cluster node is down".into()));
         }
-        // Not `broadcast`: a dead node must not keep the ones after it
-        // from hearing the Shutdown.
-        if let Ok(frame) = Frame::build(|out| serial::put_u8(out, OP_SHUTDOWN)) {
-            for conn in &self.conns {
-                let _ = frame.write_to(&mut *conn.writer.lock());
+        let (id, stage_idx) = (call.query.0, call.stage_idx);
+        let rx = {
+            let mut pending = self.pending.lock();
+            pending.entry(id).or_insert_with(unbounded).1.clone()
+        };
+        // Ship the remaining budget, not the absolute deadline: the node
+        // processes' clocks are not synchronized with ours. The nodes stop
+        // themselves when it runs out; polling the token below is the
+        // coordinator-side backstop, and how a `cancel()` gets noticed.
+        let remaining = call
+            .cancel
+            .deadline()
+            .map(|dl| dl.saturating_duration_since(Instant::now()).as_micros() as u64);
+        let params_bytes = encode_values(call.params);
+        let stage_bytes = encode_stage_tagged(call.stage, Some(tenant.as_str()), remaining);
+        self.broadcast(|out| {
+            serial::put_u8(out, OP_STAGE);
+            serial::put_u32(out, id);
+            serial::put_u32(out, stage_idx);
+            serial::put_u32(out, params_bytes.len() as u32);
+            out.extend_from_slice(&params_bytes);
+            serial::put_u32(out, stage_bytes.len() as u32);
+            out.extend_from_slice(&stage_bytes);
+        })?;
+
+        let mut node_rows: Vec<Option<u64>> = vec![None; self.conns.len()];
+        let mut node0 = None;
+        let mut heard = Instant::now();
+        while node_rows.contains(&None) {
+            let (node, reply) = match rx.recv_timeout(CANCEL_POLL) {
+                Ok(reply) => reply,
+                Err(_) if call.cancel.should_stop().is_some() => {
+                    return Err(EngineError::Execution("query stopped".into()))
+                }
+                Err(_) if heard.elapsed() < self.reply_timeout => continue,
+                Err(_) => {
+                    return Err(EngineError::Execution(format!(
+                        "stage {stage_idx} of q{id} timed out after {:?}",
+                        self.reply_timeout
+                    )))
+                }
+            };
+            heard = Instant::now();
+            match reply {
+                NodeReply::StageDone { stage, rows, table } if stage == stage_idx => {
+                    node_rows[node] = Some(rows);
+                    if node == 0 {
+                        node0 = table;
+                    }
+                }
+                NodeReply::StageFail { stage, msg } if stage == stage_idx => {
+                    return Err(EngineError::Execution(format!(
+                        "node {node} failed stage {stage_idx}: {msg}"
+                    )));
+                }
+                NodeReply::NodeDown(msg) => {
+                    return Err(EngineError::Execution(format!(
+                        "node {node} died mid-query: {msg}"
+                    )));
+                }
+                // Stale replies of an earlier stage are dropped.
+                _ => {}
             }
         }
-        for conn in &self.conns {
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-        for h in self.readers.lock().drain(..) {
-            let _ = h.join();
-        }
+        Ok(StageOutcome {
+            node_rows: node_rows.into_iter().flatten().collect(),
+            node0,
+            profile: None,
+        })
     }
 }
 
-impl Drop for ProcessCluster {
-    fn drop(&mut self) {
-        self.shutdown_inner();
+/// How often a stage wait looks at the query's cancel token (the receive
+/// hub's exchange waits use the same interval).
+const CANCEL_POLL: Duration = Duration::from_millis(5);
+
+impl Backend for RemoteBackend {
+    fn run_stage(
+        &self,
+        call: &StageCall<'_>,
+        tenant: &TenantId,
+        _submitted: Instant,
+    ) -> Result<StageOutcome, EngineError> {
+        let outcome = self.ship_stage(call, tenant);
+        if outcome.is_err() {
+            // A node that stopped at the deadline it was shipped reports
+            // `StageFail`; by then ours has passed too. Looking at the
+            // token records that, and the coordinator reports the reason.
+            call.cancel.should_stop();
+        }
+        outcome
+    }
+
+    /// Ordered before `Retire` on every control connection.
+    fn abort(&self, query: QueryId) {
+        if self.replies_of(query).is_some() {
+            let _ = self.broadcast(|out| {
+                serial::put_u8(out, OP_ABORT);
+                serial::put_u32(out, query.0);
+            });
+        }
+    }
+
+    /// Per-query network counters are read at retire time: every node
+    /// reports what it sent for the query. Best-effort: a query that never
+    /// shipped a stage has nothing to release, dead nodes do not report.
+    fn retire(&self, query: QueryId, stats: &QueryNetStats) {
+        let Some(rx) = self.replies_of(query) else {
+            return;
+        };
+        let retire = |out: &mut Vec<u8>| {
+            serial::put_u8(out, OP_RETIRE);
+            serial::put_u32(out, query.0);
+        };
+        if !self.dead.load(Ordering::SeqCst) && self.broadcast(retire).is_ok() {
+            let acks = collect_replies(&rx, self.conns.len(), self.reply_timeout, |r| match r {
+                NodeReply::RetireOk { bytes, msgs } => Some((bytes, msgs)),
+                NodeReply::NodeDown(_) => Some((0, 0)),
+                // Stray stage replies of an aborted query.
+                _ => None,
+            });
+            for (bytes, msgs) in acks {
+                stats.add(bytes, msgs);
+            }
+        }
+        self.pending.lock().remove(&query.0);
+    }
+
+    /// The socket mesh's totals, polled from the nodes.
+    fn net_counters(&self, snap: &mut MetricsSnapshot) {
+        if let Ok((bs, br, ms, mr)) = self.net_stats() {
+            snap.push_counter("net.mesh.bytes_sent", bs);
+            snap.push_counter("net.mesh.bytes_received", br);
+            snap.push_counter("net.mesh.messages_sent", ms);
+            snap.push_counter("net.mesh.messages_received", mr);
+        }
     }
 }
 
 /// Reader thread for one node's control connection: demultiplexes replies
 /// to the queries awaiting them; on connection loss fails every pending
 /// query instead of letting it wait forever.
-fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
+fn coord_reader(node: usize, mut stream: TcpStream, backend: &RemoteBackend) {
     loop {
         let frame = match read_frame(&mut stream) {
             Ok(f) => f,
             Err(e) => {
-                shared.dead.store(true, Ordering::SeqCst);
-                let msg = format!("control connection lost: {e}");
-                for tx in shared.pending.lock().values() {
-                    let _ = tx.send((node, NodeReply::NodeDown(msg.clone())));
-                }
-                return;
+                return fail_pending(backend, node, &format!("control connection lost: {e}"));
             }
         };
         let mut r = Rd::new(&frame);
@@ -1183,7 +1053,7 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
                         _ => Some(decode_table(r.take_rest())?),
                     };
                     route(
-                        shared,
+                        backend,
                         node,
                         query,
                         NodeReply::StageDone { stage, rows, table },
@@ -1193,13 +1063,13 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
                     let query = r.u32()?;
                     let stage = r.u32()?;
                     let msg = r.str()?;
-                    route(shared, node, query, NodeReply::StageFail { stage, msg });
+                    route(backend, node, query, NodeReply::StageFail { stage, msg });
                 }
                 OP_RETIRE_OK => {
                     let query = r.u32()?;
                     let bytes = r.u64()?;
                     let msgs = r.u64()?;
-                    route(shared, node, query, NodeReply::RetireOk { bytes, msgs });
+                    route(backend, node, query, NodeReply::RetireOk { bytes, msgs });
                 }
                 OP_LOAD_OK => {
                     let count = r.u32()? as usize;
@@ -1209,14 +1079,14 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
                         let n = r.u64()?;
                         rows.push((name, n));
                     }
-                    let _ = shared.ctl_tx.send((node, CtlReply::LoadOk(rows)));
+                    let _ = backend.ctl_tx.send((node, CtlReply::LoadOk(rows)));
                 }
                 OP_STATS_OK => {
                     let bs = r.u64()?;
                     let br = r.u64()?;
                     let ms = r.u64()?;
                     let mr = r.u64()?;
-                    let _ = shared
+                    let _ = backend
                         .ctl_tx
                         .send((node, CtlReply::StatsOk(bs, br, ms, mr)));
                 }
@@ -1225,18 +1095,25 @@ fn coord_reader(node: usize, mut stream: TcpStream, shared: &CoordShared) {
             Ok(())
         })();
         if let Err(e) = routed {
-            shared.dead.store(true, Ordering::SeqCst);
-            let msg = format!("protocol error from node {node}: {e}");
-            for tx in shared.pending.lock().values() {
-                let _ = tx.send((node, NodeReply::NodeDown(msg.clone())));
-            }
-            return;
+            return fail_pending(
+                backend,
+                node,
+                &format!("protocol error from node {node}: {e}"),
+            );
         }
     }
 }
 
-fn route(shared: &CoordShared, node: usize, query: u32, reply: NodeReply) {
-    if let Some(tx) = shared.pending.lock().get(&query) {
+/// Mark the cluster dead and fail every pending query.
+fn fail_pending(backend: &RemoteBackend, node: usize, msg: &str) {
+    backend.dead.store(true, Ordering::SeqCst);
+    for (tx, _) in backend.pending.lock().values() {
+        let _ = tx.send((node, NodeReply::NodeDown(msg.to_string())));
+    }
+}
+
+fn route(backend: &RemoteBackend, node: usize, query: u32, reply: NodeReply) {
+    if let Some((tx, _)) = backend.pending.lock().get(&query) {
         let _ = tx.send((node, reply));
     }
 }
@@ -1261,7 +1138,8 @@ fn dial_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::queries::tpch_query;
+    use crate::queries::{tpch_query, Query};
+    use crate::serve::SubmitOptions;
 
     /// Spawn `n` node servers on loopback threads and return their
     /// addresses (in-process stand-ins for `hsqp-node` child processes;
@@ -1323,6 +1201,60 @@ mod tests {
         assert_eq!(frame.last(), Some(&0));
         assert_eq!(read_frame(&mut wire).unwrap(), [OP_JOIN_OK]);
         assert!(wire.is_empty());
+    }
+
+    #[test]
+    fn collecting_replies_skips_answers_to_other_requests() {
+        let (tx, rx) = unbounded();
+        let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
+        // Node 1's answer to a `Stats` that timed out is still in the
+        // channel when both nodes answer the `Load` that follows it.
+        tx.send((1, CtlReply::StatsOk(1, 2, 3, 4))).unwrap();
+        tx.send((0, loaded(13))).unwrap();
+        tx.send((1, loaded(12))).unwrap();
+        let pick_load = |reply| match reply {
+            CtlReply::LoadOk(rows) => Some(rows),
+            CtlReply::StatsOk(..) => None,
+        };
+        let loads = collect_replies(&rx, 2, Duration::from_secs(5), pick_load);
+        let rows: u64 = loads.iter().flatten().map(|(_, n)| n).sum();
+        assert_eq!((loads.len(), rows), (2, 25), "both nodes' rows are counted");
+        assert!(
+            rx.try_recv().is_err(),
+            "nothing is left for the next operation"
+        );
+
+        // Short of one matching reply per node, it stops at the deadline.
+        tx.send((0, loaded(13))).unwrap();
+        let started = Instant::now();
+        let loads = collect_replies(&rx, 2, Duration::from_millis(40), pick_load);
+        assert_eq!(loads.len(), 1);
+        assert!(started.elapsed() >= Duration::from_millis(40));
+    }
+
+    #[test]
+    fn invalid_plans_are_planner_errors_not_node_panics() {
+        use crate::expr::{col, param};
+        let addrs = spawn_nodes(2);
+        let pc = ProcessCluster::connect(&addrs, ProcessClusterConfig::default()).unwrap();
+        pc.load_tpch(0.001).unwrap();
+        let dangling = pc.run_plan(&Plan::temp_scan("nope").gather());
+        assert!(
+            matches!(dangling, Err(EngineError::Planner(_))),
+            "{dangling:?}"
+        );
+        let unbound = Plan::scan(TpchTable::Nation)
+            .filter(col("n_nationkey").gt(param(0)))
+            .gather();
+        let unbound = pc.run_plan(&unbound);
+        assert!(
+            matches!(unbound, Err(EngineError::Planner(_))),
+            "{unbound:?}"
+        );
+        let metrics = pc.metrics();
+        assert_eq!(metrics.counter("queries.failed"), Some(2));
+        assert_eq!(metrics.counter("stages.executed"), Some(0));
+        pc.shutdown();
     }
 
     #[test]
@@ -1434,7 +1366,6 @@ mod tests {
         let ok = tpch_query(6).unwrap();
         let r = pc.run_with(&ok, &SubmitOptions::tenant("gold")).unwrap();
         assert!(r.table.rows() > 0);
-        assert_eq!(r.queue_wait, Duration::ZERO);
         pc.shutdown();
     }
 

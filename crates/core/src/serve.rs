@@ -278,8 +278,8 @@ impl CancelToken {
     }
 
     /// Panic with a recognizable message if the token has tripped — the
-    /// morsel-loop escape hatch. The panic unwinds to the per-query
-    /// `catch_unwind`, where the dispatcher maps it back to
+    /// morsel-loop escape hatch. The panic unwinds to the node's
+    /// `catch_unwind`, and the coordinator maps the failure back to
     /// [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] via
     /// [`CancelToken::stop_reason`].
     pub fn check_morsel(&self) {

@@ -30,9 +30,9 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::ops::Deref;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, ExprEngine, Transport};
@@ -43,8 +43,8 @@ use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineCon
 use hsqp::engine::serve::{parse_tenant_spec, ArrivalProcess, SubmitOptions, TenantConfig};
 use hsqp::engine::stats::{FeedbackCache, StatsCatalog, StatsMode};
 use hsqp::engine::vm::compile_stage;
-use hsqp::engine::EngineError;
-use hsqp::engine::{chrome_trace, QueryProfile, QueryResult};
+use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile};
+use hsqp::engine::{EngineError, QueryResult};
 use hsqp::storage::Schema;
 use hsqp::tpch::{schema as tpch_schema, TpchDb, TpchTable};
 
@@ -60,9 +60,10 @@ OPTIONS:
     --workers <N>          Worker threads per server (default 2)
     --queries <LIST>       Comma-separated query numbers, e.g. 1,3,6
                            (default: all 22)
-    --plan-mode <M>        handwritten | builder (default handwritten);
-                           builder plans queries through the logical-query
-                           builder and distributed planner
+    --plan-mode <M>        builder | handwritten (default builder); builder
+                           plans queries through the logical-query builder
+                           and distributed planner, handwritten runs the
+                           fixed physical plans kept as the test oracle
     --stats <M>            off | static | feedback (default static); how
                            builder-mode planning sources estimates. off
                            reverts to the legacy flat heuristics; static
@@ -123,8 +124,8 @@ OPTIONS:
     --tenants <SPEC>       Comma-separated name:weight tenants, e.g.
                            gold:4,silver:1 (bare name = weight 1).
                            Open-loop arrivals are attributed round-robin
-                           across them; the in-process dispatcher serves
-                           their queues by weighted deficit round-robin
+                           across them; the dispatcher serves their queues
+                           by weighted deficit round-robin
     --deadline-ms <N>      Per-query deadline for --open-loop submissions;
                            overdue queries are cancelled cooperatively
                            within one morsel
@@ -200,7 +201,7 @@ fn parse_args() -> Result<Args, String> {
         workers: 2,
         cluster: None,
         queries: None,
-        plan_mode: PlanMode::Handwritten,
+        plan_mode: PlanMode::Builder,
         stats: StatsMode::Static,
         explain: false,
         transport: "rdma".to_string(),
@@ -595,8 +596,7 @@ fn json_f64(v: f64) -> String {
 struct Observation {
     query: u32,
     ms: f64,
-    /// Time the submission sat in the dispatcher queue before starting
-    /// (zero on the remote backend, which has no server-side queue).
+    /// Time the submission sat in the dispatcher queue before starting.
     queue_wait_ms: f64,
     rows: usize,
     bytes_shuffled: u64,
@@ -613,121 +613,58 @@ enum Planned {
     Adaptive(LogicalQuery),
 }
 
-/// Where queries execute: the in-process simulated cluster, or a set of
-/// out-of-process `hsqp-node` servers reached over real TCP sockets.
-enum Backend {
-    Local(Cluster),
-    Remote(ProcessCluster),
-}
-
-impl Backend {
-    /// Run one planned query to completion, planning stage-at-a-time when
-    /// it is adaptive. Both variants are safe to call from many client
-    /// threads at once (the local path is submit + wait through the
-    /// concurrent dispatcher; adaptive runs build a fresh per-execution
-    /// [`QueryPlanner`](hsqp::engine::planner::QueryPlanner) sharing the
-    /// process-wide feedback cache).
-    fn run_planned(
-        &self,
-        planner: &Planner,
-        n: u32,
-        planned: &Planned,
-        opts: &SubmitOptions,
-    ) -> Result<QueryResult, EngineError> {
-        match planned {
-            Planned::Physical { query, .. } => match self {
-                Backend::Local(cluster) => cluster.submit_with(query, opts)?.wait(),
-                Backend::Remote(pc) => pc.run_with(query, opts),
-            },
-            Planned::Adaptive(logical) => {
-                let qp = planner.begin_query(logical)?;
-                match self {
-                    Backend::Local(cluster) => cluster.submit_adaptive(qp, n, opts)?.wait(),
-                    Backend::Remote(pc) => pc.run_adaptive(qp, opts),
-                }
-            }
-        }
-    }
-
-    /// Build the distributed planner from the backend's exact loaded row
-    /// counts (remote nodes report theirs at load time), running in the
-    /// requested stats mode with the process-wide feedback cache attached.
-    fn planner(&self, args: &Args, feedback: &Arc<FeedbackCache>) -> Planner {
-        let mut planner = match self {
-            Backend::Local(cluster) => Planner::for_cluster(cluster),
-            Backend::Remote(pc) => {
-                let mut stats = TableStats::for_scale_factor(args.sf);
-                for t in TpchTable::ALL {
-                    if let Some(rows) = pc.table_rows(t) {
-                        stats.set_rows(t, rows as f64);
-                    }
-                }
-                // The coordinator holds none of the data, so nothing can
-                // be sampled here; plan against the spec-declared column
-                // statistics at this scale factor instead.
-                Planner::new(PlannerConfig {
-                    stats,
-                    catalog: Some(Arc::new(StatsCatalog::declared_tpch(args.sf))),
-                    ..PlannerConfig::new(pc.nodes())
-                })
-            }
-        };
-        let cfg = planner.config_mut();
-        cfg.mode = args.stats;
-        if args.stats == StatsMode::Off {
-            cfg.catalog = None;
-            cfg.partitioned = false;
-        }
-        cfg.feedback = Some(Arc::clone(feedback));
-        planner
-    }
-
-    /// Render the backend's post-run metrics for `--metrics`.
-    fn metrics_render(&self) -> String {
-        match self {
-            Backend::Local(cluster) => cluster.metrics().render(),
-            Backend::Remote(pc) => match pc.net_stats() {
-                Ok((bs, br, ms, mr)) => format!(
-                    "process cluster socket mesh: {bs} bytes sent, {br} bytes \
-                     received, {ms} messages sent, {mr} messages received\n"
-                ),
-                Err(e) => format!("process cluster socket mesh: stats unavailable ({e})\n"),
-            },
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Backend::Local(cluster) => cluster.shutdown(),
-            Backend::Remote(pc) => pc.shutdown(),
+/// Submit one planned query, planning stage-at-a-time when it is adaptive
+/// (each execution builds a fresh per-execution
+/// [`QueryPlanner`](hsqp::engine::planner::QueryPlanner) sharing the
+/// process-wide feedback cache). Safe to call from many client threads.
+fn submit_planned(
+    coordinator: &Coordinator,
+    planner: &Planner,
+    n: u32,
+    planned: &Planned,
+    opts: &SubmitOptions,
+) -> Result<QueryHandle, EngineError> {
+    match planned {
+        Planned::Physical { query, .. } => coordinator.submit_with(query, opts),
+        Planned::Adaptive(logical) => {
+            coordinator.submit_adaptive(planner.begin_query(logical)?, n, opts)
         }
     }
 }
 
-/// A started cluster with TPC-H loaded, plus the setup timings both run
-/// modes report.
+/// A started cluster with TPC-H loaded — simulated in this process, or
+/// `hsqp-node` servers over TCP — the planner for it, and the set-up
+/// timings every run mode reports. Past set-up the two kinds differ in
+/// nothing the driver can see: both are their `Coordinator`.
 struct Bench {
-    backend: Backend,
+    /// Shuts the cluster down when dropped.
+    cluster: Box<dyn Deref<Target = Coordinator>>,
+    planner: Planner,
     gen_ms: f64,
     load_ms: f64,
 }
 
-/// Start whichever backend the flags select and load TPC-H into it
-/// (shared by the serial and throughput modes).
-fn start_loaded_backend(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
-    match &args.cluster {
-        None => start_loaded_cluster(args, cluster_config(args)?, banner_suffix),
-        Some(addrs) => start_remote_cluster(args, addrs, banner_suffix),
+/// Start whichever cluster the flags select, load TPC-H into it, and build
+/// the distributed planner from its exact loaded row counts, running in the
+/// requested stats mode with a process-wide feedback cache attached.
+fn start_loaded_cluster(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
+    let mut bench = match &args.cluster {
+        None => start_simulated(args, banner_suffix)?,
+        Some(addrs) => connect_processes(args, addrs, banner_suffix)?,
+    };
+    let cfg = bench.planner.config_mut();
+    cfg.mode = args.stats;
+    if args.stats == StatsMode::Off {
+        cfg.catalog = None;
+        cfg.partitioned = false;
     }
+    cfg.feedback = Some(Arc::new(FeedbackCache::new()));
+    Ok(bench)
 }
 
-/// Generate TPC-H at the requested scale factor, start the cluster, and
-/// distribute the data (shared by the serial and throughput modes).
-fn start_loaded_cluster(
-    args: &Args,
-    cfg: ClusterConfig,
-    banner_suffix: &str,
-) -> Result<Bench, String> {
+/// Generate TPC-H at the requested scale factor, start the simulated
+/// cluster, and distribute the data.
+fn start_simulated(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
     eprintln!(
         "generating TPC-H SF {} and starting {}-node cluster \
          ({} transport, {} engine, {} plans{banner_suffix})",
@@ -741,14 +678,16 @@ fn start_loaded_cluster(
     let db = TpchDb::generate(args.sf);
     let gen_ms = gen_started.elapsed().as_secs_f64() * 1e3;
 
-    let cluster = Cluster::start(cfg).map_err(|e| format!("cluster start failed: {e}"))?;
+    let cluster =
+        Cluster::start(cluster_config(args)?).map_err(|e| format!("cluster start failed: {e}"))?;
     let load_started = Instant::now();
     cluster
         .load_tpch_db(db)
         .map_err(|e| format!("load failed: {e}"))?;
     let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
     Ok(Bench {
-        backend: Backend::Local(cluster),
+        planner: Planner::for_cluster(&cluster),
+        cluster: Box::new(cluster),
         gen_ms,
         load_ms,
     })
@@ -757,11 +696,7 @@ fn start_loaded_cluster(
 /// Connect to the out-of-process `hsqp-node` servers and have each
 /// generate its share of TPC-H locally (generation runs on the nodes, so
 /// it is reported inside `load_ms` and `generate_ms` is zero).
-fn start_remote_cluster(
-    args: &Args,
-    addrs: &[String],
-    banner_suffix: &str,
-) -> Result<Bench, String> {
+fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Result<Bench, String> {
     eprintln!(
         "connecting to {}-process cluster [{}] and loading TPC-H SF {} \
          ({} plans{banner_suffix})",
@@ -776,6 +711,8 @@ fn start_remote_cluster(
             message_capacity: args.message_kb * 1024,
             ..RemoteEngineConfig::default()
         },
+        max_concurrent: args.clients,
+        tenants: args.tenants.clone(),
         ..ProcessClusterConfig::default()
     };
     let pc =
@@ -784,8 +721,23 @@ fn start_remote_cluster(
     pc.load_tpch(args.sf)
         .map_err(|e| format!("load failed: {e}"))?;
     let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
+    let mut stats = TableStats::for_scale_factor(args.sf);
+    for t in TpchTable::ALL {
+        if let Some(rows) = pc.table_rows(t) {
+            stats.set_rows(t, rows as f64);
+        }
+    }
+    // The coordinator holds none of the data, so nothing can be sampled
+    // here; plan against the spec-declared column statistics at this scale
+    // factor instead.
+    let planner = Planner::new(PlannerConfig {
+        stats,
+        catalog: Some(Arc::new(StatsCatalog::declared_tpch(args.sf))),
+        ..PlannerConfig::new(pc.nodes())
+    });
     Ok(Bench {
-        backend: Backend::Remote(pc),
+        cluster: Box::new(pc),
+        planner,
         gen_ms: 0.0,
         load_ms,
     })
@@ -858,33 +810,32 @@ fn emit_report(report: &str, output: &Option<String>) -> Result<(), String> {
 /// submission API, sharing one cluster whose dispatcher admits up to
 /// `--clients` queries at once.
 fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
-    let bench = start_loaded_backend(
+    let bench = start_loaded_cluster(
         args,
         &format!(", {} clients x {} rounds", args.clients, args.rounds),
     )?;
-    let backend = &bench.backend;
+    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
 
     // Plan every query once up front: all clients submit identical
     // physical plans, so row-count differences can only come from the
     // concurrent execution path. (In feedback mode each execution
     // re-plans adaptively against the shared cache instead.)
-    let feedback = Arc::new(FeedbackCache::new());
-    let planner = backend.planner(args, &feedback);
-    let plans = plan_queries(args, &planner, queries)?;
+    let plans = plan_queries(args, planner, queries)?;
 
     let wall_started = Instant::now();
     let client_results: Vec<(Vec<Observation>, Vec<String>)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.clients)
             .map(|_| {
                 let plans = &plans;
-                let planner = &planner;
                 scope.spawn(move || {
                     let mut obs = Vec::new();
                     let mut errors = Vec::new();
                     for _ in 0..args.rounds {
                         for (n, query) in plans {
                             let started = Instant::now();
-                            match backend.run_planned(planner, *n, query, &SubmitOptions::default())
+                            let opts = SubmitOptions::default();
+                            match submit_planned(coordinator, planner, *n, query, &opts)
+                                .and_then(QueryHandle::wait)
                             {
                                 Ok(result) => obs.push(Observation {
                                     query: *n,
@@ -908,9 +859,9 @@ fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
     });
     let wall_ms = wall_started.elapsed().as_secs_f64() * 1e3;
     if args.metrics {
-        eprint!("{}", backend.metrics_render());
+        eprint!("{}", coordinator.metrics().render());
     }
-    bench.backend.shutdown();
+    drop(bench.cluster);
 
     let mut failures: Vec<String> = Vec::new();
     let mut all: Vec<Observation> = Vec::new();
@@ -1066,18 +1017,61 @@ struct ArrivalRecord {
     outcome: ArrivalOutcome,
 }
 
-/// Open-loop driver over the in-process cluster: submissions go through
-/// the tenant-aware dispatcher (weighted-fair queues, admission caps),
-/// so queue-wait numbers come from the engine itself.
-fn open_loop_local(
-    args: &Args,
-    cluster: &Cluster,
-    planner: &Planner,
-    plans: &[(u32, Planned)],
-    tenants: &[(String, TenantConfig)],
-    offsets: &[Duration],
-    window: Duration,
-) -> Vec<ArrivalRecord> {
+/// Render `{p50, p90, p99, max}` percentiles of an unsorted millisecond
+/// sample as a JSON object.
+fn json_percentiles(samples: &mut [f64]) -> String {
+    samples.sort_by(f64::total_cmp);
+    format!(
+        "{{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
+        json_f64(percentile(samples, 0.5)),
+        json_f64(percentile(samples, 0.9)),
+        json_f64(percentile(samples, 0.99)),
+        json_f64(samples.last().copied().unwrap_or(f64::NAN))
+    )
+}
+
+/// Open-loop serving benchmark: arrivals at a fixed offered load
+/// (independent of completions), attributed round-robin to the configured
+/// tenants, reported as latency / queue-wait distributions overall and
+/// per tenant ("hsqp-openloop-v1").
+fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> {
+    let tenants: Vec<(String, TenantConfig)> = if args.tenants.is_empty() {
+        vec![("default".to_string(), TenantConfig::default())]
+    } else {
+        args.tenants.clone()
+    };
+    let window = Duration::from_secs_f64(args.duration_s);
+    let offsets = args.arrivals.offsets(rate, window, args.seed);
+    let arrivals_name = match args.arrivals {
+        ArrivalProcess::Poisson => "poisson",
+        ArrivalProcess::Uniform => "uniform",
+    };
+
+    let bench = start_loaded_cluster(
+        args,
+        &format!(
+            ", open-loop {rate} q/h x {}s, {} slots",
+            args.duration_s, args.clients
+        ),
+    )?;
+    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
+    let plans = plan_queries(args, planner, queries)?;
+
+    eprintln!(
+        "open-loop: {} {arrivals_name} arrivals over {}s (seed {}), tenants [{}]",
+        offsets.len(),
+        args.duration_s,
+        args.seed,
+        tenants
+            .iter()
+            .map(|(n, c)| format!("{n}:{}", c.weight))
+            .collect::<Vec<_>>()
+            .join(", "),
+    );
+
+    // Submissions go through the coordinator's tenant-aware dispatcher
+    // (weighted-fair queues, admission caps), so queue-wait numbers come
+    // from the engine itself.
     let start = Instant::now();
     let mut pending = Vec::new();
     let mut records = Vec::new();
@@ -1092,13 +1086,7 @@ fn open_loop_local(
         if let Some(ms) = args.deadline_ms {
             opts = opts.with_deadline(Duration::from_millis(ms));
         }
-        let submitted = match query {
-            Planned::Physical { query, .. } => cluster.submit_with(query, &opts),
-            Planned::Adaptive(logical) => planner
-                .begin_query(logical)
-                .and_then(|qp| cluster.submit_adaptive(qp, *qn, &opts)),
-        };
-        match submitted {
+        match submit_planned(coordinator, planner, *qn, query, &opts) {
             Ok(handle) => pending.push((t, *qn, handle)),
             Err(EngineError::Admission(_)) => records.push(ArrivalRecord {
                 tenant: t,
@@ -1144,142 +1132,10 @@ fn open_loop_local(
             outcome,
         });
     }
-    records
-}
-
-/// Open-loop driver over the out-of-process cluster: the coordinator has
-/// no server-side queue, so `--clients` worker threads emulate the
-/// execution slots and queue wait is measured as pickup minus arrival.
-fn open_loop_remote(
-    args: &Args,
-    pc: &ProcessCluster,
-    planner: &Planner,
-    plans: &[(u32, Planned)],
-    tenants: &[(String, TenantConfig)],
-    offsets: &[Duration],
-    window: Duration,
-) -> Vec<ArrivalRecord> {
-    let start = Instant::now();
-    let window_end = start + window;
-    let next = AtomicUsize::new(0);
-    let records: Mutex<Vec<ArrivalRecord>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        for _ in 0..args.clients {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= offsets.len() {
-                    break;
-                }
-                let due = start + offsets[i];
-                if let Some(gap) = due.checked_duration_since(Instant::now()) {
-                    std::thread::sleep(gap);
-                }
-                let t = i % tenants.len();
-                let (qn, query) = &plans[i % plans.len()];
-                let picked_up = Instant::now();
-                let outcome = if picked_up >= window_end {
-                    // Still waiting for a slot when the window closed.
-                    ArrivalOutcome::Cancelled
-                } else {
-                    let mut opts = SubmitOptions::tenant(&tenants[t].0);
-                    if let Some(ms) = args.deadline_ms {
-                        opts = opts.with_deadline(Duration::from_millis(ms));
-                    }
-                    let result = match query {
-                        Planned::Physical { query, .. } => pc.run_with(query, &opts),
-                        Planned::Adaptive(logical) => planner
-                            .begin_query(logical)
-                            .and_then(|qp| pc.run_adaptive(qp, &opts)),
-                    };
-                    match result {
-                        Ok(r) => ArrivalOutcome::Completed {
-                            latency_ms: due.elapsed().as_secs_f64() * 1e3,
-                            queue_wait_ms: picked_up.duration_since(due).as_secs_f64() * 1e3,
-                            rows: r.row_count(),
-                        },
-                        Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                            ArrivalOutcome::Cancelled
-                        }
-                        Err(e) => ArrivalOutcome::Failed(e.to_string()),
-                    }
-                };
-                records.lock().expect("records lock").push(ArrivalRecord {
-                    tenant: t,
-                    query: *qn,
-                    outcome,
-                });
-            });
-        }
-    });
-    records.into_inner().expect("records lock")
-}
-
-/// Render `{p50, p90, p99, max}` percentiles of an unsorted millisecond
-/// sample as a JSON object.
-fn json_percentiles(samples: &mut [f64]) -> String {
-    samples.sort_by(f64::total_cmp);
-    format!(
-        "{{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        json_f64(percentile(samples, 0.5)),
-        json_f64(percentile(samples, 0.9)),
-        json_f64(percentile(samples, 0.99)),
-        json_f64(samples.last().copied().unwrap_or(f64::NAN))
-    )
-}
-
-/// Open-loop serving benchmark: arrivals at a fixed offered load
-/// (independent of completions), attributed round-robin to the configured
-/// tenants, reported as latency / queue-wait distributions overall and
-/// per tenant ("hsqp-openloop-v1").
-fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> {
-    let tenants: Vec<(String, TenantConfig)> = if args.tenants.is_empty() {
-        vec![("default".to_string(), TenantConfig::default())]
-    } else {
-        args.tenants.clone()
-    };
-    let window = Duration::from_secs_f64(args.duration_s);
-    let offsets = args.arrivals.offsets(rate, window, args.seed);
-    let arrivals_name = match args.arrivals {
-        ArrivalProcess::Poisson => "poisson",
-        ArrivalProcess::Uniform => "uniform",
-    };
-
-    let bench = start_loaded_backend(
-        args,
-        &format!(
-            ", open-loop {rate} q/h x {}s, {} slots",
-            args.duration_s, args.clients
-        ),
-    )?;
-    let backend = &bench.backend;
-    let feedback = Arc::new(FeedbackCache::new());
-    let planner = backend.planner(args, &feedback);
-    let plans = plan_queries(args, &planner, queries)?;
-
-    eprintln!(
-        "open-loop: {} {arrivals_name} arrivals over {}s (seed {}), tenants [{}]",
-        offsets.len(),
-        args.duration_s,
-        args.seed,
-        tenants
-            .iter()
-            .map(|(n, c)| format!("{n}:{}", c.weight))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-
-    let records = match backend {
-        Backend::Local(cluster) => {
-            open_loop_local(args, cluster, &planner, &plans, &tenants, &offsets, window)
-        }
-        Backend::Remote(pc) => {
-            open_loop_remote(args, pc, &planner, &plans, &tenants, &offsets, window)
-        }
-    };
     if args.metrics {
-        eprint!("{}", backend.metrics_render());
+        eprint!("{}", coordinator.metrics().render());
     }
-    bench.backend.shutdown();
+    drop(bench.cluster);
 
     // Aggregate overall, per tenant, and per query. Row counts of the
     // same query must agree across every completion — concurrent serving
@@ -1493,12 +1349,9 @@ fn run() -> Result<(), String> {
         return run_throughput(&args, &queries);
     }
 
-    let bench = start_loaded_backend(&args, "")?;
-    let backend = &bench.backend;
-
-    let feedback = Arc::new(FeedbackCache::new());
-    let planner = backend.planner(&args, &feedback);
-    let plans = plan_queries(&args, &planner, &queries)?;
+    let bench = start_loaded_cluster(&args, "")?;
+    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
+    let plans = plan_queries(&args, planner, &queries)?;
     let mut lines = Vec::new();
     let mut bench_lines = Vec::new();
     let mut profiles: Vec<QueryProfile> = Vec::new();
@@ -1508,7 +1361,8 @@ fn run() -> Result<(), String> {
     for (n, query) in &plans {
         let n = *n;
         let result: Result<QueryResult, _> =
-            backend.run_planned(&planner, n, query, &SubmitOptions::default());
+            submit_planned(coordinator, planner, n, query, &SubmitOptions::default())
+                .and_then(QueryHandle::wait);
         match result {
             Ok(result) => {
                 let ms = result.elapsed.as_secs_f64() * 1e3;
@@ -1590,9 +1444,9 @@ fn run() -> Result<(), String> {
         (log_sum / queries.len() as f64).exp()
     };
     if args.metrics {
-        eprint!("{}", backend.metrics_render());
+        eprint!("{}", coordinator.metrics().render());
     }
-    bench.backend.shutdown();
+    drop(bench.cluster);
 
     if let Some(path) = &args.trace_out {
         let trace = chrome_trace(&profiles);

@@ -221,6 +221,9 @@ fn driver_2node_sf001_emits_wellformed_json() {
     let report = parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"));
     assert_eq!(report.get("sf").num(), sf);
     assert_eq!(report.get("nodes").num(), 2.0);
+    // Planner-generated plans are the default; the hand-written oracle
+    // has to be asked for.
+    assert_eq!(report.get("plan_mode"), &Json::Str("builder".into()));
     assert_eq!(report.get("failures").num(), 0.0);
     let queries = report.get("queries").arr();
     assert_eq!(queries.len(), 2);

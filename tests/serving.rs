@@ -1,33 +1,80 @@
 //! Integration tests for the multi-tenant serving layer: weighted-fair
 //! scheduling under saturation (no starvation, service in weight
 //! proportion), morsel-bounded cancellation latency, deadline /
-//! `wait_timeout` no-wedge regressions, fast admission-cap rejection, and
-//! an open-loop CLI smoke over both the in-process and out-of-process
-//! backends.
+//! `wait_timeout` no-wedge regressions, and fast admission-cap rejection —
+//! each case run on a simulated cluster and on a `ProcessCluster` over
+//! in-thread `NodeServer`s, since the serving layer is one `Coordinator`
+//! over either — plus an open-loop CLI smoke over both.
 
 use std::io::{BufRead, BufReader};
+use std::ops::Deref;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::queries::tpch_query;
+use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::{SubmitOptions, TenantConfig};
+use hsqp::engine::{Coordinator, NodeServer};
 
-/// Start a 2-node cluster with a single dispatcher slot and the given
-/// tenants, loaded at `sf`.
-fn serving_cluster(sf: f64, tenants: &[(&str, TenantConfig)]) -> Cluster {
+/// A loaded 2-node cluster with a single dispatcher slot. The cases see
+/// only its [`Coordinator`]; dropping it shuts the cluster down.
+type Serving = Box<dyn Deref<Target = Coordinator>>;
+
+/// Starts a [`Serving`] cluster with the given tenants, loaded at `sf`.
+type Start = fn(f64, &[(&str, TenantConfig)]) -> Serving;
+
+fn owned(tenants: &[(&str, TenantConfig)]) -> Vec<(String, TenantConfig)> {
+    tenants
+        .iter()
+        .map(|(n, c)| (n.to_string(), c.clone()))
+        .collect()
+}
+
+fn simulated(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
+    eprintln!("on a simulated cluster"); // shown with a failure
     let cluster = Cluster::start(ClusterConfig {
         max_concurrent: 1,
-        tenants: tenants
-            .iter()
-            .map(|(n, c)| (n.to_string(), c.clone()))
-            .collect(),
+        tenants: owned(tenants),
         ..ClusterConfig::quick(2)
     })
     .expect("start cluster");
     cluster.load_tpch(sf).expect("load TPC-H");
-    cluster
+    Box::new(cluster)
+}
+
+/// Two node servers on threads of this process (stand-ins for `hsqp-node`
+/// children; they exit when the coordinator shuts them down) and the
+/// coordinator connected to them over loopback TCP.
+fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
+    eprintln!("on node servers over sockets"); // shown with a failure
+    let addrs: Vec<String> = (0..2)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").expect("bind node");
+            let addr = server.local_addr().expect("node address").to_string();
+            std::thread::spawn(move || {
+                let _ = server.run();
+            });
+            addr
+        })
+        .collect();
+    let cfg = ProcessClusterConfig {
+        max_concurrent: 1,
+        tenants: owned(tenants),
+        ..ProcessClusterConfig::default()
+    };
+    let cluster = ProcessCluster::connect(&addrs, cfg).expect("connect");
+    cluster.load_tpch(sf).expect("load TPC-H");
+    Box::new(cluster)
+}
+
+/// Block until the dispatcher has picked a query up, so that what is
+/// submitted next queues behind it instead of racing it for the slot.
+fn wait_until_running(cluster: &Coordinator) {
+    while cluster.metrics().gauge("queries.active") != Some(1) {
+        std::thread::yield_now();
+    }
 }
 
 /// A backlogged 4:1 tenant pair must be *served* in weight proportion:
@@ -36,9 +83,8 @@ fn serving_cluster(sf: f64, tenants: &[(&str, TenantConfig)]) -> Cluster {
 /// order from each query's measured `queue_wait` — any early window of
 /// picks must be dominated by gold roughly 4:1, and silver must not
 /// starve.
-#[test]
-fn weighted_fair_scheduling_serves_in_weight_proportion() {
-    let cluster = serving_cluster(
+fn weighted_fair_scheduling(start: Start) {
+    let cluster = start(
         0.01,
         &[
             ("gold", TenantConfig::weighted(4)),
@@ -55,6 +101,7 @@ fn weighted_fair_scheduling_serves_in_weight_proportion() {
     let plug_handle = cluster
         .submit_with(&plug, &SubmitOptions::tenant("gold"))
         .expect("submit plug");
+    wait_until_running(&cluster);
     let base = Instant::now();
     let backlog: Vec<(&str, Instant, QueryHandle)> = (0..40)
         .map(|i| {
@@ -95,7 +142,9 @@ fn weighted_fair_scheduling_serves_in_weight_proportion() {
         "silver starved: only {silver_early} of the first 25 picks"
     );
 
-    // Per-tenant rollups saw every submission complete.
+    // Per-tenant rollups saw every submission complete, and the traffic
+    // of gold's join-heavy plug (on sockets: what the nodes reported when
+    // it retired).
     let metrics = cluster.tenant_metrics();
     let gold = metrics
         .iter()
@@ -111,16 +160,17 @@ fn weighted_fair_scheduling_serves_in_weight_proportion() {
     assert_eq!(silver.completed, 20);
     assert_eq!(gold.failed + gold.cancelled + gold.rejected, 0);
     assert_eq!(silver.failed + silver.cancelled + silver.rejected, 0);
-    cluster.shutdown();
+    assert!(gold.bytes_shuffled > silver.bytes_shuffled);
 }
 
 /// `cancel()` must take effect at morsel granularity: cancelling a
 /// long-running query mid-flight resolves its handle far faster than
 /// letting the query finish would, and the cluster stays healthy.
-#[test]
-fn cancellation_latency_is_morsel_bounded() {
-    let cluster = serving_cluster(0.02, &[]);
+fn cancellation_latency(start: Start) {
+    let cluster = start(0.02, &[]);
     let heavy = tpch_query(9).expect("build Q9");
+    let next = tpch_query(3).expect("build Q3");
+    let next_rows = cluster.run(&next).expect("baseline Q3").row_count();
     let wall = {
         let started = Instant::now();
         cluster.run(&heavy).expect("baseline Q9");
@@ -146,18 +196,22 @@ fn cancellation_latency_is_morsel_bounded() {
         "cancel latency {latency:?} not morsel-bounded (query wall {wall:?})"
     );
 
-    // Nothing wedged: the same query still runs to completion.
+    // Nothing wedged and nothing of the cancelled query lingers: the next
+    // query returns the rows it returned before, the same one completes.
+    let after = cluster.run(&next).expect("Q3 after cancellation");
+    assert_eq!(after.row_count(), next_rows);
     cluster.run(&heavy).expect("Q9 after cancellation");
-    cluster.shutdown();
+    let metrics = cluster.metrics();
+    assert_eq!(metrics.counter("queries.cancelled"), Some(1));
+    assert_eq!(metrics.counter("queries.failed"), Some(0));
 }
 
 /// Submit-time deadlines and `wait_timeout` must never wedge the engine:
 /// a deadline that fires mid-query resolves the handle with the typed
 /// error, a timed-out wait leaves the handle usable, and follow-up
 /// queries run normally.
-#[test]
-fn deadline_and_wait_timeout_do_not_wedge() {
-    let cluster = serving_cluster(0.01, &[]);
+fn deadline_and_wait_timeout(start: Start) {
+    let cluster = start(0.01, &[]);
     let heavy = tpch_query(9).expect("build Q9");
     let fast = tpch_query(6).expect("build Q6");
 
@@ -196,15 +250,13 @@ fn deadline_and_wait_timeout_do_not_wedge() {
 
     // Engine healthy after all of the above.
     cluster.run(&fast).expect("follow-up query");
-    cluster.shutdown();
 }
 
 /// Over-cap submissions are rejected fast with the typed admission error
 /// while under-cap submissions queue and complete; the cap applies per
 /// tenant, not globally.
-#[test]
-fn admission_cap_rejects_over_queue_submissions() {
-    let cluster = serving_cluster(
+fn admission_cap(start: Start) {
+    let cluster = start(
         0.01,
         &[
             ("capped", {
@@ -224,6 +276,7 @@ fn admission_cap_rejects_over_queue_submissions() {
     let plug = cluster
         .submit_with(&heavy, &SubmitOptions::tenant("open"))
         .expect("submit plug");
+    wait_until_running(&cluster);
     let queued = cluster
         .submit_with(&fast, &SubmitOptions::tenant("capped"))
         .expect("first capped submission queues");
@@ -257,7 +310,31 @@ fn admission_cap_rejects_over_queue_submissions() {
         .expect("capped metrics");
     assert_eq!(capped.rejected, 1);
     assert_eq!(capped.completed, 2);
-    cluster.shutdown();
+}
+
+/// Both clusters, one after the other: the cases are timing-sensitive
+/// (a plug has to outlive the submissions queued behind it), so they do
+/// not also compete with their own twin for the host's cores.
+const BOTH: [Start; 2] = [simulated, over_sockets];
+
+#[test]
+fn weighted_fair_scheduling_serves_in_weight_proportion() {
+    BOTH.into_iter().for_each(weighted_fair_scheduling);
+}
+
+#[test]
+fn cancellation_latency_is_morsel_bounded() {
+    BOTH.into_iter().for_each(cancellation_latency);
+}
+
+#[test]
+fn deadline_and_wait_timeout_do_not_wedge() {
+    BOTH.into_iter().for_each(deadline_and_wait_timeout);
+}
+
+#[test]
+fn admission_cap_rejects_over_queue_submissions() {
+    BOTH.into_iter().for_each(admission_cap);
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +430,7 @@ fn open_loop_smoke_local_backend() {
 }
 
 /// Open-loop smoke on the out-of-process backend: two real `hsqp-node`
-/// servers, `--clients` worker slots, same report contract.
+/// servers, `--clients` dispatcher slots, same report contract.
 #[test]
 fn open_loop_smoke_remote_backend() {
     let nodes: Vec<NodeProc> = (0..2).map(|_| NodeProc::spawn()).collect();
