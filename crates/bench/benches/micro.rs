@@ -66,13 +66,8 @@ fn bench_message_pool(c: &mut Criterion) {
     g.bench_function("pooled_reuse", |b| {
         let pool = MessagePool::new(Arc::clone(&fabric), NodeId(0), 1, 64 * 1024);
         // Warm the pool so every take is a reuse (no registration).
-        let (_, s) = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
-        pool.recycle(s);
-        b.iter(|| {
-            let (buf, s) = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
-            pool.recycle(s);
-            buf
-        })
+        drop(pool.take(AllocPolicy::NumaAware, SocketId(0), &topo));
+        b.iter(|| pool.take(AllocPolicy::NumaAware, SocketId(0), &topo).len())
     });
     g.bench_function("fresh_registration", |b| {
         let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());

@@ -18,7 +18,7 @@
 
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
@@ -527,11 +527,22 @@ impl Backend for LocalBackend {
         }
     }
 
-    /// Network scheduler barrier rounds, per-link bytes and messages.
+    /// Network scheduler barrier rounds, what the multiplexers' idle
+    /// polling cost (rounds that found nothing to do, and the time napped
+    /// in them, over all nodes), per-link bytes and messages.
     fn net_counters(&self, snap: &mut MetricsSnapshot) {
         if let Some(sched) = &self.scheduler {
             snap.push_counter("net.scheduler.rounds", sched.rounds());
         }
+        let idle = self.nodes.iter().map(|n| &n.mux_idle);
+        snap.push_counter(
+            "exchange.mux.idle_rounds",
+            idle.clone().map(|i| i.rounds()).sum(),
+        );
+        snap.push_counter(
+            "exchange.mux.idle_sleep_ms",
+            idle.map(|i| i.slept()).sum::<Duration>().as_millis() as u64,
+        );
         for i in 0..self.cfg.nodes {
             let stats = self.fabric.stats(NodeId(i));
             snap.push_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());
@@ -576,6 +587,44 @@ mod tests {
             ..ClusterConfig::quick(1)
         })
         .is_err());
+    }
+
+    /// A worker that fails on what it receives takes its node's other
+    /// workers with it: they wait for a last-marker only the failed one
+    /// would have counted down to, and must be told it is not coming.
+    #[test]
+    fn malformed_message_fails_the_node_instead_of_hanging_it() {
+        use crate::exchange::RecvMsg;
+        use crate::exec::NodeExec;
+
+        let c = Cluster::start(ClusterConfig {
+            workers_per_node: 3,
+            ..ClusterConfig::quick(1)
+        })
+        .unwrap();
+        c.load_tpch(0.01).unwrap();
+        let query = QueryId(7 << 20);
+        // Waiting in exchange 0's queue before the exchange begins: a chunk
+        // that declares more rows than it has bytes.
+        let garbage = RecvMsg {
+            data: bytes::Bytes::from(vec![0xFF; 64]),
+            mem_socket: hsqp_numa::SocketId(0),
+        };
+        c.node_ctx(0).hub.deliver(query, 0, 0, Some(garbage), false);
+        let plan = Plan::scan(TpchTable::Lineitem)
+            .repartition(&["l_orderkey"])
+            .aggregate(&[], vec![AggSpec::new(AggFunc::Count, lit(1), "cnt")]);
+        let ended = std::thread::scope(|scope| {
+            let node = scope.spawn(|| {
+                NodeExec::new(c.node_ctx(0), query, &[], 0)
+                    .execute(&plan)
+                    .rows()
+            });
+            node.join()
+        });
+        assert!(ended.is_err(), "a malformed message was swallowed");
+        assert!(c.node_ctx(0).hub.is_aborted(query));
+        c.shutdown();
     }
 
     #[test]

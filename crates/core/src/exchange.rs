@@ -30,15 +30,40 @@
 //! the destination's open message and cuts messages from a prefix sum of
 //! row sizes, so that none outgrows its pooled buffer. Repartition,
 //! broadcast and gather differ only in which destinations they write to.
-//! Receiving is **decode-into**: a consuming worker appends every chunk of
-//! every message it pops straight onto its destination columns
-//! ([`crate::wire::RowDeserializer::decode_into`]) — no table per message,
-//! and with one worker per node no copy after that.
+//! Receiving is **decode-into**: a worker appends every chunk of every
+//! message it pops straight onto columns of the consumer's choosing
+//! ([`crate::wire::RowDeserializer::decode_into`]; see [`crate::exec`] for
+//! the two consumers) — no table per message.
+//!
+//! **Who owns a message buffer.** The [`MessagePool`] does, always. A
+//! writer borrows one ([`MessagePool::take`]), fills it, and passes it on
+//! as a [`Bytes`] built *around* it ([`Bytes::from_owner`]): the local
+//! receive hub, the multiplexer's send queues, every target of a broadcast
+//! and the simulated fabric's receiver all hold clones of that one view,
+//! and the buffer goes back on its socket's shelf when the last of them is
+//! dropped — the paper's retain counter, kept by the reference count. No
+//! one hands a buffer back by hand, so none is handed back twice, and a
+//! writer that is dropped half-way (a cancelled query) returns what it had
+//! open. A shelf keeps a bounded number of idle buffers and frees the
+//! rest. Last-markers and abort frames are fifteen bytes and never come
+//! from the pool.
+//!
+//! **One message loop.** Workers do not send everything and then receive
+//! everything: between two morsels of its send phase a worker looks at
+//! its receive queues without blocking ([`RecvHub::poll`]) and lands
+//! whatever has arrived, and when its morsels are gone it blocks on them
+//! ([`RecvHub::pop_cancellable`]) until the last-markers are in — one
+//! from every node, its own included. The last worker of a node to run out
+//! of morsels sends that node's last-markers. So the messages of an
+//! exchange are never all resident at once, and a buffer is back in its
+//! pool about a morsel after it left — as long as its receiver is running:
+//! there is no flow control, and a peer that is descheduled for a time
+//! slice finds a time slice's worth of messages waiting.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
@@ -48,7 +73,7 @@ use hsqp_net::{
     Fabric, NodeId, QueryId, QueryStatsRegistry, Schedule, Transport as NetTransport,
     TransportEvent,
 };
-use hsqp_numa::{AllocPolicy, SocketId, Topology};
+use hsqp_numa::{AllocPolicy, PooledBuffer, SocketArena, SocketId, Topology};
 use hsqp_storage::Table;
 
 use crate::exec::NodeCtx;
@@ -135,35 +160,48 @@ pub fn decode_header(buf: &[u8]) -> Header {
 // Message pool
 // ---------------------------------------------------------------------------
 
+/// Bytes of idle buffers a pool shelf keeps, whatever the message size …
+const SHELF_IDLE_BYTES: usize = 4 << 20;
+/// … but never fewer buffers than this.
+const SHELF_IDLE_MIN: usize = 4;
+
 /// NUMA-aware message pool with memory-region registration accounting.
 ///
 /// RDMA buffers must be pinned and registered with the HCA — expensive, so
-/// the engine reuses buffers (§2.2.2, §3.2.2). The pool tracks how many
-/// registered buffers are idle per socket; taking one from the pool is
-/// free, taking one when the pool is empty pays the registration cost on
-/// the fabric's CPU accounting.
+/// the engine reuses buffers (§2.2.2, §3.2.2). The pool keeps the idle
+/// buffers of each socket on a shelf; taking one off a shelf is free,
+/// taking one when the shelf is empty allocates it and pays the
+/// registration cost on the fabric's CPU accounting. A buffer returns to
+/// its shelf by being dropped, wherever and in whatever wrapping that
+/// happens (see the module docs); a shelf holding its fill of idle
+/// buffers frees what else comes back.
 pub struct MessagePool {
     fabric: Arc<Fabric>,
     node: NodeId,
     capacity: usize,
-    idle: Vec<AtomicU64>,
+    arena: SocketArena,
     registrations: AtomicU64,
     reuses: AtomicU64,
-    alloc_seq: AtomicU64,
+    takes: AtomicU64,
     registration_cost: Duration,
 }
 
 impl MessagePool {
     /// Pool for `sockets` sockets handing out buffers of `capacity` bytes.
     pub fn new(fabric: Arc<Fabric>, node: NodeId, sockets: u16, capacity: usize) -> Self {
+        let buffer = capacity + HEADER_LEN;
         Self {
             fabric,
             node,
             capacity,
-            idle: (0..sockets).map(|_| AtomicU64::new(0)).collect(),
+            arena: SocketArena::bounded(
+                sockets,
+                buffer,
+                (SHELF_IDLE_BYTES / buffer).max(SHELF_IDLE_MIN),
+            ),
             registrations: AtomicU64::new(0),
             reuses: AtomicU64::new(0),
-            alloc_seq: AtomicU64::new(0),
+            takes: AtomicU64::new(0),
             registration_cost: Duration::from_micros(40),
         }
     }
@@ -173,28 +211,21 @@ impl MessagePool {
         self.capacity
     }
 
-    /// Take a message buffer for a worker on `worker_socket` under `policy`.
-    /// Returns the buffer and the socket its memory lives on.
+    /// Take an empty message buffer for a worker on `worker_socket` under
+    /// `policy`; [`PooledBuffer::socket`] tells where its memory lives.
+    /// Dropping the buffer — or the last [`Bytes`] built around it —
+    /// returns it.
     pub fn take(
         &self,
         policy: AllocPolicy,
         worker_socket: SocketId,
         topology: &Topology,
-    ) -> (Vec<u8>, SocketId) {
-        let seq = self.alloc_seq.fetch_add(1, Ordering::Relaxed);
-        let socket = topology.alloc_socket(policy, worker_socket, seq);
-        let shelf = &self.idle[socket.0 as usize];
-        let mut cur = shelf.load(Ordering::Relaxed);
-        let reused = loop {
-            if cur == 0 {
-                break false;
-            }
-            match shelf.compare_exchange_weak(cur, cur - 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => break true,
-                Err(c) => cur = c,
-            }
-        };
-        if reused {
+    ) -> PooledBuffer {
+        let seq = self.takes.fetch_add(1, Ordering::Relaxed);
+        let buf = self
+            .arena
+            .take(topology.alloc_socket(policy, worker_socket, seq));
+        if buf.was_reused() {
             self.reuses.fetch_add(1, Ordering::Relaxed);
         } else {
             self.registrations.fetch_add(1, Ordering::Relaxed);
@@ -202,13 +233,13 @@ impl MessagePool {
             self.fabric
                 .charge_send_cpu(self.node, self.registration_cost);
         }
-        (Vec::with_capacity(self.capacity + HEADER_LEN), socket)
+        buf
     }
 
-    /// Return a buffer's registration to the pool after its message was
-    /// sent (reference count dropped to zero, Figure 7 step 4).
-    pub fn recycle(&self, socket: SocketId) {
-        self.idle[socket.0 as usize].fetch_add(1, Ordering::Relaxed);
+    /// Number of buffers taken so far: every one of them was either
+    /// registered or reused.
+    pub fn takes(&self) -> u64 {
+        self.takes.load(Ordering::Relaxed)
     }
 
     /// Number of memory-region registrations paid so far.
@@ -219,6 +250,19 @@ impl MessagePool {
     /// Number of times a pooled registration was reused.
     pub fn reuses(&self) -> u64 {
         self.reuses.load(Ordering::Relaxed)
+    }
+
+    /// Buffers taken and not yet returned: open in a writer, queued, on
+    /// the wire, or waiting to be decoded. Zero on an idle node.
+    pub fn outstanding(&self) -> usize {
+        self.arena.outstanding()
+    }
+
+    /// Buffers lying idle on the shelves.
+    pub fn idle(&self) -> usize {
+        (0..self.arena.sockets())
+            .map(|s| self.arena.idle_on(SocketId(s)))
+            .sum()
     }
 }
 
@@ -246,8 +290,8 @@ pub struct MessageWriter<'a> {
     ser: &'a RowSerializer,
     worker_socket: SocketId,
     broadcast: bool,
-    /// Per destination: the open message and the socket its memory is on.
-    open: Vec<Option<(Vec<u8>, SocketId)>>,
+    /// Per destination: the open message, in a buffer on loan from the pool.
+    open: Vec<Option<PooledBuffer>>,
     /// Scratch: wire size of each row of the selection being written.
     sizes: Vec<usize>,
 }
@@ -305,13 +349,15 @@ impl<'a> MessageWriter<'a> {
         let limit = HEADER_LEN + ctx.message_capacity;
         let mut done = 0;
         while done < rows.len() {
-            let (buf, _) = self.open[dest].get_or_insert_with(|| {
-                let (mut buf, socket) =
-                    ctx.pool
-                        .take(ctx.alloc_policy, self.worker_socket, &ctx.topology);
-                buf.resize(HEADER_LEN, 0);
-                (buf, socket)
-            });
+            let buf = self.open[dest]
+                .get_or_insert_with(|| {
+                    let mut buf =
+                        ctx.pool
+                            .take(ctx.alloc_policy, self.worker_socket, &ctx.topology);
+                    buf.as_mut_vec().resize(HEADER_LEN, 0);
+                    buf
+                })
+                .as_mut_vec();
             let room = limit.saturating_sub(buf.len());
             let fit = rows_that_fit(&self.sizes[done..], room, buf.len() == HEADER_LEN);
             ser.serialize(table, rows.slice(done..done + fit), buf);
@@ -323,16 +369,17 @@ impl<'a> MessageWriter<'a> {
     }
 
     /// Pass on every open message ("only the used part is sent").
-    pub fn finish(mut self) {
+    pub fn finish(&mut self) {
         for dest in 0..self.open.len() {
             self.flush(dest);
         }
     }
 
     fn flush(&mut self, dest: usize) {
-        let Some((mut buf, mem_socket)) = self.open[dest].take() else {
+        let Some(mut buf) = self.open[dest].take() else {
             return;
         };
+        let mem_socket = buf.socket();
         let ctx = self.ctx;
         let units = ctx.classic_units.unwrap_or(1);
         // Writing a remote buffer costs QPI time (Figure 9's effect).
@@ -346,18 +393,19 @@ impl<'a> MessageWriter<'a> {
                 (dest % units as usize) as u16,
             )
         };
-        patch_header(self.query, self.exchange, 0, unit, &mut buf);
+        patch_header(self.query, self.exchange, 0, unit, buf.as_mut_vec());
+        // From here on the buffer is shared and immutable, and goes back to
+        // the pool when the last holder of `bytes` lets go.
+        let bytes = Bytes::from_owner(buf);
         if target != ctx.node {
-            self.net_send(buf.len(), 1);
+            self.net_send(bytes.len(), 1);
             self.to_mux(MuxCmd::Send {
                 target,
-                payload: Bytes::from(buf),
-                pool_socket: mem_socket,
+                payload: bytes,
             });
             return;
         }
         // This node's share never touches the network.
-        let bytes = Bytes::from(buf);
         let queue = match ctx.classic_units {
             Some(_) => unit as usize,
             None => mem_socket.0 as usize,
@@ -383,12 +431,10 @@ impl<'a> MessageWriter<'a> {
                 };
                 self.to_mux(MuxCmd::Broadcast {
                     payload,
-                    pool_socket: mem_socket,
                     copies_per_node: 1,
                 });
             }
         }
-        ctx.pool.recycle(mem_socket);
     }
 
     fn net_send(&self, bytes: usize, messages: u64) {
@@ -415,6 +461,17 @@ pub struct RecvMsg {
     pub mem_socket: SocketId,
 }
 
+/// What a look at an exchange's receive queues found ([`RecvHub::poll`]).
+#[derive(Debug)]
+pub enum Polled {
+    /// The next message.
+    Message(RecvMsg),
+    /// Nothing yet, and last-markers are still to come.
+    Pending,
+    /// Nothing, and nothing will come: every last-marker is in.
+    Drained,
+}
+
 struct ExchangeState {
     /// One queue per NUMA socket (hybrid) or per parallel unit (classic).
     queues: Vec<std::collections::VecDeque<RecvMsg>>,
@@ -423,6 +480,14 @@ struct ExchangeState {
 }
 
 impl ExchangeState {
+    fn new(queues: usize) -> Self {
+        Self {
+            queues: (0..queues).map(|_| Default::default()).collect(),
+            lasts_received: 0,
+            expected_lasts: None,
+        }
+    }
+
     fn done_receiving(&self) -> bool {
         self.expected_lasts
             .is_some_and(|e| self.lasts_received >= e)
@@ -447,7 +512,18 @@ struct HubState {
     /// Set when the node's connectivity is irrecoverably gone (a peer
     /// process died): every current and future consumer unblocks.
     dead: Option<String>,
+    /// The queries finished here most recently, oldest first. A query that
+    /// failed or was cancelled leaves messages behind in its peers' send
+    /// queues and on the wire; they arrive after it has been cleaned up
+    /// here, and must not set up state (and hold pooled buffers) that no
+    /// one will ever come for. Query ids are never reused within a hub's
+    /// lifetime, and stragglers are milliseconds late, not
+    /// [`FINISHED_KEPT`] queries late.
+    finished: std::collections::VecDeque<u32>,
 }
+
+/// How many finished queries a hub remembers to turn their stragglers away.
+const FINISHED_KEPT: usize = 256;
 
 /// Per-node routing point between the multiplexer and the exchange
 /// operators: per-socket receive queues with cross-socket work stealing,
@@ -468,6 +544,7 @@ impl RecvHub {
                 exchanges: HashMap::new(),
                 aborted: HashMap::new(),
                 dead: None,
+                finished: Default::default(),
             }),
             wakeup: Condvar::new(),
             queues,
@@ -484,15 +561,10 @@ impl RecvHub {
     /// is drained.
     pub fn expect_lasts(&self, query: QueryId, id: u32, expected: u32) {
         let mut st = self.state.lock();
-        let queues = self.queues;
         let ex = st
             .exchanges
             .entry(hub_key(query, id))
-            .or_insert_with(|| ExchangeState {
-                queues: (0..queues).map(|_| Default::default()).collect(),
-                lasts_received: 0,
-                expected_lasts: None,
-            });
+            .or_insert_with(|| ExchangeState::new(self.queues));
         ex.expected_lasts = Some(expected);
         drop(st);
         self.wakeup.notify_all();
@@ -501,16 +573,20 @@ impl RecvHub {
     /// Deliver a message (the multiplexer calls this; also used for
     /// node-local partitions that never touch the network).
     pub fn deliver(&self, query: QueryId, id: u32, queue: usize, msg: Option<RecvMsg>, last: bool) {
+        use std::collections::hash_map::Entry;
         let mut st = self.state.lock();
-        let queues = self.queues;
-        let ex = st
-            .exchanges
-            .entry(hub_key(query, id))
-            .or_insert_with(|| ExchangeState {
-                queues: (0..queues).map(|_| Default::default()).collect(),
-                lasts_received: 0,
-                expected_lasts: None,
-            });
+        let HubState {
+            exchanges,
+            finished,
+            ..
+        } = &mut *st;
+        let ex = match exchanges.entry(hub_key(query, id)) {
+            Entry::Occupied(ex) => ex.into_mut(),
+            // Nothing here knows the exchange: its query has not got to it
+            // yet — or is over, and this is a straggler.
+            Entry::Vacant(_) if finished.contains(&query.0) => return,
+            Entry::Vacant(slot) => slot.insert(ExchangeState::new(self.queues)),
+        };
         if let Some(m) = msg {
             ex.queues[queue % self.queues].push_back(m);
         }
@@ -556,42 +632,10 @@ impl RecvHub {
         const CANCEL_POLL: std::time::Duration = std::time::Duration::from_millis(5);
         let mut st = self.state.lock();
         loop {
-            if let Some(reason) = &st.dead {
-                panic!("query {query} aborted: {reason}");
-            }
-            if let Some(reason) = st.aborted.get(&query.0) {
-                panic!("query {query} aborted: {reason}");
-            }
-            if let Some(token) = cancel {
-                if let Some(reason) = token.should_stop() {
-                    panic!("query {query} stopped at exchange wait: {reason:?}");
-                }
-            }
-            let ex = st
-                .exchanges
-                .get_mut(&hub_key(query, id))
-                .expect("exchange must be registered before popping");
-            // 5a: NUMA-local receive queue first.
-            if let Some(m) = ex.queues[own % self.queues].pop_front() {
-                return Some(m);
-            }
-            // 5b: steal work from other queues.
-            if steal {
-                for q in 0..self.queues {
-                    if q != own % self.queues {
-                        if let Some(m) = ex.queues[q].pop_front() {
-                            return Some(m);
-                        }
-                    }
-                }
-            }
-            let drained = if steal {
-                ex.queues.iter().all(|q| q.is_empty())
-            } else {
-                ex.queues[own % self.queues].is_empty()
-            };
-            if ex.done_receiving() && drained {
-                return None;
+            match self.poll_locked(&mut st, query, id, own, steal, cancel) {
+                Polled::Message(m) => return Some(m),
+                Polled::Drained => return None,
+                Polled::Pending => {}
             }
             match cancel {
                 // A timed wait so the token is re-polled even when no
@@ -604,15 +648,82 @@ impl RecvHub {
         }
     }
 
+    /// [`pop_cancellable`](Self::pop_cancellable) without the wait: what
+    /// the queues hold for this consumer right now. A worker that still
+    /// has tuples to send asks this between two morsels.
+    ///
+    /// # Panics
+    /// Panics as [`pop_cancellable`](Self::pop_cancellable) does, when the
+    /// query was aborted or `cancel` has tripped.
+    pub fn poll(
+        &self,
+        query: QueryId,
+        id: u32,
+        own: usize,
+        steal: bool,
+        cancel: Option<&crate::serve::CancelToken>,
+    ) -> Polled {
+        self.poll_locked(&mut self.state.lock(), query, id, own, steal, cancel)
+    }
+
+    fn poll_locked(
+        &self,
+        st: &mut HubState,
+        query: QueryId,
+        id: u32,
+        own: usize,
+        steal: bool,
+        cancel: Option<&crate::serve::CancelToken>,
+    ) -> Polled {
+        if let Some(reason) = &st.dead {
+            panic!("query {query} aborted: {reason}");
+        }
+        if let Some(reason) = st.aborted.get(&query.0) {
+            panic!("query {query} aborted: {reason}");
+        }
+        if let Some(token) = cancel {
+            if let Some(reason) = token.should_stop() {
+                panic!("query {query} stopped at exchange wait: {reason:?}");
+            }
+        }
+        let ex = st
+            .exchanges
+            .get_mut(&hub_key(query, id))
+            .expect("exchange must be registered before popping");
+        // 5a: NUMA-local receive queue first.
+        if let Some(m) = ex.queues[own % self.queues].pop_front() {
+            return Polled::Message(m);
+        }
+        // 5b: steal work from other queues.
+        if steal {
+            for q in 0..self.queues {
+                if q != own % self.queues {
+                    if let Some(m) = ex.queues[q].pop_front() {
+                        return Polled::Message(m);
+                    }
+                }
+            }
+        }
+        // Every queue this consumer may take from is empty.
+        if ex.done_receiving() {
+            Polled::Drained
+        } else {
+            Polled::Pending
+        }
+    }
+
     /// Mark `query` aborted (first reason wins) and wake every blocked
     /// consumer; their `pop`s panic out of the exchange. Cleared by
     /// [`finish_query`](Self::finish_query).
     pub fn abort(&self, query: QueryId, reason: &str) {
-        self.state
-            .lock()
-            .aborted
+        let mut st = self.state.lock();
+        if st.finished.contains(&query.0) {
+            return;
+        }
+        st.aborted
             .entry(query.0)
             .or_insert_with(|| reason.to_string());
+        drop(st);
         self.wakeup.notify_all();
     }
 
@@ -641,11 +752,16 @@ impl RecvHub {
 
     /// Remove every residual exchange state and the abort marker of
     /// `query` (completion and cancellation cleanup: nothing of a finished
-    /// query may linger in the hub, however its stages ended).
+    /// query may linger in the hub, however its stages ended), and turn
+    /// away whatever still arrives for it.
     pub fn finish_query(&self, query: QueryId) {
         let mut st = self.state.lock();
         st.exchanges.retain(|&k, _| (k >> 32) as u32 != query.0);
         st.aborted.remove(&query.0);
+        if st.finished.len() == FINISHED_KEPT {
+            st.finished.pop_front();
+        }
+        st.finished.push_back(query.0);
     }
 
     /// Number of exchange states currently held (tests and leak checks).
@@ -660,23 +776,18 @@ impl RecvHub {
 
 /// Commands from exchange operators to their multiplexer.
 pub enum MuxCmd {
-    /// Queue one message for `target`. `pool_socket` is returned to the
-    /// message pool once the send completed.
+    /// Queue one message for `target`.
     Send {
         /// Destination node.
         target: NodeId,
         /// Full wire message (header + tuples).
         payload: Bytes,
-        /// Socket whose pool registration to recycle after sending.
-        pool_socket: SocketId,
     },
     /// Queue one message for every other node, serialized once and retained
     /// per target (the broadcast retain counter of §3.2).
     Broadcast {
         /// Full wire message.
         payload: Bytes,
-        /// Pool registration to recycle.
-        pool_socket: SocketId,
         /// Copies to send to each remote node (1 in hybrid mode; `t` in
         /// classic mode, where every remote exchange unit gets its own).
         copies_per_node: u16,
@@ -704,6 +815,36 @@ pub struct MuxConfig {
     pub alloc_policy: AllocPolicy,
 }
 
+/// What a multiplexer's polling costs while it has nothing to do. It has
+/// no doorbell: with nothing to ship, receive or queue it naps for 20 µs
+/// and looks again, thousands of times a second.
+#[derive(Debug, Default)]
+pub struct MuxIdle {
+    rounds: AtomicU64,
+    slept_ns: AtomicU64,
+}
+
+impl MuxIdle {
+    /// Polling rounds that found nothing to do.
+    pub fn rounds(&self) -> u64 {
+        self.rounds.load(Ordering::Relaxed)
+    }
+
+    /// Time spent in the naps of those rounds, as measured around them (a
+    /// 20 µs sleep takes as long as the host's timer slack makes it).
+    pub fn slept(&self) -> Duration {
+        Duration::from_nanos(self.slept_ns.load(Ordering::Relaxed))
+    }
+
+    fn nap(&self) {
+        let t0 = Instant::now();
+        std::thread::sleep(Duration::from_micros(20));
+        self.rounds.fetch_add(1, Ordering::Relaxed);
+        self.slept_ns
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    }
+}
+
 /// Spawn the multiplexer thread for one node.
 ///
 /// The multiplexer is transport-agnostic: `transport` may be a simulated
@@ -711,14 +852,15 @@ pub struct MuxConfig {
 /// [`SocketTransport`](hsqp_net::SocketTransport) over genuine OS sockets
 /// between processes. Every message it puts on the wire is attributed to
 /// the query id in its header via `query_stats`, giving per-query fabric
-/// accounting even when several queries share the multiplexer.
+/// accounting even when several queries share the multiplexer. Its idle
+/// rounds are counted into `idle`.
 ///
 /// Returns the command sender; the thread exits on [`MuxCmd::Shutdown`].
 pub fn spawn_multiplexer(
     cfg: MuxConfig,
     transport: Box<dyn NetTransport>,
     hub: Arc<RecvHub>,
-    pool: Arc<MessagePool>,
+    idle: Arc<MuxIdle>,
     scheduler: Option<Arc<hsqp_net::NetScheduler>>,
     query_stats: Arc<QueryStatsRegistry>,
 ) -> (Sender<MuxCmd>, std::thread::JoinHandle<()>) {
@@ -730,7 +872,7 @@ pub fn spawn_multiplexer(
                 &cfg,
                 transport.as_ref(),
                 &hub,
-                &pool,
+                &idle,
                 scheduler.as_deref(),
                 &query_stats,
                 &rx,
@@ -750,7 +892,7 @@ fn mux_loop(
     cfg: &MuxConfig,
     endpoint: &dyn NetTransport,
     hub: &RecvHub,
-    pool: &MessagePool,
+    idle: &MuxIdle,
     scheduler: Option<&hsqp_net::NetScheduler>,
     query_stats: &QueryStatsRegistry,
     rx: &Receiver<MuxCmd>,
@@ -772,7 +914,7 @@ fn mux_loop(
         }
         return;
     }
-    let mut queues: Vec<std::collections::VecDeque<(Bytes, SocketId)>> =
+    let mut queues: Vec<std::collections::VecDeque<Bytes>> =
         (0..n).map(|_| Default::default()).collect();
     let schedule = Schedule::new(n);
     let mut phase: u16 = 1;
@@ -794,14 +936,9 @@ fn mux_loop(
         // Accept new work from the exchange operators.
         loop {
             match rx.try_recv() {
-                Ok(MuxCmd::Send {
-                    target,
-                    payload,
-                    pool_socket,
-                }) => queues[target.idx()].push_back((payload, pool_socket)),
+                Ok(MuxCmd::Send { target, payload }) => queues[target.idx()].push_back(payload),
                 Ok(MuxCmd::Broadcast {
                     payload,
-                    pool_socket,
                     copies_per_node,
                 }) => {
                     for t in 0..n {
@@ -810,7 +947,7 @@ fn mux_loop(
                         }
                         for _ in 0..copies_per_node {
                             // Retain: cheap Bytes clone, no data copy.
-                            queues[t as usize].push_back((payload.clone(), pool_socket));
+                            queues[t as usize].push_back(payload.clone());
                         }
                     }
                 }
@@ -837,9 +974,8 @@ fn mux_loop(
             let mut sent = 0;
             while sent < cfg.batch_per_phase {
                 match queues[target.idx()].pop_front() {
-                    Some((payload, pool_socket)) => {
-                        ship(endpoint, query_stats, target, &payload);
-                        pool.recycle(pool_socket);
+                    Some(payload) => {
+                        ship(endpoint, query_stats, target, payload);
                         sent += 1;
                     }
                     None => break,
@@ -855,20 +991,19 @@ fn mux_loop(
             // off small hosts. Under load at least one of these is true
             // on every node, so the hot path never sleeps.
             if sent == 0 && !received && queues.iter().all(|q| q.is_empty()) {
-                std::thread::sleep(Duration::from_micros(20));
+                idle.nap();
             }
         } else {
             // Uncoordinated: ship whatever is queued, all targets at once.
             let mut any = false;
             for t in 0..n {
-                if let Some((payload, pool_socket)) = queues[t as usize].pop_front() {
-                    ship(endpoint, query_stats, NodeId(t), &payload);
-                    pool.recycle(pool_socket);
+                if let Some(payload) = queues[t as usize].pop_front() {
+                    ship(endpoint, query_stats, NodeId(t), payload);
                     any = true;
                 }
             }
             if !any {
-                std::thread::sleep(Duration::from_micros(20));
+                idle.nap();
             }
         }
     }
@@ -879,11 +1014,11 @@ fn ship(
     endpoint: &dyn NetTransport,
     query_stats: &QueryStatsRegistry,
     target: NodeId,
-    payload: &Bytes,
+    payload: Bytes,
 ) {
-    let h = decode_header(payload);
+    let h = decode_header(&payload);
     query_stats.record_send(h.query, payload.len() as u64);
-    endpoint.send(target, payload.clone());
+    endpoint.send(target, payload);
 }
 
 /// React to one transport event: route a message into the receive queues,
@@ -971,13 +1106,42 @@ mod tests {
         let fabric = Arc::new(Fabric::new(1, FabricConfig::qdr()));
         let pool = MessagePool::new(fabric, NodeId(0), 2, 1024);
         let topo = Topology::uniform(2);
-        let (_, s) = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
-        assert_eq!(pool.registrations(), 1);
-        assert_eq!(pool.reuses(), 0);
-        pool.recycle(s);
-        let (_, _) = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
-        assert_eq!(pool.registrations(), 1);
-        assert_eq!(pool.reuses(), 1);
+        let mut buf = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
+        assert_eq!((pool.registrations(), pool.reuses()), (1, 0));
+        assert_eq!((pool.outstanding(), pool.idle()), (1, 0));
+        buf.as_mut_vec().extend_from_slice(b"header+tuples");
+        let at = buf.as_ref().as_ptr();
+
+        // The message travels as views of the buffer itself, and the
+        // buffer comes home with the last of them.
+        let message = Bytes::from_owner(buf);
+        assert_eq!(message.as_ptr(), at);
+        let (body, retained) = (message.slice(7..), message.clone());
+        drop(message);
+        drop(retained);
+        assert_eq!((pool.outstanding(), pool.idle()), (1, 0));
+        assert_eq!(&body[..], b"tuples");
+        drop(body);
+        assert_eq!((pool.outstanding(), pool.idle()), (0, 1));
+
+        let again = pool.take(AllocPolicy::NumaAware, SocketId(0), &topo);
+        assert_eq!((pool.registrations(), pool.reuses()), (1, 1));
+        assert_eq!(pool.takes(), 2);
+        assert!(again.is_empty(), "a reused buffer comes back cleared");
+        assert_eq!(again.as_ref().as_ptr(), at);
+    }
+
+    #[test]
+    fn pool_shelves_are_bounded() {
+        let fabric = Arc::new(Fabric::new(1, FabricConfig::qdr()));
+        // 1 MiB messages: a shelf keeps SHELF_IDLE_MIN of them.
+        let pool = MessagePool::new(fabric, NodeId(0), 1, 1 << 20);
+        let topo = Topology::uniform(1);
+        let burst: Vec<_> = (0..SHELF_IDLE_MIN + 3)
+            .map(|_| pool.take(AllocPolicy::NumaAware, SocketId(0), &topo))
+            .collect();
+        drop(burst);
+        assert_eq!((pool.outstanding(), pool.idle()), (0, SHELF_IDLE_MIN));
     }
 
     const Q: QueryId = QueryId(1);
@@ -1082,6 +1246,29 @@ mod tests {
     }
 
     #[test]
+    fn poll_tells_pending_from_drained_without_blocking() {
+        let hub = RecvHub::new(2);
+        hub.expect_lasts(Q, 6, 1);
+        assert!(matches!(hub.poll(Q, 6, 0, true, None), Polled::Pending));
+        let msg = || RecvMsg {
+            data: Bytes::from_static(b"z"),
+            mem_socket: SocketId(1),
+        };
+        hub.deliver(Q, 6, 1, Some(msg()), true);
+        // Not this consumer's queue and it may not steal: nothing for it,
+        // and with the last-marker in nothing will come.
+        assert!(matches!(hub.poll(Q, 6, 0, false, None), Polled::Drained));
+        assert!(matches!(hub.poll(Q, 6, 0, true, None), Polled::Message(_)));
+        assert!(matches!(hub.poll(Q, 6, 0, true, None), Polled::Drained));
+
+        hub.abort(Q, "peer node failed");
+        let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            hub.poll(Q, 6, 0, true, None)
+        }));
+        assert!(polled.is_err(), "poll must panic out of an aborted query");
+    }
+
+    #[test]
     fn abort_unblocks_blocked_pop() {
         let hub = RecvHub::new(1);
         hub.expect_lasts(Q, 5, 1);
@@ -1095,9 +1282,15 @@ mod tests {
         hub.abort(Q, "peer node failed");
         assert!(h.join().unwrap(), "pop must panic out on abort");
         assert!(hub.is_aborted(Q));
-        // finish_query clears the abort marker for id reuse.
+        // finish_query clears the abort marker, and stragglers of the
+        // finished query — a late abort frame, a late message — leave no
+        // trace.
         hub.finish_query(Q);
         assert!(!hub.is_aborted(Q));
+        hub.abort(Q, "late abort frame");
+        hub.deliver(Q, 5, 0, None, true);
+        assert!(!hub.is_aborted(Q));
+        assert_eq!(hub.active_exchanges(), 0);
     }
 
     #[test]
@@ -1142,7 +1335,7 @@ mod tests {
         let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
         let endpoint = net.endpoint(NodeId(0));
         let hub = RecvHub::new(1);
-        let pool = MessagePool::new(fabric, NodeId(0), 1, 1024);
+        let idle = MuxIdle::default();
         let stats = QueryStatsRegistry::new();
         let cfg = MuxConfig {
             node: NodeId(0),
@@ -1156,7 +1349,7 @@ mod tests {
         let (tx, rx) = unbounded();
         let rounds = std::thread::scope(|scope| {
             let mux = scope.spawn(|| {
-                mux_loop(&cfg, &endpoint, &hub, &pool, None, &stats, &rx);
+                mux_loop(&cfg, &endpoint, &hub, &idle, None, &stats, &rx);
                 POLL_ROUNDS.with(std::cell::Cell::get)
             });
             // Two commands, then shutdown: the thread must get from each
@@ -1164,7 +1357,6 @@ mod tests {
             for _ in 0..2 {
                 tx.send(MuxCmd::Broadcast {
                     payload: Bytes::new(),
-                    pool_socket: SocketId(0),
                     copies_per_node: 1,
                 })
                 .unwrap();
@@ -1173,11 +1365,12 @@ mod tests {
             mux.join().unwrap()
         });
         assert_eq!(rounds, 0, "a single-node multiplexer must not poll");
+        assert_eq!(idle.rounds(), 0);
 
         // All senders gone is a shutdown too.
         let (tx, rx) = unbounded::<MuxCmd>();
         drop(tx);
-        mux_loop(&cfg, &endpoint, &hub, &pool, None, &stats, &rx);
+        mux_loop(&cfg, &endpoint, &hub, &idle, None, &stats, &rx);
     }
 
     #[test]
@@ -1188,12 +1381,12 @@ mod tests {
         let mut senders = Vec::new();
         let hubs: Vec<_> = (0..2).map(|_| RecvHub::new(2)).collect();
         let sched = hsqp_net::NetScheduler::new(2);
+        let idle = Arc::new(MuxIdle::default());
         let stats = Arc::new(QueryStatsRegistry::new());
         let q_stats = stats.register(Q);
         for node in 0..2u16 {
             let ep = net.endpoint(NodeId(node));
             ep.post_recvs(1 << 20);
-            let pool = Arc::new(MessagePool::new(Arc::clone(&fabric), NodeId(node), 2, 4096));
             let cfg = MuxConfig {
                 node: NodeId(node),
                 nodes: 2,
@@ -1207,7 +1400,7 @@ mod tests {
                 cfg,
                 Box::new(ep),
                 Arc::clone(&hubs[node as usize]),
-                pool,
+                Arc::clone(&idle),
                 Some(Arc::clone(&sched)),
                 Arc::clone(&stats),
             );
@@ -1224,7 +1417,6 @@ mod tests {
             .send(MuxCmd::Send {
                 target: NodeId(1),
                 payload: Bytes::from(msg),
-                pool_socket: SocketId(0),
             })
             .unwrap();
         let mut lastmsg = Vec::new();
@@ -1233,7 +1425,6 @@ mod tests {
             .send(MuxCmd::Send {
                 target: NodeId(1),
                 payload: Bytes::from(lastmsg),
-                pool_socket: SocketId(0),
             })
             .unwrap();
 
@@ -1251,5 +1442,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+        // Two multiplexers with nothing queued most of the time.
+        assert!(idle.rounds() > 0 && idle.slept() >= Duration::from_micros(20));
     }
 }

@@ -11,10 +11,34 @@
 //! process: `start_node` builds it around whichever transport endpoint it
 //! is given, and `execute_stage` is what a node thread of the one and a
 //! query worker of the other both run.
+//!
+//! **The exchange.** There is one message loop (`exchange_loop`): every
+//! worker of the node alternates between partitioning and serializing a
+//! morsel of the exchange's input and landing whatever messages have
+//! arrived meanwhile, and once the input is gone blocks on the receive
+//! queues until every node's last-marker is in — this node's own
+//! included, sent by whichever of its workers runs out of input last.
+//! What *landing* means is the consumer's choice, and there are two:
+//!
+//! * **Keep it** (`collect_exchange`; join sides, sort and map inputs,
+//!   stage roots): each worker decodes onto destination columns sized up
+//!   front for its share, and the workers' columns become the result.
+//! * **Hand it on** (`Landing`; an aggregate directly above the exchange,
+//!   whatever its kind and phase): each worker decodes into one batch that
+//!   it clears and refills, and passes the batch to the operator above
+//!   through [`BatchSource`] — the interface `aggregate_with` also reads a
+//!   table's morsels through, so there is one aggregation loop and no
+//!   second exchange path. The exchange's result is never a table; the
+//!   time spent in the sink is recorded as the aggregate's, not the
+//!   exchange's.
+//!
+//! Message buffers belong to the node's [`MessagePool`] throughout; see
+//! [`crate::exchange`] for who holds them when.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::ops::{Deref, Range};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,7 +49,7 @@ use parking_lot::RwLock;
 use hsqp_net::{
     Fabric, NetScheduler, NodeId, QueryId, QueryStatsRegistry, Transport as NetTransport,
 };
-use hsqp_numa::{AllocPolicy, CostModel, SocketId, Topology};
+use hsqp_numa::{AllocPolicy, CostModel, Topology};
 use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
 use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
@@ -33,13 +57,15 @@ use hsqp_tpch::TpchTable;
 use crate::cluster::{ClusterConfig, EngineKind};
 use crate::coordinator::StageCall;
 use crate::exchange::{
-    encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, RecvHub,
-    FLAG_LAST, HEADER_LEN,
+    encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxIdle,
+    Polled, RecvHub, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::{eval, Expr};
-use crate::local::MorselDriver;
-use crate::ops::{aggregate_with, canon_f64_bits, probe_join, sort_table, JoinTable};
-use crate::plan::{ExchangeKind, MapExpr, Plan};
+use crate::local::{MorselDriver, WorkerCtx};
+use crate::ops::{
+    aggregate_with, canon_f64_bits, probe_join, sort_table, BatchSource, JoinTable, Morsels,
+};
+use crate::plan::{AggPhase, AggSpec, ExchangeKind, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
 use crate::queries::StageRole;
 use crate::serve::CancelToken;
@@ -69,6 +95,8 @@ pub struct NodeCtx {
     pub hub: Arc<RecvHub>,
     /// Command channel to the multiplexer thread.
     pub to_mux: Sender<MuxCmd>,
+    /// What the multiplexer thread's idle polling has cost so far.
+    pub mux_idle: Arc<MuxIdle>,
     /// Loaded base relations (this node's placement share).
     pub tables: RwLock<HashMap<TpchTable, Arc<Table>>>,
     /// Temporary relations materialized by in-flight queries' stages,
@@ -121,11 +149,12 @@ pub(crate) fn start_node(
         sockets,
         alloc_policy: cfg.alloc_policy,
     };
+    let mux_idle = Arc::new(MuxIdle::default());
     let (to_mux, mux) = spawn_multiplexer(
         mux_cfg,
         endpoint,
         Arc::clone(&hub),
-        Arc::clone(&pool),
+        Arc::clone(&mux_idle),
         scheduler,
         query_stats,
     );
@@ -145,6 +174,7 @@ pub(crate) fn start_node(
         pool,
         hub,
         to_mux,
+        mux_idle,
         tables: RwLock::new(HashMap::new()),
         temps: RwLock::new(HashMap::new()),
         consume_loads: parking_lot::Mutex::new(Vec::new()),
@@ -351,17 +381,45 @@ impl<'a> NodeExec<'a> {
         self.execute_at(plan, 0)
     }
 
-    /// Execute the operator at pre-order index `idx` (see
-    /// [`crate::profile::plan_labels`] for the numbering), recording its
-    /// span when profiling is on.
-    fn execute_at(&self, plan: &Plan, idx: usize) -> Batch {
-        // Operator boundaries are cancellation points too, covering
-        // operators whose inner loops run outside this module (join
-        // build/probe, aggregation, sort).
+    /// Operator `idx` starts: a cancellation point — operator boundaries
+    /// cover the operators whose inner loops run outside this module (join
+    /// build/probe, sort) — and the start of its span.
+    fn enter(&self, idx: usize) {
         self.check_cancel();
         if let Some(rec) = self.recorder {
             rec.op_enter(idx);
         }
+    }
+
+    /// Aggregate operator `idx` over `source`.
+    fn aggregate_from<B: BatchSource>(
+        &self,
+        idx: usize,
+        source: &B,
+        group_by: &[String],
+        aggs: &[AggSpec],
+        phase: AggPhase,
+    ) -> Batch {
+        let group_idx: Vec<usize> = group_by
+            .iter()
+            .map(|g| source.shape().schema().index_of(g))
+            .collect();
+        Batch::Owned(aggregate_with(
+            source,
+            &group_idx,
+            aggs,
+            phase,
+            self.params,
+            self.programs_at(idx).map(|p| p.aggs.as_slice()),
+            self.cancel,
+        ))
+    }
+
+    /// Execute the operator at pre-order index `idx` (see
+    /// [`crate::profile::plan_labels`] for the numbering), recording its
+    /// span when profiling is on.
+    fn execute_at(&self, plan: &Plan, idx: usize) -> Batch {
+        self.enter(idx);
         let (out, rows_in) = match plan {
             Plan::Scan {
                 table,
@@ -456,23 +514,33 @@ impl<'a> NodeExec<'a> {
                 group_by,
                 aggs,
                 phase,
-            } => {
-                let t = self.execute_at(input, idx + 1);
-                let rows_in = t.rows() as u64;
-                let group_idx: Vec<usize> =
-                    group_by.iter().map(|g| t.schema().index_of(g)).collect();
-                let out = Batch::Owned(aggregate_with(
-                    &t,
-                    &group_idx,
-                    aggs,
-                    *phase,
-                    &self.ctx.driver,
-                    self.params,
-                    self.programs_at(idx).map(|p| p.aggs.as_slice()),
-                    self.cancel,
-                ));
-                (out, rows_in)
-            }
+            } => match &**input {
+                // What an exchange delivers is aggregated as it lands and
+                // never becomes a table. The exchange is operator idx + 1:
+                // entered here, exited by the landing when its loop ends.
+                Plan::Exchange { input: below, kind } => {
+                    self.enter(idx + 1);
+                    let t = self.execute_at(below, idx + 2);
+                    let landing = Landing {
+                        exec: self,
+                        op_idx: idx + 1,
+                        kind,
+                        input: &t,
+                        rows: Cell::new(0),
+                    };
+                    let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase);
+                    (out, landing.rows.into_inner())
+                }
+                _ => {
+                    let t = self.execute_at(input, idx + 1);
+                    let morsels = Morsels {
+                        table: &t,
+                        driver: &self.ctx.driver,
+                    };
+                    let out = self.aggregate_from(idx, &morsels, group_by, aggs, *phase);
+                    (out, t.rows() as u64)
+                }
+            },
             Plan::Sort { input, keys, limit } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
@@ -481,8 +549,7 @@ impl<'a> NodeExec<'a> {
             Plan::Exchange { input, kind } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
-                let id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
-                (Batch::Owned(self.run_exchange(idx, id, kind, &t)), rows_in)
+                (Batch::Owned(self.collect_exchange(idx, kind, &t)), rows_in)
             }
         };
         if let Some(rec) = self.recorder {
@@ -568,220 +635,400 @@ impl<'a> NodeExec<'a> {
 
     // -- exchange -----------------------------------------------------------
 
-    fn run_exchange(&self, op_idx: usize, id: u32, kind: &ExchangeKind, input: &Table) -> Table {
-        let ctx = self.ctx;
-        let n = ctx.nodes;
-        let me = ctx.node;
-        let schema = input.schema();
-
-        let expected_lasts = match kind {
-            ExchangeKind::Gather if me.0 != 0 => 0,
-            _ if n <= 1 => 0,
-            _ => u32::from(n - 1),
-        };
-        ctx.hub.expect_lasts(self.query, id, expected_lasts);
-
-        let send_t0 = Instant::now();
-        let ser = RowSerializer::new(schema);
-        let recorder = self.recorder.map(|rec| (rec, op_idx));
-        let socket0 = ctx.driver.worker_socket(0);
-        match kind {
-            ExchangeKind::HashPartition(keys) => {
-                let key_idx: Vec<usize> = keys.iter().map(|k| schema.index_of(k)).collect();
-                self.partition_and_send(id, recorder, &ser, input, &key_idx);
-            }
-            ExchangeKind::Broadcast => self.send_in_order(
-                MessageWriter::broadcast(ctx, self.query, id, recorder, &ser, socket0),
-                input,
-            ),
-            // Everything goes to bucket 0, the coordinator's, whose own
-            // rows pass through below without being serialized.
-            ExchangeKind::Gather if me.0 != 0 => self.send_in_order(
-                MessageWriter::partitioned(ctx, self.query, id, recorder, &ser, socket0, 1),
-                input,
-            ),
-            ExchangeKind::Gather => {}
-        }
-        self.send_lasts(id, kind);
-        if let Some(rec) = self.recorder {
-            rec.add_send_time(op_idx, send_t0.elapsed());
-        }
-
-        let out = match kind {
-            // Non-coordinators produce nothing further.
-            ExchangeKind::Gather if me.0 != 0 => Table::empty(schema.clone()),
-            ExchangeKind::Gather => {
-                let mut out = self.consume(op_idx, id, input, n as usize);
-                out.append(input);
-                out
-            }
-            ExchangeKind::Broadcast => self.consume(op_idx, id, input, n as usize),
-            ExchangeKind::HashPartition(_) => self.consume(op_idx, id, input, 1),
-        };
-        ctx.hub.finish(self.query, id);
-        out
-    }
-
-    /// Figure 7 steps 1–4, a morsel at a time: one bucket per row from the
-    /// CRC32 of its key, the row ids scattered into one selection vector
-    /// per bucket, each selection serialized as column runs into that
-    /// bucket's message.
-    fn partition_and_send(
-        &self,
-        id: u32,
-        recorder: Option<(&NodeRecorder, usize)>,
-        ser: &RowSerializer,
-        input: &Table,
-        key_idx: &[usize],
-    ) {
-        let ctx = self.ctx;
-        let buckets = ctx.nodes as usize * ctx.classic_units.unwrap_or(1) as usize;
-        // Same canonicalization as the join hash: a Decimal repartition key
-        // must land on the node where the equal Float64 key lands.
-        let key_cols = crate::ops::join_key_cols(input, key_idx);
-
-        struct Scatter<'a> {
-            writer: MessageWriter<'a>,
-            bucket_of: Vec<u32>,
-            selections: Vec<Vec<usize>>,
-        }
-        let workers = ctx.driver.run(
-            input.rows(),
-            |w| Scatter {
-                writer: MessageWriter::partitioned(
-                    ctx, self.query, id, recorder, ser, w.socket, buckets,
-                ),
-                bucket_of: Vec::new(),
-                selections: vec![Vec::new(); buckets],
-            },
-            |st, _, m| {
-                self.check_cancel();
-                bucket_vector(&key_cols, m.range(), buckets, &mut st.bucket_of);
-                for (row, &bucket) in m.range().zip(&st.bucket_of) {
-                    st.selections[bucket as usize].push(row);
-                }
-                for (bucket, selection) in st.selections.iter_mut().enumerate() {
-                    st.writer.write(bucket, input, Rows::Sel(selection));
-                    selection.clear();
-                }
-            },
-        );
-        for st in workers {
-            st.writer.finish();
-        }
-    }
-
-    /// Broadcast and gather: serialize the input in row order through
-    /// `writer`'s single destination, checking for cancellation per chunk.
-    fn send_in_order(&self, mut writer: MessageWriter<'_>, input: &Table) {
-        let step = self.ctx.driver.morsel_size();
-        for start in (0..input.rows()).step_by(step) {
-            self.check_cancel();
-            let end = (start + step).min(input.rows());
-            writer.write(0, input, Rows::Span(start, end));
-        }
-        writer.finish();
-    }
-
-    fn send_lasts(&self, id: u32, kind: &ExchangeKind) {
-        let ctx = self.ctx;
-        if ctx.nodes <= 1 {
-            return;
-        }
-        let targets: Vec<NodeId> = match kind {
-            ExchangeKind::Gather => {
-                if ctx.node.0 == 0 {
-                    return;
-                }
-                vec![NodeId(0)]
-            }
-            _ => (0..ctx.nodes)
-                .filter(|&t| t != ctx.node.0)
-                .map(NodeId)
-                .collect(),
-        };
-        for t in targets {
-            let mut msg = Vec::with_capacity(HEADER_LEN);
-            encode_header(self.query, id, FLAG_LAST, 0, 0, &mut msg);
-            ctx.to_mux
-                .send(MuxCmd::Send {
-                    target: t,
-                    payload: Bytes::from(msg),
-                    pool_socket: SocketId(0),
-                })
-                .expect("multiplexer alive");
-        }
-    }
-
-    /// Figure 7 steps 5–7: workers drain NUMA-local receive queues (5a),
-    /// steal across sockets when idle (5b), deserialize (6), and hand the
-    /// tuples to the next pipeline (7) — here: every message's chunks are
-    /// appended straight onto the worker's columns, and the workers'
-    /// columns become the result table.
-    ///
-    /// A worker's columns start out sized for its share of what a balanced
-    /// exchange delivers to this node, `copies` times the node's own
-    /// `input`: once for a repartition (every node keeps 1/n of every
-    /// node's rows), n times for a broadcast and at the coordinator of a
-    /// gather — and an eighth over, because no split is exactly even and a
+    /// Rows (or bytes, or whatever `own` counts) a worker can expect to
+    /// land from a balanced exchange of `kind` when this node puts in
+    /// `own`: the node gets its own input back once from a repartition
+    /// (every node keeps 1/n of every node's rows), n times from a
+    /// broadcast and at the coordinator of a gather, split among its
+    /// workers — and an eighth over, because no split is exactly even and a
     /// column that outgrows its reserve by one row is moved whole. A wrong
     /// guess costs little — columns still grow on demand, and reserve that
     /// is never written is never paged in — while a right one saves
-    /// regrowing every column a dozen times under the messages being freed
-    /// around it.
-    fn consume(&self, op_idx: usize, id: u32, input: &Table, copies: usize) -> Table {
+    /// regrowing every column a dozen times.
+    fn expected_share(&self, kind: &ExchangeKind, own: usize) -> usize {
         let ctx = self.ctx;
+        let copies = match kind {
+            ExchangeKind::HashPartition(_) => 1,
+            ExchangeKind::Gather if ctx.node.0 != 0 => 0,
+            ExchangeKind::Broadcast | ExchangeKind::Gather => ctx.nodes as usize,
+        };
+        own * copies / ctx.driver.workers() as usize * 9 / 8
+    }
+
+    /// An exchange whose result is kept (a join side, a sort or map input,
+    /// a stage root): every worker decodes what it pops straight onto its
+    /// own columns, sized up front for its [expected
+    /// share](Self::expected_share), and the workers' columns become the
+    /// result table.
+    fn collect_exchange(&self, op_idx: usize, kind: &ExchangeKind, input: &Table) -> Table {
         let schema = input.schema();
         let de = RowDeserializer::new(schema);
-        let stealing = !ctx.is_classic();
-        let workers = ctx.driver.workers() as usize;
-        let share = |own: usize| own * copies / workers * 9 / 8;
+        let share = |own: usize| self.expected_share(kind, own);
+        let (pieces, _) = self.exchange_loop(
+            op_idx,
+            kind,
+            input,
+            |_| {
+                let mut columns = de.empty_columns();
+                for (column, like) in columns.iter_mut().zip(input.columns()) {
+                    column.reserve(share(like.len()), share(like.str_bytes()));
+                }
+                columns
+            },
+            |columns, body| decode_message(&de, body, columns),
+            |_| {},
+        );
+        let pieces = pieces
+            .into_iter()
+            .map(|columns| Table::new(schema.clone(), columns))
+            .collect();
+        let mut out = Table::concat(schema, pieces);
+        // The coordinator's own rows pass through a gather unserialized.
+        if matches!(kind, ExchangeKind::Gather) && self.ctx.node.0 == 0 {
+            out.append(input);
+        }
+        out
+    }
 
-        let pieces = ctx.driver.on_each_worker(|w| {
+    /// The one message loop of an exchange (Figure 7), run by every worker
+    /// of the node: partition a morsel of `input` and serialize it into
+    /// the destinations' messages (steps 1–4), then — without blocking —
+    /// pop whatever has arrived in the meantime, NUMA-local queue first,
+    /// stealing across sockets after (5a/5b), and hand each message body
+    /// to `land` (6, 7); with no morsel left, pass on the open messages
+    /// and block on the receive queues until every node's last-marker is
+    /// in, then `close` the worker's share. The worker that runs out of
+    /// morsels last sends this node's last-markers, to every node it sends
+    /// to and to its own receive hub — so no worker of this node takes the
+    /// exchange for drained while another still has rows for it.
+    ///
+    /// `share` makes a worker's part of whatever the consumer builds, and
+    /// `land` returns the rows it decoded. Returns the workers' shares and
+    /// the rows landed on this node.
+    fn exchange_loop<S: Send>(
+        &self,
+        op_idx: usize,
+        kind: &ExchangeKind,
+        input: &Table,
+        share: impl Fn(WorkerCtx) -> S + Sync,
+        land: impl Fn(&mut S, &[u8]) -> usize + Sync,
+        close: impl Fn(&mut S) + Sync,
+    ) -> (Vec<S>, u64) {
+        let ctx = self.ctx;
+        let id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
+        let coordinator = ctx.node.0 == 0;
+        let gather = matches!(kind, ExchangeKind::Gather);
+        // One last-marker from every node that sends here, this one
+        // included: all of them, or none but itself at a gather's
+        // non-coordinators.
+        let expected_lasts = if gather && !coordinator {
+            1
+        } else {
+            u32::from(ctx.nodes)
+        };
+        ctx.hub.expect_lasts(self.query, id, expected_lasts);
+
+        let ser = RowSerializer::new(input.schema());
+        let recorder = self.recorder.map(|rec| (rec, op_idx));
+        // Same canonicalization as the join hash: a Decimal repartition key
+        // must land on the node where the equal Float64 key lands.
+        let partition_by = match kind {
+            ExchangeKind::HashPartition(keys) => {
+                let key_idx: Vec<usize> = keys.iter().map(|k| input.schema().index_of(k)).collect();
+                Some(crate::ops::join_key_cols(input, &key_idx))
+            }
+            ExchangeKind::Broadcast | ExchangeKind::Gather => None,
+        };
+        let buckets = match &partition_by {
+            Some(_) => ctx.nodes as usize * ctx.classic_units.unwrap_or(1) as usize,
+            // Broadcast: the one destination that stands for every node.
+            // Gather: bucket 0, the coordinator's.
+            None => 1,
+        };
+        // The coordinator keeps its rows at a gather; the consumer sees to
+        // them.
+        let rows_to_send = if gather && coordinator {
+            0
+        } else {
+            input.rows()
+        };
+        let stealing = !ctx.is_classic();
+        let still_sending = AtomicUsize::new(ctx.driver.workers() as usize);
+
+        // A worker that unwinds out of the loop (a malformed message, a
+        // fault) never counts down `still_sending`, so this node's
+        // last-marker to itself never comes: fail the query here, or the
+        // node's other workers would wait for it for ever.
+        struct AbortOnUnwind<'a>(&'a RecvHub, QueryId);
+        impl Drop for AbortOnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0
+                        .abort(self.1, "a worker of this node failed mid-exchange");
+                }
+            }
+        }
+        struct Worker<'a, S> {
+            _guard: AbortOnUnwind<'a>,
+            writer: MessageWriter<'a>,
+            bucket_of: Vec<u32>,
+            selections: Vec<Vec<usize>>,
+            share: S,
+            send: Duration,
+            wait: Duration,
+            messages: u64,
+            rows: u64,
+        }
+        // Land what the receive queues hold; `block` until they are drained
+        // for good. Blocked time is the worker's share of network wait at
+        // this exchange boundary; the hub polls the token meanwhile, so a
+        // cancel or deadline lands even on a node starved by its peers.
+        let drain = |st: &mut Worker<'_, S>, w: WorkerCtx, block: bool| {
             let own_queue = if stealing {
                 w.socket.0 as usize
             } else {
                 w.id as usize
             };
-            let mut columns = de.empty_columns();
-            for (column, like) in columns.iter_mut().zip(input.columns()) {
-                column.reserve(share(like.len()), share(like.str_bytes()));
-            }
-            let mut wait = Duration::ZERO;
-            let mut batches = 0u64;
             loop {
-                // Time blocked on the receive hub: the worker's share of
-                // network wait at this exchange boundary. The cancellable
-                // pop polls the token while blocked, so a cancel/deadline
-                // lands even when this node is starved waiting on its
-                // peers.
-                let pop_t0 = Instant::now();
-                let msg = ctx
-                    .hub
-                    .pop_cancellable(self.query, id, own_queue, stealing, self.cancel);
-                wait += pop_t0.elapsed();
+                let msg = if block {
+                    let t0 = Instant::now();
+                    let msg =
+                        ctx.hub
+                            .pop_cancellable(self.query, id, own_queue, stealing, self.cancel);
+                    st.wait += t0.elapsed();
+                    msg
+                } else {
+                    match ctx
+                        .hub
+                        .poll(self.query, id, own_queue, stealing, self.cancel)
+                    {
+                        Polled::Message(msg) => Some(msg),
+                        Polled::Pending | Polled::Drained => None,
+                    }
+                };
                 let Some(msg) = msg else { break };
-                batches += 1;
+                st.messages += 1;
                 // Reading a remote message buffer crosses QPI.
                 ctx.topology
                     .charge_access(w.socket, msg.mem_socket, msg.data.len());
-                de.decode_into(&msg.data, &mut columns)
-                    .unwrap_or_else(|e| panic!("malformed exchange message: {e}"));
+                st.rows += land(&mut st.share, &msg.data) as u64;
             }
-            if let Some(rec) = self.recorder {
-                rec.add_consume(op_idx, wait, batches);
-            }
-            Table::new(schema.clone(), columns)
-        });
+        };
 
-        {
-            let mut loads = ctx.consume_loads.lock();
-            loads.resize(pieces.len(), 0);
-            for (load, piece) in loads.iter_mut().zip(&pieces) {
-                *load += piece.rows() as u64;
+        let workers = ctx.driver.run_then(
+            rows_to_send,
+            |w| Worker {
+                _guard: AbortOnUnwind(&ctx.hub, self.query),
+                writer: match kind {
+                    ExchangeKind::Broadcast => {
+                        MessageWriter::broadcast(ctx, self.query, id, recorder, &ser, w.socket)
+                    }
+                    _ => MessageWriter::partitioned(
+                        ctx, self.query, id, recorder, &ser, w.socket, buckets,
+                    ),
+                },
+                bucket_of: Vec::new(),
+                selections: vec![Vec::new(); buckets],
+                share: share(w),
+                send: Duration::ZERO,
+                wait: Duration::ZERO,
+                messages: 0,
+                rows: 0,
+            },
+            |st, w, m| {
+                let t0 = Instant::now();
+                match &partition_by {
+                    // One bucket per row from the CRC32 of its key, the row
+                    // ids scattered into one selection vector per bucket,
+                    // each selection serialized as column runs into that
+                    // bucket's message.
+                    Some(key_cols) => {
+                        bucket_vector(key_cols, m.range(), buckets, &mut st.bucket_of);
+                        for (row, &bucket) in m.range().zip(&st.bucket_of) {
+                            st.selections[bucket as usize].push(row);
+                        }
+                        for (bucket, selection) in st.selections.iter_mut().enumerate() {
+                            st.writer.write(bucket, input, Rows::Sel(selection));
+                            selection.clear();
+                        }
+                    }
+                    None => st.writer.write(0, input, Rows::Span(m.start, m.end)),
+                }
+                st.send += t0.elapsed();
+                // A cancellation point, too.
+                drain(st, w, false);
+            },
+            |st, w| {
+                let t0 = Instant::now();
+                st.writer.finish();
+                // Every message of this node is with the multiplexer (or in
+                // the hub) before the worker that counts down to zero adds
+                // the last-markers behind them.
+                if still_sending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    self.send_lasts(id, kind);
+                }
+                st.send += t0.elapsed();
+                drain(st, w, true);
+                close(&mut st.share);
+            },
+        );
+        ctx.hub.finish(self.query, id);
+
+        if let Some(rec) = self.recorder {
+            let sending: Duration = workers.iter().map(|st| st.send).sum();
+            rec.add_send_time(op_idx, sending / workers.len() as u32);
+            for st in &workers {
+                rec.add_consume(op_idx, st.wait, st.messages);
             }
         }
-        Table::concat(schema, pieces)
+        {
+            let mut loads = ctx.consume_loads.lock();
+            loads.resize(workers.len(), 0);
+            for (load, st) in loads.iter_mut().zip(&workers) {
+                *load += st.rows;
+            }
+        }
+        let landed = workers.iter().map(|st| st.rows).sum();
+        (workers.into_iter().map(|st| st.share).collect(), landed)
+    }
+
+    /// End this node's part in exchange `id`: a last-marker to its own
+    /// receive hub and, through the multiplexer, to every node it sends to.
+    fn send_lasts(&self, id: u32, kind: &ExchangeKind) {
+        let ctx = self.ctx;
+        ctx.hub.deliver(self.query, id, 0, None, true);
+        let targets = match kind {
+            // Only non-coordinators send, and only to the coordinator.
+            ExchangeKind::Gather => 0..u16::from(ctx.node.0 != 0),
+            _ => 0..ctx.nodes,
+        };
+        for t in targets.filter(|&t| t != ctx.node.0) {
+            let mut msg = Vec::with_capacity(HEADER_LEN);
+            encode_header(self.query, id, FLAG_LAST, 0, 0, &mut msg);
+            ctx.to_mux
+                .send(MuxCmd::Send {
+                    target: NodeId(t),
+                    payload: Bytes::from(msg),
+                })
+                .expect("multiplexer alive");
+        }
+    }
+}
+
+/// Append the chunks of one exchange message to `columns`; the rows added.
+fn decode_message(de: &RowDeserializer, body: &[u8], columns: &mut [Column]) -> usize {
+    de.decode_into(body, columns)
+        .unwrap_or_else(|e| panic!("malformed exchange message: {e}"))
+}
+
+/// What exchange operator `op_idx` delivers to this node, as a
+/// [`BatchSource`] for the operator above it: each worker decodes the
+/// messages it pops into one batch of its own, hands the batch on once it
+/// holds [`Landing::BATCH_ROWS`] rows, and clears and refills it — the
+/// exchange's result is never a table, and what it allocates does not grow
+/// with what it moves.
+struct Landing<'a, 'b> {
+    exec: &'a NodeExec<'b>,
+    op_idx: usize,
+    kind: &'a ExchangeKind,
+    /// This node's input to the exchange.
+    input: &'a Table,
+    /// Rows handed on, once driven.
+    rows: Cell<u64>,
+}
+
+impl Landing<'_, '_> {
+    /// Rows a batch holds before it is handed on: a quarter of a morsel.
+    /// Enough to amortize what the consumer does once per batch, and small
+    /// enough — ≈ 600 KB of lineitem — that the batch is still in cache
+    /// when the consumer reads what the decoder wrote.
+    const BATCH_ROWS: usize = hsqp_storage::table::MORSEL_SIZE / 4;
+}
+
+impl BatchSource for Landing<'_, '_> {
+    /// What lands has the shape of what this node sends.
+    fn shape(&self) -> &Table {
+        self.input
+    }
+
+    fn drive<S, I, E>(&self, init: I, each: E) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        E: Fn(&mut S, &Table, Range<usize>) + Sync,
+    {
+        let (exec, input) = (self.exec, self.input);
+        let schema = input.schema();
+        let de = RowDeserializer::new(schema);
+
+        struct Share<S> {
+            batch: Vec<Column>,
+            state: S,
+            /// Time spent in `each`.
+            handing_on: Duration,
+        }
+        let hand_on = |share: &mut Share<S>| {
+            let t0 = Instant::now();
+            let batch = Table::new(schema.clone(), std::mem::take(&mut share.batch));
+            each(&mut share.state, &batch, 0..batch.rows());
+            share.batch = batch.into_columns();
+            share.batch.iter_mut().for_each(Column::clear);
+            share.handing_on += t0.elapsed();
+        };
+        let (shares, landed) = exec.exchange_loop(
+            self.op_idx,
+            self.kind,
+            input,
+            |_| {
+                // Sized once: for a batch and the message that fills it,
+                // or for all the worker can expect if that is less, with
+                // strings as long as this node's own.
+                let reserve = exec
+                    .expected_share(self.kind, input.rows())
+                    .min(Self::BATCH_ROWS * 9 / 8);
+                let mut batch = de.empty_columns();
+                for (column, like) in batch.iter_mut().zip(input.columns()) {
+                    column.reserve(reserve, like.str_bytes() * reserve / like.len().max(1));
+                }
+                Share {
+                    batch,
+                    state: init(),
+                    handing_on: Duration::ZERO,
+                }
+            },
+            |share, body| {
+                let rows = decode_message(&de, body, &mut share.batch);
+                if share.batch.first().map_or(0, Column::len) >= Self::BATCH_ROWS {
+                    hand_on(share);
+                }
+                rows
+            },
+            |share| {
+                if share.batch.first().is_some_and(|c| !c.is_empty()) {
+                    hand_on(share);
+                }
+            },
+        );
+        let mut rows = landed;
+        if let Some(rec) = exec.recorder {
+            // The consumer's time is the consumer's: workers hand on side
+            // by side, so their average is what it took out of the span.
+            let handing_on: Duration = shares.iter().map(|s| s.handing_on).sum();
+            rec.op_exclude(self.op_idx, handing_on / shares.len() as u32);
+            rec.op_exit(self.op_idx, input.rows() as u64, rows);
+        }
+        let mut states: Vec<S> = shares.into_iter().map(|s| s.state).collect();
+        // The coordinator's own rows pass through a gather unserialized.
+        if matches!(self.kind, ExchangeKind::Gather) && exec.ctx.node.0 == 0 {
+            let own = Morsels {
+                table: input,
+                driver: &exec.ctx.driver,
+            };
+            states.extend(own.drive(init, each));
+            rows += input.rows() as u64;
+        }
+        self.rows.set(rows);
+        states
     }
 }
 

@@ -72,17 +72,6 @@ impl MorselDriver {
         SocketId(core / self.cores_per_socket)
     }
 
-    /// Run `job` once on every worker — inline when there is only one — and
-    /// return the results in worker order (work that is not cut into
-    /// morsels: draining an exchange's receive queues).
-    pub fn on_each_worker<S, J>(&self, job: J) -> Vec<S>
-    where
-        S: Send,
-        J: Fn(WorkerCtx) -> S + Sync,
-    {
-        self.run(0, job, |_, _, _| {})
-    }
-
     /// Run `work` over all morsels of `total_rows` rows in parallel and
     /// return each worker's state.
     ///
@@ -94,6 +83,21 @@ impl MorselDriver {
         S: Send,
         I: Fn(WorkerCtx) -> S + Sync,
         W: Fn(&mut S, WorkerCtx, Morsel) + Sync,
+    {
+        self.run_then(total_rows, init, work, |_, _| {})
+    }
+
+    /// [`run`](Self::run), where every worker — still on its own thread,
+    /// and while the others may still be working — calls `then` on its
+    /// state once it finds no morsel left for it: what a pipeline does
+    /// after its last row without waiting for the whole node (an exchange
+    /// goes on receiving when it has nothing left to send).
+    pub fn run_then<S, I, W, T>(&self, total_rows: usize, init: I, work: W, then: T) -> Vec<S>
+    where
+        S: Send,
+        I: Fn(WorkerCtx) -> S + Sync,
+        W: Fn(&mut S, WorkerCtx, Morsel) + Sync,
+        T: Fn(&mut S, WorkerCtx) + Sync,
     {
         let n_morsels = total_rows.div_ceil(self.morsel_size);
         let morsel = |i: usize| Morsel {
@@ -110,6 +114,7 @@ impl MorselDriver {
             for i in 0..n_morsels {
                 work(&mut state, ctx, morsel(i));
             }
+            then(&mut state, ctx);
             return vec![state];
         }
 
@@ -121,6 +126,7 @@ impl MorselDriver {
                 let next = &next;
                 let work = &work;
                 let init = &init;
+                let then = &then;
                 let ctx = WorkerCtx {
                     id: w,
                     socket: self.worker_socket(w),
@@ -142,6 +148,7 @@ impl MorselDriver {
                             i += self.workers as usize;
                         }
                     }
+                    then(&mut state, ctx);
                     state
                 }));
             }
@@ -227,6 +234,23 @@ mod tests {
             "took {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn every_worker_runs_its_epilogue_after_its_last_morsel() {
+        for (workers, stealing) in [(1, true), (3, true), (3, false)] {
+            let d = driver(workers, stealing);
+            let states = d.run_then(
+                1_000,
+                |_| (0usize, None),
+                |(rows, _), _, m| *rows += m.len(),
+                |(rows, seen_at_end), w| *seen_at_end = Some((*rows, w.id)),
+            );
+            assert_eq!(states.iter().map(|s| s.0).sum::<usize>(), 1_000);
+            for (id, (rows, seen_at_end)) in states.into_iter().enumerate() {
+                assert_eq!(seen_at_end, Some((rows, id as u16)));
+            }
+        }
     }
 
     #[test]

@@ -505,6 +505,54 @@ pub fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     }
 }
 
+/// Where an operator's input comes from, a batch at a time: the morsels of
+/// a table that exists ([`Morsels`]), or batches that exist only while they
+/// are being looked at — what an exchange decodes, handed on as it lands
+/// (Figure 7, step 7) instead of being collected into a table first.
+pub trait BatchSource {
+    /// A table shaped like every batch: the same schema over the same
+    /// physical columns. Only its shape is read, never its rows.
+    fn shape(&self) -> &Table;
+
+    /// Give each worker a state from `init`, pass every batch — a table
+    /// and the rows of it to read — to `each` together with the state of
+    /// the worker it is on, and return the states. A batch is only valid
+    /// during the call: the next one may overwrite it.
+    fn drive<S, I, E>(&self, init: I, each: E) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        E: Fn(&mut S, &Table, std::ops::Range<usize>) + Sync;
+}
+
+/// A materialized table as a [`BatchSource`]: its morsels, claimed by the
+/// driver's workers.
+pub struct Morsels<'a> {
+    /// The table.
+    pub table: &'a Table,
+    /// Who cuts it up and runs the workers.
+    pub driver: &'a MorselDriver,
+}
+
+impl BatchSource for Morsels<'_> {
+    fn shape(&self) -> &Table {
+        self.table
+    }
+
+    fn drive<S, I, E>(&self, init: I, each: E) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        E: Fn(&mut S, &Table, std::ops::Range<usize>) + Sync,
+    {
+        self.driver.run(
+            self.table.rows(),
+            |_| init(),
+            |state, _, m| each(state, self.table, m.range()),
+        )
+    }
+}
+
 /// Hash-aggregate `input`, morsel-parallel with per-worker maps merged at
 /// the end.
 ///
@@ -520,22 +568,24 @@ pub fn aggregate(
     driver: &MorselDriver,
     params: &[Value],
 ) -> Table {
-    aggregate_with(input, group_by, aggs, phase, driver, params, None, None)
+    let input = Morsels {
+        table: input,
+        driver,
+    };
+    aggregate_with(&input, group_by, aggs, phase, params, None, None)
 }
 
-/// [`aggregate`] with optional compiled input programs (one slot per
-/// aggregate, aligned by position; see
+/// [`aggregate`] over any [`BatchSource`], with optional compiled input
+/// programs (one slot per aggregate, aligned by position; see
 /// [`OpPrograms::aggs`](crate::vm::OpPrograms::aggs)). Programs are bound
-/// once against `input` here — a slot whose bind fails silently reverts to
-/// the tree walker for that aggregate alone. `Final`-phase merges read
-/// partial-state columns directly and take no programs.
-#[allow(clippy::too_many_arguments)]
-pub fn aggregate_with(
-    input: &Table,
+/// once against the source's shape here — a slot whose bind fails silently
+/// reverts to the tree walker for that aggregate alone. `Final`-phase
+/// merges read partial-state columns directly and take no programs.
+pub fn aggregate_with<B: BatchSource>(
+    input: &B,
     group_by: &[usize],
     aggs: &[AggSpec],
     phase: AggPhase,
-    driver: &MorselDriver,
     params: &[Value],
     programs: Option<&[(String, Option<ExprProgram>)]>,
     cancel: Option<&CancelToken>,
@@ -571,43 +621,40 @@ pub fn aggregate_with(
             .collect(),
     };
 
-    let group_cols: Vec<&Column> = group_by.iter().map(|&i| input.column(i)).collect();
+    let shape = input.shape();
 
-    // Bind compiled input programs once, not per morsel.
+    // Bind compiled input programs once, not per batch.
     let bound: Vec<Option<BoundProgram<'_>>> = match programs {
         Some(ps) if phase != AggPhase::Final && ps.len() == aggs.len() => ps
             .iter()
-            .map(|(_, p)| p.as_ref().and_then(|p| p.bind(input).ok()))
+            .map(|(_, p)| p.as_ref().and_then(|p| p.bind(shape).ok()))
             .collect(),
         _ => (0..aggs.len()).map(|_| None).collect(),
     };
 
-    let maps = driver.run(
-        input.rows(),
-        |_| FxMap::<Key, Vec<AggState>>::default(),
-        |map, _, m| {
-            check_cancel(cancel);
-            // Evaluate agg inputs once per morsel.
-            let inputs: Vec<AggInput> = effective
-                .iter()
-                .zip(&bound)
-                .map(|((func, e), b)| match b {
-                    Some(bp) => AggInput::Vec(bp.eval(input, m.range(), params)),
-                    None => AggInput::eval(e, *func, input, m.range(), params),
-                })
-                .collect();
-            for row in m.range() {
-                let key = key_of(&group_cols, row);
-                let states = map
-                    .entry(key)
-                    .or_insert_with(|| effective.iter().map(|(f, _)| AggState::new(*f)).collect());
-                let local = row - m.start;
-                for (state, inp) in states.iter_mut().zip(&inputs) {
-                    inp.update(state, local);
-                }
+    let maps = input.drive(FxMap::<Key, Vec<AggState>>::default, |map, batch, rows| {
+        check_cancel(cancel);
+        let group_cols: Vec<&Column> = group_by.iter().map(|&i| batch.column(i)).collect();
+        // Evaluate agg inputs once per batch.
+        let inputs: Vec<AggInput> = effective
+            .iter()
+            .zip(&bound)
+            .map(|((func, e), b)| match b {
+                Some(bp) => AggInput::Vec(bp.eval(batch, rows.clone(), params)),
+                None => AggInput::eval(e, *func, batch, rows.clone(), params),
+            })
+            .collect();
+        for row in rows.clone() {
+            let key = key_of(&group_cols, row);
+            let states = map
+                .entry(key)
+                .or_insert_with(|| effective.iter().map(|(f, _)| AggState::new(*f)).collect());
+            let local = row - rows.start;
+            for (state, inp) in states.iter_mut().zip(&inputs) {
+                inp.update(state, local);
             }
-        },
-    );
+        }
+    });
 
     // Merge worker maps.
     let mut merged: FxMap<Key, Vec<AggState>> = FxMap::default();
@@ -642,9 +689,9 @@ pub fn aggregate_with(
         .map(|(func, e)| match func {
             AggFunc::Min | AggFunc::Max => {
                 let v = match e {
-                    Expr2::Expr(x) => eval(x, input, 0..0, params),
+                    Expr2::Expr(x) => eval(x, shape, 0..0, params),
                     Expr2::Col(name) => {
-                        eval(&crate::expr::Expr::Col(name.clone()), input, 0..0, params)
+                        eval(&crate::expr::Expr::Col(name.clone()), shape, 0..0, params)
                     }
                     Expr2::Pair(..) => unreachable!("pairs are AVG-only"),
                 };
@@ -654,7 +701,7 @@ pub fn aggregate_with(
         })
         .collect();
 
-    build_agg_output(input, group_by, aggs, phase, merged, &minmax_types)
+    build_agg_output(shape, group_by, aggs, phase, merged, &minmax_types)
 }
 
 /// How an aggregate reads its input in a given phase.

@@ -16,7 +16,11 @@
 //! operators additionally split their time into a send side (partition +
 //! serialize + hand-off to the multiplexer) and a receive side, where the
 //! time consumers spend blocked in the receive hub is the query's visible
-//! *network wait*.
+//! *network wait*. One thing is taken out of an exchange's span: when its
+//! consumer aggregates the decoded batches as they land instead of keeping
+//! them, the time spent in that sink is the aggregate's, not the
+//! exchange's ([`NodeRecorder::op_exclude`]) — so it shows as the parent's
+//! self time, where it would be had the exchange materialized its result.
 //!
 //! [`QueryProfile::render`] produces the `EXPLAIN ANALYZE` tree and
 //! [`chrome_trace`] serializes profiles as Chrome trace-event JSON
@@ -88,6 +92,7 @@ struct OpCell {
     send_ns: AtomicU64,
     wait_ns: AtomicU64,
     wait_workers: AtomicU64,
+    excluded_ns: AtomicU64,
 }
 
 impl OpCell {
@@ -103,6 +108,7 @@ impl OpCell {
             send_ns: AtomicU64::new(0),
             wait_ns: AtomicU64::new(0),
             wait_workers: AtomicU64::new(0),
+            excluded_ns: AtomicU64::new(0),
         }
     }
 }
@@ -143,6 +149,14 @@ impl NodeRecorder {
         op.rows_out.fetch_add(rows_out, Ordering::Relaxed);
     }
 
+    /// Take `elapsed` out of operator `idx`'s wall time: work that ran
+    /// inside its span on behalf of its parent.
+    pub fn op_exclude(&self, idx: usize, elapsed: Duration) {
+        self.ops[idx]
+            .excluded_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
+    }
+
     /// Attribute `count` wire messages totalling `bytes` payload bytes to
     /// exchange operator `idx`.
     pub fn net_send(&self, idx: usize, bytes: u64, count: u64) {
@@ -151,8 +165,9 @@ impl NodeRecorder {
         op.messages_sent.fetch_add(count, Ordering::Relaxed);
     }
 
-    /// Attribute send-phase wall time (partition + serialize + hand-off)
-    /// to exchange operator `idx`.
+    /// Attribute send-side time (partition + serialize + hand-off; the
+    /// average over the node's workers, who send side by side) to exchange
+    /// operator `idx`.
     pub fn add_send_time(&self, idx: usize, elapsed: Duration) {
         self.ops[idx]
             .send_ns
@@ -220,10 +235,11 @@ impl StageRecorder {
                         let c = &rec.ops[idx];
                         let start = c.start_ns.load(Ordering::Relaxed);
                         let end = c.end_ns.load(Ordering::Relaxed);
+                        let excluded = c.excluded_ns.load(Ordering::Relaxed);
                         let (start, wall) = if start == NS_UNSET {
                             (0, 0)
                         } else {
-                            (start, end.saturating_sub(start))
+                            (start, end.saturating_sub(start).saturating_sub(excluded))
                         };
                         OpNodeProfile {
                             node: node as u16,
@@ -280,7 +296,8 @@ pub struct OpNodeProfile {
     pub node: u16,
     /// Span start, measured from query submission.
     pub start: Duration,
-    /// Inclusive wall time (covers the operator's children).
+    /// Inclusive wall time (covers the operator's children; less what an
+    /// exchange spent in its parent's sink).
     pub wall: Duration,
     /// Rows consumed (for exchanges: rows this node fed into the shuffle).
     pub rows_in: u64,
@@ -292,7 +309,8 @@ pub struct OpNodeProfile {
     pub bytes_sent: u64,
     /// Wire messages this node sent (exchanges only).
     pub messages_sent: u64,
-    /// Send-phase wall time: partition, serialize, hand-off (exchanges).
+    /// Send-side time: partition, serialize, hand-off, averaged over the
+    /// node's workers (exchanges).
     pub send: Duration,
     /// Total time consume workers spent blocked on the receive hub,
     /// summed across workers (exchanges only).
@@ -699,6 +717,7 @@ mod tests {
         rec.node(1).op_exit(0, 20, 7);
         rec.node(0).net_send(2, 1024, 2);
         rec.node(0).add_consume(2, Duration::from_micros(50), 3);
+        rec.node(1).op_exclude(0, Duration::from_secs(3600));
         let sp = rec.finish(&plan, None, "result".into(), Some(42.0), None);
         assert_eq!(sp.ops.len(), 5);
         // Result stages count the coordinator's root output only; the raw
@@ -710,6 +729,8 @@ mod tests {
         assert_eq!(sp.ops[2].nodes[0].batches, 3);
         assert_eq!(sp.ops[2].nodes[0].wait_workers, 1);
         assert_eq!(sp.estimated_rows, Some(42.0));
+        // Excluded time comes out of the wall and never makes it negative.
+        assert_eq!(sp.ops[0].nodes[1].wall, Duration::ZERO);
         // Unvisited operators report zero spans, not garbage.
         assert_eq!(sp.ops[4].wall_max(), Duration::ZERO);
     }

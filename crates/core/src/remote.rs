@@ -87,7 +87,6 @@ use hsqp_net::{
     Fabric, FabricConfig, NetStats, NodeId, QueryId, QueryNetStats, QueryStatsRegistry,
     SocketConfig, SocketTransport,
 };
-use hsqp_numa::SocketId;
 use hsqp_storage::placement::chunk_split;
 use hsqp_storage::{Table, Value};
 use hsqp_tpch::{TpchDb, TpchTable};
@@ -512,7 +511,6 @@ fn run_query_worker(
                         let _ = ctx.to_mux.send(MuxCmd::Send {
                             target: NodeId(t),
                             payload: payload.clone(),
-                            pool_socket: SocketId(0),
                         });
                     }
                 }

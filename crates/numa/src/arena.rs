@@ -5,8 +5,10 @@
 //! The pool must additionally be NUMA-aware: a worker should always receive
 //! a buffer that lives on its own socket (§3.2.2). [`SocketArena`] provides
 //! exactly that: one free list per socket, with buffers that return to their
-//! home free list on drop.
+//! home free list on drop. A free list may be bounded: what comes back to a
+//! full one is freed, so a burst does not stay resident for ever.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -22,6 +24,10 @@ struct Shelf {
 struct ArenaInner {
     shelves: Vec<Mutex<Shelf>>,
     buffer_capacity: usize,
+    /// Most idle buffers a shelf keeps.
+    idle_limit: usize,
+    /// Buffers taken and not yet dropped.
+    outstanding: AtomicUsize,
 }
 
 /// A NUMA-aware pool of fixed-capacity byte buffers.
@@ -39,6 +45,15 @@ impl SocketArena {
     /// # Panics
     /// Panics if `sockets` is zero or `buffer_capacity` is zero.
     pub fn new(sockets: u16, buffer_capacity: usize) -> Self {
+        Self::bounded(sockets, buffer_capacity, usize::MAX)
+    }
+
+    /// [`new`](Self::new), with shelves that keep at most `idle_limit` idle
+    /// buffers each and free whatever else is returned to them.
+    ///
+    /// # Panics
+    /// Panics if `sockets` is zero or `buffer_capacity` is zero.
+    pub fn bounded(sockets: u16, buffer_capacity: usize, idle_limit: usize) -> Self {
         assert!(sockets > 0, "need at least one socket");
         assert!(buffer_capacity > 0, "buffers must have non-zero capacity");
         let shelves = (0..sockets).map(|_| Mutex::new(Shelf::default())).collect();
@@ -46,6 +61,8 @@ impl SocketArena {
             inner: Arc::new(ArenaInner {
                 shelves,
                 buffer_capacity,
+                idle_limit,
+                outstanding: AtomicUsize::new(0),
             }),
         }
     }
@@ -65,6 +82,11 @@ impl SocketArena {
         self.inner.shelves[socket.0 as usize].lock().free.len()
     }
 
+    /// Buffers taken from this arena that have not been dropped yet.
+    pub fn outstanding(&self) -> usize {
+        self.inner.outstanding.load(Ordering::Relaxed)
+    }
+
     /// Take a buffer homed on `socket`, reusing a pooled one when available.
     ///
     /// Reuse corresponds to skipping memory-region registration in the
@@ -78,6 +100,7 @@ impl SocketArena {
             }
             None => (Vec::with_capacity(self.inner.buffer_capacity), false),
         };
+        self.inner.outstanding.fetch_add(1, Ordering::Relaxed);
         PooledBuffer {
             data,
             socket,
@@ -135,14 +158,26 @@ impl PooledBuffer {
     }
 }
 
+/// The bytes written so far — what lets a filled buffer travel as the owner
+/// behind a shared, immutable view and come home when the last view goes.
+impl AsRef<[u8]> for PooledBuffer {
+    fn as_ref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
 impl Drop for PooledBuffer {
     fn drop(&mut self) {
+        let Some(home) = self.home.upgrade() else {
+            return;
+        };
+        home.outstanding.fetch_sub(1, Ordering::Relaxed);
         if self.data.capacity() == 0 {
             return; // detached via into_vec
         }
-        if let Some(home) = self.home.upgrade() {
-            let buf = std::mem::take(&mut self.data);
-            home.shelves[self.socket.0 as usize].lock().free.push(buf);
+        let mut shelf = home.shelves[self.socket.0 as usize].lock();
+        if shelf.free.len() < home.idle_limit {
+            shelf.free.push(std::mem::take(&mut self.data));
         }
     }
 }
@@ -193,6 +228,20 @@ mod tests {
         let v = b.into_vec();
         assert_eq!(v, vec![7]);
         assert_eq!(arena.idle_on(SocketId(0)), 0);
+    }
+
+    #[test]
+    fn a_full_shelf_frees_what_comes_back() {
+        let arena = SocketArena::bounded(1, 16, 2);
+        let taken: Vec<_> = (0..5).map(|_| arena.take(SocketId(0))).collect();
+        assert_eq!(arena.outstanding(), 5);
+        drop(taken);
+        assert_eq!(arena.outstanding(), 0);
+        assert_eq!(arena.idle_on(SocketId(0)), 2);
+        // Detaching a buffer ends its loan too.
+        let detached = arena.take(SocketId(0)).into_vec();
+        assert_eq!(detached.capacity(), 16);
+        assert_eq!((arena.outstanding(), arena.idle_on(SocketId(0))), (0, 1));
     }
 
     #[test]

@@ -346,6 +346,27 @@ impl Column {
         }
     }
 
+    /// Drop every row and keep the room they took, so that a column that
+    /// is filled again and again is allocated once.
+    pub fn clear(&mut self) {
+        let validity = match self {
+            Column::I64(v, bm) => {
+                v.clear();
+                bm
+            }
+            Column::F64(v, bm) => {
+                v.clear();
+                bm
+            }
+            Column::Str(v, bm) => {
+                v.offsets.truncate(1);
+                v.data.clear();
+                bm
+            }
+        };
+        *validity = None;
+    }
+
     /// Append all rows of `other` onto `self`.
     ///
     /// # Panics
@@ -458,6 +479,22 @@ mod tests {
         let g = c.gather(&[1, 0]);
         assert_eq!(g.value(0), Value::Null);
         assert_eq!(g.value(1), Value::Str("a".into()));
+    }
+
+    #[test]
+    fn clear_empties_a_column_and_keeps_its_room() {
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            let mut c = nullable_column(dtype, 0..50, |i| i % 3 == 1);
+            let fresh = nullable_column(dtype, 50..60, |_| false);
+            c.clear();
+            assert_eq!(c, Column::empty(dtype));
+            c.append(&fresh);
+            assert_eq!(c, fresh);
+        }
+        let mut c = Column::I64(Vec::with_capacity(64), None);
+        c.push_value(&Value::I64(1));
+        c.clear();
+        assert!(matches!(&c, Column::I64(v, None) if v.capacity() == 64));
     }
 
     #[test]

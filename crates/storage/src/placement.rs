@@ -6,9 +6,12 @@ use crate::column::Column;
 use crate::table::Table;
 use crate::types::Value;
 
-/// CRC-32 (IEEE 802.3) lookup table, computed at compile time.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3) lookup tables for slicing-by-8, computed at compile
+/// time. `tables[0]` is the classic byte-at-a-time table; `tables[k][b]` is
+/// the register after byte `b` and `k` zero bytes behind it, which is what
+/// lets eight bytes be folded in with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -21,13 +24,23 @@ const fn crc32_table() -> [u32; 256] {
             };
             j += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// Register value of a CRC-32 that has seen no bytes yet: feed it through
 /// [`crc32_update`] and close it with [`crc32_finish`]. A key of several
@@ -35,11 +48,25 @@ static CRC32_TABLE: [u32; 256] = crc32_table();
 /// attribute's bytes in turn, which equals [`crc32`] of their concatenation.
 pub const CRC32_INIT: u32 = 0xFFFF_FFFF;
 
-/// Feed `data` into a running CRC-32 register.
+/// Feed `data` into a running CRC-32 register: eight bytes per step while
+/// they last (the whole of a canonical numeric key), then a byte at a time.
 #[inline]
 pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let t = &CRC32_TABLES;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc
 }
@@ -71,10 +98,15 @@ pub fn canon_f64_bits(f: f64) -> u64 {
 /// exactly `x`. `i64::MAX` is excluded explicitly: `i64::MAX as f64`
 /// rounds *up* to 2⁶³ and the saturating cast back yields `i64::MAX`
 /// again, making the naive round-trip test a false positive.
+///
+/// Every integer of magnitude up to 2⁵³ is an f64, which settles all but
+/// the far ends of the domain with one comparison; only beyond does the
+/// (saturating, hence slow) cast back have to tell.
 #[inline]
 pub fn i64_as_f64_exact(x: i64) -> Option<f64> {
+    const ALWAYS_EXACT: i64 = 1 << 53;
     let f = x as f64;
-    if f as i64 == x && x != i64::MAX {
+    if (-ALWAYS_EXACT..=ALWAYS_EXACT).contains(&x) || (f as i64 == x && x != i64::MAX) {
         Some(f)
     } else {
         None
@@ -98,7 +130,9 @@ pub fn crc32_i64(key: i64) -> u32 {
 #[inline]
 pub fn canon_i64_bytes(key: i64) -> [u8; 8] {
     match i64_as_f64_exact(key) {
-        Some(f) => canon_f64_bits(f).to_le_bytes(),
+        // An integer never converts to -0.0: the bits are canonical as
+        // they are.
+        Some(f) => f.to_bits().to_le_bytes(),
         None => key.to_le_bytes(),
     }
 }
@@ -187,6 +221,36 @@ mod tests {
     }
 
     #[test]
+    fn slicing_by_eight_equals_the_bytewise_loop() {
+        fn bytewise(mut crc: u32, data: &[u8]) -> u32 {
+            for &b in data {
+                crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+            }
+            crc
+        }
+        // A fixed xorshift stream: every length 0..=64 at several starting
+        // registers, so the 8-byte steps, the tail and their seam all run.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for len in 0..=64usize {
+            for _ in 0..8 {
+                let data: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                let start = next() as u32;
+                assert_eq!(
+                    crc32_update(start, &data),
+                    bytewise(start, &data),
+                    "length {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn crc32_in_pieces_equals_crc32_of_the_whole() {
         let data = b"the quick brown fox";
         for cut in 0..=data.len() {
@@ -264,6 +328,32 @@ mod tests {
         // Beyond 2^53 the i64 keeps its integer identity.
         let big = (1i64 << 53) + 1;
         assert_eq!(crc32_i64(big), crc32(&big.to_le_bytes()));
+    }
+
+    #[test]
+    fn exactness_shortcut_agrees_with_the_round_trip() {
+        let round_trip = |x: i64| (x as f64) as i64 == x && x != i64::MAX;
+        let limit = 1i64 << 53;
+        let edges = [
+            0,
+            1,
+            -1,
+            limit - 1,
+            limit,
+            limit + 1,
+            limit + 2,
+            i64::MAX,
+            i64::MIN,
+        ];
+        for x in edges.into_iter().flat_map(|x| [x, x.wrapping_neg()]) {
+            assert_eq!(i64_as_f64_exact(x).is_some(), round_trip(x), "{x}");
+            if let Some(f) = i64_as_f64_exact(x) {
+                assert_eq!(f as i64, x);
+                assert_eq!(canon_i64_bytes(x), canon_f64_bits(f).to_le_bytes());
+            }
+        }
+        assert_eq!(i64_as_f64_exact(limit + 1), None);
+        assert_eq!(i64_as_f64_exact(limit + 2), Some((limit + 2) as f64));
     }
 
     #[test]

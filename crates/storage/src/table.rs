@@ -181,6 +181,11 @@ impl Table {
         &self.columns
     }
 
+    /// The columns by value, in schema order.
+    pub fn into_columns(self) -> Vec<Column> {
+        self.columns
+    }
+
     /// Column at position `idx`.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]

@@ -4,18 +4,35 @@
 //! [`Bytes`] as a cheaply cloneable, reference-counted, sliceable view of
 //! an immutable byte buffer. Cloning and slicing never copy the data —
 //! only the `Arc` refcount moves — which is exactly the "retain" behaviour
-//! the exchange operators rely on for zero-copy broadcast.
+//! the exchange operators rely on for zero-copy broadcast. Neither does
+//! building one: a `Vec<u8>`, or any other owner of bytes
+//! ([`Bytes::from_owner`]), is moved behind the reference count as it is,
+//! and dropped when the last view of it goes — which is how a pooled
+//! message buffer finds its way back to its pool.
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
+/// What a [`Bytes`] is a view of.
+#[derive(Clone)]
+enum Storage {
+    Static(&'static [u8]),
+    Owned(Arc<dyn AsRef<[u8]> + Send + Sync>),
+}
+
 /// A cheaply cloneable slice of a shared, immutable byte buffer.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Storage,
     start: usize,
     end: usize,
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Self::from_static(&[])
+    }
 }
 
 impl Bytes {
@@ -24,10 +41,29 @@ impl Bytes {
         Self::default()
     }
 
-    /// Wrap a static byte slice (copies once into shared storage; the real
-    /// crate borrows, but the observable semantics are identical).
+    /// A view of a static byte slice.
     pub fn from_static(bytes: &'static [u8]) -> Self {
-        Self::from(bytes.to_vec())
+        Self {
+            data: Storage::Static(bytes),
+            start: 0,
+            end: bytes.len(),
+        }
+    }
+
+    /// A view of the bytes `owner` holds, without copying them. The owner
+    /// is dropped when the last clone or slice of the result is. (The real
+    /// crate asks for `Send` only; this shim has no `unsafe` to share a
+    /// non-`Sync` owner with, so it asks for `Sync` as well.)
+    pub fn from_owner<T>(owner: T) -> Self
+    where
+        T: AsRef<[u8]> + Send + Sync + 'static,
+    {
+        let end = owner.as_ref().len();
+        Self {
+            data: Storage::Owned(Arc::new(owner)),
+            start: 0,
+            end,
+        }
     }
 
     /// Copy a slice into a new shared buffer.
@@ -63,7 +99,7 @@ impl Bytes {
             "slice {begin}..{end} out of range for Bytes of length {len}"
         );
         Self {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + begin,
             end: self.start + end,
         }
@@ -77,12 +113,7 @@ impl Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Self {
-            data: Arc::from(v),
-            start: 0,
-            end,
-        }
+        Self::from_owner(v)
     }
 }
 
@@ -95,7 +126,11 @@ impl From<&[u8]> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        let whole = match &self.data {
+            Storage::Static(bytes) => bytes,
+            Storage::Owned(owner) => (**owner).as_ref(),
+        };
+        &whole[self.start..self.end]
     }
 }
 
@@ -162,6 +197,44 @@ mod tests {
         let b = Bytes::from_static(b"abc");
         assert_eq!(b.clone(), b);
         assert_eq!(b.to_vec(), vec![b'a', b'b', b'c']);
+    }
+
+    #[test]
+    fn conversions_do_not_copy() {
+        let v = vec![7u8; 64];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.slice(8..).as_ptr(), at.wrapping_add(8));
+        static S: [u8; 3] = *b"xyz";
+        assert_eq!(Bytes::from_static(&S).as_ptr(), S.as_ptr());
+        assert!(Bytes::new().is_empty());
+    }
+
+    #[test]
+    fn owner_is_dropped_with_the_last_view() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        static DROPPED: AtomicBool = AtomicBool::new(false);
+        struct Owner(Vec<u8>);
+        impl AsRef<[u8]> for Owner {
+            fn as_ref(&self) -> &[u8] {
+                &self.0
+            }
+        }
+        impl Drop for Owner {
+            fn drop(&mut self) {
+                DROPPED.store(true, Ordering::SeqCst);
+            }
+        }
+        let whole = Bytes::from_owner(Owner(vec![1, 2, 3, 4]));
+        let tail = whole.slice(2..);
+        let copy = whole.clone();
+        drop(whole);
+        drop(copy);
+        assert!(!DROPPED.load(Ordering::SeqCst), "a slice is still alive");
+        assert_eq!(tail, &[3u8, 4][..]);
+        drop(tail);
+        assert!(DROPPED.load(Ordering::SeqCst));
     }
 
     #[test]

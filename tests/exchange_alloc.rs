@@ -2,10 +2,15 @@
 //! global allocator: timings on a shared two-core host wander by ± 20 %,
 //! bytes requested from the allocator do not.
 //!
-//! * A repartition must not request more than a small multiple of its
-//!   input: message buffers plus one set of destination columns. A
-//!   temporary table per message, or a result that is appended together
-//!   twice, fails the bound below whatever the host is doing.
+//! * A repartition that keeps its result must not request more than a
+//!   small multiple of its input: one set of destination columns, and —
+//!   warm — next to nothing for message buffers, which come from the pool
+//!   and go back to it. A temporary table per message, a buffer allocated
+//!   per message, or a result that is appended together twice, fails the
+//!   bound below whatever the host is doing.
+//! * A repartition whose result is aggregated as it lands must request a
+//!   fraction of its input: nothing on that path may grow with the rows
+//!   that pass through it.
 //! * The wire decoder must not let the bytes it decodes talk it into an
 //!   allocation: whatever a corrupted message declares, nothing much
 //!   larger than the message itself is ever requested.
@@ -15,7 +20,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::plan::Plan;
+use hsqp::engine::expr::lit;
+use hsqp::engine::plan::{AggFunc, AggSpec, Plan};
+use hsqp::engine::queries::global_agg;
 use hsqp::engine::serial::{decode_table, encode_table};
 use hsqp::engine::wire::RowSerializer;
 use hsqp::storage::{Column, DataType, Field, Schema, Table, Value};
@@ -74,26 +81,11 @@ fn reset() {
     LARGEST.store(0, Ordering::Relaxed);
 }
 
-/// `Plan::scan(Lineitem).repartition(&["l_orderkey"])` at SF 0.01 on a
-/// simulated 2 × 1 cluster with 32 KiB messages: bytes requested during the
-/// query, as a multiple of the `byte_size()` of the relation it moves.
-///
-/// Measured, 29.27 MB and 99.27 MB requested for 8.94 MB of input (the
-/// counts repeat to within 500 bytes, the bookkeeping of whichever threads
-/// happen to run):
-///
-/// * parent commit (row-at-a-time send into buffers that regrow, receive
-///   through a temporary table per message and two growing appends):
-///   **11.11**
-/// * this exchange: **3.27** — every message twice, as the pooled buffer
-///   it is written into and as the shared buffer the fabric carries, plus
-///   one set of destination columns, sized up front with an eighth to
-///   spare.
-///
-/// The bound fails the parent by 2.0× and leaves the present 40 % headroom.
-#[test]
-fn repartition_allocates_a_small_multiple_of_its_input() {
-    const BOUND: f64 = 5.5;
+/// Bytes the allocator is asked for while `plan` runs — warm: it has run
+/// once already — on a simulated 2 × 1 cluster holding TPC-H at SF 0.01,
+/// with 32 KiB messages, as a multiple of the `byte_size()` of lineitem,
+/// the relation every measured plan moves; and the rows of the result.
+fn requested_per_lineitem_byte(plan: &Plan) -> (f64, usize, usize) {
     let _guard = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let db = TpchDb::generate(0.01);
     let input_bytes = db.table(TpchTable::Lineitem).byte_size();
@@ -105,25 +97,70 @@ fn repartition_allocates_a_small_multiple_of_its_input() {
     })
     .unwrap();
     cluster.load_tpch_db(db).unwrap();
-    let plan = Plan::scan(TpchTable::Lineitem).repartition(&["l_orderkey"]);
     // Once unmeasured: thread stacks, pool registrations, lazy statics.
-    cluster.run_plan(&plan).unwrap();
+    cluster.run_plan(plan).unwrap();
 
     reset();
-    let result = cluster.run_plan(&plan).unwrap();
+    let result = cluster.run_plan(plan).unwrap();
     let requested = REQUESTED.load(Ordering::Relaxed);
-
-    // Node 0's share of a two-way hash split.
-    assert!(result.row_count() > input_rows / 3 && result.row_count() < input_rows * 2 / 3);
+    cluster.shutdown();
     let ratio = requested as f64 / input_bytes as f64;
-    println!("repartition requested {requested} bytes for {input_bytes} input bytes: {ratio:.2}x");
+    println!("requested {requested} bytes for {input_bytes} input bytes: {ratio:.2}x");
+    (ratio, result.row_count(), input_rows)
+}
+
+/// `Plan::scan(Lineitem).repartition(&["l_orderkey"])`, the result kept.
+///
+/// Measured, bytes requested for 8.94 MB of input (the counts repeat to
+/// within a few KB, the bookkeeping of whichever threads happen to run):
+///
+/// * row-at-a-time send into buffers that regrow, receive through a
+///   temporary table per message and two growing appends: **11.11**
+/// * column-at-a-time, every message allocated twice — as the buffer it is
+///   written into and as the shared buffer the fabric carries — plus one
+///   set of destination columns: **3.27**
+/// * this exchange: **1.15–1.17** — the destination columns, sized up front
+///   with an eighth to spare; message buffers are the pool's and cost
+///   nothing once it is warm (the spread is the odd buffer the pool
+///   still registers when more messages are in flight than it has idle).
+#[test]
+fn repartition_allocates_a_small_multiple_of_its_input() {
+    const BOUND: f64 = 2.0;
+    let plan = Plan::scan(TpchTable::Lineitem).repartition(&["l_orderkey"]);
+    let (ratio, rows, input_rows) = requested_per_lineitem_byte(&plan);
+    // Node 0's share of a two-way hash split.
+    assert!(rows > input_rows / 3 && rows < input_rows * 2 / 3);
     assert!(
         ratio < BOUND,
-        "a repartition of {input_bytes} bytes requested {requested} bytes from the \
-         allocator, {ratio:.2}x its input (bound {BOUND}x): something on the exchange \
-         path copies every tuple more often than it used to"
+        "a repartition requested {ratio:.2}x its input from the allocator (bound {BOUND}x): \
+         something on the exchange path copies every tuple more often than it used to, or \
+         allocates per message"
     );
-    cluster.shutdown();
+}
+
+/// The same repartition under a global `count(*)`: the aggregate takes the
+/// decoded batches as they land, so what is requested is two batches of a
+/// few thousand rows (one per node) and what the aggregate asks for per
+/// batch — **0.25–0.27** of the input, and no more for ten times the input.
+/// Materializing the exchange's result anywhere on that path costs 1.1,
+/// a buffer per message 1.0.
+#[test]
+fn streamed_repartition_allocates_a_fraction_of_its_input() {
+    const BOUND: f64 = 0.5;
+    let count = vec![AggSpec::new(AggFunc::Count, lit(1), "cnt")];
+    let plan = global_agg(
+        Plan::scan(TpchTable::Lineitem).repartition(&["l_orderkey"]),
+        count,
+    );
+    let (ratio, rows, input_rows) = requested_per_lineitem_byte(&plan);
+    assert_eq!(rows, 1);
+    assert!(input_rows > 50_000);
+    assert!(
+        ratio < BOUND,
+        "a streamed repartition requested {ratio:.2}x its input from the allocator (bound \
+         {BOUND}x): something between the exchange and the aggregate above it keeps what \
+         passes through, or allocates per message"
+    );
 }
 
 /// 200 rows of every wire class — fixed and variable-length, NOT NULL and

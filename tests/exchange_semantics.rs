@@ -116,6 +116,61 @@ fn message_pool_reuses_registrations_across_queries() {
     c.shutdown();
 }
 
+/// One `take` is one registration or one reuse, and one buffer out of the
+/// pool until its last holder lets go — also under a broadcast, where a
+/// message is retained by the local hub and by every remote target (and,
+/// classic, duplicated per unit). Returning a buffer once per holder used
+/// to count idle buffers that did not exist and read as a reuse ratio of
+/// exactly 1.
+#[test]
+fn pool_accounting_balances_under_broadcast_and_repartition() {
+    for engine in [EngineKind::Hybrid, EngineKind::Classic] {
+        let c = Cluster::start(ClusterConfig {
+            engine,
+            // Several messages per node and exchange.
+            message_capacity: 1024,
+            ..ClusterConfig::quick(3)
+        })
+        .unwrap();
+        c.load_tpch(0.002).unwrap();
+        let count = || vec![AggSpec::new(AggFunc::Count, lit(1), "cnt")];
+        let plans = [
+            Plan::scan_cols(TpchTable::Orders, &["o_orderkey", "o_clerk"]).broadcast(),
+            Plan::scan_cols(TpchTable::Orders, &["o_orderkey", "o_clerk"])
+                .broadcast()
+                .aggregate(&[], count())
+                .gather(),
+            Plan::scan_cols(TpchTable::Lineitem, &["l_orderkey", "l_comment"])
+                .repartition(&["l_orderkey"])
+                .aggregate(&[], count())
+                .gather(),
+        ];
+        for round in 0..3 {
+            for plan in &plans {
+                c.run_plan(plan).unwrap();
+                for node in 0..3 {
+                    let pool = &c.node_ctx(node).pool;
+                    let context = format!("{engine:?}, round {round}, node {node}");
+                    assert!(pool.takes() > 0, "{context}: nothing was sent");
+                    assert_eq!(
+                        pool.registrations() + pool.reuses(),
+                        pool.takes(),
+                        "{context}"
+                    );
+                    // The query is over: every buffer taken is back, and a
+                    // shelf cannot hold more buffers than ever existed.
+                    assert_eq!(pool.outstanding(), 0, "{context}");
+                    assert!(pool.idle() as u64 <= pool.registrations(), "{context}");
+                    assert!(pool.idle() > 0, "{context}: nothing came back");
+                }
+            }
+        }
+        // Warm, a pool hands out what it got back.
+        assert!(c.node_ctx(1).pool.reuses() > c.node_ctx(1).pool.registrations());
+        c.shutdown();
+    }
+}
+
 #[test]
 fn shuffle_metrics_reflect_placement() {
     // Partitioned placement makes the orders/lineitem orderkey join local;
@@ -184,6 +239,32 @@ fn single_node_cluster_never_touches_the_fabric() {
     let r = c.run_plan(&plan).unwrap();
     assert_eq!(r.bytes_shuffled, 0);
     assert_eq!(r.messages_sent, 0);
+    // Its multiplexer blocks on its command channel: no polling, no naps.
+    assert_eq!(c.metrics().counter("exchange.mux.idle_rounds"), Some(0));
+    assert_eq!(c.metrics().counter("exchange.mux.idle_sleep_ms"), Some(0));
+    c.shutdown();
+}
+
+/// What the multiplexers' polling costs while there is nothing to ship is
+/// in the registry, beside the scheduler's rounds: an idle multiplexer naps
+/// 20 us at a time and counts every nap.
+#[test]
+fn idle_multiplexers_count_their_naps() {
+    let c = quick_cluster(2);
+    let counter = |name: &str| c.metrics().counter(name).unwrap();
+    while counter("exchange.mux.idle_rounds") < 1000 {
+        std::thread::yield_now();
+    }
+    let rounds = counter("exchange.mux.idle_rounds");
+    // Read after the rounds it must cover; each of the two multiplexers
+    // may be inside a nap it has counted and not yet timed.
+    let slept_ms = counter("exchange.mux.idle_sleep_ms");
+    assert!(
+        slept_ms >= (rounds - 2) * 20 / 1000,
+        "{rounds} naps of at least 20 us each took {slept_ms} ms"
+    );
+    let m = c.metrics();
+    assert!(m.counter("net.scheduler.rounds").unwrap() > 0);
     c.shutdown();
 }
 
