@@ -1063,8 +1063,8 @@ fn map_schema(t: &Table, outputs: &[MapExpr], params: &[Value]) -> Schema {
 /// key that is exactly representable as f64 hashes those f64 bits, and
 /// Float64 hashes its canonical bits (−0.0 folded onto +0.0) — so any two
 /// sides of a mixed Int64/Decimal/Float64 join holding the same value land
-/// on the same node when repartitioned (mirrors
-/// [`crate::ops::join_key_of`]). A single Int64 key hashes the bytes
+/// on the same node when repartitioned (the domain
+/// [`crate::ops`] compares join keys in). A single Int64 key hashes the bytes
 /// `placement::hash_partition` hashes (`canon_i64_bytes`): if the two
 /// disagreed, partitioned placement would stop avoiding shuffles.
 ///

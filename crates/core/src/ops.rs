@@ -4,18 +4,32 @@
 //! morsels claimed dynamically by workers ([`crate::local::MorselDriver`]),
 //! worker-local results are merged at the pipeline breaker — the HyPer
 //! execution model the paper builds on.
+//!
+//! Join and aggregation share one key kernel, and no key is ever built.
+//! The key columns of a batch are hashed a column at a time into a
+//! `Vec<u64>`, by a loop picked once per column from its physical type and
+//! promote flag (`hash_keys`; the shape of
+//! [`bucket_vector`](crate::exec::bucket_vector), with a multiply-mix in
+//! place of the CRC, whose residue every row of a node shares). The hash
+//! picks a slot; a slot heads a chain of `u32` ids — build rows in a
+//! [`JoinTable`], dense group ids in the aggregation's `GroupTable` — and a
+//! candidate is compared where it lies, in the column buffers
+//! (`keys_equal`: two plain Int64 parts as integers, numbers of different
+//! types by value, strings by their bytes). Aggregate state is one typed
+//! vector per aggregate with a slot per group id, updated a batch at a time
+//! and moved into the result.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 use hsqp_storage::{decimal_to_f64, Bitmap, Column, DataType, Field, Schema, Table, Value};
 
-use crate::expr::{eval, EvalVec, VecData};
+use crate::expr::{eval, Expr};
 use crate::local::MorselDriver;
 use crate::plan::{AggFunc, AggPhase, AggSpec, JoinKind, SortKey};
 use crate::serve::CancelToken;
-use crate::vm::{BoundProgram, ExprProgram};
+use crate::vm::ExprProgram;
 
 /// Rows a sequential operator loop processes between cancellation checks.
 /// Smaller than the morsel-loop interval because hash-table builds cost
@@ -31,121 +45,16 @@ fn check_cancel(cancel: Option<&CancelToken>) {
     }
 }
 
-/// A fast, non-cryptographic hasher for join/aggregation keys (FxHash's
-/// multiply-xor scheme; HashDoS is not a concern inside a query engine).
-///
-/// std's `HashMap` (hashbrown) consumes a hash at both ends: the **low**
-/// bits pick the bucket group a probe starts at, the **top 7** bits are
-/// the control tag compared before any key is. The per-word step
-/// `(h.rotl(5) ^ v) * SEED` only ever carries entropy *upwards* — the low
-/// `k` bits of a product depend on the low `k` bits of its factors alone —
-/// while the engine's keys keep theirs at the top: an Int64 join key is
-/// canonicalised to its f64 bit pattern ([`join_key_of`]), whose low ~36
-/// bits are zero for every TPC-H-sized integer, and Float64 group and
-/// count-distinct keys are raw `to_bits()` ([`key_of`]). Returning the
-/// state as it stands put all such keys into one probe chain (a join build
-/// quadratic in its rows). [`finish`](Hasher::finish) therefore folds:
-/// the high half onto the low half, a multiply that carries the result
-/// back up to the tag bits, and a second downward fold — every input bit
-/// reaches both ends. (`h ^ (h >> 32)` alone is not enough: bits 32..36
-/// of those f64 patterns are zero too, which leaves 2 048 distinct values
-/// in the low 16 bits of 65 536 consecutive keys.)
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-/// Multiplier of the finishing fold (2^64 / φ, odd).
-const FOLD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
-
-impl Hasher for FxHasher {
-    fn finish(&self) -> u64 {
-        let h = (self.hash ^ (self.hash >> 32)).wrapping_mul(FOLD);
-        h ^ (h >> 29)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    // One multiply round per integer, whatever its width: the derived
-    // `Hash` of a `Key` writes a `usize` length prefix and an `isize`
-    // discriminant per part (both arrive at `write_usize`), a `u8`
-    // terminator per string, and only then the `u64`/`i64` payloads.
-    // Without these the provided methods feed each integer to `write`
-    // byte by byte, eight rounds apiece.
-
-    fn write_u8(&mut self, v: u8) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-}
-
-/// `HashMap` with the engine hasher.
-pub type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-/// `HashSet` with the engine hasher.
-pub type FxSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
-
-/// One component of a composite join/group key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum KeyPart {
-    /// Integer-backed key (ints, dates, decimals in cents).
-    I64(i64),
-    /// Canonical f64 bit pattern (see [`canon_f64_bits`]): the numeric
-    /// join-key domain, so Int64, Float64, and promoted Decimal keys
-    /// holding the same logical value compare equal.
-    F64(u64),
-    /// String key.
-    Str(Box<str>),
-    /// NULL key component (groups NULLs together, SQL GROUP BY semantics).
-    Null,
-}
-
-/// A composite key.
-pub type Key = Vec<KeyPart>;
-
-/// Extract the key of row `row` from `columns`.
-pub fn key_of(columns: &[&Column], row: usize) -> Key {
-    columns
-        .iter()
-        .map(|c| {
-            if !c.is_valid(row) {
-                KeyPart::Null
-            } else {
-                match c {
-                    Column::I64(v, _) => KeyPart::I64(v[row]),
-                    Column::F64(v, _) => KeyPart::I64(v[row].to_bits() as i64),
-                    Column::Str(v, _) => KeyPart::Str(v.get(row).into()),
-                }
-            }
-        })
-        .collect()
-}
+// ---------------------------------------------------------------------------
+// Key kernel
+// ---------------------------------------------------------------------------
 
 // Canonical numeric-key helpers live next to the placement hash in
 // `hsqp_storage` so that table placement and exchange partitioning cannot
-// diverge; re-exported here because they define the `KeyPart::F64` domain.
+// diverge; re-exported here because key equality is defined by them.
 pub use hsqp_storage::placement::{canon_f64_bits, i64_as_f64_exact};
 
-/// A join-key column plus its canonicalization flag: `true` promotes a
+/// A key column plus its canonicalization flag: `true` promotes a
 /// fixed-point Decimal (i64 cents) to its logical f64 value — the same
 /// promotion expression evaluation applies — so a Decimal key equi-joins
 /// against Float64 keys (aggregate outputs, computed expressions) *by
@@ -166,46 +75,155 @@ pub fn join_key_cols<'t>(table: &'t Table, key_cols: &[usize]) -> Vec<JoinKeyCol
         .collect()
 }
 
-/// Extract the canonicalized join key of row `row`.
-pub fn join_key_of(columns: &[JoinKeyCol<'_>], row: usize) -> Key {
-    columns
-        .iter()
-        .map(|&(c, promote)| {
-            if !c.is_valid(row) {
-                KeyPart::Null
-            } else {
-                match c {
-                    Column::I64(v, _) if promote => {
-                        KeyPart::F64(canon_f64_bits(decimal_to_f64(v[row])))
-                    }
-                    // Int64 keys join the numeric f64 domain when exactly
-                    // representable; the rest keep their integer identity
-                    // (no f64 can equal them by value anyway).
-                    Column::I64(v, _) => match i64_as_f64_exact(v[row]) {
-                        Some(f) => KeyPart::F64(canon_f64_bits(f)),
-                        None => KeyPart::I64(v[row]),
-                    },
-                    Column::F64(v, _) => KeyPart::F64(canon_f64_bits(v[row])),
-                    Column::Str(v, _) => KeyPart::Str(v.get(row).into()),
+/// An empty slot, the end of a chain, the build row of an outer-join miss.
+const NIL: u32 = Column::NULL_ROW;
+
+/// Multiplier of the hash step (2^64 / φ, odd).
+const FOLD: u64 = 0x9e_37_79_b9_7f_4a_7c_15;
+
+/// What a NULL key part hashes as.
+const NULL_WORD: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+/// One hash step. A multiply only carries entropy *upwards* — the low `k`
+/// bits of a product depend on the low `k` bits of its factors alone — and
+/// keys may keep theirs anywhere (small integers at the bottom, f64 bit
+/// patterns at the top), so a table reads its slot off the **top** of the
+/// hash ([`slot_of`]), which every input bit has reached; the shift hands
+/// the top half down for the next part's multiply to carry up again.
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    let x = (hash ^ word).wrapping_mul(FOLD);
+    x ^ (x >> 32)
+}
+
+/// Slot of `hash` among `slots`: its top bits, scaled. Any table size
+/// will do, and a one-slot table puts every key into one chain.
+#[inline]
+fn slot_of(hash: u64, slots: usize) -> usize {
+    ((u128::from(hash) * slots as u128) >> 64) as usize
+}
+
+/// What a number hashes by: the integer it equals, if there is one, else
+/// its bits. Equal Int64, Float64 and promoted Decimal keys hash alike,
+/// −0.0 as 0, and an Int64 column hashes its values as they are.
+#[inline]
+fn float_word(f: f64) -> u64 {
+    let i = f as i64;
+    // 2^63 saturates to i64::MAX, which rounds back up to 2^63.
+    if i as f64 == f && i != i64::MAX {
+        i as u64
+    } else {
+        f.to_bits()
+    }
+}
+
+#[inline]
+fn str_word(bytes: &[u8]) -> u64 {
+    let mut chunks = bytes.chunks_exact(8);
+    let mut hash = bytes.len() as u64;
+    for c in &mut chunks {
+        hash = mix(hash, u64::from_le_bytes(c.try_into().expect("8 bytes")));
+    }
+    // A byte at a time: most string keys are a few bytes long, and a
+    // `copy_from_slice` of unknown length is a call.
+    let tail = chunks.remainder().iter().rev();
+    mix(hash, tail.fold(0, |word, &b| word << 8 | u64::from(b)))
+}
+
+/// Append the key hash of every row in `rows` to `out`: one running hash
+/// per row, fed a key column at a time by a loop picked once per column.
+fn hash_keys(cols: &[JoinKeyCol<'_>], rows: Range<usize>, out: &mut Vec<u64>) {
+    fn feed(out: &mut [u64], start: usize, valid: Option<&Bitmap>, word: impl Fn(usize) -> u64) {
+        match valid {
+            None => out
+                .iter_mut()
+                .zip(start..)
+                .for_each(|(h, row)| *h = mix(*h, word(row))),
+            Some(bm) => out.iter_mut().zip(start..).for_each(|(h, row)| {
+                *h = mix(*h, if bm.get(row) { word(row) } else { NULL_WORD });
+            }),
+        }
+    }
+    let (start, old_len) = (rows.start, out.len());
+    out.resize(old_len + rows.len(), 0);
+    let out = &mut out[old_len..];
+    for &(c, promote) in cols {
+        match (c, promote) {
+            (Column::I64(v, bm), false) => feed(out, start, bm.as_ref(), |r| v[r] as u64),
+            (Column::I64(v, bm), true) => feed(out, start, bm.as_ref(), |r| {
+                float_word(decimal_to_f64(v[r]))
+            }),
+            (Column::F64(v, bm), _) => feed(out, start, bm.as_ref(), |r| float_word(v[r])),
+            (Column::Str(v, bm), _) => feed(out, start, bm.as_ref(), |r| str_word(v.bytes(r))),
+        }
+    }
+}
+
+/// Whether no part of row `row`'s key is NULL (a NULL never joins).
+fn key_valid(cols: &[JoinKeyCol<'_>], row: usize) -> bool {
+    cols.iter().all(|(c, _)| c.is_valid(row))
+}
+
+/// Whether row `ra` of `a` and row `rb` of `b` hold the same key. Numbers
+/// compare in one domain: Int64 `k` equals Float64 `f` iff
+/// `i64_as_f64_exact(k) == Some(f)`, a promoted Decimal is its f64 value,
+/// two floats are equal when their canonical bits are (−0.0 is +0.0), and
+/// two Int64 (or two Decimal) columns compare as the integers they store,
+/// so integers no f64 can hold still find each other. Two NULLs are equal
+/// — GROUP BY's rule; a join never asks about a row with a NULL part.
+fn keys_equal<'b>(
+    a: &[JoinKeyCol<'_>],
+    ra: usize,
+    b: impl IntoIterator<Item = JoinKeyCol<'b>>,
+    rb: usize,
+) -> bool {
+    enum Num {
+        Int(i64),
+        Flt(f64),
+    }
+    fn num(c: &Column, promote: bool, row: usize) -> Option<Num> {
+        match c {
+            Column::I64(v, _) if promote => Some(Num::Flt(decimal_to_f64(v[row]))),
+            Column::I64(v, _) => Some(Num::Int(v[row])),
+            Column::F64(v, _) => Some(Num::Flt(v[row])),
+            Column::Str(..) => None,
+        }
+    }
+    a.iter().zip(b).all(|(&(ca, pa), (cb, pb))| {
+        let (valid_a, valid_b) = (ca.is_valid(ra), cb.is_valid(rb));
+        if !(valid_a && valid_b) {
+            return valid_a == valid_b;
+        }
+        match (ca, cb) {
+            (Column::I64(x, _), Column::I64(y, _)) if pa == pb => x[ra] == y[rb],
+            (Column::Str(x, _), Column::Str(y, _)) => x.bytes(ra) == y.bytes(rb),
+            _ => match (num(ca, pa, ra), num(cb, pb, rb)) {
+                (Some(Num::Int(i)), Some(Num::Int(j))) => i == j,
+                (Some(Num::Int(i)), Some(Num::Flt(f))) | (Some(Num::Flt(f)), Some(Num::Int(i))) => {
+                    i64_as_f64_exact(i) == Some(f)
                 }
-            }
-        })
-        .collect()
+                (Some(Num::Flt(f)), Some(Num::Flt(g))) => canon_f64_bits(f) == canon_f64_bits(g),
+                _ => false, // a string is no number
+            },
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Hash join
 // ---------------------------------------------------------------------------
 
-/// A materialized join hash table over the build side.
-///
-/// Keys are canonicalized by logical type (see [`join_key_of`]), so mixed
-/// Decimal/Float64 key pairs join by value. The build side is held behind
-/// an `Arc` so a shared temp relation (a materialized CTE) can back the
-/// hash table without being deep-copied.
+/// A materialized join hash table over the build side: per slot, a chain
+/// of build rows in ascending order (`heads`, then `next` from row to
+/// row). The keys stay where they are, in the build columns; the build
+/// side is held behind an `Arc` so a shared temp relation (a materialized
+/// CTE) can back the table without being deep-copied.
 pub struct JoinTable {
     build: Arc<Table>,
-    index: FxMap<Key, Vec<u32>>,
+    key_cols: Vec<usize>,
+    heads: Vec<u32>,
+    /// Indexed by build row; a row with a NULL key part is in no chain.
+    next: Vec<u32>,
 }
 
 impl JoinTable {
@@ -223,32 +241,192 @@ impl JoinTable {
         cancel: Option<&CancelToken>,
     ) -> Self {
         let build = build.into();
-        let mut index: FxMap<Key, Vec<u32>> = FxMap::default();
-        {
-            let cols = join_key_cols(&build, key_cols);
-            for row in 0..build.rows() {
-                if row % CANCEL_CHECK_ROWS == 0 {
-                    check_cancel(cancel);
-                }
-                let key = join_key_of(&cols, row);
-                if key.contains(&KeyPart::Null) {
-                    continue; // NULL keys never join
-                }
-                index.entry(key).or_default().push(row as u32);
-            }
-        }
-        Self { build, index }
+        // Half as many slots again as rows: a hit then takes 1.3 steps.
+        let slots = build.rows() + build.rows() / 2 + 1;
+        Self::build_sized(build, key_cols, slots, cancel)
     }
 
-    /// Number of distinct keys.
+    /// A table whose keys all share one chain, so that every probe compares
+    /// its key with every build key: what tests check key equality with.
+    #[doc(hidden)]
+    pub fn build_in_one_chain(build: impl Into<Arc<Table>>, key_cols: &[usize]) -> Self {
+        Self::build_sized(build.into(), key_cols, 1, None)
+    }
+
+    fn build_sized(
+        build: Arc<Table>,
+        key_cols: &[usize],
+        slots: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Self {
+        let rows = build.rows();
+        assert!(rows < NIL as usize, "build side exceeds 2^32 - 1 rows");
+        let mut heads = vec![NIL; slots];
+        let mut next = vec![NIL; rows];
+        let cols = join_key_cols(&build, key_cols);
+        let nullable = cols.iter().any(|(c, _)| c.validity().is_some());
+        let mut hashes = Vec::with_capacity(CANCEL_CHECK_ROWS);
+        // Last block first, last row first: pushing each row onto the front
+        // of its chain leaves the chains in ascending row order.
+        for block in (0..rows.div_ceil(CANCEL_CHECK_ROWS)).rev() {
+            check_cancel(cancel);
+            let block = block * CANCEL_CHECK_ROWS..rows.min((block + 1) * CANCEL_CHECK_ROWS);
+            hashes.clear();
+            hash_keys(&cols, block.clone(), &mut hashes);
+            for (row, &hash) in block.zip(&hashes).rev() {
+                if nullable && !key_valid(&cols, row) {
+                    continue;
+                }
+                let head = &mut heads[slot_of(hash, slots)];
+                next[row] = *head;
+                *head = row as u32;
+            }
+        }
+        Self {
+            build,
+            key_cols: key_cols.to_vec(),
+            heads,
+            next,
+        }
+    }
+
+    /// The chains, each as an iterator over its build rows.
+    fn chains(&self) -> impl Iterator<Item = impl Iterator<Item = usize> + '_> + '_ {
+        self.heads.iter().map(move |&head| {
+            std::iter::successors((head != NIL).then_some(head), move |&row| {
+                let next = self.next[row as usize];
+                (next != NIL).then_some(next)
+            })
+            .map(|row| row as usize)
+        })
+    }
+
+    /// Number of distinct keys (counted when asked, a chain at a time).
     pub fn distinct_keys(&self) -> usize {
-        self.index.len()
+        let cols = join_key_cols(&self.build, &self.key_cols);
+        let mut distinct = 0;
+        let mut firsts = Vec::new();
+        for chain in self.chains() {
+            firsts.clear();
+            for row in chain {
+                let same = |&first: &usize| keys_equal(&cols, row, cols.iter().copied(), first);
+                if !firsts.iter().any(same) {
+                    firsts.push(row);
+                }
+            }
+            distinct += firsts.len();
+        }
+        distinct
+    }
+
+    /// Chain entries visited if every build row's key were looked up once
+    /// (a row is found after the rows before it in its chain): an exact
+    /// count of what probing costs, where a timer would only estimate it.
+    pub fn probe_steps(&self) -> u64 {
+        self.chains()
+            .map(|chain| {
+                let len = chain.count() as u64;
+                len * (len + 1) / 2
+            })
+            .sum()
+    }
+
+    /// Length of the longest chain.
+    pub fn max_chain(&self) -> usize {
+        self.chains().map(Iterator::count).max().unwrap_or(0)
     }
 
     /// The build-side table.
     pub fn build_side(&self) -> &Table {
         &self.build
     }
+
+    /// Probe rows `rows` of `batch`: leave the matching (probe row, build
+    /// row) pairs in `state` — for semi and anti joins the surviving probe
+    /// rows alone — and gather them onto its output columns.
+    fn probe_batch(
+        &self,
+        state: &mut ProbeState,
+        batch: &Table,
+        rows: Range<usize>,
+        probe_key_cols: &[usize],
+        kind: JoinKind,
+    ) {
+        assert!(rows.end < NIL as usize, "probe batch exceeds 2^32 - 1 rows");
+        let probe = join_key_cols(batch, probe_key_cols);
+        let build = join_key_cols(&self.build, &self.key_cols);
+        state.hashes.clear();
+        hash_keys(&probe, rows.clone(), &mut state.hashes);
+        state.probe_rows.clear();
+        state.build_rows.clear();
+        match (&probe[..], &build[..]) {
+            // One Int64 key on either side, the common case: two slices.
+            ([(Column::I64(p, _), false)], [(Column::I64(b, _), false)]) => {
+                self.walk(state, &probe, rows, kind, |row, cand| p[row] == b[cand]);
+            }
+            _ => self.walk(state, &probe, rows, kind, |row, cand| {
+                keys_equal(&probe, row, build.iter().copied(), cand)
+            }),
+        }
+        let (ours, theirs) = state.out.split_at_mut(batch.columns().len());
+        for (dst, src) in ours.iter_mut().zip(batch.columns()) {
+            dst.extend_gather(src, &state.probe_rows);
+        }
+        for (dst, src) in theirs.iter_mut().zip(self.build.columns()) {
+            dst.extend_gather(src, &state.build_rows);
+        }
+    }
+
+    /// The chain walk of [`probe_batch`](Self::probe_batch), with key
+    /// equality between a probe row and a build row given as `equal`.
+    fn walk(
+        &self,
+        state: &mut ProbeState,
+        probe: &[JoinKeyCol<'_>],
+        rows: Range<usize>,
+        kind: JoinKind,
+        equal: impl Fn(usize, usize) -> bool,
+    ) {
+        let nullable = probe.iter().any(|(c, _)| c.validity().is_some());
+        let pairs = matches!(kind, JoinKind::Inner | JoinKind::LeftOuter);
+        for (row, &hash) in rows.zip(&state.hashes) {
+            let mut cand = if nullable && !key_valid(probe, row) {
+                NIL
+            } else {
+                self.heads[slot_of(hash, self.heads.len())]
+            };
+            let mut matched = false;
+            while cand != NIL {
+                if equal(row, cand as usize) {
+                    matched = true;
+                    if !pairs {
+                        break;
+                    }
+                    state.probe_rows.push(row as u32);
+                    state.build_rows.push(cand);
+                }
+                cand = self.next[cand as usize];
+            }
+            match kind {
+                JoinKind::LeftOuter if !matched => {
+                    state.probe_rows.push(row as u32);
+                    state.build_rows.push(NIL);
+                }
+                JoinKind::LeftSemi if matched => state.probe_rows.push(row as u32),
+                JoinKind::LeftAnti if !matched => state.probe_rows.push(row as u32),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// What a probing worker keeps from batch to batch: the result so far and
+/// the vectors of the batch at hand.
+struct ProbeState {
+    out: Vec<Column>,
+    hashes: Vec<u64>,
+    probe_rows: Vec<u32>,
+    build_rows: Vec<u32>,
 }
 
 /// Output schema of a join.
@@ -275,8 +453,10 @@ pub fn join_schema(probe: &Schema, build: &Schema, kind: JoinKind) -> Schema {
 }
 
 /// Probe `probe` against `table`, morsel-parallel, producing the joined
-/// result. Each morsel is a cooperative cancellation point when a token
-/// is supplied.
+/// result: every worker gathers its matches straight onto its own output
+/// columns, and the workers' outputs are concatenated once (a single
+/// worker's is the result as it stands). Each morsel is a cooperative
+/// cancellation point when a token is supplied.
 pub fn probe_join(
     probe: &Table,
     table: &JoinTable,
@@ -286,224 +466,36 @@ pub fn probe_join(
     cancel: Option<&CancelToken>,
 ) -> Table {
     let out_schema = join_schema(probe.schema(), table.build.schema(), kind);
-    let cols = join_key_cols(probe, probe_key_cols);
-
-    let parts = driver.run(
-        probe.rows(),
-        |_| (Vec::<usize>::new(), Vec::<Option<u32>>::new()),
-        |(probe_idx, build_idx), _, m| {
+    let source = Morsels {
+        table: probe,
+        driver,
+    };
+    let states = source.drive(
+        || ProbeState {
+            out: out_schema
+                .fields()
+                .iter()
+                .map(|f| Column::empty(f.dtype))
+                .collect(),
+            hashes: Vec::new(),
+            probe_rows: Vec::new(),
+            build_rows: Vec::new(),
+        },
+        |state, batch, rows| {
             check_cancel(cancel);
-            for row in m.range() {
-                let key = join_key_of(&cols, row);
-                let matches = if key.contains(&KeyPart::Null) {
-                    None
-                } else {
-                    table.index.get(&key)
-                };
-                match kind {
-                    JoinKind::Inner => {
-                        if let Some(rows) = matches {
-                            for &b in rows {
-                                probe_idx.push(row);
-                                build_idx.push(Some(b));
-                            }
-                        }
-                    }
-                    JoinKind::LeftOuter => match matches {
-                        Some(rows) => {
-                            for &b in rows {
-                                probe_idx.push(row);
-                                build_idx.push(Some(b));
-                            }
-                        }
-                        None => {
-                            probe_idx.push(row);
-                            build_idx.push(None);
-                        }
-                    },
-                    JoinKind::LeftSemi => {
-                        if matches.is_some() {
-                            probe_idx.push(row);
-                        }
-                    }
-                    JoinKind::LeftAnti => {
-                        if matches.is_none() {
-                            probe_idx.push(row);
-                        }
-                    }
-                }
-            }
+            table.probe_batch(state, batch, rows, probe_key_cols, kind);
         },
     );
-
-    let mut out = Table::empty(out_schema);
-    for (probe_idx, build_idx) in parts {
-        if probe_idx.is_empty() {
-            continue;
-        }
-        let left = probe.gather(&probe_idx);
-        let piece = match kind {
-            JoinKind::LeftSemi | JoinKind::LeftAnti => left,
-            JoinKind::Inner | JoinKind::LeftOuter => {
-                let right = gather_optional(&table.build, &build_idx);
-                let mut cols = left.columns().to_vec();
-                cols.extend(right);
-                Table::new(out.schema().clone(), cols)
-            }
-        };
-        out.append(&piece);
-    }
-    out
-}
-
-/// Gather build rows where `idx[i]` may be None (left-outer miss → NULL row).
-fn gather_optional(build: &Table, idx: &[Option<u32>]) -> Vec<Column> {
-    if idx.iter().all(Option::is_some) {
-        let dense: Vec<usize> = idx.iter().map(|i| i.expect("checked") as usize).collect();
-        return build.gather(&dense).columns().to_vec();
-    }
-    let validity: Bitmap = idx.iter().map(Option::is_some).collect();
-    let dense: Vec<usize> = idx.iter().map(|i| i.unwrap_or(0) as usize).collect();
-    build
-        .gather(&dense)
-        .columns()
-        .iter()
-        .map(|c| match c.clone() {
-            Column::I64(v, _) => Column::I64(v, Some(validity.clone())),
-            Column::F64(v, _) => Column::F64(v, Some(validity.clone())),
-            Column::Str(v, _) => Column::Str(v, Some(validity.clone())),
-        })
-        .collect()
+    let pieces = states
+        .into_iter()
+        .map(|s| Table::new(out_schema.clone(), s.out))
+        .collect();
+    Table::concat(&out_schema, pieces)
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation
 // ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum AggState {
-    Sum { sum: f64, any: bool },
-    Count(i64),
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Avg { sum: f64, cnt: i64 },
-    Distinct(FxSet<KeyPart>),
-}
-
-impl AggState {
-    fn new(func: AggFunc) -> Self {
-        match func {
-            AggFunc::Sum => AggState::Sum {
-                sum: 0.0,
-                any: false,
-            },
-            AggFunc::Count => AggState::Count(0),
-            AggFunc::Min => AggState::Min(None),
-            AggFunc::Max => AggState::Max(None),
-            AggFunc::Avg => AggState::Avg { sum: 0.0, cnt: 0 },
-            AggFunc::CountDistinct => AggState::Distinct(FxSet::default()),
-        }
-    }
-
-    fn update(&mut self, v: &EvalVec, row: usize) {
-        if !v.is_valid(row) {
-            return; // SQL aggregates skip NULLs
-        }
-        match self {
-            AggState::Sum { sum, any } => {
-                *sum += numeric(v, row);
-                *any = true;
-            }
-            AggState::Count(c) => *c += 1,
-            AggState::Min(cur) => {
-                let val = v.value(row);
-                if cur.as_ref().is_none_or(|c| value_lt(&val, c)) {
-                    *cur = Some(val);
-                }
-            }
-            AggState::Max(cur) => {
-                let val = v.value(row);
-                if cur.as_ref().is_none_or(|c| value_lt(c, &val)) {
-                    *cur = Some(val);
-                }
-            }
-            AggState::Avg { sum, cnt } => {
-                *sum += numeric(v, row);
-                *cnt += 1;
-            }
-            AggState::Distinct(set) => {
-                let part = match &v.data {
-                    VecData::I64(d) => KeyPart::I64(d[row]),
-                    VecData::F64(d) => KeyPart::I64(d[row].to_bits() as i64),
-                    VecData::Str(d) => KeyPart::Str(d.get(row).into()),
-                    VecData::Bool(d) => KeyPart::I64(i64::from(d[row])),
-                };
-                set.insert(part);
-            }
-        }
-    }
-
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Sum { sum, any }, AggState::Sum { sum: s2, any: a2 }) => {
-                *sum += s2;
-                *any |= a2;
-            }
-            (AggState::Count(c), AggState::Count(c2)) => *c += c2,
-            (AggState::Min(cur), AggState::Min(other)) => {
-                if let Some(o) = other {
-                    if cur.as_ref().is_none_or(|c| value_lt(&o, c)) {
-                        *cur = Some(o);
-                    }
-                }
-            }
-            (AggState::Max(cur), AggState::Max(other)) => {
-                if let Some(o) = other {
-                    if cur.as_ref().is_none_or(|c| value_lt(c, &o)) {
-                        *cur = Some(o);
-                    }
-                }
-            }
-            (AggState::Avg { sum, cnt }, AggState::Avg { sum: s2, cnt: c2 }) => {
-                *sum += s2;
-                *cnt += c2;
-            }
-            (AggState::Distinct(set), AggState::Distinct(other)) => set.extend(other),
-            _ => panic!("mismatched aggregate states"),
-        }
-    }
-}
-
-fn numeric(v: &EvalVec, row: usize) -> f64 {
-    match &v.data {
-        VecData::I64(d) => d[row] as f64,
-        VecData::F64(d) => d[row],
-        VecData::Bool(d) => f64::from(u8::from(d[row])),
-        VecData::Str(_) => panic!("cannot sum strings"),
-    }
-}
-
-/// Total order over values: NULL sorts last; numerics compare numerically.
-fn value_lt(a: &Value, b: &Value) -> bool {
-    value_cmp(a, b) == std::cmp::Ordering::Less
-}
-
-/// Comparison used by MIN/MAX and ORDER BY.
-pub fn value_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
-    use std::cmp::Ordering;
-    match (a, b) {
-        (Value::Null, Value::Null) => Ordering::Equal,
-        (Value::Null, _) => Ordering::Greater, // NULLs last
-        (_, Value::Null) => Ordering::Less,
-        (Value::I64(x), Value::I64(y)) => x.cmp(y),
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        _ => {
-            let x = a.as_f64();
-            let y = b.as_f64();
-            x.partial_cmp(&y).unwrap_or(Ordering::Equal)
-        }
-    }
-}
 
 /// Where an operator's input comes from, a batch at a time: the morsels of
 /// a table that exists ([`Morsels`]), or batches that exist only while they
@@ -522,7 +514,7 @@ pub trait BatchSource {
     where
         S: Send,
         I: Fn() -> S + Sync,
-        E: Fn(&mut S, &Table, std::ops::Range<usize>) + Sync;
+        E: Fn(&mut S, &Table, Range<usize>) + Sync;
 }
 
 /// A materialized table as a [`BatchSource`]: its morsels, claimed by the
@@ -543,7 +535,7 @@ impl BatchSource for Morsels<'_> {
     where
         S: Send,
         I: Fn() -> S + Sync,
-        E: Fn(&mut S, &Table, std::ops::Range<usize>) + Sync,
+        E: Fn(&mut S, &Table, Range<usize>) + Sync,
     {
         self.driver.run(
             self.table.rows(),
@@ -553,13 +545,330 @@ impl BatchSource for Morsels<'_> {
     }
 }
 
-/// Hash-aggregate `input`, morsel-parallel with per-worker maps merged at
+/// Maps keys to dense group ids, in the order the keys are first seen. The
+/// table owns its key values, a typed column per key part with a row per
+/// group: the batch a key came in is overwritten by the next.
+#[derive(Clone)]
+struct GroupTable {
+    heads: Vec<u32>,
+    /// Per group: the next group in its chain, its key's hash, its key.
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+    keys: Vec<Column>,
+    /// The group of every row of the batch last assigned, and its hashes.
+    gids: Vec<u32>,
+    batch_hashes: Vec<u64>,
+}
+
+impl GroupTable {
+    /// A table without groups over keys typed like the (empty) `keys`.
+    fn new(keys: Vec<Column>) -> Self {
+        Self {
+            heads: vec![NIL; 16],
+            next: Vec::new(),
+            hashes: Vec::new(),
+            keys,
+            gids: Vec::new(),
+            batch_hashes: Vec::new(),
+        }
+    }
+
+    fn groups(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// Find or make the group of every row in `rows` of the key columns
+    /// `cols` (none of them promoted: a group key is compared with keys of
+    /// its own column only), leaving the ids in `self.gids`.
+    fn assign(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
+        self.batch_hashes.clear();
+        hash_keys(cols, rows.clone(), &mut self.batch_hashes);
+        self.assign_hashed(cols, rows);
+    }
+
+    /// [`assign`](Self::assign), the hashes of `rows` being in
+    /// `self.batch_hashes` (where a test puts hashes that collide).
+    fn assign_hashed(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
+        self.gids.clear();
+        for (i, row) in rows.enumerate() {
+            let hash = self.batch_hashes[i];
+            let mut gid = self.heads[slot_of(hash, self.heads.len())];
+            while gid != NIL {
+                // The stored hash spares a key that merely shares the slot
+                // the comparison of its parts.
+                let keys = self.keys.iter().map(|k| (k, false));
+                if self.hashes[gid as usize] == hash && keys_equal(cols, row, keys, gid as usize) {
+                    break;
+                }
+                gid = self.next[gid as usize];
+            }
+            if gid == NIL {
+                gid = self.insert(hash, cols, row);
+            }
+            self.gids.push(gid);
+        }
+    }
+
+    fn insert(&mut self, hash: u64, cols: &[JoinKeyCol<'_>], row: usize) -> u32 {
+        let gid = u32::try_from(self.groups()).expect("fewer than 2^32 groups");
+        assert!(gid != NIL && row < NIL as usize, "2^32 - 1 groups or rows");
+        if self.groups() == self.heads.len() {
+            let slots = self.heads.len() * 2;
+            self.heads.clear();
+            self.heads.resize(slots, NIL);
+            for (g, &h) in self.hashes.iter().enumerate() {
+                let head = &mut self.heads[slot_of(h, slots)];
+                self.next[g] = *head;
+                *head = g as u32;
+            }
+        }
+        let slot = slot_of(hash, self.heads.len());
+        let head = &mut self.heads[slot];
+        self.next.push(*head);
+        *head = gid;
+        self.hashes.push(hash);
+        for (key, &(c, _)) in self.keys.iter_mut().zip(cols) {
+            key.extend_gather(c, &[row as u32]);
+            // One canonical zero, so the key that is emitted is the key
+            // that was hashed and compared (and that the exchange routed).
+            if let Column::F64(v, _) = key {
+                let last = v.last_mut().expect("just pushed");
+                *last = f64::from_bits(canon_f64_bits(*last));
+            }
+        }
+        gid
+    }
+}
+
+/// Call `f(row, group)` for every row of a batch whose input is not NULL
+/// (SQL aggregates skip NULLs).
+fn each_valid(gids: &[u32], valid: Option<&Bitmap>, mut f: impl FnMut(usize, usize)) {
+    let rows = gids.iter().enumerate();
+    match valid {
+        None => rows.for_each(|(row, &g)| f(row, g as usize)),
+        Some(bm) => rows
+            .filter(|&(row, _)| bm.get(row))
+            .for_each(|(row, &g)| f(row, g as usize)),
+    }
+}
+
+/// MIN or MAX over fixed-width values.
+fn keep_best<T: PartialOrd + Copy>(
+    (best, seen, max): (&mut [T], &mut Bitmap, bool),
+    gids: &[u32],
+    valid: Option<&Bitmap>,
+    vals: &[T],
+) {
+    each_valid(gids, valid, |row, g| {
+        let v = vals[row];
+        if !seen.get(g) || if max { best[g] < v } else { v < best[g] } {
+            best[g] = v;
+            seen.set(g, true);
+        }
+    });
+}
+
+/// MIN/MAX slots, typed like the aggregate's input.
+#[derive(Clone)]
+enum Slots {
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    Str(Vec<String>),
+}
+
+impl Slots {
+    fn into_column(self, valid: Option<Bitmap>) -> Column {
+        match self {
+            Slots::I64(v) => Column::I64(v, valid),
+            Slots::F64(v) => Column::F64(v, valid),
+            Slots::Str(v) => Column::Str(v.iter().map(String::as_str).collect(), valid),
+        }
+    }
+}
+
+/// The state of one aggregate, column-wise: a slot per group id.
+#[derive(Clone)]
+enum AggCol {
+    /// SUM and AVG: the sum, and how many inputs went into it.
+    Sum { sums: Vec<f64>, counts: Vec<i64> },
+    /// COUNT.
+    Count(Vec<i64>),
+    /// MIN, or MAX when `max`: the best value so far and whether there is
+    /// one yet.
+    Best {
+        best: Slots,
+        seen: Bitmap,
+        max: bool,
+    },
+    /// COUNT(DISTINCT): the distinct (group id, value) pairs.
+    Distinct(GroupTable),
+}
+
+impl AggCol {
+    /// No groups yet; `input` (no rows of it) gives the input's type.
+    fn new(func: AggFunc, input: &Column) -> Self {
+        match func {
+            AggFunc::Sum | AggFunc::Avg => AggCol::Sum {
+                sums: Vec::new(),
+                counts: Vec::new(),
+            },
+            AggFunc::Count => AggCol::Count(Vec::new()),
+            AggFunc::Min | AggFunc::Max => AggCol::Best {
+                best: match input {
+                    Column::I64(..) => Slots::I64(Vec::new()),
+                    Column::F64(..) => Slots::F64(Vec::new()),
+                    Column::Str(..) => Slots::Str(Vec::new()),
+                },
+                seen: Bitmap::new(),
+                max: func == AggFunc::Max,
+            },
+            AggFunc::CountDistinct => AggCol::Distinct(GroupTable::new(vec![
+                Column::empty(DataType::Int64),
+                input.clone(),
+            ])),
+        }
+    }
+
+    /// Make room for group ids below `groups`.
+    fn resize(&mut self, groups: usize) {
+        match self {
+            AggCol::Sum { sums, counts } => {
+                sums.resize(groups, 0.0);
+                counts.resize(groups, 0);
+            }
+            AggCol::Count(counts) => counts.resize(groups, 0),
+            AggCol::Best { best, seen, .. } => {
+                match best {
+                    Slots::I64(v) => v.resize(groups, 0),
+                    Slots::F64(v) => v.resize(groups, 0.0),
+                    Slots::Str(v) => v.resize_with(groups, String::new),
+                }
+                seen.extend_filled(groups - seen.len(), false);
+            }
+            AggCol::Distinct(_) => {}
+        }
+    }
+
+    /// Take in a batch: row `i` of `vals` belongs to group `gids[i]` and
+    /// stands for `weights[i]` input rows — for one, unless partial states
+    /// are being merged.
+    fn update(&mut self, gids: &[u32], vals: &Column, weights: Option<&Column>) {
+        let valid = vals.validity();
+        let weights = weights.map(Column::i64_values);
+        let weight = |row: usize| weights.map_or(1, |w| w[row]);
+        match (self, vals) {
+            (AggCol::Sum { sums, counts }, Column::I64(v, _)) => {
+                each_valid(gids, valid, |row, g| {
+                    sums[g] += v[row] as f64;
+                    counts[g] += weight(row);
+                })
+            }
+            (AggCol::Sum { sums, counts }, Column::F64(v, _)) => {
+                each_valid(gids, valid, |row, g| {
+                    sums[g] += v[row];
+                    counts[g] += weight(row);
+                })
+            }
+            (AggCol::Sum { .. }, Column::Str(..)) => panic!("cannot sum strings"),
+            (AggCol::Count(counts), _) => {
+                each_valid(gids, valid, |row, g| counts[g] += weight(row))
+            }
+            (AggCol::Best { best, seen, max }, vals) => match (best, vals) {
+                (Slots::I64(b), Column::I64(v, _)) => keep_best((b, seen, *max), gids, valid, v),
+                (Slots::F64(b), Column::F64(v, _)) => keep_best((b, seen, *max), gids, valid, v),
+                (Slots::Str(b), Column::Str(v, _)) => each_valid(gids, valid, |row, g| {
+                    let (s, cur) = (v.get(row), &mut b[g]);
+                    if !seen.get(g)
+                        || if *max {
+                            cur.as_str() < s
+                        } else {
+                            s < cur.as_str()
+                        }
+                    {
+                        cur.clear();
+                        cur.push_str(s);
+                        seen.set(g, true);
+                    }
+                }),
+                _ => panic!("MIN/MAX input changed its type between batches"),
+            },
+            (AggCol::Distinct(pairs), vals) => {
+                let groups = Column::I64(gids.iter().map(|&g| i64::from(g)).collect(), None);
+                pairs.assign(&[(&groups, false), (vals, false)], 0..gids.len());
+            }
+        }
+    }
+
+    /// Take in another worker's state, whose group `g` is `map[g]` here.
+    fn merge(&mut self, other: AggCol, map: &[u32]) {
+        match (self, other) {
+            (AggCol::Sum { sums, counts }, AggCol::Sum { sums: s, counts: c }) => {
+                each_valid(map, None, |theirs, ours| {
+                    sums[ours] += s[theirs];
+                    counts[ours] += c[theirs];
+                })
+            }
+            (AggCol::Count(counts), AggCol::Count(c)) => {
+                each_valid(map, None, |theirs, ours| counts[ours] += c[theirs])
+            }
+            (this @ AggCol::Best { .. }, AggCol::Best { best, seen, .. }) => {
+                this.update(map, &best.into_column(Some(seen)), None);
+            }
+            (AggCol::Distinct(pairs), AggCol::Distinct(theirs)) => {
+                let groups = theirs.keys[0].i64_values().iter();
+                let groups = groups.map(|&g| i64::from(map[g as usize])).collect();
+                let keys = [
+                    (&Column::I64(groups, None), false),
+                    (&theirs.keys[1], false),
+                ];
+                pairs.assign(&keys, 0..theirs.groups());
+            }
+            _ => panic!("mismatched aggregate states"),
+        }
+    }
+
+    /// The result columns for `groups` groups: the states themselves, moved.
+    fn finish(self, func: AggFunc, phase: AggPhase, groups: usize) -> Vec<Column> {
+        // A bitmap only where there is a NULL, as `Column::push_value` has it.
+        let nullable = |valid: Bitmap| (!valid.all_set()).then_some(valid);
+        let nonzero = |counts: &[i64]| nullable(counts.iter().map(|&c| c > 0).collect());
+        match self {
+            AggCol::Sum { sums, counts } if func == AggFunc::Sum => {
+                vec![Column::F64(sums, nonzero(&counts))]
+            }
+            AggCol::Sum { sums, counts } if phase == AggPhase::Partial => {
+                vec![Column::F64(sums, None), Column::I64(counts, None)]
+            }
+            AggCol::Sum { mut sums, counts } => {
+                for (s, &c) in sums.iter_mut().zip(&counts) {
+                    *s = if c > 0 { *s / c as f64 } else { 0.0 };
+                }
+                vec![Column::F64(sums, nonzero(&counts))]
+            }
+            AggCol::Count(counts) => vec![Column::I64(counts, None)],
+            AggCol::Best { best, seen, .. } => vec![best.into_column(nullable(seen))],
+            AggCol::Distinct(pairs) => {
+                let mut counts = vec![0i64; groups];
+                let (of, vals) = (pairs.keys[0].i64_values(), &pairs.keys[1]);
+                for pair in (0..pairs.groups()).filter(|&p| vals.is_valid(p)) {
+                    counts[of[pair] as usize] += 1;
+                }
+                vec![Column::I64(counts, None)]
+            }
+        }
+    }
+}
+
+/// Hash-aggregate `input`, morsel-parallel with per-worker tables merged at
 /// the end.
 ///
 /// * `Single` computes final results directly.
 /// * `Partial` emits mergeable state columns (`name`, or `name__sum` +
 ///   `name__cnt` for AVG) — the pre-aggregation of Figure 6(c).
 /// * `Final` merges state columns produced by `Partial`.
+///
+/// Groups come out in the order their keys were first seen (a worker at a
+/// time when there are several).
 pub fn aggregate(
     input: &Table,
     group_by: &[usize],
@@ -591,308 +900,189 @@ pub fn aggregate_with<B: BatchSource>(
     cancel: Option<&CancelToken>,
 ) -> Table {
     assert!(
-        phase == AggPhase::Final
-            || !aggs
-                .iter()
-                .any(|a| a.func == AggFunc::CountDistinct && phase == AggPhase::Partial),
+        phase != AggPhase::Partial || aggs.iter().all(|a| a.func != AggFunc::CountDistinct),
         "count(distinct) cannot be pre-aggregated"
     );
-
-    // In Final phase the input carries partial-state columns; aggregate
-    // specs are rewritten to merge them.
-    let effective: Vec<(AggFunc, Expr2)> = match phase {
-        AggPhase::Final => aggs
-            .iter()
-            .map(|a| match a.func {
-                AggFunc::Sum => (AggFunc::Sum, Expr2::Col(a.name.to_string())),
-                AggFunc::Count => (AggFunc::Sum, Expr2::Col(a.name.clone())),
-                AggFunc::Min => (AggFunc::Min, Expr2::Col(a.name.clone())),
-                AggFunc::Max => (AggFunc::Max, Expr2::Col(a.name.clone())),
-                AggFunc::Avg => (
-                    AggFunc::Avg,
-                    Expr2::Pair(format!("{}__sum", a.name), format!("{}__cnt", a.name)),
-                ),
-                AggFunc::CountDistinct => (AggFunc::CountDistinct, Expr2::Col(a.name.clone())),
-            })
-            .collect(),
-        _ => aggs
-            .iter()
-            .map(|a| (a.func, Expr2::Expr(a.expr.clone())))
-            .collect(),
-    };
-
     let shape = input.shape();
 
-    // Bind compiled input programs once, not per batch.
-    let bound: Vec<Option<BoundProgram<'_>>> = match programs {
+    // What each aggregate reads: its expression — through its compiled
+    // program, bound once, where there is one — or, in the Final phase, the
+    // partial-state columns: the values, and for COUNT and AVG the counts.
+    let state = |name: String| Expr::Col(name);
+    let sources: Vec<(Expr, Option<Expr>)> = aggs
+        .iter()
+        .map(|a| match (phase, a.func) {
+            (AggPhase::Final, AggFunc::Avg) => (
+                state(format!("{}__sum", a.name)),
+                Some(state(format!("{}__cnt", a.name))),
+            ),
+            (AggPhase::Final, AggFunc::Count) => {
+                (state(a.name.clone()), Some(state(a.name.clone())))
+            }
+            (AggPhase::Final, _) => (state(a.name.clone()), None),
+            _ => (a.expr.clone(), None),
+        })
+        .collect();
+    let bound: Vec<_> = match programs {
         Some(ps) if phase != AggPhase::Final && ps.len() == aggs.len() => ps
             .iter()
             .map(|(_, p)| p.as_ref().and_then(|p| p.bind(shape).ok()))
             .collect(),
-        _ => (0..aggs.len()).map(|_| None).collect(),
+        _ => aggs.iter().map(|_| None).collect(),
+    };
+    let read = |agg: usize, batch: &Table, rows: Range<usize>| {
+        let (vals, weights) = &sources[agg];
+        let column = |e: &Expr| eval(e, batch, rows.clone(), params).into_column().0;
+        let vals = match &bound[agg] {
+            Some(program) => program.eval(batch, rows.clone(), params).into_column().0,
+            None => column(vals),
+        };
+        (vals, weights.as_ref().map(column))
     };
 
-    let maps = input.drive(FxMap::<Key, Vec<AggState>>::default, |map, batch, rows| {
-        check_cancel(cancel);
-        let group_cols: Vec<&Column> = group_by.iter().map(|&i| batch.column(i)).collect();
-        // Evaluate agg inputs once per batch.
-        let inputs: Vec<AggInput> = effective
-            .iter()
-            .zip(&bound)
-            .map(|((func, e), b)| match b {
-                Some(bp) => AggInput::Vec(bp.eval(batch, rows.clone(), params)),
-                None => AggInput::eval(e, *func, batch, rows.clone(), params),
-            })
-            .collect();
-        for row in rows.clone() {
-            let key = key_of(&group_cols, row);
-            let states = map
-                .entry(key)
-                .or_insert_with(|| effective.iter().map(|(f, _)| AggState::new(*f)).collect());
-            let local = row - rows.start;
-            for (state, inp) in states.iter_mut().zip(&inputs) {
-                inp.update(state, local);
-            }
-        }
-    });
+    // Every state column is typed before the first row: MIN/MAX results
+    // take the *static* type of their input (evaluated over zero rows), so
+    // empty partials keep the same schema as populated ones.
+    let empty = Groups {
+        table: GroupTable::new(
+            group_by
+                .iter()
+                .map(|&i| Column::empty(shape.schema().fields()[i].dtype))
+                .collect(),
+        ),
+        aggs: (0..aggs.len())
+            .map(|i| AggCol::new(aggs[i].func, &read(i, shape, 0..0).0))
+            .collect(),
+    };
+    let mut workers = input
+        .drive(
+            || empty.clone(),
+            |worker, batch, rows| {
+                check_cancel(cancel);
+                let keys: Vec<JoinKeyCol<'_>> =
+                    group_by.iter().map(|&i| (batch.column(i), false)).collect();
+                worker.table.assign(&keys, rows.clone());
+                for (i, state) in worker.aggs.iter_mut().enumerate() {
+                    let (vals, weights) = read(i, batch, rows.clone());
+                    state.resize(worker.table.groups());
+                    state.update(&worker.table.gids, &vals, weights.as_ref());
+                }
+            },
+        )
+        .into_iter();
 
-    // Merge worker maps.
-    let mut merged: FxMap<Key, Vec<AggState>> = FxMap::default();
-    for map in maps {
-        for (k, states) in map {
-            match merged.entry(k) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(states);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(states) {
-                        a.merge(b);
-                    }
-                }
-            }
+    // The first worker's groups stand; the others' are looked up in them.
+    let Groups {
+        mut table,
+        aggs: mut states,
+    } = workers.next().unwrap_or(empty);
+    for other in workers {
+        let keys: Vec<JoinKeyCol<'_>> = other.table.keys.iter().map(|k| (k, false)).collect();
+        table.assign(&keys, 0..other.table.groups());
+        for (ours, theirs) in states.iter_mut().zip(other.aggs) {
+            ours.resize(table.groups());
+            ours.merge(theirs, &table.gids);
         }
     }
-
     // Global aggregate over empty input still yields one row (Final/Single).
-    if merged.is_empty() && group_by.is_empty() && phase != AggPhase::Partial {
-        merged.insert(
-            Vec::new(),
-            effective.iter().map(|(f, _)| AggState::new(*f)).collect(),
-        );
+    if table.groups() == 0 && group_by.is_empty() && phase != AggPhase::Partial {
+        table.assign(&[], 0..1);
     }
 
-    // MIN/MAX output columns take the *static* type of their input
-    // expression (evaluated over zero rows), so empty partials keep the
-    // same schema as populated ones.
-    let minmax_types: Vec<DataType> = effective
-        .iter()
-        .map(|(func, e)| match func {
-            AggFunc::Min | AggFunc::Max => {
-                let v = match e {
-                    Expr2::Expr(x) => eval(x, shape, 0..0, params),
-                    Expr2::Col(name) => {
-                        eval(&crate::expr::Expr::Col(name.clone()), shape, 0..0, params)
-                    }
-                    Expr2::Pair(..) => unreachable!("pairs are AVG-only"),
-                };
-                v.into_column().1
-            }
-            _ => DataType::Float64,
-        })
-        .collect();
-
-    build_agg_output(shape, group_by, aggs, phase, merged, &minmax_types)
-}
-
-/// How an aggregate reads its input in a given phase.
-enum Expr2 {
-    Expr(crate::expr::Expr),
-    Col(String),
-    Pair(String, String),
-}
-
-enum AggInput {
-    Vec(EvalVec),
-    /// AVG merge: partial sums and counts.
-    Pair(EvalVec, EvalVec),
-}
-
-impl AggInput {
-    fn eval(
-        e: &Expr2,
-        _func: AggFunc,
-        table: &Table,
-        range: std::ops::Range<usize>,
-        params: &[Value],
-    ) -> Self {
-        match e {
-            Expr2::Expr(x) => AggInput::Vec(eval(x, table, range, params)),
-            Expr2::Col(name) => AggInput::Vec(eval(
-                &crate::expr::Expr::Col(name.clone()),
-                table,
-                range,
-                params,
-            )),
-            Expr2::Pair(s, c) => AggInput::Pair(
-                eval(
-                    &crate::expr::Expr::Col(s.clone()),
-                    table,
-                    range.clone(),
-                    params,
-                ),
-                eval(&crate::expr::Expr::Col(c.clone()), table, range, params),
-            ),
-        }
-    }
-
-    fn update(&self, state: &mut AggState, row: usize) {
-        match self {
-            AggInput::Vec(v) => state.update(v, row),
-            AggInput::Pair(sums, cnts) => {
-                if let AggState::Avg { sum, cnt } = state {
-                    if sums.is_valid(row) {
-                        *sum += numeric(sums, row);
-                        *cnt += match &cnts.data {
-                            VecData::I64(d) => d[row],
-                            VecData::F64(d) => d[row] as i64,
-                            _ => panic!("count column must be numeric"),
-                        };
-                    }
-                } else {
-                    panic!("paired input only for AVG merge");
-                }
-            }
-        }
-    }
-}
-
-fn build_agg_output(
-    input: &Table,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    phase: AggPhase,
-    merged: FxMap<Key, Vec<AggState>>,
-    minmax_types: &[DataType],
-) -> Table {
     // Output schema: group columns keep their input field definitions.
+    let groups = table.groups();
     let mut fields: Vec<Field> = group_by
         .iter()
-        .map(|&i| input.schema().fields()[i].clone())
+        .map(|&i| shape.schema().fields()[i].clone())
         .collect();
-    for a in aggs {
+    let mut columns = table.keys;
+    for (a, mut state) in aggs.iter().zip(states) {
+        state.resize(groups);
+        let out = state.finish(a.func, phase, groups);
         match (phase, a.func) {
             (AggPhase::Partial, AggFunc::Avg) => {
                 fields.push(Field::new(format!("{}__sum", a.name), DataType::Float64));
                 fields.push(Field::new(format!("{}__cnt", a.name), DataType::Int64));
             }
-            (_, AggFunc::Sum) | (_, AggFunc::Avg) => {
+            (_, AggFunc::Sum | AggFunc::Avg) => {
                 fields.push(Field::nullable(a.name.clone(), DataType::Float64));
             }
-            (_, AggFunc::Count) | (_, AggFunc::CountDistinct) => {
+            (_, AggFunc::Count | AggFunc::CountDistinct) => {
                 fields.push(Field::new(a.name.clone(), DataType::Int64));
             }
-            (_, AggFunc::Min) | (_, AggFunc::Max) => {
-                let idx = aggs
-                    .iter()
-                    .position(|x| std::ptr::eq(x, a))
-                    .expect("in aggs");
-                fields.push(Field::nullable(a.name.clone(), minmax_types[idx]));
+            (_, AggFunc::Min | AggFunc::Max) => {
+                let dtype = match &out[0] {
+                    Column::I64(..) => DataType::Int64,
+                    Column::F64(..) => DataType::Float64,
+                    Column::Str(..) => DataType::Utf8,
+                };
+                fields.push(Field::nullable(a.name.clone(), dtype));
             }
         }
+        columns.extend(out);
     }
-    let schema = Schema::new(fields);
-    let mut columns: Vec<Column> = schema
-        .fields()
-        .iter()
-        .map(|f| Column::empty(f.dtype))
-        .collect();
+    Table::new(Schema::new(fields), columns)
+}
 
-    for (key, states) in merged {
-        for (i, part) in key.iter().enumerate() {
-            let v = match part {
-                KeyPart::I64(x) => {
-                    if input.schema().fields()[group_by[i]].dtype == DataType::Float64 {
-                        Value::F64(f64::from_bits(*x as u64))
-                    } else {
-                        Value::I64(*x)
-                    }
-                }
-                // Group-by keys come from `key_of`, which keeps f64 bits in
-                // the I64 variant; F64 belongs to the join/partition key
-                // domain but decodes cleanly if it ever shows up here.
-                KeyPart::F64(bits) => Value::F64(f64::from_bits(*bits)),
-                KeyPart::Str(s) => Value::Str(s.to_string()),
-                KeyPart::Null => Value::Null,
-            };
-            columns[i].push_value(&v);
-        }
-        let mut c = group_by.len();
-        for (state, a) in states.into_iter().zip(aggs) {
-            match (phase, state) {
-                (AggPhase::Partial, AggState::Avg { sum, cnt }) => {
-                    columns[c].push_value(&Value::F64(sum));
-                    columns[c + 1].push_value(&Value::I64(cnt));
-                    c += 2;
-                    continue;
-                }
-                (_, AggState::Sum { sum, any }) => {
-                    // COUNT merged in the Final phase sums integer counts.
-                    let v = if a.func == AggFunc::Count {
-                        Value::I64(sum as i64)
-                    } else if any {
-                        Value::F64(sum)
-                    } else {
-                        Value::Null
-                    };
-                    columns[c].push_value(&v);
-                }
-                (_, AggState::Count(n)) => columns[c].push_value(&Value::I64(n)),
-                (_, AggState::Avg { sum, cnt }) => {
-                    columns[c].push_value(&if cnt > 0 {
-                        Value::F64(sum / cnt as f64)
-                    } else {
-                        Value::Null
-                    });
-                }
-                (_, AggState::Min(v)) | (_, AggState::Max(v)) => {
-                    columns[c].push_value(&v.unwrap_or(Value::Null));
-                }
-                (_, AggState::Distinct(set)) => {
-                    columns[c].push_value(&Value::I64(set.len() as i64));
-                }
-            }
-            let _ = a;
-            c += 1;
-        }
-    }
-    Table::new(schema, columns)
+/// One worker's aggregation state: its groups and, per aggregate, a column
+/// of state with a slot per group.
+#[derive(Clone)]
+struct Groups {
+    table: GroupTable,
+    aggs: Vec<AggCol>,
 }
 
 // ---------------------------------------------------------------------------
 // Sort
 // ---------------------------------------------------------------------------
 
-/// Sort a table by `keys`, optionally truncating to `limit` rows.
+/// Sort a table by `keys`, optionally truncating to `limit` rows. NULLs
+/// sort last (first under `desc`); rows with equal keys keep their input
+/// order, with or without a limit.
 pub fn sort_table(input: &Table, keys: &[SortKey], limit: Option<usize>) -> Table {
-    let key_cols: Vec<(usize, bool)> = keys
-        .iter()
-        .map(|k| (input.schema().index_of(&k.column), k.desc))
-        .collect();
-    let mut indices: Vec<usize> = (0..input.rows()).collect();
-    indices.sort_by(|&a, &b| {
-        for &(c, desc) in &key_cols {
-            let va = input.value(a, c);
-            let vb = input.value(b, c);
-            let ord = value_cmp(&va, &vb);
-            if ord != std::cmp::Ordering::Equal {
-                return if desc { ord.reverse() } else { ord };
-            }
+    // Two cells of one column, NULL greatest; a float that has no order
+    // with another (a NaN) ties with it.
+    fn cmp_cells(c: &Column, a: usize, b: usize) -> Ordering {
+        match (c.is_valid(a), c.is_valid(b)) {
+            (false, false) => Ordering::Equal,
+            (false, true) => Ordering::Greater,
+            (true, false) => Ordering::Less,
+            (true, true) => match c {
+                Column::I64(v, _) => v[a].cmp(&v[b]),
+                Column::F64(v, _) => v[a].partial_cmp(&v[b]).unwrap_or(Ordering::Equal),
+                Column::Str(v, _) => v.bytes(a).cmp(v.bytes(b)),
+            },
         }
-        std::cmp::Ordering::Equal
-    });
-    if let Some(l) = limit {
-        indices.truncate(l);
     }
+    let key_cols: Vec<(&Column, bool)> = keys
+        .iter()
+        .map(|k| (input.column_by_name(&k.column), k.desc))
+        .collect();
+    // The row index breaks ties, which makes the order total: an unstable
+    // sort, or a selection of the first `limit`, then yields exactly what a
+    // stable sort of everything would.
+    let by_keys = |a: &usize, b: &usize| {
+        key_cols
+            .iter()
+            .map(|&(c, desc)| {
+                let ord = cmp_cells(c, *a, *b);
+                if desc {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            })
+            .find(|&ord| ord != Ordering::Equal)
+            .unwrap_or_else(|| a.cmp(b))
+    };
+    let mut indices: Vec<usize> = (0..input.rows()).collect();
+    if let Some(limit) = limit.filter(|&l| l < indices.len()) {
+        if limit > 0 {
+            indices.select_nth_unstable_by(limit - 1, by_keys);
+        }
+        indices.truncate(limit);
+    }
+    indices.sort_unstable_by(by_keys);
     input.gather(&indices)
 }
 
@@ -942,87 +1132,76 @@ mod tests {
         )
     }
 
-    /// Distinct values of the two bit ranges hashbrown consumes — the low
-    /// 16 bits (bucket index of a 64 Ki-slot table) and the top 7 (control
-    /// tag) — over the hashes of `keys`.
-    fn spread<K: std::hash::Hash>(keys: impl Iterator<Item = K>) -> (usize, usize) {
-        use std::hash::BuildHasher;
-        let build = BuildHasherDefault::<FxHasher>::default();
-        let (mut low, mut top) = (HashSet::new(), HashSet::new());
-        for k in keys {
-            let h = build.hash_one(&k);
-            low.insert(h & 0xffff);
-            top.insert(h >> 57);
-        }
-        (low.len(), top.len())
+    fn int_key_table(name: &str, keys: impl Iterator<Item = i64>) -> Table {
+        Table::new(
+            Schema::new(vec![Field::new(name, DataType::Int64)]),
+            vec![Column::I64(keys.collect(), None)],
+        )
+    }
+
+    fn float_key_table(name: &str, keys: impl Iterator<Item = f64>) -> Table {
+        Table::new(
+            Schema::new(vec![Field::new(name, DataType::Float64)]),
+            vec![Column::F64(keys.collect(), None)],
+        )
+    }
+
+    /// A table over distinct keys costs what its chains say: a lookup of a
+    /// build key walks under two entries on average and never more than 16.
+    fn assert_short_chains(family: &str, build: Table) {
+        let rows = build.rows();
+        let jt = JoinTable::build(build, &[0]);
+        assert_eq!(jt.distinct_keys(), rows, "{family}");
+        let (steps, longest) = (jt.probe_steps(), jt.max_chain());
+        assert!(
+            steps <= 2 * rows as u64,
+            "{family}: {steps} probe steps for {rows} keys"
+        );
+        assert!(longest <= 16, "{family}: a chain of {longest}");
     }
 
     #[test]
     fn hash_spreads_keys_whose_entropy_sits_in_the_high_bits() {
-        const N: u64 = 1 << 16;
-        let families = [
-            (
-                "Int64 join keys (canonical f64 bits)",
-                spread((1..=N).map(|i| vec![KeyPart::F64(canon_f64_bits(i as f64))])),
-            ),
-            (
-                "Float64 group keys (f64 bits as i64)",
-                spread((1..=N).map(|i| vec![KeyPart::I64((i as f64).to_bits() as i64)])),
-            ),
-            (
-                "count-distinct members (bare KeyPart)",
-                spread((1..=N).map(|i| KeyPart::I64((i as f64).to_bits() as i64))),
-            ),
-            (
-                "u64 differing only above bit 32",
-                spread((1..=N).map(|i| i << 32)),
-            ),
-        ];
-        for (family, (low, top)) in families {
-            // 65 536 keys can take at most 65 536 low-bit and 128 tag
-            // values; a uniform hash reaches ≈ 63 % of the former and all
-            // of the latter. Before the fold every family took exactly one
-            // low-bit value.
-            assert!(low >= 32_768, "{family}: {low} distinct low-16-bit values");
-            assert!(top >= 64, "{family}: {top} distinct 7-bit tags");
-        }
+        const N: i64 = 1 << 16;
+        // f64 bit patterns keep their entropy in the top ~28 bits; integral
+        // floats hash as the integers they equal, the others by their bits.
+        assert_short_chains(
+            "integral Float64 keys",
+            float_key_table("f", (1..=N).map(|i| i as f64)),
+        );
+        assert_short_chains(
+            "fractional Float64 keys",
+            float_key_table("f", (1..=N).map(|i| i as f64 + 0.5)),
+        );
+        assert_short_chains(
+            "f64 bit patterns as Int64 keys",
+            int_key_table("k", (1..=N).map(|i| (i as f64).to_bits() as i64)),
+        );
+        assert_short_chains(
+            "Int64 keys differing only above bit 32",
+            int_key_table("k", (1..=N).map(|i| i << 32)),
+        );
         // Small integers (entropy at the bottom) must keep spreading too.
-        let (low, top) = spread((1..=N).map(|i| vec![KeyPart::I64(i as i64)]));
-        assert!(low >= 32_768 && top >= 64, "small ints: {low} / {top}");
-    }
-
-    fn int_key_table(name: &str, rows: i64) -> Table {
-        Table::new(
-            Schema::new(vec![Field::new(name, DataType::Int64)]),
-            vec![Column::I64((0..rows).collect(), None)],
-        )
+        assert_short_chains("small Int64 keys", int_key_table("k", 1..=N));
     }
 
     #[test]
     fn join_cost_scales_with_rows_not_their_square() {
-        // Build + probe over n distinct Int64 keys, best of five.
-        let cost = |n: i64| {
-            let (build, probe) = (int_key_table("b", n), int_key_table("p", n));
-            (0..5)
-                .map(|_| {
-                    let started = std::time::Instant::now();
-                    let jt = JoinTable::build(build.clone(), &[0]);
-                    let out = probe_join(&probe, &jt, &[0], JoinKind::Inner, &driver(), None);
-                    assert_eq!(out.rows(), n as usize);
-                    started.elapsed()
-                })
-                .min()
-                .expect("five runs")
-        };
-        let (small, large) = (cost(16_000), cost(160_000));
-        // 10× the rows cost 12–30× when keys spread: the 16 k-key table
-        // and its heap-allocated keys sit in L2, the 160 k-key one does
-        // not (≈ 120 → 300 ns per build row). With every key in one probe
-        // chain they cost 95–150×.
-        assert!(
-            large <= small * 40,
-            "160 k keys cost {large:?}, 16 k cost {small:?}: more than 40×"
-        );
+        for n in [16_000, 160_000] {
+            assert_short_chains(&format!("{n} Int64 keys"), int_key_table("b", 0..n));
+            let jt = JoinTable::build(int_key_table("b", 0..n), &[0]);
+            let probe = int_key_table("p", 0..n);
+            let out = probe_join(&probe, &jt, &[0], JoinKind::Inner, &driver(), None);
+            assert_eq!(out.rows(), n as usize);
+        }
+        // Duplicates lengthen their own chain and no other: four rows per
+        // key are found in (1 + 2 + 3 + 4) / 4 steps plus the same slack.
+        let jt = JoinTable::build(int_key_table("b", (0..160_000).map(|i| i / 4)), &[0]);
+        assert_eq!(jt.distinct_keys(), 40_000);
+        assert!(jt.probe_steps() <= 4 * 160_000, "{}", jt.probe_steps());
+        // One chain holds everything, which is what the equality tests use.
+        let jt = JoinTable::build_in_one_chain(int_key_table("b", 0..100), &[0]);
+        assert_eq!((jt.max_chain(), jt.distinct_keys()), (100, 100));
     }
 
     #[test]
@@ -1166,6 +1345,64 @@ mod tests {
     }
 
     #[test]
+    fn groups_are_told_apart_by_their_keys_when_every_hash_collides() {
+        let text = |s: &str| Value::Str(s.into());
+        let shapes = [
+            (
+                DataType::Int64,
+                vec![
+                    Value::I64(1),
+                    Value::Null,
+                    Value::I64(2),
+                    Value::I64(1),
+                    Value::Null,
+                ],
+            ),
+            (
+                DataType::Float64,
+                vec![
+                    Value::F64(0.0),
+                    Value::F64(1.5),
+                    Value::F64(-0.0),
+                    Value::Null,
+                ],
+            ),
+            (
+                DataType::Utf8,
+                vec![
+                    text("a"),
+                    text(""),
+                    Value::Null,
+                    text("ab"),
+                    text("a"),
+                    text(""),
+                ],
+            ),
+        ];
+        for (dtype, values) in shapes {
+            let mut keys = Column::empty(dtype);
+            values.iter().for_each(|v| keys.push_value(v));
+            let mut table = GroupTable::new(vec![Column::empty(dtype), Column::empty(dtype)]);
+            table.batch_hashes = vec![0; values.len()];
+            table.assign_hashed(&[(&keys, false), (&keys, false)], 0..values.len());
+            // Ids in first-seen order; NULLs are one group, the zeros too.
+            let first_seen: Vec<u32> = (0..values.len())
+                .map(|row| {
+                    let firsts: Vec<usize> = (0..=row)
+                        .filter(|&r| (0..r).all(|e| values[e] != values[r]))
+                        .collect();
+                    firsts
+                        .iter()
+                        .position(|&f| values[f] == values[row])
+                        .unwrap() as u32
+                })
+                .collect();
+            assert_eq!(table.gids, first_seen, "{dtype:?}");
+            assert_eq!(table.groups(), table.keys[1].len());
+        }
+    }
+
+    #[test]
     fn grouped_aggregation() {
         let t = orders_like();
         let aggs = vec![
@@ -1269,14 +1506,33 @@ mod tests {
     }
 
     #[test]
-    fn value_cmp_total_order() {
-        use std::cmp::Ordering::*;
-        assert_eq!(value_cmp(&Value::I64(1), &Value::I64(2)), Less);
-        assert_eq!(value_cmp(&Value::F64(2.0), &Value::I64(1)), Greater);
-        assert_eq!(value_cmp(&Value::Null, &Value::I64(1)), Greater); // NULLs last
-        assert_eq!(
-            value_cmp(&Value::Str("a".into()), &Value::Str("b".into())),
-            Less
+    fn sort_puts_nulls_last_and_keeps_ties_in_input_order() {
+        let mut k = Column::empty(DataType::Float64);
+        for v in [Some(2.0), None, Some(1.0), Some(2.0), None, Some(1.0)] {
+            k.push_value(&v.map_or(Value::Null, Value::F64));
+        }
+        let t = Table::new(
+            Schema::new(vec![
+                Field::nullable("k", DataType::Float64),
+                Field::new("row", DataType::Int64),
+            ]),
+            vec![k, Column::I64((0..6).collect(), None)],
         );
+        let order = |keys: &[SortKey], limit| {
+            let out = sort_table(&t, keys, limit);
+            out.column(1).i64_values().to_vec()
+        };
+        assert_eq!(order(&[SortKey::asc("k")], None), [2, 5, 0, 3, 1, 4]);
+        // Descending reverses the whole order of the key, NULLs included,
+        // and still leaves ties as they came.
+        assert_eq!(order(&[SortKey::desc("k")], None), [1, 4, 0, 3, 2, 5]);
+        for limit in 0..=7 {
+            let full = order(&[SortKey::asc("k")], None);
+            assert_eq!(
+                order(&[SortKey::asc("k")], Some(limit)),
+                full[..limit.min(6)],
+                "limit {limit}"
+            );
+        }
     }
 }

@@ -82,6 +82,7 @@ impl Bitmap {
     ///
     /// # Panics
     /// Panics when `idx` is out of bounds.
+    #[inline]
     pub fn get(&self, idx: usize) -> bool {
         assert!(idx < self.len, "bit {idx} out of range {}", self.len);
         self.words[idx / 64] >> (idx % 64) & 1 == 1

@@ -45,7 +45,13 @@ impl StringColumn {
     /// # Panics
     /// Panics if total data exceeds `u32::MAX` bytes.
     pub fn push(&mut self, s: &str) {
-        self.data.extend_from_slice(s.as_bytes());
+        self.push_bytes(s.as_bytes());
+    }
+
+    /// Append a string given as its bytes, which the caller took from a
+    /// string column (so they are UTF-8, and are not checked again).
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
         let end = u32::try_from(self.data.len()).expect("string column exceeds 4 GiB");
         self.offsets.push(end);
     }
@@ -59,6 +65,16 @@ impl StringColumn {
         let end = self.offsets[idx + 1] as usize;
         // Safety: only `push` writes data, and it only appends whole strings.
         std::str::from_utf8(&self.data[start..end]).expect("column holds valid UTF-8")
+    }
+
+    /// Bytes of the string at row `idx` (no UTF-8 check: key kernels hash
+    /// and compare them as they are).
+    ///
+    /// # Panics
+    /// Panics when out of bounds.
+    #[inline]
+    pub fn bytes(&self, idx: usize) -> &[u8] {
+        &self.data[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
     }
 
     /// Total bytes of string data.
@@ -174,6 +190,10 @@ pub enum Column {
 }
 
 impl Column {
+    /// The row index [`extend_gather`](Self::extend_gather) reads as "no
+    /// row": the build side of a left-outer miss.
+    pub const NULL_ROW: u32 = u32::MAX;
+
     /// An empty column of physical type matching `dtype`.
     pub fn empty(dtype: DataType) -> Self {
         match dtype {
@@ -198,6 +218,7 @@ impl Column {
     }
 
     /// Whether row `idx` is valid (non-NULL).
+    #[inline]
     pub fn is_valid(&self, idx: usize) -> bool {
         match self.validity() {
             Some(bm) => bm.get(idx),
@@ -206,6 +227,7 @@ impl Column {
     }
 
     /// The validity bitmap, if any rows may be NULL.
+    #[inline]
     pub fn validity(&self) -> Option<&Bitmap> {
         match self {
             Column::I64(_, v) | Column::F64(_, v) | Column::Str(_, v) => v.as_ref(),
@@ -317,9 +339,64 @@ impl Column {
             Column::Str(v, bm) => {
                 let mut out = StringColumn::with_capacity(indices.len(), 16);
                 for &i in indices {
-                    out.push(v.get(i));
+                    out.push_bytes(v.bytes(i));
                 }
                 Column::Str(out, gather_validity(bm, indices))
+            }
+        }
+    }
+
+    /// Append `src[i]` for every `i` in `rows`, in that order; a row of
+    /// [`Column::NULL_ROW`] appends a NULL. The validity bitmap stays absent
+    /// until the first NULL arrives.
+    ///
+    /// # Panics
+    /// Panics on physical type mismatch or when an index is out of bounds.
+    pub fn extend_gather(&mut self, src: &Column, rows: &[u32]) {
+        fn values<T: Copy + Default>(dst: &mut Vec<T>, src: &[T], rows: &[u32]) {
+            dst.extend(rows.iter().map(|&i| match src.get(i as usize) {
+                Some(&v) => v,
+                None => {
+                    assert_eq!(i, Column::NULL_ROW, "row {i} out of bounds");
+                    T::default()
+                }
+            }));
+        }
+        let old_len = self.len();
+        let validity = match (&mut *self, src) {
+            (Column::I64(a, bm), Column::I64(b, _)) => {
+                values(a, b, rows);
+                bm
+            }
+            (Column::F64(a, bm), Column::F64(b, _)) => {
+                values(a, b, rows);
+                bm
+            }
+            (Column::Str(a, bm), Column::Str(b, _)) => {
+                a.offsets.reserve(rows.len());
+                for &i in rows {
+                    a.push_bytes(if i == Column::NULL_ROW {
+                        &[]
+                    } else {
+                        b.bytes(i as usize)
+                    });
+                }
+                bm
+            }
+            (a, b) => panic!(
+                "cannot gather {} column into {} column",
+                b.physical_name(),
+                a.physical_name()
+            ),
+        };
+        if src.validity().is_none() && !rows.contains(&Column::NULL_ROW) {
+            if let Some(bm) = validity {
+                bm.extend_filled(rows.len(), true);
+            }
+        } else {
+            for (n, &i) in rows.iter().enumerate() {
+                let valid = i != Column::NULL_ROW && src.is_valid(i as usize);
+                push_validity(validity, old_len + n + 1, valid);
             }
         }
     }
@@ -469,6 +546,30 @@ mod tests {
         let c = Column::I64(vec![10, 20, 30, 40], None);
         let g = c.gather(&[3, 1, 1]);
         assert_eq!(g.i64_values(), &[40, 20, 20]);
+    }
+
+    #[test]
+    fn extend_gather_equals_gather_and_fills_null_rows() {
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+                let src = nullable_column(dtype, 0..20, null);
+                let rows = [19u32, 0, 7, 7, 4];
+                let mut dst = nullable_column(dtype, 20..23, null);
+                let mut want = dst.clone();
+                dst.extend_gather(&src, &rows);
+                want.append(&src.gather(&rows.map(|r| r as usize)));
+                for r in 0..want.len() {
+                    assert_eq!(dst.value(r), want.value(r), "{dtype:?} row {r}");
+                }
+                // All-valid rows of an all-valid source leave no bitmap.
+                assert_eq!(dst.validity().is_some(), (0..23).any(null));
+                dst.extend_gather(&src, &[2, Column::NULL_ROW, 3]);
+                assert_eq!(dst.len(), want.len() + 3);
+                assert_eq!(dst.value(want.len()), src.value(2));
+                assert_eq!(dst.value(want.len() + 1), Value::Null);
+                assert_eq!(dst.value(want.len() + 2), src.value(3));
+            }
+        }
     }
 
     #[test]
