@@ -18,7 +18,7 @@
 
 use std::ops::Deref;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -302,7 +302,9 @@ impl Cluster {
                 (*scheduling, Box::new(endpoint))
             }
         };
-        let scheduler = (scheduling && n > 1).then(|| NetScheduler::new(n as usize));
+        // No multiplexer is a party to begin with: each joins the rounds
+        // when it has messages queued.
+        let scheduler = (scheduling && n > 1).then(|| NetScheduler::new(0));
         let (nodes, mux_handles) = (0..n)
             .map(|i| {
                 start_node(
@@ -527,21 +529,21 @@ impl Backend for LocalBackend {
         }
     }
 
-    /// Network scheduler barrier rounds, what the multiplexers' idle
-    /// polling cost (rounds that found nothing to do, and the time napped
-    /// in them, over all nodes), per-link bytes and messages.
+    /// Network scheduler barrier rounds, how often the multiplexers were
+    /// woken and how often for nothing (over all nodes), per-link bytes and
+    /// messages.
     fn net_counters(&self, snap: &mut MetricsSnapshot) {
         if let Some(sched) = &self.scheduler {
             snap.push_counter("net.scheduler.rounds", sched.rounds());
         }
-        let idle = self.nodes.iter().map(|n| &n.mux_idle);
+        let muxes = self.nodes.iter().map(|n| &n.to_mux);
         snap.push_counter(
-            "exchange.mux.idle_rounds",
-            idle.clone().map(|i| i.rounds()).sum(),
+            "exchange.mux.wakeups",
+            muxes.clone().map(|m| m.wakeups()).sum(),
         );
         snap.push_counter(
-            "exchange.mux.idle_sleep_ms",
-            idle.map(|i| i.slept()).sum::<Duration>().as_millis() as u64,
+            "exchange.mux.empty_wakeups",
+            muxes.map(|m| m.empty_wakeups()).sum(),
         );
         for i in 0..self.cfg.nodes {
             let stats = self.fabric.stats(NodeId(i));

@@ -59,18 +59,41 @@
 //! pool about a morsel after it left — as long as its receiver is running:
 //! there is no flow control, and a peer that is descheduled for a time
 //! slice finds a time slice's worth of messages waiting.
+//!
+//! **Who wakes the multiplexer.** With nothing queued to send it sleeps on
+//! its transport's [`Doorbell`] — untimed — and three things end a sleep. A
+//! worker queuing a [`MuxCmd`]: [`MuxSender::send`] is the only way to
+//! queue one, and it rings. The transport completing a receive: the
+//! simulated networks ring the destination's bell after the push onto its
+//! inbox, a socket's reader threads after every message and after the
+//! `PeerGone` of a dead peer. And, for one that is waiting inside a
+//! scheduler round rather than on its bell, the [`NetScheduler`]'s barrier
+//! opening. No ring is lost, because every ringer pushes first and rings
+//! second while the multiplexer silences the bell first and looks second
+//! (the argument is [`Doorbell`]'s); a hub abort or a shutdown reaches a
+//! sleeping multiplexer as the command or the frame that carries it. A
+//! multiplexer is a party to the scheduler's barrier only while it has
+//! messages queued: it joins with the first, leaves with the last, and
+//! takes its phase from the barrier's generation, so those present share
+//! a phase, a phase is a permutation (§3.2.3), a lone sender's barrier is
+//! a barrier of one, and a node that only receives turns no rounds at
+//! all. [`MuxSender::wakeups`] and [`MuxSender::empty_wakeups`] count what
+//! this costs: about one wake-up per message sent or received, next to
+//! none of them for nothing.
+//!
+//! [`NetScheduler`]: hsqp_net::NetScheduler
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 
 use hsqp_net::{
-    Fabric, NodeId, QueryId, QueryStatsRegistry, Schedule, Transport as NetTransport,
+    Doorbell, Fabric, NodeId, QueryId, QueryStatsRegistry, Schedule, Transport as NetTransport,
     TransportEvent,
 };
 use hsqp_numa::{AllocPolicy, PooledBuffer, SocketArena, SocketId, Topology};
@@ -802,8 +825,6 @@ pub struct MuxConfig {
     pub node: NodeId,
     /// Cluster size.
     pub nodes: u16,
-    /// Network scheduling on/off (§3.2.3).
-    pub scheduling: bool,
     /// Messages sent to one target before re-synchronizing (the paper uses
     /// 8 per phase).
     pub batch_per_phase: usize,
@@ -815,33 +836,39 @@ pub struct MuxConfig {
     pub alloc_policy: AllocPolicy,
 }
 
-/// What a multiplexer's polling costs while it has nothing to do. It has
-/// no doorbell: with nothing to ship, receive or queue it naps for 20 µs
-/// and looks again, thousands of times a second.
-#[derive(Debug, Default)]
-pub struct MuxIdle {
-    rounds: AtomicU64,
-    slept_ns: AtomicU64,
+/// How often a multiplexer woke from its bell, and how often for nothing.
+#[derive(Default)]
+struct Wakeups {
+    all: AtomicU64,
+    empty: AtomicU64,
 }
 
-impl MuxIdle {
-    /// Polling rounds that found nothing to do.
-    pub fn rounds(&self) -> u64 {
-        self.rounds.load(Ordering::Relaxed)
+/// A node's line to its multiplexer: queues a command and rings the
+/// multiplexer's bell, in that order, so no sender can forget the second
+/// half. Also where the multiplexer's wake-up counts are read.
+pub struct MuxSender {
+    tx: Sender<MuxCmd>,
+    bell: Arc<Doorbell>,
+    wakeups: Arc<Wakeups>,
+}
+
+impl MuxSender {
+    /// Queue `cmd`; fails once the multiplexer has exited.
+    pub fn send(&self, cmd: MuxCmd) -> Result<(), SendError<MuxCmd>> {
+        self.tx.send(cmd)?;
+        self.bell.ring();
+        Ok(())
     }
 
-    /// Time spent in the naps of those rounds, as measured around them (a
-    /// 20 µs sleep takes as long as the host's timer slack makes it).
-    pub fn slept(&self) -> Duration {
-        Duration::from_nanos(self.slept_ns.load(Ordering::Relaxed))
+    /// Times the multiplexer has been woken from its bell.
+    pub fn wakeups(&self) -> u64 {
+        self.wakeups.all.load(Ordering::Relaxed)
     }
 
-    fn nap(&self) {
-        let t0 = Instant::now();
-        std::thread::sleep(Duration::from_micros(20));
-        self.rounds.fetch_add(1, Ordering::Relaxed);
-        self.slept_ns
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Those of them after which it found neither a command nor a
+    /// completion: a ring for something an earlier look had already taken.
+    pub fn empty_wakeups(&self) -> u64 {
+        self.wakeups.empty.load(Ordering::Relaxed)
     }
 }
 
@@ -852,19 +879,25 @@ impl MuxIdle {
 /// [`SocketTransport`](hsqp_net::SocketTransport) over genuine OS sockets
 /// between processes. Every message it puts on the wire is attributed to
 /// the query id in its header via `query_stats`, giving per-query fabric
-/// accounting even when several queries share the multiplexer. Its idle
-/// rounds are counted into `idle`.
+/// accounting even when several queries share the multiplexer. With a
+/// `scheduler` it sends in round-robin phases (§3.2.3), without one to all
+/// targets at once.
 ///
 /// Returns the command sender; the thread exits on [`MuxCmd::Shutdown`].
 pub fn spawn_multiplexer(
     cfg: MuxConfig,
     transport: Box<dyn NetTransport>,
     hub: Arc<RecvHub>,
-    idle: Arc<MuxIdle>,
     scheduler: Option<Arc<hsqp_net::NetScheduler>>,
     query_stats: Arc<QueryStatsRegistry>,
-) -> (Sender<MuxCmd>, std::thread::JoinHandle<()>) {
+) -> (MuxSender, std::thread::JoinHandle<()>) {
     let (tx, rx) = unbounded();
+    let to_mux = MuxSender {
+        tx,
+        bell: transport.doorbell(),
+        wakeups: Arc::default(),
+    };
+    let wakeups = Arc::clone(&to_mux.wakeups);
     let handle = std::thread::Builder::new()
         .name(format!("mux-{}", cfg.node.0))
         .spawn(move || {
@@ -872,138 +905,133 @@ pub fn spawn_multiplexer(
                 &cfg,
                 transport.as_ref(),
                 &hub,
-                &idle,
+                &wakeups,
                 scheduler.as_deref(),
                 &query_stats,
                 &rx,
             )
         })
         .expect("spawn multiplexer");
-    (tx, handle)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Rounds of the multiplexer's polling loop run on this thread.
-    static POLL_ROUNDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    (to_mux, handle)
 }
 
 fn mux_loop(
     cfg: &MuxConfig,
     endpoint: &dyn NetTransport,
     hub: &RecvHub,
-    idle: &MuxIdle,
+    wakeups: &Wakeups,
     scheduler: Option<&hsqp_net::NetScheduler>,
     query_stats: &QueryStatsRegistry,
     rx: &Receiver<MuxCmd>,
 ) {
     let n = cfg.nodes;
-    if n <= 1 {
-        // A single node's exchanges never come here: there is no peer to
-        // receive from, and the exchange operators queue nothing (last
-        // markers, broadcast copies and gathers are for other nodes; a
-        // node's own partition goes to its receive hub directly). So there
-        // is nothing to poll for — sleep until told to stop.
-        while let Ok(cmd) = rx.recv() {
-            if matches!(cmd, MuxCmd::Shutdown) {
-                break;
-            }
-        }
-        if let Some(s) = scheduler {
-            s.leave();
-        }
-        return;
-    }
+    let bell = endpoint.doorbell();
     let mut queues: Vec<std::collections::VecDeque<Bytes>> =
         (0..n).map(|_| Default::default()).collect();
+    // Messages in `queues`. A single node never has any: last-markers,
+    // broadcast copies and gathers are for other nodes.
+    let mut queued = 0usize;
     let schedule = Schedule::new(n);
-    let mut phase: u16 = 1;
+    // The scheduler generation this multiplexer is in while it takes part
+    // in the rounds, which is while it has messages queued.
+    let mut round: Option<u64> = None;
     let mut recv_rr: u64 = 0;
     let mut shutdown = false;
+    // Whether the last look found a completion or a command.
+    let mut found = false;
 
     loop {
-        #[cfg(test)]
-        POLL_ROUNDS.with(|rounds| rounds.set(rounds.get() + 1));
+        // Nothing to ship and the last look found nothing: sleep until a
+        // worker or the transport rings. Either way the bell is silent
+        // before the look that follows, so what that look misses rings it
+        // again (see `Doorbell`). A look that found something may leave
+        // the bell rung for what it took: one more look with a silent bell
+        // then, instead of a wake-up for nothing. And once told to shut
+        // down, ship what is queued and do not sleep again.
+        let woken = queued == 0 && !found && !shutdown;
+        if woken {
+            bell.wait();
+        } else {
+            bell.clear();
+        }
 
         // Route incoming completions to the receive queues, alternating
         // NUMA sockets ("receives messages for every NUMA region in turn").
-        let mut received = false;
+        found = false;
         while let Some(ev) = endpoint.try_recv() {
-            received = true;
+            found = true;
             handle_event(cfg, hub, ev, &mut recv_rr);
         }
 
         // Accept new work from the exchange operators.
         loop {
             match rx.try_recv() {
-                Ok(MuxCmd::Send { target, payload }) => queues[target.idx()].push_back(payload),
+                Ok(MuxCmd::Send { target, payload }) => {
+                    queues[target.idx()].push_back(payload);
+                    queued += 1;
+                }
                 Ok(MuxCmd::Broadcast {
                     payload,
                     copies_per_node,
                 }) => {
-                    for t in 0..n {
-                        if t == cfg.node.0 {
-                            continue;
-                        }
+                    for t in (0..n).filter(|&t| t != cfg.node.0) {
                         for _ in 0..copies_per_node {
                             // Retain: cheap Bytes clone, no data copy.
                             queues[t as usize].push_back(payload.clone());
+                            queued += 1;
                         }
                     }
                 }
-                Ok(MuxCmd::Shutdown) => shutdown = true,
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
-            }
-        }
-
-        if shutdown && queues.iter().all(|q| q.is_empty()) {
-            if let Some(s) = scheduler {
-                s.leave();
-            }
-            // Drain any final in-flight messages for receivers still alive.
-            while let Some(ev) = endpoint.try_recv() {
-                handle_event(cfg, hub, ev, &mut recv_rr);
-            }
-            return;
-        }
-
-        if cfg.scheduling {
-            // Round-robin phases in lockstep with all other multiplexers:
-            // send a batch to this phase's target, synchronize, advance.
-            let target = schedule.target(cfg.node, phase);
-            let mut sent = 0;
-            while sent < cfg.batch_per_phase {
-                match queues[target.idx()].pop_front() {
-                    Some(payload) => {
-                        ship(endpoint, query_stats, target, payload);
-                        sent += 1;
-                    }
-                    None => break,
+                // No one left to take commands from is a shutdown too.
+                Ok(MuxCmd::Shutdown) | Err(TryRecvError::Disconnected) => {
+                    shutdown = true;
+                    break;
                 }
+                Err(TryRecvError::Empty) => break,
             }
-            if let Some(s) = scheduler {
-                s.sync();
+            found = true;
+        }
+        if woken {
+            wakeups.all.fetch_add(1, Ordering::Relaxed);
+            if !found && !shutdown {
+                wakeups.empty.fetch_add(1, Ordering::Relaxed);
             }
-            phase = phase % schedule.phases() + 1;
-            // Fully idle round (nothing shipped, received, or queued):
-            // back off like the uncoordinated path does, so an idle
-            // fabric's phase barrier does not busy-spin compute threads
-            // off small hosts. Under load at least one of these is true
-            // on every node, so the hot path never sleeps.
-            if sent == 0 && !received && queues.iter().all(|q| q.is_empty()) {
-                idle.nap();
+        }
+
+        if queued == 0 {
+            if shutdown {
+                // Drain any final in-flight messages for receivers still alive.
+                while let Some(ev) = endpoint.try_recv() {
+                    handle_event(cfg, hub, ev, &mut recv_rr);
+                }
+                return;
             }
+        } else if let Some(s) = scheduler {
+            // Round-robin phases in lockstep with the other multiplexers
+            // that have something queued: send a batch to this phase's
+            // target, synchronize, advance — and step out of the rounds
+            // with the last message, before sleeping.
+            let generation = round.unwrap_or_else(|| s.join());
+            let target = schedule.target(cfg.node, schedule.phase_of(generation));
+            let queue = &mut queues[target.idx()];
+            let batch = queue.len().min(cfg.batch_per_phase);
+            for payload in queue.drain(..batch) {
+                ship(endpoint, query_stats, target, payload);
+            }
+            queued -= batch;
+            round = if queued > 0 {
+                Some(s.arrive())
+            } else {
+                s.leave();
+                None
+            };
         } else {
             // Uncoordinated: ship whatever is queued, all targets at once.
-            let mut any = false;
             for t in 0..n {
                 if let Some(payload) = queues[t as usize].pop_front() {
                     ship(endpoint, query_stats, NodeId(t), payload);
-                    any = true;
+                    queued -= 1;
                 }
-            }
-            if !any {
-                idle.nap();
             }
         }
     }
@@ -1313,15 +1341,7 @@ mod tests {
     fn abort_frame_routes_to_hub_abort() {
         let hub = RecvHub::new(1);
         hub.expect_lasts(Q, 2, 1);
-        let cfg = MuxConfig {
-            node: NodeId(0),
-            nodes: 2,
-            scheduling: false,
-            batch_per_phase: 8,
-            classic_units: None,
-            sockets: 1,
-            alloc_policy: AllocPolicy::NumaAware,
-        };
+        let cfg = mux_cfg(0, 2);
         let mut frame = Vec::new();
         encode_header(Q, 2, FLAG_ABORT, 0, 0, &mut frame);
         let mut rr = 0;
@@ -1329,48 +1349,75 @@ mod tests {
         assert!(hub.is_aborted(Q));
     }
 
-    #[test]
-    fn single_node_multiplexer_blocks_instead_of_polling() {
-        let fabric = Arc::new(Fabric::new(1, FabricConfig::qdr()));
-        let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
-        let endpoint = net.endpoint(NodeId(0));
-        let hub = RecvHub::new(1);
-        let idle = MuxIdle::default();
-        let stats = QueryStatsRegistry::new();
-        let cfg = MuxConfig {
-            node: NodeId(0),
-            nodes: 1,
-            scheduling: true,
+    fn mux_cfg(node: u16, nodes: u16) -> MuxConfig {
+        MuxConfig {
+            node: NodeId(node),
+            nodes,
             batch_per_phase: 8,
             classic_units: None,
-            sockets: 1,
+            sockets: 2,
             alloc_policy: AllocPolicy::NumaAware,
-        };
-        let (tx, rx) = unbounded();
-        let rounds = std::thread::scope(|scope| {
-            let mux = scope.spawn(|| {
-                mux_loop(&cfg, &endpoint, &hub, &idle, None, &stats, &rx);
-                POLL_ROUNDS.with(std::cell::Cell::get)
-            });
-            // Two commands, then shutdown: the thread must get from each
-            // to the next — and to its exit — without a polling round.
-            for _ in 0..2 {
-                tx.send(MuxCmd::Broadcast {
+        }
+    }
+
+    #[test]
+    fn single_node_multiplexer_sleeps_like_any_other() {
+        let fabric = Arc::new(Fabric::new(1, FabricConfig::qdr()));
+        let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
+        let (to_mux, mux) = spawn_multiplexer(
+            mux_cfg(0, 1),
+            Box::new(net.endpoint(NodeId(0))),
+            RecvHub::new(1),
+            Some(hsqp_net::NetScheduler::new(0)),
+            Arc::new(QueryStatsRegistry::new()),
+        );
+        // Two commands that queue nothing on a single node, then shutdown:
+        // at most a wake-up each, none of them for nothing, and no round of
+        // a schedule that has no phases.
+        for _ in 0..2 {
+            to_mux
+                .send(MuxCmd::Broadcast {
                     payload: Bytes::new(),
                     copies_per_node: 1,
                 })
                 .unwrap();
-            }
-            tx.send(MuxCmd::Shutdown).unwrap();
-            mux.join().unwrap()
-        });
-        assert_eq!(rounds, 0, "a single-node multiplexer must not poll");
-        assert_eq!(idle.rounds(), 0);
+        }
+        to_mux.send(MuxCmd::Shutdown).unwrap();
+        mux.join().unwrap();
+        assert!((1..=3).contains(&to_mux.wakeups()), "{}", to_mux.wakeups());
+        assert_eq!(to_mux.empty_wakeups(), 0);
+        assert!(to_mux.send(MuxCmd::Shutdown).is_err(), "it has exited");
+    }
 
-        // All senders gone is a shutdown too.
-        let (tx, rx) = unbounded::<MuxCmd>();
-        drop(tx);
-        mux_loop(&cfg, &endpoint, &hub, &idle, None, &stats, &rx);
+    #[test]
+    fn shutdown_ships_what_is_queued_first() {
+        let fabric = Arc::new(Fabric::new(2, FabricConfig::qdr()));
+        let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
+        let ep = net.endpoint(NodeId(0));
+        net.endpoint(NodeId(1)).post_recvs(1 << 20);
+        let stats = Arc::new(QueryStatsRegistry::new());
+        let q_stats = stats.register(Q);
+        let (to_mux, mux) = spawn_multiplexer(
+            mux_cfg(0, 2),
+            Box::new(ep),
+            RecvHub::new(2),
+            Some(hsqp_net::NetScheduler::new(0)),
+            Arc::clone(&stats),
+        );
+        // Three batches' worth, and the shutdown right behind them.
+        let mut msg = Vec::new();
+        encode_header(Q, 1, 0, 0, 0, &mut msg);
+        for _ in 0..20 {
+            to_mux
+                .send(MuxCmd::Send {
+                    target: NodeId(1),
+                    payload: Bytes::from(msg.clone()),
+                })
+                .unwrap();
+        }
+        to_mux.send(MuxCmd::Shutdown).unwrap();
+        mux.join().unwrap();
+        assert_eq!(q_stats.messages_sent(), 20);
     }
 
     #[test]
@@ -1380,27 +1427,16 @@ mod tests {
         let mut handles = Vec::new();
         let mut senders = Vec::new();
         let hubs: Vec<_> = (0..2).map(|_| RecvHub::new(2)).collect();
-        let sched = hsqp_net::NetScheduler::new(2);
-        let idle = Arc::new(MuxIdle::default());
+        let sched = hsqp_net::NetScheduler::new(0);
         let stats = Arc::new(QueryStatsRegistry::new());
         let q_stats = stats.register(Q);
         for node in 0..2u16 {
             let ep = net.endpoint(NodeId(node));
             ep.post_recvs(1 << 20);
-            let cfg = MuxConfig {
-                node: NodeId(node),
-                nodes: 2,
-                scheduling: true,
-                batch_per_phase: 8,
-                classic_units: None,
-                sockets: 2,
-                alloc_policy: AllocPolicy::NumaAware,
-            };
             let (tx, h) = spawn_multiplexer(
-                cfg,
+                mux_cfg(node, 2),
                 Box::new(ep),
                 Arc::clone(&hubs[node as usize]),
-                Arc::clone(&idle),
                 Some(Arc::clone(&sched)),
                 Arc::clone(&stats),
             );
@@ -1442,7 +1478,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Two multiplexers with nothing queued most of the time.
-        assert!(idle.rounds() > 0 && idle.slept() >= Duration::from_micros(20));
+        // Two commands and a shutdown woke the sender, two completions and
+        // a shutdown the receiver, which never took part in a round; the
+        // sender left the rounds with its last message.
+        for tx in &senders {
+            assert!((1..=3).contains(&tx.wakeups()), "{}", tx.wakeups());
+        }
+        assert!(sched.rounds() <= 1, "{}", sched.rounds());
+        assert_eq!(sched.parties(), 0);
     }
 }

@@ -43,7 +43,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::Sender;
 use parking_lot::RwLock;
 
 use hsqp_net::{
@@ -57,7 +56,7 @@ use hsqp_tpch::TpchTable;
 use crate::cluster::{ClusterConfig, EngineKind};
 use crate::coordinator::StageCall;
 use crate::exchange::{
-    encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxIdle,
+    encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxSender,
     Polled, RecvHub, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::{eval, Expr};
@@ -93,10 +92,8 @@ pub struct NodeCtx {
     pub pool: Arc<MessagePool>,
     /// Receive routing point shared with the multiplexer.
     pub hub: Arc<RecvHub>,
-    /// Command channel to the multiplexer thread.
-    pub to_mux: Sender<MuxCmd>,
-    /// What the multiplexer thread's idle polling has cost so far.
-    pub mux_idle: Arc<MuxIdle>,
+    /// Command channel to the multiplexer thread, with its bell.
+    pub to_mux: MuxSender,
     /// Loaded base relations (this node's placement share).
     pub tables: RwLock<HashMap<TpchTable, Arc<Table>>>,
     /// Temporary relations materialized by in-flight queries' stages,
@@ -143,21 +140,13 @@ pub(crate) fn start_node(
     let mux_cfg = MuxConfig {
         node,
         nodes: cfg.nodes,
-        scheduling: scheduler.is_some(),
         batch_per_phase: 8,
         classic_units,
         sockets,
         alloc_policy: cfg.alloc_policy,
     };
-    let mux_idle = Arc::new(MuxIdle::default());
-    let (to_mux, mux) = spawn_multiplexer(
-        mux_cfg,
-        endpoint,
-        Arc::clone(&hub),
-        Arc::clone(&mux_idle),
-        scheduler,
-        query_stats,
-    );
+    let (to_mux, mux) =
+        spawn_multiplexer(mux_cfg, endpoint, Arc::clone(&hub), scheduler, query_stats);
     let ctx = Arc::new(NodeCtx {
         node,
         nodes: cfg.nodes,
@@ -174,7 +163,6 @@ pub(crate) fn start_node(
         pool,
         hub,
         to_mux,
-        mux_idle,
         tables: RwLock::new(HashMap::new()),
         temps: RwLock::new(HashMap::new()),
         consume_loads: parking_lot::Mutex::new(Vec::new()),

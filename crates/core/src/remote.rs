@@ -31,7 +31,7 @@
 //! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` |
 //! | `Retire` (query) | `RetireOk` (per-query bytes/messages) |
 //! | `Abort` (query) | — |
-//! | `Stats` | `StatsOk` (node socket counters) |
+//! | `Stats` | `StatsOk` (node socket and multiplexer counters) |
 //! | `Shutdown` | — (the node process exits) |
 //!
 //! Per-query network counters are read at *retire* time: the coordinator
@@ -405,6 +405,8 @@ impl NodeServer {
                     serial::put_u64(out, net_stats.bytes_received());
                     serial::put_u64(out, net_stats.messages_sent());
                     serial::put_u64(out, net_stats.messages_received());
+                    serial::put_u64(out, ctx.to_mux.wakeups());
+                    serial::put_u64(out, ctx.to_mux.empty_wakeups());
                 })
                 .map_err(|e| e.to_string())?;
             }
@@ -585,8 +587,9 @@ enum NodeReply {
 /// Replies to coordinator-wide (non-query) requests.
 enum CtlReply {
     LoadOk(Vec<(String, u64)>),
-    /// bytes sent, bytes received, messages sent, messages received.
-    StatsOk(u64, u64, u64, u64),
+    /// Bytes sent, bytes received, messages sent, messages received; then
+    /// the multiplexer's wake-ups and how many of them found nothing.
+    StatsOk([u64; 6]),
 }
 
 type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
@@ -776,7 +779,8 @@ impl ProcessCluster {
     /// cluster-wide sums: `(bytes_sent, bytes_received, messages_sent,
     /// messages_received)`.
     pub fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
-        self.backend.net_stats()
+        let [bs, br, ms, mr, ..] = self.backend.node_stats()?;
+        Ok((bs, br, ms, mr))
     }
 
     /// Shut the node processes down and disconnect. In-flight queries
@@ -859,18 +863,20 @@ impl RemoteBackend {
         Ok(replies)
     }
 
-    fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
+    /// The nodes' [`CtlReply::StatsOk`] counters, summed.
+    fn node_stats(&self) -> Result<[u64; 6], EngineError> {
         let replies = self.control_op(
             "reporting stats",
             self.reply_timeout,
             |out| serial::put_u8(out, OP_STATS),
             |reply| match reply {
-                CtlReply::StatsOk(bs, br, ms, mr) => Some((bs, br, ms, mr)),
+                CtlReply::StatsOk(counters) => Some(counters),
                 CtlReply::LoadOk(_) => None,
             },
         )?;
-        Ok(replies.into_iter().fold((0, 0, 0, 0), |sum, r| {
-            (sum.0 + r.0, sum.1 + r.1, sum.2 + r.2, sum.3 + r.3)
+        Ok(replies.into_iter().fold([0; 6], |mut sum, node| {
+            sum.iter_mut().zip(node).for_each(|(s, n)| *s += n);
+            sum
         }))
     }
 
@@ -1017,13 +1023,21 @@ impl Backend for RemoteBackend {
         self.pending.lock().remove(&query.0);
     }
 
-    /// The socket mesh's totals, polled from the nodes.
+    /// The socket mesh's totals and the multiplexers' wake-up counts,
+    /// polled from the nodes.
     fn net_counters(&self, snap: &mut MetricsSnapshot) {
-        if let Ok((bs, br, ms, mr)) = self.net_stats() {
-            snap.push_counter("net.mesh.bytes_sent", bs);
-            snap.push_counter("net.mesh.bytes_received", br);
-            snap.push_counter("net.mesh.messages_sent", ms);
-            snap.push_counter("net.mesh.messages_received", mr);
+        const NAMES: [&str; 6] = [
+            "net.mesh.bytes_sent",
+            "net.mesh.bytes_received",
+            "net.mesh.messages_sent",
+            "net.mesh.messages_received",
+            "exchange.mux.wakeups",
+            "exchange.mux.empty_wakeups",
+        ];
+        if let Ok(counters) = self.node_stats() {
+            for (name, value) in NAMES.iter().zip(counters) {
+                snap.push_counter(name, value);
+            }
         }
     }
 }
@@ -1080,13 +1094,11 @@ fn coord_reader(node: usize, mut stream: TcpStream, backend: &RemoteBackend) {
                     let _ = backend.ctl_tx.send((node, CtlReply::LoadOk(rows)));
                 }
                 OP_STATS_OK => {
-                    let bs = r.u64()?;
-                    let br = r.u64()?;
-                    let ms = r.u64()?;
-                    let mr = r.u64()?;
-                    let _ = backend
-                        .ctl_tx
-                        .send((node, CtlReply::StatsOk(bs, br, ms, mr)));
+                    let mut counters = [0; 6];
+                    for c in &mut counters {
+                        *c = r.u64()?;
+                    }
+                    let _ = backend.ctl_tx.send((node, CtlReply::StatsOk(counters)));
                 }
                 op => return Err(format!("unexpected reply opcode {op}")),
             }
@@ -1207,7 +1219,7 @@ mod tests {
         let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
         // Node 1's answer to a `Stats` that timed out is still in the
         // channel when both nodes answer the `Load` that follows it.
-        tx.send((1, CtlReply::StatsOk(1, 2, 3, 4))).unwrap();
+        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6]))).unwrap();
         tx.send((0, loaded(13))).unwrap();
         tx.send((1, loaded(12))).unwrap();
         let pick_load = |reply| match reply {

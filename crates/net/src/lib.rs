@@ -44,4 +44,4 @@ pub use sched::{NetScheduler, Schedule};
 pub use socket::{SocketConfig, SocketTransport};
 pub use stats::{NetStats, QueryId, QueryNetStats, QueryStatsRegistry};
 pub use tcp::{IpoibMode, TcpConfig, TcpEndpoint, TcpNetwork};
-pub use transport::{Transport, TransportEvent};
+pub use transport::{Doorbell, Transport, TransportEvent};

@@ -14,7 +14,13 @@
 //!    a sender blocks when the receiver has no credits (RNR back pressure).
 //! 4. **Completion notifications** — [`CompletionMode::Polling`] burns a
 //!    core for minimal latency; [`CompletionMode::Event`] sleeps on an
-//!    interrupt-driven event at ~4 % CPU (§2.2.4).
+//!    interrupt-driven event at ~4 % CPU (§2.2.4). The mode governs
+//!    [`RdmaEndpoint::wait_completion`], for callers that own an endpoint.
+//!    The engine's multiplexer is event-driven whatever the mode: every
+//!    send rings the destination's [`Doorbell`] once the completion is on
+//!    its queue, and the multiplexer sleeps on that bell between
+//!    [`RdmaEndpoint::poll_completion`]s — the completion channel of
+//!    ibverbs, shared with the multiplexer's other sources of work.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -24,6 +30,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::{Condvar, Mutex};
 
 use crate::fabric::{Fabric, NodeId};
+use crate::transport::Doorbell;
 
 /// How completions are detected (§2.2.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -127,6 +134,8 @@ pub struct RdmaNetwork {
     fabric: Arc<Fabric>,
     cfg: RdmaConfig,
     inboxes: Vec<(Sender<WireMessage>, Receiver<WireMessage>)>,
+    /// Per node: rung after every push onto its inbox.
+    bells: Vec<Arc<Doorbell>>,
     credits: Vec<Arc<Credits>>,
 }
 
@@ -138,6 +147,7 @@ impl RdmaNetwork {
             fabric,
             cfg,
             inboxes: (0..n).map(|_| unbounded()).collect(),
+            bells: (0..n).map(|_| Doorbell::new()).collect(),
             credits: (0..n).map(|_| Arc::new(Credits::default())).collect(),
         }
     }
@@ -155,6 +165,7 @@ impl RdmaNetwork {
             fabric: Arc::clone(&self.fabric),
             inbox: self.inboxes[node.idx()].1.clone(),
             peers: self.inboxes.iter().map(|(tx, _)| tx.clone()).collect(),
+            bells: self.bells.clone(),
             credits: self.credits.clone(),
             next_rkey: Mutex::new(1),
         }
@@ -168,6 +179,7 @@ pub struct RdmaEndpoint {
     fabric: Arc<Fabric>,
     inbox: Receiver<WireMessage>,
     peers: Vec<Sender<WireMessage>>,
+    bells: Vec<Arc<Doorbell>>,
     credits: Vec<Arc<Credits>>,
     next_rkey: Mutex<u64>,
 }
@@ -181,6 +193,12 @@ impl RdmaEndpoint {
     /// The configuration in effect.
     pub fn config(&self) -> &RdmaConfig {
         &self.cfg
+    }
+
+    /// The bell every sender rings once its message is on this node's
+    /// completion queue.
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.bells[self.node.idx()])
     }
 
     /// Register `data` as a memory region, paying pin + HCA mapping cost.
@@ -224,12 +242,7 @@ impl RdmaEndpoint {
         // The HCA reads the buffer once; with DDIO it serves from LLC.
         self.fabric.record_membus(self.node, len as u64, 0);
         let delivery = self.fabric.reserve(self.node, dst, len, 1);
-        let _ = self.peers[dst.idx()].send(WireMessage {
-            src: self.node,
-            payload: region.into_bytes(),
-            delivery,
-            inline: false,
-        });
+        self.deliver(dst, region.into_bytes(), delivery, false);
     }
 
     /// Two-sided send of a payload whose buffer is already registered (it
@@ -242,12 +255,7 @@ impl RdmaEndpoint {
         let len = payload.len();
         self.fabric.record_membus(self.node, len as u64, 0);
         let delivery = self.fabric.reserve(self.node, dst, len.max(1), 1);
-        let _ = self.peers[dst.idx()].send(WireMessage {
-            src: self.node,
-            payload,
-            delivery,
-            inline: false,
-        });
+        self.deliver(dst, payload, delivery, false);
     }
 
     /// Low-latency inline send (≤ 256 bytes): payload travels inside the
@@ -260,12 +268,18 @@ impl RdmaEndpoint {
         self.fabric
             .charge_send_cpu(self.node, Duration::from_nanos(300));
         let delivery = self.fabric.reserve(self.node, dst, data.len().max(1), 1);
+        self.deliver(dst, Bytes::copy_from_slice(data), delivery, true);
+    }
+
+    /// Put a message on `dst`'s completion queue, then ring its bell.
+    fn deliver(&self, dst: NodeId, payload: Bytes, delivery: f64, inline: bool) {
         let _ = self.peers[dst.idx()].send(WireMessage {
             src: self.node,
-            payload: Bytes::copy_from_slice(data),
+            payload,
             delivery,
-            inline: true,
+            inline,
         });
+        self.bells[dst.idx()].ring();
     }
 
     /// Pop the next completion, honouring the configured notification mode.

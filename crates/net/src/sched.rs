@@ -9,10 +9,15 @@
 //! inline synchronization messages.
 //!
 //! [`Schedule`] is the pure phase arithmetic; [`NetScheduler`] is the
-//! synchronization primitive the communication multiplexers block on. The
-//! scheduler supports *leaving* (a node that finished its data keeps out of
-//! future barriers), which the engine uses when exchanges complete at
-//! different times.
+//! synchronization primitive the communication multiplexers block on. Its
+//! barrier is one of those *present*: a multiplexer [`join`](NetScheduler::join)s
+//! when it has messages queued and [`leave`](NetScheduler::leave)s when they
+//! are gone, so one with nothing to send neither holds the others up nor
+//! turns rounds of its own. The phase is a function of the barrier's
+//! generation ([`Schedule::phase_of`]), which `join` and
+//! [`arrive`](NetScheduler::arrive) return: whoever is present is in the same
+//! generation — it cannot advance past one who has not arrived — hence in
+//! the same phase, and a phase gives different senders different targets.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,6 +56,15 @@ impl Schedule {
         self.n - 1
     }
 
+    /// The phase of barrier generation `generation`: phases 1 to `n − 1`
+    /// in turn.
+    ///
+    /// # Panics
+    /// Panics for a single node, which has no phases.
+    pub fn phase_of(&self, generation: u64) -> u16 {
+        (generation % u64::from(self.phases())) as u16 + 1
+    }
+
     /// The node `node` sends to during `phase` (1-based phase index).
     ///
     /// # Panics
@@ -78,11 +92,12 @@ struct BarrierState {
     generation: u64,
 }
 
-/// A reusable, leavable barrier with a modeled synchronization latency.
+/// A reusable barrier one can join and leave, with a modeled
+/// synchronization latency.
 ///
 /// Each `sync()` models the exchange of inline synchronization messages: all
-/// participants block until the slowest arrives, then a calibrated ~1 µs
-/// latency is charged before anyone proceeds.
+/// present participants block until the slowest arrives, then a calibrated
+/// ~1 µs latency is charged before anyone proceeds.
 pub struct NetScheduler {
     state: Mutex<BarrierState>,
     cv: Condvar,
@@ -90,18 +105,15 @@ pub struct NetScheduler {
 }
 
 impl NetScheduler {
-    /// Scheduler synchronizing `parties` multiplexers with the default
-    /// ~1 µs inline-message latency.
+    /// Scheduler with `parties` multiplexers present from the start — none,
+    /// if all of them [`join`](Self::join) as they get work — and the
+    /// default ~1 µs inline-message latency.
     pub fn new(parties: usize) -> Arc<Self> {
         Self::with_latency(parties, Duration::from_micros(1))
     }
 
     /// Scheduler with an explicit synchronization latency.
-    ///
-    /// # Panics
-    /// Panics if `parties` is zero.
     pub fn with_latency(parties: usize, sync_latency: Duration) -> Arc<Self> {
-        assert!(parties > 0, "scheduler needs at least one party");
         Arc::new(Self {
             state: Mutex::new(BarrierState {
                 parties,
@@ -116,6 +128,12 @@ impl NetScheduler {
     /// Block until all current parties arrived; models the inline
     /// synchronization message exchange between phases.
     pub fn sync(&self) {
+        self.arrive();
+    }
+
+    /// [`sync`](Self::sync), returning the generation it opened: the one
+    /// every party present is in until it arrives again.
+    pub fn arrive(&self) -> u64 {
         let mut st = self.state.lock();
         let gen = st.generation;
         st.arrived += 1;
@@ -131,10 +149,21 @@ impl NetScheduler {
         drop(st);
         // The inline sync messages themselves (~1 µs on InfiniBand).
         spin_for(self.sync_latency);
+        // It takes this party's next arrival to get past `gen + 1`.
+        gen + 1
     }
 
-    /// Permanently leave the barrier; remaining parties no longer wait for
-    /// this participant.
+    /// Become a party, the inverse of [`leave`](Self::leave): from now on
+    /// the barrier waits for the caller too. Returns the generation in
+    /// progress, which the newcomer is in like everyone present.
+    pub fn join(&self) -> u64 {
+        let mut st = self.state.lock();
+        st.parties += 1;
+        st.generation
+    }
+
+    /// Leave the barrier; remaining parties no longer wait for this
+    /// participant, and those waiting for it alone go on.
     pub fn leave(&self) {
         let mut st = self.state.lock();
         assert!(st.parties > 0, "more leaves than parties");
@@ -259,6 +288,93 @@ mod tests {
         sched.leave();
         h.join().unwrap();
         assert_eq!(sched.parties(), 1);
+    }
+
+    #[test]
+    fn leave_releases_those_already_waiting_and_join_holds_the_next_round() {
+        let sched = NetScheduler::with_latency(0, Duration::ZERO);
+        assert_eq!((sched.join(), sched.join(), sched.join()), (0, 0, 0));
+        let waiters: Vec<_> = (0..2)
+            .map(|_| {
+                let s = Arc::clone(&sched);
+                std::thread::spawn(move || s.arrive())
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(sched.rounds(), 0, "two of three must wait for the third");
+        sched.leave();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), 1);
+        }
+        // A newcomer is in the generation in progress, and in the way of
+        // the next.
+        assert_eq!(sched.join(), 1);
+        let s = Arc::clone(&sched);
+        let first = std::thread::spawn(move || (s.arrive(), s.arrive()));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(sched.rounds(), 1);
+        sched.leave();
+        sched.leave();
+        assert_eq!(
+            first.join().unwrap(),
+            (2, 3),
+            "alone, every arrival is a round"
+        );
+        assert_eq!(sched.parties(), 1);
+    }
+
+    /// Multiplexers come and go as they please — join, ship to the
+    /// generation's target for a few rounds, leave, in any interleaving —
+    /// and still no two of them are ever shipping to one target at once
+    /// (§3.2.3's contention-freeness): whoever is shipping is present, and
+    /// whoever is present is in the same generation.
+    #[test]
+    fn present_parties_never_share_a_target_whatever_the_interleaving() {
+        const NODES: u16 = 5;
+        let sched = NetScheduler::with_latency(0, Duration::ZERO);
+        let schedule = Schedule::new(NODES);
+        // Target -> the node shipping to it right now, and in which generation.
+        let shipping = Arc::new(Mutex::new(std::collections::HashMap::new()));
+        let handles: Vec<_> = (0..NODES)
+            .map(|node| {
+                let (sched, shipping) = (Arc::clone(&sched), Arc::clone(&shipping));
+                std::thread::spawn(move || {
+                    // A cheap deterministic generator, different per node.
+                    let mut x = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(node) + 1);
+                    let mut next = move |bound: u64| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        x % bound
+                    };
+                    for _ in 0..400 {
+                        let mut generation = sched.join();
+                        for round in 0..=next(4) {
+                            if round > 0 {
+                                generation = sched.arrive();
+                            }
+                            let phase = schedule.phase_of(generation);
+                            let target = schedule.target(NodeId(node), phase).0;
+                            let other = shipping.lock().insert(target, (node, generation));
+                            assert_eq!(other, None, "{node} in {generation} ships to {target} too");
+                            for _ in 0..next(200) {
+                                std::hint::spin_loop();
+                            }
+                            shipping.lock().remove(&target);
+                        }
+                        sched.leave();
+                        if next(3) == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(sched.parties(), 0);
+        assert!(sched.rounds() > 0);
     }
 
     #[test]

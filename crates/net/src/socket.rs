@@ -26,6 +26,9 @@
 //! * **Failure detection** — a reader hitting EOF or a socket error emits
 //!   [`TransportEvent::PeerGone`], which the exchange layer translates
 //!   into query aborts instead of wedged receive hubs.
+//! * **One bell** — every reader thread rings the transport's
+//!   [`Doorbell`] after each event it queues, message or `PeerGone`, so a
+//!   multiplexer asleep on it learns of a dead peer as it does of data.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -37,7 +40,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use crate::fabric::NodeId;
 use crate::stats::NetStats;
-use crate::transport::{Transport, TransportEvent};
+use crate::transport::{Doorbell, Transport, TransportEvent};
 
 /// Magic number opening every connection ("HSQP").
 pub const WIRE_MAGIC: u32 = 0x4853_5150;
@@ -241,6 +244,8 @@ pub struct SocketTransport {
     /// Held so reader threads can always deliver (even while the mux is
     /// between polls); cloned senders live in the reader threads.
     _events_tx: Sender<TransportEvent>,
+    /// Rung by the reader threads after every event they queue.
+    bell: Arc<Doorbell>,
     stats: Arc<NetStats>,
 }
 
@@ -274,6 +279,7 @@ impl SocketTransport {
     ) -> io::Result<Self> {
         let nodes = addrs.len() as u16;
         let (events_tx, events) = unbounded();
+        let bell = Doorbell::new();
         let stats = Arc::new(NetStats::new());
         let mut peers: Vec<Option<PeerHandle>> = (0..nodes).map(|_| None).collect();
 
@@ -295,6 +301,7 @@ impl SocketTransport {
                 stream,
                 cfg,
                 events_tx.clone(),
+                Arc::clone(&bell),
                 Arc::clone(&stats),
             )?);
         }
@@ -345,6 +352,7 @@ impl SocketTransport {
                 stream,
                 cfg,
                 events_tx.clone(),
+                Arc::clone(&bell),
                 Arc::clone(&stats),
             )?);
             expected -= 1;
@@ -355,6 +363,7 @@ impl SocketTransport {
             peers,
             events,
             _events_tx: events_tx,
+            bell,
             stats,
         })
     }
@@ -383,6 +392,10 @@ impl Transport for SocketTransport {
 
     fn try_recv(&self) -> Option<TransportEvent> {
         self.events.try_recv().ok()
+    }
+
+    fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.bell)
     }
 }
 
@@ -420,6 +433,7 @@ fn start_peer(
     stream: TcpStream,
     cfg: &SocketConfig,
     events: Sender<TransportEvent>,
+    bell: Arc<Doorbell>,
     stats: Arc<NetStats>,
 ) -> io::Result<PeerHandle> {
     stream.set_nodelay(cfg.nodelay)?;
@@ -455,26 +469,24 @@ fn start_peer(
         .spawn(move || {
             let mut r = BufReader::new(reader_stream);
             loop {
-                match read_frame(&mut r) {
+                let event = match read_frame(&mut r) {
                     Ok(frame) => {
                         stats.record_receive(frame.len() as u64);
-                        if events
-                            .send(TransportEvent::Message {
-                                src: peer,
-                                payload: Bytes::from(frame),
-                            })
-                            .is_err()
-                        {
-                            return; // transport dropped
+                        TransportEvent::Message {
+                            src: peer,
+                            payload: Bytes::from(frame),
                         }
                     }
-                    Err(e) => {
-                        let _ = events.send(TransportEvent::PeerGone {
-                            peer,
-                            reason: format!("node {} connection lost: {e}", peer.0),
-                        });
-                        return;
-                    }
+                    Err(e) => TransportEvent::PeerGone {
+                        peer,
+                        reason: format!("node {} connection lost: {e}", peer.0),
+                    },
+                };
+                let gone = matches!(event, TransportEvent::PeerGone { .. });
+                let dropped = events.send(event).is_err();
+                bell.ring();
+                if gone || dropped {
+                    return;
                 }
             }
         })
@@ -503,15 +515,24 @@ mod tests {
         (t0, t.join().unwrap())
     }
 
-    fn recv_blocking(t: &SocketTransport) -> TransportEvent {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            if let Some(ev) = t.try_recv() {
-                return ev;
-            }
-            assert!(Instant::now() < deadline, "no event within 10s");
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    /// The next event, sleeping on the transport's bell as a multiplexer
+    /// does. A waiter that no event wakes would hang the test, so the
+    /// waiting is done on a thread this one gives ten seconds.
+    fn recv_blocking(t: SocketTransport) -> (SocketTransport, TransportEvent) {
+        let (done, woken) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let bell = t.doorbell();
+            let event = loop {
+                if let Some(event) = t.try_recv() {
+                    break event;
+                }
+                bell.wait();
+            };
+            let _ = done.send((t, event));
+        });
+        woken
+            .recv_timeout(Duration::from_secs(10))
+            .expect("no event woke the waiter within 10s")
     }
 
     #[test]
@@ -519,14 +540,15 @@ mod tests {
         let (t0, t1) = mesh_pair();
         t0.send(NodeId(1), Bytes::from_static(b"ping"));
         t1.send(NodeId(0), Bytes::from_static(b"pong"));
-        match recv_blocking(&t1) {
+        match recv_blocking(t1).1 {
             TransportEvent::Message { src, payload } => {
                 assert_eq!(src, NodeId(0));
                 assert_eq!(&payload[..], b"ping");
             }
             other => panic!("unexpected event: {other:?}"),
         }
-        match recv_blocking(&t0) {
+        let (t0, event) = recv_blocking(t0);
+        match event {
             TransportEvent::Message { src, payload } => {
                 assert_eq!(src, NodeId(1));
                 assert_eq!(&payload[..], b"pong");
@@ -542,10 +564,41 @@ mod tests {
     fn dropped_peer_surfaces_as_peer_gone() {
         let (t0, t1) = mesh_pair();
         drop(t1);
-        match recv_blocking(&t0) {
+        match recv_blocking(t0).1 {
             TransportEvent::PeerGone { peer, .. } => assert_eq!(peer, NodeId(1)),
             other => panic!("unexpected event: {other:?}"),
         }
+    }
+
+    /// A waiter already asleep on the bell — an idle multiplexer — is woken
+    /// by a message, and by its peer dying with nothing on the wire.
+    #[test]
+    fn a_sleeping_waiter_is_woken_by_a_message_and_by_a_dying_peer() {
+        let (t0, t1) = mesh_pair();
+        let asleep = |t: SocketTransport| {
+            let waiter = std::thread::spawn(move || recv_blocking(t));
+            std::thread::sleep(Duration::from_millis(50));
+            assert!(!waiter.is_finished(), "nothing has happened yet");
+            waiter
+        };
+        let waiter = asleep(t0);
+        t1.send(NodeId(0), Bytes::from_static(b"wake up"));
+        let (t0, event) = waiter.join().unwrap();
+        assert!(matches!(
+            event,
+            TransportEvent::Message { src: NodeId(1), .. }
+        ));
+
+        let waiter = asleep(t0);
+        drop(t1);
+        let (_t0, event) = waiter.join().unwrap();
+        assert!(matches!(
+            event,
+            TransportEvent::PeerGone {
+                peer: NodeId(1),
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use std::time::Duration;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::fabric::{Fabric, NodeId};
+use crate::transport::Doorbell;
 
 /// IPoIB transport mode (RFC 4391/4392 vs RFC 4755).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -228,6 +229,8 @@ pub struct TcpNetwork {
     fabric: Arc<Fabric>,
     cfg: TcpConfig,
     inboxes: Vec<(Sender<SocketDatagram>, Receiver<SocketDatagram>)>,
+    /// Per node: rung after every push onto its inbox.
+    bells: Vec<Arc<Doorbell>>,
 }
 
 impl TcpNetwork {
@@ -238,10 +241,12 @@ impl TcpNetwork {
     pub fn new(fabric: Arc<Fabric>, cfg: TcpConfig) -> Self {
         cfg.validate();
         let inboxes = (0..fabric.nodes()).map(|_| unbounded()).collect();
+        let bells = (0..fabric.nodes()).map(|_| Doorbell::new()).collect();
         Self {
             fabric,
             cfg,
             inboxes,
+            bells,
         }
     }
 
@@ -258,6 +263,7 @@ impl TcpNetwork {
             fabric: Arc::clone(&self.fabric),
             inbox: self.inboxes[node.idx()].1.clone(),
             peers: self.inboxes.iter().map(|(tx, _)| tx.clone()).collect(),
+            bells: self.bells.clone(),
         }
     }
 }
@@ -270,6 +276,7 @@ pub struct TcpEndpoint {
     fabric: Arc<Fabric>,
     inbox: Receiver<SocketDatagram>,
     peers: Vec<Sender<SocketDatagram>>,
+    bells: Vec<Arc<Doorbell>>,
 }
 
 impl TcpEndpoint {
@@ -281,6 +288,12 @@ impl TcpEndpoint {
     /// The configuration in effect.
     pub fn config(&self) -> &TcpConfig {
         &self.cfg
+    }
+
+    /// The bell every sender rings once its message is in this node's
+    /// socket buffer.
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.bells[self.node.idx()])
     }
 
     /// Send `data` to `dst`, paying copy/checksum/kernel costs here and
@@ -301,6 +314,7 @@ impl TcpEndpoint {
             data: socket_buf,
             delivery,
         });
+        self.bells[dst.idx()].ring();
     }
 
     /// Receive the next message from any peer, blocking until one arrives.
