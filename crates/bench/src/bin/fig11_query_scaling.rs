@@ -5,7 +5,8 @@ use std::time::Duration;
 
 use hsqp_bench::corrected_time;
 use hsqp_engine::cluster::{Cluster, ClusterConfig};
-use hsqp_engine::queries::{tpch_query, ALL_QUERIES};
+use hsqp_engine::planner::Planner;
+use hsqp_engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp_tpch::TpchDb;
 
 const SF: f64 = 0.005;
@@ -14,10 +15,12 @@ const SIZES: [u16; 3] = [1, 3, 6];
 fn per_query(cfg: ClusterConfig, db: &TpchDb) -> Vec<Duration> {
     let cluster = Cluster::start(cfg).expect("cluster");
     cluster.load_tpch_db(db.clone()).expect("load");
+    let planner = Planner::for_cluster(&cluster);
     let times = ALL_QUERIES
         .iter()
         .map(|&n| {
-            let q = tpch_query(n).expect("query");
+            let logical = tpch_logical(n).expect("query");
+            let q = planner.plan_query(&logical).expect("plan");
             cluster.run(&q).expect("run").elapsed
         })
         .collect();

@@ -8,7 +8,8 @@
 use std::time::Duration;
 
 use hsqp_engine::cluster::{Cluster, QueryResult};
-use hsqp_engine::queries::tpch_query;
+use hsqp_engine::planner::Planner;
+use hsqp_engine::queries::tpch_logical;
 
 /// Result of running a query suite on one cluster configuration.
 #[derive(Debug, Clone)]
@@ -48,11 +49,13 @@ impl SuiteResult {
 /// # Panics
 /// Panics when a query fails — harnesses should fail loudly.
 pub fn run_suite(cluster: &Cluster, numbers: &[u32]) -> SuiteResult {
+    let planner = Planner::for_cluster(cluster);
     let before_bytes = cluster.fabric().total_bytes_sent();
     let mut per_query = Vec::with_capacity(numbers.len());
     let mut messages = 0;
     for &n in numbers {
-        let q = tpch_query(n).expect("valid query number");
+        let logical = tpch_logical(n).expect("valid query number");
+        let q = planner.plan_query(&logical).expect("query plans");
         let r: QueryResult = cluster.run(&q).expect("query execution");
         per_query.push((n, r.elapsed));
         messages += r.messages_sent;

@@ -104,19 +104,6 @@ pub enum EngineKind {
     Classic,
 }
 
-/// How the nodes evaluate filter/map/aggregate expressions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExprEngine {
-    /// Compile expressions once at submit time into flat
-    /// [`ExprProgram`](crate::vm::ExprProgram)s run by the vector VM;
-    /// anything that cannot be compiled or bound falls back to the tree
-    /// walker per operator.
-    #[default]
-    Compiled,
-    /// Tree-walking interpreter only (the differential oracle).
-    Ast,
-}
-
 /// Cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -153,9 +140,6 @@ pub struct ClusterConfig {
     ///
     /// [`QueryProfile`]: crate::profile::QueryProfile
     pub profiling: bool,
-    /// Expression engine: compiled vector programs (default) or the
-    /// tree-walking oracle.
-    pub expr_engine: ExprEngine,
     /// Pre-registered tenants with their scheduling weights and admission
     /// caps. Tenants not listed here self-register with
     /// [`TenantConfig::default`] (weight 1, no caps) on first submission.
@@ -181,7 +165,6 @@ impl ClusterConfig {
             switch_contention: true,
             max_concurrent: 4,
             profiling: true,
-            expr_engine: ExprEngine::Compiled,
             tenants: Vec::new(),
         }
     }
@@ -461,13 +444,9 @@ impl Backend for LocalBackend {
         submitted: Instant,
     ) -> Result<StageOutcome, EngineError> {
         let (query, plan) = (call.query, &call.stage.plan);
-        // Compile once per stage, not per node thread; `ExprEngine::Ast`
-        // leaves every site on the tree walker.
-        let compiled = match self.cfg.expr_engine {
-            ExprEngine::Compiled => self.nodes[0].compile(query, plan),
-            ExprEngine::Ast => None,
-        };
-        let programs = compiled.as_ref();
+        // Compile once per stage, not per node thread; a stage that does
+        // not compile fails here, before any node thread starts.
+        let programs = &self.nodes[0].compile(query, plan, call.params)?;
         // Node threads only ever touch their own cells of the recorder;
         // merging happens after the scope joined.
         let recorder = self

@@ -55,11 +55,12 @@ use hsqp_tpch::TpchTable;
 
 use crate::cluster::{ClusterConfig, EngineKind};
 use crate::coordinator::StageCall;
+use crate::error::EngineError;
 use crate::exchange::{
     encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxSender,
     Polled, RecvHub, FLAG_LAST, HEADER_LEN,
 };
-use crate::expr::{eval, Expr};
+use crate::expr::Expr;
 use crate::local::{MorselDriver, WorkerCtx};
 use crate::ops::{
     aggregate_with, canon_f64_bits, probe_join, sort_table, BatchSource, JoinTable, Morsels,
@@ -68,7 +69,9 @@ use crate::plan::{AggPhase, AggSpec, ExchangeKind, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
 use crate::queries::StageRole;
 use crate::serve::CancelToken;
-use crate::vm::{compile_stage, BoundProgram, CompiledStage, ExprProgram, OpPrograms};
+use crate::vm::{
+    compile_stage_with, vm_to_dtype, BoundProgram, CompiledStage, ExprProgram, OpPrograms,
+};
 use crate::wire::{RowDeserializer, RowSerializer, Rows};
 
 /// Shared, long-lived state of one simulated server node.
@@ -180,7 +183,7 @@ pub(crate) fn start_node(
 pub(crate) fn execute_stage(
     ctx: &NodeCtx,
     call: &StageCall<'_>,
-    programs: Option<&CompiledStage>,
+    programs: &CompiledStage,
     recorder: Option<&NodeRecorder>,
 ) -> Result<(u64, Option<Table>), String> {
     let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -189,7 +192,7 @@ pub(crate) fn execute_stage(
         // every other in-flight query.
         let exec = NodeExec {
             recorder,
-            programs,
+            programs: Some(programs),
             cancel: Some(call.cancel),
             ..NodeExec::new(ctx, call.query, call.params, call.stage_idx * 100_000)
         };
@@ -222,13 +225,19 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl NodeCtx {
-    /// Compile the expression sites of `plan`, a stage of `query`, against
-    /// this node's base relations and the temps the query's earlier stages
-    /// materialized here. Every node holds the same schemas, so compiling
-    /// on one (a simulated cluster) or on each (node processes) yields the
-    /// same programs. `None` when nothing compiled: the stage then runs on
-    /// the tree walker, as does any single site that failed to.
-    pub(crate) fn compile(&self, query: QueryId, plan: &Plan) -> Option<CompiledStage> {
+    /// Compile the expression sites of `plan`, a stage of `query` run with
+    /// `params`, against this node's base relations and the temps the
+    /// query's earlier stages materialized here. Every node holds the same
+    /// schemas, so compiling on one (a simulated cluster) or on each (node
+    /// processes) yields the same programs. A site that does not compile
+    /// fails the stage with [`EngineError::Planner`] before any of its
+    /// operators runs.
+    pub(crate) fn compile(
+        &self,
+        query: QueryId,
+        plan: &Plan,
+        params: &[Value],
+    ) -> Result<CompiledStage, EngineError> {
         let base = |t: TpchTable| self.tables.read().get(&t).map(|tbl| tbl.schema().clone());
         let temps: HashMap<String, Schema> = match self.temps.read().get(&query) {
             Some(ns) => ns
@@ -237,8 +246,13 @@ impl NodeCtx {
                 .collect(),
             None => HashMap::new(),
         };
-        let (compiled, _) = compile_stage(plan, &base, &temps);
-        (!compiled.is_empty()).then_some(compiled)
+        let (compiled, _) = compile_stage_with(plan, &base, &temps, Some(params));
+        match compiled.failure() {
+            Some(why) => Err(EngineError::Planner(format!(
+                "the stage does not compile: {why}"
+            ))),
+            None => Ok(compiled),
+        }
     }
 
     fn local_table(&self, t: TpchTable) -> Arc<Table> {
@@ -322,9 +336,9 @@ pub struct NodeExec<'a> {
     /// (pre-order indexed) as it executes.
     recorder: Option<&'a NodeRecorder>,
     /// The stage's compiled expression programs (same pre-order operator
-    /// numbering as the recorder). Operators without a program — or whose
-    /// program fails to bind against the runtime table — fall back to the
-    /// tree-walking evaluator.
+    /// numbering as the recorder); `None` until [`execute`](Self::execute)
+    /// compiles the plan it is given. A program that does not bind against
+    /// the table it meets fails the stage with the bind error.
     programs: Option<&'a CompiledStage>,
     /// The query's cooperative cancellation token: operator morsel loops,
     /// send loops, and exchange waits poll it and bail out by panicking
@@ -338,8 +352,8 @@ impl<'a> NodeExec<'a> {
     /// at `exchange_base` (must be identical on all nodes for a given
     /// stage; distinct stages of one query use disjoint ranges). Temp
     /// relations materialized by the query's earlier stages are read from
-    /// the node's per-query namespace. Runs unprofiled, on the tree walker
-    /// and uncancellable; `execute_stage` is how queries run.
+    /// the node's per-query namespace. Runs unprofiled and uncancellable, and
+    /// compiles the plan it executes; `execute_stage` is how queries run.
     pub fn new(ctx: &'a NodeCtx, query: QueryId, params: &'a [Value], exchange_base: u32) -> Self {
         Self {
             ctx,
@@ -360,13 +374,32 @@ impl<'a> NodeExec<'a> {
         }
     }
 
-    fn programs_at(&self, idx: usize) -> Option<&'a OpPrograms> {
-        self.programs.and_then(|p| p.get(idx))
+    /// The programs of operator `idx`, which has an expression site.
+    fn programs_at(&self, idx: usize) -> &'a OpPrograms {
+        self.programs
+            .and_then(|p| p.get(idx))
+            .unwrap_or_else(|| panic!("operator {idx} was not compiled"))
     }
 
     /// Execute `plan`, returning this node's share of the result.
+    ///
+    /// # Panics
+    /// Panics when an executor made by [`new`](Self::new) is given a plan
+    /// that does not compile.
     pub fn execute(&self, plan: &Plan) -> Batch {
-        self.execute_at(plan, 0)
+        if self.programs.is_some() {
+            return self.execute_at(plan, 0);
+        }
+        let compiled = self
+            .ctx
+            .compile(self.query, plan, self.params)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let base = self.next_exchange.load(Ordering::Relaxed);
+        NodeExec {
+            programs: Some(&compiled),
+            ..NodeExec::new(self.ctx, self.query, self.params, base)
+        }
+        .execute_at(plan, 0)
     }
 
     /// Operator `idx` starts: a cancellation point — operator boundaries
@@ -398,7 +431,10 @@ impl<'a> NodeExec<'a> {
             aggs,
             phase,
             self.params,
-            self.programs_at(idx).map(|p| p.aggs.as_slice()),
+            match phase {
+                AggPhase::Final => &[],
+                _ => &self.programs_at(idx).aggs,
+            },
             self.cancel,
         ))
     }
@@ -417,12 +453,11 @@ impl<'a> NodeExec<'a> {
                 let t = self.ctx.local_table(*table);
                 let rows_in = t.rows() as u64;
                 let out = match (filter, project) {
-                    (Some(pred), project) => {
+                    (Some(_), project) => {
                         // Filter to a selection vector first, then gather
                         // only the surviving rows of the projected columns
                         // — never materializing pruned columns.
-                        let prog = self.programs_at(idx).and_then(|p| p.filter.as_ref());
-                        let indices = self.filter_indices(&t, pred, prog);
+                        let indices = self.filter_indices(&t, self.filter_at(idx));
                         Batch::Owned(match project {
                             Some(names) => {
                                 let cols: Vec<usize> =
@@ -451,11 +486,10 @@ impl<'a> NodeExec<'a> {
                 };
                 (out, rows_in)
             }
-            Plan::Filter { input, predicate } => {
+            Plan::Filter { input, .. } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
-                let prog = self.programs_at(idx).and_then(|p| p.filter.as_ref());
-                let indices = self.filter_indices(&t, predicate, prog);
+                let indices = self.filter_indices(&t, self.filter_at(idx));
                 (Batch::Owned(t.gather(&indices)), rows_in)
             }
             Plan::Map { input, outputs } => {
@@ -548,19 +582,21 @@ impl<'a> NodeExec<'a> {
 
     // -- local pipelines ----------------------------------------------------
 
-    /// Evaluate a predicate morsel-parallel into a sorted selection
-    /// vector, via the compiled program when one is supplied (and binds).
-    fn filter_indices(&self, t: &Table, pred: &Expr, prog: Option<&ExprProgram>) -> Vec<usize> {
-        let bound: Option<BoundProgram<'_>> = prog.and_then(|p| p.bind(t).ok());
+    /// Operator `idx`'s compiled predicate.
+    fn filter_at(&self, idx: usize) -> &'a ExprProgram {
+        let filter = self.programs_at(idx).filter.as_ref();
+        filter.unwrap_or_else(|| panic!("operator {idx} has no compiled filter"))
+    }
+
+    /// Evaluate a predicate morsel-parallel into a sorted selection vector.
+    fn filter_indices(&self, t: &Table, prog: &ExprProgram) -> Vec<usize> {
+        let bound = bind(prog, t);
         let parts = self.ctx.driver.run(
             t.rows(),
             |_| Vec::<usize>::new(),
             |keep, _, m| {
                 self.check_cancel();
-                let mask = match &bound {
-                    Some(b) => b.eval_mask(t, m.range(), self.params),
-                    None => eval(pred, t, m.range(), self.params).into_mask(),
-                };
+                let mask = bound.eval_mask(t, m.range(), self.params);
                 for (i, k) in mask.into_iter().enumerate() {
                     if k {
                         keep.push(m.start + i);
@@ -573,16 +609,14 @@ impl<'a> NodeExec<'a> {
         indices
     }
 
-    fn parallel_map(&self, t: &Table, outputs: &[MapExpr], progs: Option<&OpPrograms>) -> Table {
-        // Bind this operator's compiled output programs once.
-        let bound: Vec<Option<BoundProgram<'_>>> = match progs {
-            Some(ps) if ps.outputs.len() == outputs.len() => ps
-                .outputs
-                .iter()
-                .map(|(_, p)| p.as_ref().and_then(|p| p.bind(t).ok()))
-                .collect(),
-            _ => (0..outputs.len()).map(|_| None).collect(),
-        };
+    fn parallel_map(&self, t: &Table, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
+        // Bind this operator's compiled output programs once; a bare
+        // column reference has none.
+        let bound: Vec<Option<BoundProgram<'_>>> = progs
+            .outputs
+            .iter()
+            .map(|(_, p)| p.as_ref().map(|p| bind(p, t)))
+            .collect();
         let parts = self.ctx.driver.run(
             t.rows(),
             |_| Vec::<(usize, Vec<Column>)>::new(),
@@ -600,11 +634,11 @@ impl<'a> NodeExec<'a> {
                         // them would promote Decimal columns to f64 and lose
                         // the fixed-point representation (and the Date/Decimal
                         // logical type) across the projection.
-                        (None, Expr::Col(name)) if o.dtype.is_none() => {
+                        (None, Expr::Col(name)) => {
                             let indices = indices.get_or_insert_with(|| m.range().collect());
                             t.column(t.schema().index_of(name)).gather(indices)
                         }
-                        _ => eval(&o.expr, t, m.range(), self.params).into_column().0,
+                        (None, other) => unreachable!("uncompiled map output {other:?}"),
                     })
                     .collect();
                 acc.push((m.start, cols));
@@ -613,7 +647,7 @@ impl<'a> NodeExec<'a> {
         let mut pieces: Vec<(usize, Vec<Column>)> = parts.into_iter().flatten().collect();
         pieces.sort_by_key(|(start, _)| *start);
 
-        let schema = map_schema(t, outputs, self.params);
+        let schema = map_schema(t, outputs, &bound, self.params);
         let mut out = Table::empty(schema.clone());
         for (_, cols) in pieces {
             out.append(&Table::new(schema.clone(), cols));
@@ -1026,17 +1060,31 @@ fn project_table(t: &Table, names: &[String]) -> Table {
     t.project(&idx)
 }
 
-/// Compute the output schema of a Map by evaluating over zero rows.
-fn map_schema(t: &Table, outputs: &[MapExpr], params: &[Value]) -> Schema {
+/// Bind `prog` to `t`; a program that does not bind fails the stage.
+fn bind<'p>(prog: &'p ExprProgram, t: &Table) -> BoundProgram<'p> {
+    prog.bind(t).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The output schema of a Map: each output's static type, or — when a
+/// parameter types it — the type its bound program yields over zero rows.
+fn map_schema(
+    t: &Table,
+    outputs: &[MapExpr],
+    bound: &[Option<BoundProgram<'_>>],
+    params: &[Value],
+) -> Schema {
     use hsqp_storage::Field;
     let fields: Vec<Field> = outputs
         .iter()
-        .map(|o| {
-            let dtype = o.dtype.unwrap_or_else(|| match &o.expr {
+        .zip(bound)
+        .map(|(o, b)| {
+            let dtype = o.dtype.unwrap_or_else(|| match (b, &o.expr) {
+                (Some(b), _) => vm_to_dtype(b.out_type())
+                    .unwrap_or_else(|| b.eval(t, 0..0, params).into_column().1),
                 // Matches the raw pass-through in `parallel_map`: a bare
                 // column reference keeps its input logical type.
-                Expr::Col(name) => t.schema().fields()[t.schema().index_of(name)].dtype,
-                _ => eval(&o.expr, t, 0..0, params).into_column().1,
+                (None, Expr::Col(name)) => t.schema().field(name).dtype,
+                (None, other) => unreachable!("uncompiled map output {other:?}"),
             });
             Field::nullable(o.name.clone(), dtype)
         })

@@ -19,8 +19,8 @@
 //!   partition ownership, no stealing, no scheduling) is implemented for
 //!   comparison, as are chunked vs partitioned data placement.
 //!
-//! [`queries`] contains hand-built physical plans for all 22 TPC-H queries
-//! (the paper's workload). A query is served in three layers: the
+//! [`queries`] writes all 22 TPC-H queries (the paper's workload) against
+//! the logical plan builder. A query is served in three layers: the
 //! [`coordinator`] (admission, scheduling, the stage loop — written once),
 //! a backend that carries each stage to the nodes — threads of a simulated
 //! [`cluster`] or the processes of a [`remote`] one — and the node
@@ -30,8 +30,8 @@
 //! the distributed [`planner`], which places exchange operators, chooses
 //! broadcast vs repartition joins, and inserts pre-aggregation
 //! automatically; [`session`] wraps cluster + planner behind one
-//! programmable facade. The hand-written physical plans in [`queries`]
-//! remain as the differential-testing oracle.
+//! programmable facade. Every expression runs as a program compiled once
+//! per stage ([`vm`]).
 //!
 //! Queries are *submitted*, not merely run:
 //! [`Session::submit`](session::Session::submit) returns a
@@ -75,7 +75,7 @@ pub mod stats;
 pub mod vm;
 pub mod wire;
 
-pub use cluster::{Cluster, ClusterConfig, EngineKind, ExprEngine, Transport};
+pub use cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 pub use coordinator::{Coordinator, QueryHandle, QueryResult};
 pub use cost::CostModel;
 pub use error::EngineError;

@@ -213,27 +213,44 @@ mod tests {
 
     #[test]
     fn stealing_balances_skewed_work() {
-        // One slow morsel: with stealing, other workers absorb the rest.
+        // Morsel 0 does not finish until the other seven have run, so the
+        // driver returns only if the other workers took all of them.
+        use std::sync::{Condvar, Mutex};
         let d = MorselDriver::new(4, &Topology::uniform(4), 1, true);
-        let start = std::time::Instant::now();
-        d.run(
+        let others = (Mutex::new(0usize), Condvar::new());
+        let states = d.run(
             8,
-            |_| (),
-            |(), _, m| {
+            |_| Vec::new(),
+            |ran: &mut Vec<usize>, _, m| {
+                let (done, bell) = &others;
                 if m.start == 0 {
-                    std::thread::sleep(Duration::from_millis(60));
+                    let (done, waited) = bell
+                        .wait_timeout_while(done.lock().unwrap(), Duration::from_secs(10), |n| {
+                            *n < 7
+                        })
+                        .unwrap();
+                    assert!(
+                        !waited.timed_out(),
+                        "only {} other morsels ran in 10 s: nobody stole them",
+                        *done
+                    );
                 } else {
-                    std::thread::sleep(Duration::from_millis(5));
+                    *done.lock().unwrap() += 1;
+                    bell.notify_all();
                 }
+                ran.push(m.start);
             },
         );
-        // Work stealing: total ≈ max(60, 7×5/3) ≈ 60 ms, far below the
-        // 95 ms a static 2-round schedule could cost.
-        assert!(
-            start.elapsed() < Duration::from_millis(90),
-            "took {:?}",
-            start.elapsed()
+        let slow = states
+            .iter()
+            .find(|ran| ran.contains(&0))
+            .expect("morsel 0 ran");
+        assert_eq!(
+            slow,
+            &[0],
+            "the worker held up by morsel 0 ran nothing else"
         );
+        assert_eq!(states.iter().map(Vec::len).sum::<usize>(), 8);
     }
 
     #[test]

@@ -19,17 +19,17 @@
 //! vector per aggregate with a slot per group id, updated a batch at a time
 //! and moved into the result.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
 use hsqp_storage::{decimal_to_f64, Bitmap, Column, DataType, Field, Schema, Table, Value};
 
-use crate::expr::{eval, Expr};
 use crate::local::MorselDriver;
 use crate::plan::{AggFunc, AggPhase, AggSpec, JoinKind, SortKey};
 use crate::serve::CancelToken;
-use crate::vm::ExprProgram;
+use crate::vm::{BoundProgram, ExprProgram};
 
 /// Rows a sequential operator loop processes between cancellation checks.
 /// Smaller than the morsel-loop interval because hash-table builds cost
@@ -869,6 +869,10 @@ impl AggCol {
 ///
 /// Groups come out in the order their keys were first seen (a worker at a
 /// time when there are several).
+///
+/// # Panics
+/// Panics when an aggregate's input expression does not compile against
+/// `input`'s schema.
 pub fn aggregate(
     input: &Table,
     group_by: &[usize],
@@ -877,67 +881,73 @@ pub fn aggregate(
     driver: &MorselDriver,
     params: &[Value],
 ) -> Table {
+    let programs: Vec<(String, ExprProgram)> = match phase {
+        AggPhase::Final => Vec::new(),
+        _ => aggs
+            .iter()
+            .map(|a| {
+                let program = ExprProgram::compile(&a.expr, input.schema());
+                (a.name.clone(), program.unwrap_or_else(|e| panic!("{e}")))
+            })
+            .collect(),
+    };
     let input = Morsels {
         table: input,
         driver,
     };
-    aggregate_with(&input, group_by, aggs, phase, params, None, None)
+    aggregate_with(&input, group_by, aggs, phase, params, &programs, None)
 }
 
-/// [`aggregate`] over any [`BatchSource`], with optional compiled input
-/// programs (one slot per aggregate, aligned by position; see
-/// [`OpPrograms::aggs`](crate::vm::OpPrograms::aggs)). Programs are bound
-/// once against the source's shape here — a slot whose bind fails silently
-/// reverts to the tree walker for that aggregate alone. `Final`-phase
-/// merges read partial-state columns directly and take no programs.
+/// [`aggregate`] over any [`BatchSource`], given the aggregates' compiled
+/// input programs (one per aggregate, aligned by position; see
+/// [`OpPrograms::aggs`](crate::vm::OpPrograms::aggs)), which are bound once
+/// against the source's shape here. `Final`-phase merges read the
+/// partial-state columns directly and take no programs.
+///
+/// # Panics
+/// Panics when a program does not bind against the source's shape (the
+/// stage fails with the bind error), or when a phase other than `Final` is
+/// not given exactly one program per aggregate.
 pub fn aggregate_with<B: BatchSource>(
     input: &B,
     group_by: &[usize],
     aggs: &[AggSpec],
     phase: AggPhase,
     params: &[Value],
-    programs: Option<&[(String, Option<ExprProgram>)]>,
+    programs: &[(String, ExprProgram)],
     cancel: Option<&CancelToken>,
 ) -> Table {
     assert!(
         phase != AggPhase::Partial || aggs.iter().all(|a| a.func != AggFunc::CountDistinct),
         "count(distinct) cannot be pre-aggregated"
     );
+    assert!(
+        phase == AggPhase::Final || programs.len() == aggs.len(),
+        "{} input programs for {} aggregates",
+        programs.len(),
+        aggs.len()
+    );
     let shape = input.shape();
 
-    // What each aggregate reads: its expression — through its compiled
-    // program, bound once, where there is one — or, in the Final phase, the
-    // partial-state columns: the values, and for COUNT and AVG the counts.
-    let state = |name: String| Expr::Col(name);
-    let sources: Vec<(Expr, Option<Expr>)> = aggs
-        .iter()
-        .map(|a| match (phase, a.func) {
-            (AggPhase::Final, AggFunc::Avg) => (
-                state(format!("{}__sum", a.name)),
-                Some(state(format!("{}__cnt", a.name))),
-            ),
-            (AggPhase::Final, AggFunc::Count) => {
-                (state(a.name.clone()), Some(state(a.name.clone())))
-            }
-            (AggPhase::Final, _) => (state(a.name.clone()), None),
-            _ => (a.expr.clone(), None),
-        })
-        .collect();
-    let bound: Vec<_> = match programs {
-        Some(ps) if phase != AggPhase::Final && ps.len() == aggs.len() => ps
+    // What each aggregate reads: its input, through its compiled program
+    // bound once, or — in the Final phase — the partial-state columns.
+    let state = |name: &str| shape.schema().index_of(name);
+    let inputs: Vec<AggInput<'_>> = match phase {
+        AggPhase::Final => aggs
             .iter()
-            .map(|(_, p)| p.as_ref().and_then(|p| p.bind(shape).ok()))
+            .map(|a| match a.func {
+                AggFunc::Avg => AggInput::State(
+                    state(&format!("{}__sum", a.name)),
+                    Some(state(&format!("{}__cnt", a.name))),
+                ),
+                AggFunc::Count => AggInput::State(state(&a.name), Some(state(&a.name))),
+                _ => AggInput::State(state(&a.name), None),
+            })
             .collect(),
-        _ => aggs.iter().map(|_| None).collect(),
-    };
-    let read = |agg: usize, batch: &Table, rows: Range<usize>| {
-        let (vals, weights) = &sources[agg];
-        let column = |e: &Expr| eval(e, batch, rows.clone(), params).into_column().0;
-        let vals = match &bound[agg] {
-            Some(program) => program.eval(batch, rows.clone(), params).into_column().0,
-            None => column(vals),
-        };
-        (vals, weights.as_ref().map(column))
+        _ => programs
+            .iter()
+            .map(|(_, p)| AggInput::Program(p.bind(shape).unwrap_or_else(|e| panic!("{e}"))))
+            .collect(),
     };
 
     // Every state column is typed before the first row: MIN/MAX results
@@ -951,7 +961,7 @@ pub fn aggregate_with<B: BatchSource>(
                 .collect(),
         ),
         aggs: (0..aggs.len())
-            .map(|i| AggCol::new(aggs[i].func, &read(i, shape, 0..0).0))
+            .map(|i| AggCol::new(aggs[i].func, &inputs[i].read(shape, 0..0, params).0))
             .collect(),
     };
     let mut workers = input
@@ -963,9 +973,9 @@ pub fn aggregate_with<B: BatchSource>(
                     group_by.iter().map(|&i| (batch.column(i), false)).collect();
                 worker.table.assign(&keys, rows.clone());
                 for (i, state) in worker.aggs.iter_mut().enumerate() {
-                    let (vals, weights) = read(i, batch, rows.clone());
+                    let (vals, weights) = inputs[i].read(batch, rows.clone(), params);
                     state.resize(worker.table.groups());
-                    state.update(&worker.table.gids, &vals, weights.as_ref());
+                    state.update(&worker.table.gids, &vals, weights.as_deref());
                 }
             },
         )
@@ -1022,6 +1032,44 @@ pub fn aggregate_with<B: BatchSource>(
         columns.extend(out);
     }
     Table::new(Schema::new(fields), columns)
+}
+
+/// Where an aggregate reads its input.
+enum AggInput<'p> {
+    /// The input expression's program.
+    Program(BoundProgram<'p>),
+    /// A Final merge's partial-state columns: the values and, for COUNT and
+    /// AVG, the counts.
+    State(usize, Option<usize>),
+}
+
+impl AggInput<'_> {
+    /// The input over rows `rows` of `batch`, and its weights. State columns
+    /// are read as they are: without a copy when `rows` is all of `batch`,
+    /// as it is for a batch an exchange hands on.
+    fn read<'b>(
+        &self,
+        batch: &'b Table,
+        rows: Range<usize>,
+        params: &[Value],
+    ) -> (Cow<'b, Column>, Option<Cow<'b, Column>>) {
+        match self {
+            AggInput::Program(p) => (
+                Cow::Owned(p.eval(batch, rows, params).into_column().0),
+                None,
+            ),
+            AggInput::State(vals, weights) => {
+                let column = |c: usize| {
+                    if rows == (0..batch.rows()) {
+                        Cow::Borrowed(batch.column(c))
+                    } else {
+                        Cow::Owned(batch.column(c).gather(&rows.clone().collect::<Vec<_>>()))
+                    }
+                };
+                (column(*vals), weights.map(column))
+            }
+        }
+    }
 }
 
 /// One worker's aggregation state: its groups and, per aggregate, a column

@@ -1706,8 +1706,7 @@ fn join_plan(
 
 /// Constant-fold every expression site of a lowered physical plan:
 /// literal-only subtrees collapse to single literals before the stage is
-/// compiled for the vector VM (and the tree-walking oracle skips the same
-/// re-computation per morsel).
+/// compiled for the vector VM.
 fn fold_plan(plan: Plan) -> Plan {
     match plan {
         Plan::Scan {

@@ -55,16 +55,6 @@ pub fn plan_labels(plan: &Plan) -> Vec<(String, usize)> {
     labels_from(&plan.explain())
 }
 
-/// [`plan_labels`], with compiled-program ids woven into the labels when
-/// the stage ran on the vector VM — profile rows then name the same `p0`,
-/// `p1`, … programs `--explain` lists.
-pub fn plan_labels_with(plan: &Plan, programs: Option<&CompiledStage>) -> Vec<(String, usize)> {
-    match programs {
-        Some(p) => labels_from(&p.annotate(plan)),
-        None => plan_labels(plan),
-    }
-}
-
 fn labels_from(explain: &str) -> Vec<(String, usize)> {
     explain
         .lines()
@@ -214,12 +204,14 @@ impl StageRecorder {
     pub fn finish(
         &self,
         plan: &Plan,
-        programs: Option<&CompiledStage>,
+        programs: &CompiledStage,
         role: String,
         estimated_rows: Option<f64>,
         feedback_rows: Option<f64>,
     ) -> StageProfile {
-        let labels = plan_labels_with(plan, programs);
+        // Compiled-program ids woven into the labels: profile rows name the
+        // same `p0`, `p1`, … programs `--explain` lists.
+        let labels = labels_from(&programs.annotate(plan));
         debug_assert_eq!(labels.len(), self.nodes.first().map_or(0, |n| n.ops.len()));
         let ops: Vec<OpProfile> = labels
             .into_iter()
@@ -391,7 +383,7 @@ pub struct StageProfile {
     /// `materialize "name"`).
     pub role: String,
     /// The planner's cardinality estimate for the stage result (None for
-    /// hand-written plans, which carry no estimates).
+    /// a plan built by hand, which carries no estimates).
     pub estimated_rows: Option<f64>,
     /// The feedback-corrected cardinality that overrode the static
     /// estimate, when the stage was planned in feedback mode against a
@@ -718,7 +710,13 @@ mod tests {
         rec.node(0).net_send(2, 1024, 2);
         rec.node(0).add_consume(2, Duration::from_micros(50), 3);
         rec.node(1).op_exclude(0, Duration::from_secs(3600));
-        let sp = rec.finish(&plan, None, "result".into(), Some(42.0), None);
+        let sp = rec.finish(
+            &plan,
+            &CompiledStage::default(),
+            "result".into(),
+            Some(42.0),
+            None,
+        );
         assert_eq!(sp.ops.len(), 5);
         // Result stages count the coordinator's root output only; the raw
         // per-operator accessors still sum across nodes.
@@ -746,7 +744,13 @@ mod tests {
             )
             .gather();
         let rec = StageRecorder::new(Instant::now(), 1, plan_node_count(&plan));
-        let sp = rec.finish(&plan, None, "result".into(), None, None);
+        let sp = rec.finish(
+            &plan,
+            &CompiledStage::default(),
+            "result".into(),
+            None,
+            None,
+        );
         assert_eq!(sp.children_of(0), vec![1]);
         assert_eq!(sp.children_of(1), vec![2, 3]);
         assert!(sp.children_of(2).is_empty());
@@ -761,9 +765,13 @@ mod tests {
             rec.node(0).op_exit(i, 1, 1);
         }
         let mut profile = QueryProfile::new(QueryId(7), 3);
-        profile
-            .stages
-            .push(rec.finish(&plan, None, "result".into(), Some(9.0), Some(4.0)));
+        profile.stages.push(rec.finish(
+            &plan,
+            &CompiledStage::default(),
+            "result".into(),
+            Some(9.0),
+            Some(4.0),
+        ));
         let text = profile.render();
         assert!(text.contains("stage 1/1: result"));
         assert!(text.contains("est ~9 rows · fb 4 rows"));

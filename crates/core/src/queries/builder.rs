@@ -1,22 +1,19 @@
 //! All 22 TPC-H queries expressed against the logical query builder.
 //!
-//! These are the queries migrated from the hand-written distributed plans
-//! (the other modules in [`queries`](crate::queries)) to the
-//! [`LogicalPlan`] / [`LogicalQuery`] API: no exchange operators, no
-//! aggregation phases, no broadcast decisions — the
+//! The [`LogicalPlan`] / [`LogicalQuery`] API has no exchange operators, no
+//! aggregation phases and no broadcast decisions — the
 //! [`planner`](crate::planner) derives all of that. Scalar subqueries
 //! (Q11's HAVING threshold, Q15's maximum revenue, Q22's average balance)
 //! become earlier [`LogicalQuery`] stages binding
 //! [`param`] references, and shared subplans (Q2's
 //! candidate set, Q15's revenue view) are registered once with
-//! [`LogicalQuery::with`] and scanned via [`LogicalPlan::from_cte`]. The
-//! hand-written plans remain purely the differential-testing oracle:
-//! `tests/planner_differential.rs` asserts both produce identical results.
+//! [`LogicalQuery::with`] and scanned via [`LogicalPlan::from_cte`].
+//! `tests/planner_differential.rs` checks every query's result against a
+//! reference evaluator that shares no code with the engine.
 
 use hsqp_storage::date_from_ymd;
 use hsqp_tpch::TpchTable;
 
-use super::Q22_CODES;
 use crate::error::EngineError;
 use crate::expr::{col, lit, litf, lits, param, Expr};
 use crate::logical::{LogicalPlan, LogicalQuery};
@@ -622,10 +619,9 @@ fn q15_revenue() -> LogicalPlan {
 
 /// Q15 — top supplier. The revenue view is materialized once; stage 1
 /// finds its maximum, the result stage keeps the supplier(s) whose revenue
-/// equals `param(0)`. Exact equality is safe here — unlike the handwritten
-/// plan, which re-derives the view and needs a float epsilon, both stages
-/// read the same materialized temp, so `param(0)` is bit-identical to a
-/// stored `total_revenue` value.
+/// equals `param(0)`. Exact equality is safe here: both stages read the
+/// same materialized temp, so `param(0)` is bit-identical to a stored
+/// `total_revenue` value.
 fn q15() -> LogicalQuery {
     let max_rev = LogicalPlan::from_cte("revenue").aggregate(
         &[],
@@ -908,6 +904,9 @@ fn q21() -> LogicalPlan {
         .top_k(vec![SortKey::desc("numwait"), SortKey::asc("s_name")], 100)
 }
 
+/// Q22's country-code prefixes.
+const Q22_CODES: [&str; 7] = ["13", "31", "23", "29", "30", "18", "17"];
+
 /// Q22 — global sales opportunity. Stage 1 computes the average positive
 /// account balance (the scalar subquery); the result stage anti-joins
 /// orders away from customers above `param(0)` and groups by country code.
@@ -998,7 +997,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_output_schemas_match_the_handwritten_results() {
+    fn lowered_output_schemas_are_pinned() {
         // The differential tests compare result *contents*; here we pin the
         // output schemas (names, in order) so a migration can't silently
         // drop or reorder columns.

@@ -473,7 +473,6 @@ fn run_query_worker(
         let outcome = if ctx.hub.is_aborted(query) {
             Err("query aborted".to_string())
         } else {
-            let programs = ctx.compile(query, &job.stage.plan);
             // The per-stage token shares the coordinator-abort tripwire and
             // adds this stage's remaining deadline budget, so morsel loops
             // stop within one morsel of either signal.
@@ -488,7 +487,10 @@ fn run_query_worker(
                 params: &job.params,
                 cancel: &stage_cancel,
             };
-            execute_stage(ctx, &call, programs.as_ref(), None)
+            match ctx.compile(query, &job.stage.plan, &job.params) {
+                Ok(programs) => execute_stage(ctx, &call, &programs, None),
+                Err(e) => Err(e.to_string()),
+            }
         };
         match outcome {
             Ok((rows, table)) => {
@@ -1148,8 +1150,17 @@ fn dial_retry(addr: &str, timeout: Duration) -> io::Result<TcpStream> {
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::queries::{tpch_query, Query};
+    use crate::planner::{Planner, PlannerConfig};
+    use crate::queries::{tpch_logical, Query};
     use crate::serve::SubmitOptions;
+
+    /// TPC-H query `n` as the planner lowers it for two nodes.
+    fn planned(n: u32) -> Query {
+        let logical = tpch_logical(n).expect("query number");
+        Planner::new(PlannerConfig::new(2))
+            .plan_query(&logical)
+            .expect("builder query plans")
+    }
 
     /// Spawn `n` node servers on loopback threads and return their
     /// addresses (in-process stand-ins for `hsqp-node` child processes;
@@ -1311,7 +1322,7 @@ mod tests {
         local.load_tpch(0.001).unwrap();
 
         for qn in [1u32, 3, 6, 11] {
-            let q = tpch_query(qn).unwrap();
+            let q = planned(qn);
             let remote = pc.run(&q).unwrap();
             let reference = local.run(&q).unwrap();
             assert_eq!(
@@ -1352,7 +1363,7 @@ mod tests {
             other => panic!("expected contained failure, got {other:?}"),
         }
         // The cluster survives for the next query.
-        let ok = tpch_query(6).unwrap();
+        let ok = planned(6);
         assert!(pc.run(&ok).is_ok());
         pc.shutdown();
     }
@@ -1365,7 +1376,7 @@ mod tests {
         // A heavy multi-join with a deadline far below its runtime: the
         // nodes stop at a morsel boundary and the coordinator returns the
         // typed error instead of wedging on the stage replies.
-        let q = tpch_query(9).unwrap();
+        let q = planned(9);
         let opts = SubmitOptions::tenant("gold").with_deadline(Duration::from_millis(2));
         match pc.run_with(&q, &opts) {
             Err(EngineError::DeadlineExceeded) => {}
@@ -1373,7 +1384,7 @@ mod tests {
         }
         // The cluster survives for the next query, and the tenant tag
         // rides along on the successful path too.
-        let ok = tpch_query(6).unwrap();
+        let ok = planned(6);
         let r = pc.run_with(&ok, &SubmitOptions::tenant("gold")).unwrap();
         assert!(r.table.rows() > 0);
         pc.shutdown();
@@ -1384,7 +1395,7 @@ mod tests {
         let addrs = spawn_nodes(2);
         let pc = ProcessCluster::connect(&addrs, ProcessClusterConfig::default()).unwrap();
         pc.load_tpch(0.001).unwrap();
-        let q = tpch_query(3).unwrap();
+        let q = planned(3);
         let r = pc.run(&q).unwrap();
         assert!(r.bytes_shuffled > 0, "a join at 2 nodes must shuffle");
         assert!(r.messages_sent > 0);

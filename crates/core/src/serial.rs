@@ -893,12 +893,21 @@ pub fn decode_table(buf: &[u8]) -> DecodeResult<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queries::tpch_query;
+    use crate::planner::{Planner, PlannerConfig};
+    use crate::queries::{tpch_logical, Query};
+
+    /// TPC-H query `n` as the planner lowers it for four nodes.
+    fn planned(n: u32) -> Query {
+        let logical = tpch_logical(n).expect("query number");
+        Planner::new(PlannerConfig::new(4))
+            .plan_query(&logical)
+            .expect("builder query plans")
+    }
 
     #[test]
-    fn all_22_tpch_queries_roundtrip() {
+    fn all_22_planned_tpch_queries_roundtrip() {
         for n in 1..=22 {
-            let q = tpch_query(n).expect("handwritten query");
+            let q = planned(n);
             let bytes = encode_query(&q);
             let back = decode_query(&bytes).expect("decode");
             assert_eq!(q, back, "Q{n} did not survive the round trip");
@@ -907,7 +916,7 @@ mod tests {
 
     #[test]
     fn stage_tags_roundtrip() {
-        let q = tpch_query(6).unwrap();
+        let q = planned(6);
         let stage = &q.stages[0];
 
         // Untagged stages survive through both the plain and tagged paths.
@@ -930,7 +939,7 @@ mod tests {
 
     #[test]
     fn version_mismatch_fails_loudly() {
-        let q = tpch_query(1).unwrap();
+        let q = planned(1);
         let mut bytes = encode_query(&q);
         bytes[4] = 0xFF; // corrupt the version field
         let err = decode_query(&bytes).unwrap_err();
@@ -939,7 +948,7 @@ mod tests {
 
     #[test]
     fn corrupt_magic_and_truncation_fail() {
-        let q = tpch_query(3).unwrap();
+        let q = planned(3);
         let mut bytes = encode_query(&q);
         bytes[0] ^= 0xFF;
         assert!(decode_query(&bytes).unwrap_err().contains("magic"));

@@ -31,9 +31,7 @@ use std::sync::Arc;
 
 use hsqp_tpch::TpchDb;
 
-use crate::cluster::{
-    Cluster, ClusterConfig, EngineKind, ExprEngine, QueryHandle, QueryResult, Transport,
-};
+use crate::cluster::{Cluster, ClusterConfig, EngineKind, QueryHandle, QueryResult, Transport};
 use crate::error::EngineError;
 use crate::logical::{LogicalPlan, LogicalQuery};
 use crate::plan::Plan;
@@ -106,13 +104,6 @@ impl SessionBuilder {
     /// baselines.
     pub fn profiling(mut self, on: bool) -> Self {
         self.cfg.profiling = on;
-        self
-    }
-
-    /// Expression engine: the compiled vector VM (default) or the
-    /// tree-walking AST interpreter retained as the differential oracle.
-    pub fn expr_engine(mut self, engine: ExprEngine) -> Self {
-        self.cfg.expr_engine = engine;
         self
     }
 
@@ -293,9 +284,8 @@ impl Session {
         self.cluster.submit_with(&physical, opts)
     }
 
-    /// Submit a hand-written physical [`Query`] for concurrent execution
-    /// (the differential-testing oracle and the escape hatch for plans the
-    /// planner cannot express).
+    /// Submit an already planned physical [`Query`] for concurrent
+    /// execution (the escape hatch for plans the planner cannot express).
     pub fn submit_physical(&self, query: &Query) -> Result<QueryHandle, EngineError> {
         self.cluster.submit(query)
     }
@@ -307,7 +297,7 @@ impl Session {
         self.submit(query)?.wait()
     }
 
-    /// Execute a hand-written physical [`Query`] to completion (blocking
+    /// Execute a physical [`Query`] to completion (blocking
     /// sugar for [`submit_physical`](Self::submit_physical)).
     pub fn run_query(&self, query: &Query) -> Result<QueryResult, EngineError> {
         self.submit_physical(query)?.wait()

@@ -13,14 +13,14 @@
 //!
 //! Execution keeps scalars (constants, parameters) unmaterialized and
 //! represents validity as a [`Bitmap`] alongside each value stack slot;
-//! boolean results are always dense selection masks (the
-//! [`EvalVec::into_mask`] convention: NULL never passes a predicate).
+//! boolean results are always dense selection masks: NULL never passes a
+//! predicate.
 //!
-//! The tree-walking evaluator in [`crate::expr`] remains the semantic
-//! oracle: for every expression both engines must produce the same values,
-//! the same validity, and panic on the same inputs. A cluster can be
-//! switched back to it with
-//! [`ExprEngine::Ast`](crate::cluster::ExprEngine).
+//! This is the engine's only expression evaluator: every filter, map output
+//! and aggregate input of a stage runs a program, and a site that does not
+//! compile fails the query before it runs. What the programs compute is
+//! checked against a row-at-a-time reference evaluator in the tests
+//! (`tests/support/oracle.rs`), which shares no code with this module.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -32,9 +32,7 @@ use hsqp_storage::{
 };
 use hsqp_tpch::TpchTable;
 
-use crate::expr::{
-    cmp_keeps, fold_const, ArithOp, CmpOp, EvalVec, Expr, FoldVal, LikeMatcher, VecData,
-};
+use crate::expr::{cmp_keeps, fold_const, ArithOp, CmpOp, Expr, FoldVal, LikeMatcher};
 use crate::plan::{AggFunc, AggPhase, JoinKind, Plan};
 
 /// Static type of a compiled (sub)expression.
@@ -52,9 +50,8 @@ pub enum VmType {
     Unknown,
 }
 
-/// Why an expression cannot be compiled. The caller falls back to the AST
-/// walker, which reports genuine type errors the same way it always has:
-/// by panicking during execution.
+/// Why an expression cannot be compiled (an unknown column, a type error)
+/// or bound. A stage with such a site fails; nothing falls back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileError(String);
 
@@ -178,6 +175,77 @@ pub(crate) fn vm_to_dtype(t: VmType) -> Option<DataType> {
         VmType::F64 => Some(DataType::Float64),
         VmType::Str => Some(DataType::Utf8),
         VmType::Unknown => None,
+    }
+}
+
+/// Physical payload of an evaluated expression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum VecData {
+    /// Integers / dates / years.
+    I64(Vec<i64>),
+    /// Floats (including promoted decimals).
+    F64(Vec<f64>),
+    /// Strings.
+    Str(StringColumn),
+    /// Booleans (filter masks).
+    Bool(Vec<bool>),
+}
+
+/// An evaluated expression: data plus optional validity.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EvalVec {
+    /// The values.
+    pub data: VecData,
+    /// Validity; `None` means all rows valid.
+    pub validity: Option<Bitmap>,
+}
+
+impl EvalVec {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.data {
+            VecData::I64(v) => v.len(),
+            VecData::F64(v) => v.len(),
+            VecData::Str(v) => v.len(),
+            VecData::Bool(v) => v.len(),
+        }
+    }
+
+    /// True when no rows are present.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether row `i` is valid.
+    pub fn is_valid(&self, i: usize) -> bool {
+        self.validity.as_ref().is_none_or(|b| b.get(i))
+    }
+
+    /// Scalar at row `i`.
+    pub fn value(&self, i: usize) -> Value {
+        if !self.is_valid(i) {
+            return Value::Null;
+        }
+        match &self.data {
+            VecData::I64(v) => Value::I64(v[i]),
+            VecData::F64(v) => Value::F64(v[i]),
+            VecData::Str(v) => Value::Str(v.get(i).to_owned()),
+            VecData::Bool(v) => Value::I64(i64::from(v[i])),
+        }
+    }
+
+    /// Convert to a storage column with inferred type.
+    pub fn into_column(self) -> (Column, DataType) {
+        let v = self.validity;
+        match self.data {
+            VecData::I64(d) => (Column::I64(d, v), DataType::Int64),
+            VecData::F64(d) => (Column::F64(d, v), DataType::Float64),
+            VecData::Str(d) => (Column::Str(d, v), DataType::Utf8),
+            VecData::Bool(d) => (
+                Column::I64(d.into_iter().map(i64::from).collect(), v),
+                DataType::Int64,
+            ),
+        }
     }
 }
 
@@ -576,9 +644,7 @@ impl Compiler<'_> {
 
 impl ExprProgram {
     /// Compile `expr` against `schema`. Fails (rather than panicking) on
-    /// unknown columns and on statically ill-typed expressions; callers
-    /// fall back to the tree walker, which reports genuine type errors by
-    /// panicking at execution time, exactly as before.
+    /// unknown columns and on statically ill-typed expressions.
     pub fn compile(expr: &Expr, schema: &Schema) -> Result<ExprProgram, CompileError> {
         let out = static_type(expr, schema)?;
         let mut counts = HashMap::new();
@@ -676,8 +742,8 @@ impl ExprProgram {
     /// Resolve the program's column references against a concrete table.
     /// Every referenced column must exist with the compiled logical type
     /// and the matching physical representation; any mismatch (static
-    /// schema inference drifted from runtime truth) fails the bind and the
-    /// caller falls back to the tree walker for this operator.
+    /// schema inference drifted from runtime truth) fails the bind, and
+    /// with it the stage.
     pub fn bind<'p>(&'p self, table: &Table) -> Result<BoundProgram<'p>, CompileError> {
         let mut col_idx = Vec::with_capacity(self.cols.len());
         for c in &self.cols {
@@ -914,7 +980,7 @@ impl Slot {
         }
     }
 
-    /// Materialize into the tree walker's result representation.
+    /// Materialize into an [`EvalVec`].
     fn finish(self, n: usize) -> EvalVec {
         let validity = match self.valid {
             Valid::All => None,
@@ -1008,8 +1074,8 @@ fn cmp_str(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
     Slot::dense_bool(mask)
 }
 
-/// Runtime type dispatch for parameter-typed operands — once per vector,
-/// mirroring the tree walker's `eval_cmp` exactly.
+/// Runtime type dispatch for parameter-typed operands — once per vector, by
+/// the rule static typing applies: integers, strings, else floats.
 fn cmp_dyn(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
     if a.is_i64_kind() && b.is_i64_kind() {
         cmp_i64(op, a, b, n)
@@ -1031,8 +1097,8 @@ fn merge_valid(a: &Slot, b: &Slot, n: usize) -> Valid {
 fn arith_i64(op: ArithOp, a: &Slot, b: &Slot, n: usize) -> Slot {
     let msg = || panic!("integer arithmetic over non-integer values");
     let (x, y) = (a.i64s().unwrap_or_else(msg), b.i64s().unwrap_or_else(msg));
-    // Plain operators on purpose: the tree walker panics on overflow in
-    // debug builds and wraps in release, and the VM must do the same.
+    // Plain operators on purpose: overflow panics in debug builds and
+    // wraps in release, which is why constant folding leaves it alone.
     let f = |x: i64, y: i64| match op {
         ArithOp::Add => x + y,
         ArithOp::Sub => x - y,
@@ -1200,15 +1266,19 @@ fn case_dyn(cond: &Slot, t: Slot, e: Slot, n: usize) -> Slot {
 }
 
 impl BoundProgram<'_> {
-    /// Evaluate over rows `range` of the bound table's shape, exactly like
-    /// [`crate::expr::eval`]: same values, same validity, same panics.
+    /// The program's static result type.
+    pub fn out_type(&self) -> VmType {
+        self.prog.out
+    }
+
+    /// Evaluate over rows `range` of the bound table's shape.
     pub fn eval(&self, table: &Table, range: Range<usize>, params: &[Value]) -> EvalVec {
         let n = range.len();
         self.run(table, range, params).finish(n)
     }
 
     /// Evaluate a predicate program to a selection mask: NULL never
-    /// passes, matching [`EvalVec::into_mask`].
+    /// passes.
     ///
     /// # Panics
     /// Panics if the program does not produce booleans.
@@ -1334,8 +1404,8 @@ impl BoundProgram<'_> {
                             vals: Vals::ScalStr(s.as_str().into()),
                             valid: Valid::All,
                         },
-                        // The tree walker represents a NULL parameter as
-                        // integer zeros with an all-false validity.
+                        // A NULL parameter is integer zeros with an
+                        // all-false validity: it takes the integer kernels.
                         Value::Null => Slot {
                             vals: Vals::ScalI64(0),
                             valid: Valid::Never,
@@ -1509,12 +1579,11 @@ impl BoundProgram<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Stage compilation: walk a physical plan once at submit time, inferring
-// static schemas bottom-up and compiling every expression site into an
-// `ExprProgram`. Any operator whose schema cannot be inferred statically
-// (or whose expression fails to compile) simply keeps no program — the
-// executor falls back to the tree walker for that operator alone, and its
-// descendants keep their programs.
+// Stage compilation: walk a physical plan once per stage, inferring static
+// schemas bottom-up and compiling every expression site into an
+// `ExprProgram`. A site that does not compile, or whose input schema cannot
+// be inferred, is the stage's failure: recorded here, and reported before any
+// operator of the stage runs.
 // ---------------------------------------------------------------------------
 
 /// Compiled programs for one operator, keyed by expression site.
@@ -1523,20 +1592,12 @@ pub struct OpPrograms {
     /// Scan pushed-down filter or `Filter` predicate.
     pub filter: Option<ExprProgram>,
     /// One slot per `Map` output, by position. `None` marks the bare
-    /// column-copy fast path (which must not be compiled: it preserves
-    /// `Decimal`/`Date` types that evaluation would widen) or a fallback.
+    /// column-copy fast path, which must not be compiled: it preserves
+    /// `Decimal`/`Date` types that evaluation would widen.
     pub outputs: Vec<(String, Option<ExprProgram>)>,
-    /// One slot per aggregate input, by position (non-`Final` phases; the
-    /// `Final` merge reads partial-state columns directly).
-    pub aggs: Vec<(String, Option<ExprProgram>)>,
-}
-
-impl OpPrograms {
-    fn has_any(&self) -> bool {
-        self.filter.is_some()
-            || self.outputs.iter().any(|(_, p)| p.is_some())
-            || self.aggs.iter().any(|(_, p)| p.is_some())
-    }
+    /// One program per aggregate input, by position (non-`Final` phases;
+    /// the `Final` merge reads partial-state columns directly).
+    pub aggs: Vec<(String, ExprProgram)>,
 }
 
 /// All compiled programs of one distributed stage, keyed by the operator's
@@ -1546,21 +1607,24 @@ impl OpPrograms {
 #[derive(Debug, Clone, Default)]
 pub struct CompiledStage {
     ops: HashMap<usize, OpPrograms>,
+    /// The first expression site that did not compile.
+    failure: Option<String>,
 }
 
 /// Schema lookup for base relations on this cluster (`None` while a table
-/// is not loaded — compilation degrades to the tree walker).
+/// is not loaded).
 pub type BaseSchemas<'a> = &'a dyn Fn(TpchTable) -> Option<Schema>;
 
 impl CompiledStage {
-    /// Programs for operator `idx`, if any of its expressions compiled.
+    /// Programs for operator `idx`; `None` when it has no expression site.
     pub fn get(&self, idx: usize) -> Option<&OpPrograms> {
         self.ops.get(&idx)
     }
 
-    /// True when no operator in the stage holds a compiled program.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+    /// Why the stage cannot run: its first expression site that did not
+    /// compile, if there is one.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.as_deref()
     }
 
     /// Total number of compiled programs in the stage.
@@ -1585,9 +1649,7 @@ impl CompiledStage {
                 }
             }
             for (name, p) in &op.aggs {
-                if let Some(p) = p {
-                    out.push((i, format!("agg {name}"), p));
-                }
+                out.push((i, format!("agg {name}"), p));
             }
         }
         out
@@ -1654,15 +1716,49 @@ fn dtype_after_eval(dtype: DataType) -> DataType {
 struct StageCompiler<'a> {
     base: BaseSchemas<'a>,
     temps: &'a HashMap<String, Schema>,
+    /// The stage's parameters, when they are known.
+    params: Option<&'a [Value]>,
     ops: HashMap<usize, OpPrograms>,
     next: usize,
+    failure: Option<String>,
 }
 
 impl StageCompiler<'_> {
-    fn record(&mut self, idx: usize, programs: OpPrograms) {
-        if programs.has_any() {
-            self.ops.insert(idx, programs);
-        }
+    /// Compile the site `site()` names of operator `idx` against its
+    /// input's schema, recording the stage's first failure.
+    fn compile(
+        &mut self,
+        idx: usize,
+        site: impl FnOnce() -> String,
+        e: &Expr,
+        schema: Option<&Schema>,
+    ) -> Option<ExprProgram> {
+        let compiled = match schema {
+            Some(s) => ExprProgram::compile(e, s).map_err(|err| err.to_string()),
+            None => Err("the schema of its input cannot be inferred".to_string()),
+        };
+        compiled
+            .map_err(|why| {
+                self.failure
+                    .get_or_insert_with(|| format!("{} of operator {idx}: {why}", site()));
+            })
+            .ok()
+    }
+
+    /// The storage type `prog`, compiled from `e`, yields over `input`: its
+    /// static type or, when a parameter types it, what it evaluates to over
+    /// zero rows with the stage's parameters — as the executor finds it.
+    /// `None` while those parameters are not known.
+    fn output_dtype(&self, prog: &ExprProgram, e: &Expr, input: &Schema) -> Option<DataType> {
+        vm_to_dtype(prog.out_type()).or_else(|| {
+            let params = self.params?;
+            if e.max_param().is_some_and(|m| m >= params.len()) {
+                return None;
+            }
+            let empty = Table::empty(input.clone());
+            let bound = prog.bind(&empty).ok()?;
+            Some(bound.eval(&empty, 0..0, params).into_column().1)
+        })
     }
 
     fn project(schema: &Schema, cols: &Option<Vec<String>>) -> Option<Schema> {
@@ -1680,7 +1776,7 @@ impl StageCompiler<'_> {
 
     /// Walk `plan` in pre-order, compiling expression sites and returning
     /// the operator's statically inferred output schema (`None` stops
-    /// inference for ancestors only).
+    /// inference for ancestors, whose expression sites then fail).
     fn walk(&mut self, plan: &Plan) -> Option<Schema> {
         let idx = self.next;
         self.next += 1;
@@ -1690,20 +1786,20 @@ impl StageCompiler<'_> {
                 filter,
                 project,
             } => {
-                let full = (self.base)(*table)?;
+                let full = (self.base)(*table);
                 // The pushed-down filter runs before projection, against
                 // the full table schema.
-                let compiled = filter
-                    .as_ref()
-                    .and_then(|f| ExprProgram::compile(f, &full).ok());
-                self.record(
-                    idx,
-                    OpPrograms {
-                        filter: compiled,
-                        ..OpPrograms::default()
-                    },
-                );
-                Self::project(&full, project)
+                if let Some(f) = filter {
+                    let filter = self.compile(idx, || "filter".into(), f, full.as_ref());
+                    self.ops.insert(
+                        idx,
+                        OpPrograms {
+                            filter,
+                            ..OpPrograms::default()
+                        },
+                    );
+                }
+                Self::project(&full?, project)
             }
             Plan::TempScan { name, project } => {
                 let schema = self.temps.get(name)?.clone();
@@ -1711,20 +1807,18 @@ impl StageCompiler<'_> {
             }
             Plan::Filter { input, predicate } => {
                 let schema = self.walk(input);
-                if let Some(s) = &schema {
-                    let compiled = ExprProgram::compile(predicate, s).ok();
-                    self.record(
-                        idx,
-                        OpPrograms {
-                            filter: compiled,
-                            ..OpPrograms::default()
-                        },
-                    );
-                }
+                let filter = self.compile(idx, || "filter".into(), predicate, schema.as_ref());
+                self.ops.insert(
+                    idx,
+                    OpPrograms {
+                        filter,
+                        ..OpPrograms::default()
+                    },
+                );
                 schema
             }
             Plan::Map { input, outputs } => {
-                let s = self.walk(input)?;
+                let s = self.walk(input);
                 let mut programs = Vec::with_capacity(outputs.len());
                 let mut fields: Option<Vec<Field>> = Some(Vec::with_capacity(outputs.len()));
                 for o in outputs {
@@ -1732,23 +1826,25 @@ impl StageCompiler<'_> {
                     let prog = if bare {
                         None
                     } else {
-                        ExprProgram::compile(&o.expr, &s).ok()
+                        let site = || format!("map {}", o.name);
+                        self.compile(idx, site, &o.expr, s.as_ref())
                     };
-                    let dtype = o.dtype.or_else(|| match &o.expr {
-                        Expr::Col(c) if o.dtype.is_none() => {
-                            s.fields().iter().find(|f| f.name == *c).map(|f| f.dtype)
+                    let dtype = o.dtype.or_else(|| {
+                        let s = s.as_ref()?;
+                        match &o.expr {
+                            Expr::Col(c) if bare => {
+                                s.fields().iter().find(|f| f.name == *c).map(|f| f.dtype)
+                            }
+                            _ => self.output_dtype(prog.as_ref()?, &o.expr, s),
                         }
-                        _ => static_type(&o.expr, &s).ok().and_then(vm_to_dtype),
                     });
-                    // One untypable output poisons the schema, not the
-                    // sibling programs.
                     match (dtype, &mut fields) {
                         (Some(dt), Some(fs)) => fs.push(Field::nullable(o.name.clone(), dt)),
                         _ => fields = None,
                     }
                     programs.push((o.name.clone(), prog));
                 }
-                self.record(
+                self.ops.insert(
                     idx,
                     OpPrograms {
                         outputs: programs,
@@ -1791,13 +1887,16 @@ impl StageCompiler<'_> {
                 aggs,
                 phase,
             } => {
-                let s = self.walk(input)?;
+                let s = self.walk(input);
                 if *phase != AggPhase::Final {
-                    let programs = aggs
-                        .iter()
-                        .map(|a| (a.name.clone(), ExprProgram::compile(&a.expr, &s).ok()))
-                        .collect();
-                    self.record(
+                    let mut programs = Vec::with_capacity(aggs.len());
+                    for a in aggs {
+                        let site = || format!("agg {}", a.name);
+                        if let Some(p) = self.compile(idx, site, &a.expr, s.as_ref()) {
+                            programs.push((a.name.clone(), p));
+                        }
+                    }
+                    self.ops.insert(
                         idx,
                         OpPrograms {
                             aggs: programs,
@@ -1805,6 +1904,7 @@ impl StageCompiler<'_> {
                         },
                     );
                 }
+                let s = s?;
                 // Static mirror of the runtime aggregate output schema.
                 let mut fields: Vec<Field> = Vec::new();
                 for g in group_by {
@@ -1828,7 +1928,11 @@ impl StageCompiler<'_> {
                                     let f = s.fields().iter().find(|f| f.name == a.name)?;
                                     dtype_after_eval(f.dtype)
                                 }
-                                _ => vm_to_dtype(static_type(&a.expr, &s).ok()?)?,
+                                _ => {
+                                    let op = self.ops.get(&idx)?;
+                                    let (_, p) = op.aggs.iter().find(|(n, _)| *n == a.name)?;
+                                    self.output_dtype(p, &a.expr, &s)?
+                                }
                             };
                             fields.push(Field::nullable(a.name.clone(), dt));
                         }
@@ -1842,24 +1946,44 @@ impl StageCompiler<'_> {
 }
 
 /// Compile every expression site in one stage's plan. Returns the
-/// per-operator programs plus the stage's statically inferred output
-/// schema (`None` when inference broke somewhere along the spine — the
-/// stage still executes, via the tree walker where programs are missing).
+/// per-operator programs, with the first site that did not compile as their
+/// [`failure`](CompiledStage::failure), plus the stage's statically
+/// inferred output schema (`None` when inference broke somewhere along the
+/// spine).
 ///
 /// `base` resolves base-relation schemas; `temps` maps already-planned
 /// materialized temp relations to their schemas so later stages of the
-/// same query can compile against them.
+/// same query can compile against them. Without the stage's parameters, an
+/// output only a parameter types stops inference like an unknown column
+/// does; the nodes compile with them.
 pub fn compile_stage(
     plan: &Plan,
     base: BaseSchemas<'_>,
     temps: &HashMap<String, Schema>,
 ) -> (CompiledStage, Option<Schema>) {
+    compile_stage_with(plan, base, temps, None)
+}
+
+/// [`compile_stage`], typing the outputs a parameter types from `params`,
+/// the stage's parameters.
+pub(crate) fn compile_stage_with(
+    plan: &Plan,
+    base: BaseSchemas<'_>,
+    temps: &HashMap<String, Schema>,
+    params: Option<&[Value]>,
+) -> (CompiledStage, Option<Schema>) {
     let mut c = StageCompiler {
         base,
         temps,
+        params,
         ops: HashMap::new(),
         next: 0,
+        failure: None,
     };
     let schema = c.walk(plan);
-    (CompiledStage { ops: c.ops }, schema)
+    let compiled = CompiledStage {
+        ops: c.ops,
+        failure: c.failure,
+    };
+    (compiled, schema)
 }

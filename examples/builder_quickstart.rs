@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // Revenue per ship mode for recent, discounted lineitems that belong
-    // to open orders — a query no hand-written plan exists for. The
-    // planner decides how to distribute it.
+    // to open orders — not one of the 22 TPC-H queries. The planner
+    // decides how to distribute it.
     let open_orders = LogicalPlan::scan(TpchTable::Orders)
         .filter(col("o_orderstatus").eq(hsqp::engine::expr::lits("O")));
     let plan = LogicalPlan::scan(TpchTable::Lineitem)

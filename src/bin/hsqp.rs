@@ -35,10 +35,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, ExprEngine, Transport};
+use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 use hsqp::engine::logical::LogicalQuery;
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
-use hsqp::engine::queries::{tpch_logical, tpch_query, Query, StageRole, ALL_QUERIES};
+use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
 use hsqp::engine::serve::{parse_tenant_spec, ArrivalProcess, SubmitOptions, TenantConfig};
 use hsqp::engine::stats::{FeedbackCache, StatsCatalog, StatsMode};
@@ -60,33 +60,27 @@ OPTIONS:
     --workers <N>          Worker threads per server (default 2)
     --queries <LIST>       Comma-separated query numbers, e.g. 1,3,6
                            (default: all 22)
-    --plan-mode <M>        builder | handwritten (default builder); builder
-                           plans queries through the logical-query builder
-                           and distributed planner, handwritten runs the
-                           fixed physical plans kept as the test oracle
     --stats <M>            off | static | feedback (default static); how
-                           builder-mode planning sources estimates. off
-                           reverts to the legacy flat heuristics; static
-                           prices broadcast/repartition, pre-aggregation,
-                           and CTE placement against the statistics
-                           catalog; feedback additionally plans each stage
-                           of a multi-stage query only after the previous
-                           stage ran, correcting estimates with observed
+                           the planner sources estimates. off reverts to
+                           the legacy flat heuristics; static prices
+                           broadcast/repartition, pre-aggregation, and
+                           CTE placement against the statistics catalog;
+                           feedback additionally plans each stage of a
+                           multi-stage query only after the previous stage
+                           ran, correcting estimates with observed
                            cardinalities (remembered across queries in a
-                           process-wide feedback cache). feedback requires
-                           --plan-mode builder; handwritten plans are
-                           fixed trees the flag cannot affect
+                           process-wide feedback cache)
     --explain              Print each stage's lowered physical plan
                            (exchange placement, broadcast vs repartition)
-                           and, under the vm expression engine, the
-                           compiled program for every filter / map / agg
-                           input, without generating data or executing;
-                           builder mode plans from SF-derived cardinality
-                           estimates, so choices near a threshold can
-                           differ from a live run, which plans from
-                           exact row counts. Combined with --analyze,
-                           queries execute and each one's plan + profile
-                           are emitted as a single block on stderr
+                           and the compiled program for every filter /
+                           map / agg input, without generating data or
+                           executing; plans come from SF-derived
+                           cardinality estimates, so choices near a
+                           threshold can differ from a live run, which
+                           plans from exact row counts. Combined with
+                           --analyze, queries execute and each one's
+                           plan + profile are emitted as a single block
+                           on stderr
     --cluster <LIST>       Comma-separated hsqp-node addresses, e.g.
                            127.0.0.1:7401,127.0.0.1:7402. Runs the queries
                            on those out-of-process servers over real TCP
@@ -94,15 +88,10 @@ OPTIONS:
                            cluster; the node count is the list length
                            (--nodes is ignored) and node 0 gathers
                            results. Incompatible with --analyze,
-                           --trace-out, --bench-out, --engine classic,
-                           and --expr-engine ast
+                           --trace-out, --bench-out and --engine classic
     --transport <T>        rdma | rdma-unscheduled | tcp (default rdma);
                            simulated-fabric modes, ignored with --cluster
     --engine <E>           hybrid | classic (default hybrid)
-    --expr-engine <E>      vm | ast (default vm): run expressions on the
-                           compiled vector VM, or on the tree-walking
-                           AST interpreter retained as the differential
-                           oracle
     --message-kb <N>       Tuple bytes per network message in KiB (default 32)
     --clients <N>          Closed-loop client threads (default 1). With
                            N > 1 (or --rounds > 1) the driver runs a
@@ -150,33 +139,16 @@ OPTIONS:
     -h, --help             Show this help
 ";
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PlanMode {
-    Handwritten,
-    Builder,
-}
-
-impl PlanMode {
-    fn name(self) -> &'static str {
-        match self {
-            PlanMode::Handwritten => "handwritten",
-            PlanMode::Builder => "builder",
-        }
-    }
-}
-
 struct Args {
     sf: f64,
     nodes: u16,
     workers: u16,
     cluster: Option<Vec<String>>,
     queries: Option<Vec<u32>>,
-    plan_mode: PlanMode,
     stats: StatsMode,
     explain: bool,
     transport: String,
     engine: String,
-    expr_engine: ExprEngine,
     message_kb: usize,
     clients: u16,
     rounds: u32,
@@ -201,12 +173,10 @@ fn parse_args() -> Result<Args, String> {
         workers: 2,
         cluster: None,
         queries: None,
-        plan_mode: PlanMode::Builder,
         stats: StatsMode::Static,
         explain: false,
         transport: "rdma".to_string(),
         engine: "hybrid".to_string(),
-        expr_engine: ExprEngine::Compiled,
         message_kb: 32,
         clients: 1,
         rounds: 1,
@@ -296,17 +266,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.queries = Some(list);
             }
-            "--plan-mode" => {
-                args.plan_mode = match value.as_str() {
-                    "handwritten" => PlanMode::Handwritten,
-                    "builder" => PlanMode::Builder,
-                    other => {
-                        return Err(format!(
-                            "unknown plan mode {other:?} (expected handwritten | builder)"
-                        ))
-                    }
-                };
-            }
             "--stats" => {
                 args.stats = StatsMode::parse(value).ok_or_else(|| {
                     format!("unknown stats mode {value:?} (expected off | static | feedback)")
@@ -317,17 +276,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--engine" => {
                 args.engine = value.clone();
-            }
-            "--expr-engine" => {
-                args.expr_engine = match value.as_str() {
-                    "vm" => ExprEngine::Compiled,
-                    "ast" => ExprEngine::Ast,
-                    other => {
-                        return Err(format!(
-                            "unknown expression engine {other:?} (expected vm | ast)"
-                        ))
-                    }
-                };
             }
             "--message-kb" => {
                 args.message_kb = value.parse().ok().filter(|&kb| kb >= 1).ok_or_else(|| {
@@ -420,7 +368,6 @@ fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
         workers_per_node: args.workers,
         transport,
         engine,
-        expr_engine: args.expr_engine,
         numa_cost_ns: 0.0,
         message_capacity: args.message_kb * 1024,
         max_concurrent: args.clients,
@@ -465,23 +412,12 @@ fn base_schema(t: TpchTable) -> Option<Schema> {
 }
 
 /// Render one query's full EXPLAIN block into a string: the banner, each
-/// stage's operator tree, and — under the vm expression engine — the
-/// compiled program disassembly per stage. Built as a single buffer so
-/// callers write it with one syscall-ish print and nothing can interleave
-/// into the middle of a block.
+/// stage's operator tree, and the compiled program disassembly per stage.
+/// Built as a single buffer so callers write it with one syscall-ish print
+/// and nothing can interleave into the middle of a block.
 fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) -> String {
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "== Q{n} ({} plans, {} nodes, SF {}, {} exprs) ==",
-        args.plan_mode.name(),
-        args.nodes,
-        args.sf,
-        match args.expr_engine {
-            ExprEngine::Compiled => "vm",
-            ExprEngine::Ast => "ast",
-        }
-    );
+    let _ = writeln!(out, "== Q{n} ({} nodes, SF {}) ==", args.nodes, args.sf);
     let total = query.stages.len();
     let mut temps: HashMap<String, Schema> = HashMap::new();
     for (i, stage) in query.stages.iter().enumerate() {
@@ -490,9 +426,9 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
             StageRole::Materialize(name) => format!(" materialize {name:?}"),
             StageRole::Result => " result".to_string(),
         };
-        // Builder-mode stages carry the planner's cardinality estimate
-        // (and, in feedback mode, the observed cardinality that overrode
-        // it); a profiled run (--analyze) prints the actuals next to it.
+        // Stages carry the planner's cardinality estimate (and, in feedback
+        // mode, the observed cardinality that overrode it); a profiled run
+        // (--analyze) prints the actuals next to it.
         let est = match (stage.estimated_rows, stage.feedback_rows) {
             (Some(e), Some(fb)) => format!("  [est ~{e:.0} rows · fb {fb:.0} rows]"),
             (Some(e), None) => format!("  [est ~{e:.0} rows]"),
@@ -507,17 +443,10 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
                 let _ = writeln!(out, "   decision: {note}");
             }
         }
-        match args.expr_engine {
-            ExprEngine::Compiled => {
-                let (compiled, schema) = compile_stage(&stage.plan, &&base_schema, &temps);
-                out.push_str(&compiled.render(&stage.plan));
-                if let StageRole::Materialize(name) = &stage.role {
-                    if let Some(s) = schema {
-                        temps.insert(name.clone(), s);
-                    }
-                }
-            }
-            ExprEngine::Ast => out.push_str(&stage.plan.explain()),
+        let (compiled, schema) = compile_stage(&stage.plan, &&base_schema, &temps);
+        out.push_str(&compiled.render(&stage.plan));
+        if let (StageRole::Materialize(name), Some(s)) = (&stage.role, schema) {
+            temps.insert(name.clone(), s);
         }
     }
     out.push('\n');
@@ -529,44 +458,28 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
 /// repartition choices, and the compiled expression programs are visible
 /// directly in the operator trees.
 ///
-/// In builder mode, plans are lowered from SF-derived cardinality
-/// estimates; a live run plans from the exact loaded row counts
-/// (`Planner::for_cluster`), which can flip a broadcast/repartition
-/// choice sitting near a threshold. Handwritten plans are fixed trees.
+/// Plans are lowered from SF-derived cardinality estimates; a live run
+/// plans from the exact loaded row counts (`Planner::for_cluster`), which
+/// can flip a broadcast/repartition choice sitting near a threshold.
 fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
-    // Handwritten plans are fixed physical trees; only builder mode
-    // involves the planner, whose choices here come from estimates.
-    let planner = match args.plan_mode {
-        PlanMode::Handwritten => None,
-        PlanMode::Builder => {
-            eprintln!(
-                "note: --explain plans from SF-derived cardinality estimates; \
-                 a live run plans from exact loaded row counts, which can \
-                 flip choices near a threshold"
-            );
-            Some(Planner::new(PlannerConfig {
-                stats: TableStats::for_scale_factor(args.sf),
-                mode: args.stats,
-                catalog: (args.stats != StatsMode::Off)
-                    .then(|| Arc::new(StatsCatalog::declared_tpch(args.sf))),
-                ..PlannerConfig::new(args.nodes)
-            }))
-        }
-    };
+    eprintln!(
+        "note: --explain plans from SF-derived cardinality estimates; \
+         a live run plans from exact loaded row counts, which can \
+         flip choices near a threshold"
+    );
+    let planner = Planner::new(PlannerConfig {
+        stats: TableStats::for_scale_factor(args.sf),
+        mode: args.stats,
+        catalog: (args.stats != StatsMode::Off)
+            .then(|| Arc::new(StatsCatalog::declared_tpch(args.sf))),
+        ..PlannerConfig::new(args.nodes)
+    });
     let mut out = String::new();
     for &n in queries {
-        let (query, notes): (Query, Vec<Vec<String>>) = match &planner {
-            None => (
-                tpch_query(n).map_err(|e| format!("query {n}: {e}"))?,
-                vec![],
-            ),
-            Some(planner) => {
-                let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
-                planner
-                    .plan_query_explained(&logical)
-                    .map_err(|e| format!("query {n}: {e}"))?
-            }
-        };
+        let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
+        let (query, notes) = planner
+            .plan_query_explained(&logical)
+            .map_err(|e| format!("query {n}: {e}"))?;
         out.push_str(&render_query_plan(args, n, &query, &notes));
     }
     // One writer for the whole report: nothing else prints to stdout in
@@ -667,12 +580,8 @@ fn start_loaded_cluster(args: &Args, banner_suffix: &str) -> Result<Bench, Strin
 fn start_simulated(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
     eprintln!(
         "generating TPC-H SF {} and starting {}-node cluster \
-         ({} transport, {} engine, {} plans{banner_suffix})",
-        args.sf,
-        args.nodes,
-        args.transport,
-        args.engine,
-        args.plan_mode.name(),
+         ({} transport, {} engine{banner_suffix})",
+        args.sf, args.nodes, args.transport, args.engine,
     );
     let gen_started = Instant::now();
     let db = TpchDb::generate(args.sf);
@@ -698,12 +607,10 @@ fn start_simulated(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
 /// it is reported inside `load_ms` and `generate_ms` is zero).
 fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Result<Bench, String> {
     eprintln!(
-        "connecting to {}-process cluster [{}] and loading TPC-H SF {} \
-         ({} plans{banner_suffix})",
+        "connecting to {}-process cluster [{}] and loading TPC-H SF {}{banner_suffix}",
         addrs.len(),
         addrs.join(", "),
         args.sf,
-        args.plan_mode.name(),
     );
     let cfg = ProcessClusterConfig {
         engine: RemoteEngineConfig {
@@ -743,9 +650,9 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
     })
 }
 
-/// Build each requested query once, in the selected plan mode: a fixed
-/// physical plan, or the logical query itself when feedback-mode
-/// execution will re-plan it stage-at-a-time.
+/// Build each requested query once: a fixed physical plan, or the logical
+/// query itself when feedback-mode execution will re-plan it
+/// stage-at-a-time.
 fn plan_queries(
     args: &Args,
     planner: &Planner,
@@ -754,22 +661,14 @@ fn plan_queries(
     queries
         .iter()
         .map(|&n| {
-            let planned = match args.plan_mode {
-                PlanMode::Handwritten => Planned::Physical {
-                    query: tpch_query(n).map_err(|e| format!("query {n}: {e}"))?,
-                    notes: Vec::new(),
-                },
-                PlanMode::Builder => {
-                    let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
-                    if args.stats == StatsMode::Feedback {
-                        Planned::Adaptive(logical)
-                    } else {
-                        let (query, notes) = planner
-                            .plan_query_explained(&logical)
-                            .map_err(|e| format!("query {n}: {e}"))?;
-                        Planned::Physical { query, notes }
-                    }
-                }
+            let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
+            let planned = if args.stats == StatsMode::Feedback {
+                Planned::Adaptive(logical)
+            } else {
+                let (query, notes) = planner
+                    .plan_query_explained(&logical)
+                    .map_err(|e| format!("query {n}: {e}"))?;
+                Planned::Physical { query, notes }
             };
             Ok((n, planned))
         })
@@ -789,7 +688,6 @@ fn report_header(args: &Args, gen_ms: f64, load_ms: f64) -> String {
         json_escape(&args.transport)
     );
     let _ = writeln!(report, "  \"engine\": \"{}\",", json_escape(&args.engine));
-    let _ = writeln!(report, "  \"plan_mode\": \"{}\",", args.plan_mode.name());
     let _ = writeln!(report, "  \"generate_ms\": {gen_ms:.3},");
     let _ = writeln!(report, "  \"load_ms\": {load_ms:.3},");
     report
@@ -1280,7 +1178,7 @@ fn run() -> Result<(), String> {
 
     if let Some(addrs) = &args.cluster {
         // Out-of-process mode: the profiler's spans, the trajectory file,
-        // and the alternative engines live on the in-process nodes only.
+        // and the classic engine live on the in-process nodes only.
         if args.analyze || args.trace_out.is_some() || args.bench_out.is_some() {
             return Err(
                 "--analyze, --trace-out, and --bench-out need the in-process \
@@ -1291,9 +1189,6 @@ fn run() -> Result<(), String> {
         if args.engine != "hybrid" {
             return Err("--cluster nodes always run the hybrid engine".into());
         }
-        if args.expr_engine != ExprEngine::Compiled {
-            return Err("--cluster nodes always run the vm expression engine".into());
-        }
         // The report reflects reality: real sockets, node count from the
         // address list.
         args.nodes = addrs.len() as u16;
@@ -1302,14 +1197,6 @@ fn run() -> Result<(), String> {
         // Validate the simulated-fabric flags even in modes that do not
         // start a cluster, so typos fail fast.
         cluster_config(&args)?;
-    }
-
-    if args.stats == StatsMode::Feedback && args.plan_mode == PlanMode::Handwritten {
-        return Err(
-            "--stats feedback re-plans queries from observed cardinalities, \
-             which needs --plan-mode builder (handwritten plans are fixed trees)"
-                .into(),
-        );
     }
 
     let queries: Vec<u32> = match &args.queries {
@@ -1464,7 +1351,6 @@ fn run() -> Result<(), String> {
             json_escape(&args.transport)
         );
         let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(&args.engine));
-        let _ = writeln!(out, "  \"plan_mode\": \"{}\",", args.plan_mode.name());
         let _ = writeln!(out, "  \"queries\": [");
         out.push_str(&bench_lines.join(",\n"));
         out.push_str("\n  ]\n}\n");

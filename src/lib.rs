@@ -12,8 +12,8 @@
 //! * [`tpch`] — a deterministic TPC-H-shaped data generator,
 //! * [`engine`] — the distributed query engine itself: hybrid parallelism,
 //!   decoupled exchange operators, the RDMA-based communication multiplexer,
-//!   the logical plan builder + distributed planner, and physical plans for
-//!   all 22 TPC-H queries.
+//!   the logical plan builder + distributed planner, and all 22 TPC-H
+//!   queries written against it.
 //!
 //! ## Quickstart
 //!
@@ -40,19 +40,26 @@
 //! session.shutdown();
 //! ```
 //!
-//! The hand-written distributed plans remain available as the oracle:
+//! The 22 TPC-H queries are logical queries too; a [`Cluster`] runs the
+//! physical query the planner lowers one to:
 //!
 //! ```
 //! use hsqp::engine::cluster::{Cluster, ClusterConfig};
-//! use hsqp::engine::queries;
+//! use hsqp::engine::planner::Planner;
+//! use hsqp::engine::queries::tpch_logical;
 //!
 //! // A 2-node simulated cluster over the RDMA transport.
 //! let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
 //! cluster.load_tpch(0.001).unwrap();
-//! let result = cluster.run(&queries::tpch_query(1).unwrap()).unwrap();
+//! let q1 = Planner::for_cluster(&cluster)
+//!     .plan_query(&tpch_logical(1).unwrap())
+//!     .unwrap();
+//! let result = cluster.run(&q1).unwrap();
 //! assert!(result.row_count() > 0);
 //! cluster.shutdown();
 //! ```
+//!
+//! [`Cluster`]: engine::cluster::Cluster
 
 pub mod benchjson;
 

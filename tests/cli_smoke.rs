@@ -1,13 +1,17 @@
 //! Smoke test for the `hsqp` end-to-end driver binary: a 2-node SF 0.01
-//! run must complete, emit well-formed JSON, and report a row count for
-//! Q1 that matches the library-level correctness oracle (the same query
-//! run through `Cluster::run` directly).
+//! run must complete, emit well-formed JSON, and report the row counts the
+//! reference evaluator (`tests/support/oracle.rs`) computes for the same
+//! queries.
+
+mod support;
 
 use std::collections::HashMap;
 use std::process::Command;
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::queries::tpch_query;
+use hsqp::engine::queries::tpch_logical;
+use hsqp::tpch::TpchDb;
+
+use support::oracle::Oracle;
 
 /// A minimal JSON value, parsed by [`parse_json`]. Enough structure to
 /// verify well-formedness and pull scalar fields out of the report.
@@ -184,16 +188,13 @@ fn parse_value(b: &[char], pos: &mut usize) -> Json {
     }
 }
 
-/// The oracle: Q1's result cardinality from a direct library run.
-fn oracle_q1_rows(sf: f64) -> usize {
-    let cluster = Cluster::start(ClusterConfig::quick(1)).expect("oracle cluster");
-    cluster.load_tpch(sf).expect("oracle load");
-    let result = cluster
-        .run(&tpch_query(1).expect("q1"))
-        .expect("oracle run");
-    let rows = result.row_count();
-    cluster.shutdown();
-    rows
+/// The oracle's row count for each of `queries` at scale factor `sf`.
+fn oracle_rows(sf: f64, queries: &[u32]) -> Vec<usize> {
+    let oracle = Oracle::new(&TpchDb::generate(sf));
+    queries
+        .iter()
+        .map(|&n| oracle.answer(&tpch_logical(n).unwrap()).rel.rows.len())
+        .collect()
 }
 
 #[test]
@@ -221,9 +222,6 @@ fn driver_2node_sf001_emits_wellformed_json() {
     let report = parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"));
     assert_eq!(report.get("sf").num(), sf);
     assert_eq!(report.get("nodes").num(), 2.0);
-    // Planner-generated plans are the default; the hand-written oracle
-    // has to be asked for.
-    assert_eq!(report.get("plan_mode"), &Json::Str("builder".into()));
     assert_eq!(report.get("failures").num(), 0.0);
     let queries = report.get("queries").arr();
     assert_eq!(queries.len(), 2);
@@ -233,8 +231,8 @@ fn driver_2node_sf001_emits_wellformed_json() {
     assert!(q1.get("ms").num() > 0.0);
     assert_eq!(
         q1.get("rows").num() as usize,
-        oracle_q1_rows(sf),
-        "driver row count for Q1 must match the library oracle"
+        oracle_rows(sf, &[1])[0],
+        "driver row count for Q1 must match the oracle"
     );
 }
 
@@ -279,13 +277,17 @@ fn driver_clients_mode_reports_throughput_and_matching_rows() {
     assert_eq!(queries[0].get("executions").num(), 4.0);
     assert_eq!(
         queries[0].get("rows").num() as usize,
-        oracle_q1_rows(sf),
-        "concurrent row count for Q1 must match the library oracle"
+        oracle_rows(sf, &[1])[0],
+        "concurrent row count for Q1 must match the oracle"
     );
 }
 
 #[test]
 fn driver_rejects_bad_flags() {
+    // The flags that picked one of two query sources and one of two
+    // expression engines are unknown now.
+    let plan_mode = format!("--{}-mode", "plan");
+    let expr_engine = format!("--{}-engine", "expr");
     for args in [
         &["--sf", "0"][..],
         &["--nodes", "two"][..],
@@ -299,14 +301,10 @@ fn driver_rejects_bad_flags() {
         &["--clients", "0"][..],
         &["--rounds", "0"][..],
         &["--clients", "many"][..],
-        &["--plan-mode", "telepathy"][..],
-        // Out-of-range query numbers must be usage errors in builder mode
-        // too, not a panic deep in the engine.
-        &["--plan-mode", "builder", "--queries", "23"][..],
         &["--transport", "carrier-pigeon"][..],
-        &["--expr-engine", "llvm"][..],
-        &["--expr-engine", ""][..],
         &["--frobnicate", "yes"][..],
+        &[plan_mode.as_str(), "builder"][..],
+        &[expr_engine.as_str(), "vm"][..],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
             .args(args)
@@ -322,44 +320,27 @@ fn driver_rejects_bad_flags() {
 }
 
 #[test]
-fn driver_builder_mode_matches_handwritten_row_counts() {
-    let run = |mode: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
-            .args([
-                "--sf",
-                "0.005",
-                "--nodes",
-                "2",
-                "--queries",
-                "1,2,6,12,15",
-                "--plan-mode",
-                mode,
-            ])
-            .output()
-            .expect("driver ran");
-        assert!(
-            out.status.success(),
-            "{mode} driver failed\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"))
-    };
-    let hand = run("handwritten");
-    let built = run("builder");
-    assert_eq!(hand.get("plan_mode"), &Json::Str("handwritten".into()));
-    assert_eq!(built.get("plan_mode"), &Json::Str("builder".into()));
-    for (h, b) in hand
-        .get("queries")
-        .arr()
-        .iter()
-        .zip(built.get("queries").arr())
-    {
-        assert_eq!(h.get("query").num(), b.get("query").num());
+fn driver_row_counts_match_the_oracle() {
+    const QUERIES: [u32; 5] = [1, 2, 6, 12, 15];
+    let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
+        .args(["--sf", "0.005", "--nodes", "2", "--queries", "1,2,6,12,15"])
+        .output()
+        .expect("driver ran");
+    assert!(
+        out.status.success(),
+        "driver failed\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = parse_json(&String::from_utf8(out.stdout).expect("utf8 stdout"));
+    let queries = report.get("queries").arr();
+    let want = oracle_rows(0.005, &QUERIES);
+    assert_eq!(queries.len(), QUERIES.len());
+    for ((q, n), rows) in queries.iter().zip(QUERIES).zip(want) {
+        assert_eq!(q.get("query").num(), f64::from(n));
         assert_eq!(
-            h.get("rows").num(),
-            b.get("rows").num(),
-            "row counts must match for query {}",
-            h.get("query").num()
+            q.get("rows").num() as usize,
+            rows,
+            "row counts must match the oracle for query {n}"
         );
     }
 }
@@ -480,29 +461,21 @@ fn driver_observability_flags_and_bench_check_roundtrip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--explain` under the default vm expression engine prints the compiled
-/// program for every filter / map / aggregate input; under `--expr-engine
-/// ast` it prints the plain operator tree only.
+/// `--explain` prints the compiled program for every filter / map /
+/// aggregate input next to the operator tree.
 #[test]
 fn driver_explain_prints_compiled_programs() {
-    let explain = |engine: &str| {
-        let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
-            .args(["--queries", "6", "--explain", "--expr-engine", engine])
-            .output()
-            .expect("driver ran");
-        assert!(
-            out.status.success(),
-            "explain ({engine}) failed\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8(out.stdout).expect("utf8 stdout")
-    };
-
-    let vm = explain("vm");
+    let out = Command::new(env!("CARGO_BIN_EXE_hsqp"))
+        .args(["--queries", "6", "--explain"])
+        .output()
+        .expect("driver ran");
     assert!(
-        vm.contains("vm exprs"),
-        "banner must name the engine:\n{vm}"
+        out.status.success(),
+        "explain failed\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let vm = String::from_utf8(out.stdout).expect("utf8 stdout");
+    assert!(vm.contains("== Q6 ("), "banner must name the query:\n{vm}");
     assert!(
         vm.contains("(p0") || vm.contains("(p0)"),
         "operators must be annotated with program ids:\n{vm}"
@@ -514,13 +487,6 @@ fn driver_explain_prints_compiled_programs() {
     assert!(
         vm.contains("cmp_i64") && vm.contains("arith_f64"),
         "listings must show typed kernels:\n{vm}"
-    );
-
-    let ast = explain("ast");
-    assert!(ast.contains("ast exprs"), "{ast}");
-    assert!(
-        !ast.contains("p0 ="),
-        "ast mode must not print compiled programs:\n{ast}"
     );
 }
 

@@ -257,7 +257,10 @@ fn polling_completion_mode_works_end_to_end() {
     };
     let c = Cluster::start(cfg).unwrap();
     c.load_tpch(0.001).unwrap();
-    let q = hsqp::engine::queries::tpch_query(6).unwrap();
+    let q6 = hsqp::engine::queries::tpch_logical(6).unwrap();
+    let q = hsqp::engine::planner::Planner::for_cluster(&c)
+        .plan_query(&q6)
+        .unwrap();
     let r = c.run(&q).unwrap();
     assert_eq!(r.row_count(), 1);
     c.shutdown();

@@ -1,9 +1,14 @@
 //! Differential tests for the distributed planner: all 22 TPC-H queries on
-//! the logical query builder must produce results identical to their
-//! hand-written physical plans (the oracle), on 2- and 4-node clusters —
-//! plus property tests that random filter/aggregate logical plans and
-//! random multi-stage `LogicalQuery`s (random parameter arity, CTE reuse)
-//! lower through the planner without panicking.
+//! the logical query builder must return the reference evaluator's answers
+//! (`tests/support/oracle.rs`, which shares no code with the engine) on 2-
+//! and 4-node clusters, with static and with feedback statistics — plus
+//! property tests that random filter/aggregate logical plans and random
+//! multi-stage `LogicalQuery`s (random parameter arity, CTE reuse) lower
+//! through the planner without panicking.
+
+mod support;
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -12,105 +17,101 @@ use hsqp::engine::expr::{col, lit, litf, param, Expr};
 use hsqp::engine::logical::{LogicalPlan, LogicalQuery};
 use hsqp::engine::plan::{AggFunc, AggSpec, SortKey};
 use hsqp::engine::planner::{Planner, PlannerConfig};
-use hsqp::engine::queries::{tpch_logical, tpch_query, ALL_QUERIES};
-use hsqp::storage::{date_from_ymd, Table, Value};
+use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
+use hsqp::storage::{date_from_ymd, Table};
 use hsqp::tpch::{TpchDb, TpchTable};
+
+use support::oracle::{Answer, Oracle};
 
 const SF: f64 = 0.01;
 
-/// Compare tables modulo row order and float rounding (same comparator as
-/// the cross-cluster correctness suite).
-fn assert_tables_equal(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    assert_eq!(a.schema().len(), b.schema().len(), "{what}: arity differs");
-    let rows = |t: &Table| -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = (0..t.rows())
-            .map(|r| {
-                (0..t.schema().len())
-                    .map(|c| match t.value(r, c) {
-                        Value::F64(x) => format!("{x:.2}"),
-                        v => v.to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rows(a), rows(b), "{what}: contents differ");
+fn db() -> &'static TpchDb {
+    static DB: OnceLock<TpchDb> = OnceLock::new();
+    DB.get_or_init(|| TpchDb::generate(SF))
 }
 
-fn builder_matches_handwritten_on(nodes: u16) {
+/// The oracle's answers to all 22 queries, computed once per test binary.
+/// At SF 0.01 every query except Q9 returns rows, so an empty answer
+/// elsewhere is a bug in the data or the oracle, and agreeing with it would
+/// prove nothing.
+fn answers() -> &'static [Answer] {
+    static ANSWERS: OnceLock<Vec<Answer>> = OnceLock::new();
+    ANSWERS.get_or_init(|| {
+        let oracle = Oracle::new(db());
+        let answers: Vec<Answer> = ALL_QUERIES
+            .iter()
+            .map(|&n| oracle.answer(&tpch_logical(n).unwrap()))
+            .collect();
+        for (n, answer) in ALL_QUERIES.iter().zip(&answers) {
+            assert!(
+                *n == 9 || !answer.rel.rows.is_empty(),
+                "Q{n}'s answer is empty at SF {SF}"
+            );
+        }
+        answers
+    })
+}
+
+fn assert_answers(n: u32, got: &Table, what: &str) {
+    support::assert_matches(got, &answers()[n as usize - 1], &format!("Q{n} ({what})"));
+}
+
+fn builder_matches_oracle_on(nodes: u16) {
     let cluster = Cluster::start(ClusterConfig::quick(nodes)).unwrap();
-    cluster.load_tpch_db(TpchDb::generate(SF)).unwrap();
+    cluster.load_tpch_db(db().clone()).unwrap();
     let planner = Planner::for_cluster(&cluster);
     for n in ALL_QUERIES {
-        let oracle = cluster
-            .run(&tpch_query(n).unwrap())
-            .unwrap_or_else(|e| panic!("handwritten Q{n} failed: {e}"))
-            .table;
-        let logical = tpch_logical(n).unwrap();
         let query = planner
-            .plan_query(&logical)
+            .plan_query(&tpch_logical(n).unwrap())
             .unwrap_or_else(|e| panic!("planning Q{n} failed: {e}"));
         let built = cluster
             .run(&query)
             .unwrap_or_else(|e| panic!("builder Q{n} failed: {e}"))
             .table;
-        // Guard against vacuous agreement: at SF 0.01 every query except
-        // Q9 returns rows, so "both modes identically empty" is a bug in
-        // shared machinery (e.g. a join-key type mismatch), not a match.
-        if n != 9 {
-            assert!(oracle.rows() > 0, "Q{n} oracle returned no rows at SF {SF}");
-        }
-        assert_tables_equal(&oracle, &built, &format!("Q{n} ({nodes} nodes)"));
+        assert_answers(n, &built, &format!("{nodes} nodes"));
     }
     cluster.shutdown();
 }
 
 #[test]
-fn builder_matches_handwritten_on_2_nodes() {
-    builder_matches_handwritten_on(2);
+fn builder_matches_oracle_on_2_nodes() {
+    builder_matches_oracle_on(2);
 }
 
 #[test]
-fn builder_matches_handwritten_on_4_nodes() {
-    builder_matches_handwritten_on(4);
+fn builder_matches_oracle_on_4_nodes() {
+    builder_matches_oracle_on(4);
 }
 
 /// Feedback-driven re-planning may change *plans*, never *answers*: all 22
-/// queries must return identical tables in `--stats feedback` and
-/// `--stats static`, both on the first (cold-cache) submission and on the
-/// second, where corrected estimates are in force.
+/// queries must return the oracle's answers in `--stats feedback` and
+/// `--stats static`, and in feedback mode both on the first (cold-cache)
+/// submission and on the second, where corrected estimates are in force.
 fn feedback_matches_static_on(nodes: u16) {
     use hsqp::engine::session::Session;
     use hsqp::engine::stats::StatsMode;
     let session = |mode: StatsMode| {
-        Session::builder()
+        let session = Session::builder()
             .nodes(nodes)
-            .tpch(SF)
             .stats_mode(mode)
             .build()
-            .unwrap()
+            .unwrap();
+        session.load_tpch_db(db().clone()).unwrap();
+        session
     };
     let stat = session(StatsMode::Static);
     let fb = session(StatsMode::Feedback);
     for n in ALL_QUERIES {
         let logical = tpch_logical(n).unwrap();
-        let oracle = stat
-            .run(&logical)
-            .unwrap_or_else(|e| panic!("static Q{n} failed: {e}"))
-            .table;
-        let cold = fb
-            .run(&logical)
-            .unwrap_or_else(|e| panic!("feedback Q{n} (cold) failed: {e}"))
-            .table;
-        assert_tables_equal(&oracle, &cold, &format!("Q{n} cold ({nodes} nodes)"));
-        let warm = fb
-            .run(&logical)
-            .unwrap_or_else(|e| panic!("feedback Q{n} (warm) failed: {e}"))
-            .table;
-        assert_tables_equal(&oracle, &warm, &format!("Q{n} warm ({nodes} nodes)"));
+        let run = |s: &Session, what: &str| {
+            let result = s
+                .run(&logical)
+                .unwrap_or_else(|e| panic!("{what} Q{n} failed: {e}"));
+            assert_answers(n, &result.table, &format!("{what}, {nodes} nodes"));
+        };
+        run(&stat, "static");
+        run(&fb, "feedback, cold");
+        run(&fb, "feedback, warm");
     }
     assert!(
         !fb.feedback_cache().is_empty(),
@@ -587,11 +588,14 @@ fn decimal_param_stage_binds_promoted_floats() {
 }
 
 /// A couple of the random shapes, executed for real on a small cluster —
-/// the planner's output must not just build, it must run.
+/// the planner's output must not just build, it must run and return the
+/// oracle's answer.
 #[test]
 fn random_shapes_execute_end_to_end() {
+    let db = TpchDb::generate(0.002);
+    let oracle = Oracle::new(&db);
     let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
-    cluster.load_tpch_db(TpchDb::generate(0.002)).unwrap();
+    cluster.load_tpch_db(db).unwrap();
     let planner = Planner::for_cluster(&cluster);
 
     let shapes: Vec<LogicalPlan> = vec![
@@ -633,7 +637,56 @@ fn random_shapes_execute_end_to_end() {
             .run_plan(&planner.plan(lp).unwrap())
             .unwrap_or_else(|e| panic!("shape {i} failed: {e}"));
         assert!(r.row_count() > 0, "shape {i} returned no rows");
+        let answer = oracle.answer(&lp.into());
+        support::assert_matches(&r.table, &answer, &format!("shape {i}"));
     }
+    cluster.shutdown();
+}
+
+/// Map outputs only a parameter types — a float one and an integer one —
+/// filtered and aggregated in the stage that binds them: the nodes type them
+/// from the stage's parameters, and the answer is the oracle's.
+#[test]
+fn param_typed_outputs_execute_end_to_end() {
+    use hsqp::engine::plan::MapExpr;
+
+    let db = TpchDb::generate(0.002);
+    let oracle = Oracle::new(&db);
+    let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
+    cluster.load_tpch_db(db).unwrap();
+    let planner = Planner::for_cluster(&cluster);
+
+    let staged = LogicalQuery::stage(LogicalPlan::scan(TpchTable::Customer).aggregate(
+        &[],
+        vec![
+            AggSpec::new(AggFunc::Avg, col("c_acctbal"), "avg_bal"),
+            AggSpec::new(AggFunc::Max, col("c_nationkey"), "max_nation"),
+        ],
+    ))
+    .then(
+        LogicalPlan::scan(TpchTable::Customer)
+            .select(vec![
+                MapExpr::new("c_mktsegment", col("c_mktsegment")),
+                MapExpr::new("above", col("c_acctbal").sub(param(0))),
+                MapExpr::new("shifted", col("c_nationkey").sub(param(1))),
+            ])
+            .filter(col("above").gt(litf(-2000.0)))
+            .aggregate(
+                &["c_mktsegment"],
+                vec![
+                    AggSpec::new(AggFunc::Sum, col("above"), "sum_above"),
+                    AggSpec::new(AggFunc::Max, col("above"), "max_above"),
+                    AggSpec::new(AggFunc::Min, col("shifted"), "min_shifted"),
+                    AggSpec::new(AggFunc::Count, lit(1), "n"),
+                ],
+            )
+            .sort(vec![SortKey::asc("c_mktsegment")]),
+    );
+    let r = cluster
+        .run(&planner.plan_query(&staged).unwrap())
+        .unwrap_or_else(|e| panic!("the parameter-typed stage failed: {e}"));
+    assert!(r.row_count() > 0);
+    support::assert_matches(&r.table, &oracle.answer(&staged), "parameter-typed outputs");
     cluster.shutdown();
 }
 

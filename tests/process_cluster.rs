@@ -8,7 +8,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::queries::tpch_query;
+use hsqp::engine::planner::{Planner, PlannerConfig};
+use hsqp::engine::queries::tpch_logical;
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::EngineError;
 
@@ -74,9 +75,11 @@ fn process_cluster_rows_match_in_process() {
 
     let local = Cluster::start(ClusterConfig::quick(3)).expect("start in-process cluster");
     local.load_tpch(SF).expect("load TPC-H in-process");
+    let planner = Planner::for_cluster(&local);
 
     for qn in [1u32, 3, 5, 12] {
-        let query = tpch_query(qn).expect("build query");
+        let logical = tpch_logical(qn).expect("build query");
+        let query = planner.plan_query(&logical).expect("plan query");
         let remote = pc
             .run(&query)
             .unwrap_or_else(|e| panic!("Q{qn} remote: {e}"));
@@ -104,7 +107,10 @@ fn killing_a_node_mid_query_errors_within_timeout() {
     pc.load_tpch(0.01).expect("load TPC-H");
 
     // Sanity: the cluster works before the kill.
-    let q3 = tpch_query(3).expect("build Q3");
+    let planner = Planner::new(PlannerConfig::new(2));
+    let q3 = planner
+        .plan_query(&tpch_logical(3).expect("build Q3"))
+        .expect("plan Q3");
     pc.run(&q3).expect("Q3 before the kill");
 
     let (tx, rx) = std::sync::mpsc::channel();

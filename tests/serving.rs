@@ -13,7 +13,8 @@ use std::time::{Duration, Instant};
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
 use hsqp::engine::error::EngineError;
-use hsqp::engine::queries::tpch_query;
+use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
+use hsqp::engine::queries::{tpch_logical, Query};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::{SubmitOptions, TenantConfig};
 use hsqp::engine::{Coordinator, NodeServer};
@@ -69,6 +70,16 @@ fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
     Box::new(cluster)
 }
 
+/// TPC-H query `n` planned for the two nodes of a [`Serving`] cluster
+/// loaded at `sf`.
+fn planned(n: u32, sf: f64) -> Query {
+    let planner = Planner::new(PlannerConfig {
+        stats: TableStats::for_scale_factor(sf),
+        ..PlannerConfig::new(2)
+    });
+    planner.plan_query(&tpch_logical(n).unwrap()).unwrap()
+}
+
 /// Block until the dispatcher has picked a query up, so that what is
 /// submitted next queues behind it instead of racing it for the slot.
 fn wait_until_running(cluster: &Coordinator) {
@@ -91,8 +102,8 @@ fn weighted_fair_scheduling(start: Start) {
             ("silver", TenantConfig::weighted(1)),
         ],
     );
-    let plug = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let plug = planned(9, 0.01);
+    let fast = planned(6, 0.01);
     let serial_rows = cluster.run(&fast).expect("serial Q6").row_count();
 
     // Occupy the only dispatcher slot, then enqueue the backlog while it
@@ -168,8 +179,8 @@ fn weighted_fair_scheduling(start: Start) {
 /// letting the query finish would, and the cluster stays healthy.
 fn cancellation_latency(start: Start) {
     let cluster = start(0.02, &[]);
-    let heavy = tpch_query(9).expect("build Q9");
-    let next = tpch_query(3).expect("build Q3");
+    let heavy = planned(9, 0.02);
+    let next = planned(3, 0.02);
     let next_rows = cluster.run(&next).expect("baseline Q3").row_count();
     let wall = {
         let started = Instant::now();
@@ -212,8 +223,8 @@ fn cancellation_latency(start: Start) {
 /// queries run normally.
 fn deadline_and_wait_timeout(start: Start) {
     let cluster = start(0.01, &[]);
-    let heavy = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let heavy = planned(9, 0.01);
+    let fast = planned(6, 0.01);
 
     // Deadline far shorter than the query: typed DeadlineExceeded.
     let handle = cluster
@@ -229,7 +240,11 @@ fn deadline_and_wait_timeout(start: Start) {
     );
 
     // wait_timeout on an in-flight query returns None without consuming
-    // the handle; cancel + wait still resolves it.
+    // the handle; cancel + wait still resolves it. The query queues behind
+    // a plug holding the only dispatcher slot, so the cancel lands before
+    // its first stage, not after its last morsel.
+    let plug = cluster.submit(&heavy).expect("submit plug");
+    wait_until_running(&cluster);
     let handle = cluster.submit(&heavy).expect("submit Q9");
     if handle.wait_timeout(Duration::from_millis(1)).is_none() {
         handle.cancel();
@@ -239,6 +254,7 @@ fn deadline_and_wait_timeout(start: Start) {
             "expected Cancelled after timeout+cancel, got {outcome:?}"
         );
     }
+    plug.wait().expect("plug completes");
 
     // wait_timeout with ample budget yields the result.
     let handle = cluster.submit(&fast).expect("submit Q6");
@@ -269,8 +285,8 @@ fn admission_cap(start: Start) {
             ("open", TenantConfig::weighted(1)),
         ],
     );
-    let heavy = tpch_query(9).expect("build Q9");
-    let fast = tpch_query(6).expect("build Q6");
+    let heavy = planned(9, 0.01);
+    let fast = planned(6, 0.01);
 
     // Plug the single dispatcher slot so subsequent submissions queue.
     let plug = cluster

@@ -1,138 +1,92 @@
-//! Cross-crate integration: all 22 TPC-H queries must produce identical
-//! results on a single server and on a multi-server cluster, across
-//! transports and engine variants — the core correctness invariant of
-//! distributed query execution.
+//! Cross-crate integration: the 22 TPC-H builder queries must return the
+//! reference evaluator's answers on one server and on three, across
+//! transports, exchange-operator models and data placements — the core
+//! correctness invariant of distributed query execution. Every
+//! configuration is compared with the oracle, never with another run of
+//! the engine.
+
+mod support;
+
+use std::sync::OnceLock;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
-use hsqp::engine::queries::{tpch_query, ALL_QUERIES};
-use hsqp::storage::{Table, Value};
+use hsqp::engine::planner::Planner;
+use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
+use hsqp::storage::placement::Placement;
 use hsqp::tpch::TpchDb;
+
+use support::oracle::{Answer, Oracle};
 
 const SF: f64 = 0.002;
 
-/// Compare tables modulo row order and float rounding.
-fn assert_tables_equal(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    assert_eq!(a.schema().len(), b.schema().len(), "{what}: arity differs");
-    let rows = |t: &Table| -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = (0..t.rows())
-            .map(|r| {
-                (0..t.schema().len())
-                    .map(|c| match t.value(r, c) {
-                        Value::F64(x) => format!("{x:.2}"),
-                        v => v.to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rows(a), rows(b), "{what}: contents differ");
+fn db() -> &'static TpchDb {
+    static DB: OnceLock<TpchDb> = OnceLock::new();
+    DB.get_or_init(|| TpchDb::generate(SF))
 }
 
-fn run_all(cluster: &Cluster) -> Vec<Table> {
-    ALL_QUERIES
-        .iter()
-        .map(|&n| {
-            let q = tpch_query(n).unwrap();
-            cluster
-                .run(&q)
-                .unwrap_or_else(|e| panic!("query {n} failed: {e}"))
-                .table
-        })
-        .collect()
+/// The oracle's answers to all 22 queries, computed once per test binary.
+fn answers() -> &'static [Answer] {
+    static ANSWERS: OnceLock<Vec<Answer>> = OnceLock::new();
+    ANSWERS.get_or_init(|| {
+        let oracle = Oracle::new(db());
+        ALL_QUERIES
+            .iter()
+            .map(|&n| oracle.answer(&tpch_logical(n).unwrap()))
+            .collect()
+    })
+}
+
+/// Run `queries` on a cluster started with `cfg` and compare each result
+/// with the oracle's answer.
+fn matches_oracle(cfg: ClusterConfig, queries: &[u32], what: &str) {
+    let cluster = Cluster::start(cfg).unwrap();
+    cluster.load_tpch_db(db().clone()).unwrap();
+    let planner = Planner::for_cluster(&cluster);
+    for &n in queries {
+        let query = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
+        let result = cluster
+            .run(&query)
+            .unwrap_or_else(|e| panic!("Q{n} ({what}) failed: {e}"));
+        support::assert_matches(
+            &result.table,
+            &answers()[n as usize - 1],
+            &format!("Q{n} ({what})"),
+        );
+    }
+    cluster.shutdown();
 }
 
 #[test]
 fn all_queries_match_across_cluster_sizes() {
-    let db = TpchDb::generate(SF);
-
-    let single = Cluster::start(ClusterConfig::quick(1)).unwrap();
-    single.load_tpch_db(db.clone()).unwrap();
-    let reference = run_all(&single);
-    single.shutdown();
-
-    let multi = Cluster::start(ClusterConfig::quick(3)).unwrap();
-    multi.load_tpch_db(db).unwrap();
-    let distributed = run_all(&multi);
-    multi.shutdown();
-
-    for ((n, a), b) in ALL_QUERIES.iter().zip(&reference).zip(&distributed) {
-        assert_tables_equal(a, b, &format!("query {n} (1 vs 3 nodes)"));
-    }
+    matches_oracle(ClusterConfig::quick(1), &ALL_QUERIES, "1 node");
+    matches_oracle(ClusterConfig::quick(3), &ALL_QUERIES, "3 nodes");
 }
 
 #[test]
 fn queries_match_over_tcp_transport() {
-    let db = TpchDb::generate(SF);
-
-    let rdma = Cluster::start(ClusterConfig::quick(2)).unwrap();
-    rdma.load_tpch_db(db.clone()).unwrap();
-
-    let tcp_cfg = ClusterConfig {
+    let tcp = ClusterConfig {
         transport: Transport::tcp(),
         ..ClusterConfig::quick(2)
     };
-    let tcp = Cluster::start(tcp_cfg).unwrap();
-    tcp.load_tpch_db(db).unwrap();
-
     // A representative subset (all operator shapes) to keep runtime sane.
-    for n in [1, 3, 6, 13, 16, 17, 21, 22] {
-        let q = tpch_query(n).unwrap();
-        let a = rdma.run(&q).unwrap().table;
-        let b = tcp.run(&q).unwrap().table;
-        assert_tables_equal(&a, &b, &format!("query {n} (rdma vs tcp)"));
-    }
-    rdma.shutdown();
-    tcp.shutdown();
+    matches_oracle(tcp, &[1, 3, 6, 13, 16, 17, 21, 22], "tcp");
 }
 
 #[test]
 fn classic_engine_matches_hybrid() {
-    let db = TpchDb::generate(SF);
-
-    let hybrid = Cluster::start(ClusterConfig::quick(2)).unwrap();
-    hybrid.load_tpch_db(db.clone()).unwrap();
-
-    let classic_cfg = ClusterConfig {
+    let classic = ClusterConfig {
         engine: EngineKind::Classic,
         transport: Transport::rdma_unscheduled(),
         ..ClusterConfig::quick(2)
     };
-    let classic = Cluster::start(classic_cfg).unwrap();
-    classic.load_tpch_db(db).unwrap();
-
-    for n in [1, 4, 5, 10, 12, 14, 18] {
-        let q = tpch_query(n).unwrap();
-        let a = hybrid.run(&q).unwrap().table;
-        let b = classic.run(&q).unwrap().table;
-        assert_tables_equal(&a, &b, &format!("query {n} (hybrid vs classic)"));
-    }
-    hybrid.shutdown();
-    classic.shutdown();
+    matches_oracle(classic, &[1, 4, 5, 10, 12, 14, 18], "classic");
 }
 
 #[test]
 fn partitioned_placement_matches_chunked() {
-    let db = TpchDb::generate(SF);
-
-    let chunked = Cluster::start(ClusterConfig::quick(2)).unwrap();
-    chunked.load_tpch_db(db.clone()).unwrap();
-
-    let part_cfg = ClusterConfig {
-        placement: hsqp::storage::placement::Placement::Partitioned,
+    let partitioned = ClusterConfig {
+        placement: Placement::Partitioned,
         ..ClusterConfig::quick(2)
     };
-    let partitioned = Cluster::start(part_cfg).unwrap();
-    partitioned.load_tpch_db(db).unwrap();
-
-    for n in [2, 3, 9, 11, 15, 19, 20] {
-        let q = tpch_query(n).unwrap();
-        let a = chunked.run(&q).unwrap().table;
-        let b = partitioned.run(&q).unwrap().table;
-        assert_tables_equal(&a, &b, &format!("query {n} (chunked vs partitioned)"));
-    }
-    chunked.shutdown();
-    partitioned.shutdown();
+    matches_oracle(partitioned, &[2, 3, 9, 11, 15, 19, 20], "partitioned");
 }

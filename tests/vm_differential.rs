@@ -1,32 +1,40 @@
-//! Differential tests for the compiled expression VM against the retained
-//! AST tree walker — the correctness contract of the vectorized executor.
+//! Differential tests for the compiled expression VM against the reference
+//! evaluator's scalar expressions (`tests/support/oracle.rs`), which share
+//! no code with it — the correctness contract of the vectorized executor.
 //!
 //! Three layers:
 //! 1. proptest: random well-typed expressions over random nullable
 //!    mixed-dtype tables must evaluate identically (values, validity, and
-//!    selection masks) under `ExprProgram` and `expr::eval`.
+//!    selection masks; floats bit for bit) under `ExprProgram` and the
+//!    oracle, evaluated row at a time.
 //! 2. deterministic kernel cases: one test per typed kernel family
 //!    (comparisons, arithmetic, strings, dates, CASE, NULL handling)
 //!    pinning the edges proptest may not hit every run — Decimal scale,
 //!    division by zero, NaN ordering, NULL parameters, byte-wise SUBSTRING.
-//! 3. end-to-end: all 22 TPC-H queries produce identical results on a
-//!    cluster running the VM and one running the AST oracle, and every
-//!    handwritten TPC-H plan actually compiles to at least one program
-//!    (no silent fallback).
+//! 3. end-to-end: every stage of every planned TPC-H query compiles, and a
+//!    plan with an expression that cannot be typed fails as a planner
+//!    error before it runs, on both clusters.
+
+mod support;
 
 use std::collections::HashMap;
 use std::ops::Range;
 
 use proptest::prelude::*;
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, ExprEngine};
-use hsqp::engine::expr::{col, eval, lit, litf, lits, param, EvalVec, Expr, VecData};
-use hsqp::engine::queries::{tpch_query, StageRole, ALL_QUERIES};
-use hsqp::engine::vm::{compile_stage, ExprProgram};
+use hsqp::engine::cluster::{Cluster, ClusterConfig};
+use hsqp::engine::expr::{col, lit, litf, lits, param, Expr};
+use hsqp::engine::plan::Plan;
+use hsqp::engine::planner::{Planner, PlannerConfig};
+use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
+use hsqp::engine::vm::{compile_stage, EvalVec, ExprProgram, VecData};
+use hsqp::engine::{Coordinator, EngineError, NodeServer, ProcessCluster, ProcessClusterConfig};
 use hsqp::storage::{date_from_ymd, Column, DataType, Field, Schema, Table, Value};
-use hsqp::tpch::{schema as tpch_schema, TpchDb, TpchTable};
+use hsqp::tpch::{schema as tpch_schema, TpchTable};
 
-/// Parameter bindings shared by both engines: integer, float, string, and
+use support::oracle::{Rel, Ty};
+
+/// Parameter bindings shared by the VM and the oracle: integer, float, string, and
 /// NULL (the generator only uses $2 in string contexts and $3 in numeric
 /// ones, mirroring how the planner binds scalar-subquery results).
 fn test_params() -> Vec<Value> {
@@ -81,7 +89,7 @@ fn table_from_rows(rows: Vec<Row>) -> Table {
 
 /// A random nullable table over all six dtypes. Integer magnitudes are kept
 /// small (|v| ≤ 100) so depth-3 multiplication chains cannot overflow i64 —
-/// overflow panics identically in both engines but would abort the test.
+/// overflow panics in the VM and the oracle alike but would abort the test.
 fn arb_table() -> impl Strategy<Value = Table> {
     let row = (
         -100i64..101,
@@ -224,76 +232,33 @@ fn gen_bool(t: &mut Toks, depth: u32) -> Expr {
 }
 
 /// f64 agreement: exact equality, identical bit pattern, or both NaN.
-/// The VM mirrors the walker operation-for-operation, so results are
-/// bitwise identical in practice; the NaN clause only guards against a
+/// The oracle performs the VM's operations in the VM's order, so results
+/// are bitwise identical in practice; the NaN clause only guards against a
 /// payload-differing NaN from the same arithmetic.
 fn f64_eq(a: f64, b: f64) -> bool {
     a == b || a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
 }
 
-fn valid_at(v: &EvalVec, i: usize) -> bool {
-    v.validity.as_ref().is_none_or(|b| b.get(i))
+fn same(got: &Value, want: &Value) -> bool {
+    match (got, want) {
+        (Value::F64(a), Value::F64(b)) => f64_eq(*a, *b),
+        _ => got == want,
+    }
 }
 
-/// Both engines' outputs must have the same length, the same per-row
-/// validity (semantically — `None` ≡ all-valid), and equal data on every
-/// valid row.
-fn assert_vecs_agree(oracle: &EvalVec, got: &EvalVec, e: &Expr) -> Result<(), TestCaseError> {
-    prop_assert_eq!(oracle.len(), got.len(), "length mismatch for {:?}", e);
-    for i in 0..oracle.len() {
-        prop_assert_eq!(
-            valid_at(oracle, i),
-            valid_at(got, i),
-            "validity mismatch at row {} for {:?}",
-            i,
-            e
-        );
+fn kind(v: &EvalVec) -> Ty {
+    match v.data {
+        VecData::I64(_) => Ty::Int,
+        VecData::F64(_) => Ty::Float,
+        VecData::Str(_) => Ty::Str,
+        VecData::Bool(_) => Ty::Bool,
     }
-    match (&oracle.data, &got.data) {
-        (VecData::I64(a), VecData::I64(b)) => {
-            for i in 0..a.len() {
-                if valid_at(oracle, i) {
-                    prop_assert_eq!(a[i], b[i], "i64 mismatch at row {} for {:?}", i, e);
-                }
-            }
-        }
-        (VecData::F64(a), VecData::F64(b)) => {
-            for i in 0..a.len() {
-                if valid_at(oracle, i) {
-                    prop_assert!(
-                        f64_eq(a[i], b[i]),
-                        "f64 mismatch at row {}: {} vs {} for {:?}",
-                        i,
-                        a[i],
-                        b[i],
-                        e
-                    );
-                }
-            }
-        }
-        (VecData::Str(a), VecData::Str(b)) => {
-            for i in 0..a.len() {
-                if valid_at(oracle, i) {
-                    prop_assert_eq!(a.get(i), b.get(i), "str mismatch at row {} for {:?}", i, e);
-                }
-            }
-        }
-        (VecData::Bool(a), VecData::Bool(b)) => {
-            prop_assert_eq!(a, b, "bool mismatch for {:?}", e);
-        }
-        _ => {
-            return Err(TestCaseError::fail(format!(
-                "output kind mismatch for {e:?}: oracle {:?} vs vm {:?}",
-                oracle.data, got.data
-            )))
-        }
-    }
-    Ok(())
 }
 
-/// Compile `e`, bind it, and check agreement with the walker over the full
-/// table and over a sub-range (validity bitmaps are range-relative — a
-/// classic off-by-offset trap).
+/// Compile `e`, bind it, and check it against the oracle row by row, over
+/// the full table and over a sub-range (validity bitmaps are
+/// range-relative — a classic off-by-offset trap): the same type, the same
+/// NULLs, the same values, and for a predicate the same selection mask.
 fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
     let ps = test_params();
     let prog = match ExprProgram::compile(e, t.schema()) {
@@ -307,15 +272,28 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
     let bound = prog
         .bind(t)
         .map_err(|err| TestCaseError::fail(format!("bind failed: {err} — {e:?}")))?;
+    let rel = Rel::of_table(t);
+    let oracle = rel.scope(&ps);
+    let ty = oracle.ty(e);
     let ranges: [Range<usize>; 2] = [0..t.rows(), t.rows() / 3..t.rows()];
     for range in ranges {
-        let oracle = eval(e, t, range.clone(), &ps);
         let got = bound.eval(t, range.clone(), &ps);
-        assert_vecs_agree(&oracle, &got, e)?;
-        if matches!(oracle.data, VecData::Bool(_)) {
-            let mask = bound.eval_mask(t, range.clone(), &ps);
-            let oracle_mask = eval(e, t, range, &ps).into_mask();
-            prop_assert_eq!(mask, oracle_mask, "selection mask mismatch for {:?}", e);
+        prop_assert_eq!(got.len(), range.len(), "length mismatch for {:?}", e);
+        prop_assert_eq!(kind(&got), ty, "type mismatch for {:?}", e);
+        let mask = (ty == Ty::Bool).then(|| bound.eval_mask(t, range.clone(), &ps));
+        for (i, row) in rel.rows[range].iter().enumerate() {
+            let want = oracle.value(e, row);
+            prop_assert!(
+                same(&got.value(i), &want),
+                "row {}: {:?} where the oracle has {:?} for {:?}",
+                i,
+                got.value(i),
+                want,
+                e
+            );
+            if let Some(mask) = &mask {
+                prop_assert_eq!(mask[i], oracle.holds(e, row), "mask row {} for {:?}", i, e);
+            }
         }
     }
     Ok(())
@@ -358,14 +336,16 @@ proptest! {
         toks in proptest::collection::vec(any::<u32>(), 0..48),
         depth in 0u32..4,
     ) {
-        // Constant folding is a planner rewrite; it must be invisible to
-        // both engines.
+        // Constant folding is a planner rewrite; it must be invisible: the
+        // folded predicate selects what the original does.
         let e = gen_bool(&mut Toks { toks, pos: 0 }, depth);
         let folded = e.fold();
         let ps = test_params();
-        let a = eval(&e, &t, 0..t.rows(), &ps);
-        let b = eval(&folded, &t, 0..t.rows(), &ps);
-        prop_assert_eq!(a.into_mask(), b.into_mask(), "fold changed {:?}", e);
+        let rel = Rel::of_table(&t);
+        let oracle = rel.scope(&ps);
+        for row in &rel.rows {
+            prop_assert_eq!(oracle.holds(&e, row), oracle.holds(&folded, row), "fold changed {:?}", e);
+        }
         check_agree(&folded, &t)?;
     }
 }
@@ -413,7 +393,7 @@ fn kernel_cmp_i64() {
 
 #[test]
 fn kernel_cmp_f64_including_nan() {
-    // NaN never compares true under any operator — in either engine.
+    // NaN never compares true under any operator — in the VM or the oracle.
     let nan = litf(0.0).div(litf(0.0));
     for e in [
         col("f").lt(col("dec")),
@@ -455,7 +435,7 @@ fn kernel_arith_i64_and_f64() {
 #[test]
 fn kernel_division_by_zero_is_float() {
     // Div always produces Float64: 1/0 → +inf, -1/0 → -inf, 0/0 → NaN,
-    // identically in both engines (and identically when constant-folded).
+    // in the VM and the oracle (and identically when constant-folded).
     for e in [
         col("k").div(lit(0)),
         col("f").div(litf(0.0)),
@@ -571,109 +551,55 @@ fn bind_rejects_schema_drift() {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: the 22 TPC-H queries under VM vs AST oracle
+// End-to-end: every planned TPC-H stage compiles; what does not compile fails
+// before it runs
 // ---------------------------------------------------------------------------
 
-/// Compare tables modulo row order and float rounding (same convention as
-/// tests/tpch_correctness.rs).
-fn assert_tables_equal(a: &Table, b: &Table, what: &str) {
-    assert_eq!(a.rows(), b.rows(), "{what}: row counts differ");
-    assert_eq!(a.schema().len(), b.schema().len(), "{what}: arity differs");
-    let rows = |t: &Table| -> Vec<Vec<String>> {
-        let mut rows: Vec<Vec<String>> = (0..t.rows())
-            .map(|r| {
-                (0..t.schema().len())
-                    .map(|c| match t.value(r, c) {
-                        Value::F64(x) => format!("{x:.2}"),
-                        v => v.to_string(),
-                    })
-                    .collect()
-            })
-            .collect();
-        rows.sort();
-        rows
-    };
-    assert_eq!(rows(a), rows(b), "{what}: contents differ");
+fn base_schema(t: TpchTable) -> Option<Schema> {
+    Some(match t {
+        TpchTable::Part => tpch_schema::part(),
+        TpchTable::Supplier => tpch_schema::supplier(),
+        TpchTable::Partsupp => tpch_schema::partsupp(),
+        TpchTable::Customer => tpch_schema::customer(),
+        TpchTable::Orders => tpch_schema::orders(),
+        TpchTable::Lineitem => tpch_schema::lineitem(),
+        TpchTable::Nation => tpch_schema::nation(),
+        TpchTable::Region => tpch_schema::region(),
+    })
 }
 
-#[test]
-fn all_tpch_queries_agree_with_ast_oracle() {
-    let db = TpchDb::generate(0.002);
-
-    let mut ast_cfg = ClusterConfig::quick(2);
-    ast_cfg.expr_engine = ExprEngine::Ast;
-    let vm_cfg = ClusterConfig::quick(2);
-    assert_eq!(
-        vm_cfg.expr_engine,
-        ExprEngine::Compiled,
-        "VM must be the default"
-    );
-
-    let run_all = |cfg: ClusterConfig, db: TpchDb| -> Vec<Table> {
-        let cluster = Cluster::start(cfg).unwrap();
-        cluster.load_tpch_db(db).unwrap();
-        let results = ALL_QUERIES
-            .iter()
-            .map(|&n| {
-                let q = tpch_query(n).unwrap();
-                cluster
-                    .run(&q)
-                    .unwrap_or_else(|e| panic!("query {n} failed: {e}"))
-                    .table
-            })
-            .collect();
-        cluster.shutdown();
-        results
-    };
-
-    let oracle = run_all(ast_cfg, db.clone());
-    let vm = run_all(vm_cfg, db);
-    for ((n, a), b) in ALL_QUERIES.iter().zip(&oracle).zip(&vm) {
-        assert_tables_equal(a, b, &format!("Q{n} (AST oracle vs compiled VM)"));
-    }
+/// TPC-H query `n` as the planner lowers it for two nodes.
+fn planned(n: u32) -> Query {
+    Planner::new(PlannerConfig::new(2))
+        .plan_query(&tpch_logical(n).unwrap())
+        .unwrap()
 }
 
 #[test]
 fn every_tpch_plan_compiles_to_programs() {
-    // No silent fallback: each handwritten TPC-H query must yield at least
-    // one compiled program across its stages when compiled against the
-    // base schemas (the same path Cluster::submit takes).
-    let base = |t: TpchTable| -> Option<Schema> {
-        Some(match t {
-            TpchTable::Part => tpch_schema::part(),
-            TpchTable::Supplier => tpch_schema::supplier(),
-            TpchTable::Partsupp => tpch_schema::partsupp(),
-            TpchTable::Customer => tpch_schema::customer(),
-            TpchTable::Orders => tpch_schema::orders(),
-            TpchTable::Lineitem => tpch_schema::lineitem(),
-            TpchTable::Nation => tpch_schema::nation(),
-            TpchTable::Region => tpch_schema::region(),
-        })
-    };
+    // Every stage of every planned query compiles against the base schemas
+    // (the path a node takes before it runs a stage), and each query has
+    // programs to run.
     for n in ALL_QUERIES {
-        let q = tpch_query(n).unwrap();
+        let q = planned(n);
         let mut temps: HashMap<String, Schema> = HashMap::new();
         let mut total = 0usize;
         for stage in &q.stages {
-            let (compiled, schema) = compile_stage(&stage.plan, &base, &temps);
+            let (compiled, schema) = compile_stage(&stage.plan, &base_schema, &temps);
+            assert_eq!(compiled.failure(), None, "Q{n} does not compile");
             total += compiled.program_count();
             if let StageRole::Materialize(name) = &stage.role {
-                if let Some(s) = schema {
-                    temps.insert(name.clone(), s);
-                }
+                temps.insert(name.clone(), schema.expect("a temp's schema is inferred"));
             }
         }
-        assert!(
-            total > 0,
-            "Q{n} compiled zero programs — the VM is not engaged"
-        );
+        assert!(total > 0, "Q{n} compiled zero programs");
     }
 }
 
 #[test]
 fn q6_filter_compiles_and_annotates() {
     let base = |t: TpchTable| (t == TpchTable::Lineitem).then(tpch_schema::lineitem);
-    let q = tpch_query(6).unwrap();
+    let q = planned(6);
     let stage = &q.stages[0];
     let (compiled, _) = compile_stage(&stage.plan, &base, &HashMap::new());
     let has_filter = (0..64).any(|i| compiled.get(i).is_some_and(|p| p.filter.is_some()));
@@ -688,4 +614,57 @@ fn q6_filter_compiles_and_annotates() {
         rendered.contains("p0 ="),
         "render must list programs:\n{rendered}"
     );
+}
+
+/// A filter adding a number to a string cannot be typed. Submitted to
+/// `cluster`, it must come back as an error, and the next query must still
+/// return the right rows.
+fn untypable_filter_fails(cluster: &Coordinator) -> EngineError {
+    let bad = Plan::scan(TpchTable::Lineitem)
+        .filter(col("l_comment").add(lit(1)).gt(lit(0)))
+        .gather();
+    let nations = Plan::scan_cols(TpchTable::Nation, &["n_nationkey"]).gather();
+    let err = cluster
+        .run_plan(&bad)
+        .expect_err("an untypable filter must fail");
+    assert_eq!(cluster.run_plan(&nations).unwrap().row_count(), 25);
+    err
+}
+
+#[test]
+fn untypable_expressions_fail_as_planner_errors_before_running() {
+    let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
+    cluster.load_tpch(0.001).unwrap();
+    let executed = || cluster.metrics().counter("stages.executed");
+    let before = executed();
+    match untypable_filter_fails(&cluster) {
+        EngineError::Planner(msg) => assert!(msg.contains("does not compile"), "{msg}"),
+        other => panic!("expected a planner error, got {other:?}"),
+    }
+    // No stage of the bad query ran; the good one did.
+    assert_eq!(executed(), before.map(|n| n + 1));
+    cluster.shutdown();
+
+    // Over sockets every node refuses the stage, and keeps serving.
+    let addrs: Vec<String> = (0..2)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            std::thread::spawn(move || {
+                let _ = server.run();
+            });
+            addr
+        })
+        .collect();
+    let cfg = ProcessClusterConfig {
+        reply_timeout: std::time::Duration::from_secs(10),
+        ..ProcessClusterConfig::default()
+    };
+    let pc = ProcessCluster::connect(&addrs, cfg).unwrap();
+    pc.load_tpch(0.001).unwrap();
+    match untypable_filter_fails(&pc) {
+        EngineError::Execution(msg) => assert!(msg.contains("does not compile"), "{msg}"),
+        other => panic!("expected the nodes' refusal, got {other:?}"),
+    }
+    pc.shutdown();
 }
