@@ -89,14 +89,13 @@ pub struct PlannerConfig {
     pub broadcast_max_rows: f64,
     /// Base-relation cardinalities.
     pub stats: TableStats,
-    /// How estimates are sourced: legacy flat heuristics
-    /// ([`StatsMode::Off`]), catalog-driven costing
-    /// ([`StatsMode::Static`]), or costing plus runtime feedback
+    /// How estimates are sourced: catalog-driven costing
+    /// ([`StatsMode::Static`]) or costing plus runtime feedback
     /// ([`StatsMode::Feedback`]).
     pub mode: StatsMode,
     /// Per-column statistics (NDV, min/max, null fractions) feeding the
-    /// selectivity and group-count estimators. `None` falls back to the
-    /// flat heuristics even in [`StatsMode::Static`].
+    /// selectivity and group-count estimators. `None` falls back to flat
+    /// per-operator heuristics.
     pub catalog: Option<Arc<StatsCatalog>>,
     /// Observed-cardinality cache consulted (and, by the execution
     /// drivers, fed) in [`StatsMode::Feedback`].
@@ -170,18 +169,12 @@ fn planner_err<T>(msg: impl Into<String>) -> Result<T, EngineError> {
 }
 
 fn table_columns(table: TpchTable) -> Vec<String> {
-    use hsqp_tpch::schema;
-    let s = match table {
-        TpchTable::Region => schema::region(),
-        TpchTable::Nation => schema::nation(),
-        TpchTable::Supplier => schema::supplier(),
-        TpchTable::Customer => schema::customer(),
-        TpchTable::Part => schema::part(),
-        TpchTable::Partsupp => schema::partsupp(),
-        TpchTable::Orders => schema::orders(),
-        TpchTable::Lineitem => schema::lineitem(),
-    };
-    s.fields().iter().map(|f| f.name.clone()).collect()
+    table
+        .schema()
+        .fields()
+        .iter()
+        .map(|f| f.name.clone())
+        .collect()
 }
 
 /// Selectivity heuristic for filter predicates (flat per-operator factors,
@@ -259,19 +252,9 @@ impl Planner {
         CostModel::new(self.cfg.nodes, self.cfg.broadcast_max_rows)
     }
 
-    /// Whether cost-model decisions (vs the legacy hard-coded rules) are
-    /// active.
-    fn costed(&self) -> bool {
-        self.cfg.mode != StatsMode::Off
-    }
-
-    /// The column-statistics catalog, when stats-driven estimation is on.
+    /// The column-statistics catalog, when one is configured.
     fn catalog(&self) -> Option<&StatsCatalog> {
-        if self.cfg.mode == StatsMode::Off {
-            None
-        } else {
-            self.cfg.catalog.as_deref()
-        }
+        self.cfg.catalog.as_deref()
     }
 
     /// Record a priced decision for `--explain`.
@@ -293,7 +276,7 @@ impl Planner {
     }
 
     /// Like [`plan`](Self::plan), but also returns the rendered cost-model
-    /// decisions made while lowering (empty in [`StatsMode::Off`]).
+    /// decisions made while lowering.
     pub fn plan_explained(
         &self,
         logical: &LogicalPlan,
@@ -333,8 +316,7 @@ impl Planner {
     }
 
     /// Like [`plan_query`](Self::plan_query), but also returns the
-    /// rendered cost-model decisions, one `Vec` per emitted stage (empty
-    /// in [`StatsMode::Off`]).
+    /// rendered cost-model decisions, one `Vec` per emitted stage.
     pub fn plan_query_explained(
         &self,
         query: &LogicalQuery,
@@ -859,7 +841,7 @@ impl Planner {
         // column at load time with the same CRC32 bucketing the exchange
         // operators use, so a scan that keeps that column is already
         // co-partitioned for joins on it — no exchange needed.
-        let part = if self.cfg.partitioned && self.costed() {
+        let part = if self.cfg.partitioned {
             let key = table_columns(table).remove(0);
             if cols.contains(&key) {
                 let mut class = BTreeSet::new();
@@ -939,7 +921,6 @@ impl Planner {
         }
         check_unique(&cols, "join output")?;
 
-        let n = f64::from(self.cfg.nodes);
         let est = self.join_estimate(l.est, r.est, left_keys, right_keys, kind);
 
         // Coordinator-only inputs: align the other side on node 0 too.
@@ -978,7 +959,7 @@ impl Planner {
                 JoinStrategy::Repartition => false,
                 // §3.2: broadcast when shipping (n−1) copies of the build
                 // side is cheaper than repartitioning both inputs.
-                JoinStrategy::Auto if self.costed() => {
+                JoinStrategy::Auto => {
                     let site = format!("join on {}={}", left_keys.join(","), right_keys.join(","));
                     let (b, d) = self.cost_model().join_exchange(
                         site,
@@ -991,12 +972,6 @@ impl Planner {
                     );
                     self.note(d);
                     b
-                }
-                // Legacy flat rule: the factor 2 charges the replicated
-                // hash-table build every node then has to do on top of the
-                // network transfer.
-                JoinStrategy::Auto => {
-                    r.est <= self.cfg.broadcast_max_rows || 2.0 * r.est * (n - 1.0) <= l.est
                 }
             }
         };
@@ -1170,7 +1145,7 @@ impl Planner {
         // against reshuffling the raw input once.
         let pre_aggregate = if has_distinct {
             false
-        } else if self.costed() {
+        } else {
             let (pre, d) = self.cost_model().pre_aggregation(
                 format!("aggregate by {}", group_by.join(",")),
                 child.est,
@@ -1180,8 +1155,6 @@ impl Planner {
             );
             self.note(d);
             pre
-        } else {
-            true
         };
         if !pre_aggregate {
             // Reshuffle the raw input by group key, aggregate once.
@@ -1529,18 +1502,13 @@ impl QueryPlanner {
                 let consumers = self.consumers.get(&name).copied().unwrap_or(0).max(1);
                 let (mplan, part) = match part {
                     p @ (Part::Any | Part::Hash(_)) => {
-                        let broadcast = if self.p.costed() {
-                            let (b, d) = self.p.cost_model().cte_placement(
-                                format!("cte {name}"),
-                                est,
-                                cols.len(),
-                                consumers,
-                            );
-                            self.p.note(d);
-                            b
-                        } else {
-                            est <= self.p.cfg.broadcast_max_rows
-                        };
+                        let (broadcast, d) = self.p.cost_model().cte_placement(
+                            format!("cte {name}"),
+                            est,
+                            cols.len(),
+                            consumers,
+                        );
+                        self.p.note(d);
                         if broadcast {
                             (lowered.broadcast(), Part::Replicated)
                         } else {
@@ -2398,26 +2366,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_off_ignores_feedback_observations() {
-        use crate::logical::LogicalQuery;
-        let q = LogicalQuery::cte(
-            "big",
-            LogicalPlan::scan(TpchTable::Lineitem).project(&["l_orderkey"]),
-        )
-        .then(LogicalPlan::from_cte("big"));
-        let fb = Arc::new(FeedbackCache::new());
-        let mut cfg = PlannerConfig::new(4);
-        cfg.mode = StatsMode::Off;
-        cfg.feedback = Some(Arc::clone(&fb));
-        let p = Planner::new(cfg);
-        let mut qp = p.begin_query(&q).unwrap();
-        while let Some(_stage) = qp.next_stage().unwrap() {
-            qp.observe_rows(&[1, 1, 1, 1]);
-        }
-        assert!(fb.is_empty(), "Off mode must not record feedback");
-    }
-
-    #[test]
     fn explained_plans_surface_cost_decisions() {
         // Q3's shape: two large joins, one small build side. The rendered
         // decisions must name both outcomes so operators (and the CI grep)
@@ -2444,11 +2392,6 @@ mod tests {
             notes.iter().any(|n| n.contains("broadcast")),
             "⋈ nation must log a broadcast decision: {notes:?}"
         );
-        // StatsMode::Off keeps the legacy silent heuristics.
-        let mut cfg = PlannerConfig::new(4);
-        cfg.mode = StatsMode::Off;
-        let (_plan, notes) = Planner::new(cfg).plan_explained(&lp).unwrap();
-        assert!(notes.is_empty(), "Off mode records no decisions: {notes:?}");
     }
 
     #[test]

@@ -129,11 +129,10 @@ impl SessionBuilder {
     }
 
     /// How the planner sources cardinality estimates (default
-    /// [`StatsMode::Static`]): `Off` reverts to the legacy flat
-    /// heuristics, `Static` prices alternatives against the sampled
-    /// statistics catalog, and `Feedback` additionally re-plans later
-    /// stages of multi-stage queries against observed cardinalities and
-    /// remembers them across submissions in the session's
+    /// [`StatsMode::Static`]): `Static` prices alternatives against the
+    /// sampled statistics catalog, and `Feedback` additionally re-plans
+    /// later stages of multi-stage queries against observed cardinalities
+    /// and remembers them across submissions in the session's
     /// [`FeedbackCache`].
     pub fn stats_mode(mut self, mode: StatsMode) -> Self {
         self.stats = mode;
@@ -197,10 +196,6 @@ impl Session {
         let mut p = Planner::for_cluster(&self.cluster);
         let cfg = p.config_mut();
         cfg.mode = self.stats;
-        if self.stats == StatsMode::Off {
-            cfg.catalog = None;
-            cfg.partitioned = false;
-        }
         cfg.feedback = Some(Arc::clone(&self.feedback));
         p
     }

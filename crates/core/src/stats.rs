@@ -42,9 +42,6 @@ pub const SAMPLE_CAP: usize = 65_536;
 /// How the planner sources its cardinality estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsMode {
-    /// Legacy behavior: flat selectivity heuristics and the hard-coded
-    /// broadcast/pre-aggregation rules. No catalog, no feedback.
-    Off,
     /// Catalog-driven estimates (NDV, min/max, null fractions) feeding the
     /// cost model; no runtime feedback.
     Static,
@@ -55,10 +52,9 @@ pub enum StatsMode {
 }
 
 impl StatsMode {
-    /// Parse a CLI-style mode name (`off`, `static`, `feedback`).
+    /// Parse a CLI-style mode name (`static`, `feedback`).
     pub fn parse(s: &str) -> Option<Self> {
         match s {
-            "off" => Some(Self::Off),
             "static" => Some(Self::Static),
             "feedback" => Some(Self::Feedback),
             _ => None,
@@ -68,7 +64,6 @@ impl StatsMode {
     /// The CLI-style mode name.
     pub fn label(self) -> &'static str {
         match self {
-            Self::Off => "off",
             Self::Static => "static",
             Self::Feedback => "feedback",
         }

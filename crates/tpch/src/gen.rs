@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hsqp_storage::{date_from_ymd, Column, StringColumn, Table};
+use hsqp_storage::{date_from_ymd, Column, Schema, StringColumn, Table};
 
 use crate::schema;
 use crate::text;
@@ -53,6 +53,21 @@ impl TpchTable {
             TpchTable::Partsupp => "partsupp",
             TpchTable::Orders => "orders",
             TpchTable::Lineitem => "lineitem",
+        }
+    }
+
+    /// The relation's schema: what [`TpchDb::generate`] produces, available
+    /// without generating any data.
+    pub fn schema(self) -> Schema {
+        match self {
+            TpchTable::Region => schema::region(),
+            TpchTable::Nation => schema::nation(),
+            TpchTable::Supplier => schema::supplier(),
+            TpchTable::Customer => schema::customer(),
+            TpchTable::Part => schema::part(),
+            TpchTable::Partsupp => schema::partsupp(),
+            TpchTable::Orders => schema::orders(),
+            TpchTable::Lineitem => schema::lineitem(),
         }
     }
 

@@ -1,24 +1,25 @@
-//! Minimal JSON reader for benchmark trajectory files.
+//! Minimal JSON value, writer and reader for benchmark reports.
 //!
-//! The workspace builds fully offline — no serde — so the `bench_check`
-//! regression gate parses the `hsqp --bench-out` files with this small
-//! recursive-descent parser instead. It supports the complete JSON grammar
-//! (objects, arrays, strings with escapes, numbers, booleans, null), which
-//! is more than the bench schema needs, so schema evolution never requires
-//! touching the parser.
+//! The workspace builds fully offline — no serde — so the `hsqp` driver
+//! builds its reports as [`Json`] values and prints them through
+//! [`Display`](fmt::Display), and tests and `hsqp_bench` read them back
+//! with [`parse`], a small recursive-descent parser. The parser accepts
+//! the complete JSON grammar (objects, arrays, strings with escapes,
+//! numbers, booleans, null), so a report gaining fields never requires
+//! touching it.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as f64 — exact for the row counts and
-    /// millisecond timings the bench schema carries).
+    /// Any JSON number (an f64 — exact for the row counts and
+    /// millisecond timings the reports carry).
     Num(f64),
     /// A string.
     Str(String),
@@ -29,6 +30,16 @@ pub enum Json {
 }
 
 impl Json {
+    /// An object from `(key, value)` pairs.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Member `key` of an object, if this is an object containing it.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -60,6 +71,90 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// Writes the value as JSON text that [`parse`] reads back. A container
+/// holding only scalars goes on one line; any other container puts each
+/// member on a line of its own, indented two spaces per level. Numbers use
+/// Rust's shortest round-trip form, and a non-finite number is `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn is_container(v: &Json) -> bool {
+    matches!(v, Json::Arr(_) | Json::Obj(_))
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, v: &Json, depth: usize) -> fmt::Result {
+    match v {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => write!(f, "{b}"),
+        Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+        Json::Num(_) => f.write_str("null"),
+        Json::Str(s) => write_str(f, s),
+        Json::Arr(items) => {
+            let nested = items.iter().any(is_container);
+            write_members(f, ('[', ']'), nested, depth, items, |f, item| {
+                write_value(f, item, depth + 1)
+            })
+        }
+        Json::Obj(members) => {
+            let nested = members.values().any(is_container);
+            write_members(f, ('{', '}'), nested, depth, members, |f, (k, v)| {
+                write_str(f, k)?;
+                f.write_str(": ")?;
+                write_value(f, v, depth + 1)
+            })
+        }
+    }
+}
+
+/// Write a container's members between `brackets`: inline when no member
+/// is itself a container, else one member per line.
+fn write_members<I: IntoIterator>(
+    f: &mut fmt::Formatter<'_>,
+    brackets: (char, char),
+    nested: bool,
+    depth: usize,
+    members: I,
+    mut member: impl FnMut(&mut fmt::Formatter<'_>, I::Item) -> fmt::Result,
+) -> fmt::Result {
+    f.write_char(brackets.0)?;
+    let mut first = true;
+    for m in members {
+        if !first {
+            f.write_char(',')?;
+        }
+        if nested {
+            write!(f, "\n{:1$}", "", 2 * (depth + 1))?;
+        } else if !first {
+            f.write_char(' ')?;
+        }
+        first = false;
+        member(f, m)?;
+    }
+    if nested && !first {
+        write!(f, "\n{:1$}", "", 2 * depth)?;
+    }
+    f.write_char(brackets.1)
+}
+
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
 }
 
 /// A parse failure with its byte offset in the input.
@@ -330,5 +425,43 @@ mod tests {
     fn empty_containers() {
         assert_eq!(parse("{}").unwrap(), Json::Obj(BTreeMap::new()));
         assert_eq!(parse("[]").unwrap(), Json::Arr(Vec::new()));
+    }
+
+    #[test]
+    fn written_values_parse_back_unchanged() {
+        let value = Json::obj([
+            ("name", Json::Str("a \"quoted\"\n\tline \\ \u{1}".into())),
+            ("n", Json::Num(0.1 + 0.2)),
+            ("big", Json::Num(1.0e21)),
+            ("tiny", Json::Num(-2.5e-9)),
+            ("empty", Json::Arr(Vec::new())),
+            ("none", Json::obj([])),
+            (
+                "queries",
+                Json::Arr(vec![
+                    Json::obj([("query", Json::Num(1.0)), ("ok", Json::Bool(true))]),
+                    Json::obj([("query", Json::Num(2.0)), ("error", Json::Null)]),
+                ]),
+            ),
+        ]);
+        let text = value.to_string();
+        assert_eq!(parse(&text).expect("valid JSON"), value, "{text}");
+        // Scalar-only containers stay on one line; the others nest.
+        assert!(
+            text.contains("\n    {\"ok\": true, \"query\": 1},\n"),
+            "{text}"
+        );
+        assert!(text.starts_with("{\n  \"big\": "), "{text}");
+        assert!(text.ends_with("\n}"), "{text}");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_written_as_null() {
+        let text = Json::Arr(vec![Json::Num(f64::NAN), Json::Num(f64::INFINITY)]).to_string();
+        assert_eq!(text, "[null, null]");
+        assert_eq!(
+            parse(&text).unwrap(),
+            Json::Arr(vec![Json::Null, Json::Null])
+        );
     }
 }

@@ -1,24 +1,20 @@
 //! `hsqp` — end-to-end TPC-H driver.
 //!
-//! One command that exercises the whole stack in a single process:
-//! generate TPC-H data at a given scale factor, start a simulated N-node
-//! cluster (storage → tpch → numa → net → engine), run a set of the 22
-//! distributed TPC-H queries through `NodeExec`, and print per-query
-//! timings as JSON. CI's bench-smoke job runs this at SF 0.01 on 4 nodes
-//! and archives the output next to future benchmark trajectories.
+//! Generates TPC-H at a scale factor, starts a simulated N-node cluster
+//! (storage → tpch → numa → net → engine) or connects to `hsqp-node`
+//! processes, runs a set of the 22 distributed TPC-H queries, and prints a
+//! JSON report.
 //!
-//! With `--clients N [--rounds R]` the driver switches to a closed-loop
-//! multi-client throughput mode: N client threads each submit the query
-//! set R times through the concurrent `Session::submit` path, and the
-//! JSON report adds queries/hour plus per-query latency percentiles —
-//! the first concurrency benchmark trajectory.
+//! Every run is a closed loop: `--clients N` threads (default 1) each
+//! submit the query set `--rounds R` times (default 1), one query at a
+//! time, to a dispatcher that admits up to N queries at once. The report
+//! gives each query's row count (which must agree across executions) and
+//! times, their geometric mean, and queries/hour with latency percentiles.
 //!
-//! With `--open-loop RATE` the driver switches to an *open-loop* serving
-//! benchmark: arrivals are generated at a fixed offered load
-//! (queries/hour, Poisson or uniform inter-arrival times) independent of
-//! completions, optionally attributed round-robin to weighted tenants
-//! (`--tenants gold:4,silver:1`), and the report records latency and
-//! queue-wait percentiles overall and per tenant — the
+//! With `--open-loop RATE` arrivals come at a fixed offered load
+//! (queries/hour) whatever completes, optionally round-robin across
+//! weighted tenants (`--tenants gold:4,silver:1`), and the report records
+//! latency and queue-wait percentiles overall and per tenant — the
 //! latency-vs-offered-load methodology of the paper's serving evaluation.
 //!
 //! ```bash
@@ -35,6 +31,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hsqp::benchjson::Json;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 use hsqp::engine::logical::LogicalQuery;
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
@@ -46,7 +43,7 @@ use hsqp::engine::vm::compile_stage;
 use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile};
 use hsqp::engine::{EngineError, QueryResult};
 use hsqp::storage::Schema;
-use hsqp::tpch::{schema as tpch_schema, TpchDb, TpchTable};
+use hsqp::tpch::{TpchDb, TpchTable};
 
 const USAGE: &str = "\
 hsqp — end-to-end TPC-H driver over the simulated cluster
@@ -60,79 +57,50 @@ OPTIONS:
     --workers <N>          Worker threads per server (default 2)
     --queries <LIST>       Comma-separated query numbers, e.g. 1,3,6
                            (default: all 22)
-    --stats <M>            off | static | feedback (default static); how
-                           the planner sources estimates. off reverts to
-                           the legacy flat heuristics; static prices
-                           broadcast/repartition, pre-aggregation, and
-                           CTE placement against the statistics catalog;
-                           feedback additionally plans each stage of a
-                           multi-stage query only after the previous stage
-                           ran, correcting estimates with observed
-                           cardinalities (remembered across queries in a
-                           process-wide feedback cache)
-    --explain              Print each stage's lowered physical plan
-                           (exchange placement, broadcast vs repartition)
-                           and the compiled program for every filter /
-                           map / agg input, without generating data or
-                           executing; plans come from SF-derived
-                           cardinality estimates, so choices near a
-                           threshold can differ from a live run, which
-                           plans from exact row counts. Combined with
-                           --analyze, queries execute and each one's
-                           plan + profile are emitted as a single block
-                           on stderr
+    --stats <M>            static | feedback (default static): price plan
+                           choices against the statistics catalog;
+                           feedback also plans each stage of a multi-stage
+                           query after the previous one ran, from observed
+                           cardinalities (cached across queries)
+    --explain              Print each stage's physical plan, cost-model
+                           decisions and compiled programs without running
+                           anything (planned from SF-derived estimates, so
+                           a choice near a threshold can differ from a
+                           live run's). With --analyze, queries run and
+                           each execution's plan and profile print as one
+                           block on stderr
     --cluster <LIST>       Comma-separated hsqp-node addresses, e.g.
-                           127.0.0.1:7401,127.0.0.1:7402. Runs the queries
-                           on those out-of-process servers over real TCP
-                           sockets instead of the in-process simulated
-                           cluster; the node count is the list length
-                           (--nodes is ignored) and node 0 gathers
-                           results. Incompatible with --analyze,
-                           --trace-out, --bench-out and --engine classic
+                           127.0.0.1:7401,127.0.0.1:7402: run on those
+                           processes over TCP instead of the simulated
+                           cluster (--nodes is ignored). Incompatible with
+                           --analyze, --trace-out and --engine classic
     --transport <T>        rdma | rdma-unscheduled | tcp (default rdma);
                            simulated-fabric modes, ignored with --cluster
     --engine <E>           hybrid | classic (default hybrid)
     --message-kb <N>       Tuple bytes per network message in KiB (default 32)
-    --clients <N>          Closed-loop client threads (default 1). With
-                           N > 1 (or --rounds > 1) the driver runs a
-                           multi-client throughput benchmark over the
-                           concurrent submission API and reports
-                           queries/hour + latency percentiles
+    --clients <N>          Client threads (default 1), each submitting the
+                           query set --rounds times, one query at a time;
+                           the dispatcher admits up to N queries at once
     --rounds <R>           Passes over the query set per client (default 1)
-    --open-loop <RATE>     Open-loop serving benchmark: generate arrivals
-                           at RATE queries/hour for --duration seconds,
-                           independent of completions, and report latency
-                           and queue-wait percentiles (overall and per
-                           tenant). Queries still running at the window
-                           end are cancelled (morsel-bounded). --clients
-                           sets the concurrent execution slots
-    --duration <S>         Open-loop measurement window in seconds
-                           (default 10)
-    --arrivals <A>         poisson | uniform inter-arrival times for
-                           --open-loop (default poisson)
-    --tenants <SPEC>       Comma-separated name:weight tenants, e.g.
-                           gold:4,silver:1 (bare name = weight 1).
-                           Open-loop arrivals are attributed round-robin
-                           across them; the dispatcher serves their queues
-                           by weighted deficit round-robin
-    --deadline-ms <N>      Per-query deadline for --open-loop submissions;
-                           overdue queries are cancelled cooperatively
-                           within one morsel
+    --open-loop <RATE>     Open-loop serving benchmark: arrivals at RATE
+                           queries/hour for --duration seconds, whatever
+                           completes; queries still running at the window
+                           end are cancelled. --clients sets the slots
+    --duration <S>         Open-loop window in seconds (default 10)
+    --arrivals <A>         poisson | uniform open-loop inter-arrival times
+                           (default poisson)
+    --tenants <SPEC>       name:weight list, e.g. gold:4,silver:1 (bare
+                           name = weight 1): open-loop arrivals go
+                           round-robin to the tenants, whose queues are
+                           served by weighted deficit round-robin
+    --deadline-ms <N>      Per-query deadline for --open-loop submissions
     --seed <N>             Arrival-process RNG seed (default 42)
     --output <PATH>        Also write the JSON report to PATH
-    --analyze              EXPLAIN ANALYZE: after each query, print its
-                           plan tree annotated with actual rows, wall
-                           time, bytes shuffled, and per-node network
-                           wait vs compute (serial mode only)
-    --trace-out <PATH>     Write a Chrome trace-event JSON of all executed
-                           queries (load in chrome://tracing or Perfetto;
-                           serial mode only)
-    --bench-out <PATH>     Write the serial run as a benchmark trajectory
-                           file (compared against committed baselines by
-                           the bench_check tool; serial mode only)
-    --profile <on|off>     Per-query span profiling (default on); off
-                           removes even the profiler's atomic-counter
-                           overhead for baseline measurements
+    --analyze              EXPLAIN ANALYZE: after each execution, print its
+                           plan tree with actual rows, wall time, bytes
+                           shuffled, and per-node network wait vs compute
+    --trace-out <PATH>     Write a Chrome trace-event JSON of every
+                           execution (chrome://tracing or Perfetto)
     --metrics              Print the cluster-wide metrics registry
                            (dispatcher, admission wait, per-link bytes)
                            after the run
@@ -161,9 +129,19 @@ struct Args {
     output: Option<String>,
     analyze: bool,
     trace_out: Option<String>,
-    bench_out: Option<String>,
-    profile: bool,
     metrics: bool,
+}
+
+/// `value` as a positive integer for `flag`.
+fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    value
+        .parse()
+        .ok()
+        .filter(|v| *v >= T::from(1))
+        .ok_or_else(|| format!("{flag} must be a positive integer, got {value:?}"))
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -189,167 +167,116 @@ fn parse_args() -> Result<Args, String> {
         output: None,
         analyze: false,
         trace_out: None,
-        bench_out: None,
-        profile: true,
         metrics: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let flag = argv[i].as_str();
-        if flag == "-h" || flag == "--help" {
-            print!("{USAGE}");
-            std::process::exit(0);
-        }
-        if flag == "--explain" {
-            args.explain = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--analyze" {
-            args.analyze = true;
-            i += 1;
-            continue;
-        }
-        if flag == "--metrics" {
-            args.metrics = true;
-            i += 1;
-            continue;
-        }
-        let value = argv
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} requires a value"))?;
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let flag = flag.as_str();
         match flag {
-            "--sf" => {
-                args.sf = value
-                    .parse()
-                    .map_err(|_| format!("invalid --sf {value:?}"))?;
-                if !args.sf.is_finite() || args.sf <= 0.0 {
-                    return Err("--sf must be positive".into());
-                }
+            "-h" | "--help" => {
+                print!("{USAGE}");
+                std::process::exit(0);
             }
-            "--nodes" => {
-                args.nodes =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        format!("--nodes must be a positive integer, got {value:?}")
-                    })?;
+            "--explain" => args.explain = true,
+            "--analyze" => args.analyze = true,
+            "--metrics" => args.metrics = true,
+            _ => {
+                let value = argv
+                    .next()
+                    .ok_or_else(|| format!("{flag} requires a value"))?;
+                parse_flag(&mut args, flag, value)?;
             }
-            "--workers" => {
-                args.workers = value.parse().ok().filter(|&w| w >= 1).ok_or_else(|| {
-                    format!("--workers must be a positive integer, got {value:?}")
-                })?;
-            }
-            "--cluster" => {
-                let addrs: Vec<String> = value
-                    .split(',')
-                    .map(|a| a.trim().to_string())
-                    .filter(|a| !a.is_empty())
-                    .collect();
-                if addrs.is_empty() {
-                    return Err("--cluster must name at least one node address".into());
-                }
-                args.cluster = Some(addrs);
-            }
-            "--queries" => {
-                let list: Vec<u32> = value
-                    .split(',')
-                    .map(|q| {
-                        q.trim()
-                            .parse::<u32>()
-                            .ok()
-                            .filter(|q| (1..=22).contains(q))
-                            .ok_or_else(|| format!("invalid query number {q:?} (valid: 1..=22)"))
-                    })
-                    .collect::<Result<_, _>>()?;
-                if list.is_empty() {
-                    return Err("--queries must name at least one query".into());
-                }
-                args.queries = Some(list);
-            }
-            "--stats" => {
-                args.stats = StatsMode::parse(value).ok_or_else(|| {
-                    format!("unknown stats mode {value:?} (expected off | static | feedback)")
-                })?;
-            }
-            "--transport" => {
-                args.transport = value.clone();
-            }
-            "--engine" => {
-                args.engine = value.clone();
-            }
-            "--message-kb" => {
-                args.message_kb = value.parse().ok().filter(|&kb| kb >= 1).ok_or_else(|| {
-                    format!("--message-kb must be a positive integer (≥ 1 KiB), got {value:?}")
-                })?;
-            }
-            "--clients" => {
-                args.clients = value.parse().ok().filter(|&c| c >= 1).ok_or_else(|| {
-                    format!("--clients must be a positive integer, got {value:?}")
-                })?;
-            }
-            "--rounds" => {
-                args.rounds =
-                    value.parse().ok().filter(|&r| r >= 1).ok_or_else(|| {
-                        format!("--rounds must be a positive integer, got {value:?}")
-                    })?;
-            }
-            "--open-loop" => {
-                let rate: f64 = value
-                    .parse()
-                    .map_err(|_| format!("invalid --open-loop rate {value:?}"))?;
-                if !rate.is_finite() || rate <= 0.0 {
-                    return Err("--open-loop rate (queries/hour) must be positive".into());
-                }
-                args.open_loop = Some(rate);
-            }
-            "--duration" => {
-                args.duration_s = value
-                    .parse()
-                    .ok()
-                    .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                    .ok_or_else(|| format!("--duration must be positive seconds, got {value:?}"))?;
-            }
-            "--arrivals" => {
-                args.arrivals = ArrivalProcess::parse(value).map_err(|e| e.to_string())?;
-            }
-            "--tenants" => {
-                args.tenants = parse_tenant_spec(value).map_err(|e| e.to_string())?;
-                if args.tenants.is_empty() {
-                    return Err("--tenants must name at least one tenant".into());
-                }
-            }
-            "--deadline-ms" => {
-                args.deadline_ms =
-                    Some(value.parse().ok().filter(|&ms| ms >= 1).ok_or_else(|| {
-                        format!("--deadline-ms must be a positive integer, got {value:?}")
-                    })?);
-            }
-            "--seed" => {
-                args.seed = value
-                    .parse()
-                    .map_err(|_| format!("invalid --seed {value:?}"))?;
-            }
-            "--output" => {
-                args.output = Some(value.clone());
-            }
-            "--trace-out" => {
-                args.trace_out = Some(value.clone());
-            }
-            "--bench-out" => {
-                args.bench_out = Some(value.clone());
-            }
-            "--profile" => {
-                args.profile = match value.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--profile expects on | off, got {other:?}")),
-                };
-            }
-            other => return Err(format!("unknown flag {other:?} (see --help)")),
         }
-        i += 2;
     }
     Ok(args)
+}
+
+/// Apply one `flag value` pair to `args`.
+fn parse_flag(args: &mut Args, flag: &str, value: String) -> Result<(), String> {
+    match flag {
+        "--sf" => {
+            args.sf = value
+                .parse()
+                .map_err(|_| format!("invalid --sf {value:?}"))?;
+            if !args.sf.is_finite() || args.sf <= 0.0 {
+                return Err("--sf must be positive".into());
+            }
+        }
+        "--nodes" => args.nodes = positive(flag, &value)?,
+        "--workers" => args.workers = positive(flag, &value)?,
+        "--cluster" => {
+            let addrs: Vec<String> = value
+                .split(',')
+                .map(|a| a.trim().to_string())
+                .filter(|a| !a.is_empty())
+                .collect();
+            if addrs.is_empty() {
+                return Err("--cluster must name at least one node address".into());
+            }
+            args.cluster = Some(addrs);
+        }
+        "--queries" => {
+            let list: Vec<u32> = value
+                .split(',')
+                .map(|q| {
+                    q.trim()
+                        .parse::<u32>()
+                        .ok()
+                        .filter(|q| (1..=22).contains(q))
+                        .ok_or_else(|| format!("invalid query number {q:?} (valid: 1..=22)"))
+                })
+                .collect::<Result<_, _>>()?;
+            if list.is_empty() {
+                return Err("--queries must name at least one query".into());
+            }
+            args.queries = Some(list);
+        }
+        "--stats" => {
+            args.stats = StatsMode::parse(&value).ok_or_else(|| {
+                format!("unknown stats mode {value:?} (expected static | feedback)")
+            })?;
+        }
+        "--transport" => args.transport = value,
+        "--engine" => args.engine = value,
+        "--message-kb" => args.message_kb = positive(flag, &value)?,
+        "--clients" => args.clients = positive(flag, &value)?,
+        "--rounds" => args.rounds = positive(flag, &value)?,
+        "--open-loop" => {
+            let rate: f64 = value
+                .parse()
+                .map_err(|_| format!("invalid --open-loop rate {value:?}"))?;
+            if !rate.is_finite() || rate <= 0.0 {
+                return Err("--open-loop rate (queries/hour) must be positive".into());
+            }
+            args.open_loop = Some(rate);
+        }
+        "--duration" => {
+            args.duration_s = value
+                .parse()
+                .ok()
+                .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                .ok_or_else(|| format!("--duration must be positive seconds, got {value:?}"))?;
+        }
+        "--arrivals" => {
+            args.arrivals = ArrivalProcess::parse(&value).map_err(|e| e.to_string())?;
+        }
+        "--tenants" => {
+            args.tenants = parse_tenant_spec(&value).map_err(|e| e.to_string())?;
+            if args.tenants.is_empty() {
+                return Err("--tenants must name at least one tenant".into());
+            }
+        }
+        "--deadline-ms" => args.deadline_ms = Some(positive(flag, &value)?),
+        "--seed" => {
+            args.seed = value
+                .parse()
+                .map_err(|_| format!("invalid --seed {value:?}"))?;
+        }
+        "--output" => args.output = Some(value),
+        "--trace-out" => args.trace_out = Some(value),
+        other => return Err(format!("unknown flag {other:?} (see --help)")),
+    }
+    Ok(())
 }
 
 fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
@@ -372,49 +299,15 @@ fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
         message_capacity: args.message_kb * 1024,
         max_concurrent: args.clients,
         tenants: args.tenants.clone(),
-        // --analyze and --trace-out need profiles even under --profile off.
-        profiling: args.profile || args.analyze || args.trace_out.is_some(),
+        // Spans are recorded only when something reads them.
+        profiling: args.analyze || args.trace_out.is_some(),
         ..ClusterConfig::paper(args.nodes)
     })
 }
 
-/// Minimal JSON string escaping for error messages embedded in the report.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// The base-table schemas the expression compiler resolves scans against —
-/// the same schemas `TpchDb::generate` produces, available without
-/// generating any data.
-fn base_schema(t: TpchTable) -> Option<Schema> {
-    Some(match t {
-        TpchTable::Part => tpch_schema::part(),
-        TpchTable::Supplier => tpch_schema::supplier(),
-        TpchTable::Partsupp => tpch_schema::partsupp(),
-        TpchTable::Customer => tpch_schema::customer(),
-        TpchTable::Orders => tpch_schema::orders(),
-        TpchTable::Lineitem => tpch_schema::lineitem(),
-        TpchTable::Nation => tpch_schema::nation(),
-        TpchTable::Region => tpch_schema::region(),
-    })
-}
-
-/// Render one query's full EXPLAIN block into a string: the banner, each
-/// stage's operator tree, and the compiled program disassembly per stage.
-/// Built as a single buffer so callers write it with one syscall-ish print
-/// and nothing can interleave into the middle of a block.
+/// Render one query's EXPLAIN block: the banner, then each stage's
+/// operator tree and compiled programs. One buffer, so that callers print
+/// it in one call and nothing interleaves into the middle of a block.
 fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Q{n} ({} nodes, SF {}) ==", args.nodes, args.sf);
@@ -443,7 +336,7 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
                 let _ = writeln!(out, "   decision: {note}");
             }
         }
-        let (compiled, schema) = compile_stage(&stage.plan, &&base_schema, &temps);
+        let (compiled, schema) = compile_stage(&stage.plan, &|t| Some(t.schema()), &temps);
         out.push_str(&compiled.render(&stage.plan));
         if let (StageRole::Materialize(name), Some(s)) = (&stage.role, schema) {
             temps.insert(name.clone(), s);
@@ -457,10 +350,6 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
 /// (no data generation, no cluster): exchange placement, broadcast vs
 /// repartition choices, and the compiled expression programs are visible
 /// directly in the operator trees.
-///
-/// Plans are lowered from SF-derived cardinality estimates; a live run
-/// plans from the exact loaded row counts (`Planner::for_cluster`), which
-/// can flip a broadcast/repartition choice sitting near a threshold.
 fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
     eprintln!(
         "note: --explain plans from SF-derived cardinality estimates; \
@@ -470,8 +359,7 @@ fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
     let planner = Planner::new(PlannerConfig {
         stats: TableStats::for_scale_factor(args.sf),
         mode: args.stats,
-        catalog: (args.stats != StatsMode::Off)
-            .then(|| Arc::new(StatsCatalog::declared_tpch(args.sf))),
+        catalog: Some(Arc::new(StatsCatalog::declared_tpch(args.sf))),
         ..PlannerConfig::new(args.nodes)
     });
     let mut out = String::new();
@@ -497,22 +385,157 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
+/// Milliseconds as a JSON number, to the microsecond (`null` when not
+/// finite).
+fn ms(v: f64) -> Json {
+    Json::Num((v * 1e3).round() / 1e3)
 }
 
-/// One client's observation of one query execution.
+/// `{p50, p90, p99, max}` of an unsorted millisecond sample.
+fn percentiles(samples: &mut [f64]) -> Json {
+    samples.sort_by(f64::total_cmp);
+    Json::obj([
+        ("p50", ms(percentile(samples, 0.5))),
+        ("p90", ms(percentile(samples, 0.9))),
+        ("p99", ms(percentile(samples, 0.99))),
+        ("max", ms(samples.last().copied().unwrap_or(f64::NAN))),
+    ])
+}
+
+/// One successful execution of one query.
 struct Observation {
     query: u32,
+    /// [`QueryResult::elapsed`]: submission to completion.
     ms: f64,
     /// Time the submission sat in the dispatcher queue before starting.
     queue_wait_ms: f64,
     rows: usize,
     bytes_shuffled: u64,
+    messages_sent: u64,
+}
+
+/// What a run keeps of its executions.
+#[derive(Default)]
+struct Executions {
+    obs: Vec<Observation>,
+    /// Failed executions: the query and its error.
+    errors: Vec<(u32, String)>,
+    /// Profiles for `--trace-out`.
+    profiles: Vec<QueryProfile>,
+}
+
+impl Executions {
+    /// Keep one successful execution: its observation and, for
+    /// `--trace-out`, its profile. Returns its `--analyze` block, led by
+    /// its plan under `--explain` (empty without `--analyze`).
+    fn record(
+        &mut self,
+        args: &Args,
+        planner: &Planner,
+        n: u32,
+        planned: &Planned,
+        result: QueryResult,
+    ) -> String {
+        self.obs.push(Observation {
+            query: n,
+            ms: result.elapsed.as_secs_f64() * 1e3,
+            queue_wait_ms: result.queue_wait.as_secs_f64() * 1e3,
+            rows: result.row_count(),
+            bytes_shuffled: result.bytes_shuffled,
+            messages_sent: result.messages_sent,
+        });
+        let mut block = String::new();
+        let Some(profile) = result.profile else {
+            return block;
+        };
+        if args.analyze && args.explain {
+            block = match planned {
+                Planned::Physical { query, notes } => render_query_plan(args, n, query, notes),
+                // Re-planned after the run, so the printed estimates include
+                // the feedback corrections this execution just recorded.
+                Planned::Adaptive(logical) => match planner.plan_query_explained(logical) {
+                    Ok((q, notes)) => render_query_plan(args, n, &q, &notes),
+                    Err(e) => format!("== Q{n}: replan for explain failed: {e}\n"),
+                },
+            };
+        }
+        if args.analyze {
+            block.push_str(&profile.render());
+        }
+        if args.trace_out.is_some() {
+            self.profiles.push(profile);
+        }
+        block
+    }
+
+    /// Write the Chrome trace of every kept profile to `--trace-out`, if
+    /// given.
+    fn write_trace(&self, args: &Args) -> Result<(), String> {
+        if let Some(path) = &args.trace_out {
+            std::fs::write(path, chrome_trace(&self.profiles))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!("wrote {path} ({} executions traced)", self.profiles.len());
+        }
+        Ok(())
+    }
+
+    /// The report's `queries` list, in `queries` order. A query that ran
+    /// gets its statistics over its successful executions or — when an
+    /// execution failed or two disagree on the row count, which means
+    /// concurrent execution corrupted a result — `{query, error}`. Every
+    /// failed execution and every row drift is added to `failures`.
+    fn query_entries(&self, queries: &[u32], failures: &mut Vec<String>) -> Vec<Json> {
+        let mut entries = Vec::new();
+        for (i, &n) in queries.iter().enumerate() {
+            if queries[..i].contains(&n) {
+                continue; // listed twice, reported once
+            }
+            let mut error = None;
+            for (_, e) in self.errors.iter().filter(|(q, _)| *q == n) {
+                failures.push(format!("Q{n}: {e}"));
+                error.get_or_insert_with(|| e.clone());
+            }
+            let of_q: Vec<&Observation> = self.obs.iter().filter(|o| o.query == n).collect();
+            if let Some(bad) = of_q.iter().find(|o| o.rows != of_q[0].rows) {
+                let drift = format!(
+                    "row counts diverged across executions ({} vs {})",
+                    of_q[0].rows, bad.rows
+                );
+                failures.push(format!("Q{n}: {drift}"));
+                error.get_or_insert(drift);
+            }
+            if let Some(error) = error {
+                entries.push(Json::obj([
+                    ("query", Json::Num(n.into())),
+                    ("error", Json::Str(error)),
+                ]));
+                continue;
+            }
+            if of_q.is_empty() {
+                continue;
+            }
+            let mut times: Vec<f64> = of_q.iter().map(|o| o.ms).collect();
+            times.sort_by(f64::total_cmp);
+            let mut waits: Vec<f64> = of_q.iter().map(|o| o.queue_wait_ms).collect();
+            waits.sort_by(f64::total_cmp);
+            let max = |f: fn(&Observation) -> u64| {
+                Json::Num(of_q.iter().map(|o| f(o)).max().unwrap_or(0) as f64)
+            };
+            entries.push(Json::obj([
+                ("query", Json::Num(n.into())),
+                ("rows", Json::Num(of_q[0].rows as f64)),
+                ("ms", ms(times.iter().sum::<f64>() / times.len() as f64)),
+                ("ms_p50", ms(percentile(&times, 0.5))),
+                ("ms_p99", ms(percentile(&times, 0.99))),
+                ("queue_wait_ms_p50", ms(percentile(&waits, 0.5))),
+                ("queue_wait_ms_p99", ms(percentile(&waits, 0.99))),
+                ("executions", Json::Num(times.len() as f64)),
+                ("bytes_shuffled", max(|o| o.bytes_shuffled)),
+                ("messages_sent", max(|o| o.messages_sent)),
+            ]));
+        }
+        entries
+    }
 }
 
 /// A query ready to execute: a fixed physical plan (with the cost-model
@@ -557,6 +580,33 @@ struct Bench {
     load_ms: f64,
 }
 
+impl Bench {
+    /// Print the metrics registry with `--metrics`, shut the cluster down,
+    /// and return the report: the configuration and set-up times every run
+    /// shares, then `fields`.
+    fn finish<const N: usize>(self, args: &Args, fields: [(&str, Json); N]) -> Json {
+        if args.metrics {
+            eprint!("{}", self.cluster.metrics().render());
+        }
+        let header = [
+            ("sf", Json::Num(args.sf)),
+            ("nodes", Json::Num(args.nodes.into())),
+            ("workers_per_node", Json::Num(args.workers.into())),
+            ("transport", Json::Str(args.transport.clone())),
+            ("engine", Json::Str(args.engine.clone())),
+            ("generate_ms", ms(self.gen_ms)),
+            ("load_ms", ms(self.load_ms)),
+        ];
+        Json::Obj(
+            header
+                .into_iter()
+                .chain(fields)
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
 /// Start whichever cluster the flags select, load TPC-H into it, and build
 /// the distributed planner from its exact loaded row counts, running in the
 /// requested stats mode with a process-wide feedback cache attached.
@@ -567,10 +617,6 @@ fn start_loaded_cluster(args: &Args, banner_suffix: &str) -> Result<Bench, Strin
     };
     let cfg = bench.planner.config_mut();
     cfg.mode = args.stats;
-    if args.stats == StatsMode::Off {
-        cfg.catalog = None;
-        cfg.partitioned = false;
-    }
     cfg.feedback = Some(Arc::new(FeedbackCache::new()));
     Ok(bench)
 }
@@ -675,39 +721,47 @@ fn plan_queries(
         .collect()
 }
 
-/// The JSON report fields shared by both run modes (configuration and
-/// setup timings) — one writer so the two reports cannot drift.
-fn report_header(args: &Args, gen_ms: f64, load_ms: f64) -> String {
-    let mut report = String::from("{\n");
-    let _ = writeln!(report, "  \"sf\": {},", args.sf);
-    let _ = writeln!(report, "  \"nodes\": {},", args.nodes);
-    let _ = writeln!(report, "  \"workers_per_node\": {},", args.workers);
-    let _ = writeln!(
-        report,
-        "  \"transport\": \"{}\",",
-        json_escape(&args.transport)
-    );
-    let _ = writeln!(report, "  \"engine\": \"{}\",", json_escape(&args.engine));
-    let _ = writeln!(report, "  \"generate_ms\": {gen_ms:.3},");
-    let _ = writeln!(report, "  \"load_ms\": {load_ms:.3},");
-    report
-}
-
-/// Print the report to stdout and, with `--output`, write it to a file.
-fn emit_report(report: &str, output: &Option<String>) -> Result<(), String> {
-    println!("{report}");
-    if let Some(path) = output {
-        std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
+/// One closed-loop client: `--rounds` passes over `plans`, submitting each
+/// query once the previous one finished.
+fn run_client(
+    args: &Args,
+    coordinator: &Coordinator,
+    planner: &Planner,
+    plans: &[(u32, Planned)],
+) -> Executions {
+    let mut out = Executions::default();
+    for _ in 0..args.rounds {
+        for (n, planned) in plans {
+            let n = *n;
+            match submit_planned(coordinator, planner, n, planned, &SubmitOptions::default())
+                .and_then(QueryHandle::wait)
+            {
+                Ok(result) => {
+                    let block = out.record(args, planner, n, planned, result);
+                    let o = out.obs.last().expect("just recorded");
+                    // One write per execution: concurrent clients' lines
+                    // and --analyze blocks never interleave.
+                    eprint!(
+                        "Q{n:<2} {:>10.2} ms  {:>8} rows  {:>12} bytes shuffled\n{block}",
+                        o.ms, o.rows, o.bytes_shuffled
+                    );
+                }
+                Err(e) => {
+                    eprintln!("Q{n:<2} FAILED: {e}");
+                    out.errors.push((n, e.to_string()));
+                }
+            }
+        }
     }
-    Ok(())
+    out
 }
 
-/// Closed-loop multi-client throughput benchmark: `--clients` threads each
-/// run `--rounds` passes over the query set through the concurrent
+/// The closed loop every run without `--open-loop` is: `--clients` threads
+/// each run `--rounds` passes over the query set through the concurrent
 /// submission API, sharing one cluster whose dispatcher admits up to
-/// `--clients` queries at once.
-fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
+/// `--clients` queries at once. The default run is its one-client,
+/// one-round case.
+fn run_closed_loop(args: &Args, queries: &[u32]) -> Result<(), String> {
     let bench = start_loaded_cluster(
         args,
         &format!(", {} clients x {} rounds", args.clients, args.rounds),
@@ -721,34 +775,9 @@ fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
     let plans = plan_queries(args, planner, queries)?;
 
     let wall_started = Instant::now();
-    let client_results: Vec<(Vec<Observation>, Vec<String>)> = std::thread::scope(|scope| {
+    let clients: Vec<Executions> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.clients)
-            .map(|_| {
-                let plans = &plans;
-                scope.spawn(move || {
-                    let mut obs = Vec::new();
-                    let mut errors = Vec::new();
-                    for _ in 0..args.rounds {
-                        for (n, query) in plans {
-                            let started = Instant::now();
-                            let opts = SubmitOptions::default();
-                            match submit_planned(coordinator, planner, *n, query, &opts)
-                                .and_then(QueryHandle::wait)
-                            {
-                                Ok(result) => obs.push(Observation {
-                                    query: *n,
-                                    ms: started.elapsed().as_secs_f64() * 1e3,
-                                    queue_wait_ms: result.queue_wait.as_secs_f64() * 1e3,
-                                    rows: result.row_count(),
-                                    bytes_shuffled: result.bytes_shuffled,
-                                }),
-                                Err(e) => errors.push(format!("Q{n}: {e}")),
-                            }
-                        }
-                    }
-                    (obs, errors)
-                })
-            })
+            .map(|_| scope.spawn(|| run_client(args, coordinator, planner, &plans)))
             .collect();
         handles
             .into_iter()
@@ -756,176 +785,80 @@ fn run_throughput(args: &Args, queries: &[u32]) -> Result<(), String> {
             .collect()
     });
     let wall_ms = wall_started.elapsed().as_secs_f64() * 1e3;
-    if args.metrics {
-        eprint!("{}", coordinator.metrics().render());
-    }
-    drop(bench.cluster);
 
-    let mut failures: Vec<String> = Vec::new();
-    let mut all: Vec<Observation> = Vec::new();
-    for (obs, errors) in client_results {
-        all.extend(obs);
-        failures.extend(errors);
+    let mut exec = Executions::default();
+    for c in clients {
+        exec.obs.extend(c.obs);
+        exec.errors.extend(c.errors);
+        exec.profiles.extend(c.profiles);
     }
+    exec.write_trace(args)?;
 
-    // Per-query digest; row counts must agree across every client and
-    // round — a mismatch means concurrent execution corrupted a result.
-    let mut lines = Vec::new();
-    for &n in queries {
-        let of_q: Vec<&Observation> = all.iter().filter(|o| o.query == n).collect();
-        if of_q.is_empty() {
-            continue;
-        }
-        let rows = of_q[0].rows;
-        if let Some(bad) = of_q.iter().find(|o| o.rows != rows) {
-            failures.push(format!(
-                "Q{n}: row counts diverged across clients ({rows} vs {})",
-                bad.rows
-            ));
-        }
-        let mut ms: Vec<f64> = of_q.iter().map(|o| o.ms).collect();
-        ms.sort_by(f64::total_cmp);
-        let mean = ms.iter().sum::<f64>() / ms.len() as f64;
-        let mut waits: Vec<f64> = of_q.iter().map(|o| o.queue_wait_ms).collect();
-        waits.sort_by(f64::total_cmp);
-        let bytes = of_q.iter().map(|o| o.bytes_shuffled).max().unwrap_or(0);
-        eprintln!(
-            "Q{n:<2} {mean:>10.2} ms mean  {:>10.2} ms p99  {:>8.2} ms queue p50  \
-             {rows:>8} rows  x{}",
-            percentile(&ms, 0.99),
-            percentile(&waits, 0.5),
-            ms.len()
-        );
-        lines.push(format!(
-            "    {{\"query\": {n}, \"rows\": {rows}, \"ms\": {}, \"ms_p50\": {}, \
-             \"ms_p99\": {}, \"queue_wait_ms_p50\": {}, \"queue_wait_ms_p99\": {}, \
-             \"executions\": {}, \"bytes_shuffled\": {bytes}}}",
-            json_f64(mean),
-            json_f64(percentile(&ms, 0.5)),
-            json_f64(percentile(&ms, 0.99)),
-            json_f64(percentile(&waits, 0.5)),
-            json_f64(percentile(&waits, 0.99)),
-            ms.len()
-        ));
-    }
-    for f in &failures {
-        lines.push(format!("    {{\"error\": \"{}\"}}", json_escape(f)));
-        eprintln!("FAILED: {f}");
-    }
-
-    let mut latencies: Vec<f64> = all.iter().map(|o| o.ms).collect();
-    latencies.sort_by(f64::total_cmp);
-    let mut queue_waits: Vec<f64> = all.iter().map(|o| o.queue_wait_ms).collect();
-    queue_waits.sort_by(f64::total_cmp);
-    let queries_per_hour = if wall_ms > 0.0 {
-        all.len() as f64 * 3_600_000.0 / wall_ms
+    let mut failures = Vec::new();
+    let entries = exec.query_entries(queries, &mut failures);
+    let obs = &exec.obs;
+    // The totals are taken over the per-query means the report lists, so
+    // a reader of the report recomputes them exactly.
+    let means: Vec<f64> = entries
+        .iter()
+        .filter_map(|e| e.get("ms").and_then(Json::as_f64))
+        .collect();
+    let geomean_ms = if failures.is_empty() && !means.is_empty() {
+        (means.iter().map(|m| m.max(1e-6).ln()).sum::<f64>() / means.len() as f64).exp()
     } else {
         f64::NAN
     };
+    let queries_per_hour = obs.len() as f64 * 3_600_000.0 / wall_ms;
+    let mut latencies: Vec<f64> = obs.iter().map(|o| o.ms).collect();
+    let mut queue_waits: Vec<f64> = obs.iter().map(|o| o.queue_wait_ms).collect();
 
-    let mut report = report_header(args, bench.gen_ms, bench.load_ms);
-    let _ = writeln!(report, "  \"clients\": {},", args.clients);
-    let _ = writeln!(report, "  \"rounds\": {},", args.rounds);
-    let _ = writeln!(report, "  \"failures\": {},", failures.len());
-    let _ = writeln!(report, "  \"throughput\": {{");
-    let _ = writeln!(report, "    \"wall_ms\": {wall_ms:.3},");
-    let _ = writeln!(report, "    \"total_queries\": {},", all.len());
-    let _ = writeln!(
-        report,
-        "    \"queries_per_hour\": {},",
-        json_f64(queries_per_hour)
-    );
-    let _ = writeln!(report, "    \"latency_ms\": {{");
-    let _ = writeln!(
-        report,
-        "      \"p50\": {},",
-        json_f64(percentile(&latencies, 0.5))
-    );
-    let _ = writeln!(
-        report,
-        "      \"p90\": {},",
-        json_f64(percentile(&latencies, 0.9))
-    );
-    let _ = writeln!(
-        report,
-        "      \"p99\": {},",
-        json_f64(percentile(&latencies, 0.99))
-    );
-    let _ = writeln!(
-        report,
-        "      \"max\": {}",
-        json_f64(latencies.last().copied().unwrap_or(f64::NAN))
-    );
-    let _ = writeln!(report, "    }},");
-    let _ = writeln!(report, "    \"queue_wait_ms\": {{");
-    let _ = writeln!(
-        report,
-        "      \"p50\": {},",
-        json_f64(percentile(&queue_waits, 0.5))
-    );
-    let _ = writeln!(
-        report,
-        "      \"p99\": {},",
-        json_f64(percentile(&queue_waits, 0.99))
-    );
-    let _ = writeln!(
-        report,
-        "      \"max\": {}",
-        json_f64(queue_waits.last().copied().unwrap_or(f64::NAN))
-    );
-    let _ = writeln!(report, "    }}");
-    let _ = writeln!(report, "  }},");
-    let _ = writeln!(report, "  \"queries\": [");
-    report.push_str(&lines.join(",\n"));
-    report.push_str("\n  ]\n}\n");
-
+    for f in &failures {
+        eprintln!("FAILED: {f}");
+    }
     eprintln!(
-        "{} queries in {:.0} ms -> {:.0} queries/hour",
-        all.len(),
-        wall_ms,
-        queries_per_hour
+        "{} queries in {wall_ms:.0} ms -> {queries_per_hour:.0} queries/hour",
+        obs.len()
+    );
+    let report = bench.finish(
+        args,
+        [
+            ("clients", Json::Num(args.clients.into())),
+            ("rounds", Json::Num(args.rounds.into())),
+            ("failures", Json::Num(failures.len() as f64)),
+            ("total_ms", ms(means.iter().sum())),
+            ("geomean_ms", ms(geomean_ms)),
+            (
+                "throughput",
+                Json::obj([
+                    ("wall_ms", ms(wall_ms)),
+                    ("total_queries", Json::Num(obs.len() as f64)),
+                    ("queries_per_hour", Json::Num(queries_per_hour)),
+                    ("latency_ms", percentiles(&mut latencies)),
+                    ("queue_wait_ms", percentiles(&mut queue_waits)),
+                ]),
+            ),
+            ("queries", Json::Arr(entries)),
+        ],
     );
     emit_report(&report, &args.output)?;
     if !failures.is_empty() {
-        return Err(format!("{} executions failed", failures.len()));
+        return Err(format!("{} failures", failures.len()));
     }
     Ok(())
 }
 
-/// What became of one open-loop arrival.
-enum ArrivalOutcome {
-    /// Finished inside the window; latency is arrival-to-completion.
-    Completed {
-        latency_ms: f64,
-        queue_wait_ms: f64,
-        rows: usize,
-    },
-    /// Cancelled at the window end or by its deadline.
-    Cancelled,
-    /// Rejected at admission (tenant over `max_queued`).
-    Rejected,
-    /// A genuine execution error.
-    Failed(String),
-}
-
-struct ArrivalRecord {
-    /// Index into the tenant list.
-    tenant: usize,
-    query: u32,
-    outcome: ArrivalOutcome,
-}
-
-/// Render `{p50, p90, p99, max}` percentiles of an unsorted millisecond
-/// sample as a JSON object.
-fn json_percentiles(samples: &mut [f64]) -> String {
-    samples.sort_by(f64::total_cmp);
-    format!(
-        "{{\"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-        json_f64(percentile(samples, 0.5)),
-        json_f64(percentile(samples, 0.9)),
-        json_f64(percentile(samples, 0.99)),
-        json_f64(samples.last().copied().unwrap_or(f64::NAN))
-    )
+/// One tenant's open-loop arrivals: the latencies (arrival to completion)
+/// and queue waits of those that completed, and how each one ended.
+#[derive(Clone, Default)]
+struct Tally {
+    latencies: Vec<f64>,
+    waits: Vec<f64>,
+    completed: usize,
+    /// At the window end or by their deadline.
+    cancelled: usize,
+    /// At admission (tenant over `max_queued`).
+    rejected: usize,
+    failed: usize,
 }
 
 /// Open-loop serving benchmark: arrivals at a fixed offered load
@@ -972,30 +905,26 @@ fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> 
     // from the engine itself.
     let start = Instant::now();
     let mut pending = Vec::new();
-    let mut records = Vec::new();
+    let mut per_tenant = vec![Tally::default(); tenants.len()];
+    let mut exec = Executions::default();
     for (i, &off) in offsets.iter().enumerate() {
         let due = start + off;
         if let Some(gap) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(gap);
         }
         let t = i % tenants.len();
-        let (qn, query) = &plans[i % plans.len()];
+        let (qn, planned) = &plans[i % plans.len()];
         let mut opts = SubmitOptions::tenant(&tenants[t].0);
         if let Some(ms) = args.deadline_ms {
             opts = opts.with_deadline(Duration::from_millis(ms));
         }
-        match submit_planned(coordinator, planner, *qn, query, &opts) {
-            Ok(handle) => pending.push((t, *qn, handle)),
-            Err(EngineError::Admission(_)) => records.push(ArrivalRecord {
-                tenant: t,
-                query: *qn,
-                outcome: ArrivalOutcome::Rejected,
-            }),
-            Err(e) => records.push(ArrivalRecord {
-                tenant: t,
-                query: *qn,
-                outcome: ArrivalOutcome::Failed(e.to_string()),
-            }),
+        match submit_planned(coordinator, planner, *qn, planned, &opts) {
+            Ok(handle) => pending.push((t, *qn, planned, handle)),
+            Err(EngineError::Admission(_)) => per_tenant[t].rejected += 1,
+            Err(e) => {
+                exec.errors.push((*qn, e.to_string()));
+                per_tenant[t].failed += 1;
+            }
         }
     }
     // Hold the window open to its full length, then cancel whatever is
@@ -1009,162 +938,93 @@ fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> 
     // *then* collect: waiting on handles one at a time would let the
     // dispatcher keep completing the not-yet-cancelled tail after the
     // window, skewing the per-tenant completion counts.
-    for (_, _, handle) in &pending {
+    for (_, _, _, handle) in &pending {
         handle.cancel();
     }
-    for (t, qn, handle) in pending {
-        let outcome = match handle.wait() {
-            Ok(r) => ArrivalOutcome::Completed {
-                latency_ms: r.elapsed.as_secs_f64() * 1e3,
-                queue_wait_ms: r.queue_wait.as_secs_f64() * 1e3,
-                rows: r.row_count(),
-            },
+    for (t, qn, planned, handle) in pending {
+        let tally = &mut per_tenant[t];
+        match handle.wait() {
+            Ok(r) => {
+                eprint!("{}", exec.record(args, planner, qn, planned, r));
+                let o = exec.obs.last().expect("just recorded");
+                tally.latencies.push(o.ms);
+                tally.waits.push(o.queue_wait_ms);
+                tally.completed += 1;
+            }
             Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                ArrivalOutcome::Cancelled
+                tally.cancelled += 1;
             }
-            Err(e) => ArrivalOutcome::Failed(e.to_string()),
-        };
-        records.push(ArrivalRecord {
-            tenant: t,
-            query: qn,
-            outcome,
-        });
-    }
-    if args.metrics {
-        eprint!("{}", coordinator.metrics().render());
-    }
-    drop(bench.cluster);
-
-    // Aggregate overall, per tenant, and per query. Row counts of the
-    // same query must agree across every completion — concurrent serving
-    // must not change results.
-    let mut failures: Vec<String> = Vec::new();
-    let mut latencies = Vec::new();
-    let mut waits = Vec::new();
-    let mut counts = [0usize; 4]; // completed, cancelled, rejected, failed
-    let mut per_tenant: Vec<(usize, Vec<f64>, Vec<f64>, [usize; 4])> = tenants
-        .iter()
-        .enumerate()
-        .map(|(i, _)| (i, Vec::new(), Vec::new(), [0usize; 4]))
-        .collect();
-    let mut rows_by_query: HashMap<u32, (usize, usize)> = HashMap::new(); // rows, executions
-    for rec in &records {
-        let slot = &mut per_tenant[rec.tenant];
-        match &rec.outcome {
-            ArrivalOutcome::Completed {
-                latency_ms,
-                queue_wait_ms,
-                rows,
-            } => {
-                counts[0] += 1;
-                slot.3[0] += 1;
-                latencies.push(*latency_ms);
-                waits.push(*queue_wait_ms);
-                slot.1.push(*latency_ms);
-                slot.2.push(*queue_wait_ms);
-                let entry = rows_by_query.entry(rec.query).or_insert((*rows, 0));
-                if entry.0 != *rows {
-                    failures.push(format!(
-                        "Q{}: row counts diverged across executions ({} vs {})",
-                        rec.query, entry.0, rows
-                    ));
-                }
-                entry.1 += 1;
-            }
-            ArrivalOutcome::Cancelled => {
-                counts[1] += 1;
-                slot.3[1] += 1;
-            }
-            ArrivalOutcome::Rejected => {
-                counts[2] += 1;
-                slot.3[2] += 1;
-            }
-            ArrivalOutcome::Failed(msg) => {
-                counts[3] += 1;
-                slot.3[3] += 1;
-                failures.push(format!("Q{}: {msg}", rec.query));
+            Err(e) => {
+                exec.errors.push((qn, e.to_string()));
+                tally.failed += 1;
             }
         }
     }
+    exec.write_trace(args)?;
 
-    let mut report = report_header(args, bench.gen_ms, bench.load_ms);
-    report.insert_str(2, "  \"schema\": \"hsqp-openloop-v1\",\n");
-    let _ = writeln!(report, "  \"offered_rate_per_hour\": {rate},");
-    let _ = writeln!(report, "  \"duration_s\": {},", args.duration_s);
-    let _ = writeln!(report, "  \"arrivals\": \"{arrivals_name}\",");
-    let _ = writeln!(report, "  \"seed\": {},", args.seed);
-    let _ = writeln!(report, "  \"clients\": {},", args.clients);
-    let _ = writeln!(
-        report,
-        "  \"deadline_ms\": {},",
-        args.deadline_ms
-            .map_or("null".to_string(), |ms| ms.to_string())
-    );
-    let _ = writeln!(report, "  \"submitted\": {},", records.len());
-    let _ = writeln!(report, "  \"completed\": {},", counts[0]);
-    let _ = writeln!(report, "  \"cancelled\": {},", counts[1]);
-    let _ = writeln!(report, "  \"rejected\": {},", counts[2]);
-    let _ = writeln!(report, "  \"failed\": {},", counts[3]);
-    let _ = writeln!(
-        report,
-        "  \"latency_ms\": {},",
-        json_percentiles(&mut latencies)
-    );
-    let _ = writeln!(
-        report,
-        "  \"queue_wait_ms\": {},",
-        json_percentiles(&mut waits)
-    );
-    let _ = writeln!(report, "  \"tenants\": [");
-    let tenant_lines: Vec<String> = per_tenant
+    let mut failures = Vec::new();
+    let entries = exec.query_entries(queries, &mut failures);
+    let mut latencies: Vec<f64> = exec.obs.iter().map(|o| o.ms).collect();
+    let mut waits: Vec<f64> = exec.obs.iter().map(|o| o.queue_wait_ms).collect();
+    let count = |c: usize| Json::Num(c as f64);
+    let total = |f: fn(&Tally) -> usize| per_tenant.iter().map(f).sum::<usize>();
+    let (completed, cancelled) = (total(|t| t.completed), total(|t| t.cancelled));
+    let (rejected, failed) = (total(|t| t.rejected), total(|t| t.failed));
+    let submitted = completed + cancelled + rejected + failed;
+    let tenant_entries: Vec<Json> = per_tenant
         .iter_mut()
-        .map(|(i, lat, wait, c)| {
-            let (name, cfg) = &tenants[*i];
+        .zip(&tenants)
+        .map(|(c, (name, cfg))| {
             eprintln!(
                 "tenant {name:<10} weight {:<3} {:>5} completed  {:>5} cancelled  \
                  {:>5} rejected  {:>3} failed",
-                cfg.weight, c[0], c[1], c[2], c[3]
+                cfg.weight, c.completed, c.cancelled, c.rejected, c.failed
             );
-            format!(
-                "    {{\"tenant\": \"{}\", \"weight\": {}, \"completed\": {}, \
-                 \"cancelled\": {}, \"rejected\": {}, \"failed\": {}, \
-                 \"latency_ms\": {}, \"queue_wait_ms\": {}}}",
-                json_escape(name),
-                cfg.weight,
-                c[0],
-                c[1],
-                c[2],
-                c[3],
-                json_percentiles(lat),
-                json_percentiles(wait)
-            )
+            Json::obj([
+                ("tenant", Json::Str(name.clone())),
+                ("weight", Json::Num(cfg.weight.into())),
+                ("completed", count(c.completed)),
+                ("cancelled", count(c.cancelled)),
+                ("rejected", count(c.rejected)),
+                ("failed", count(c.failed)),
+                ("latency_ms", percentiles(&mut c.latencies)),
+                ("queue_wait_ms", percentiles(&mut c.waits)),
+            ])
         })
         .collect();
-    report.push_str(&tenant_lines.join(",\n"));
-    let _ = writeln!(report, "\n  ],");
-    let _ = writeln!(report, "  \"failures\": {},", failures.len());
-    let _ = writeln!(report, "  \"queries\": [");
-    let mut query_lines: Vec<String> = Vec::new();
-    for &n in queries {
-        if let Some((rows, execs)) = rows_by_query.get(&n) {
-            query_lines.push(format!(
-                "    {{\"query\": {n}, \"rows\": {rows}, \"executions\": {execs}}}"
-            ));
-        }
-    }
-    report.push_str(&query_lines.join(",\n"));
-    report.push_str("\n  ]\n}\n");
 
     for f in &failures {
         eprintln!("FAILED: {f}");
     }
     eprintln!(
-        "{} arrivals: {} completed, {} cancelled at window end, {} rejected, {} failed",
-        records.len(),
-        counts[0],
-        counts[1],
-        counts[2],
-        counts[3]
+        "{submitted} arrivals: {completed} completed, {cancelled} cancelled at window end, \
+         {rejected} rejected, {failed} failed"
+    );
+    let report = bench.finish(
+        args,
+        [
+            ("schema", Json::Str("hsqp-openloop-v1".into())),
+            ("offered_rate_per_hour", Json::Num(rate)),
+            ("duration_s", Json::Num(args.duration_s)),
+            ("arrivals", Json::Str(arrivals_name.into())),
+            ("seed", Json::Num(args.seed as f64)),
+            ("clients", Json::Num(args.clients.into())),
+            (
+                "deadline_ms",
+                args.deadline_ms
+                    .map_or(Json::Null, |ms| Json::Num(ms as f64)),
+            ),
+            ("submitted", count(submitted)),
+            ("completed", count(completed)),
+            ("cancelled", count(cancelled)),
+            ("rejected", count(rejected)),
+            ("failed", count(failed)),
+            ("latency_ms", percentiles(&mut latencies)),
+            ("queue_wait_ms", percentiles(&mut waits)),
+            ("tenants", Json::Arr(tenant_entries)),
+            ("failures", count(failures.len())),
+            ("queries", Json::Arr(entries)),
+        ],
     );
     emit_report(&report, &args.output)?;
     if !failures.is_empty() {
@@ -1173,17 +1033,26 @@ fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> 
     Ok(())
 }
 
+/// Print the report to stdout and, with `--output`, write it to a file.
+fn emit_report(report: &Json, output: &Option<String>) -> Result<(), String> {
+    let text = format!("{report}\n");
+    print!("{text}");
+    if let Some(path) = output {
+        std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
+}
+
 fn run() -> Result<(), String> {
     let mut args = parse_args()?;
 
     if let Some(addrs) = &args.cluster {
-        // Out-of-process mode: the profiler's spans, the trajectory file,
-        // and the classic engine live on the in-process nodes only.
-        if args.analyze || args.trace_out.is_some() || args.bench_out.is_some() {
+        // Socket nodes ship no profiles back and run the hybrid engine
+        // only.
+        if args.analyze || args.trace_out.is_some() {
             return Err(
-                "--analyze, --trace-out, and --bench-out need the in-process \
-                 cluster (drop --cluster)"
-                    .into(),
+                "--analyze and --trace-out need the in-process cluster (drop --cluster)".into(),
             );
         }
         if args.engine != "hybrid" {
@@ -1199,182 +1068,22 @@ fn run() -> Result<(), String> {
         cluster_config(&args)?;
     }
 
-    let queries: Vec<u32> = match &args.queries {
-        Some(list) => list.clone(),
-        None => ALL_QUERIES.to_vec(),
-    };
+    let queries = args.queries.clone().unwrap_or_else(|| ALL_QUERIES.to_vec());
 
     // --explain alone inspects plans without executing; together with
-    // --analyze the queries run and each plan + profile is emitted as one
-    // buffered block (serial mode enforces the latter below).
+    // --analyze the queries run and each execution's plan + profile is
+    // emitted as one buffered block.
     if args.explain && !args.analyze {
         return explain(&args, &queries);
     }
 
-    if let Some(rate) = args.open_loop {
-        if args.analyze || args.trace_out.is_some() || args.bench_out.is_some() {
-            return Err(
-                "--analyze, --trace-out, and --bench-out need the serial mode \
-                 (drop --open-loop)"
-                    .into(),
-            );
+    match args.open_loop {
+        Some(_) if args.rounds > 1 => {
+            Err("--rounds applies to the closed-loop mode, not --open-loop".into())
         }
-        if args.rounds > 1 {
-            return Err("--rounds applies to the closed-loop mode, not --open-loop".into());
-        }
-        return run_open_loop(&args, &queries, rate);
+        Some(rate) => run_open_loop(&args, &queries, rate),
+        None => run_closed_loop(&args, &queries),
     }
-
-    if args.clients > 1 || args.rounds > 1 {
-        if args.analyze || args.trace_out.is_some() || args.bench_out.is_some() {
-            return Err(
-                "--analyze, --trace-out, and --bench-out need the serial mode \
-                 (--clients 1, --rounds 1)"
-                    .into(),
-            );
-        }
-        return run_throughput(&args, &queries);
-    }
-
-    let bench = start_loaded_cluster(&args, "")?;
-    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
-    let plans = plan_queries(&args, planner, &queries)?;
-    let mut lines = Vec::new();
-    let mut bench_lines = Vec::new();
-    let mut profiles: Vec<QueryProfile> = Vec::new();
-    let mut total_ms = 0.0f64;
-    let mut log_sum = 0.0f64;
-    let mut failures = 0u32;
-    for (n, query) in &plans {
-        let n = *n;
-        let result: Result<QueryResult, _> =
-            submit_planned(coordinator, planner, n, query, &SubmitOptions::default())
-                .and_then(QueryHandle::wait);
-        match result {
-            Ok(result) => {
-                let ms = result.elapsed.as_secs_f64() * 1e3;
-                total_ms += ms;
-                log_sum += ms.max(1e-6).ln();
-                eprintln!(
-                    "Q{n:<2} {ms:>10.2} ms  {:>8} rows  {:>12} bytes shuffled",
-                    result.row_count(),
-                    result.bytes_shuffled
-                );
-                lines.push(format!(
-                    "    {{\"query\": {n}, \"ms\": {ms:.3}, \"rows\": {}, \
-                     \"bytes_shuffled\": {}, \"messages_sent\": {}}}",
-                    result.row_count(),
-                    result.bytes_shuffled,
-                    result.messages_sent
-                ));
-                let net_wait_ms = result
-                    .profile
-                    .as_ref()
-                    .map_or(0.0, |p| p.net_wait().as_secs_f64() * 1e3);
-                bench_lines.push(format!(
-                    "    {{\"query\": {n}, \"rows\": {}, \"ms\": {ms:.3}, \
-                     \"bytes_shuffled\": {}, \"net_wait_ms\": {net_wait_ms:.3}}}",
-                    result.row_count(),
-                    result.bytes_shuffled
-                ));
-                if let Some(profile) = result.profile {
-                    if args.analyze {
-                        // One buffered write per query: with --explain the
-                        // plan (and compiled programs) lead the profile in
-                        // the same block, so concurrent stderr lines can
-                        // never interleave into the middle of either.
-                        let mut block = String::new();
-                        if args.explain {
-                            match query {
-                                Planned::Physical { query, notes } => {
-                                    block.push_str(&render_query_plan(&args, n, query, notes));
-                                }
-                                // Re-planned after the run, so the printed
-                                // estimates include the feedback
-                                // corrections this execution just recorded.
-                                Planned::Adaptive(logical) => {
-                                    match planner.plan_query_explained(logical) {
-                                        Ok((q, notes)) => {
-                                            block.push_str(&render_query_plan(&args, n, &q, &notes))
-                                        }
-                                        Err(e) => {
-                                            let _ = writeln!(
-                                                block,
-                                                "== Q{n}: replan for explain failed: {e}"
-                                            );
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        block.push_str(&profile.render());
-                        eprint!("{block}");
-                    }
-                    if args.trace_out.is_some() {
-                        profiles.push(profile);
-                    }
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!("Q{n:<2} FAILED: {e}");
-                lines.push(format!(
-                    "    {{\"query\": {n}, \"error\": \"{}\"}}",
-                    json_escape(&e.to_string())
-                ));
-            }
-        }
-    }
-    let geomean_ms = if queries.is_empty() || failures > 0 {
-        f64::NAN
-    } else {
-        (log_sum / queries.len() as f64).exp()
-    };
-    if args.metrics {
-        eprint!("{}", coordinator.metrics().render());
-    }
-    drop(bench.cluster);
-
-    if let Some(path) = &args.trace_out {
-        let trace = chrome_trace(&profiles);
-        std::fs::write(path, trace).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path} ({} queries traced)", profiles.len());
-    }
-    if let Some(path) = &args.bench_out {
-        let mut out = String::from("{\n  \"schema\": \"hsqp-bench-v1\",\n");
-        let _ = writeln!(out, "  \"sf\": {},", args.sf);
-        let _ = writeln!(out, "  \"nodes\": {},", args.nodes);
-        let _ = writeln!(out, "  \"workers_per_node\": {},", args.workers);
-        let _ = writeln!(
-            out,
-            "  \"transport\": \"{}\",",
-            json_escape(&args.transport)
-        );
-        let _ = writeln!(out, "  \"engine\": \"{}\",", json_escape(&args.engine));
-        let _ = writeln!(out, "  \"queries\": [");
-        out.push_str(&bench_lines.join(",\n"));
-        out.push_str("\n  ]\n}\n");
-        std::fs::write(path, out).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-
-    let mut report = report_header(&args, bench.gen_ms, bench.load_ms);
-    let _ = writeln!(report, "  \"total_ms\": {total_ms:.3},");
-    if geomean_ms.is_finite() {
-        let _ = writeln!(report, "  \"geomean_ms\": {geomean_ms:.3},");
-    } else {
-        let _ = writeln!(report, "  \"geomean_ms\": null,");
-    }
-    let _ = writeln!(report, "  \"failures\": {failures},");
-    let _ = writeln!(report, "  \"queries\": [");
-    report.push_str(&lines.join(",\n"));
-    report.push_str("\n  ]\n}\n");
-
-    emit_report(&report, &args.output)?;
-    if failures > 0 {
-        return Err(format!("{failures} queries failed"));
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {

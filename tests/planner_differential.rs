@@ -303,12 +303,10 @@ proptest! {
         use hsqp::engine::stats::{StatsCatalog, StatsMode};
         // Every stats mode must lower every valid plan: cost-based pruning
         // may pick different exchanges, never reject or panic.
-        for mode in [StatsMode::Off, StatsMode::Static, StatsMode::Feedback] {
+        for mode in [StatsMode::Static, StatsMode::Feedback] {
             let mut cfg = PlannerConfig::new(nodes);
             cfg.mode = mode;
-            if mode != StatsMode::Off {
-                cfg.catalog = Some(std::sync::Arc::new(StatsCatalog::declared_tpch(0.01)));
-            }
+            cfg.catalog = Some(std::sync::Arc::new(StatsCatalog::declared_tpch(0.01)));
             let plan = Planner::new(cfg).plan(&lp);
             prop_assert!(
                 plan.is_ok(),

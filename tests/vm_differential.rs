@@ -555,19 +555,6 @@ fn bind_rejects_schema_drift() {
 // before it runs
 // ---------------------------------------------------------------------------
 
-fn base_schema(t: TpchTable) -> Option<Schema> {
-    Some(match t {
-        TpchTable::Part => tpch_schema::part(),
-        TpchTable::Supplier => tpch_schema::supplier(),
-        TpchTable::Partsupp => tpch_schema::partsupp(),
-        TpchTable::Customer => tpch_schema::customer(),
-        TpchTable::Orders => tpch_schema::orders(),
-        TpchTable::Lineitem => tpch_schema::lineitem(),
-        TpchTable::Nation => tpch_schema::nation(),
-        TpchTable::Region => tpch_schema::region(),
-    })
-}
-
 /// TPC-H query `n` as the planner lowers it for two nodes.
 fn planned(n: u32) -> Query {
     Planner::new(PlannerConfig::new(2))
@@ -585,7 +572,7 @@ fn every_tpch_plan_compiles_to_programs() {
         let mut temps: HashMap<String, Schema> = HashMap::new();
         let mut total = 0usize;
         for stage in &q.stages {
-            let (compiled, schema) = compile_stage(&stage.plan, &base_schema, &temps);
+            let (compiled, schema) = compile_stage(&stage.plan, &|t| Some(t.schema()), &temps);
             assert_eq!(compiled.failure(), None, "Q{n} does not compile");
             total += compiled.program_count();
             if let StageRole::Materialize(name) = &stage.role {
