@@ -9,15 +9,19 @@
 //! coordinator's. Admission, scheduling, the stage loop and cleanup live
 //! there ([`crate::coordinator`]), shared with the socket cluster.
 //!
-//! What is particular to this cluster is its `Backend`: a stage runs SPMD
-//! on one scoped thread per node — every node executes the same plan,
-//! exchanges redistribute tuples over the shared multiplexers, the
-//! [`NetScheduler`] arbitrates the fabric among the in-flight queries
-//! (the contended regime the paper's global network scheduling is designed
-//! for) — and node 0's output is the result.
+//! What is particular to this cluster is its `Backend`, and that is only
+//! how a stage reaches the nodes: a direct call. Each node runs the stage
+//! on the query's worker there (`NodeCtx::stage`, the runtime a node
+//! process runs too) and replies on a channel. Every node executes the
+//! same plan SPMD, exchanges redistribute tuples over the multiplexers, the
+//! [`NetScheduler`] arbitrates the fabric among the in-flight queries (the
+//! contended regime the paper's global network scheduling is designed for),
+//! and node 0's output is the result. A node that fails aborts its peers
+//! with `FLAG_ABORT` frames over the fabric, as a node process does over
+//! sockets.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -31,13 +35,11 @@ use hsqp_storage::placement::{chunk_split, hash_partition, Placement};
 use hsqp_storage::Table;
 use hsqp_tpch::{TpchDb, TpchTable};
 
-use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome};
+use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome, StageReplies};
 pub use crate::coordinator::{QueryHandle, QueryResult};
 use crate::error::EngineError;
-use crate::exchange::MuxCmd;
-use crate::exec::{execute_stage, start_node, NodeCtx};
+use crate::exec::{start_node, NodeCtx, StageJob};
 use crate::metrics::MetricsSnapshot;
-use crate::profile::{plan_node_count, StageRecorder};
 use crate::serve::{TenantConfig, TenantId};
 use crate::stats::StatsCatalog;
 
@@ -222,7 +224,6 @@ impl ClusterConfig {
 pub struct Cluster {
     coordinator: Coordinator,
     backend: Arc<LocalBackend>,
-    mux_handles: Vec<std::thread::JoinHandle<()>>,
     /// Column statistics sampled while loading data, consumed by
     /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster).
     stats: Mutex<Option<Arc<StatsCatalog>>>,
@@ -288,7 +289,7 @@ impl Cluster {
         // No multiplexer is a party to begin with: each joins the rounds
         // when it has messages queued.
         let scheduler = (scheduling && n > 1).then(|| NetScheduler::new(0));
-        let (nodes, mux_handles) = (0..n)
+        let nodes = (0..n)
             .map(|i| {
                 start_node(
                     NodeId(i),
@@ -299,7 +300,7 @@ impl Cluster {
                     Arc::clone(&query_stats),
                 )
             })
-            .unzip();
+            .collect();
 
         let backend = Arc::new(LocalBackend {
             cfg,
@@ -316,7 +317,6 @@ impl Cluster {
         Ok(Self {
             coordinator,
             backend,
-            mux_handles,
             stats: Mutex::new(None),
         })
     }
@@ -358,10 +358,7 @@ impl Cluster {
             catalog.sample_table(kind, &table);
             let parts: Vec<Table> = match self.backend.cfg.placement {
                 Placement::Chunked => chunk_split(&table, n),
-                // Plans are placement-oblivious: a broadcast of a replicated
-                // relation would duplicate rows, so replication is rejected
-                // for query processing and treated as partitioned here.
-                Placement::Partitioned | Placement::Replicated => hash_partition(&table, 0, n),
+                Placement::Partitioned => hash_partition(&table, 0, n),
             };
             self.load_table(kind, parts)?;
         }
@@ -411,118 +408,90 @@ impl Cluster {
         self.backend.nodes[0].temps.read().len()
     }
 
-    /// Stop the dispatcher pool and all multiplexer threads, then tear the
-    /// cluster down. In-flight queries complete; queued ones fail with
+    /// Stop the dispatcher pool and all nodes, then tear the cluster down.
+    /// In-flight queries complete; queued ones fail with
     /// [`EngineError::ClusterDown`].
     pub fn shutdown(self) {}
 }
 
 impl Drop for Cluster {
     fn drop(&mut self) {
-        // The dispatchers first, then the multiplexers they depend on.
+        // The dispatchers first, then the nodes they depend on.
         self.coordinator.close();
         for node in &self.backend.nodes {
-            let _ = node.to_mux.send(MuxCmd::Shutdown);
-        }
-        for h in self.mux_handles.drain(..) {
-            let _ = h.join();
+            node.stop();
         }
     }
 }
 
 impl Backend for LocalBackend {
-    /// One scoped thread per node. A failing node marks the query aborted
-    /// on *every* node's receive hub before it exits, so peers blocked
-    /// mid-exchange on last-markers that will never arrive panic out of
-    /// `RecvHub::pop` instead of wedging this dispatcher slot — the
-    /// cross-node abort protocol, applied in-process. The first failure is
-    /// reported.
+    /// Hand every node the stage and wait for all of their replies. A node
+    /// that fails aborts the query on its peers with `FLAG_ABORT` frames,
+    /// so a peer blocked mid-exchange on last-markers that will never
+    /// arrive fails too instead of wedging this dispatcher slot.
     fn run_stage(
         &self,
         call: &StageCall<'_>,
         _tenant: &TenantId,
         submitted: Instant,
     ) -> Result<StageOutcome, EngineError> {
-        let (query, plan) = (call.query, &call.stage.plan);
-        // Compile once per stage, not per node thread; a stage that does
-        // not compile fails here, before any node thread starts.
-        let programs = &self.nodes[0].compile(query, plan, call.params)?;
-        // Node threads only ever touch their own cells of the recorder;
-        // merging happens after the scope joined.
-        let recorder = self
-            .cfg
-            .profiling
-            .then(|| StageRecorder::new(submitted, self.cfg.nodes, plan_node_count(plan)));
-        let outcomes: Result<Vec<(u64, Option<Table>)>, String> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, ctx)| {
-                    let node_rec = recorder.as_ref().map(|r| r.node(i));
-                    scope.spawn(move || {
-                        execute_stage(ctx, call, programs, node_rec).map_err(|msg| {
-                            let msg = format!("node {i} panicked: {msg}");
-                            for peer in &self.nodes {
-                                peer.hub.abort(query, &msg);
-                            }
-                            msg
-                        })
-                    })
-                })
-                .collect();
-            // The first failure; the scope joins whoever is left.
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("node thread contains its panics"))
-                .collect()
-        });
-        let mut outcomes = outcomes
-            .map_err(|msg| EngineError::Execution(format!("query execution panicked: {msg}")))?;
-        let node0 = outcomes[0].1.take();
-        let node_rows = outcomes.iter().map(|(rows, _)| *rows).collect();
-        Ok(StageOutcome {
-            node_rows,
-            node0,
-            profile: recorder.map(|rec| {
-                rec.finish(
-                    plan,
-                    programs,
-                    call.stage.role.label(),
-                    call.stage.estimated_rows,
-                    call.stage.feedback_rows,
-                )
-            }),
-        })
+        let (tx, rx) = mpsc::channel();
+        let stage = Arc::new(call.stage.clone());
+        for (i, node) in self.nodes.iter().enumerate() {
+            let tx = tx.clone();
+            let job = StageJob {
+                stage_idx: call.stage_idx,
+                stage: Arc::clone(&stage),
+                params: call.params.to_vec(),
+                deadline: call.cancel.deadline(),
+                profile: self.cfg.profiling.then_some(submitted),
+                reply: Box::new(move |reply| {
+                    let _ = tx.send((i, reply));
+                }),
+            };
+            node.stage(call.query, call.cancel, job);
+        }
+        drop(tx);
+        // Ends once every job has replied, or been dropped unanswered.
+        let mut replies = StageReplies::new(self.nodes.len());
+        for (node, reply) in rx {
+            replies.add(node, reply);
+        }
+        replies.finish(call)
     }
 
-    /// Nothing to stop: `run_stage` has joined every node thread.
-    fn abort(&self, _query: QueryId) {}
+    /// The workers keep the query's own token as their tripwire, so this
+    /// trips it; the coordinator has mapped the failure to its error by
+    /// then.
+    fn abort(&self, query: QueryId) {
+        for node in &self.nodes {
+            node.abort(query);
+        }
+    }
 
     /// The multiplexers counted the query's traffic into `stats` as it
     /// happened; only the nodes' state is left to release.
     fn retire(&self, query: QueryId, _stats: &QueryNetStats) {
-        for node in &self.nodes {
-            node.temps.write().remove(&query);
-            node.hub.finish_query(query);
-        }
+        NodeCtx::retire(&self.nodes, query);
     }
 
     /// Network scheduler barrier rounds, how often the multiplexers were
-    /// woken and how often for nothing (over all nodes), per-link bytes and
-    /// messages.
-    fn net_counters(&self, snap: &mut MetricsSnapshot) {
+    /// woken and how often for nothing, the query workers started (all
+    /// summed over the nodes), per-link bytes and messages.
+    fn node_counters(&self, snap: &mut MetricsSnapshot) {
         if let Some(sched) = &self.scheduler {
             snap.push_counter("net.scheduler.rounds", sched.rounds());
         }
-        let muxes = self.nodes.iter().map(|n| &n.to_mux);
-        snap.push_counter(
-            "exchange.mux.wakeups",
-            muxes.clone().map(|m| m.wakeups()).sum(),
-        );
+        let nodes = &self.nodes;
+        let sum = |count: fn(&NodeCtx) -> u64| nodes.iter().map(|n| count(n)).sum::<u64>();
+        snap.push_counter("exchange.mux.wakeups", sum(|n| n.to_mux.wakeups()));
         snap.push_counter(
             "exchange.mux.empty_wakeups",
-            muxes.map(|m| m.empty_wakeups()).sum(),
+            sum(|n| n.to_mux.empty_wakeups()),
+        );
+        snap.push_counter(
+            "exec.stage_workers_spawned",
+            sum(NodeCtx::stage_workers_spawned),
         );
         for i in 0..self.cfg.nodes {
             let stats = self.fabric.stats(NodeId(i));
@@ -749,7 +718,7 @@ mod tests {
         .unwrap();
         c.load_tpch(0.001).unwrap();
         // A hand-written plan naming a nonexistent column panics inside
-        // the node threads (it never went through the planner's checks).
+        // the query workers (it never went through the planner's checks).
         let bad = Query::single(
             0,
             Plan::scan_cols(TpchTable::Nation, &["no_such_column"]).gather(),
@@ -757,7 +726,7 @@ mod tests {
         let h = c.submit(&bad).unwrap();
         match h.wait() {
             Err(EngineError::Execution(msg)) => {
-                assert!(msg.contains("panicked"), "unexpected message: {msg}")
+                assert!(msg.contains("failed stage 0"), "unexpected message: {msg}")
             }
             other => panic!("expected contained panic, got {other:?}"),
         }
@@ -781,8 +750,9 @@ mod tests {
         .unwrap();
         c.load_tpch(0.001).unwrap();
         // Node 1's NATION part lacks the scanned column, so only node 1
-        // panics; node 0 partitions its rows and blocks waiting for
-        // node 1's last-markers. The cross-node abort must unblock it.
+        // fails (its copy of the stage does not compile); node 0 partitions
+        // its rows and blocks waiting for node 1's last-markers. Node 1's
+        // abort frame must unblock it.
         let good = c.backend.nodes[0]
             .tables
             .read()
@@ -800,7 +770,7 @@ mod tests {
         );
         match c.run(&q) {
             Err(EngineError::Execution(msg)) => {
-                assert!(msg.contains("panicked"), "unexpected message: {msg}")
+                assert!(msg.contains("failed stage 0"), "unexpected message: {msg}")
             }
             other => panic!("expected contained failure, got {other:?}"),
         }

@@ -2,15 +2,17 @@
 //! on where the nodes are.
 //!
 //! The engine has three layers. A *node* ([`crate::exec`]) executes its
-//! share of one stage. A `Backend` is the one decision that differs
-//! between clusters — how a stage reaches the nodes and how its outcome
-//! comes back: node threads in a `thread::scope` ([`crate::cluster`]) or
-//! the control protocol over TCP ([`crate::remote`]). The [`Coordinator`]
-//! is written once on top of that: query ids, the weighted-fair submit
-//! queue and its dispatcher pool, [`QueryHandle`]s, deadlines and
-//! cancellation, the stage loop (validation, parameter binding, feedback
-//! rows), the mapping of a stopped query to its typed error, metrics and
-//! tenant counters, and retire-exactly-once cleanup.
+//! share of one stage on the query's worker there, the same runtime on
+//! either cluster. A `Backend` is the one decision that differs between
+//! clusters — how a stage reaches the nodes and how their replies come
+//! back: a call and a channel inside the process ([`crate::cluster`]) or
+//! the control protocol over TCP ([`crate::remote`]); both fold the replies
+//! with one `StageReplies`. The [`Coordinator`] is written once on top of
+//! that: query ids, the weighted-fair submit queue and its dispatcher pool,
+//! [`QueryHandle`]s, deadlines and cancellation, the stage loop
+//! (validation, parameter binding, feedback rows), the mapping of a stopped
+//! query to its typed error, metrics and tenant counters, and
+//! retire-exactly-once cleanup.
 //!
 //! [`Cluster`](crate::cluster::Cluster) and
 //! [`ProcessCluster`](crate::remote::ProcessCluster) set nodes up, load
@@ -28,12 +30,12 @@ use hsqp_net::{QueryId, QueryNetStats, QueryStatsRegistry};
 use hsqp_storage::{decimal_to_f64, DataType, Table, Value};
 
 use crate::error::EngineError;
-use crate::exec::panic_message;
+use crate::exec::{panic_message, StageReply};
 use crate::expr::Expr;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::plan::Plan;
 use crate::planner::QueryPlanner;
-use crate::profile::{QueryProfile, StageProfile};
+use crate::profile::{QueryProfile, StageProfile, StageRecorder};
 use crate::queries::{Query, QueryStage, StageRole};
 use crate::serve::{CancelToken, SubmitOptions, TenantConfig, TenantId, TenantMetrics, WdrrQueue};
 
@@ -57,6 +59,95 @@ pub(crate) struct StageOutcome {
     pub node0: Option<Table>,
     /// The stage's merged spans, where the backend can collect them.
     pub profile: Option<StageProfile>,
+}
+
+/// Every node's reply to one stage, kept as the replies arrive: how either
+/// backend turns them into the stage's outcome.
+pub(crate) struct StageReplies {
+    replies: Vec<Option<StageReply>>,
+    /// The node whose failure arrived first.
+    first_failure: Option<usize>,
+}
+
+impl StageReplies {
+    pub fn new(nodes: usize) -> Self {
+        Self {
+            replies: (0..nodes).map(|_| None).collect(),
+            first_failure: None,
+        }
+    }
+
+    /// Whether a node has yet to reply.
+    pub fn pending(&self) -> bool {
+        self.replies.iter().any(Option::is_none)
+    }
+
+    pub fn add(&mut self, node: usize, reply: StageReply) {
+        if !matches!(reply, StageReply::Done { .. }) {
+            self.first_failure.get_or_insert(node);
+        }
+        self.replies[node] = Some(reply);
+    }
+
+    /// The stage's outcome. A stage that no node would compile is an
+    /// [`EngineError::Planner`]: none of it ran anywhere. Any other failure
+    /// is the first to arrive, naming its node; so is a stage that one
+    /// node refused and the others ran (and were aborted in).
+    pub fn finish(self, call: &StageCall<'_>) -> Result<StageOutcome, EngineError> {
+        let stage_idx = call.stage_idx;
+        let refused = |r: &Option<StageReply>| matches!(r, Some(StageReply::Refused(_)));
+        let refused_everywhere = self.replies.iter().all(refused);
+        let (mut node_rows, mut node0, mut profiles) = (Vec::new(), None, Vec::new());
+        for (node, reply) in self.replies.into_iter().enumerate() {
+            match reply {
+                Some(StageReply::Done {
+                    rows,
+                    table,
+                    profile,
+                }) => {
+                    node_rows.push(rows);
+                    if node == 0 {
+                        node0 = table;
+                    }
+                    profiles.extend(profile);
+                }
+                Some(StageReply::Refused(why) | StageReply::Failed(why))
+                    if self.first_failure == Some(node) =>
+                {
+                    return Err(if refused_everywhere {
+                        EngineError::Planner(why)
+                    } else {
+                        EngineError::Execution(format!(
+                            "node {node} failed stage {stage_idx}: {why}"
+                        ))
+                    });
+                }
+                Some(_) => {}
+                None => {
+                    return Err(EngineError::Execution(format!(
+                        "node {node} never answered stage {stage_idx}"
+                    )))
+                }
+            }
+        }
+        // Labelled from node 0's programs; every node compiled the same.
+        let profile = (profiles.len() == node_rows.len()).then(|| {
+            let (recorders, programs): (Vec<_>, Vec<_>) = profiles.into_iter().unzip();
+            let stage = call.stage;
+            StageRecorder::from_nodes(recorders).finish(
+                &stage.plan,
+                &programs[0],
+                stage.role.label(),
+                stage.estimated_rows,
+                stage.feedback_rows,
+            )
+        });
+        Ok(StageOutcome {
+            node_rows,
+            node0,
+            profile,
+        })
+    }
 }
 
 /// How stages reach the nodes. Two implementations run queries; a third,
@@ -85,8 +176,9 @@ pub(crate) trait Backend: Send + Sync {
     /// exactly once per dispatched query, whatever its outcome.
     fn retire(&self, query: QueryId, stats: &QueryNetStats);
 
-    /// Append the backend's network counters to a metrics snapshot.
-    fn net_counters(&self, snap: &mut MetricsSnapshot);
+    /// Append the nodes' counters (network, multiplexer, query workers) to
+    /// a metrics snapshot.
+    fn node_counters(&self, snap: &mut MetricsSnapshot);
 }
 
 /// Result of one query execution.
@@ -477,11 +569,11 @@ impl Coordinator {
     }
 
     /// Snapshot the metrics registry — dispatcher counters and gauges, the
-    /// admission-wait histogram, per-tenant counters — plus the backend's
-    /// network counters.
+    /// admission-wait histogram, per-tenant counters — plus the nodes'
+    /// counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.inner.metrics.snapshot();
-        self.inner.backend.net_counters(&mut snap);
+        self.inner.backend.node_counters(&mut snap);
         snap
     }
 
@@ -831,7 +923,7 @@ mod tests {
             self.calls.lock().push(("retire", query.0));
         }
 
-        fn net_counters(&self, _snap: &mut MetricsSnapshot) {}
+        fn node_counters(&self, _snap: &mut MetricsSnapshot) {}
     }
 
     /// A materialization, then a result stage that reads it.

@@ -9,8 +9,14 @@
 //!
 //! A node is the same thing in a simulated cluster and in an `hsqp-node`
 //! process: `start_node` builds it around whichever transport endpoint it
-//! is given, and `execute_stage` is what a node thread of the one and a
-//! query worker of the other both run.
+//! is given, and both clusters drive it through the same calls. A query's
+//! stages run in order on its *query worker*, a thread per node that the
+//! first stage starts (`NodeCtx::stage`); the worker compiles each stage,
+//! runs it, and hands the reply to whoever shipped it. A stage that fails
+//! on one node fails on every node: the worker aborts the query on its own
+//! receive hub and sends each peer a [`FLAG_ABORT`] frame. The coordinator
+//! then aborts (`NodeCtx::abort`) and retires (`NodeCtx::retire`) the
+//! query.
 //!
 //! **The exchange.** There is one message loop (`exchange_loop`): every
 //! worker of the node alternates between partitioning and serializing a
@@ -38,12 +44,13 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::{Deref, Range};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use hsqp_net::{
     Fabric, NetScheduler, NodeId, QueryId, QueryStatsRegistry, Transport as NetTransport,
@@ -54,11 +61,9 @@ use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
 use crate::cluster::{ClusterConfig, EngineKind};
-use crate::coordinator::StageCall;
-use crate::error::EngineError;
 use crate::exchange::{
     encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxSender,
-    Polled, RecvHub, FLAG_LAST, HEADER_LEN,
+    Polled, RecvHub, FLAG_ABORT, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::Expr;
 use crate::local::{MorselDriver, WorkerCtx};
@@ -67,7 +72,7 @@ use crate::ops::{
 };
 use crate::plan::{AggPhase, AggSpec, ExchangeKind, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
-use crate::queries::StageRole;
+use crate::queries::{QueryStage, StageRole};
 use crate::serve::CancelToken;
 use crate::vm::{
     compile_stage_with, vm_to_dtype, BoundProgram, CompiledStage, ExprProgram, OpPrograms,
@@ -101,23 +106,69 @@ pub struct NodeCtx {
     pub tables: RwLock<HashMap<TpchTable, Arc<Table>>>,
     /// Temporary relations materialized by in-flight queries' stages,
     /// namespaced per query so overlapping multi-stage queries cannot read
-    /// (or clobber) each other's temps. The cluster inserts after each
-    /// `Materialize` stage and removes the whole namespace when the query
-    /// finishes, fails, or is cancelled.
+    /// (or clobber) each other's temps. The query worker inserts after each
+    /// `Materialize` stage, and retiring the query removes the whole
+    /// namespace, whether it finished, failed, or was cancelled.
     pub temps: RwLock<HashMap<QueryId, HashMap<String, Arc<Table>>>>,
     /// Rows deserialized per worker across all exchanges (skew diagnosis:
     /// with work stealing the loads balance; with static classic-exchange
     /// ownership a skewed partition overloads one unit).
-    pub consume_loads: parking_lot::Mutex<Vec<u64>>,
+    pub consume_loads: Mutex<Vec<u64>>,
     /// The network fabric (statistics).
     pub fabric: Arc<Fabric>,
+    /// The query workers of the queries that have run a stage here and not
+    /// retired yet.
+    workers: Mutex<HashMap<QueryId, QueryWorker>>,
+    /// Query workers started since the node started.
+    workers_spawned: AtomicU64,
+    /// The multiplexer thread, joined by [`stop`](Self::stop).
+    mux: Mutex<Option<JoinHandle<()>>>,
+}
+
+/// One query's stage-execution thread on a node. Stages of different
+/// queries run side by side (two queries' exchange waves interleave across
+/// the cluster; running them one after the other on one node would
+/// deadlock the others), those of one query in order.
+struct QueryWorker {
+    jobs: mpsc::Sender<StageJob>,
+    handle: JoinHandle<()>,
+    /// The query's tripwire, tripped by [`NodeCtx::abort`].
+    cancel: CancelToken,
+}
+
+/// One stage for a node to run, and where its reply goes.
+pub(crate) struct StageJob {
+    pub stage_idx: u32,
+    pub stage: Arc<QueryStage>,
+    pub params: Vec<Value>,
+    /// When the stage must have stopped.
+    pub deadline: Option<Instant>,
+    /// With an anchor, the stage's spans are recorded against it and come
+    /// back in the reply.
+    pub profile: Option<Instant>,
+    pub reply: Box<dyn FnOnce(StageReply) + Send>,
+}
+
+/// A node's answer to one stage.
+pub(crate) enum StageReply {
+    /// The node's local result cardinality; node 0's output of a `Params`
+    /// or `Result` stage; the spans it recorded, with the programs that
+    /// label them.
+    Done {
+        rows: u64,
+        table: Option<Table>,
+        profile: Option<(NodeRecorder, CompiledStage)>,
+    },
+    /// The stage does not compile on this node, so nothing of it ran here.
+    Refused(String),
+    /// The stage failed while it ran: a fault, a stop, a peer's abort.
+    Failed(String),
 }
 
 /// Build node `node` of the cluster `cfg` describes around its transport
 /// `endpoint` — topology, receive hub, message pool, worker pool — and
-/// spawn its multiplexer thread, which runs until it is sent
-/// [`MuxCmd::Shutdown`] through `NodeCtx::to_mux`. With a `scheduler` the
-/// multiplexer sends in round-robin phases.
+/// spawn its multiplexer thread, which runs until [`NodeCtx::stop`]. With a
+/// `scheduler` the multiplexer sends in round-robin phases.
 pub(crate) fn start_node(
     node: NodeId,
     cfg: &ClusterConfig,
@@ -125,7 +176,7 @@ pub(crate) fn start_node(
     endpoint: Box<dyn NetTransport>,
     scheduler: Option<Arc<NetScheduler>>,
     query_stats: Arc<QueryStatsRegistry>,
-) -> (Arc<NodeCtx>, std::thread::JoinHandle<()>) {
+) -> Arc<NodeCtx> {
     let (workers, sockets) = (cfg.workers_per_node, cfg.sockets);
     let cores_per_socket = workers.div_ceil(sockets).max(1);
     let cost = CostModel::new(cfg.numa_cost_ns);
@@ -150,7 +201,7 @@ pub(crate) fn start_node(
     };
     let (to_mux, mux) =
         spawn_multiplexer(mux_cfg, endpoint, Arc::clone(&hub), scheduler, query_stats);
-    let ctx = Arc::new(NodeCtx {
+    Arc::new(NodeCtx {
         node,
         nodes: cfg.nodes,
         driver: MorselDriver::new(
@@ -168,51 +219,12 @@ pub(crate) fn start_node(
         to_mux,
         tables: RwLock::new(HashMap::new()),
         temps: RwLock::new(HashMap::new()),
-        consume_loads: parking_lot::Mutex::new(Vec::new()),
+        consume_loads: Mutex::new(Vec::new()),
         fabric,
-    });
-    (ctx, mux)
-}
-
-/// Execute this node's share of the stage `call` describes and dispose of
-/// the output by the stage's role: a materialization stays here as a temp
-/// of the query; node 0 returns a `Params` or `Result` table. Also returns
-/// the local result cardinality. A panic in the operators — a stopped
-/// query, a fault — is contained and comes back as its message; the caller
-/// then owes the peers blocked on this node's last-markers an abort.
-pub(crate) fn execute_stage(
-    ctx: &NodeCtx,
-    call: &StageCall<'_>,
-    programs: &CompiledStage,
-    recorder: Option<&NodeRecorder>,
-) -> Result<(u64, Option<Table>), String> {
-    let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Exchange ids are per-query: each stage gets its own disjoint
-        // range, and the query id in the wire header isolates them from
-        // every other in-flight query.
-        let exec = NodeExec {
-            recorder,
-            programs: Some(programs),
-            cancel: Some(call.cancel),
-            ..NodeExec::new(ctx, call.query, call.params, call.stage_idx * 100_000)
-        };
-        exec.execute(&call.stage.plan)
-    }))
-    .map_err(|payload| panic_message(payload.as_ref()))?;
-    let rows = batch.rows() as u64;
-    let table = match &call.stage.role {
-        StageRole::Materialize(name) => {
-            ctx.temps
-                .write()
-                .entry(call.query)
-                .or_default()
-                .insert(name.clone(), batch.into_arc());
-            None
-        }
-        // Only node 0 holds the gathered output.
-        StageRole::Params | StageRole::Result => (ctx.node.0 == 0).then(|| batch.into_table()),
-    };
-    Ok((rows, table))
+        workers: Mutex::new(HashMap::new()),
+        workers_spawned: AtomicU64::new(0),
+        mux: Mutex::new(Some(mux)),
+    })
 }
 
 /// Render a caught panic payload as a message string.
@@ -225,19 +237,174 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl NodeCtx {
+    /// Run `job`, a stage of `query`, on the query's worker, starting the
+    /// worker if this is the query's first stage here. The worker keeps
+    /// `cancel`, the query's tripwire, and runs each stage under it with
+    /// the stage's own deadline.
+    pub(crate) fn stage(self: &Arc<Self>, query: QueryId, cancel: &CancelToken, job: StageJob) {
+        let mut workers = self.workers.lock();
+        let worker = workers.entry(query).or_insert_with(|| {
+            self.workers_spawned.fetch_add(1, Ordering::Relaxed);
+            let (jobs, rx) = mpsc::channel::<StageJob>();
+            let (ctx, token) = (Arc::clone(self), cancel.clone());
+            let handle = std::thread::Builder::new()
+                .name(format!("q{}-node{}", query.0, self.node.0))
+                .spawn(move || rx.iter().for_each(|job| ctx.run_job(query, &token, job)))
+                .expect("spawn query worker");
+            QueryWorker {
+                jobs,
+                handle,
+                cancel: cancel.clone(),
+            }
+        });
+        if let Err(mpsc::SendError(job)) = worker.jobs.send(job) {
+            drop(workers);
+            let why = format!("the worker of {query} is gone");
+            self.fail(query, &why);
+            (job.reply)(StageReply::Failed(why));
+        }
+    }
+
+    /// Stop `query` here at the coordinator's request: trip its tripwire so
+    /// its morsel loops stop, then unblock its consumers.
+    pub(crate) fn abort(&self, query: QueryId) {
+        if let Some(w) = self.workers.lock().get(&query) {
+            w.cancel.cancel();
+        }
+        self.hub.abort(query, "aborted by the coordinator");
+    }
+
+    /// Release what `query` left on `nodes`: join its worker on each (idle
+    /// once every stage has replied; its sends are queued by then), then
+    /// drop its temps and its receive-hub state there. Every worker is told
+    /// to exit before the first is joined, so they exit side by side.
+    pub(crate) fn retire(nodes: &[Arc<NodeCtx>], query: QueryId) {
+        let workers: Vec<_> = nodes
+            .iter()
+            .map(|node| node.workers.lock().remove(&query).map(|w| w.handle))
+            .collect();
+        for (node, worker) in nodes.iter().zip(workers) {
+            if let Some(handle) = worker {
+                let _ = handle.join();
+            }
+            node.temps.write().remove(&query);
+            node.hub.finish_query(query);
+        }
+    }
+
+    /// End the node: fail whatever still waits on the hub, join the query
+    /// workers, then stop the multiplexer.
+    pub(crate) fn stop(&self) {
+        self.hub.abort_all("node shutting down");
+        let workers = std::mem::take(&mut *self.workers.lock());
+        let handles: Vec<_> = workers.into_values().map(|w| w.handle).collect();
+        for handle in handles {
+            let _ = handle.join();
+        }
+        let _ = self.to_mux.send(MuxCmd::Shutdown);
+        if let Some(mux) = self.mux.lock().take() {
+            let _ = mux.join();
+        }
+    }
+
+    /// Query workers started since the node started
+    /// (`exec.stage_workers_spawned`).
+    pub fn stage_workers_spawned(&self) -> u64 {
+        self.workers_spawned.load(Ordering::Relaxed)
+    }
+
+    /// The worker's loop body: run one stage and reply. A stage that fails
+    /// here fails on the peers too, before the reply goes out.
+    fn run_job(&self, query: QueryId, cancel: &CancelToken, job: StageJob) {
+        let reply = match self.compile(query, &job.stage.plan, &job.params) {
+            Err(why) => StageReply::Refused(why),
+            Ok(_) if self.hub.is_aborted(query) => StageReply::Failed("query aborted".into()),
+            Ok(programs) => self.execute_stage(query, cancel, &job, programs),
+        };
+        if let StageReply::Refused(why) | StageReply::Failed(why) = &reply {
+            self.fail(query, why);
+        }
+        (job.reply)(reply);
+    }
+
+    /// Execute this node's share of `job` under the query's tripwire and
+    /// the stage's deadline, and dispose of the output by the stage's role:
+    /// a materialization stays here as a temp of the query; node 0 returns
+    /// a `Params` or `Result` table. A panic in the operators — a stopped
+    /// query, a fault — is contained and comes back as its message.
+    fn execute_stage(
+        &self,
+        query: QueryId,
+        cancel: &CancelToken,
+        job: &StageJob,
+        programs: CompiledStage,
+    ) -> StageReply {
+        let (stage, cancel) = (&job.stage, cancel.child_with_deadline(job.deadline));
+        let recorder = job
+            .profile
+            .map(|anchor| NodeRecorder::new(anchor, plan_node_count(&stage.plan)));
+        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            // Exchange ids are per-query: each stage gets its own disjoint
+            // range, and the query id in the wire header isolates them from
+            // every other in-flight query.
+            let exec = NodeExec {
+                recorder: recorder.as_ref(),
+                programs: Some(&programs),
+                cancel: Some(&cancel),
+                ..NodeExec::new(self, query, &job.params, job.stage_idx * 100_000)
+            };
+            exec.execute(&stage.plan)
+        }));
+        let batch = match batch {
+            Ok(batch) => batch,
+            Err(payload) => return StageReply::Failed(panic_message(payload.as_ref())),
+        };
+        let rows = batch.rows() as u64;
+        let table = match &stage.role {
+            StageRole::Materialize(name) => {
+                let mut temps = self.temps.write();
+                let ns = temps.entry(query).or_default();
+                ns.insert(name.clone(), batch.into_arc());
+                None
+            }
+            // Only node 0 holds the gathered output.
+            StageRole::Params | StageRole::Result => (self.node.0 == 0).then(|| batch.into_table()),
+        };
+        StageReply::Done {
+            rows,
+            table,
+            profile: recorder.map(|rec| (rec, programs)),
+        }
+    }
+
+    /// The cross-node abort protocol: fail `query` on this node's hub, then
+    /// tell every peer with a [`FLAG_ABORT`] frame, so that their blocked
+    /// pops fail instead of waiting for last-markers that will never come.
+    fn fail(&self, query: QueryId, why: &str) {
+        self.hub
+            .abort(query, &format!("node {} failed: {why}", self.node.0));
+        let mut frame = Vec::with_capacity(HEADER_LEN);
+        encode_header(query, 0, FLAG_ABORT, 0, 0, &mut frame);
+        let frame = Bytes::from(frame);
+        for t in (0..self.nodes).filter(|&t| t != self.node.0) {
+            let _ = self.to_mux.send(MuxCmd::Send {
+                target: NodeId(t),
+                payload: frame.clone(),
+            });
+        }
+    }
+
     /// Compile the expression sites of `plan`, a stage of `query` run with
     /// `params`, against this node's base relations and the temps the
     /// query's earlier stages materialized here. Every node holds the same
-    /// schemas, so compiling on one (a simulated cluster) or on each (node
-    /// processes) yields the same programs. A site that does not compile
-    /// fails the stage with [`EngineError::Planner`] before any of its
-    /// operators runs.
+    /// schemas, so every node compiles the same programs. A site that does
+    /// not compile fails the stage before any of its operators runs.
     pub(crate) fn compile(
         &self,
         query: QueryId,
         plan: &Plan,
         params: &[Value],
-    ) -> Result<CompiledStage, EngineError> {
+    ) -> Result<CompiledStage, String> {
         let base = |t: TpchTable| self.tables.read().get(&t).map(|tbl| tbl.schema().clone());
         let temps: HashMap<String, Schema> = match self.temps.read().get(&query) {
             Some(ns) => ns
@@ -248,9 +415,7 @@ impl NodeCtx {
         };
         let (compiled, _) = compile_stage_with(plan, &base, &temps, Some(params));
         match compiled.failure() {
-            Some(why) => Err(EngineError::Planner(format!(
-                "the stage does not compile: {why}"
-            ))),
+            Some(why) => Err(format!("the stage does not compile: {why}")),
             None => Ok(compiled),
         }
     }

@@ -2,13 +2,14 @@
 //!
 //! The paper's core claims are about *where time goes* — compute vs network
 //! wait on a globally scheduled fabric — so the engine measures exactly
-//! that. While a stage executes, every node thread records into its own
-//! [`NodeRecorder`]: lock-free atomic cells, one per plan operator, updated
-//! with relaxed ordering so the morsel workers and exchange consumers of
-//! one node can share the recorder without contending on a lock. When the
-//! SPMD scope joins, the cluster merges the cells into a plain-data
-//! [`StageProfile`] and appends it to the query's [`QueryProfile`] — the
-//! concurrent dispatcher never touches a hot lock.
+//! that. While a stage executes, every node's query worker records into its
+//! own [`NodeRecorder`]: lock-free atomic cells, one per plan operator,
+//! updated with relaxed ordering so the morsel workers and exchange
+//! consumers of one node can share the recorder without contending on a
+//! lock. The recorders come back in the nodes' replies to the stage, and
+//! once every node has replied the cluster merges the cells into a
+//! plain-data [`StageProfile`] and appends it to the query's
+//! [`QueryProfile`] — the concurrent dispatcher never touches a hot lock.
 //!
 //! Spans are *inclusive*: an operator's wall time covers its children
 //! (execution on a node is a depth-first walk on one thread), so the sum of
@@ -112,7 +113,9 @@ pub struct NodeRecorder {
 }
 
 impl NodeRecorder {
-    fn new(anchor: Instant, op_count: usize) -> Self {
+    /// Recorder for a stage of `op_count` operators, timing everything
+    /// relative to `anchor`.
+    pub(crate) fn new(anchor: Instant, op_count: usize) -> Self {
         Self {
             anchor,
             ops: (0..op_count).map(|_| OpCell::new()).collect(),
@@ -193,6 +196,11 @@ impl StageRecorder {
                 .map(|_| NodeRecorder::new(anchor, op_count))
                 .collect(),
         }
+    }
+
+    /// The recorders the nodes filled, node 0 first.
+    pub(crate) fn from_nodes(nodes: Vec<NodeRecorder>) -> Self {
+        Self { nodes }
     }
 
     /// Node `node`'s recorder (shared with its execution thread).

@@ -5,17 +5,17 @@
 //! this module runs the same SPMD plans across *real OS processes*
 //! connected by real TCP sockets. A [`NodeServer`] is one database server:
 //! it listens on a port, joins the mesh ([`SocketTransport`]), starts the
-//! same node a simulated cluster runs (`start_node`), generates its
-//! share of TPC-H locally, and executes its share of every stage shipped
-//! to it (`execute_stage`). A [`ProcessCluster`] is the set-up and load
-//! shell on the other side: it connects to the nodes, has them load data,
-//! and owns a [`Coordinator`] — to which it derefs, so `submit`, `run`,
-//! `configure_tenant`, `metrics`, … are the coordinator's, the same code
-//! that drives a simulated cluster ([`crate::coordinator`]). What is
-//! particular to this cluster is its `Backend`: a stage is serialized
-//! ([`crate::serial`]) and shipped to every node over the control
-//! protocol below, and node 0's reply carries the gathered table — the
-//! paper's coordinator/worker split, §4.
+//! same node a simulated cluster runs (`start_node`), generates its share
+//! of TPC-H locally, and maps the control requests onto that node's calls
+//! (`NodeCtx::{stage, abort, retire, stop}`). A [`ProcessCluster`] is the
+//! set-up and load shell on the other side: it connects to the nodes, has
+//! them load data, and owns a [`Coordinator`] — to which it derefs, so
+//! `submit`, `run`, `configure_tenant`, `metrics`, … are the coordinator's,
+//! the same code that drives a simulated cluster ([`crate::coordinator`]).
+//! What is particular to this cluster is its `Backend`: a stage is
+//! serialized ([`crate::serial`]) and shipped to every node over the
+//! control protocol below, and node 0's reply carries the gathered table —
+//! the paper's coordinator/worker split, §4.
 //!
 //! # Control protocol
 //!
@@ -28,10 +28,10 @@
 //! |---|---|
 //! | `Join` (node id, peer addresses, engine knobs) | `JoinOk` after the data mesh is up |
 //! | `Load` (scale factor) | `LoadOk` (local rows per table) |
-//! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` |
+//! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
 //! | `Retire` (query) | `RetireOk` (per-query bytes/messages) |
 //! | `Abort` (query) | — |
-//! | `Stats` | `StatsOk` (node socket and multiplexer counters) |
+//! | `Stats` | `StatsOk` (node socket, multiplexer and query-worker counters) |
 //! | `Shutdown` | — (the node process exits) |
 //!
 //! Per-query network counters are read at *retire* time: the coordinator
@@ -57,16 +57,18 @@
 //!
 //! # Failure handling
 //!
-//! A stage panic on one node aborts the query on its own receive hub,
-//! broadcasts a [`FLAG_ABORT`] frame to every peer (unblocking their
-//! mid-exchange consumers), and reports `StageFail`. A node *process*
-//! dying surfaces twice: peers' socket readers emit `PeerGone` (the
-//! multiplexer kills every in-flight query on that hub) and the
-//! coordinator's control reader fails all pending queries — either way
-//! the coordinator returns [`EngineError::Execution`] instead of hanging.
-//! A cancelled query or one past its deadline is noticed by the stage
-//! wait, which polls the query's token; the coordinator then sends `Abort`
-//! and `Retire`, and the handle resolves to the typed error.
+//! Stage failures are handled by the node runtime, so both clusters do the
+//! same (see [`crate::exec`]): the failing node aborts the query on its own
+//! receive hub and on every peer's (a `FLAG_ABORT` frame), and replies;
+//! the coordinator waits for every node's reply, then sends `Abort` and
+//! `Retire`. Particular to sockets, a node *process* dying surfaces twice:
+//! peers' socket readers emit `PeerGone` (the multiplexer kills every
+//! in-flight query on that hub) and the coordinator's control reader fails
+//! all pending queries — either way the coordinator returns
+//! [`EngineError::Execution`] instead of hanging. A cancelled query or one
+//! past its deadline is noticed by the stage wait, which polls the query's
+//! token, and by the nodes, which get the remaining budget with each stage;
+//! the handle resolves to the typed error.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
@@ -76,7 +78,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 
@@ -88,16 +89,13 @@ use hsqp_net::{
     SocketConfig, SocketTransport,
 };
 use hsqp_storage::placement::chunk_split;
-use hsqp_storage::{Table, Value};
 use hsqp_tpch::{TpchDb, TpchTable};
 
 use crate::cluster::ClusterConfig;
-use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome};
+use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome, StageReplies};
 use crate::error::EngineError;
-use crate::exchange::{encode_header, MuxCmd, FLAG_ABORT, HEADER_LEN};
-use crate::exec::{execute_stage, start_node, NodeCtx};
+use crate::exec::{start_node, NodeCtx, StageJob, StageReply};
 use crate::metrics::MetricsSnapshot;
-use crate::queries::QueryStage;
 use crate::serial::{
     self, decode_stage_tagged, decode_table, decode_values, encode_stage_tagged, encode_values, Rd,
 };
@@ -124,8 +122,6 @@ const OP_STATS_OK: u8 = 105;
 pub struct RemoteEngineConfig {
     /// Worker threads per node process.
     pub workers_per_node: u16,
-    /// NUMA sockets modeled per node (receive-queue fan-out).
-    pub sockets: u16,
     /// Tuple bytes per exchange message.
     pub message_capacity: usize,
 }
@@ -134,7 +130,6 @@ impl Default for RemoteEngineConfig {
     fn default() -> Self {
         Self {
             workers_per_node: 2,
-            sockets: 2,
             message_capacity: 128 * 1024,
         }
     }
@@ -152,30 +147,6 @@ impl Default for RemoteEngineConfig {
 pub struct NodeServer {
     listener: TcpListener,
     socket_cfg: SocketConfig,
-}
-
-/// One in-flight query's dedicated stage-execution worker on a node.
-///
-/// Stages of *different* queries must run concurrently (two queries'
-/// exchange waves interleave across the cluster; serializing them on one
-/// node deadlocks the other nodes), so each query gets its own thread fed
-/// through a channel that preserves stage order within the query.
-struct QueryWorker {
-    jobs: Sender<StageJob>,
-    handle: std::thread::JoinHandle<()>,
-    stats: Arc<QueryNetStats>,
-    /// Tripped by a coordinator `Abort` so in-flight morsel loops stop
-    /// cooperatively instead of running the stage to completion.
-    cancel: CancelToken,
-}
-
-struct StageJob {
-    stage_idx: u32,
-    stage: QueryStage,
-    params: Vec<Value>,
-    /// Remaining deadline budget shipped by the coordinator, microseconds
-    /// measured at encode time.
-    deadline_us: Option<u64>,
 }
 
 impl NodeServer {
@@ -222,7 +193,6 @@ impl NodeServer {
             let (node, nodes) = (r.u16()?, r.u16()?);
             let cfg = ClusterConfig {
                 workers_per_node: r.u16()?,
-                sockets: r.u16()?,
                 message_capacity: r.u64()? as usize,
                 numa_cost_ns: 0.0,
                 ..ClusterConfig::paper(nodes)
@@ -253,7 +223,7 @@ impl NodeServer {
         let net_stats = Arc::clone(transport.stats());
 
         let query_stats = Arc::new(QueryStatsRegistry::new());
-        let (ctx, mux_handle) = start_node(
+        let ctx = start_node(
             NodeId(node),
             &cfg,
             Arc::new(Fabric::new(nodes, FabricConfig::default())),
@@ -266,7 +236,6 @@ impl NodeServer {
         send_reply(&writer, |out| serial::put_u8(out, OP_JOIN_OK))?;
         eprintln!("[node {node}] mesh up, serving");
 
-        let mut workers_by_query: HashMap<u32, QueryWorker> = HashMap::new();
         loop {
             let frame = match read_frame(&mut control) {
                 Ok(f) => f,
@@ -275,14 +244,7 @@ impl NodeServer {
                     break;
                 }
             };
-            match self.handle_frame(
-                &frame,
-                &ctx,
-                &writer,
-                &query_stats,
-                &net_stats,
-                &mut workers_by_query,
-            ) {
+            match self.handle_frame(&frame, &ctx, &writer, &query_stats, &net_stats) {
                 Ok(true) => {}
                 Ok(false) => {
                     eprintln!("[node {node}] shutdown requested");
@@ -295,14 +257,7 @@ impl NodeServer {
             }
         }
 
-        // Unblock any stage thread still waiting mid-exchange, then join.
-        ctx.hub.abort_all("node shutting down");
-        for (_, w) in workers_by_query.drain() {
-            drop(w.jobs);
-            let _ = w.handle.join();
-        }
-        let _ = ctx.to_mux.send(MuxCmd::Shutdown);
-        let _ = mux_handle.join();
+        ctx.stop();
         Ok(())
     }
 
@@ -314,7 +269,6 @@ impl NodeServer {
         writer: &Arc<Mutex<TcpStream>>,
         query_stats: &Arc<QueryStatsRegistry>,
         net_stats: &Arc<NetStats>,
-        workers: &mut HashMap<u32, QueryWorker>,
     ) -> Result<bool, String> {
         let mut r = Rd::new(frame);
         match r.u8()? {
@@ -347,57 +301,43 @@ impl NodeServer {
                 let params = decode_values(r.take(params_len)?)?;
                 let stage_len = r.u32()? as usize;
                 let envelope = decode_stage_tagged(r.take(stage_len)?)?;
-                let worker = workers.entry(query).or_insert_with(|| {
-                    spawn_query_worker(
-                        Arc::clone(ctx),
-                        QueryId(query),
-                        Arc::clone(writer),
-                        query_stats.register(QueryId(query)),
-                    )
-                });
-                worker
-                    .jobs
-                    .send(StageJob {
-                        stage_idx,
-                        stage: envelope.stage,
-                        params,
-                        deadline_us: envelope.deadline_us,
-                    })
-                    .map_err(|_| format!("query {query} worker is gone"))?;
+                // The multiplexer counts the query's sends until it retires.
+                query_stats.register(QueryId(query));
+                let writer = Arc::clone(writer);
+                let job = StageJob {
+                    stage_idx,
+                    stage: Arc::new(envelope.stage),
+                    params,
+                    // The budget left when the coordinator encoded the stage.
+                    deadline: envelope
+                        .deadline_us
+                        .map(|us| Instant::now() + Duration::from_micros(us)),
+                    profile: None,
+                    reply: Box::new(move |reply| {
+                        let _ = send_reply(&writer, |out| {
+                            put_stage_reply(out, query, stage_idx, &reply)
+                        });
+                    }),
+                };
+                // A tripwire of the node's own: `Abort` trips it.
+                ctx.stage(QueryId(query), &CancelToken::new(), job);
             }
             OP_RETIRE => {
-                let query = r.u32()?;
-                // Join the stage thread first: the coordinator only retires
-                // once it holds the query's result, so the thread is idle —
-                // but its last sends must be counted before we read.
-                let (bytes, msgs) = match workers.remove(&query) {
-                    Some(w) => {
-                        drop(w.jobs);
-                        let _ = w.handle.join();
-                        (w.stats.bytes_sent(), w.stats.messages_sent())
-                    }
-                    None => (0, 0),
-                };
-                ctx.temps.write().remove(&QueryId(query));
-                ctx.hub.finish_query(QueryId(query));
-                query_stats.retire(QueryId(query));
+                let query = QueryId(r.u32()?);
+                // Retire first: it joins the query's worker, whose last sends
+                // must be counted before they are read.
+                NodeCtx::retire(std::slice::from_ref(ctx), query);
+                let stats = query_stats.register(query);
+                query_stats.retire(query);
                 send_reply(writer, |out| {
                     serial::put_u8(out, OP_RETIRE_OK);
-                    serial::put_u32(out, query);
-                    serial::put_u64(out, bytes);
-                    serial::put_u64(out, msgs);
+                    serial::put_u32(out, query.0);
+                    serial::put_u64(out, stats.bytes_sent());
+                    serial::put_u64(out, stats.messages_sent());
                 })
                 .map_err(|e| e.to_string())?;
             }
-            OP_ABORT => {
-                let query = r.u32()?;
-                // Trip the cooperative token first so running morsel loops
-                // stop, then unwedge consumers blocked on the hub.
-                if let Some(w) = workers.get(&query) {
-                    w.cancel.cancel();
-                }
-                ctx.hub.abort(QueryId(query), "aborted by the coordinator");
-            }
+            OP_ABORT => ctx.abort(QueryId(r.u32()?)),
             OP_STATS => {
                 send_reply(writer, |out| {
                     serial::put_u8(out, OP_STATS_OK);
@@ -407,6 +347,7 @@ impl NodeServer {
                     serial::put_u64(out, net_stats.messages_received());
                     serial::put_u64(out, ctx.to_mux.wakeups());
                     serial::put_u64(out, ctx.to_mux.empty_wakeups());
+                    serial::put_u64(out, ctx.stage_workers_spawned());
                 })
                 .map_err(|e| e.to_string())?;
             }
@@ -424,110 +365,26 @@ fn send_reply<W: Write>(writer: &Mutex<W>, body: impl FnOnce(&mut Vec<u8>)) -> i
     frame.write_to(&mut *writer.lock())
 }
 
-/// Body of a `StageDone` reply. The gathered result is encoded straight
-/// into the frame buffer, not into a temporary that is then copied.
-fn put_stage_done(out: &mut Vec<u8>, query: u32, stage_idx: u32, rows: u64, table: Option<&Table>) {
-    serial::put_u8(out, OP_STAGE_DONE);
+/// Body of a node's reply to a stage: `StageDone`, whose gathered result
+/// is encoded straight into the frame buffer (not into a temporary that is
+/// then copied), or `StageFail`, saying whether the stage was refused
+/// because it does not compile.
+fn put_stage_reply(out: &mut Vec<u8>, query: u32, stage_idx: u32, reply: &StageReply) {
+    let done = matches!(reply, StageReply::Done { .. });
+    serial::put_u8(out, if done { OP_STAGE_DONE } else { OP_STAGE_FAIL });
     serial::put_u32(out, query);
     serial::put_u32(out, stage_idx);
-    serial::put_u64(out, rows);
-    match table {
-        Some(t) => {
-            serial::put_u8(out, 1);
-            serial::enc_table(out, t);
+    match reply {
+        StageReply::Done { rows, table, .. } => {
+            serial::put_u64(out, *rows);
+            serial::put_u8(out, u8::from(table.is_some()));
+            if let Some(t) = table {
+                serial::enc_table(out, t);
+            }
         }
-        None => serial::put_u8(out, 0),
-    }
-}
-
-/// Spawn the per-query stage-execution thread on a node.
-fn spawn_query_worker(
-    ctx: Arc<NodeCtx>,
-    query: QueryId,
-    writer: Arc<Mutex<TcpStream>>,
-    stats: Arc<QueryNetStats>,
-) -> QueryWorker {
-    let (jobs, rx): (Sender<StageJob>, Receiver<StageJob>) = unbounded();
-    let cancel = CancelToken::new();
-    let token = cancel.clone();
-    let handle = std::thread::Builder::new()
-        .name(format!("query-{}", query.0))
-        .spawn(move || run_query_worker(&ctx, query, &rx, &writer, &token))
-        .expect("spawn query worker");
-    QueryWorker {
-        jobs,
-        handle,
-        stats,
-        cancel,
-    }
-}
-
-fn run_query_worker(
-    ctx: &NodeCtx,
-    query: QueryId,
-    rx: &Receiver<StageJob>,
-    writer: &Arc<Mutex<TcpStream>>,
-    cancel: &CancelToken,
-) {
-    while let Ok(job) = rx.recv() {
-        let outcome = if ctx.hub.is_aborted(query) {
-            Err("query aborted".to_string())
-        } else {
-            // The per-stage token shares the coordinator-abort tripwire and
-            // adds this stage's remaining deadline budget, so morsel loops
-            // stop within one morsel of either signal.
-            let stage_cancel = cancel.child_with_deadline(
-                job.deadline_us
-                    .map(|us| Instant::now() + Duration::from_micros(us)),
-            );
-            let call = StageCall {
-                query,
-                stage_idx: job.stage_idx,
-                stage: &job.stage,
-                params: &job.params,
-                cancel: &stage_cancel,
-            };
-            match ctx.compile(query, &job.stage.plan, &job.params) {
-                Ok(programs) => execute_stage(ctx, &call, &programs, None),
-                Err(e) => Err(e.to_string()),
-            }
-        };
-        match outcome {
-            Ok((rows, table)) => {
-                let r = send_reply(writer, |out| {
-                    put_stage_done(out, query.0, job.stage_idx, rows, table.as_ref());
-                });
-                if r.is_err() {
-                    return; // coordinator gone
-                }
-            }
-            Err(msg) => {
-                // The cross-node abort protocol: unblock local consumers,
-                // then tell every peer so their blocked pops panic out
-                // instead of waiting for last-markers that will never come.
-                ctx.hub
-                    .abort(query, &format!("node {} failed: {msg}", ctx.node.0));
-                let mut frame = Vec::with_capacity(HEADER_LEN);
-                encode_header(query, 0, FLAG_ABORT, 0, 0, &mut frame);
-                let payload = Bytes::from(frame);
-                for t in 0..ctx.nodes {
-                    if t != ctx.node.0 {
-                        let _ = ctx.to_mux.send(MuxCmd::Send {
-                            target: NodeId(t),
-                            payload: payload.clone(),
-                        });
-                    }
-                }
-                let r = send_reply(writer, |out| {
-                    serial::put_u8(out, OP_STAGE_FAIL);
-                    serial::put_u32(out, query.0);
-                    serial::put_u32(out, job.stage_idx);
-                    serial::put_str(out, &msg);
-                });
-                if r.is_err() {
-                    return;
-                }
-            }
+        StageReply::Refused(why) | StageReply::Failed(why) => {
+            serial::put_u8(out, u8::from(matches!(reply, StageReply::Refused(_))));
+            serial::put_str(out, why);
         }
     }
 }
@@ -568,15 +425,10 @@ impl Default for ProcessClusterConfig {
 
 /// A control reply routed to the query that awaits it.
 enum NodeReply {
-    StageDone {
+    /// `StageDone` or `StageFail` of stage `stage`.
+    Stage {
         stage: u32,
-        /// The node's local result cardinality for the stage.
-        rows: u64,
-        table: Option<Table>,
-    },
-    StageFail {
-        stage: u32,
-        msg: String,
+        reply: StageReply,
     },
     RetireOk {
         bytes: u64,
@@ -590,9 +442,13 @@ enum NodeReply {
 enum CtlReply {
     LoadOk(Vec<(String, u64)>),
     /// Bytes sent, bytes received, messages sent, messages received; then
-    /// the multiplexer's wake-ups and how many of them found nothing.
-    StatsOk([u64; 6]),
+    /// the multiplexer's wake-ups, how many of them found nothing, and the
+    /// query workers started.
+    StatsOk([u64; STATS]),
 }
+
+/// Counters in a `StatsOk` reply.
+const STATS: usize = 7;
 
 type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
 
@@ -681,7 +537,6 @@ impl ProcessCluster {
                 serial::put_u16(join, i as u16);
                 serial::put_u16(join, nodes);
                 serial::put_u16(join, cfg.engine.workers_per_node);
-                serial::put_u16(join, cfg.engine.sockets);
                 serial::put_u64(join, cfg.engine.message_capacity as u64);
                 serial::put_strs(join, addrs);
             })
@@ -866,7 +721,7 @@ impl RemoteBackend {
     }
 
     /// The nodes' [`CtlReply::StatsOk`] counters, summed.
-    fn node_stats(&self) -> Result<[u64; 6], EngineError> {
+    fn node_stats(&self) -> Result<[u64; STATS], EngineError> {
         let replies = self.control_op(
             "reporting stats",
             self.reply_timeout,
@@ -876,7 +731,7 @@ impl RemoteBackend {
                 CtlReply::LoadOk(_) => None,
             },
         )?;
-        Ok(replies.into_iter().fold([0; 6], |mut sum, node| {
+        Ok(replies.into_iter().fold([0; STATS], |mut sum, node| {
             sum.iter_mut().zip(node).for_each(|(s, n)| *s += n);
             sum
         }))
@@ -888,7 +743,7 @@ impl RemoteBackend {
         pending.get(&query.0).map(|(_, rx)| rx.clone())
     }
 
-    /// Ship the stage to every node and wait for all their `StageDone`s.
+    /// Ship the stage to every node and wait for all their replies.
     fn ship_stage(
         &self,
         call: &StageCall<'_>,
@@ -922,10 +777,9 @@ impl RemoteBackend {
             out.extend_from_slice(&stage_bytes);
         })?;
 
-        let mut node_rows: Vec<Option<u64>> = vec![None; self.conns.len()];
-        let mut node0 = None;
+        let mut replies = StageReplies::new(self.conns.len());
         let mut heard = Instant::now();
-        while node_rows.contains(&None) {
+        while replies.pending() {
             let (node, reply) = match rx.recv_timeout(CANCEL_POLL) {
                 Ok(reply) => reply,
                 Err(_) if call.cancel.should_stop().is_some() => {
@@ -941,17 +795,7 @@ impl RemoteBackend {
             };
             heard = Instant::now();
             match reply {
-                NodeReply::StageDone { stage, rows, table } if stage == stage_idx => {
-                    node_rows[node] = Some(rows);
-                    if node == 0 {
-                        node0 = table;
-                    }
-                }
-                NodeReply::StageFail { stage, msg } if stage == stage_idx => {
-                    return Err(EngineError::Execution(format!(
-                        "node {node} failed stage {stage_idx}: {msg}"
-                    )));
-                }
+                NodeReply::Stage { stage, reply } if stage == stage_idx => replies.add(node, reply),
                 NodeReply::NodeDown(msg) => {
                     return Err(EngineError::Execution(format!(
                         "node {node} died mid-query: {msg}"
@@ -961,11 +805,7 @@ impl RemoteBackend {
                 _ => {}
             }
         }
-        Ok(StageOutcome {
-            node_rows: node_rows.into_iter().flatten().collect(),
-            node0,
-            profile: None,
-        })
+        replies.finish(call)
     }
 }
 
@@ -1025,16 +865,17 @@ impl Backend for RemoteBackend {
         self.pending.lock().remove(&query.0);
     }
 
-    /// The socket mesh's totals and the multiplexers' wake-up counts,
-    /// polled from the nodes.
-    fn net_counters(&self, snap: &mut MetricsSnapshot) {
-        const NAMES: [&str; 6] = [
+    /// The socket mesh's totals, the multiplexers' wake-up counts and the
+    /// query workers started, polled from the nodes.
+    fn node_counters(&self, snap: &mut MetricsSnapshot) {
+        const NAMES: [&str; STATS] = [
             "net.mesh.bytes_sent",
             "net.mesh.bytes_received",
             "net.mesh.messages_sent",
             "net.mesh.messages_received",
             "exchange.mux.wakeups",
             "exchange.mux.empty_wakeups",
+            "exec.stage_workers_spawned",
         ];
         if let Ok(counters) = self.node_stats() {
             for (name, value) in NAMES.iter().zip(counters) {
@@ -1066,18 +907,21 @@ fn coord_reader(node: usize, mut stream: TcpStream, backend: &RemoteBackend) {
                         0 => None,
                         _ => Some(decode_table(r.take_rest())?),
                     };
-                    route(
-                        backend,
-                        node,
-                        query,
-                        NodeReply::StageDone { stage, rows, table },
-                    );
+                    let reply = StageReply::Done {
+                        rows,
+                        table,
+                        profile: None,
+                    };
+                    route(backend, node, query, NodeReply::Stage { stage, reply });
                 }
                 OP_STAGE_FAIL => {
                     let query = r.u32()?;
                     let stage = r.u32()?;
-                    let msg = r.str()?;
-                    route(backend, node, query, NodeReply::StageFail { stage, msg });
+                    let reply = match (r.u8()?, r.str()?) {
+                        (0, why) => StageReply::Failed(why),
+                        (_, why) => StageReply::Refused(why),
+                    };
+                    route(backend, node, query, NodeReply::Stage { stage, reply });
                 }
                 OP_RETIRE_OK => {
                     let query = r.u32()?;
@@ -1096,7 +940,7 @@ fn coord_reader(node: usize, mut stream: TcpStream, backend: &RemoteBackend) {
                     let _ = backend.ctl_tx.send((node, CtlReply::LoadOk(rows)));
                 }
                 OP_STATS_OK => {
-                    let mut counters = [0; 6];
+                    let mut counters = [0; STATS];
                     for c in &mut counters {
                         *c = r.u64()?;
                     }
@@ -1201,11 +1045,22 @@ mod tests {
         let db = TpchDb::generate(0.001);
         let table = db.table(TpchTable::Nation);
         let writer = Mutex::new(CountingWrite::default());
-        send_reply(&writer, |out| put_stage_done(out, 7, 2, 25, Some(table))).unwrap();
-        send_reply(&writer, |out| put_stage_done(out, 7, 3, 0, None)).unwrap();
+        let done = |rows, table| StageReply::Done {
+            rows,
+            table,
+            profile: None,
+        };
+        let replies = [
+            done(25, Some(table.clone())),
+            done(0, None),
+            StageReply::Refused("does not compile".into()),
+        ];
+        for (stage, reply) in (2..).zip(&replies) {
+            send_reply(&writer, |out| put_stage_reply(out, 7, stage, reply)).unwrap();
+        }
         send_reply(&writer, |out| serial::put_u8(out, OP_JOIN_OK)).unwrap();
         let w = writer.into_inner();
-        assert_eq!(w.writes, 3, "one write per control frame");
+        assert_eq!(w.writes, 4, "one write per control frame");
 
         let mut wire = &w.bytes[..];
         let frame = read_frame(&mut wire).unwrap();
@@ -1220,6 +1075,12 @@ mod tests {
         let frame = read_frame(&mut wire).unwrap();
         assert_eq!(frame.len(), 1 + 4 + 4 + 8 + 1);
         assert_eq!(frame.last(), Some(&0));
+        let frame = read_frame(&mut wire).unwrap();
+        let mut r = Rd::new(&frame);
+        assert_eq!(r.u8().unwrap(), OP_STAGE_FAIL);
+        assert_eq!((r.u32().unwrap(), r.u32().unwrap()), (7, 4));
+        assert_eq!(r.u8().unwrap(), 1, "refused: the stage does not compile");
+        assert_eq!(r.str().unwrap(), "does not compile");
         assert_eq!(read_frame(&mut wire).unwrap(), [OP_JOIN_OK]);
         assert!(wire.is_empty());
     }
@@ -1230,7 +1091,8 @@ mod tests {
         let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
         // Node 1's answer to a `Stats` that timed out is still in the
         // channel when both nodes answer the `Load` that follows it.
-        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6]))).unwrap();
+        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6, 7])))
+            .unwrap();
         tx.send((0, loaded(13))).unwrap();
         tx.send((1, loaded(12))).unwrap();
         let pick_load = |reply| match reply {

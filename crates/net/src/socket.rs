@@ -46,7 +46,7 @@ use crate::transport::{Doorbell, Transport, TransportEvent};
 pub const WIRE_MAGIC: u32 = 0x4853_5150;
 /// Protocol version of the handshake, framing, and control opcodes.
 /// Bumped on any incompatible change; mismatches are rejected loudly.
-pub const WIRE_VERSION: u16 = 1;
+pub const WIRE_VERSION: u16 = 2;
 /// Upper bound on a single frame (sanity check against corrupt lengths).
 pub const MAX_FRAME: usize = 1 << 30;
 

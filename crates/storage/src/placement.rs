@@ -159,8 +159,6 @@ pub enum Placement {
     /// Hash-partitioned by the first primary-key attribute (the placement
     /// MemSQL/Vectorwise use). Enables partially-local joins.
     Partitioned,
-    /// Fully replicated on every node (used for small dimension tables).
-    Replicated,
 }
 
 /// Split a table into `n` contiguous chunks of near-equal size ("as

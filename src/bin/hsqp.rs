@@ -662,7 +662,6 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
         engine: RemoteEngineConfig {
             workers_per_node: args.workers,
             message_capacity: args.message_kb * 1024,
-            ..RemoteEngineConfig::default()
         },
         max_concurrent: args.clients,
         tenants: args.tenants.clone(),

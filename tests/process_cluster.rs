@@ -3,8 +3,8 @@
 //! against the in-process simulated cluster plus failure containment when
 //! a node process is killed mid-query.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod support;
+
 use std::time::Duration;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
@@ -13,48 +13,7 @@ use hsqp::engine::queries::tpch_logical;
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::EngineError;
 
-/// A spawned `hsqp-node` child process, killed on drop so a failing test
-/// cannot leak servers.
-struct NodeProc {
-    child: Child,
-    addr: String,
-}
-
-impl NodeProc {
-    /// Spawn a node on an OS-assigned port and parse the bound address
-    /// from its single stdout line.
-    fn spawn() -> NodeProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_hsqp-node"))
-            .args(["--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn hsqp-node");
-        let stdout = child.stdout.take().expect("child stdout piped");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read listen banner");
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("address in banner")
-            .to_string();
-        assert!(
-            line.starts_with("hsqp-node listening on"),
-            "unexpected banner: {line:?}"
-        );
-        NodeProc { child, addr }
-    }
-}
-
-impl Drop for NodeProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+use support::NodeProc;
 
 fn spawn_cluster(n: usize) -> (Vec<NodeProc>, ProcessCluster) {
     let nodes: Vec<NodeProc> = (0..n).map(|_| NodeProc::spawn()).collect();

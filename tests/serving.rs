@@ -6,9 +6,10 @@
 //! in-thread `NodeServer`s, since the serving layer is one `Coordinator`
 //! over either — plus an open-loop CLI smoke over both.
 
-use std::io::{BufRead, BufReader};
+mod support;
+
 use std::ops::Deref;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
@@ -17,7 +18,9 @@ use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, Query};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::{SubmitOptions, TenantConfig};
-use hsqp::engine::{Coordinator, NodeServer};
+use hsqp::engine::Coordinator;
+
+use support::{loopback_nodes, NodeProc};
 
 /// A loaded 2-node cluster with a single dispatcher slot. The cases see
 /// only its [`Coordinator`]; dropping it shuts the cluster down.
@@ -50,16 +53,7 @@ fn simulated(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
 /// coordinator connected to them over loopback TCP.
 fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
     eprintln!("on node servers over sockets"); // shown with a failure
-    let addrs: Vec<String> = (0..2)
-        .map(|_| {
-            let server = NodeServer::bind("127.0.0.1:0").expect("bind node");
-            let addr = server.local_addr().expect("node address").to_string();
-            std::thread::spawn(move || {
-                let _ = server.run();
-            });
-            addr
-        })
-        .collect();
+    let addrs = loopback_nodes(2);
     let cfg = ProcessClusterConfig {
         max_concurrent: 1,
         tenants: owned(tenants),
@@ -356,42 +350,6 @@ fn admission_cap_rejects_over_queue_submissions() {
 // ---------------------------------------------------------------------------
 // Open-loop CLI smoke over both backends
 // ---------------------------------------------------------------------------
-
-/// A spawned `hsqp-node` child process, killed on drop.
-struct NodeProc {
-    child: Child,
-    addr: String,
-}
-
-impl NodeProc {
-    fn spawn() -> NodeProc {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_hsqp-node"))
-            .args(["--listen", "127.0.0.1:0"])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn hsqp-node");
-        let stdout = child.stdout.take().expect("child stdout piped");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read listen banner");
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("address in banner")
-            .to_string();
-        NodeProc { child, addr }
-    }
-}
-
-impl Drop for NodeProc {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
 
 /// Run `hsqp` with the given extra args and return stdout, asserting
 /// success.

@@ -1,16 +1,78 @@
 //! What the integration tests share: the reference evaluator
-//! ([`oracle`]) and the one comparison of an engine result with its
-//! answer.
+//! ([`oracle`]), the one comparison of an engine result with its answer,
+//! and the two ways to stand up node servers for a socket cluster.
 
 #![allow(dead_code)]
 
 pub mod oracle;
 
 use std::cmp::Ordering;
+use std::io::{BufRead, BufReader};
+use std::process::{Child, Command, Stdio};
 
+use hsqp::engine::NodeServer;
 use hsqp::storage::{Table, Value};
 
 use oracle::{Answer, Rel, Ty};
+
+/// A spawned `hsqp-node` child process, killed on drop so a failing test
+/// cannot leak servers.
+pub struct NodeProc {
+    pub child: Child,
+    pub addr: String,
+}
+
+impl NodeProc {
+    /// Spawn a node on an OS-assigned port and parse the bound address
+    /// from its single stdout line.
+    pub fn spawn() -> NodeProc {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hsqp-node"))
+            .args(["--listen", "127.0.0.1:0"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn hsqp-node");
+        let stdout = child.stdout.take().expect("child stdout piped");
+        let mut line = String::new();
+        BufReader::new(stdout)
+            .read_line(&mut line)
+            .expect("read listen banner");
+        let addr = line
+            .trim()
+            .rsplit(' ')
+            .next()
+            .expect("address in banner")
+            .to_string();
+        assert!(
+            line.starts_with("hsqp-node listening on"),
+            "unexpected banner: {line:?}"
+        );
+        NodeProc { child, addr }
+    }
+}
+
+impl Drop for NodeProc {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// `n` node servers on threads of this process (stand-ins for `hsqp-node`
+/// children; they exit when the coordinator shuts them down): their
+/// loopback addresses.
+pub fn loopback_nodes(n: usize) -> Vec<String> {
+    (0..n)
+        .map(|_| {
+            let server = NodeServer::bind("127.0.0.1:0").expect("bind node");
+            let addr = server.local_addr().expect("node address").to_string();
+            std::thread::spawn(move || {
+                let _ = server.run();
+            });
+            addr
+        })
+        .collect()
+}
 
 /// Two cells agree: equal, or floats within a relative 1e-6 (sums of the
 /// same numbers in another order), or both NaN.

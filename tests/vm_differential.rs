@@ -28,7 +28,7 @@ use hsqp::engine::plan::Plan;
 use hsqp::engine::planner::{Planner, PlannerConfig};
 use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::vm::{compile_stage, EvalVec, ExprProgram, VecData};
-use hsqp::engine::{Coordinator, EngineError, NodeServer, ProcessCluster, ProcessClusterConfig};
+use hsqp::engine::{Coordinator, EngineError, ProcessCluster, ProcessClusterConfig};
 use hsqp::storage::{date_from_ymd, Column, DataType, Field, Schema, Table, Value};
 use hsqp::tpch::{schema as tpch_schema, TpchTable};
 
@@ -604,54 +604,39 @@ fn q6_filter_compiles_and_annotates() {
 }
 
 /// A filter adding a number to a string cannot be typed. Submitted to
-/// `cluster`, it must come back as an error, and the next query must still
-/// return the right rows.
-fn untypable_filter_fails(cluster: &Coordinator) -> EngineError {
+/// `cluster`, it must come back as a planner error before any stage ran,
+/// and the next query must still return the right rows.
+fn untypable_filter_fails(cluster: &Coordinator) {
     let bad = Plan::scan(TpchTable::Lineitem)
         .filter(col("l_comment").add(lit(1)).gt(lit(0)))
         .gather();
     let nations = Plan::scan_cols(TpchTable::Nation, &["n_nationkey"]).gather();
-    let err = cluster
-        .run_plan(&bad)
-        .expect_err("an untypable filter must fail");
+    let executed = || cluster.metrics().counter("stages.executed");
+    let before = executed();
+    match cluster.run_plan(&bad) {
+        Err(EngineError::Planner(msg)) => assert!(msg.contains("does not compile"), "{msg}"),
+        other => panic!("expected a planner error, got {other:?}"),
+    }
+    assert_eq!(executed(), before, "a stage of the bad query ran");
     assert_eq!(cluster.run_plan(&nations).unwrap().row_count(), 25);
-    err
+    assert_eq!(executed(), before.map(|n| n + 1));
 }
 
 #[test]
 fn untypable_expressions_fail_as_planner_errors_before_running() {
+    // Every node refuses the stage, on either cluster, and keeps serving.
     let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
     cluster.load_tpch(0.001).unwrap();
-    let executed = || cluster.metrics().counter("stages.executed");
-    let before = executed();
-    match untypable_filter_fails(&cluster) {
-        EngineError::Planner(msg) => assert!(msg.contains("does not compile"), "{msg}"),
-        other => panic!("expected a planner error, got {other:?}"),
-    }
-    // No stage of the bad query ran; the good one did.
-    assert_eq!(executed(), before.map(|n| n + 1));
+    untypable_filter_fails(&cluster);
     cluster.shutdown();
 
-    // Over sockets every node refuses the stage, and keeps serving.
-    let addrs: Vec<String> = (0..2)
-        .map(|_| {
-            let server = NodeServer::bind("127.0.0.1:0").unwrap();
-            let addr = server.local_addr().unwrap().to_string();
-            std::thread::spawn(move || {
-                let _ = server.run();
-            });
-            addr
-        })
-        .collect();
+    let addrs = support::loopback_nodes(2);
     let cfg = ProcessClusterConfig {
         reply_timeout: std::time::Duration::from_secs(10),
         ..ProcessClusterConfig::default()
     };
     let pc = ProcessCluster::connect(&addrs, cfg).unwrap();
     pc.load_tpch(0.001).unwrap();
-    match untypable_filter_fails(&pc) {
-        EngineError::Execution(msg) => assert!(msg.contains("does not compile"), "{msg}"),
-        other => panic!("expected the nodes' refusal, got {other:?}"),
-    }
+    untypable_filter_fails(&pc);
     pc.shutdown();
 }
