@@ -622,18 +622,12 @@ impl<'a> NodeExec<'a> {
                         // Filter to a selection vector first, then gather
                         // only the surviving rows of the projected columns
                         // — never materializing pruned columns.
-                        let indices = self.filter_indices(&t, self.filter_at(idx));
-                        Batch::Owned(match project {
-                            Some(names) => {
-                                let cols: Vec<usize> =
-                                    names.iter().map(|n| t.schema().index_of(n)).collect();
-                                Table::new(
-                                    t.schema().project(&cols),
-                                    cols.iter().map(|&c| t.column(c).gather(&indices)).collect(),
-                                )
-                            }
-                            None => t.gather(&indices),
-                        })
+                        let rows = self.filter_indices(&t, self.filter_at(idx));
+                        let cols: Vec<usize> = match project {
+                            Some(names) => names.iter().map(|n| t.schema().index_of(n)).collect(),
+                            None => (0..t.schema().len()).collect(),
+                        };
+                        Batch::Owned(gather_rows(&t, &cols, &rows))
                     }
                     (None, Some(names)) => Batch::Owned(project_table(&t, names)),
                     // No transform: share the loaded relation.
@@ -654,8 +648,9 @@ impl<'a> NodeExec<'a> {
             Plan::Filter { input, .. } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
-                let indices = self.filter_indices(&t, self.filter_at(idx));
-                (Batch::Owned(t.gather(&indices)), rows_in)
+                let rows = self.filter_indices(&t, self.filter_at(idx));
+                let cols: Vec<usize> = (0..t.schema().len()).collect();
+                (Batch::Owned(gather_rows(&t, &cols, &rows)), rows_in)
             }
             Plan::Map { input, outputs } => {
                 let t = self.execute_at(input, idx + 1);
@@ -753,25 +748,52 @@ impl<'a> NodeExec<'a> {
         filter.unwrap_or_else(|| panic!("operator {idx} has no compiled filter"))
     }
 
-    /// Evaluate a predicate morsel-parallel into a sorted selection vector.
-    fn filter_indices(&self, t: &Table, prog: &ExprProgram) -> Vec<usize> {
+    /// Evaluate a predicate morsel-parallel into an ascending selection
+    /// vector: each worker selects into one reused vector and appends what
+    /// a morsel kept to its own rows, and the workers' runs are
+    /// concatenated in morsel order.
+    fn filter_indices(&self, t: &Table, prog: &ExprProgram) -> Vec<u32> {
+        struct Kept {
+            rows: Vec<u32>,
+            /// (morsel start, its rows in `rows`), in the order claimed.
+            morsels: Vec<(usize, Range<usize>)>,
+            sel: Vec<u32>,
+        }
         let bound = bind(prog, t);
-        let parts = self.ctx.driver.run(
+        let mut parts = self.ctx.driver.run(
             t.rows(),
-            |_| Vec::<usize>::new(),
-            |keep, _, m| {
+            |_| Kept {
+                rows: Vec::new(),
+                morsels: Vec::new(),
+                sel: Vec::new(),
+            },
+            |kept, _, m| {
                 self.check_cancel();
-                let mask = bound.eval_mask(t, m.range(), self.params);
-                for (i, k) in mask.into_iter().enumerate() {
-                    if k {
-                        keep.push(m.start + i);
-                    }
-                }
+                bound.select(t, m.range(), self.params, &mut kept.sel);
+                let from = kept.rows.len();
+                kept.rows.extend_from_slice(&kept.sel);
+                kept.morsels.push((m.start, from..kept.rows.len()));
             },
         );
-        let mut indices: Vec<usize> = parts.into_iter().flatten().collect();
-        indices.sort_unstable();
-        indices
+        // A worker claims morsels in ascending order, so one worker's rows
+        // are already in order.
+        if parts.len() == 1 {
+            return parts.pop().map(|k| k.rows).unwrap_or_default();
+        }
+        let mut runs: Vec<(usize, &[u32])> = parts
+            .iter()
+            .flat_map(|k| {
+                k.morsels
+                    .iter()
+                    .map(|(start, r)| (*start, &k.rows[r.clone()]))
+            })
+            .collect();
+        runs.sort_unstable_by_key(|(start, _)| *start);
+        let mut rows = Vec::with_capacity(runs.iter().map(|(_, r)| r.len()).sum());
+        for (_, r) in runs {
+            rows.extend_from_slice(r);
+        }
+        rows
     }
 
     fn parallel_map(&self, t: &Table, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
@@ -1223,6 +1245,25 @@ impl BatchSource for Landing<'_, '_> {
 fn project_table(t: &Table, names: &[String]) -> Table {
     let idx: Vec<usize> = names.iter().map(|n| t.schema().index_of(n)).collect();
     t.project(&idx)
+}
+
+/// Columns `cols` of `t` at `rows` (a selection from `filter_indices`),
+/// each gathered onto a column reserved for them.
+fn gather_rows(t: &Table, cols: &[usize], rows: &[u32]) -> Table {
+    let schema = t.schema().project(cols);
+    let columns = cols
+        .iter()
+        .zip(schema.fields())
+        .map(|(&c, f)| {
+            let src = t.column(c);
+            let mut out = Column::empty(f.dtype);
+            // As large a share of the string bytes as of the rows.
+            out.reserve(rows.len(), src.str_bytes() * rows.len() / src.len().max(1));
+            out.extend_gather(src, rows);
+            out
+        })
+        .collect();
+    Table::new(schema, columns)
 }
 
 /// Bind `prog` to `t`; a program that does not bind fails the stage.

@@ -327,74 +327,202 @@ impl Expr {
     }
 }
 
-/// Whether ordering `o` satisfies comparison `op` — the single definition
-/// shared by constant folding and the compiled VM so the two can never
-/// disagree. Inlined: the VM's comparison kernels call it once per row from
-/// another module, which may land in another codegen unit.
-#[inline]
-pub(crate) fn cmp_keeps(op: CmpOp, o: std::cmp::Ordering) -> bool {
+/// A comparison operator as a type: what it keeps is the single definition
+/// shared by constant folding and the compiled VM, so the two can never
+/// disagree, and a VM kernel generic over it compiles one loop per
+/// operator with the comparison inlined. Over floats every operator, `<>`
+/// included, is false when an operand is NaN.
+pub(crate) trait Keeps {
+    /// Whether `a` and `b` satisfy the operator.
+    fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool;
+}
+
+/// The six [`CmpOp`]s as [`Keeps`] types.
+pub(crate) mod op {
     use std::cmp::Ordering;
-    match op {
-        CmpOp::Eq => o == Ordering::Equal,
-        CmpOp::Ne => o != Ordering::Equal,
-        CmpOp::Lt => o == Ordering::Less,
-        CmpOp::Le => o != Ordering::Greater,
-        CmpOp::Gt => o == Ordering::Greater,
-        CmpOp::Ge => o != Ordering::Less,
+
+    use super::Keeps;
+
+    /// `=`
+    pub(crate) struct Eq;
+    /// `<>`
+    pub(crate) struct Ne;
+    /// `<`
+    pub(crate) struct Lt;
+    /// `<=`
+    pub(crate) struct Le;
+    /// `>`
+    pub(crate) struct Gt;
+    /// `>=`
+    pub(crate) struct Ge;
+
+    impl Keeps for Eq {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            a == b
+        }
+    }
+
+    impl Keeps for Ne {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            matches!(a.partial_cmp(b), Some(Ordering::Less | Ordering::Greater))
+        }
+    }
+
+    impl Keeps for Lt {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            a < b
+        }
+    }
+
+    impl Keeps for Le {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            a <= b
+        }
+    }
+
+    impl Keeps for Gt {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            a > b
+        }
+    }
+
+    impl Keeps for Ge {
+        #[inline]
+        fn keeps<T: PartialOrd + ?Sized>(a: &T, b: &T) -> bool {
+            a >= b
+        }
     }
 }
 
-/// A compiled `%`-wildcard LIKE pattern.
+/// Whether `a op b` holds, dispatching on `op` per call (constant folding;
+/// the VM dispatches once per vector).
+fn cmp_holds<T: PartialOrd + ?Sized>(op: CmpOp, a: &T, b: &T) -> bool {
+    match op {
+        CmpOp::Eq => op::Eq::keeps(a, b),
+        CmpOp::Ne => op::Ne::keeps(a, b),
+        CmpOp::Lt => op::Lt::keeps(a, b),
+        CmpOp::Le => op::Le::keeps(a, b),
+        CmpOp::Gt => op::Gt::keeps(a, b),
+        CmpOp::Ge => op::Ge::keeps(a, b),
+    }
+}
+
+/// A compiled `%`-wildcard LIKE pattern, matched over bytes (a `%`-free
+/// UTF-8 part found in UTF-8 text always starts on a character boundary).
 #[derive(Debug, Clone)]
 pub struct LikeMatcher {
-    parts: Vec<String>,
+    parts: Vec<Needle>,
     anchored_start: bool,
     anchored_end: bool,
 }
 
 impl LikeMatcher {
-    /// Compile `pattern`.
+    /// Compile `pattern`: split it at its `%`s and prepare a search for
+    /// every part once.
     pub fn new(pattern: &str) -> Self {
         Self {
             parts: pattern
                 .split('%')
                 .filter(|p| !p.is_empty())
-                .map(str::to_owned)
+                .map(|p| Needle::new(p.as_bytes()))
                 .collect(),
             anchored_start: !pattern.starts_with('%'),
             anchored_end: !pattern.ends_with('%'),
         }
     }
 
-    /// Whether `text` matches the pattern.
-    pub fn matches(&self, text: &str) -> bool {
-        if self.parts.is_empty() {
+    /// Whether `text` (a string or its bytes) matches the pattern.
+    #[inline]
+    pub fn matches(&self, text: impl AsRef<[u8]>) -> bool {
+        self.matches_bytes(text.as_ref())
+    }
+
+    /// An anchored first part is a prefix, an anchored last part a suffix
+    /// of what the prefix leaves, and every other part is found, leftmost
+    /// first, in what lies between.
+    fn matches_bytes(&self, text: &[u8]) -> bool {
+        let mut parts = self.parts.as_slice();
+        if parts.is_empty() {
             // Pattern was "" (matches only empty text) or all-% (matches
             // everything).
             return !(self.anchored_start && self.anchored_end) || text.is_empty();
         }
         let mut rest = text;
-        for (i, part) in self.parts.iter().enumerate() {
-            let first = i == 0;
-            let last = i + 1 == self.parts.len();
-            if first && self.anchored_start {
-                if !rest.starts_with(part.as_str()) {
-                    return false;
-                }
-                rest = &rest[part.len()..];
-                if last && self.anchored_end {
-                    return rest.is_empty();
-                }
-            } else if last && self.anchored_end {
-                return rest.ends_with(part.as_str());
-            } else {
-                match rest.find(part.as_str()) {
-                    Some(pos) => rest = &rest[pos + part.len()..],
-                    None => return false,
-                }
+        if self.anchored_start {
+            let Some(tail) = rest.strip_prefix(&*parts[0].bytes) else {
+                return false;
+            };
+            rest = tail;
+            parts = &parts[1..];
+            if parts.is_empty() {
+                return !self.anchored_end || rest.is_empty();
+            }
+        }
+        if self.anchored_end {
+            let (last, middle) = parts.split_last().expect("a part is left");
+            let Some(head) = rest.strip_suffix(&*last.bytes) else {
+                return false;
+            };
+            rest = head;
+            parts = middle;
+        }
+        for part in parts {
+            match part.find(rest) {
+                Some(at) => rest = &rest[at + part.bytes.len()..],
+                None => return false,
             }
         }
         true
+    }
+}
+
+/// A non-empty byte string searched for with Horspool's algorithm: when
+/// the window's last byte is `c`, the next window that can hold a match
+/// starts `skip[c]` bytes further on.
+#[derive(Clone)]
+struct Needle {
+    bytes: Box<[u8]>,
+    /// Shifts above 255 are stored as 255: a shorter shift is never wrong.
+    skip: Box<[u8; 256]>,
+}
+
+impl Needle {
+    fn new(bytes: &[u8]) -> Needle {
+        let last = bytes.len() - 1;
+        let cap = |shift: usize| u8::try_from(shift).unwrap_or(u8::MAX);
+        let mut skip = Box::new([cap(bytes.len()); 256]);
+        for (i, &b) in bytes[..last].iter().enumerate() {
+            skip[usize::from(b)] = cap(last - i);
+        }
+        Needle {
+            bytes: bytes.into(),
+            skip,
+        }
+    }
+
+    /// Where the first occurrence in `hay` starts.
+    fn find(&self, hay: &[u8]) -> Option<usize> {
+        let (&end, init) = self.bytes.split_last().expect("needles are not empty");
+        let last = init.len();
+        let mut at = 0;
+        while let Some(&c) = hay.get(at + last) {
+            if c == end && hay[at..at + last] == *init {
+                return Some(at);
+            }
+            at += usize::from(self.skip[usize::from(c)]);
+        }
+        None
+    }
+}
+
+impl std::fmt::Debug for Needle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{:?}", String::from_utf8_lossy(&self.bytes))
     }
 }
 
@@ -436,14 +564,11 @@ pub(crate) fn fold_const(e: &Expr) -> Option<FoldVal> {
         Expr::Cmp(op, a, b) => {
             let (a, b) = (fold_const(a)?, fold_const(b)?);
             let ok = match (&a, &b) {
-                (FoldVal::I64(x), FoldVal::I64(y)) => cmp_keeps(*op, x.cmp(y)),
-                (FoldVal::Str(x), FoldVal::Str(y)) => cmp_keeps(*op, x.as_str().cmp(y)),
-                _ => {
-                    let (x, y) = (a.as_f64()?, b.as_f64()?);
-                    // NaN comparisons are false for every operator,
-                    // including `<>`, exactly like the VM's `cmp_f64`.
-                    x.partial_cmp(&y).is_some_and(|o| cmp_keeps(*op, o))
-                }
+                (FoldVal::I64(x), FoldVal::I64(y)) => cmp_holds(*op, x, y),
+                (FoldVal::Str(x), FoldVal::Str(y)) => cmp_holds(*op, x.as_bytes(), y.as_bytes()),
+                // NaN comparisons are false for every operator, including
+                // `<>`, exactly like the VM's float kernels.
+                _ => cmp_holds(*op, &a.as_f64()?, &b.as_f64()?),
             };
             Some(FoldVal::Bool(ok))
         }
@@ -541,15 +666,71 @@ pub(crate) fn fold_const(e: &Expr) -> Option<FoldVal> {
 mod tests {
     use super::*;
 
+    fn like(pattern: &str, text: &str) -> bool {
+        LikeMatcher::new(pattern).matches(text)
+    }
+
     #[test]
     fn like_patterns() {
-        assert!(LikeMatcher::new("PROMO%").matches("PROMO POLISHED TIN"));
-        assert!(!LikeMatcher::new("PROMO%").matches("STANDARD TIN"));
-        assert!(LikeMatcher::new("%BRASS").matches("LARGE PLATED BRASS"));
-        assert!(LikeMatcher::new("%special%requests%").matches("xx special yy requests zz"));
-        assert!(!LikeMatcher::new("%special%requests%").matches("requests then special"));
-        assert!(LikeMatcher::new("green").matches("green"));
-        assert!(!LikeMatcher::new("green").matches("greenish"));
+        assert!(like("PROMO%", "PROMO POLISHED TIN"));
+        assert!(!like("PROMO%", "STANDARD TIN"));
+        assert!(like("%BRASS", "LARGE PLATED BRASS"));
+        assert!(like("%special%requests%", "xx special yy requests zz"));
+        assert!(!like("%special%requests%", "requests then special"));
+        assert!(like("green", "green"));
+        assert!(!like("green", "greenish"));
+    }
+
+    #[test]
+    fn like_finds_overlapping_and_self_repeating_parts() {
+        // A window that fails on its last byte must not skip the match
+        // that starts one byte later.
+        assert!(like("%aab%", "aaab"));
+        assert!(like("%abab%", "abaabab"));
+        assert!(!like("%abab%", "abaaba"));
+        assert!(like("%aa%aa%", "aaaa"));
+        assert!(!like("%aa%aa%", "aaa"));
+        assert!(like("%xy%", "xy"));
+        assert!(like("%b%", "aaab"));
+        assert!(!like("%b%", "aaaa"));
+        let long = "q".repeat(300);
+        assert!(like(&format!("%{long}%"), &format!("zz{long}z")));
+        assert!(!like(&format!("%{long}%"), &long[1..]));
+    }
+
+    #[test]
+    fn like_anchors_both_ends_without_overlap() {
+        assert!(like("a%b", "ab"));
+        assert!(like("a%b", "axxb"));
+        assert!(!like("a%b", "a"));
+        assert!(!like("a%a", "a"));
+        assert!(like("a%a", "aa"));
+        assert!(like("ab%b%ab", "abbab"));
+        assert!(!like("ab%b%ab", "abab"));
+        assert!(like("a%%b", "ab"));
+    }
+
+    #[test]
+    fn like_edge_patterns() {
+        for text in ["", "x", "any text"] {
+            assert!(like("%", text));
+            assert!(like("%%", text));
+        }
+        assert!(like("", ""));
+        assert!(!like("", "x"));
+        assert!(!like("x", ""));
+        assert!(!like("%x", ""));
+    }
+
+    #[test]
+    fn like_matches_multibyte_text_bytewise() {
+        assert!(like("%é%", "café au lait"));
+        assert!(like("caf%", "café"));
+        assert!(like("%日本%", "これは日本語"));
+        assert!(!like("%日本%", "日 本"));
+        assert!(like("日%語", "日本語"));
+        assert!(like("%ße", "straße"));
+        assert!(!like("%ß", "straße"));
     }
 
     #[test]

@@ -11,10 +11,22 @@
 //! type is only known at runtime (query parameters) compile to `*_dyn`
 //! instructions that dispatch once per vector.
 //!
-//! Execution keeps scalars (constants, parameters) unmaterialized and
-//! represents validity as a [`Bitmap`] alongside each value stack slot;
-//! boolean results are always dense selection masks: NULL never passes a
-//! predicate.
+//! Execution keeps scalars (constants, parameters) unmaterialized, and a
+//! load over a morsel borrows the column's slice instead of copying it (a
+//! Decimal is promoted as it is read, a string compared as its bytes,
+//! never UTF-8-checked). Every stack slot carries its validity, truth
+//! values included: `NOT`, `AND` and `OR` follow SQL's three-valued
+//! (Kleene) logic, and `CASE` takes its `ELSE` branch where the condition
+//! is NULL.
+//!
+//! Filters run through [`BoundProgram::select`], which refines a `u32`
+//! selection vector (MonetDB/X100's technique): a top-level `AND` runs one
+//! conjunct at a time, each later conjunct only at the rows still
+//! selected, and the last comparison of each writes straight into the
+//! selection, shrinking it in place; no mask or copy is built per
+//! predicate. Any other predicate runs the same stack machine at the
+//! selected rows. Only there — `select`, and `eval_mask` on top of it — does
+//! NULL become "not selected".
 //!
 //! This is the engine's only expression evaluator: every filter, map output
 //! and aggregate input of a stage runs a program, and a site that does not
@@ -22,6 +34,7 @@
 //! checked against a row-at-a-time reference evaluator in the tests
 //! (`tests/support/oracle.rs`), which shares no code with this module.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
@@ -32,7 +45,7 @@ use hsqp_storage::{
 };
 use hsqp_tpch::TpchTable;
 
-use crate::expr::{cmp_keeps, fold_const, ArithOp, CmpOp, Expr, FoldVal, LikeMatcher};
+use crate::expr::{fold_const, op, ArithOp, CmpOp, Expr, FoldVal, Keeps, LikeMatcher};
 use crate::plan::{AggFunc, AggPhase, JoinKind, Plan};
 
 /// Static type of a compiled (sub)expression.
@@ -187,7 +200,7 @@ pub enum VecData {
     F64(Vec<f64>),
     /// Strings.
     Str(StringColumn),
-    /// Booleans (filter masks).
+    /// Truth values (unspecified where the validity says NULL).
     Bool(Vec<bool>),
 }
 
@@ -282,19 +295,19 @@ enum Inst {
     Param(u16),
     /// Convert the top of stack from `i64` to `f64`.
     CastF64,
-    /// Typed comparisons → dense boolean mask.
+    /// Typed comparisons → truth values, NULL where an operand is.
     CmpI64(CmpOp),
     /// Float comparison (`NaN` compares false for every operator).
     CmpF64(CmpOp),
-    /// Lexicographic string comparison.
+    /// Bytewise lexicographic string comparison.
     CmpStr(CmpOp),
     /// Comparison dispatching once per vector on runtime operand types.
     CmpDyn(CmpOp),
-    /// Pop `n` masks, push their conjunction.
+    /// Pop `n` truth values, push their (Kleene) conjunction.
     AndN(u16),
-    /// Pop `n` masks, push their disjunction.
+    /// Pop `n` truth values, push their (Kleene) disjunction.
     OrN(u16),
-    /// Negate the top mask.
+    /// Negate the top truth value (NULL stays NULL).
     Not,
     /// Integer arithmetic (never division).
     ArithI64(ArithOp),
@@ -330,6 +343,10 @@ enum Inst {
 #[derive(Debug, Clone)]
 pub struct ExprProgram {
     insts: Vec<Inst>,
+    /// Where each top-level conjunct's instructions end: a program that is
+    /// an `AND` is its conjuncts back to back and one `and` joining them.
+    /// Empty for any other program, which is one conjunct.
+    conjunct_ends: Vec<usize>,
     cols: Vec<ColRef>,
     strs: Vec<Box<str>>,
     likes: Vec<(LikeMatcher, String)>,
@@ -428,6 +445,34 @@ impl Compiler<'_> {
                 VmType::Bool
             }
         }
+    }
+
+    /// Emit the whole program: a conjunction (nested ones flattened) one
+    /// conjunct at a time, each recorded as an instruction range
+    /// [`BoundProgram::select`] runs on its own, then the `and` that joins
+    /// them for [`BoundProgram::eval`]; anything else as it is.
+    fn emit_top(&mut self, e: &Expr) -> Result<VmType, CompileError> {
+        fn flatten<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match e {
+                Expr::And(children) => children.iter().for_each(|c| flatten(c, out)),
+                other => out.push(other),
+            }
+        }
+        let mut conjuncts = Vec::new();
+        if matches!(e, Expr::And(_)) && fold_const(e).is_none() {
+            flatten(e, &mut conjuncts);
+        }
+        if conjuncts.len() < 2 {
+            return self.emit(e);
+        }
+        let n =
+            u16::try_from(conjuncts.len()).map_err(|_| CompileError("conjunction width".into()))?;
+        for c in conjuncts {
+            self.emit(c)?;
+            self.prog.conjunct_ends.push(self.prog.insts.len());
+        }
+        self.push(Inst::AndN(n));
+        Ok(VmType::Bool)
     }
 
     fn emit(&mut self, e: &Expr) -> Result<VmType, CompileError> {
@@ -653,6 +698,7 @@ impl ExprProgram {
             schema,
             prog: ExprProgram {
                 insts: Vec::new(),
+                conjunct_ends: Vec::new(),
                 cols: Vec::new(),
                 strs: Vec::new(),
                 likes: Vec::new(),
@@ -664,7 +710,7 @@ impl ExprProgram {
             counts,
             done: HashMap::new(),
         };
-        let emitted = c.emit(expr)?;
+        let emitted = c.emit_top(expr)?;
         debug_assert_eq!(emitted, out, "typing and emission disagree");
         Ok(c.prog)
     }
@@ -790,39 +836,108 @@ pub struct BoundProgram<'p> {
     col_idx: Vec<usize>,
 }
 
-/// Values in a stack slot: column vectors or unmaterialized scalars.
+/// The rows a program runs over and the parameters it reads.
+struct Frame<'a> {
+    table: &'a Table,
+    range: Range<usize>,
+    params: &'a [Value],
+}
+
+/// The positions of a morsel a kernel computes. Every vector on the stack
+/// is indexed by position in the morsel (position `p` is row
+/// `range.start + p`); outside the selection its values are unspecified,
+/// and no kernel reads them to compute a selected position.
+#[derive(Debug, Clone, Copy)]
+enum Sel<'s> {
+    /// Every position of the morsel.
+    All,
+    /// These positions.
+    Rows(&'s [u32]),
+}
+
+impl Sel<'_> {
+    /// A vector of `n` holding `f(p)` at every selected position.
+    #[inline]
+    fn collect<T: Copy + Default>(self, n: usize, f: impl Fn(usize) -> T) -> Vec<T> {
+        match self {
+            Sel::All => (0..n).map(f).collect(),
+            Sel::Rows(rows) => {
+                let mut out = vec![T::default(); n];
+                for &p in rows {
+                    out[p as usize] = f(p as usize);
+                }
+                out
+            }
+        }
+    }
+
+    /// Call `f` on every selected position of a vector of `n`.
+    #[inline]
+    fn for_each(self, n: usize, mut f: impl FnMut(usize)) {
+        match self {
+            Sel::All => (0..n).for_each(f),
+            Sel::Rows(rows) => rows.iter().for_each(|&p| f(p as usize)),
+        }
+    }
+}
+
+/// Values in a stack slot: a vector over the morsel's positions — a loaded
+/// column's slice, borrowed, or one a kernel computed — or an
+/// unmaterialized scalar.
 #[derive(Debug, Clone)]
-enum Vals {
-    I64(Vec<i64>),
-    F64(Vec<f64>),
-    Str(StringColumn),
+enum Vals<'a> {
+    I64(Cow<'a, [i64]>),
+    F64(Cow<'a, [f64]>),
+    /// A Decimal column's slice, promoted to `f64` where it is read.
+    Dec(&'a [i64]),
+    /// Strings: position `p` is string `base + p` of the column.
+    Str(Cow<'a, StringColumn>, usize),
+    /// Truth values; unspecified where the slot is NULL.
     Bool(Vec<bool>),
     ScalI64(i64),
     ScalF64(f64),
-    ScalStr(Box<str>),
+    ScalStr(&'a str),
     ScalBool(bool),
 }
 
-/// Validity of a stack slot.
+/// Validity of a stack slot. A scalar's is `All` or `Never`.
 #[derive(Debug, Clone)]
-enum Valid {
-    /// Every row valid.
+enum Valid<'a> {
+    /// Every position valid.
     All,
-    /// Every row NULL (an unbound-to-a-row NULL parameter).
+    /// Every position NULL (a NULL parameter).
     Never,
-    /// Per-row selection bitmap.
-    Mask(Bitmap),
+    /// Position `p` is valid when bit `base + p` is set: a loaded column's
+    /// bitmap, borrowed, or one a kernel computed (`base` 0).
+    Bits(Cow<'a, Bitmap>, usize),
+}
+
+impl Valid<'_> {
+    #[inline]
+    fn get(&self, p: usize) -> bool {
+        match self {
+            Valid::All => true,
+            Valid::Never => false,
+            Valid::Bits(bm, base) => bm.get(base + p),
+        }
+    }
+
+    /// Validity computed position by position.
+    fn computed(bits: impl Iterator<Item = bool>) -> Valid<'static> {
+        Valid::Bits(Cow::Owned(bits.collect()), 0)
+    }
 }
 
 #[derive(Debug, Clone)]
-struct Slot {
-    vals: Vals,
-    valid: Valid,
+struct Slot<'a> {
+    vals: Vals<'a>,
+    valid: Valid<'a>,
 }
 
-/// Typed per-row accessors: the dispatch happens once per vector when the
-/// accessor is built, after which `get` is a branch the CPU predicts
+/// Typed per-position readers: the dispatch happens once per vector when
+/// the reader is built, after which `get` is a branch the CPU predicts
 /// perfectly (always the same arm).
+#[derive(Clone, Copy)]
 enum I64s<'a> {
     V(&'a [i64]),
     S(i64),
@@ -830,46 +945,54 @@ enum I64s<'a> {
 
 impl I64s<'_> {
     #[inline]
-    fn get(&self, i: usize) -> i64 {
+    fn get(self, p: usize) -> i64 {
         match self {
-            I64s::V(v) => v[i],
-            I64s::S(x) => *x,
+            I64s::V(v) => v[p],
+            I64s::S(x) => x,
         }
     }
 }
 
+#[derive(Clone, Copy)]
 enum F64s<'a> {
     V(&'a [f64]),
-    Owned(Vec<f64>),
+    /// Decimal cents, promoted as they are read.
+    Dec(&'a [i64]),
+    /// Integers, converted as they are read (a parameter-typed operand).
+    Int(&'a [i64]),
     S(f64),
 }
 
 impl F64s<'_> {
     #[inline]
-    fn get(&self, i: usize) -> f64 {
+    fn get(self, p: usize) -> f64 {
         match self {
-            F64s::V(v) => v[i],
-            F64s::Owned(v) => v[i],
-            F64s::S(x) => *x,
+            F64s::V(v) => v[p],
+            F64s::Dec(v) => decimal_to_f64(v[p]),
+            F64s::Int(v) => v[p] as f64,
+            F64s::S(x) => x,
         }
     }
 }
 
+/// Strings as bytes: comparisons, `IN` and `LIKE` never check UTF-8.
+#[derive(Clone, Copy)]
 enum Strs<'a> {
-    V(&'a StringColumn),
-    S(&'a str),
+    V(&'a StringColumn, usize),
+    S(&'a [u8]),
 }
 
-impl Strs<'_> {
+impl<'a> Strs<'a> {
     #[inline]
-    fn get(&self, i: usize) -> &str {
+    fn get(self, p: usize) -> &'a [u8] {
         match self {
-            Strs::V(v) => v.get(i),
+            Strs::V(c, base) => c.bytes(base + p),
             Strs::S(s) => s,
         }
     }
 }
 
+#[derive(Clone, Copy)]
 enum Bools<'a> {
     V(&'a [bool]),
     S(bool),
@@ -877,68 +1000,41 @@ enum Bools<'a> {
 
 impl Bools<'_> {
     #[inline]
-    fn get(&self, i: usize) -> bool {
+    fn get(self, p: usize) -> bool {
         match self {
-            Bools::V(v) => v[i],
-            Bools::S(b) => *b,
+            Bools::V(v) => v[p],
+            Bools::S(b) => b,
         }
     }
 }
 
-impl Slot {
-    fn scal_bool(b: bool) -> Slot {
-        Slot {
-            vals: Vals::ScalBool(b),
-            valid: Valid::All,
-        }
-    }
-
-    fn dense_bool(mask: Vec<bool>) -> Slot {
-        Slot {
-            vals: Vals::Bool(mask),
-            valid: Valid::All,
-        }
-    }
-
-    #[inline]
-    fn is_valid(&self, i: usize) -> bool {
-        match &self.valid {
-            Valid::All => true,
-            Valid::Never => false,
-            Valid::Mask(bm) => bm.get(i),
-        }
-    }
-
-    fn all_valid(&self) -> bool {
-        matches!(self.valid, Valid::All)
-    }
-
+impl Vals<'_> {
     fn is_scalar(&self) -> bool {
         matches!(
-            self.vals,
+            self,
             Vals::ScalI64(_) | Vals::ScalF64(_) | Vals::ScalStr(_) | Vals::ScalBool(_)
         )
     }
 
     fn is_i64_kind(&self) -> bool {
-        matches!(self.vals, Vals::I64(_) | Vals::ScalI64(_))
+        matches!(self, Vals::I64(_) | Vals::ScalI64(_))
     }
 
     fn is_str_kind(&self) -> bool {
-        matches!(self.vals, Vals::Str(_) | Vals::ScalStr(_))
+        matches!(self, Vals::Str(..) | Vals::ScalStr(_))
     }
 
     fn kind_name(&self) -> &'static str {
-        match self.vals {
+        match self {
             Vals::I64(_) | Vals::ScalI64(_) => "integer",
-            Vals::F64(_) | Vals::ScalF64(_) => "float",
-            Vals::Str(_) | Vals::ScalStr(_) => "string",
+            Vals::F64(_) | Vals::Dec(_) | Vals::ScalF64(_) => "float",
+            Vals::Str(..) | Vals::ScalStr(_) => "string",
             Vals::Bool(_) | Vals::ScalBool(_) => "boolean",
         }
     }
 
     fn i64s(&self) -> Option<I64s<'_>> {
-        match &self.vals {
+        match self {
             Vals::I64(v) => Some(I64s::V(v)),
             Vals::ScalI64(x) => Some(I64s::S(*x)),
             _ => None,
@@ -946,58 +1042,75 @@ impl Slot {
     }
 
     fn f64s(&self) -> F64s<'_> {
-        match &self.vals {
+        match self {
             Vals::F64(v) => F64s::V(v),
+            Vals::Dec(v) => F64s::Dec(v),
+            Vals::I64(v) => F64s::Int(v),
             Vals::ScalF64(x) => F64s::S(*x),
-            Vals::I64(v) => F64s::Owned(v.iter().map(|&x| x as f64).collect()),
             Vals::ScalI64(x) => F64s::S(*x as f64),
-            _ => panic!(
+            other => panic!(
                 "expected numeric expression, got {} values",
-                self.kind_name()
+                other.kind_name()
             ),
         }
     }
 
     fn strs(&self) -> Strs<'_> {
-        match &self.vals {
-            Vals::Str(v) => Strs::V(v),
-            Vals::ScalStr(s) => Strs::S(s),
-            _ => panic!(
+        match self {
+            Vals::Str(c, base) => Strs::V(c, *base),
+            Vals::ScalStr(s) => Strs::S(s.as_bytes()),
+            other => panic!(
                 "expected string expression, got {} values",
-                self.kind_name()
+                other.kind_name()
             ),
         }
     }
 
     fn bools(&self) -> Bools<'_> {
-        match &self.vals {
+        match self {
             Vals::Bool(v) => Bools::V(v),
             Vals::ScalBool(b) => Bools::S(*b),
-            _ => panic!(
+            other => panic!(
                 "expected boolean expression, got {} values",
-                self.kind_name()
+                other.kind_name()
             ),
         }
     }
+}
 
-    /// Materialize into an [`EvalVec`].
+impl<'a> Slot<'a> {
+    fn scalar(vals: Vals<'a>) -> Slot<'a> {
+        Slot {
+            vals,
+            valid: Valid::All,
+        }
+    }
+
+    /// Materialize the `n` positions into an [`EvalVec`].
     fn finish(self, n: usize) -> EvalVec {
         let validity = match self.valid {
             Valid::All => None,
             Valid::Never => Some(Bitmap::filled(n, false)),
-            Valid::Mask(bm) => Some(bm),
+            Valid::Bits(bm, 0) if bm.len() == n => Some(bm.into_owned()),
+            Valid::Bits(bm, base) => Some((base..base + n).map(|i| bm.get(i)).collect()),
         };
         let data = match self.vals {
-            Vals::I64(v) => VecData::I64(v),
-            Vals::F64(v) => VecData::F64(v),
-            Vals::Str(v) => VecData::Str(v),
+            Vals::I64(v) => VecData::I64(v.into_owned()),
+            Vals::F64(v) => VecData::F64(v.into_owned()),
+            Vals::Dec(v) => VecData::F64(v.iter().map(|&x| decimal_to_f64(x)).collect()),
+            Vals::Str(Cow::Owned(c), 0) if c.len() == n => VecData::Str(c),
+            Vals::Str(c, base) => {
+                let mut out = StringColumn::new();
+                out.extend_rows(&c, base..base + n);
+                VecData::Str(out)
+            }
             Vals::Bool(v) => VecData::Bool(v),
             Vals::ScalI64(x) => VecData::I64(vec![x; n]),
             Vals::ScalF64(x) => VecData::F64(vec![x; n]),
             Vals::ScalStr(s) => {
                 let mut c = StringColumn::with_capacity(n, s.len());
                 for _ in 0..n {
-                    c.push(&s);
+                    c.push(s);
                 }
                 VecData::Str(c)
             }
@@ -1007,265 +1120,514 @@ impl Slot {
     }
 }
 
-fn load_valid(col: &Column, range: &Range<usize>) -> Valid {
+fn load_valid(col: &Column, base: usize) -> Valid<'_> {
     match col.validity() {
         None => Valid::All,
-        Some(bm) => Valid::Mask(range.clone().map(|i| bm.get(i)).collect()),
+        Some(bm) => Valid::Bits(Cow::Borrowed(bm), base),
     }
 }
 
-/// Fold both operands' validity into a freshly computed comparison mask
-/// (NULL comparisons are never true).
-fn mask_valid(mask: &mut [bool], a: &Slot, b: &Slot) {
-    if a.all_valid() && b.all_valid() {
-        return;
-    }
-    for (i, m) in mask.iter_mut().enumerate() {
-        *m = *m && a.is_valid(i) && b.is_valid(i);
-    }
-}
-
-fn cmp_i64(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    let msg = || panic!("integer comparison over non-integer values");
-    let (x, y) = (a.i64s().unwrap_or_else(msg), b.i64s().unwrap_or_else(msg));
-    if a.is_scalar() && b.is_scalar() {
-        let ok = cmp_keeps(op, x.get(0).cmp(&y.get(0))) && a.all_valid() && b.all_valid();
-        return Slot::scal_bool(ok);
-    }
-    let mut mask: Vec<bool> = (0..n)
-        .map(|i| cmp_keeps(op, x.get(i).cmp(&y.get(i))))
-        .collect();
-    mask_valid(&mut mask, a, b);
-    Slot::dense_bool(mask)
-}
-
-fn cmp_f64(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    let (x, y) = (a.f64s(), b.f64s());
-    if a.is_scalar() && b.is_scalar() {
-        let ok = x
-            .get(0)
-            .partial_cmp(&y.get(0))
-            .is_some_and(|o| cmp_keeps(op, o))
-            && a.all_valid()
-            && b.all_valid();
-        return Slot::scal_bool(ok);
-    }
-    let mut mask: Vec<bool> = (0..n)
-        .map(|i| {
-            x.get(i)
-                .partial_cmp(&y.get(i))
-                .is_some_and(|o| cmp_keeps(op, o))
-        })
-        .collect();
-    mask_valid(&mut mask, a, b);
-    Slot::dense_bool(mask)
-}
-
-fn cmp_str(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    let (x, y) = (a.strs(), b.strs());
-    if a.is_scalar() && b.is_scalar() {
-        let ok = cmp_keeps(op, x.get(0).cmp(y.get(0))) && a.all_valid() && b.all_valid();
-        return Slot::scal_bool(ok);
-    }
-    let mut mask: Vec<bool> = (0..n)
-        .map(|i| cmp_keeps(op, x.get(i).cmp(y.get(i))))
-        .collect();
-    mask_valid(&mut mask, a, b);
-    Slot::dense_bool(mask)
-}
-
-/// Runtime type dispatch for parameter-typed operands — once per vector, by
-/// the rule static typing applies: integers, strings, else floats.
-fn cmp_dyn(op: CmpOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    if a.is_i64_kind() && b.is_i64_kind() {
-        cmp_i64(op, a, b, n)
-    } else if a.is_str_kind() && b.is_str_kind() {
-        cmp_str(op, a, b, n)
-    } else {
-        cmp_f64(op, a, b, n)
-    }
-}
-
-fn merge_valid(a: &Slot, b: &Slot, n: usize) -> Valid {
-    match (&a.valid, &b.valid) {
-        (Valid::All, Valid::All) => Valid::All,
+/// Valid where both operands are.
+fn merge_valid<'a>(a: &Valid<'a>, b: &Valid<'a>, n: usize) -> Valid<'a> {
+    match (a, b) {
         (Valid::Never, _) | (_, Valid::Never) => Valid::Never,
-        _ => Valid::Mask((0..n).map(|i| a.is_valid(i) && b.is_valid(i)).collect()),
+        (Valid::All, v) | (v, Valid::All) => v.clone(),
+        (x, y) => Valid::computed((0..n).map(|p| x.get(p) && y.get(p))),
     }
 }
 
-fn arith_i64(op: ArithOp, a: &Slot, b: &Slot, n: usize) -> Slot {
+fn param(params: &[Value], i: usize) -> Slot<'_> {
+    match params
+        .get(i)
+        .unwrap_or_else(|| panic!("parameter {i} not bound"))
+    {
+        Value::I64(x) => Slot::scalar(Vals::ScalI64(*x)),
+        Value::F64(x) => Slot::scalar(Vals::ScalF64(*x)),
+        Value::Str(s) => Slot::scalar(Vals::ScalStr(s)),
+        // A NULL parameter is an integer zero that is never valid: it
+        // takes the integer kernels.
+        Value::Null => Slot {
+            vals: Vals::ScalI64(0),
+            valid: Valid::Never,
+        },
+    }
+}
+
+// -- predicates ---------------------------------------------------------------
+
+/// Where a predicate kernel's answers go.
+enum Out<'s> {
+    /// Into a truth-value slot, computed at the selected positions.
+    Slot(Sel<'s>),
+    /// Into `sel`, which keeps the positions where the predicate — negated
+    /// when `negate` — is true; never one where it is NULL. With `fill`,
+    /// `sel` holds every position of the morsel first.
+    Refine {
+        sel: &'s mut Vec<u32>,
+        fill: bool,
+        negate: bool,
+    },
+}
+
+/// Deliver the predicate `holds`, NULL where `valid` says, to `out`.
+#[inline]
+fn deliver<'a>(
+    out: Out<'_>,
+    n: usize,
+    valid: Valid<'a>,
+    holds: impl Fn(usize) -> bool,
+) -> Option<Slot<'a>> {
+    match out {
+        Out::Slot(sel) => Some(Slot {
+            vals: Vals::Bool(sel.collect(n, holds)),
+            valid,
+        }),
+        Out::Refine { sel, fill, negate } => {
+            let all = matches!(valid, Valid::All);
+            refine(sel, fill, n, |p| {
+                (all || valid.get(p)) & (holds(p) != negate)
+            });
+            None
+        }
+    }
+}
+
+/// Deliver a predicate whose answer is the same at every position.
+fn answer<'a>(out: Out<'_>, n: usize, valid: Valid<'a>, holds: bool) -> Option<Slot<'a>> {
+    match out {
+        Out::Slot(_) => Some(Slot {
+            vals: Vals::ScalBool(holds),
+            valid,
+        }),
+        refine => deliver(refine, n, valid, |_| holds),
+    }
+}
+
+/// Deliver a truth-value slot to `out`.
+fn keep_where(slot: Slot<'_>, n: usize, out: Out<'_>) {
+    let Slot { vals, valid } = slot;
+    match vals {
+        Vals::Bool(v) => deliver(out, n, valid, |p| v[p]),
+        Vals::ScalBool(b) => answer(out, n, valid, b),
+        other => panic!(
+            "expected boolean expression, got {} values",
+            other.kind_name()
+        ),
+    };
+}
+
+/// Shrink `sel` (with `fill`: every position below `n`) to the positions
+/// where `keep` holds, in order: each one is written and the write
+/// position advances by `keep`, so there is no branch to mispredict.
+#[inline]
+fn refine(sel: &mut Vec<u32>, fill: bool, n: usize, keep: impl Fn(usize) -> bool) {
+    let mut kept = 0;
+    if fill {
+        sel.clear();
+        sel.resize(n, 0);
+        for p in 0..n {
+            sel[kept] = p as u32;
+            kept += usize::from(keep(p));
+        }
+    } else {
+        for i in 0..sel.len() {
+            let p = sel[i];
+            sel[kept] = p;
+            kept += usize::from(keep(p as usize));
+        }
+    }
+    sel.truncate(kept);
+}
+
+/// The kernel family a comparison runs.
+#[derive(Debug, Clone, Copy)]
+enum Domain {
+    Int,
+    Float,
+    Str,
+}
+
+/// Run `$kernel::<O>(args)` with `O` the [`Keeps`] type of `$op`.
+macro_rules! by_op {
+    ($op:expr, $kernel:ident($($arg:expr),* $(,)?)) => {
+        match $op {
+            CmpOp::Eq => $kernel::<op::Eq>($($arg),*),
+            CmpOp::Ne => $kernel::<op::Ne>($($arg),*),
+            CmpOp::Lt => $kernel::<op::Lt>($($arg),*),
+            CmpOp::Le => $kernel::<op::Le>($($arg),*),
+            CmpOp::Gt => $kernel::<op::Gt>($($arg),*),
+            CmpOp::Ge => $kernel::<op::Ge>($($arg),*),
+        }
+    };
+}
+
+/// Compare `a` with `b` in `domain` — or, for a parameter-typed comparison
+/// (`None`), in the domain the operands' runtime kinds pick by the rule
+/// static typing applies: integers, strings, else floats. NULL where
+/// either operand is.
+fn compare<'a>(
+    domain: Option<Domain>,
+    op: CmpOp,
+    a: &Slot<'a>,
+    b: &Slot<'a>,
+    n: usize,
+    out: Out<'_>,
+) -> Option<Slot<'a>> {
+    // A scalar goes on the right: `c < x` is `x > c`.
+    if a.vals.is_scalar() && !b.vals.is_scalar() {
+        let flipped = match op {
+            CmpOp::Lt => CmpOp::Gt,
+            CmpOp::Le => CmpOp::Ge,
+            CmpOp::Gt => CmpOp::Lt,
+            CmpOp::Ge => CmpOp::Le,
+            symmetric => symmetric,
+        };
+        return compare(domain, flipped, b, a, n, out);
+    }
+    let domain = domain.unwrap_or(if a.vals.is_i64_kind() && b.vals.is_i64_kind() {
+        Domain::Int
+    } else if a.vals.is_str_kind() && b.vals.is_str_kind() {
+        Domain::Str
+    } else {
+        Domain::Float
+    });
+    let valid = merge_valid(&a.valid, &b.valid, n);
+    let (a, b) = (&a.vals, &b.vals);
+    match domain {
+        Domain::Int => by_op!(op, cmp_i64(a, b, n, valid, out)),
+        Domain::Float => by_op!(op, cmp_f64(a, b, n, valid, out)),
+        Domain::Str => by_op!(op, cmp_str(a, b, n, valid, out)),
+    }
+}
+
+const SCALAR_ON_THE_RIGHT: &str = "a scalar is compared on the right";
+
+fn cmp_i64<'a, O: Keeps>(
+    a: &Vals<'_>,
+    b: &Vals<'_>,
+    n: usize,
+    valid: Valid<'a>,
+    out: Out<'_>,
+) -> Option<Slot<'a>> {
+    let msg = || panic!("integer comparison over non-integer values");
+    match (a.i64s().unwrap_or_else(msg), b.i64s().unwrap_or_else(msg)) {
+        (I64s::S(x), I64s::S(y)) => answer(out, n, valid, O::keeps(&x, &y)),
+        (I64s::V(x), I64s::S(y)) => deliver(out, n, valid, |p| O::keeps(&x[p], &y)),
+        (I64s::V(x), I64s::V(y)) => deliver(out, n, valid, |p| O::keeps(&x[p], &y[p])),
+        (I64s::S(_), I64s::V(_)) => unreachable!("{SCALAR_ON_THE_RIGHT}"),
+    }
+}
+
+fn cmp_f64<'a, O: Keeps>(
+    a: &Vals<'_>,
+    b: &Vals<'_>,
+    n: usize,
+    valid: Valid<'a>,
+    out: Out<'_>,
+) -> Option<Slot<'a>> {
+    match (a.f64s(), b.f64s()) {
+        (F64s::S(x), F64s::S(y)) => answer(out, n, valid, O::keeps(&x, &y)),
+        (F64s::V(x), F64s::S(y)) => deliver(out, n, valid, |p| O::keeps(&x[p], &y)),
+        (F64s::Dec(x), F64s::S(y)) => {
+            deliver(out, n, valid, |p| O::keeps(&decimal_to_f64(x[p]), &y))
+        }
+        (F64s::S(_), _) => unreachable!("{SCALAR_ON_THE_RIGHT}"),
+        (x, y) => deliver(out, n, valid, |p| O::keeps(&x.get(p), &y.get(p))),
+    }
+}
+
+fn cmp_str<'a, O: Keeps>(
+    a: &Vals<'_>,
+    b: &Vals<'_>,
+    n: usize,
+    valid: Valid<'a>,
+    out: Out<'_>,
+) -> Option<Slot<'a>> {
+    match (a.strs(), b.strs()) {
+        (Strs::S(x), Strs::S(y)) => answer(out, n, valid, O::keeps(x, y)),
+        (Strs::V(c, base), Strs::S(y)) => {
+            deliver(out, n, valid, |p| O::keeps(c.bytes(base + p), y))
+        }
+        (Strs::S(_), Strs::V(..)) => unreachable!("{SCALAR_ON_THE_RIGHT}"),
+        (x, y) => deliver(out, n, valid, |p| O::keeps(x.get(p), y.get(p))),
+    }
+}
+
+// -- other kernels ------------------------------------------------------------
+
+/// Kleene `AND` (`is_and`) or `OR` over truth-value slots: a definite
+/// `false` decides an `AND` and a definite `true` an `OR`; where no child
+/// decides, the result is NULL if a child is.
+fn kleene<'a>(children: &[Slot<'a>], n: usize, is_and: bool) -> Slot<'a> {
+    let decisive = !is_and;
+    let decides = |c: &Slot<'_>, p: usize| c.valid.get(p) && c.vals.bools().get(p) == decisive;
+    if children.iter().all(|c| c.vals.is_scalar()) {
+        let decided = children.iter().any(|c| decides(c, 0));
+        let null = !decided && children.iter().any(|c| !c.valid.get(0));
+        return Slot {
+            vals: Vals::ScalBool(decided != is_and),
+            valid: if null { Valid::Never } else { Valid::All },
+        };
+    }
+    let mut decided = vec![false; n];
+    for c in children {
+        if let Valid::All = c.valid {
+            let v = c.vals.bools();
+            for (p, d) in decided.iter_mut().enumerate() {
+                *d |= v.get(p) == decisive;
+            }
+        } else {
+            for (p, d) in decided.iter_mut().enumerate() {
+                *d |= decides(c, p);
+            }
+        }
+    }
+    let valid = if children.iter().all(|c| matches!(c.valid, Valid::All)) {
+        Valid::All
+    } else {
+        Valid::computed((0..n).map(|p| decided[p] || children.iter().all(|c| c.valid.get(p))))
+    };
+    decided.iter_mut().for_each(|d| *d = *d != is_and);
+    Slot {
+        vals: Vals::Bool(decided),
+        valid,
+    }
+}
+
+/// `NOT`: NULL stays NULL.
+fn not(s: Slot<'_>) -> Slot<'_> {
+    let vals = match s.vals {
+        Vals::Bool(mut v) => {
+            v.iter_mut().for_each(|b| *b = !*b);
+            Vals::Bool(v)
+        }
+        Vals::ScalBool(b) => Vals::ScalBool(!b),
+        other => panic!(
+            "expected boolean expression, got {} values",
+            other.kind_name()
+        ),
+    };
+    Slot {
+        vals,
+        valid: s.valid,
+    }
+}
+
+fn cast_f64<'a>(s: Slot<'a>, sel: Sel<'_>, n: usize) -> Slot<'a> {
+    let vals = match s.vals {
+        Vals::I64(v) => Vals::F64(Cow::Owned(sel.collect(n, |p| v[p] as f64))),
+        Vals::ScalI64(x) => Vals::ScalF64(x as f64),
+        other => other,
+    };
+    Slot {
+        vals,
+        valid: s.valid,
+    }
+}
+
+fn arith_i64<'a>(op: ArithOp, a: Slot<'a>, b: Slot<'a>, sel: Sel<'_>, n: usize) -> Slot<'a> {
     let msg = || panic!("integer arithmetic over non-integer values");
-    let (x, y) = (a.i64s().unwrap_or_else(msg), b.i64s().unwrap_or_else(msg));
+    let (x, y) = (
+        a.vals.i64s().unwrap_or_else(msg),
+        b.vals.i64s().unwrap_or_else(msg),
+    );
     // Plain operators on purpose: overflow panics in debug builds and
     // wraps in release, which is why constant folding leaves it alone.
-    let f = |x: i64, y: i64| match op {
-        ArithOp::Add => x + y,
-        ArithOp::Sub => x - y,
-        ArithOp::Mul => x * y,
+    let vals = match op {
+        ArithOp::Add => zip_i64(x, y, sel, n, |x, y| x + y),
+        ArithOp::Sub => zip_i64(x, y, sel, n, |x, y| x - y),
+        ArithOp::Mul => zip_i64(x, y, sel, n, |x, y| x * y),
         ArithOp::Div => unreachable!("integer division compiles to float"),
     };
-    if a.is_scalar() && b.is_scalar() {
-        return Slot {
-            vals: Vals::ScalI64(f(x.get(0), y.get(0))),
-            valid: merge_valid(a, b, n),
-        };
-    }
     Slot {
-        vals: Vals::I64((0..n).map(|i| f(x.get(i), y.get(i))).collect()),
-        valid: merge_valid(a, b, n),
+        vals,
+        valid: merge_valid(&a.valid, &b.valid, n),
     }
 }
 
-fn arith_f64(op: ArithOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    let (x, y) = (a.f64s(), b.f64s());
-    let f = |x: f64, y: f64| match op {
-        ArithOp::Add => x + y,
-        ArithOp::Sub => x - y,
-        ArithOp::Mul => x * y,
-        ArithOp::Div => x / y,
+fn zip_i64(
+    x: I64s<'_>,
+    y: I64s<'_>,
+    sel: Sel<'_>,
+    n: usize,
+    f: impl Fn(i64, i64) -> i64,
+) -> Vals<'static> {
+    match (x, y) {
+        (I64s::S(x), I64s::S(y)) => Vals::ScalI64(f(x, y)),
+        _ => Vals::I64(Cow::Owned(sel.collect(n, |p| f(x.get(p), y.get(p))))),
+    }
+}
+
+fn arith_f64<'a>(op: ArithOp, a: Slot<'a>, b: Slot<'a>, sel: Sel<'_>, n: usize) -> Slot<'a> {
+    let valid = merge_valid(&a.valid, &b.valid, n);
+    let (a, b) = (a.vals, b.vals);
+    let vals = match op {
+        ArithOp::Add => zip_f64(a, b, sel, n, |x, y| x + y),
+        ArithOp::Sub => zip_f64(a, b, sel, n, |x, y| x - y),
+        ArithOp::Mul => zip_f64(a, b, sel, n, |x, y| x * y),
+        ArithOp::Div => zip_f64(a, b, sel, n, |x, y| x / y),
     };
-    if a.is_scalar() && b.is_scalar() {
-        return Slot {
-            vals: Vals::ScalF64(f(x.get(0), y.get(0))),
-            valid: merge_valid(a, b, n),
-        };
-    }
-    Slot {
-        vals: Vals::F64((0..n).map(|i| f(x.get(i), y.get(i))).collect()),
-        valid: merge_valid(a, b, n),
-    }
+    Slot { vals, valid }
 }
 
-fn arith_dyn(op: ArithOp, a: &Slot, b: &Slot, n: usize) -> Slot {
-    if a.is_i64_kind() && b.is_i64_kind() && op != ArithOp::Div {
-        arith_i64(op, a, b, n)
-    } else {
-        arith_f64(op, a, b, n)
-    }
-}
-
-fn and_or(children: &[Slot], n: usize, is_and: bool) -> Slot {
-    let masks: Vec<Bools<'_>> = children.iter().map(Slot::bools).collect();
-    if children.iter().all(Slot::is_scalar) {
-        let v = if is_and {
-            masks.iter().all(|m| m.get(0))
-        } else {
-            masks.iter().any(|m| m.get(0))
-        };
-        return Slot::scal_bool(v);
-    }
-    let mut acc = vec![is_and; n];
-    for m in &masks {
-        if is_and {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = *a && m.get(i);
-            }
-        } else {
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = *a || m.get(i);
-            }
+/// `f` over two float operands; an operand a kernel computed is
+/// overwritten with the result instead of allocating another vector.
+fn zip_f64<'a>(
+    a: Vals<'a>,
+    b: Vals<'a>,
+    sel: Sel<'_>,
+    n: usize,
+    f: impl Fn(f64, f64) -> f64,
+) -> Vals<'a> {
+    match (a, b) {
+        (Vals::F64(Cow::Owned(mut v)), b) => {
+            let y = b.f64s();
+            sel.for_each(n, |p| v[p] = f(v[p], y.get(p)));
+            Vals::F64(Cow::Owned(v))
         }
+        (a, Vals::F64(Cow::Owned(mut v))) => {
+            let x = a.f64s();
+            sel.for_each(n, |p| v[p] = f(x.get(p), v[p]));
+            Vals::F64(Cow::Owned(v))
+        }
+        (a, b) => match (a.f64s(), b.f64s()) {
+            (F64s::S(x), F64s::S(y)) => Vals::ScalF64(f(x, y)),
+            (x, y) => Vals::F64(Cow::Owned(sel.collect(n, |p| f(x.get(p), y.get(p))))),
+        },
     }
-    Slot::dense_bool(acc)
 }
 
-fn substr_of(s: &str, start: u32, len: u32) -> &str {
+/// Bytes `start..start + len` (1-based) of `s`, clamped to its length; ""
+/// when they do not form whole characters.
+fn substr_of(s: &[u8], start: u32, len: u32) -> &str {
     let from = (start as usize - 1).min(s.len());
     let to = (from + len as usize).min(s.len());
-    s.get(from..to).unwrap_or("")
+    std::str::from_utf8(&s[from..to]).unwrap_or("")
 }
 
-fn case_i64(cond: &Slot, t: Slot, e: Slot, n: usize) -> Slot {
-    match &cond.vals {
-        Vals::ScalBool(b) => {
-            if *b {
-                t
-            } else {
-                e
+fn substr(s: Slot<'_>, start: u32, len: u32, n: usize) -> Slot<'_> {
+    let vals = match s.vals {
+        Vals::Str(c, base) => {
+            let mut out = StringColumn::with_capacity(n, len as usize);
+            for p in 0..n {
+                out.push(substr_of(c.bytes(base + p), start, len));
             }
+            Vals::Str(Cow::Owned(out), 0)
         }
-        Vals::Bool(mask) => {
-            let msg = || panic!("integer CASE over non-integer branches");
-            let (tx, ex) = (t.i64s().unwrap_or_else(msg), e.i64s().unwrap_or_else(msg));
-            let vals = Vals::I64(
-                (0..n)
-                    .map(|i| if mask[i] { tx.get(i) } else { ex.get(i) })
-                    .collect(),
-            );
-            let valid = if t.all_valid() && e.all_valid() {
-                Valid::All
-            } else {
-                Valid::Mask(
-                    (0..n)
-                        .map(|i| {
-                            if mask[i] {
-                                t.is_valid(i)
-                            } else {
-                                e.is_valid(i)
-                            }
-                        })
-                        .collect(),
-                )
-            };
-            Slot { vals, valid }
-        }
-        _ => panic!(
-            "expected boolean expression, got {} values",
-            cond.kind_name()
+        Vals::ScalStr(x) => Vals::ScalStr(substr_of(x.as_bytes(), start, len)),
+        other => panic!(
+            "expected string expression, got {} values",
+            other.kind_name()
         ),
+    };
+    Slot {
+        vals,
+        valid: s.valid,
     }
 }
 
-fn case_f64(cond: &Slot, t: Slot, e: Slot, n: usize) -> Slot {
-    match &cond.vals {
-        Vals::ScalBool(b) => {
-            if *b {
-                t
-            } else {
-                e
-            }
-        }
-        Vals::Bool(mask) => {
-            let (tx, ex) = (t.f64s(), e.f64s());
-            let vals = Vals::F64(
-                (0..n)
-                    .map(|i| if mask[i] { tx.get(i) } else { ex.get(i) })
-                    .collect(),
-            );
-            let valid = if t.all_valid() && e.all_valid() {
-                Valid::All
-            } else {
-                Valid::Mask(
-                    (0..n)
-                        .map(|i| {
-                            if mask[i] {
-                                t.is_valid(i)
-                            } else {
-                                e.is_valid(i)
-                            }
-                        })
-                        .collect(),
-                )
-            };
-            Slot { vals, valid }
-        }
-        _ => panic!(
-            "expected boolean expression, got {} values",
-            cond.kind_name()
+fn year<'a>(s: Slot<'a>, sel: Sel<'_>, n: usize) -> Slot<'a> {
+    let vals = match s.vals.i64s() {
+        Some(I64s::S(d)) => Vals::ScalI64(year_of_date(d)),
+        Some(I64s::V(v)) => Vals::I64(Cow::Owned(sel.collect(n, |p| year_of_date(v[p])))),
+        None => panic!(
+            "extract(year) needs a date column, got {} values",
+            s.vals.kind_name()
         ),
+    };
+    Slot {
+        vals,
+        valid: s.valid,
     }
 }
 
-fn case_dyn(cond: &Slot, t: Slot, e: Slot, n: usize) -> Slot {
-    if t.is_i64_kind() && e.is_i64_kind() {
-        case_i64(cond, t, e, n)
+/// `CASE`: `then` where the condition is true, `else` where it is false
+/// or NULL; integers when `ints`, else floats.
+fn case<'a>(
+    cond: Slot<'a>,
+    t: Slot<'a>,
+    e: Slot<'a>,
+    sel: Sel<'_>,
+    n: usize,
+    ints: bool,
+) -> Slot<'a> {
+    let (t, e) = if ints {
+        (t, e)
     } else {
-        case_f64(cond, t, e, n)
+        (cast_f64(t, sel, n), cast_f64(e, sel, n))
+    };
+    let mask = match cond.vals {
+        Vals::ScalBool(b) => {
+            return if b && matches!(cond.valid, Valid::All) {
+                t
+            } else {
+                e
+            }
+        }
+        Vals::Bool(mask) => mask,
+        other => panic!(
+            "expected boolean expression, got {} values",
+            other.kind_name()
+        ),
+    };
+    let takes = |p: usize| mask[p] && cond.valid.get(p);
+    let valid = if matches!((&t.valid, &e.valid), (Valid::All, Valid::All)) {
+        Valid::All
+    } else {
+        let pick = |p| {
+            if takes(p) {
+                t.valid.get(p)
+            } else {
+                e.valid.get(p)
+            }
+        };
+        Valid::computed((0..n).map(pick))
+    };
+    let vals = if ints {
+        let msg = || panic!("integer CASE over non-integer branches");
+        let (tx, ex) = (
+            t.vals.i64s().unwrap_or_else(msg),
+            e.vals.i64s().unwrap_or_else(msg),
+        );
+        let pick = |p| if takes(p) { tx.get(p) } else { ex.get(p) };
+        Vals::I64(Cow::Owned((0..n).map(pick).collect()))
+    } else {
+        let (tx, ex) = (t.vals.f64s(), e.vals.f64s());
+        let pick = |p| if takes(p) { tx.get(p) } else { ex.get(p) };
+        Vals::F64(Cow::Owned((0..n).map(pick).collect()))
+    };
+    Slot { vals, valid }
+}
+
+/// What a program's run keeps between instructions.
+struct Machine<'a> {
+    stack: Vec<Slot<'a>>,
+    tmps: Vec<Option<Slot<'a>>>,
+}
+
+impl<'a> Machine<'a> {
+    fn pop(&mut self) -> Slot<'a> {
+        self.stack.pop().expect("program stack underflow")
     }
 }
 
-impl BoundProgram<'_> {
+/// Instructions whose result [`BoundProgram::select`] takes straight into
+/// its selection.
+fn is_predicate(inst: &Inst) -> bool {
+    matches!(
+        inst,
+        Inst::CmpI64(_)
+            | Inst::CmpF64(_)
+            | Inst::CmpStr(_)
+            | Inst::CmpDyn(_)
+            | Inst::Like(_)
+            | Inst::InStr(_)
+            | Inst::InI64(_)
+            | Inst::IsNull
+    )
+}
+
+impl<'p> BoundProgram<'p> {
     /// The program's static result type.
     pub fn out_type(&self) -> VmType {
         self.prog.out
@@ -1274,307 +1636,304 @@ impl BoundProgram<'_> {
     /// Evaluate over rows `range` of the bound table's shape.
     pub fn eval(&self, table: &Table, range: Range<usize>, params: &[Value]) -> EvalVec {
         let n = range.len();
-        self.run(table, range, params).finish(n)
+        let frame = Frame {
+            table,
+            range,
+            params,
+        };
+        let mut m = self.machine();
+        for inst in &self.prog.insts {
+            self.step(inst, &frame, Sel::All, &mut m);
+        }
+        debug_assert_eq!(m.stack.len(), 1, "program left a dirty stack");
+        m.pop().finish(n)
     }
 
-    /// Evaluate a predicate program to a selection mask: NULL never
-    /// passes.
+    /// Write to `sel` the rows of `range` where a predicate program is
+    /// true, as ascending row ids of `table`. A row where it is NULL is not
+    /// selected. `sel`'s contents are replaced, so one vector passed morsel
+    /// after morsel is allocated once.
+    ///
+    /// A top-level `AND` runs one conjunct at a time: the first over the
+    /// whole morsel, each later one only over the rows still selected,
+    /// shrinking `sel` in place. A conjunct, like a predicate of any other
+    /// shape, runs the stack machine [`eval`](Self::eval) runs, at the
+    /// selected rows only, and its last comparison (or `LIKE`, `IN`,
+    /// `IS NULL`, each under any `NOT`s) writes straight into `sel`.
+    ///
+    /// # Panics
+    /// Panics if the program does not produce booleans, or if `range`
+    /// reaches past `u32::MAX`.
+    pub fn select(&self, table: &Table, range: Range<usize>, params: &[Value], sel: &mut Vec<u32>) {
+        let base = u32::try_from(range.end)
+            .map(|_| range.start as u32)
+            .expect("row ids fit in u32");
+        let frame = Frame {
+            table,
+            range,
+            params,
+        };
+        self.filter(&frame, sel, true);
+        if base > 0 {
+            sel.iter_mut().for_each(|r| *r += base);
+        }
+    }
+
+    /// Keep the rows of `sel` — row ids of `table`, in any order, which
+    /// the kept ones keep — where a predicate program is true: what
+    /// [`select`](Self::select) does to the rows its first conjunct left.
+    ///
+    /// # Panics
+    /// Panics if the program does not produce booleans.
+    pub fn refine(&self, table: &Table, params: &[Value], sel: &mut Vec<u32>) {
+        let (Some(&lo), Some(&hi)) = (sel.iter().min(), sel.iter().max()) else {
+            return;
+        };
+        sel.iter_mut().for_each(|r| *r -= lo);
+        let frame = Frame {
+            table,
+            range: lo as usize..hi as usize + 1,
+            params,
+        };
+        self.filter(&frame, sel, false);
+        sel.iter_mut().for_each(|r| *r += lo);
+    }
+
+    /// Evaluate a predicate program to a selection mask: NULL is not
+    /// selected. [`select`](Self::select), spread over the range.
     ///
     /// # Panics
     /// Panics if the program does not produce booleans.
     pub fn eval_mask(&self, table: &Table, range: Range<usize>, params: &[Value]) -> Vec<bool> {
-        let n = range.len();
-        let slot = self.run(table, range, params);
-        match slot.vals {
-            // Boolean slots are dense by construction; fold defensively.
-            Vals::Bool(mut v) => {
-                if !matches!(slot.valid, Valid::All) {
-                    for (i, x) in v.iter_mut().enumerate() {
-                        let ok = match &slot.valid {
-                            Valid::All => true,
-                            Valid::Never => false,
-                            Valid::Mask(bm) => bm.get(i),
-                        };
-                        *x = *x && ok;
-                    }
-                }
-                v
-            }
-            Vals::ScalBool(b) => vec![b && matches!(slot.valid, Valid::All); n],
-            _ => panic!(
-                "expected boolean expression, got {} values",
-                Slot {
-                    vals: slot.vals,
-                    valid: Valid::All
-                }
-                .kind_name()
-            ),
+        let start = range.start;
+        let mut mask = vec![false; range.len()];
+        let mut sel = Vec::new();
+        self.select(table, range, params, &mut sel);
+        for r in sel {
+            mask[r as usize - start] = true;
+        }
+        mask
+    }
+
+    fn machine<'a>(&self) -> Machine<'a> {
+        Machine {
+            stack: Vec::with_capacity(8),
+            tmps: vec![None; self.prog.n_tmps as usize],
         }
     }
 
-    fn run(&self, table: &Table, range: Range<usize>, params: &[Value]) -> Slot {
-        let n = range.len();
-        let p = self.prog;
-        let mut stack: Vec<Slot> = Vec::with_capacity(8);
-        let mut tmps: Vec<Option<Slot>> = vec![None; p.n_tmps as usize];
-        let pop2 = |stack: &mut Vec<Slot>| {
-            let b = stack.pop().expect("program stack underflow");
-            let a = stack.pop().expect("program stack underflow");
-            (a, b)
+    /// Shrink `sel` — positions in `frame`'s range or, with `fill`, all of
+    /// them — to those where the predicate is true, a conjunct at a time.
+    fn filter<'a>(&'a self, frame: &Frame<'a>, sel: &mut Vec<u32>, fill: bool) {
+        let n = frame.range.len();
+        let mut m = self.machine();
+        let whole = [self.prog.insts.len()];
+        let ends = match self.prog.conjunct_ends.as_slice() {
+            [] => &whole[..],
+            ends => ends,
         };
-        for inst in &p.insts {
-            match inst {
-                Inst::LoadI64(c) => {
-                    let col = table.column(self.col_idx[*c as usize]);
-                    let Column::I64(v, _) = col else {
-                        panic!("load_i64 on a non-integer column")
-                    };
-                    stack.push(Slot {
-                        vals: Vals::I64(v[range.clone()].to_vec()),
-                        valid: load_valid(col, &range),
-                    });
-                }
-                Inst::LoadDec(c) => {
-                    let col = table.column(self.col_idx[*c as usize]);
-                    let Column::I64(v, _) = col else {
-                        panic!("load_dec on a non-decimal column")
-                    };
-                    stack.push(Slot {
-                        vals: Vals::F64(
-                            v[range.clone()]
-                                .iter()
-                                .map(|&x| decimal_to_f64(x))
-                                .collect(),
-                        ),
-                        valid: load_valid(col, &range),
-                    });
-                }
-                Inst::LoadF64(c) => {
-                    let col = table.column(self.col_idx[*c as usize]);
-                    let Column::F64(v, _) = col else {
-                        panic!("load_f64 on a non-float column")
-                    };
-                    stack.push(Slot {
-                        vals: Vals::F64(v[range.clone()].to_vec()),
-                        valid: load_valid(col, &range),
-                    });
-                }
-                Inst::LoadStr(c) => {
-                    let col = table.column(self.col_idx[*c as usize]);
-                    let Column::Str(v, _) = col else {
-                        panic!("load_str on a non-string column")
-                    };
-                    let mut out = StringColumn::with_capacity(n, 16);
-                    for i in range.clone() {
-                        out.push(v.get(i));
-                    }
-                    stack.push(Slot {
-                        vals: Vals::Str(out),
-                        valid: load_valid(col, &range),
-                    });
-                }
-                Inst::ConstI64(v) => stack.push(Slot {
-                    vals: Vals::ScalI64(*v),
-                    valid: Valid::All,
-                }),
-                Inst::ConstF64(v) => stack.push(Slot {
-                    vals: Vals::ScalF64(*v),
-                    valid: Valid::All,
-                }),
-                Inst::ConstStr(s) => stack.push(Slot {
-                    vals: Vals::ScalStr(p.strs[*s as usize].clone()),
-                    valid: Valid::All,
-                }),
-                Inst::ConstBool(b) => stack.push(Slot::scal_bool(*b)),
-                Inst::Param(i) => {
-                    let i = *i as usize;
-                    let v = params
-                        .get(i)
-                        .unwrap_or_else(|| panic!("parameter {i} not bound"));
-                    stack.push(match v {
-                        Value::I64(x) => Slot {
-                            vals: Vals::ScalI64(*x),
-                            valid: Valid::All,
-                        },
-                        Value::F64(x) => Slot {
-                            vals: Vals::ScalF64(*x),
-                            valid: Valid::All,
-                        },
-                        Value::Str(s) => Slot {
-                            vals: Vals::ScalStr(s.as_str().into()),
-                            valid: Valid::All,
-                        },
-                        // A NULL parameter is integer zeros with an
-                        // all-false validity: it takes the integer kernels.
-                        Value::Null => Slot {
-                            vals: Vals::ScalI64(0),
-                            valid: Valid::Never,
-                        },
-                    });
-                }
-                Inst::CastF64 => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let vals = match s.vals {
-                        Vals::I64(v) => Vals::F64(v.into_iter().map(|x| x as f64).collect()),
-                        Vals::ScalI64(x) => Vals::ScalF64(x as f64),
-                        other => other,
-                    };
-                    stack.push(Slot {
-                        vals,
-                        valid: s.valid,
-                    });
-                }
-                Inst::CmpI64(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(cmp_i64(*op, &a, &b, n));
-                }
-                Inst::CmpF64(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(cmp_f64(*op, &a, &b, n));
-                }
-                Inst::CmpStr(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(cmp_str(*op, &a, &b, n));
-                }
-                Inst::CmpDyn(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(cmp_dyn(*op, &a, &b, n));
-                }
-                Inst::AndN(k) | Inst::OrN(k) => {
-                    let k = *k as usize;
-                    assert!(stack.len() >= k, "program stack underflow");
-                    let children = stack.split_off(stack.len() - k);
-                    stack.push(and_or(&children, n, matches!(inst, Inst::AndN(_))));
-                }
-                Inst::Not => {
-                    let s = stack.pop().expect("program stack underflow");
-                    stack.push(match s.bools() {
-                        Bools::S(b) => Slot::scal_bool(!b),
-                        Bools::V(v) => Slot::dense_bool(v.iter().map(|b| !b).collect()),
-                    });
-                }
-                Inst::ArithI64(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(arith_i64(*op, &a, &b, n));
-                }
-                Inst::ArithF64(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(arith_f64(*op, &a, &b, n));
-                }
-                Inst::ArithDyn(op) => {
-                    let (a, b) = pop2(&mut stack);
-                    stack.push(arith_dyn(*op, &a, &b, n));
-                }
-                Inst::Like(l) => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let matcher = &p.likes[*l as usize].0;
-                    stack.push(match s.strs() {
-                        Strs::S(txt) => Slot::scal_bool(s.all_valid() && matcher.matches(txt)),
-                        Strs::V(sc) => Slot::dense_bool(
-                            (0..n)
-                                .map(|i| s.is_valid(i) && matcher.matches(sc.get(i)))
-                                .collect(),
-                        ),
-                    });
-                }
-                Inst::InStr(l) => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let options = &p.str_lists[*l as usize];
-                    stack.push(match s.strs() {
-                        Strs::S(txt) => {
-                            Slot::scal_bool(s.all_valid() && options.iter().any(|o| o == txt))
-                        }
-                        Strs::V(sc) => Slot::dense_bool(
-                            (0..n)
-                                .map(|i| s.is_valid(i) && options.iter().any(|o| o == sc.get(i)))
-                                .collect(),
-                        ),
-                    });
-                }
-                Inst::InI64(l) => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let options = &p.i64_lists[*l as usize];
-                    let x = s.i64s().unwrap_or_else(|| {
-                        panic!(
-                            "IN over integers needs integer input, got {} values",
-                            s.kind_name()
-                        )
-                    });
-                    stack.push(match x {
-                        I64s::S(v) => Slot::scal_bool(s.all_valid() && options.contains(&v)),
-                        I64s::V(_) => Slot::dense_bool(
-                            (0..n)
-                                .map(|i| s.is_valid(i) && options.contains(&x.get(i)))
-                                .collect(),
-                        ),
-                    });
-                }
-                Inst::Substr(start, len) => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let vals = match &s.vals {
-                        Vals::Str(sc) => {
-                            let mut out = StringColumn::with_capacity(n, *len as usize);
-                            for i in 0..n {
-                                out.push(substr_of(sc.get(i), *start, *len));
-                            }
-                            Vals::Str(out)
-                        }
-                        Vals::ScalStr(x) => Vals::ScalStr(substr_of(x, *start, *len).into()),
-                        _ => panic!("expected string expression, got {} values", s.kind_name()),
-                    };
-                    stack.push(Slot {
-                        vals,
-                        valid: s.valid,
-                    });
-                }
-                Inst::Year => {
-                    let s = stack.pop().expect("program stack underflow");
-                    let vals = match &s.vals {
-                        Vals::I64(v) => Vals::I64(v.iter().map(|&d| year_of_date(d)).collect()),
-                        Vals::ScalI64(x) => Vals::ScalI64(year_of_date(*x)),
-                        _ => panic!(
-                            "extract(year) needs a date column, got {} values",
-                            s.kind_name()
-                        ),
-                    };
-                    stack.push(Slot {
-                        vals,
-                        valid: s.valid,
-                    });
-                }
-                Inst::CaseI64 | Inst::CaseF64 | Inst::CaseDyn => {
-                    let e = stack.pop().expect("program stack underflow");
-                    let t = stack.pop().expect("program stack underflow");
-                    let cond = stack.pop().expect("program stack underflow");
-                    stack.push(match inst {
-                        Inst::CaseI64 => case_i64(&cond, t, e, n),
-                        Inst::CaseF64 => case_f64(&cond, t, e, n),
-                        _ => case_dyn(&cond, t, e, n),
-                    });
-                }
-                Inst::IsNull => {
-                    let s = stack.pop().expect("program stack underflow");
-                    stack.push(match &s.valid {
-                        Valid::All => Slot::scal_bool(false),
-                        Valid::Never => Slot::scal_bool(true),
-                        Valid::Mask(bm) => Slot::dense_bool((0..n).map(|i| !bm.get(i)).collect()),
-                    });
-                }
-                Inst::Tee(t) => {
-                    let top = stack.last().expect("program stack underflow").clone();
-                    tmps[*t as usize] = Some(top);
-                }
-                Inst::LoadTmp(t) => {
-                    stack.push(
-                        tmps[*t as usize]
-                            .clone()
-                            .expect("temp read before it was computed"),
-                    );
-                }
+        let mut start = 0;
+        for (i, &end) in ends.iter().enumerate() {
+            let fill = fill && i == 0;
+            if !fill && sel.is_empty() {
+                return;
+            }
+            let insts = &self.prog.insts[start..end];
+            start = end;
+            // Trailing NOTs negate what the conjunct delivers.
+            let nots = insts
+                .iter()
+                .rev()
+                .take_while(|i| matches!(i, Inst::Not))
+                .count();
+            let negate = nots % 2 == 1;
+            let (last, body) = insts[..insts.len() - nots]
+                .split_last()
+                .expect("a conjunct computes a value");
+            let at = if fill { Sel::All } else { Sel::Rows(sel) };
+            for inst in body {
+                self.step(inst, frame, at, &mut m);
+            }
+            if is_predicate(last) {
+                self.predicate(last, n, &mut m, Out::Refine { sel, fill, negate });
+            } else {
+                self.step(last, frame, at, &mut m);
+                keep_where(m.pop(), n, Out::Refine { sel, fill, negate });
             }
         }
-        debug_assert_eq!(stack.len(), 1, "program left a dirty stack");
-        stack.pop().expect("program produced no value")
+    }
+
+    fn column<'a>(&self, frame: &Frame<'a>, c: u16) -> &'a Column {
+        frame.table.column(self.col_idx[c as usize])
+    }
+
+    /// Run `inst` at the positions `sel` selects and push its result.
+    fn step<'a>(&'a self, inst: &Inst, frame: &Frame<'a>, sel: Sel<'_>, m: &mut Machine<'a>) {
+        let n = frame.range.len();
+        let rows = frame.range.clone();
+        let slot = match inst {
+            Inst::LoadI64(c) => {
+                let col = self.column(frame, *c);
+                let Column::I64(v, _) = col else {
+                    panic!("load_i64 on a non-integer column")
+                };
+                Slot {
+                    vals: Vals::I64(Cow::Borrowed(&v[rows])),
+                    valid: load_valid(col, frame.range.start),
+                }
+            }
+            Inst::LoadDec(c) => {
+                let col = self.column(frame, *c);
+                let Column::I64(v, _) = col else {
+                    panic!("load_dec on a non-decimal column")
+                };
+                Slot {
+                    vals: Vals::Dec(&v[rows]),
+                    valid: load_valid(col, frame.range.start),
+                }
+            }
+            Inst::LoadF64(c) => {
+                let col = self.column(frame, *c);
+                let Column::F64(v, _) = col else {
+                    panic!("load_f64 on a non-float column")
+                };
+                Slot {
+                    vals: Vals::F64(Cow::Borrowed(&v[rows])),
+                    valid: load_valid(col, frame.range.start),
+                }
+            }
+            Inst::LoadStr(c) => {
+                let col = self.column(frame, *c);
+                let Column::Str(v, _) = col else {
+                    panic!("load_str on a non-string column")
+                };
+                Slot {
+                    vals: Vals::Str(Cow::Borrowed(v), frame.range.start),
+                    valid: load_valid(col, frame.range.start),
+                }
+            }
+            Inst::ConstI64(v) => Slot::scalar(Vals::ScalI64(*v)),
+            Inst::ConstF64(v) => Slot::scalar(Vals::ScalF64(*v)),
+            Inst::ConstStr(s) => Slot::scalar(Vals::ScalStr(&self.prog.strs[*s as usize])),
+            Inst::ConstBool(b) => Slot::scalar(Vals::ScalBool(*b)),
+            Inst::Param(i) => param(frame.params, *i as usize),
+            Inst::CastF64 => cast_f64(m.pop(), sel, n),
+            Inst::CmpI64(_)
+            | Inst::CmpF64(_)
+            | Inst::CmpStr(_)
+            | Inst::CmpDyn(_)
+            | Inst::Like(_)
+            | Inst::InStr(_)
+            | Inst::InI64(_)
+            | Inst::IsNull => self
+                .predicate(inst, n, m, Out::Slot(sel))
+                .expect("a predicate delivered to a slot returns it"),
+            Inst::AndN(k) | Inst::OrN(k) => {
+                let from = m.stack.len().checked_sub(*k as usize);
+                let from = from.expect("program stack underflow");
+                let slot = kleene(&m.stack[from..], n, matches!(inst, Inst::AndN(_)));
+                m.stack.truncate(from);
+                slot
+            }
+            Inst::Not => not(m.pop()),
+            Inst::ArithI64(op) | Inst::ArithF64(op) | Inst::ArithDyn(op) => {
+                let b = m.pop();
+                let a = m.pop();
+                let ints = match inst {
+                    Inst::ArithI64(_) => true,
+                    Inst::ArithF64(_) => false,
+                    // Parameter-typed: picked once per vector.
+                    _ => a.vals.is_i64_kind() && b.vals.is_i64_kind() && *op != ArithOp::Div,
+                };
+                if ints {
+                    arith_i64(*op, a, b, sel, n)
+                } else {
+                    arith_f64(*op, a, b, sel, n)
+                }
+            }
+            Inst::Substr(start, len) => substr(m.pop(), *start, *len, n),
+            Inst::Year => year(m.pop(), sel, n),
+            Inst::CaseI64 | Inst::CaseF64 | Inst::CaseDyn => {
+                let e = m.pop();
+                let t = m.pop();
+                let cond = m.pop();
+                let ints = match inst {
+                    Inst::CaseI64 => true,
+                    Inst::CaseF64 => false,
+                    _ => t.vals.is_i64_kind() && e.vals.is_i64_kind(),
+                };
+                case(cond, t, e, sel, n, ints)
+            }
+            Inst::Tee(t) => {
+                let top = m.stack.last().expect("program stack underflow").clone();
+                m.tmps[*t as usize] = Some(top);
+                return;
+            }
+            Inst::LoadTmp(t) => m.tmps[*t as usize]
+                .clone()
+                .expect("temp read before it was computed"),
+        };
+        m.stack.push(slot);
+    }
+
+    /// Run predicate instruction `inst` — a comparison, `LIKE`, `IN` or
+    /// `IS NULL` — delivering its answers to `out`.
+    fn predicate<'a>(
+        &'a self,
+        inst: &Inst,
+        n: usize,
+        m: &mut Machine<'a>,
+        out: Out<'_>,
+    ) -> Option<Slot<'a>> {
+        let prog = self.prog;
+        if let Inst::CmpI64(op) | Inst::CmpF64(op) | Inst::CmpStr(op) | Inst::CmpDyn(op) = inst {
+            let b = m.pop();
+            let a = m.pop();
+            let domain = match inst {
+                Inst::CmpI64(_) => Some(Domain::Int),
+                Inst::CmpF64(_) => Some(Domain::Float),
+                Inst::CmpStr(_) => Some(Domain::Str),
+                _ => None,
+            };
+            return compare(domain, *op, &a, &b, n, out);
+        }
+        let Slot { vals, valid } = m.pop();
+        match inst {
+            Inst::Like(l) => {
+                let like = &prog.likes[*l as usize].0;
+                match vals.strs() {
+                    Strs::S(s) => answer(out, n, valid, like.matches(s)),
+                    Strs::V(c, base) => deliver(out, n, valid, |p| like.matches(c.bytes(base + p))),
+                }
+            }
+            Inst::InStr(l) => {
+                let options = &prog.str_lists[*l as usize];
+                let is_in = |s: &[u8]| options.iter().any(|o| o.as_bytes() == s);
+                match vals.strs() {
+                    Strs::S(s) => answer(out, n, valid, is_in(s)),
+                    Strs::V(c, base) => deliver(out, n, valid, |p| is_in(c.bytes(base + p))),
+                }
+            }
+            Inst::InI64(l) => {
+                let options = &prog.i64_lists[*l as usize];
+                let x = vals.i64s().unwrap_or_else(|| {
+                    panic!(
+                        "IN over integers needs integer input, got {} values",
+                        vals.kind_name()
+                    )
+                });
+                match x {
+                    I64s::S(x) => answer(out, n, valid, options.contains(&x)),
+                    I64s::V(v) => deliver(out, n, valid, |p| options.contains(&v[p])),
+                }
+            }
+            Inst::IsNull => match valid {
+                Valid::All => answer(out, n, Valid::All, false),
+                Valid::Never => answer(out, n, Valid::All, true),
+                Valid::Bits(bm, base) => deliver(out, n, Valid::All, |p| !bm.get(base + p)),
+            },
+            other => unreachable!("{other:?} is not a predicate"),
+        }
     }
 }
 

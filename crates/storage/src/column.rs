@@ -1,5 +1,7 @@
 //! Typed columns.
 
+use std::ops::Range;
+
 use crate::bitmap::Bitmap;
 use crate::types::{DataType, Value};
 
@@ -100,10 +102,23 @@ impl StringColumn {
     /// # Panics
     /// Panics if total data exceeds `u32::MAX` bytes.
     pub fn extend(&mut self, other: &StringColumn) {
-        let base = self.end_after(other.data.len());
-        self.data.extend_from_slice(&other.data);
+        self.extend_rows(other, 0..other.len());
+    }
+
+    /// Append strings `rows` of `other`: one copy of their data, their
+    /// offsets rebased.
+    ///
+    /// # Panics
+    /// Panics when `rows` is out of bounds, or if total data exceeds
+    /// `u32::MAX` bytes.
+    pub fn extend_rows(&mut self, other: &StringColumn, rows: Range<usize>) {
+        let offsets = &other.offsets[rows.start..=rows.end];
+        let (from, to) = (offsets[0], offsets[offsets.len() - 1]);
+        let base = self.end_after((to - from) as usize);
+        self.data
+            .extend_from_slice(&other.data[from as usize..to as usize]);
         self.offsets
-            .extend(other.offsets[1..].iter().map(|&o| base + o));
+            .extend(offsets[1..].iter().map(|&o| base + (o - from)));
     }
 
     /// Append `lens.len()` strings that lie back to back in `data`, the
@@ -347,20 +362,33 @@ impl Column {
     }
 
     /// Append `src[i]` for every `i` in `rows`, in that order; a row of
-    /// [`Column::NULL_ROW`] appends a NULL. The validity bitmap stays absent
-    /// until the first NULL arrives.
+    /// [`Column::NULL_ROW`] appends a NULL. A run of at least 16
+    /// consecutive rows is copied as one slice (a selection that keeps most
+    /// of its input is a few long runs); other rows are copied one at a
+    /// time. The validity bitmap stays absent until the first NULL arrives.
     ///
     /// # Panics
     /// Panics on physical type mismatch or when an index is out of bounds.
     pub fn extend_gather(&mut self, src: &Column, rows: &[u32]) {
         fn values<T: Copy + Default>(dst: &mut Vec<T>, src: &[T], rows: &[u32]) {
-            dst.extend(rows.iter().map(|&i| match src.get(i as usize) {
-                Some(&v) => v,
-                None => {
-                    assert_eq!(i, Column::NULL_ROW, "row {i} out of bounds");
-                    T::default()
+            dst.reserve(rows.len());
+            for piece in (Pieces { rows }) {
+                match piece {
+                    Piece::Run(run) => dst.extend_from_slice(
+                        src.get(run.clone())
+                            .unwrap_or_else(|| panic!("rows {run:?} out of bounds")),
+                    ),
+                    Piece::Rows(rows) => {
+                        dst.extend(rows.iter().map(|&i| match src.get(i as usize) {
+                            Some(&v) => v,
+                            None => {
+                                assert_eq!(i, Column::NULL_ROW, "row {i} out of bounds");
+                                T::default()
+                            }
+                        }))
+                    }
                 }
-            }));
+            }
         }
         let old_len = self.len();
         let validity = match (&mut *self, src) {
@@ -374,12 +402,19 @@ impl Column {
             }
             (Column::Str(a, bm), Column::Str(b, _)) => {
                 a.offsets.reserve(rows.len());
-                for &i in rows {
-                    a.push_bytes(if i == Column::NULL_ROW {
-                        &[]
-                    } else {
-                        b.bytes(i as usize)
-                    });
+                for piece in (Pieces { rows }) {
+                    match piece {
+                        Piece::Run(run) => a.extend_rows(b, run),
+                        Piece::Rows(rows) => {
+                            for &i in rows {
+                                a.push_bytes(if i == Column::NULL_ROW {
+                                    &[]
+                                } else {
+                                    b.bytes(i as usize)
+                                });
+                            }
+                        }
+                    }
                 }
                 bm
             }
@@ -469,6 +504,53 @@ impl Column {
                 a.physical_name()
             ),
         }
+    }
+}
+
+/// The shortest run of consecutive row ids [`Column::extend_gather`] copies
+/// as one slice. Looking for one costs a comparison per row of a window
+/// this wide, so rows that lie in no such run gather about as fast as a
+/// plain loop does.
+const RUN: usize = 16;
+
+/// A piece of a row-id list.
+enum Piece<'r> {
+    /// At least [`RUN`] consecutive ids.
+    Run(Range<usize>),
+    /// Ids that start no such run.
+    Rows(&'r [u32]),
+}
+
+/// `rows` cut into [`Piece`]s, in order. [`Column::NULL_ROW`] is never part
+/// of a run: no row id comes before it.
+struct Pieces<'r> {
+    rows: &'r [u32],
+}
+
+impl<'r> Iterator for Pieces<'r> {
+    type Item = Piece<'r>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Piece<'r>> {
+        let rows = self.rows;
+        let first = *rows.first()? as usize;
+        let window = &rows[..RUN.min(rows.len())];
+        let (piece, len) = match window
+            .windows(2)
+            .rposition(|w| w[1] as usize != w[0] as usize + 1)
+        {
+            // Up to the window's last break: a run may start after it.
+            Some(k) => (Piece::Rows(&rows[..=k]), k + 1),
+            None if window.len() == RUN => {
+                let len = (rows.iter().enumerate())
+                    .take_while(|&(k, &r)| r as usize == first + k)
+                    .count();
+                (Piece::Run(first..first + len), len)
+            }
+            None => (Piece::Rows(rows), rows.len()),
+        };
+        self.rows = &rows[len..];
+        Some(piece)
     }
 }
 
@@ -569,6 +651,59 @@ mod tests {
                 assert_eq!(dst.value(want.len() + 1), Value::Null);
                 assert_eq!(dst.value(want.len() + 2), src.value(3));
             }
+        }
+    }
+
+    #[test]
+    fn extend_gather_copies_runs_as_they_are() {
+        const NULL: u32 = Column::NULL_ROW;
+        let cat = |parts: &[&[u32]]| parts.concat();
+        let run = |r: std::ops::Range<u32>| r.collect::<Vec<u32>>();
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+                let src = nullable_column(dtype, 0..60, null);
+                for rows in [
+                    run(0..60),
+                    run(0..16),
+                    run(3..18),
+                    cat(&[
+                        &[3, 4, 5],
+                        &run(9..30),
+                        &[NULL],
+                        &run(31..50),
+                        &[12, 12, 0, 59],
+                    ]),
+                    cat(&[&[0], &run(2..20), &[21], &run(23..40), &[41, 43]]),
+                    cat(&[&run(10..40), &run(10..40), &run(0..5)]),
+                    cat(&[&[NULL, NULL], &run(40..60)]),
+                    vec![3, 4, 5, 9, 10, NULL, 11, 12, 12, 13, 0, 19],
+                    vec![],
+                ] {
+                    let mut dst = nullable_column(dtype, 20..22, null);
+                    dst.extend_gather(&src, &rows);
+                    assert_eq!(dst.len(), 2 + rows.len());
+                    for (n, &r) in rows.iter().enumerate() {
+                        let want = if r == NULL {
+                            Value::Null
+                        } else {
+                            src.value(r as usize)
+                        };
+                        assert_eq!(dst.value(2 + n), want, "{dtype:?} {rows:?} at {n}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn extend_gather_refuses_rows_past_the_end() {
+        let src = Column::I64((0..20).collect(), None);
+        for rows in [vec![2, 20], (5..25).collect()] {
+            let mut dst = Column::empty(DataType::Int64);
+            let gather = std::panic::AssertUnwindSafe(|| dst.extend_gather(&src, &rows));
+            let panic = std::panic::catch_unwind(gather).expect_err("rows past the end");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("out of bounds"), "{msg}");
         }
     }
 
@@ -681,6 +816,11 @@ mod tests {
         assert_eq!(d.get(3), "éllo");
         assert_eq!(d.get(4), "ab");
         assert_eq!(d.get(7), "éllo");
+
+        let mut e: StringColumn = ["x"].into_iter().collect();
+        e.extend_rows(&d, 2..5);
+        e.extend_rows(&d, 6..6);
+        assert_eq!(e.iter().collect::<Vec<_>>(), ["x", "", "éllo", "ab"]);
     }
 
     #[test]

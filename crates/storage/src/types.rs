@@ -107,6 +107,7 @@ impl fmt::Display for Value {
 /// it, or a Decimal promoted along one path will fail to equal the same
 /// value promoted along another (which is how Decimal⋈Float64 joins once
 /// silently matched nothing).
+#[inline]
 pub fn decimal_to_f64(cents: i64) -> f64 {
     cents as f64 / 100.0
 }

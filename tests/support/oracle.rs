@@ -6,10 +6,12 @@
 //! compiled expressions, its exchange, its wire format or its planner, nor
 //! its constant folding and LIKE matcher. It uses the engine's plan and
 //! expression *types*, the TPC-H generator, and storage's scalar helpers
-//! (Decimal promotion, calendar years). Where the engine's semantics are
-//! not SQL's they are written down here from their definition: a
-//! comparison with NULL is false (so `NOT` of one is true), division always
-//! yields a float, and a predicate projected as a column is 1 or 0.
+//! (Decimal promotion, calendar years). Predicates follow SQL's three-valued
+//! logic: a comparison, `LIKE` or `IN` over NULL is unknown, `NOT` of
+//! unknown is unknown, and a filter or a `CASE` takes only what is true.
+//! Where the engine's semantics are not SQL's they are written down here
+//! from their definition: division always yields a float, and a predicate
+//! projected as a column is 1, 0 or NULL.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -237,7 +239,7 @@ impl Scope<'_> {
                 other => panic!("year of {other:?}"),
             },
             Expr::Case(cond, then, els) => {
-                let picked = if self.holds(cond, row) {
+                let picked = if self.holds(cond, row) == Some(true) {
                     self.value(then, row)
                 } else {
                     self.value(els, row)
@@ -247,29 +249,65 @@ impl Scope<'_> {
                     (_, v) => v,
                 }
             }
-            _ => Value::I64(i64::from(self.holds(e, row))),
+            _ => match self.holds(e, row) {
+                Some(b) => Value::I64(i64::from(b)),
+                None => Value::Null,
+            },
         }
     }
 
-    /// Whether predicate `e` holds on `row`. Nothing NULL does.
-    pub fn holds(&self, e: &Expr, row: &[Value]) -> bool {
+    /// Whether predicate `e` is true, false or — `None` — unknown on `row`.
+    pub fn holds(&self, e: &Expr, row: &[Value]) -> Option<bool> {
         match e {
             Expr::Cmp(op, a, b) => {
-                compare(&self.value(a, row), &self.value(b, row)).is_some_and(|o| satisfies(*op, o))
+                let (a, b) = (self.value(a, row), self.value(b, row));
+                if a.is_null() || b.is_null() {
+                    return None;
+                }
+                // A NaN compares with nothing: false, not unknown.
+                Some(compare(&a, &b).is_some_and(|o| satisfies(*op, o)))
             }
-            Expr::And(children) => children.iter().all(|c| self.holds(c, row)),
-            Expr::Or(children) => children.iter().any(|c| self.holds(c, row)),
-            Expr::Not(c) => !self.holds(c, row),
-            Expr::Like(c, pattern) => {
-                matches!(self.value(c, row), Value::Str(s) if like(s.as_bytes(), pattern.as_bytes()))
+            // False if a child is false; else unknown if a child is.
+            Expr::And(children) => {
+                let mut unknown = false;
+                for c in children {
+                    match self.holds(c, row) {
+                        Some(false) => return Some(false),
+                        None => unknown = true,
+                        Some(true) => {}
+                    }
+                }
+                (!unknown).then_some(true)
             }
-            Expr::InStr(c, options) => {
-                matches!(self.value(c, row), Value::Str(s) if options.contains(&s))
+            // True if a child is true; else unknown if a child is.
+            Expr::Or(children) => {
+                let mut unknown = false;
+                for c in children {
+                    match self.holds(c, row) {
+                        Some(true) => return Some(true),
+                        None => unknown = true,
+                        Some(false) => {}
+                    }
+                }
+                (!unknown).then_some(false)
             }
-            Expr::InI64(c, options) => {
-                matches!(self.value(c, row), Value::I64(x) if options.contains(&x))
-            }
-            Expr::IsNull(c) => self.value(c, row).is_null(),
+            Expr::Not(c) => self.holds(c, row).map(|b| !b),
+            Expr::Like(c, pattern) => match self.value(c, row) {
+                Value::Str(s) => Some(like(s.as_bytes(), pattern.as_bytes())),
+                Value::Null => None,
+                other => panic!("LIKE over {other:?}"),
+            },
+            Expr::InStr(c, options) => match self.value(c, row) {
+                Value::Str(s) => Some(options.contains(&s)),
+                Value::Null => None,
+                other => panic!("IN over {other:?}"),
+            },
+            Expr::InI64(c, options) => match self.value(c, row) {
+                Value::I64(x) => Some(options.contains(&x)),
+                Value::Null => None,
+                other => panic!("IN over {other:?}"),
+            },
+            Expr::IsNull(c) => Some(self.value(c, row).is_null()),
             other => panic!("not a predicate: {other:?}"),
         }
     }
@@ -473,7 +511,11 @@ impl Run<'_> {
             LogicalPlan::Filter { input, predicate } => {
                 let mut rel = self.eval(input);
                 let scope = rel.scope(&self.params);
-                let keep: Vec<bool> = rel.rows.iter().map(|r| scope.holds(predicate, r)).collect();
+                let keep: Vec<bool> = rel
+                    .rows
+                    .iter()
+                    .map(|r| scope.holds(predicate, r) == Some(true))
+                    .collect();
                 let mut keep = keep.into_iter();
                 rel.rows.retain(|_| keep.next() == Some(true));
                 rel

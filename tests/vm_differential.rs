@@ -255,10 +255,26 @@ fn kind(v: &EvalVec) -> Ty {
     }
 }
 
+/// A pseudo-random subset of `0..rows`, ascending, from `seed`.
+fn random_selection(rows: usize, seed: u64) -> Vec<u32> {
+    let mut x = seed | 1;
+    (0..rows as u32)
+        .filter(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            !x.is_multiple_of(3)
+        })
+        .collect()
+}
+
 /// Compile `e`, bind it, and check it against the oracle row by row, over
 /// the full table and over a sub-range (validity bitmaps are
 /// range-relative — a classic off-by-offset trap): the same type, the same
-/// NULLs, the same values, and for a predicate the same selection mask.
+/// NULLs, the same values. A predicate must also select exactly the rows
+/// where the oracle finds it true — as a mask, through `select` over both
+/// ranges, and through `refine` of a seeded random starting selection (in
+/// order and reversed).
 fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
     let ps = test_params();
     let prog = match ExprProgram::compile(e, t.schema()) {
@@ -276,12 +292,14 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
     let oracle = rel.scope(&ps);
     let ty = oracle.ty(e);
     let ranges: [Range<usize>; 2] = [0..t.rows(), t.rows() / 3..t.rows()];
+    let is_true = |r: u32| oracle.holds(e, &rel.rows[r as usize]) == Some(true);
+    let mut sel = Vec::new();
     for range in ranges {
         let got = bound.eval(t, range.clone(), &ps);
         prop_assert_eq!(got.len(), range.len(), "length mismatch for {:?}", e);
         prop_assert_eq!(kind(&got), ty, "type mismatch for {:?}", e);
         let mask = (ty == Ty::Bool).then(|| bound.eval_mask(t, range.clone(), &ps));
-        for (i, row) in rel.rows[range].iter().enumerate() {
+        for (i, row) in rel.rows[range.clone()].iter().enumerate() {
             let want = oracle.value(e, row);
             prop_assert!(
                 same(&got.value(i), &want),
@@ -292,8 +310,29 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
                 e
             );
             if let Some(mask) = &mask {
-                prop_assert_eq!(mask[i], oracle.holds(e, row), "mask row {} for {:?}", i, e);
+                let holds = oracle.holds(e, row) == Some(true);
+                prop_assert_eq!(mask[i], holds, "mask row {} for {:?}", i, e);
             }
+        }
+        if ty == Ty::Bool {
+            // `sel` still holds the last range's rows: select replaces them.
+            bound.select(t, range.clone(), &ps, &mut sel);
+            let want: Vec<u32> = (range.start as u32..range.end as u32)
+                .filter(|&r| is_true(r))
+                .collect();
+            prop_assert_eq!(&sel, &want, "select over {:?} for {:?}", range, e);
+        }
+    }
+    if ty == Ty::Bool {
+        let seed =
+            (t.rows() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ format!("{e:?}").len() as u64;
+        let mut start = random_selection(t.rows(), seed);
+        for _ in 0..2 {
+            let want: Vec<u32> = start.iter().copied().filter(|&r| is_true(r)).collect();
+            let mut sel = start.clone();
+            bound.refine(t, &ps, &mut sel);
+            prop_assert_eq!(&sel, &want, "refine {:?} for {:?}", start, e);
+            start.reverse();
         }
     }
     Ok(())
@@ -505,9 +544,114 @@ fn kernel_dates_and_case() {
         col("k").gt(lit(0)).case(lit(1), lit(0)),
         col("f").is_null().case(litf(0.0), col("f")),
         col("s").like("%a%").case(col("k"), col("ni").mul(lit(2))),
+        // A parameter-typed CASE over a scalar condition is a float even
+        // when the branch it picks is an integer.
+        param(1).lt(param(0)).case(param(0), param(1)),
     ] {
         check(e);
     }
+}
+
+/// Three rows: `ni` is `[1, NULL, 10]`, `s` `["a special b", NULL, "a"]`,
+/// `f` `[1.0, NULL, NaN]` and `k` `[0, 1, 2]`.
+fn null_rows() -> Table {
+    table_from_rows(vec![
+        (
+            0,
+            0,
+            Some(100),
+            Some(1.0),
+            Some(1),
+            Some("a special b".into()),
+        ),
+        (1, 1, None, None, None, None),
+        (2, 2, Some(-5), Some(f64::NAN), Some(10), Some("a".into())),
+    ])
+}
+
+/// The rows of [`null_rows`] `select` keeps for `e`, after checking `e`
+/// against the oracle (which must keep the same ones).
+fn selected(e: Expr) -> Vec<u32> {
+    let t = null_rows();
+    check_agree(&e, &t).unwrap_or_else(|err| panic!("{err:?}"));
+    let prog = ExprProgram::compile(&e, t.schema()).unwrap();
+    let mut sel = Vec::new();
+    prog.bind(&t)
+        .unwrap()
+        .select(&t, 0..t.rows(), &test_params(), &mut sel);
+    sel
+}
+
+#[test]
+fn not_never_selects_a_null_row() {
+    // Three-valued logic: NOT of unknown is unknown, and unknown is not
+    // selected.
+    let lt5 = || col("ni").lt(lit(5));
+    assert_eq!(selected(lt5()), [0]);
+    assert_eq!(selected(lt5().not()), [2]);
+    assert_eq!(selected(lt5().not().not()), [0]);
+    assert_eq!(selected(col("s").like("%special%").not()), [2]);
+    assert_eq!(selected(col("s").in_str(&["a"]).not()), [0]);
+    assert_eq!(selected(col("ni").in_i64(&[1]).not()), [2]);
+    assert_eq!(selected(lt5().or(lt5().not())), [0, 2]);
+    assert_eq!(selected(lt5().and(lt5().not()).not()), [0, 2]);
+    assert_eq!(selected(col("ni").is_null()), [1]);
+    assert_eq!(selected(col("ni").is_null().not()), [0, 2]);
+}
+
+#[test]
+fn case_on_a_null_condition_takes_else() {
+    let t = null_rows();
+    let cond = col("ni").lt(lit(5)).not();
+    for (e, want) in [
+        (
+            cond.clone().case(lit(1), lit(0)),
+            [Value::I64(0), Value::I64(0), Value::I64(1)],
+        ),
+        // A predicate projected as a column is NULL where it is unknown.
+        (cond, [Value::I64(0), Value::Null, Value::I64(1)]),
+    ] {
+        check_agree(&e, &t).unwrap_or_else(|err| panic!("{err:?}"));
+        let prog = ExprProgram::compile(&e, t.schema()).unwrap();
+        let got = prog.bind(&t).unwrap().eval(&t, 0..3, &test_params());
+        let got: Vec<Value> = (0..3).map(|i| got.value(i)).collect();
+        assert_eq!(got, want, "{e:?}");
+    }
+}
+
+#[test]
+fn nan_compares_false_not_unknown() {
+    // Row 2's `f` is NaN: a comparison with it is false, so its NOT is true.
+    assert_eq!(selected(col("f").lt(litf(5.0))), [0]);
+    assert_eq!(selected(col("f").lt(litf(5.0)).not()), [2]);
+    assert_eq!(selected(col("f").ne(col("f"))), []);
+    assert_eq!(selected(col("f").ne(col("f")).not()), [0, 2]);
+    assert_eq!(selected(litf(5.0).gt(col("f"))), [0]);
+}
+
+#[test]
+fn a_null_parameter_is_unknown() {
+    // $3 is NULL.
+    assert_eq!(selected(col("ni").lt(param(3))), []);
+    assert_eq!(selected(col("ni").lt(param(3)).not()), []);
+    assert_eq!(selected(param(3).eq(lit(0))), []);
+    assert_eq!(selected(param(3).eq(lit(0)).not()), []);
+    assert_eq!(selected(param(3).eq(lit(0)).or(col("ni").gt(lit(5)))), [2]);
+    assert_eq!(selected(param(3).eq(lit(0)).and(col("ni").gt(lit(5)))), []);
+    assert_eq!(selected(param(3).is_null()), [0, 1, 2]);
+}
+
+#[test]
+fn and_inside_or_inside_and() {
+    let lt5 = || col("ni").lt(lit(5));
+    let either = |right: Expr| lt5().and(col("s").like("a%")).or(lt5().not().and(right));
+    let outer = |inner: Expr| col("k").ge(lit(0)).and(inner).and(col("k").lt(lit(3)));
+    // Row 1 is unknown in both branches; row 2 fails the first and
+    // passes the second only when `f` is not NULL.
+    assert_eq!(selected(outer(either(col("f").is_null()))), [0]);
+    assert_eq!(selected(outer(either(col("f").is_null().not()))), [0, 2]);
+    // The same nesting one level down, under a NOT.
+    assert_eq!(selected(outer(either(col("f").is_null())).not()), [2]);
 }
 
 #[test]
