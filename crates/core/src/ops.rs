@@ -17,7 +17,10 @@
 //! (`keys_equal`: two plain Int64 parts as integers, numbers of different
 //! types by value, strings by their bytes). Aggregate state is one typed
 //! vector per aggregate with a slot per group id, updated a batch at a time
-//! and moved into the result.
+//! and moved into the result — except COUNT(DISTINCT)'s, which appends
+//! (group id, value) pairs and compacts them by a counting sort on the
+//! group id whenever they double (`DistinctPairs`), a sequential pass
+//! where a second hash table would pay a cache miss per pair.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -700,8 +703,187 @@ enum AggCol {
         seen: Bitmap,
         max: bool,
     },
-    /// COUNT(DISTINCT): the distinct (group id, value) pairs.
-    Distinct(GroupTable),
+    /// COUNT(DISTINCT): (group id, value) pairs.
+    Distinct(DistinctPairs),
+}
+
+/// COUNT(DISTINCT)'s state: the (group id, value) pairs of the non-NULL
+/// inputs, appended as they come, no pair hashed or looked up. Whenever
+/// they hold more than twice what the last compaction kept plus one batch,
+/// they are compacted: counting-sorted by group id (a histogram, its prefix
+/// sum, one scatter of each value's word), then each group's run sorted and
+/// one pair kept per value. So the pairs held never exceed twice the
+/// distinct ones and a batch, however long the input.
+#[derive(Clone)]
+struct DistinctPairs {
+    /// Per pair: its group and its value, which is never NULL.
+    gids: Vec<u32>,
+    vals: Column,
+    /// Pairs the last compaction kept.
+    kept: usize,
+    /// Every group id lies below this.
+    groups: usize,
+}
+
+impl DistinctPairs {
+    /// No pairs, over values typed like `input` (no rows of it).
+    fn new(input: &Column) -> Self {
+        let mut vals = input.clone();
+        vals.clear();
+        Self {
+            gids: Vec::new(),
+            vals,
+            kept: 0,
+            groups: 0,
+        }
+    }
+
+    /// Take in a batch: row `i` of `vals` belongs to group `gids[i]`. Runs
+    /// of non-NULL rows are appended as slices.
+    fn update(&mut self, gids: &[u32], vals: &Column) {
+        match vals.validity() {
+            None => self.push(gids.iter().copied(), vals, 0..gids.len()),
+            Some(valid) => {
+                let mut start = 0;
+                for row in 0..=gids.len() {
+                    if row == gids.len() || !valid.get(row) {
+                        self.push(gids[start..row].iter().copied(), vals, start..row);
+                        start = row + 1;
+                    }
+                }
+            }
+        }
+        self.compact_if_doubled(gids.len());
+    }
+
+    /// Take in another worker's pairs, whose group `g` is `map[g]` here.
+    fn merge(&mut self, other: DistinctPairs, map: &[u32]) {
+        let gids = other.gids.iter().map(|&g| map[g as usize]);
+        self.push(gids, &other.vals, 0..other.gids.len());
+        self.compact_if_doubled(other.gids.len());
+    }
+
+    /// Append rows `rows` of `vals`, in the groups `gids`.
+    fn push(&mut self, gids: impl Iterator<Item = u32>, vals: &Column, rows: Range<usize>) {
+        self.gids.extend(gids);
+        match (&mut self.vals, vals) {
+            (Column::I64(a, _), Column::I64(b, _)) => a.extend_from_slice(&b[rows]),
+            (Column::F64(a, _), Column::F64(b, _)) => a.extend_from_slice(&b[rows]),
+            (Column::Str(a, _), Column::Str(b, _)) => a.extend_rows(b, rows),
+            _ => panic!("COUNT(DISTINCT) input changed its type between batches"),
+        }
+    }
+
+    fn compact_if_doubled(&mut self, batch: usize) {
+        if self.gids.len() > 2 * self.kept + batch {
+            self.compact();
+        }
+    }
+
+    /// Keep one pair per distinct (group, value), in group order. Values
+    /// are equal as `keys_equal` has two of one type: integers as they
+    /// are, floats by their canonical bits (−0.0 is 0.0, a NaN is the
+    /// same NaN), strings by their bytes.
+    fn compact(&mut self) {
+        // A number's word is the number; a string's is its row.
+        let (gids, groups) = (&self.gids, self.groups);
+        let (mut words, ends) = match &self.vals {
+            Column::I64(v, _) => sort_by_group(gids, groups, |row| v[row] as u64),
+            Column::F64(v, _) => sort_by_group(gids, groups, |row| canon_f64_bits(v[row])),
+            Column::Str(..) => sort_by_group(gids, groups, |row| row as u64),
+        };
+        let kept = match &self.vals {
+            Column::Str(s, _) => {
+                let bytes = |w: u64| s.bytes(w as usize);
+                dedup_runs(
+                    (&mut words, &mut self.gids, &ends),
+                    |run| run.sort_unstable_by(|&a, &b| bytes(a).cmp(bytes(b))),
+                    |a, b| bytes(a) == bytes(b),
+                )
+            }
+            _ => dedup_runs(
+                (&mut words, &mut self.gids, &ends),
+                <[u64]>::sort_unstable,
+                |a, b| a == b,
+            ),
+        };
+        let words = &words[..kept];
+        match &mut self.vals {
+            Column::I64(v, _) => {
+                v.clear();
+                v.extend(words.iter().map(|&w| w as i64));
+            }
+            Column::F64(v, _) => {
+                v.clear();
+                v.extend(words.iter().map(|&w| f64::from_bits(w)));
+            }
+            strings @ Column::Str(..) => {
+                let rows: Vec<u32> = words.iter().map(|&w| w as u32).collect();
+                let mut kept_strings = Column::empty(DataType::Utf8);
+                kept_strings.extend_gather(strings, &rows);
+                *strings = kept_strings;
+            }
+        }
+        self.gids.truncate(kept);
+        self.kept = kept;
+    }
+
+    /// The number of distinct values of every group.
+    fn finish(mut self) -> Column {
+        self.compact();
+        let mut counts = vec![0i64; self.groups];
+        self.gids.iter().for_each(|&g| counts[g as usize] += 1);
+        Column::I64(counts, None)
+    }
+}
+
+/// A counting sort of pairs by group id: the word of every pair (`word` of
+/// its row), group by group, and where each group's run ends. One pass
+/// counts the groups, one prefix sum places them, one scatters the words.
+fn sort_by_group(gids: &[u32], groups: usize, word: impl Fn(usize) -> u64) -> (Vec<u64>, Vec<u32>) {
+    assert!(gids.len() < u32::MAX as usize, "2^32 - 1 distinct pairs");
+    // Each group's first slot, then — once its words are in — the slot
+    // after its last.
+    let mut ends = vec![0u32; groups];
+    gids.iter().for_each(|&g| ends[g as usize] += 1);
+    let mut start = 0;
+    for end in &mut ends {
+        (*end, start) = (start, start + *end);
+    }
+    let mut words = vec![0u64; gids.len()];
+    for (row, &g) in gids.iter().enumerate() {
+        let slot = &mut ends[g as usize];
+        words[*slot as usize] = word(row);
+        *slot += 1;
+    }
+    (words, ends)
+}
+
+/// Sort every group's run of `words` (group `g`'s ends at `ends[g]` and
+/// starts where the one before it ends), keep one word of each set of
+/// `same` ones, and move what is kept to the front, `gids` naming each
+/// kept word's group. Returns how many were kept.
+fn dedup_runs(
+    (words, gids, ends): (&mut [u64], &mut [u32], &[u32]),
+    sort: impl Fn(&mut [u64]),
+    same: impl Fn(u64, u64) -> bool,
+) -> usize {
+    let (mut kept, mut start) = (0, 0);
+    for (g, &end) in ends.iter().enumerate() {
+        let end = end as usize;
+        sort(&mut words[start..end]);
+        let first = kept;
+        for i in start..end {
+            let w = words[i];
+            if kept == first || !same(words[kept - 1], w) {
+                words[kept] = w;
+                gids[kept] = g as u32;
+                kept += 1;
+            }
+        }
+        start = end;
+    }
+    kept
 }
 
 impl AggCol {
@@ -722,10 +904,7 @@ impl AggCol {
                 seen: Bitmap::new(),
                 max: func == AggFunc::Max,
             },
-            AggFunc::CountDistinct => AggCol::Distinct(GroupTable::new(vec![
-                Column::empty(DataType::Int64),
-                input.clone(),
-            ])),
+            AggFunc::CountDistinct => AggCol::Distinct(DistinctPairs::new(input)),
         }
     }
 
@@ -745,7 +924,7 @@ impl AggCol {
                 }
                 seen.extend_filled(groups - seen.len(), false);
             }
-            AggCol::Distinct(_) => {}
+            AggCol::Distinct(pairs) => pairs.groups = groups,
         }
     }
 
@@ -792,10 +971,7 @@ impl AggCol {
                 }),
                 _ => panic!("MIN/MAX input changed its type between batches"),
             },
-            (AggCol::Distinct(pairs), vals) => {
-                let groups = Column::I64(gids.iter().map(|&g| i64::from(g)).collect(), None);
-                pairs.assign(&[(&groups, false), (vals, false)], 0..gids.len());
-            }
+            (AggCol::Distinct(pairs), vals) => pairs.update(gids, vals),
         }
     }
 
@@ -814,21 +990,13 @@ impl AggCol {
             (this @ AggCol::Best { .. }, AggCol::Best { best, seen, .. }) => {
                 this.update(map, &best.into_column(Some(seen)), None);
             }
-            (AggCol::Distinct(pairs), AggCol::Distinct(theirs)) => {
-                let groups = theirs.keys[0].i64_values().iter();
-                let groups = groups.map(|&g| i64::from(map[g as usize])).collect();
-                let keys = [
-                    (&Column::I64(groups, None), false),
-                    (&theirs.keys[1], false),
-                ];
-                pairs.assign(&keys, 0..theirs.groups());
-            }
+            (AggCol::Distinct(pairs), AggCol::Distinct(theirs)) => pairs.merge(theirs, map),
             _ => panic!("mismatched aggregate states"),
         }
     }
 
-    /// The result columns for `groups` groups: the states themselves, moved.
-    fn finish(self, func: AggFunc, phase: AggPhase, groups: usize) -> Vec<Column> {
+    /// The result columns: the states themselves, moved.
+    fn finish(self, func: AggFunc, phase: AggPhase) -> Vec<Column> {
         // A bitmap only where there is a NULL, as `Column::push_value` has it.
         let nullable = |valid: Bitmap| (!valid.all_set()).then_some(valid);
         let nonzero = |counts: &[i64]| nullable(counts.iter().map(|&c| c > 0).collect());
@@ -847,14 +1015,7 @@ impl AggCol {
             }
             AggCol::Count(counts) => vec![Column::I64(counts, None)],
             AggCol::Best { best, seen, .. } => vec![best.into_column(nullable(seen))],
-            AggCol::Distinct(pairs) => {
-                let mut counts = vec![0i64; groups];
-                let (of, vals) = (pairs.keys[0].i64_values(), &pairs.keys[1]);
-                for pair in (0..pairs.groups()).filter(|&p| vals.is_valid(p)) {
-                    counts[of[pair] as usize] += 1;
-                }
-                vec![Column::I64(counts, None)]
-            }
+            AggCol::Distinct(pairs) => vec![pairs.finish()],
         }
     }
 }
@@ -1008,7 +1169,7 @@ pub fn aggregate_with<B: BatchSource>(
     let mut columns = table.keys;
     for (a, mut state) in aggs.iter().zip(states) {
         state.resize(groups);
-        let out = state.finish(a.func, phase, groups);
+        let out = state.finish(a.func, phase);
         match (phase, a.func) {
             (AggPhase::Partial, AggFunc::Avg) => {
                 fields.push(Field::new(format!("{}__sum", a.name), DataType::Float64));
@@ -1531,6 +1692,87 @@ mod tests {
         let aggs = vec![AggSpec::new(AggFunc::CountDistinct, col("grp"), "groups")];
         let out = aggregate(&t, &[], &aggs, AggPhase::Single, &driver(), &[]);
         assert_eq!(out.value(0, 0), Value::I64(2));
+    }
+
+    #[test]
+    fn compacted_pairs_are_the_distinct_ones_and_compact_to_themselves() {
+        use std::collections::BTreeSet;
+        let text = |s: &str| Value::Str(s.into());
+        let shapes = [
+            (
+                DataType::Int64,
+                vec![
+                    Value::I64(3),
+                    Value::Null,
+                    Value::I64(-1),
+                    Value::I64(i64::MIN),
+                    Value::I64(i64::MAX),
+                ],
+            ),
+            (
+                DataType::Float64,
+                vec![
+                    Value::F64(0.0),
+                    Value::F64(-0.0),
+                    Value::F64(f64::NAN),
+                    Value::Null,
+                    Value::F64(-f64::NAN),
+                    Value::F64(1.5),
+                ],
+            ),
+            (
+                DataType::Utf8,
+                vec![
+                    text(""),
+                    text("a"),
+                    Value::Null,
+                    text("abcdefghi"),
+                    text("é"),
+                ],
+            ),
+        ];
+        // A value as COUNT(DISTINCT) tells values apart: a float by its
+        // canonical bits (the zeros are one, each NaN is itself).
+        let member = |c: &Column, row: usize| match c {
+            Column::F64(v, _) => format!("{:x}", canon_f64_bits(v[row])),
+            _ => format!("{:?}", c.value(row)),
+        };
+        const BATCH: usize = 40;
+        for (dtype, values) in shapes {
+            let mut pairs = DistinctPairs::new(&Column::empty(dtype));
+            pairs.groups = 3;
+            let mut want = BTreeSet::new();
+            for batch in 0..25 {
+                let mut vals = Column::empty(dtype);
+                let gids: Vec<u32> = (0..BATCH as u32).map(|i| i % 3).collect();
+                for i in 0..BATCH {
+                    vals.push_value(&values[(i * 7 + batch) % values.len()]);
+                    if vals.is_valid(i) {
+                        want.insert((gids[i], member(&vals, i)));
+                    }
+                }
+                pairs.update(&gids, &vals);
+                assert!(pairs.gids.len() <= 2 * pairs.kept + BATCH, "{dtype:?}");
+            }
+            assert!(pairs.kept > 0, "{dtype:?}: the pairs were never compacted");
+            let held = |p: &DistinctPairs| -> Vec<(u32, String)> {
+                (0..p.gids.len())
+                    .map(|k| (p.gids[k], member(&p.vals, k)))
+                    .collect()
+            };
+            pairs.compact();
+            let once = held(&pairs);
+            assert_eq!(once.iter().cloned().collect::<BTreeSet<_>>(), want);
+            assert_eq!(once.len(), want.len(), "{dtype:?}: a pair kept twice");
+            assert_eq!(pairs.kept, once.len());
+            pairs.compact();
+            assert_eq!(held(&pairs), once, "{dtype:?}: compacting twice");
+            let counts = pairs.finish();
+            for g in 0..3 {
+                let n = want.iter().filter(|(of, _)| *of == g as u32).count();
+                assert_eq!(counts.value(g), Value::I64(n as i64), "{dtype:?} group {g}");
+            }
+        }
     }
 
     #[test]

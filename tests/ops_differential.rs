@@ -554,6 +554,61 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// COUNT(DISTINCT) compaction
+// ---------------------------------------------------------------------------
+
+/// COUNT(DISTINCT) compacts its pairs whenever they hold more than twice
+/// what it last kept plus a batch: over 20 000 rows in morsels of seven, a
+/// few groups and a few dozen distinct values, that is hundreds of
+/// compactions, and on three workers the merge of partly compacted pairs.
+/// The values are the pools' — NULL, both zeros, a NaN, `""` among them.
+#[test]
+fn count_distinct_compacting_many_times_equals_a_btreemap() {
+    let mut rng = Rng(0x00c0_ffee);
+    let fields = vec![
+        Field::nullable("g", DataType::Int64),
+        Field::nullable("v_int", DataType::Int64),
+        Field::nullable("v_flt", DataType::Float64),
+        Field::nullable("v_str", DataType::Utf8),
+    ];
+    let table = arb_table(&mut rng, fields, 20_000);
+    // Five groups and NULL, where the pool's integers would make a dozen.
+    let mut cols = table.columns().to_vec();
+    let groups = (0..table.rows()).map(|_| rng.below(5) as i64).collect();
+    cols[0] = Column::I64(groups, cols[0].validity().cloned());
+    let table = Table::new(table.schema().clone(), cols);
+
+    let chosen = [
+        (AggFunc::CountDistinct, 1),
+        (AggFunc::CountDistinct, 2),
+        (AggFunc::CountDistinct, 3),
+    ];
+    let specs: Vec<AggSpec> = chosen
+        .iter()
+        .enumerate()
+        .map(|(i, &(func, c))| {
+            let name = &table.schema().fields()[c].name;
+            AggSpec::new(func, col(name), &format!("a{i}"))
+        })
+        .collect();
+    for group_by in [vec![], vec![0]] {
+        let want = reference_aggregate(&table, &group_by, &chosen);
+        for workers in [1, 3] {
+            let got = aggregate(
+                &table,
+                &group_by,
+                &specs,
+                AggPhase::Single,
+                &driver(workers),
+                &[],
+            );
+            let what = format!("by {group_by:?}, {workers} workers");
+            same_rows(rows_of(&got), want.clone(), &what).unwrap();
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Signed zeros
 // ---------------------------------------------------------------------------
 
