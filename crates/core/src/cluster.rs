@@ -476,8 +476,9 @@ impl Backend for LocalBackend {
     }
 
     /// Network scheduler barrier rounds, how often the multiplexers were
-    /// woken and how often for nothing, the query workers started (all
-    /// summed over the nodes), per-link bytes and messages.
+    /// woken and how often for nothing, the query workers started, the
+    /// aggregates seeded and the rows they dropped (all summed over the
+    /// nodes), per-link bytes and messages.
     fn node_counters(&self, snap: &mut MetricsSnapshot) {
         if let Some(sched) = &self.scheduler {
             snap.push_counter("net.scheduler.rounds", sched.rounds());
@@ -493,6 +494,8 @@ impl Backend for LocalBackend {
             "exec.stage_workers_spawned",
             sum(NodeCtx::stage_workers_spawned),
         );
+        snap.push_counter("exec.aggs_seeded", sum(NodeCtx::aggs_seeded));
+        snap.push_counter("exec.agg_rows_dropped", sum(NodeCtx::agg_rows_dropped));
         for i in 0..self.cfg.nodes {
             let stats = self.fabric.stats(NodeId(i));
             snap.push_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());

@@ -121,6 +121,10 @@ pub struct NodeCtx {
     workers: Mutex<HashMap<QueryId, QueryWorker>>,
     /// Query workers started since the node started.
     workers_spawned: AtomicU64,
+    /// Aggregates run with a join's probe keys as their groups, and the
+    /// input rows those keys dropped.
+    aggs_seeded: AtomicU64,
+    agg_rows_dropped: AtomicU64,
     /// The multiplexer thread, joined by [`stop`](Self::stop).
     mux: Mutex<Option<JoinHandle<()>>>,
 }
@@ -223,6 +227,8 @@ pub(crate) fn start_node(
         fabric,
         workers: Mutex::new(HashMap::new()),
         workers_spawned: AtomicU64::new(0),
+        aggs_seeded: AtomicU64::new(0),
+        agg_rows_dropped: AtomicU64::new(0),
         mux: Mutex::new(Some(mux)),
     })
 }
@@ -311,6 +317,18 @@ impl NodeCtx {
     /// (`exec.stage_workers_spawned`).
     pub fn stage_workers_spawned(&self) -> u64 {
         self.workers_spawned.load(Ordering::Relaxed)
+    }
+
+    /// Aggregates seeded by the probe side of the join above them since
+    /// the node started (`exec.aggs_seeded`).
+    pub fn aggs_seeded(&self) -> u64 {
+        self.aggs_seeded.load(Ordering::Relaxed)
+    }
+
+    /// Input rows seeded aggregates dropped since the node started
+    /// (`exec.agg_rows_dropped`).
+    pub fn agg_rows_dropped(&self) -> u64 {
+        self.agg_rows_dropped.load(Ordering::Relaxed)
     }
 
     /// The worker's loop body: run one stage and reply. A stage that fails
@@ -577,7 +595,10 @@ impl<'a> NodeExec<'a> {
         }
     }
 
-    /// Aggregate operator `idx` over `source`.
+    /// Aggregate operator `idx` over `source`, with the keys of `seed` as
+    /// its only groups if they [qualify](SEED_RATIO) — against the rows of
+    /// the source's shape: a table's, or what this node puts into the
+    /// exchange that lands.
     fn aggregate_from<B: BatchSource>(
         &self,
         idx: usize,
@@ -585,12 +606,22 @@ impl<'a> NodeExec<'a> {
         group_by: &[String],
         aggs: &[AggSpec],
         phase: AggPhase,
+        seed: Option<&Seed<'_>>,
     ) -> Batch {
-        let group_idx: Vec<usize> = group_by
-            .iter()
-            .map(|g| source.shape().schema().index_of(g))
-            .collect();
-        Batch::Owned(aggregate_with(
+        let (input_rows, shape) = (source.shape().rows(), source.shape().schema());
+        let group_idx: Vec<usize> = group_by.iter().map(|g| shape.index_of(g)).collect();
+        let seeds: Option<Vec<&Column>> = seed
+            .filter(|s| s.probe.rows() * SEED_RATIO <= input_rows)
+            .filter(|s| {
+                let probe = s.probe.schema().fields();
+                let groups = group_idx.iter().map(|&g| shape.fields()[g].dtype);
+                s.cols
+                    .iter()
+                    .zip(groups)
+                    .all(|(&c, dtype)| probe[c].dtype == dtype)
+            })
+            .map(|s| s.cols.iter().map(|&c| s.probe.column(c)).collect());
+        let (out, dropped) = aggregate_with(
             source,
             &group_idx,
             aggs,
@@ -600,14 +631,30 @@ impl<'a> NodeExec<'a> {
                 AggPhase::Final => &[],
                 _ => &self.programs_at(idx).aggs,
             },
+            seeds.as_deref(),
             self.cancel,
-        ))
+        );
+        if seeds.is_some() {
+            self.ctx.aggs_seeded.fetch_add(1, Ordering::Relaxed);
+            self.ctx
+                .agg_rows_dropped
+                .fetch_add(dropped, Ordering::Relaxed);
+        }
+        Batch::Owned(out)
     }
 
     /// Execute the operator at pre-order index `idx` (see
     /// [`crate::profile::plan_labels`] for the numbering), recording its
     /// span when profiling is on.
     fn execute_at(&self, plan: &Plan, idx: usize) -> Batch {
+        self.execute_seeded(plan, idx, None)
+    }
+
+    /// [`execute_at`](Self::execute_at) for an operator on a join's build
+    /// side, `seed` holding the join's probe keys if [`seeding_keys`]
+    /// found the aggregate they meet: `Filter` and `Map` hand them down,
+    /// and the aggregate may take them as its groups.
+    fn execute_seeded(&self, plan: &Plan, idx: usize, seed: Option<&Seed<'_>>) -> Batch {
         self.enter(idx);
         let (out, rows_in) = match plan {
             Plan::Scan {
@@ -646,17 +693,17 @@ impl<'a> NodeExec<'a> {
                 (out, rows_in)
             }
             Plan::Filter { input, .. } => {
-                let t = self.execute_at(input, idx + 1);
+                let t = self.execute_seeded(input, idx + 1, seed);
                 let rows_in = t.rows() as u64;
                 let rows = self.filter_indices(&t, self.filter_at(idx));
                 let cols: Vec<usize> = (0..t.schema().len()).collect();
                 (Batch::Owned(gather_rows(&t, &cols, &rows)), rows_in)
             }
             Plan::Map { input, outputs } => {
-                let t = self.execute_at(input, idx + 1);
+                let t = self.execute_seeded(input, idx + 1, seed);
                 let rows_in = t.rows() as u64;
                 let progs = self.programs_at(idx);
-                (Batch::Owned(self.parallel_map(&t, outputs, progs)), rows_in)
+                (Batch::Owned(self.map(t, outputs, progs)), rows_in)
             }
             Plan::HashJoin {
                 probe,
@@ -666,16 +713,37 @@ impl<'a> NodeExec<'a> {
                 kind,
             } => {
                 // Pre-order: probe renders first, so it is idx + 1 and the
-                // build subtree starts after the whole probe subtree.
+                // build subtree starts after the whole probe subtree. The
+                // build side executes first — unless the probe side's keys
+                // can seed the aggregate under it, which the plan alone
+                // decides: exchange ids are handed out in execution order,
+                // so every node must run the two sides in the same order.
                 let build_idx_base = idx + 1 + plan_node_count(probe);
-                let build_t = self.execute_at(build, build_idx_base).into_arc();
+                let early_probe = seeding_keys(build, build_keys).map(|keys| {
+                    let probe_t = self.execute_at(probe, idx + 1);
+                    let schema = probe_t.schema();
+                    let cols: Vec<usize> = keys
+                        .iter()
+                        .map(|&k| schema.index_of(&probe_keys[k]))
+                        .collect();
+                    (probe_t, cols)
+                });
+                let seed = early_probe
+                    .as_ref()
+                    .map(|(probe, cols)| Seed { probe, cols });
+                let build_t = self
+                    .execute_seeded(build, build_idx_base, seed.as_ref())
+                    .into_arc();
                 let build_idx: Vec<usize> = build_keys
                     .iter()
                     .map(|k| build_t.schema().index_of(k))
                     .collect();
                 let build_rows = build_t.rows() as u64;
                 let jt = JoinTable::build_cancellable(build_t, &build_idx, self.cancel);
-                let probe_t = self.execute_at(probe, idx + 1);
+                let probe_t = match early_probe {
+                    Some((probe_t, _)) => probe_t,
+                    None => self.execute_at(probe, idx + 1),
+                };
                 let probe_idx: Vec<usize> = probe_keys
                     .iter()
                     .map(|k| probe_t.schema().index_of(k))
@@ -710,7 +778,7 @@ impl<'a> NodeExec<'a> {
                         input: &t,
                         rows: Cell::new(0),
                     };
-                    let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase);
+                    let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase, seed);
                     (out, landing.rows.into_inner())
                 }
                 _ => {
@@ -719,7 +787,7 @@ impl<'a> NodeExec<'a> {
                         table: &t,
                         driver: &self.ctx.driver,
                     };
-                    let out = self.aggregate_from(idx, &morsels, group_by, aggs, *phase);
+                    let out = self.aggregate_from(idx, &morsels, group_by, aggs, *phase, seed);
                     (out, t.rows() as u64)
                 }
             },
@@ -796,50 +864,85 @@ impl<'a> NodeExec<'a> {
         rows
     }
 
-    fn parallel_map(&self, t: &Table, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
+    /// A Map over `t`: every computed output evaluated a morsel at a time
+    /// and its pieces concatenated once; every bare column reference taken
+    /// whole from `t` — moved out of an owned input (by the last output to
+    /// name it), cloned once from a shared one. A Map of bare column
+    /// references only renames, and runs no morsel loop.
+    fn map(&self, t: Batch, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
         // Bind this operator's compiled output programs once; a bare
-        // column reference has none.
+        // column reference has none. It passes through raw: evaluating it
+        // would promote a Decimal column to f64 and lose the fixed-point
+        // representation (and the Date/Decimal logical type) across the
+        // projection.
         let bound: Vec<Option<BoundProgram<'_>>> = progs
             .outputs
             .iter()
-            .map(|(_, p)| p.as_ref().map(|p| bind(p, t)))
+            .map(|(_, p)| p.as_ref().map(|p| bind(p, &t)))
             .collect();
+        let schema = map_schema(&t, outputs, &bound, self.params);
+        let bare: Vec<Option<usize>> = outputs
+            .iter()
+            .zip(&bound)
+            .map(|(o, b)| match (b, &o.expr) {
+                (Some(_), _) => None,
+                (None, Expr::Col(name)) => Some(t.schema().index_of(name)),
+                (None, other) => unreachable!("uncompiled map output {other:?}"),
+            })
+            .collect();
+        let programs: Vec<&BoundProgram<'_>> = bound.iter().flatten().collect();
+        let mut computed = if programs.is_empty() {
+            Vec::new()
+        } else {
+            let computed_at: Vec<usize> =
+                (0..outputs.len()).filter(|&i| bare[i].is_none()).collect();
+            self.map_computed(&t, &programs, &schema.project(&computed_at))
+        }
+        .into_iter();
+        let mut input = match t {
+            Batch::Owned(t) => Ok(t.into_columns().into_iter().map(Some).collect::<Vec<_>>()),
+            Batch::Shared(t) => Err(t),
+        };
+        let columns = bare
+            .iter()
+            .enumerate()
+            .map(|(i, b)| match (b, &mut input) {
+                (None, _) => computed.next().expect("a column per computed output"),
+                (Some(c), Err(shared)) => shared.column(*c).clone(),
+                (Some(c), Ok(owned)) if bare[i + 1..].contains(b) => {
+                    owned[*c].clone().expect("moved last")
+                }
+                (Some(c), Ok(owned)) => owned[*c].take().expect("moved once"),
+            })
+            .collect();
+        Table::new(schema, columns)
+    }
+
+    /// The outputs `programs` compute over `t`, morsel-parallel: each
+    /// morsel's columns, then the morsels concatenated in order as a
+    /// table of `schema`'s columns.
+    fn map_computed(
+        &self,
+        t: &Table,
+        programs: &[&BoundProgram<'_>],
+        schema: &Schema,
+    ) -> Vec<Column> {
         let parts = self.ctx.driver.run(
             t.rows(),
-            |_| Vec::<(usize, Vec<Column>)>::new(),
+            |_| Vec::<(usize, Table)>::new(),
             |acc, _, m| {
                 self.check_cancel();
-                // One index vector per morsel, shared by every raw
-                // pass-through output.
-                let mut indices: Option<Vec<usize>> = None;
-                let cols: Vec<Column> = outputs
+                let cols = programs
                     .iter()
-                    .zip(&bound)
-                    .map(|(o, b)| match (b, &o.expr) {
-                        (Some(bp), _) => bp.eval(t, m.range(), self.params).into_column().0,
-                        // Bare column references pass through raw: evaluating
-                        // them would promote Decimal columns to f64 and lose
-                        // the fixed-point representation (and the Date/Decimal
-                        // logical type) across the projection.
-                        (None, Expr::Col(name)) => {
-                            let indices = indices.get_or_insert_with(|| m.range().collect());
-                            t.column(t.schema().index_of(name)).gather(indices)
-                        }
-                        (None, other) => unreachable!("uncompiled map output {other:?}"),
-                    })
+                    .map(|p| p.eval(t, m.range(), self.params).into_column().0)
                     .collect();
-                acc.push((m.start, cols));
+                acc.push((m.start, Table::new(schema.clone(), cols)));
             },
         );
-        let mut pieces: Vec<(usize, Vec<Column>)> = parts.into_iter().flatten().collect();
+        let mut pieces: Vec<(usize, Table)> = parts.into_iter().flatten().collect();
         pieces.sort_by_key(|(start, _)| *start);
-
-        let schema = map_schema(t, outputs, &bound, self.params);
-        let mut out = Table::empty(schema.clone());
-        for (_, cols) in pieces {
-            out.append(&Table::new(schema.clone(), cols));
-        }
-        out
+        let pieces = pieces.into_iter().map(|(_, piece)| piece).collect();
+        Table::concat(schema, pieces).into_columns()
     }
 
     // -- exchange -----------------------------------------------------------
@@ -1238,6 +1341,62 @@ impl BatchSource for Landing<'_, '_> {
         }
         self.rows.set(rows);
         states
+    }
+}
+
+/// A join's probe side seeds the aggregate under its build side only where
+/// the aggregate's input on this node holds at least this many rows per
+/// probe row. Every seed costs a group insert whether a row reaches it or
+/// not, so seeding pays only when most groups fall outside the probe side:
+/// a TPC-H order has four lineitems, so Q18 (orders probing a lineitem
+/// aggregate) sits at 4 and would gain nothing, while Q20 sits near 33 and
+/// Q21 near 80.
+const SEED_RATIO: usize = 8;
+
+/// A join's probe side, handed to the aggregate under its build side: per
+/// group column of the aggregate, the probe column that meets it.
+struct Seed<'t> {
+    probe: &'t Table,
+    cols: &'t [usize],
+}
+
+/// Whether a join's probe side runs first to seed the aggregate under its
+/// build side, decided from the plan alone: the build side must be
+/// `Filter`/`Map`* over a `Single` or `Final` aggregate with groups, and
+/// every group column must be a build key, renamed at most by `Map` outputs
+/// that are bare column references. Returns, per group column, the index
+/// of its join key.
+///
+/// Dropping the build rows whose key no probe row holds is then exact for
+/// every join kind: no exchange lies between the join and the aggregate, so
+/// a node's probe rows meet only the build rows of its own aggregate, and
+/// `Filter` and a renaming `Map` act on a group at a time.
+fn seeding_keys(build: &Plan, build_keys: &[String]) -> Option<Vec<usize>> {
+    let mut names: Vec<Option<&str>> = build_keys.iter().map(|k| Some(k.as_str())).collect();
+    let mut plan = build;
+    loop {
+        match plan {
+            Plan::Filter { input, .. } => plan = input,
+            Plan::Map { input, outputs } => {
+                for name in &mut names {
+                    let source = outputs.iter().find(|o| Some(o.name.as_str()) == *name);
+                    *name = source.and_then(|o| match (&o.expr, o.dtype) {
+                        (Expr::Col(below), None) => Some(below.as_str()),
+                        _ => None,
+                    });
+                }
+                plan = input;
+            }
+            Plan::Aggregate {
+                group_by, phase, ..
+            } if !group_by.is_empty() && *phase != AggPhase::Partial => {
+                return group_by
+                    .iter()
+                    .map(|g| names.iter().position(|n| *n == Some(g.as_str())))
+                    .collect();
+            }
+            _ => return None,
+        }
     }
 }
 

@@ -31,7 +31,7 @@
 //! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
 //! | `Retire` (query) | `RetireOk` (per-query bytes/messages) |
 //! | `Abort` (query) | — |
-//! | `Stats` | `StatsOk` (node socket, multiplexer and query-worker counters) |
+//! | `Stats` | `StatsOk` (node socket, multiplexer, query-worker and seeded-aggregate counters) |
 //! | `Shutdown` | — (the node process exits) |
 //!
 //! Per-query network counters are read at *retire* time: the coordinator
@@ -348,6 +348,8 @@ impl NodeServer {
                     serial::put_u64(out, ctx.to_mux.wakeups());
                     serial::put_u64(out, ctx.to_mux.empty_wakeups());
                     serial::put_u64(out, ctx.stage_workers_spawned());
+                    serial::put_u64(out, ctx.aggs_seeded());
+                    serial::put_u64(out, ctx.agg_rows_dropped());
                 })
                 .map_err(|e| e.to_string())?;
             }
@@ -442,13 +444,14 @@ enum NodeReply {
 enum CtlReply {
     LoadOk(Vec<(String, u64)>),
     /// Bytes sent, bytes received, messages sent, messages received; then
-    /// the multiplexer's wake-ups, how many of them found nothing, and the
-    /// query workers started.
+    /// the multiplexer's wake-ups, how many of them found nothing, the
+    /// query workers started, the aggregates seeded by a join's probe side
+    /// and the input rows they dropped.
     StatsOk([u64; STATS]),
 }
 
 /// Counters in a `StatsOk` reply.
-const STATS: usize = 7;
+const STATS: usize = 9;
 
 type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
 
@@ -865,8 +868,9 @@ impl Backend for RemoteBackend {
         self.pending.lock().remove(&query.0);
     }
 
-    /// The socket mesh's totals, the multiplexers' wake-up counts and the
-    /// query workers started, polled from the nodes.
+    /// The socket mesh's totals, the multiplexers' wake-up counts, the
+    /// query workers started and the seeded aggregates, polled from the
+    /// nodes.
     fn node_counters(&self, snap: &mut MetricsSnapshot) {
         const NAMES: [&str; STATS] = [
             "net.mesh.bytes_sent",
@@ -876,6 +880,8 @@ impl Backend for RemoteBackend {
             "exchange.mux.wakeups",
             "exchange.mux.empty_wakeups",
             "exec.stage_workers_spawned",
+            "exec.aggs_seeded",
+            "exec.agg_rows_dropped",
         ];
         if let Ok(counters) = self.node_stats() {
             for (name, value) in NAMES.iter().zip(counters) {
@@ -1091,7 +1097,7 @@ mod tests {
         let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
         // Node 1's answer to a `Stats` that timed out is still in the
         // channel when both nodes answer the `Load` that follows it.
-        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6, 7])))
+        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6, 7, 8, 9])))
             .unwrap();
         tx.send((0, loaded(13))).unwrap();
         tx.send((1, loaded(12))).unwrap();

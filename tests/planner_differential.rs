@@ -16,8 +16,10 @@ use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::expr::{col, lit, litf, param, Expr};
 use hsqp::engine::logical::{LogicalPlan, LogicalQuery};
 use hsqp::engine::plan::{AggFunc, AggSpec, SortKey};
-use hsqp::engine::planner::{Planner, PlannerConfig};
+use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
+use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
+use hsqp::engine::Coordinator;
 use hsqp::storage::{date_from_ymd, Table};
 use hsqp::tpch::{TpchDb, TpchTable};
 
@@ -194,6 +196,125 @@ fn decimal_joins_float64_keys_across_repartition() {
         matched.row_count()
     );
     cluster.shutdown();
+}
+
+// --- joins over an aggregate build side ----------------------------------
+
+/// Joins whose build side is an aggregate keyed by the join key, where the
+/// probe side runs first and its keys seed the aggregate's groups: a tiny
+/// probe — the first orders' keys times 300, so that half of them are an
+/// order's and half are not — joined four ways to lineitem grouped by
+/// order, and
+/// how many of them are seeded on every node. Last, a Decimal probe key
+/// (`l_quantity`) joined by value to an Int64 group (`p_size`): its keys
+/// are raw cents, which would match no group they seeded, so it is not
+/// seeded.
+fn aggregate_build_cases() -> (Vec<(String, LogicalQuery)>, u64) {
+    use hsqp::engine::logical::JoinStrategy;
+    use hsqp::engine::plan::{JoinKind, MapExpr};
+    let probe = LogicalPlan::scan(TpchTable::Orders)
+        .filter(col("o_orderkey").lt(lit(100)))
+        .select(vec![
+            MapExpr::new("k", col("o_orderkey").mul(lit(300))),
+            MapExpr::new("o_orderstatus", col("o_orderstatus")),
+        ]);
+    let per_order = LogicalPlan::scan(TpchTable::Lineitem).aggregate(
+        &["l_orderkey"],
+        vec![
+            AggSpec::new(AggFunc::Count, lit(1), "lines"),
+            AggSpec::new(AggFunc::Sum, col("l_quantity"), "qty"),
+            AggSpec::new(AggFunc::CountDistinct, col("l_suppkey"), "suppliers"),
+            AggSpec::new(AggFunc::Max, col("l_shipmode"), "last_mode"),
+        ],
+    );
+    let kinds = [
+        JoinKind::Inner,
+        JoinKind::LeftOuter,
+        JoinKind::LeftSemi,
+        JoinKind::LeftAnti,
+    ];
+    let mut cases: Vec<(String, LogicalQuery)> = kinds
+        .iter()
+        .map(|&kind| {
+            let join = probe
+                .clone()
+                .join(per_order.clone(), &["k"], &["l_orderkey"], kind);
+            (format!("{kind:?} join to lines per order"), (&join).into())
+        })
+        .collect();
+    let seeded = cases.len() as u64;
+    // COUNT(DISTINCT) has no partial phase, so every part row reaches the
+    // aggregate: enough input rows per probe row for it to be seeded.
+    let quantities = LogicalPlan::scan(TpchTable::Lineitem)
+        .filter(col("l_orderkey").lt(lit(20)))
+        .project(&["l_orderkey", "l_linenumber", "l_quantity"]);
+    let sizes = LogicalPlan::scan(TpchTable::Part).aggregate(
+        &["p_size"],
+        vec![AggSpec::new(
+            AggFunc::CountDistinct,
+            col("p_brand"),
+            "brands",
+        )],
+    );
+    let join = quantities.join_with(
+        sizes,
+        &["l_quantity"],
+        &["p_size"],
+        JoinKind::Inner,
+        JoinStrategy::Repartition,
+    );
+    cases.push(("Decimal key joined to Int64 groups".into(), (&join).into()));
+    (cases, seeded)
+}
+
+/// Every case of [`aggregate_build_cases`] on `cluster`, of `nodes` nodes,
+/// against the oracle; and the aggregates seeded, which are the seeded
+/// cases' on every node.
+fn aggregate_builds_match_oracle_on(cluster: &Coordinator, nodes: u16, what: &str) {
+    let planner = Planner::new(PlannerConfig {
+        stats: TableStats::for_scale_factor(SF),
+        ..PlannerConfig::new(nodes)
+    });
+    let oracle = Oracle::new(db());
+    let seeded = || cluster.metrics().counter("exec.aggs_seeded").unwrap();
+    let before = seeded();
+    let (cases, seeded_cases) = aggregate_build_cases();
+    for (name, query) in &cases {
+        let got = cluster
+            .run(&planner.plan_query(query).unwrap())
+            .unwrap_or_else(|e| panic!("{name} ({what}): {e}"));
+        let answer = oracle.answer(query);
+        assert!(!answer.rel.rows.is_empty(), "{name} has an empty answer");
+        support::assert_matches(&got.table, &answer, &format!("{name} ({what})"));
+    }
+    assert_eq!(
+        seeded() - before,
+        seeded_cases * u64::from(nodes),
+        "aggregates seeded ({what})"
+    );
+}
+
+#[test]
+fn joins_over_an_aggregate_build_match_oracle() {
+    for nodes in [2, 4] {
+        for workers in [1, 3] {
+            let cluster = Cluster::start(ClusterConfig {
+                workers_per_node: workers,
+                ..ClusterConfig::quick(nodes)
+            })
+            .unwrap();
+            cluster.load_tpch_db(db().clone()).unwrap();
+            let what = format!("{nodes} nodes, {workers} workers");
+            aggregate_builds_match_oracle_on(&cluster, nodes, &what);
+            cluster.shutdown();
+        }
+    }
+    let remote =
+        ProcessCluster::connect(&support::loopback_nodes(2), ProcessClusterConfig::default())
+            .unwrap();
+    remote.load_tpch(SF).unwrap();
+    aggregate_builds_match_oracle_on(&remote, 2, "2 nodes over loopback sockets");
+    remote.shutdown();
 }
 
 // --- property test: random logical plans lower without panicking ---------
@@ -590,12 +711,20 @@ fn decimal_param_stage_binds_promoted_floats() {
 /// oracle's answer.
 #[test]
 fn random_shapes_execute_end_to_end() {
+    use hsqp::engine::plan::MapExpr;
+
     let db = TpchDb::generate(0.002);
     let oracle = Oracle::new(&db);
     let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
     cluster.load_tpch_db(db).unwrap();
     let planner = Planner::for_cluster(&cluster);
 
+    let twice = vec![
+        MapExpr::new("key", col("n_nationkey")),
+        MapExpr::new("next", col("n_nationkey").add(lit(1))),
+        MapExpr::new("n_name", col("n_name")),
+        MapExpr::new("key_again", col("n_nationkey")),
+    ];
     let shapes: Vec<LogicalPlan> = vec![
         // Global (ungrouped) count(distinct) — raw rows gathered to the
         // coordinator, no pre-aggregation.
@@ -629,6 +758,13 @@ fn random_shapes_execute_end_to_end() {
             .top_k(vec![SortKey::desc("qty")], 3),
         // Bare limit with no ordering.
         LogicalPlan::scan(TpchTable::Nation).limit(7),
+        // A map that names one column twice beside a computed output, over
+        // a scan and over a filter's output: the bare references are taken
+        // whole from the input, the last of them moving it.
+        LogicalPlan::scan(TpchTable::Nation).select(twice.clone()),
+        LogicalPlan::scan(TpchTable::Nation)
+            .filter(col("n_regionkey").lt(lit(3)))
+            .select(twice),
     ];
     for (i, lp) in shapes.iter().enumerate() {
         let r = cluster
