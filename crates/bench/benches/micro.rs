@@ -1,4 +1,4 @@
-//! Criterion micro benchmarks for the design choices DESIGN.md calls out:
+//! Criterion micro benchmarks for the engine's main design choices:
 //! the schema-specialized wire format, CRC32 partitioning, message-pool
 //! reuse vs per-message memory-region registration, join probing,
 //! aggregation, and LIKE matching.

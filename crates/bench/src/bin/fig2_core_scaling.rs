@@ -54,5 +54,5 @@ fn main() {
     hsqp_bench::print_table(&["cores/server", "hybrid", "classic exchange"], &rows);
     println!();
     println!("paper @20 cores: hybrid ~12x, classic exchange ~4x");
-    println!("(speed-ups use the single-core compute correction, see DESIGN.md)");
+    println!("(speed-ups use the single-core compute correction, see hsqp_bench::corrected_time)");
 }

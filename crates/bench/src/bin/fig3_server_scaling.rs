@@ -23,7 +23,7 @@ fn main() {
     );
     let db = TpchDb::generate(SF);
     println!("scale factor {SF}, all 22 queries, workers/node = 2,");
-    println!("link bandwidths rescaled 1/32 (see DESIGN.md)\n");
+    println!("link bandwidths rescaled 1/32 (see hsqp_bench::rescaled_link)\n");
 
     let mut single_cfg = ClusterConfig::paper(1);
     single_cfg.workers_per_node = 2;
@@ -59,5 +59,5 @@ fn main() {
     hsqp_bench::print_table(&["servers", "RDMA+sched", "TCP/IB", "TCP/GbE"], &rows);
     println!();
     println!("paper @6 servers: RDMA+sched 3.5x, TCP/IB ~1x, TCP/GbE ~0.16x");
-    println!("(speed-ups use the single-core compute correction, see DESIGN.md)");
+    println!("(speed-ups use the single-core compute correction, see hsqp_bench::corrected_time)");
 }

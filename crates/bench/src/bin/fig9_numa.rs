@@ -14,7 +14,8 @@ fn qph(policy: AllocPolicy, db: &TpchDb) -> f64 {
         workers_per_node: 4,
         // Amplified QPI penalty: laptop-scale shuffles are orders of
         // magnitude smaller than the paper's, so the per-byte stall is
-        // raised to keep the Figure 9 ratios visible (see DESIGN.md).
+        // raised to keep the Figure 9 ratios visible (the links are
+        // rescaled for the same reason, see `hsqp_bench::rescaled_link`).
         numa_cost_ns: 25.0,
         alloc_policy: policy,
         link: hsqp_bench::rescaled_link(hsqp_net::LinkSpec::IB_4X_QDR),

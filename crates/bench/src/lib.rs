@@ -2,8 +2,10 @@
 //!
 //! Shared helpers for the figure/table binaries (`src/bin/`) and Criterion
 //! micro benches (`benches/`). Every binary regenerates one table or figure
-//! of the paper; `EXPERIMENTS.md` at the repository root records paper-vs-
-//! measured values.
+//! of the paper, most of them with the paper's values next to their own. Two
+//! adjustments make a laptop-sized run comparable to the paper's cluster:
+//! [`corrected_time`] for hosts with fewer cores than simulated parallel
+//! units, and [`rescaled_link`] for the compute:network balance.
 
 use std::time::Duration;
 
@@ -118,7 +120,7 @@ pub fn banner(what: &str, paper_ref: &str) {
 /// units plus the *measured* distribution overhead (network waits, protocol
 /// CPU, switch contention, serialization) which the simulation does expose.
 /// On hosts with ≥ nodes × workers cores the raw wall times can be used
-/// directly; every harness prints both. See DESIGN.md, "Single-core hosts".
+/// directly; every harness prints both.
 pub fn corrected_time(t_measured: Duration, t_single: Duration, units: u64) -> Duration {
     let overhead = t_measured.saturating_sub(t_single);
     Duration::from_secs_f64(t_single.as_secs_f64() / units as f64) + overhead

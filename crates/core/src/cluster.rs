@@ -27,8 +27,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hsqp_net::{
-    CompletionMode, Fabric, FabricConfig, LinkSpec, NetScheduler, NodeId, QueryId, QueryNetStats,
-    QueryStatsRegistry, RdmaConfig, RdmaNetwork, TcpConfig, TcpNetwork, Transport as NetTransport,
+    CompletionMode, Fabric, FabricConfig, LinkSpec, NetScheduler, NodeId, QueryId, RdmaConfig,
+    RdmaNetwork, TcpConfig, TcpNetwork, Transport as NetTransport,
 };
 use hsqp_numa::AllocPolicy;
 use hsqp_storage::placement::{chunk_split, hash_partition, Placement};
@@ -38,6 +38,7 @@ use hsqp_tpch::{TpchDb, TpchTable};
 use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome, StageReplies};
 pub use crate::coordinator::{QueryHandle, QueryResult};
 use crate::error::EngineError;
+use crate::exchange::Traffic;
 use crate::exec::{start_node, NodeCtx, StageJob};
 use crate::metrics::MetricsSnapshot;
 use crate::serve::{TenantConfig, TenantId};
@@ -258,7 +259,6 @@ impl Cluster {
             ..FabricConfig::default()
         };
         let fabric = Arc::new(Fabric::new(n, fabric_cfg));
-        let query_stats = Arc::new(QueryStatsRegistry::new());
 
         type Endpoints = Box<dyn Fn(NodeId) -> Box<dyn NetTransport>>;
         let (scheduling, endpoint): (bool, Endpoints) = match &cfg.transport {
@@ -297,7 +297,6 @@ impl Cluster {
                     Arc::clone(&fabric),
                     endpoint(NodeId(i)),
                     scheduler.clone(),
-                    Arc::clone(&query_stats),
                 )
             })
             .collect();
@@ -310,7 +309,6 @@ impl Cluster {
         });
         let coordinator = Coordinator::start(
             Arc::clone(&backend) as Arc<dyn Backend>,
-            query_stats,
             backend.cfg.max_concurrent,
             &backend.cfg.tenants,
         );
@@ -469,41 +467,28 @@ impl Backend for LocalBackend {
         }
     }
 
-    /// The multiplexers counted the query's traffic into `stats` as it
-    /// happened; only the nodes' state is left to release.
-    fn retire(&self, query: QueryId, _stats: &QueryNetStats) {
-        NodeCtx::retire(&self.nodes, query);
+    /// The query's traffic, summed over the nodes' query workers.
+    fn retire(&self, query: QueryId) -> Traffic {
+        NodeCtx::retire(&self.nodes, query)
     }
 
-    /// Network scheduler barrier rounds, how often the multiplexers were
-    /// woken and how often for nothing, the query workers started, the
-    /// aggregates seeded and the rows they dropped (all summed over the
-    /// nodes), per-link bytes and messages.
+    /// Network scheduler barrier rounds, every node's counters summed by
+    /// name, per-link bytes and messages.
     fn node_counters(&self, snap: &mut MetricsSnapshot) {
         if let Some(sched) = &self.scheduler {
-            snap.push_counter("net.scheduler.rounds", sched.rounds());
+            snap.add_counter("net.scheduler.rounds", sched.rounds());
         }
-        let nodes = &self.nodes;
-        let sum = |count: fn(&NodeCtx) -> u64| nodes.iter().map(|n| count(n)).sum::<u64>();
-        snap.push_counter("exchange.mux.wakeups", sum(|n| n.to_mux.wakeups()));
-        snap.push_counter(
-            "exchange.mux.empty_wakeups",
-            sum(|n| n.to_mux.empty_wakeups()),
-        );
-        snap.push_counter(
-            "exec.stage_workers_spawned",
-            sum(NodeCtx::stage_workers_spawned),
-        );
-        snap.push_counter("exec.aggs_seeded", sum(NodeCtx::aggs_seeded));
-        snap.push_counter("exec.agg_rows_dropped", sum(NodeCtx::agg_rows_dropped));
+        for (name, value) in self.nodes.iter().flat_map(|n| n.counters()) {
+            snap.add_counter(name, value);
+        }
         for i in 0..self.cfg.nodes {
             let stats = self.fabric.stats(NodeId(i));
-            snap.push_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());
-            snap.push_counter(
+            snap.add_counter(&format!("net.node{i}.bytes_sent"), stats.bytes_sent());
+            snap.add_counter(
                 &format!("net.node{i}.bytes_received"),
                 stats.bytes_received(),
             );
-            snap.push_counter(&format!("net.node{i}.messages_sent"), stats.messages_sent());
+            snap.add_counter(&format!("net.node{i}.messages_sent"), stats.messages_sent());
         }
     }
 }

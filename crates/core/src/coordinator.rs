@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use hsqp_net::{QueryId, QueryNetStats, QueryStatsRegistry};
+use hsqp_net::QueryId;
 use hsqp_storage::{decimal_to_f64, DataType, Table, Value};
 
 use crate::error::EngineError;
+use crate::exchange::Traffic;
 use crate::exec::{panic_message, StageReply};
 use crate::expr::Expr;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
@@ -172,12 +173,12 @@ pub(crate) trait Backend: Send + Sync {
     fn abort(&self, query: QueryId);
 
     /// Release the query's state on every node (temps, receive-hub slots)
-    /// and add traffic the nodes counted on their side to `stats`. Called
+    /// and return the traffic the nodes counted for it, summed. Called
     /// exactly once per dispatched query, whatever its outcome.
-    fn retire(&self, query: QueryId, stats: &QueryNetStats);
+    fn retire(&self, query: QueryId) -> Traffic;
 
-    /// Append the nodes' counters (network, multiplexer, query workers) to
-    /// a metrics snapshot.
+    /// Add the nodes' counters (`NodeCtx::counters` and the network's) to
+    /// a metrics snapshot, each summed over the nodes.
     fn node_counters(&self, snap: &mut MetricsSnapshot);
 }
 
@@ -223,7 +224,6 @@ struct QueryShared {
     id: QueryId,
     tenant: TenantId,
     cancel: CancelToken,
-    stats: Arc<QueryNetStats>,
     state: Mutex<HandleState>,
     done: Condvar,
     /// Stages are appended as they complete, so a cancelled or failed
@@ -308,19 +308,12 @@ impl QueryHandle {
     /// Request cancellation. Cooperative and morsel-bounded: a queued
     /// query never starts, a running one stops at its next morsel (or
     /// exchange-wait poll) rather than its next stage boundary; either
-    /// way its temp relations, receive-hub slots, and stats registration
-    /// are released and [`wait`](Self::wait) returns
+    /// way its temp relations and receive-hub slots are released and
+    /// [`wait`](Self::wait) returns
     /// [`EngineError::Cancelled`]. A query already past its last check
     /// completes normally.
     pub fn cancel(&self) {
         self.shared.cancel.cancel();
-    }
-
-    /// Per-query network statistics. Live on a simulated cluster; on a
-    /// socket cluster the nodes report theirs when the query retires.
-    /// Remains readable after completion.
-    pub fn net_stats(&self) -> &QueryNetStats {
-        &self.shared.stats
     }
 
     /// Snapshot of the query's execution profile: the stages that have
@@ -377,9 +370,6 @@ impl DispatchMetrics {
 
 struct Inner {
     backend: Arc<dyn Backend>,
-    /// Shared with whatever counts the query's traffic: the multiplexers
-    /// of a simulated cluster, the backend's `retire` on a socket one.
-    query_stats: Arc<QueryStatsRegistry>,
     next_query: AtomicU32,
     down: AtomicBool,
     metrics: MetricsRegistry,
@@ -404,14 +394,12 @@ impl Coordinator {
     /// queue and are drained weighted-deficit round-robin across tenants.
     pub(crate) fn start(
         backend: Arc<dyn Backend>,
-        query_stats: Arc<QueryStatsRegistry>,
         max_concurrent: u16,
         tenants: &[(String, TenantConfig)],
     ) -> Self {
         let metrics = MetricsRegistry::new();
         let inner = Arc::new(Inner {
             backend,
-            query_stats,
             next_query: AtomicU32::new(0),
             down: AtomicBool::new(false),
             dm: DispatchMetrics::new(&metrics),
@@ -508,7 +496,6 @@ impl Coordinator {
             id,
             tenant: opts.tenant.clone(),
             cancel: CancelToken::with_deadline(opts.deadline.map(|d| submitted + d)),
-            stats: inner.query_stats.register(id),
             state: Mutex::new(HandleState::Pending),
             done: Condvar::new(),
             profile: Mutex::new(QueryProfile::new(id, number)),
@@ -520,10 +507,7 @@ impl Coordinator {
         };
         inner.dm.queue_depth.inc();
         if let Err(e) = inner.submit_queue.push(&opts.tenant, submission) {
-            // The submission never reached a dispatcher: nothing will
-            // retire its stats registration, so release it here.
             inner.dm.queue_depth.dec();
-            inner.query_stats.retire(id);
             if matches!(e, EngineError::Admission(_)) {
                 inner.tenant_counter(&opts.tenant, "rejected").inc();
             }
@@ -623,13 +607,6 @@ impl Coordinator {
         for h in self.dispatchers.lock().drain(..) {
             let _ = h.join();
         }
-        // Every admitted query has now been executed or failed fast, and
-        // both paths retire the stats registration.
-        debug_assert_eq!(
-            self.inner.query_stats.tracked(),
-            0,
-            "query stats registry leaked entries at shutdown"
-        );
     }
 }
 
@@ -642,8 +619,9 @@ impl Drop for Coordinator {
 impl Inner {
     /// Run one admitted query to completion on this dispatcher thread and
     /// publish its result. Whatever happens — success, error,
-    /// cancellation — the query is retired on the backend and in the stats
-    /// registry afterwards, so it can neither wedge the nodes nor leak.
+    /// cancellation — the query is retired on the backend afterwards, so it
+    /// can neither wedge the nodes nor leak, and the traffic the nodes
+    /// report for it is charged to its tenant.
     fn execute_submission(&self, mut sub: Submission) {
         let queue_wait = sub.submitted.elapsed();
         self.dm.queue_depth.dec();
@@ -681,11 +659,8 @@ impl Inner {
         if result.is_err() {
             self.backend.abort(shared.id);
         }
-        self.backend.retire(shared.id, &shared.stats);
-        self.query_stats.retire(shared.id);
+        let sent = self.backend.retire(shared.id);
         self.dm.active.dec();
-        // Built after `retire`, which is when a socket cluster's nodes
-        // report the query's traffic.
         let result = result.map(|table| {
             let profile = shared.profile.lock();
             QueryResult {
@@ -693,8 +668,8 @@ impl Inner {
                 table,
                 elapsed: sub.submitted.elapsed(),
                 queue_wait,
-                bytes_shuffled: shared.stats.bytes_sent(),
-                messages_sent: shared.stats.messages_sent(),
+                bytes_shuffled: sent.bytes,
+                messages_sent: sent.messages,
                 profile: (!profile.stages.is_empty()).then(|| profile.clone()),
             }
         });
@@ -711,9 +686,9 @@ impl Inner {
         // Whatever this query put on the wire (completed or not) is
         // charged to its tenant.
         self.tenant_counter(tenant, "bytes_shuffled")
-            .add(shared.stats.bytes_sent());
+            .add(sent.bytes);
         self.tenant_counter(tenant, "messages_sent")
-            .add(shared.stats.messages_sent());
+            .add(sent.messages);
         *shared.state.lock() = HandleState::Done(Some(result));
         shared.done.notify_all();
     }
@@ -919,12 +894,19 @@ mod tests {
             self.calls.lock().push(("abort", query.0));
         }
 
-        fn retire(&self, query: QueryId, _stats: &QueryNetStats) {
+        fn retire(&self, query: QueryId) -> Traffic {
             self.calls.lock().push(("retire", query.0));
+            RETIRED
         }
 
         fn node_counters(&self, _snap: &mut MetricsSnapshot) {}
     }
+
+    /// What the fake's nodes report for every query they retire.
+    const RETIRED: Traffic = Traffic {
+        bytes: 4242,
+        messages: 17,
+    };
 
     /// A materialization, then a result stage that reads it.
     fn two_stages() -> Query {
@@ -949,18 +931,14 @@ mod tests {
     /// Arm `fault` for the second stage, run the query under `opts` on a
     /// coordinator with a single dispatcher slot (cancelling it after a
     /// moment if `cancel`), and check everything the coordinator promises
-    /// about a failed query. Returns the error the handle resolved to.
+    /// about a failed query, its traffic charged to its tenant included.
+    /// Returns the error the handle resolved to.
     fn fail_second_stage(fault: Fault, opts: &SubmitOptions, cancel: bool) -> EngineError {
         let fake = Arc::new(Fake {
             fault: Mutex::new(Some((1, fault))),
             calls: Mutex::new(Vec::new()),
         });
-        let coordinator = Coordinator::start(
-            Arc::clone(&fake) as Arc<dyn Backend>,
-            Arc::new(QueryStatsRegistry::new()),
-            1,
-            &[],
-        );
+        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, &[]);
         let handle = coordinator.submit_with(&two_stages(), opts).unwrap();
         let id = handle.id().0;
         if cancel {
@@ -982,11 +960,26 @@ mod tests {
             .collect();
         assert_eq!(calls, ["stage", "stage", "abort", "retire"], "{fault:?}");
 
+        // What the nodes reported at retire is charged to the tenant,
+        // although the query failed.
+        let tenant = |field: &str| {
+            let name = format!("tenant.{}.{field}", opts.tenant);
+            coordinator.metrics().counter(&name)
+        };
+        assert_eq!(tenant("bytes_shuffled"), Some(RETIRED.bytes), "{fault:?}");
+        assert_eq!(tenant("messages_sent"), Some(RETIRED.messages), "{fault:?}");
+
         // The only dispatcher slot was released, and the fault is spent.
         let next = coordinator
             .run(&two_stages())
             .expect("the next query completes");
         assert_eq!(next.row_count(), 0);
+        assert_eq!(
+            (next.bytes_shuffled, next.messages_sent),
+            (RETIRED.bytes, RETIRED.messages)
+        );
+        assert_eq!(tenant("bytes_shuffled"), Some(2 * RETIRED.bytes));
+        assert_eq!(tenant("messages_sent"), Some(2 * RETIRED.messages));
         let metrics = coordinator.metrics();
         let moved = match error {
             EngineError::Cancelled | EngineError::DeadlineExceeded => "queries.cancelled",
@@ -1002,7 +995,6 @@ mod tests {
         }
         assert_eq!(metrics.counter("queries.completed"), Some(1));
         assert_eq!(metrics.gauge("queries.active"), Some(0));
-        assert_eq!(coordinator.inner.query_stats.tracked(), 0);
         error
     }
 
@@ -1035,12 +1027,7 @@ mod tests {
             fault: Mutex::new(None),
             calls: Mutex::new(Vec::new()),
         });
-        let coordinator = Coordinator::start(
-            Arc::clone(&fake) as Arc<dyn Backend>,
-            Arc::new(QueryStatsRegistry::new()),
-            1,
-            &[],
-        );
+        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, &[]);
         let dangling = coordinator.run_plan(&Plan::temp_scan("nope").gather());
         assert!(
             matches!(dangling, Err(EngineError::Planner(_))),

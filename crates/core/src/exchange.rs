@@ -18,9 +18,10 @@
 //! machine; only the second part is transmitted — query id, exchange id,
 //! last-message flag, partition bucket, used byte count ([`HEADER_LEN`]
 //! bytes), then the tuples as one or more chunks of column runs, the
-//! [`crate::wire`] format. The query id lets the multiplexers route and
-//! account traffic of several concurrently running queries over the same
-//! fabric.
+//! [`crate::wire`] format. The query id lets the multiplexers route the
+//! traffic of several concurrently running queries over the same fabric.
+//! What a query sends is counted once, by the node that hands it to its
+//! multiplexer, into that query's [`TrafficCounter`] there.
 //!
 //! The data path is column-at-a-time at both ends. Sending, a worker turns
 //! each morsel into a **bucket vector** (one CRC32 per row, computed a key
@@ -93,14 +94,12 @@ use crossbeam::channel::{unbounded, Receiver, SendError, Sender, TryRecvError};
 use parking_lot::{Condvar, Mutex};
 
 use hsqp_net::{
-    Doorbell, Fabric, NodeId, QueryId, QueryStatsRegistry, Schedule, Transport as NetTransport,
-    TransportEvent,
+    Doorbell, Fabric, NodeId, QueryId, Schedule, Transport as NetTransport, TransportEvent,
 };
 use hsqp_numa::{AllocPolicy, PooledBuffer, SocketArena, SocketId, Topology};
 use hsqp_storage::Table;
 
 use crate::exec::NodeCtx;
-use crate::profile::NodeRecorder;
 use crate::wire::{rows_that_fit, RowSerializer, Rows};
 
 /// Size of the wire header preceding serialized tuples.
@@ -290,6 +289,59 @@ impl MessagePool {
 }
 
 // ---------------------------------------------------------------------------
+// Traffic
+// ---------------------------------------------------------------------------
+
+/// Wire messages and their bytes, headers included.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Traffic {
+    /// Bytes of the messages.
+    pub bytes: u64,
+    /// Number of messages.
+    pub messages: u64,
+}
+
+impl Traffic {
+    /// One header-only frame: a last-marker or an abort frame.
+    pub const FRAME: Traffic = Traffic {
+        bytes: HEADER_LEN as u64,
+        messages: 1,
+    };
+}
+
+impl std::ops::AddAssign for Traffic {
+    fn add_assign(&mut self, other: Self) {
+        self.bytes += other.bytes;
+        self.messages += other.messages;
+    }
+}
+
+/// What one query has handed one node's multiplexer so far: data
+/// messages, broadcast copies, last-markers and abort frames. Kept with
+/// the query's worker on the node, and read when the query retires.
+#[derive(Debug, Default)]
+pub struct TrafficCounter {
+    bytes: AtomicU64,
+    messages: AtomicU64,
+}
+
+impl TrafficCounter {
+    /// Count `sent`.
+    pub fn add(&self, sent: Traffic) {
+        self.bytes.fetch_add(sent.bytes, Ordering::Relaxed);
+        self.messages.fetch_add(sent.messages, Ordering::Relaxed);
+    }
+
+    /// The totals so far.
+    pub fn load(&self) -> Traffic {
+        Traffic {
+            bytes: self.bytes.load(Ordering::Relaxed),
+            messages: self.messages.load(Ordering::Relaxed),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Message writer
 // ---------------------------------------------------------------------------
 
@@ -302,14 +354,17 @@ impl MessagePool {
 /// broadcast writer, the single destination 0 that stands for every node.
 /// The writer does everything that happens to a message between pool and
 /// multiplexer: the NUMA charge for writing the buffer, the header, the
-/// recorder's wire accounting, the short cut through the receive hub for
-/// this node's own share, and classic mode's duplicate per remote unit.
+/// count of what goes to other nodes, the short cut through the receive
+/// hub for this node's own share, and classic mode's duplicate per remote
+/// unit.
 pub struct MessageWriter<'a> {
     ctx: &'a NodeCtx,
     query: QueryId,
     exchange: u32,
-    /// Recorder and the exchange operator's index in it.
-    recorder: Option<(&'a NodeRecorder, usize)>,
+    /// The query's traffic on this node, when it runs on a query worker.
+    traffic: Option<&'a TrafficCounter>,
+    /// What this writer passed on for other nodes.
+    sent: Traffic,
     ser: &'a RowSerializer,
     worker_socket: SocketId,
     broadcast: bool,
@@ -321,12 +376,13 @@ pub struct MessageWriter<'a> {
 
 impl<'a> MessageWriter<'a> {
     /// Writer for a worker on `worker_socket` partitioning exchange
-    /// `exchange` of `query` over `dests` buckets.
+    /// `exchange` of `query` over `dests` buckets, counting what it passes
+    /// on into `traffic`.
     pub fn partitioned(
         ctx: &'a NodeCtx,
         query: QueryId,
         exchange: u32,
-        recorder: Option<(&'a NodeRecorder, usize)>,
+        traffic: Option<&'a TrafficCounter>,
         ser: &'a RowSerializer,
         worker_socket: SocketId,
         dests: usize,
@@ -335,7 +391,8 @@ impl<'a> MessageWriter<'a> {
             ctx,
             query,
             exchange,
-            recorder,
+            traffic,
+            sent: Traffic::default(),
             ser,
             worker_socket,
             broadcast: false,
@@ -352,13 +409,13 @@ impl<'a> MessageWriter<'a> {
         ctx: &'a NodeCtx,
         query: QueryId,
         exchange: u32,
-        recorder: Option<(&'a NodeRecorder, usize)>,
+        traffic: Option<&'a TrafficCounter>,
         ser: &'a RowSerializer,
         worker_socket: SocketId,
     ) -> Self {
         Self {
             broadcast: true,
-            ..Self::partitioned(ctx, query, exchange, recorder, ser, worker_socket, 1)
+            ..Self::partitioned(ctx, query, exchange, traffic, ser, worker_socket, 1)
         }
     }
 
@@ -396,6 +453,12 @@ impl<'a> MessageWriter<'a> {
         for dest in 0..self.open.len() {
             self.flush(dest);
         }
+    }
+
+    /// The messages this writer passed on for other nodes, broadcast
+    /// copies included, and their bytes.
+    pub fn sent(&self) -> Traffic {
+        self.sent
     }
 
     fn flush(&mut self, dest: usize) {
@@ -460,9 +523,14 @@ impl<'a> MessageWriter<'a> {
         }
     }
 
-    fn net_send(&self, bytes: usize, messages: u64) {
-        if let Some((rec, op_idx)) = self.recorder {
-            rec.net_send(op_idx, bytes as u64, messages);
+    fn net_send(&mut self, bytes: usize, messages: u64) {
+        let sent = Traffic {
+            bytes: bytes as u64,
+            messages,
+        };
+        self.sent += sent;
+        if let Some(traffic) = self.traffic {
+            traffic.add(sent);
         }
     }
 
@@ -877,11 +945,10 @@ impl MuxSender {
 /// The multiplexer is transport-agnostic: `transport` may be a simulated
 /// endpoint (RDMA or TCP cost model, in-process) or a
 /// [`SocketTransport`](hsqp_net::SocketTransport) over genuine OS sockets
-/// between processes. Every message it puts on the wire is attributed to
-/// the query id in its header via `query_stats`, giving per-query fabric
-/// accounting even when several queries share the multiplexer. With a
-/// `scheduler` it sends in round-robin phases (§3.2.3), without one to all
-/// targets at once.
+/// between processes. It ships messages as they come, without looking
+/// into them: a query's traffic was counted when its node handed it over
+/// ([`TrafficCounter`]). With a `scheduler` it sends in round-robin phases
+/// (§3.2.3), without one to all targets at once.
 ///
 /// Returns the command sender; the thread exits on [`MuxCmd::Shutdown`].
 pub fn spawn_multiplexer(
@@ -889,7 +956,6 @@ pub fn spawn_multiplexer(
     transport: Box<dyn NetTransport>,
     hub: Arc<RecvHub>,
     scheduler: Option<Arc<hsqp_net::NetScheduler>>,
-    query_stats: Arc<QueryStatsRegistry>,
 ) -> (MuxSender, std::thread::JoinHandle<()>) {
     let (tx, rx) = unbounded();
     let to_mux = MuxSender {
@@ -907,7 +973,6 @@ pub fn spawn_multiplexer(
                 &hub,
                 &wakeups,
                 scheduler.as_deref(),
-                &query_stats,
                 &rx,
             )
         })
@@ -921,7 +986,6 @@ fn mux_loop(
     hub: &RecvHub,
     wakeups: &Wakeups,
     scheduler: Option<&hsqp_net::NetScheduler>,
-    query_stats: &QueryStatsRegistry,
     rx: &Receiver<MuxCmd>,
 ) {
     let n = cfg.nodes;
@@ -1016,7 +1080,7 @@ fn mux_loop(
             let queue = &mut queues[target.idx()];
             let batch = queue.len().min(cfg.batch_per_phase);
             for payload in queue.drain(..batch) {
-                ship(endpoint, query_stats, target, payload);
+                endpoint.send(target, payload);
             }
             queued -= batch;
             round = if queued > 0 {
@@ -1029,24 +1093,12 @@ fn mux_loop(
             // Uncoordinated: ship whatever is queued, all targets at once.
             for t in 0..n {
                 if let Some(payload) = queues[t as usize].pop_front() {
-                    ship(endpoint, query_stats, NodeId(t), payload);
+                    endpoint.send(NodeId(t), payload);
                     queued -= 1;
                 }
             }
         }
     }
-}
-
-/// Put one message on the wire and attribute it to its query.
-fn ship(
-    endpoint: &dyn NetTransport,
-    query_stats: &QueryStatsRegistry,
-    target: NodeId,
-    payload: Bytes,
-) {
-    let h = decode_header(&payload);
-    query_stats.record_send(h.query, payload.len() as u64);
-    endpoint.send(target, payload);
 }
 
 /// React to one transport event: route a message into the receive queues,
@@ -1369,7 +1421,6 @@ mod tests {
             Box::new(net.endpoint(NodeId(0))),
             RecvHub::new(1),
             Some(hsqp_net::NetScheduler::new(0)),
-            Arc::new(QueryStatsRegistry::new()),
         );
         // Two commands that queue nothing on a single node, then shutdown:
         // at most a wake-up each, none of them for nothing, and no round of
@@ -1395,14 +1446,11 @@ mod tests {
         let net = RdmaNetwork::new(Arc::clone(&fabric), RdmaConfig::default());
         let ep = net.endpoint(NodeId(0));
         net.endpoint(NodeId(1)).post_recvs(1 << 20);
-        let stats = Arc::new(QueryStatsRegistry::new());
-        let q_stats = stats.register(Q);
         let (to_mux, mux) = spawn_multiplexer(
             mux_cfg(0, 2),
             Box::new(ep),
             RecvHub::new(2),
             Some(hsqp_net::NetScheduler::new(0)),
-            Arc::clone(&stats),
         );
         // Three batches' worth, and the shutdown right behind them.
         let mut msg = Vec::new();
@@ -1417,7 +1465,7 @@ mod tests {
         }
         to_mux.send(MuxCmd::Shutdown).unwrap();
         mux.join().unwrap();
-        assert_eq!(q_stats.messages_sent(), 20);
+        assert_eq!(fabric.stats(NodeId(0)).messages_sent(), 20);
     }
 
     #[test]
@@ -1428,8 +1476,6 @@ mod tests {
         let mut senders = Vec::new();
         let hubs: Vec<_> = (0..2).map(|_| RecvHub::new(2)).collect();
         let sched = hsqp_net::NetScheduler::new(0);
-        let stats = Arc::new(QueryStatsRegistry::new());
-        let q_stats = stats.register(Q);
         for node in 0..2u16 {
             let ep = net.endpoint(NodeId(node));
             ep.post_recvs(1 << 20);
@@ -1438,7 +1484,6 @@ mod tests {
                 Box::new(ep),
                 Arc::clone(&hubs[node as usize]),
                 Some(Arc::clone(&sched)),
-                Arc::clone(&stats),
             );
             senders.push(tx);
             handles.push(h);
@@ -1468,9 +1513,10 @@ mod tests {
         let got = hubs[1].pop(Q, 42, 0, true).unwrap();
         assert_eq!(&got.data[..], b"hello");
         assert!(hubs[1].pop(Q, 42, 0, true).is_none());
-        // Both wire messages were attributed to the query.
-        assert_eq!(q_stats.messages_sent(), 2);
-        assert_eq!(q_stats.bytes_sent(), msg_len + HEADER_LEN as u64);
+        // Both wire messages went out, whole.
+        let sent = fabric.stats(NodeId(0));
+        assert_eq!(sent.messages_sent(), 2);
+        assert_eq!(sent.bytes_sent(), msg_len + HEADER_LEN as u64);
 
         for tx in &senders {
             tx.send(MuxCmd::Shutdown).unwrap();

@@ -16,7 +16,9 @@
 //! on one node fails on every node: the worker aborts the query on its own
 //! receive hub and sends each peer a [`FLAG_ABORT`] frame. The coordinator
 //! then aborts (`NodeCtx::abort`) and retires (`NodeCtx::retire`) the
-//! query.
+//! query. The worker also keeps the query's traffic from this node: every
+//! message its exchanges, last-markers and abort frames hand the
+//! multiplexer is counted there, once, and `retire` returns the totals.
 //!
 //! **The exchange.** There is one message loop (`exchange_loop`): every
 //! worker of the node alternates between partitioning and serializing a
@@ -52,9 +54,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
-use hsqp_net::{
-    Fabric, NetScheduler, NodeId, QueryId, QueryStatsRegistry, Transport as NetTransport,
-};
+use hsqp_net::{Fabric, NetScheduler, NodeId, QueryId, Transport as NetTransport};
 use hsqp_numa::{AllocPolicy, CostModel, Topology};
 use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
 use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
@@ -63,7 +63,7 @@ use hsqp_tpch::TpchTable;
 use crate::cluster::{ClusterConfig, EngineKind};
 use crate::exchange::{
     encode_header, spawn_multiplexer, MessagePool, MessageWriter, MuxCmd, MuxConfig, MuxSender,
-    Polled, RecvHub, FLAG_ABORT, FLAG_LAST, HEADER_LEN,
+    Polled, RecvHub, Traffic, TrafficCounter, FLAG_ABORT, FLAG_LAST, HEADER_LEN,
 };
 use crate::expr::Expr;
 use crate::local::{MorselDriver, WorkerCtx};
@@ -138,6 +138,8 @@ struct QueryWorker {
     handle: JoinHandle<()>,
     /// The query's tripwire, tripped by [`NodeCtx::abort`].
     cancel: CancelToken,
+    /// What the query has handed this node's multiplexer.
+    traffic: Arc<TrafficCounter>,
 }
 
 /// One stage for a node to run, and where its reply goes.
@@ -179,7 +181,6 @@ pub(crate) fn start_node(
     fabric: Arc<Fabric>,
     endpoint: Box<dyn NetTransport>,
     scheduler: Option<Arc<NetScheduler>>,
-    query_stats: Arc<QueryStatsRegistry>,
 ) -> Arc<NodeCtx> {
     let (workers, sockets) = (cfg.workers_per_node, cfg.sockets);
     let cores_per_socket = workers.div_ceil(sockets).max(1);
@@ -203,8 +204,7 @@ pub(crate) fn start_node(
         sockets,
         alloc_policy: cfg.alloc_policy,
     };
-    let (to_mux, mux) =
-        spawn_multiplexer(mux_cfg, endpoint, Arc::clone(&hub), scheduler, query_stats);
+    let (to_mux, mux) = spawn_multiplexer(mux_cfg, endpoint, Arc::clone(&hub), scheduler);
     Arc::new(NodeCtx {
         node,
         nodes: cfg.nodes,
@@ -252,21 +252,27 @@ impl NodeCtx {
         let worker = workers.entry(query).or_insert_with(|| {
             self.workers_spawned.fetch_add(1, Ordering::Relaxed);
             let (jobs, rx) = mpsc::channel::<StageJob>();
-            let (ctx, token) = (Arc::clone(self), cancel.clone());
+            let traffic = Arc::new(TrafficCounter::default());
+            let (ctx, token, sent) = (Arc::clone(self), cancel.clone(), Arc::clone(&traffic));
             let handle = std::thread::Builder::new()
                 .name(format!("q{}-node{}", query.0, self.node.0))
-                .spawn(move || rx.iter().for_each(|job| ctx.run_job(query, &token, job)))
+                .spawn(move || {
+                    rx.iter()
+                        .for_each(|job| ctx.run_job(query, &token, &sent, job))
+                })
                 .expect("spawn query worker");
             QueryWorker {
                 jobs,
                 handle,
                 cancel: cancel.clone(),
+                traffic,
             }
         });
         if let Err(mpsc::SendError(job)) = worker.jobs.send(job) {
+            let traffic = Arc::clone(&worker.traffic);
             drop(workers);
             let why = format!("the worker of {query} is gone");
-            self.fail(query, &why);
+            self.fail(query, &traffic, &why);
             (job.reply)(StageReply::Failed(why));
         }
     }
@@ -284,18 +290,26 @@ impl NodeCtx {
     /// once every stage has replied; its sends are queued by then), then
     /// drop its temps and its receive-hub state there. Every worker is told
     /// to exit before the first is joined, so they exit side by side.
-    pub(crate) fn retire(nodes: &[Arc<NodeCtx>], query: QueryId) {
+    /// Returns what the query handed the nodes' multiplexers, whatever its
+    /// outcome.
+    pub(crate) fn retire(nodes: &[Arc<NodeCtx>], query: QueryId) -> Traffic {
         let workers: Vec<_> = nodes
             .iter()
-            .map(|node| node.workers.lock().remove(&query).map(|w| w.handle))
+            .map(|node| {
+                let worker = node.workers.lock().remove(&query);
+                worker.map(|w| (w.handle, w.traffic))
+            })
             .collect();
+        let mut sent = Traffic::default();
         for (node, worker) in nodes.iter().zip(workers) {
-            if let Some(handle) = worker {
+            if let Some((handle, traffic)) = worker {
                 let _ = handle.join();
+                sent += traffic.load();
             }
             node.temps.write().remove(&query);
             node.hub.finish_query(query);
         }
+        sent
     }
 
     /// End the node: fail whatever still waits on the hub, join the query
@@ -313,34 +327,38 @@ impl NodeCtx {
         }
     }
 
-    /// Query workers started since the node started
-    /// (`exec.stage_workers_spawned`).
-    pub fn stage_workers_spawned(&self) -> u64 {
-        self.workers_spawned.load(Ordering::Relaxed)
-    }
-
-    /// Aggregates seeded by the probe side of the join above them since
-    /// the node started (`exec.aggs_seeded`).
-    pub fn aggs_seeded(&self) -> u64 {
-        self.aggs_seeded.load(Ordering::Relaxed)
-    }
-
-    /// Input rows seeded aggregates dropped since the node started
-    /// (`exec.agg_rows_dropped`).
-    pub fn agg_rows_dropped(&self) -> u64 {
-        self.agg_rows_dropped.load(Ordering::Relaxed)
+    /// The node's counters since it started, by metric name: the
+    /// multiplexer's wake-ups and how many of them found nothing, the query
+    /// workers started, the aggregates seeded by the probe side of the join
+    /// above them and the input rows they dropped. Both clusters sum them
+    /// over the nodes; a new node counter is one more entry here.
+    pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        vec![
+            ("exchange.mux.wakeups", self.to_mux.wakeups()),
+            ("exchange.mux.empty_wakeups", self.to_mux.empty_wakeups()),
+            ("exec.stage_workers_spawned", load(&self.workers_spawned)),
+            ("exec.aggs_seeded", load(&self.aggs_seeded)),
+            ("exec.agg_rows_dropped", load(&self.agg_rows_dropped)),
+        ]
     }
 
     /// The worker's loop body: run one stage and reply. A stage that fails
     /// here fails on the peers too, before the reply goes out.
-    fn run_job(&self, query: QueryId, cancel: &CancelToken, job: StageJob) {
+    fn run_job(
+        &self,
+        query: QueryId,
+        cancel: &CancelToken,
+        traffic: &TrafficCounter,
+        job: StageJob,
+    ) {
         let reply = match self.compile(query, &job.stage.plan, &job.params) {
             Err(why) => StageReply::Refused(why),
             Ok(_) if self.hub.is_aborted(query) => StageReply::Failed("query aborted".into()),
-            Ok(programs) => self.execute_stage(query, cancel, &job, programs),
+            Ok(programs) => self.execute_stage(query, cancel, traffic, &job, programs),
         };
         if let StageReply::Refused(why) | StageReply::Failed(why) = &reply {
-            self.fail(query, why);
+            self.fail(query, traffic, why);
         }
         (job.reply)(reply);
     }
@@ -354,6 +372,7 @@ impl NodeCtx {
         &self,
         query: QueryId,
         cancel: &CancelToken,
+        traffic: &TrafficCounter,
         job: &StageJob,
         programs: CompiledStage,
     ) -> StageReply {
@@ -369,6 +388,7 @@ impl NodeCtx {
                 recorder: recorder.as_ref(),
                 programs: Some(&programs),
                 cancel: Some(&cancel),
+                traffic: Some(traffic),
                 ..NodeExec::new(self, query, &job.params, job.stage_idx * 100_000)
             };
             exec.execute(&stage.plan)
@@ -398,13 +418,15 @@ impl NodeCtx {
     /// The cross-node abort protocol: fail `query` on this node's hub, then
     /// tell every peer with a [`FLAG_ABORT`] frame, so that their blocked
     /// pops fail instead of waiting for last-markers that will never come.
-    fn fail(&self, query: QueryId, why: &str) {
+    /// The frames count as the query's `traffic`.
+    fn fail(&self, query: QueryId, traffic: &TrafficCounter, why: &str) {
         self.hub
             .abort(query, &format!("node {} failed: {why}", self.node.0));
         let mut frame = Vec::with_capacity(HEADER_LEN);
         encode_header(query, 0, FLAG_ABORT, 0, 0, &mut frame);
         let frame = Bytes::from(frame);
         for t in (0..self.nodes).filter(|&t| t != self.node.0) {
+            traffic.add(Traffic::FRAME);
             let _ = self.to_mux.send(MuxCmd::Send {
                 target: NodeId(t),
                 payload: frame.clone(),
@@ -528,6 +550,9 @@ pub struct NodeExec<'a> {
     /// (contained by [`execute_stage`]), bounding cancel/deadline latency
     /// by one morsel instead of one stage.
     cancel: Option<&'a CancelToken>,
+    /// The query's traffic on this node, kept by its worker; `None` outside
+    /// a worker, where nothing reads it.
+    traffic: Option<&'a TrafficCounter>,
 }
 
 impl<'a> NodeExec<'a> {
@@ -546,6 +571,7 @@ impl<'a> NodeExec<'a> {
             recorder: None,
             programs: None,
             cancel: None,
+            traffic: None,
         }
     }
 
@@ -1041,7 +1067,6 @@ impl<'a> NodeExec<'a> {
         ctx.hub.expect_lasts(self.query, id, expected_lasts);
 
         let ser = RowSerializer::new(input.schema());
-        let recorder = self.recorder.map(|rec| (rec, op_idx));
         // Same canonicalization as the join hash: a Decimal repartition key
         // must land on the node where the equal Float64 key lands.
         let partition_by = match kind {
@@ -1133,10 +1158,16 @@ impl<'a> NodeExec<'a> {
                 _guard: AbortOnUnwind(&ctx.hub, self.query),
                 writer: match kind {
                     ExchangeKind::Broadcast => {
-                        MessageWriter::broadcast(ctx, self.query, id, recorder, &ser, w.socket)
+                        MessageWriter::broadcast(ctx, self.query, id, self.traffic, &ser, w.socket)
                     }
                     _ => MessageWriter::partitioned(
-                        ctx, self.query, id, recorder, &ser, w.socket, buckets,
+                        ctx,
+                        self.query,
+                        id,
+                        self.traffic,
+                        &ser,
+                        w.socket,
+                        buckets,
                     ),
                 },
                 bucket_of: Vec::new(),
@@ -1190,6 +1221,8 @@ impl<'a> NodeExec<'a> {
             let sending: Duration = workers.iter().map(|st| st.send).sum();
             rec.add_send_time(op_idx, sending / workers.len() as u32);
             for st in &workers {
+                let sent = st.writer.sent();
+                rec.net_send(op_idx, sent.bytes, sent.messages);
                 rec.add_consume(op_idx, st.wait, st.messages);
             }
         }
@@ -1205,7 +1238,8 @@ impl<'a> NodeExec<'a> {
     }
 
     /// End this node's part in exchange `id`: a last-marker to its own
-    /// receive hub and, through the multiplexer, to every node it sends to.
+    /// receive hub and, through the multiplexer, to every node it sends to
+    /// (counted as the query's traffic).
     fn send_lasts(&self, id: u32, kind: &ExchangeKind) {
         let ctx = self.ctx;
         ctx.hub.deliver(self.query, id, 0, None, true);
@@ -1215,6 +1249,9 @@ impl<'a> NodeExec<'a> {
             _ => 0..ctx.nodes,
         };
         for t in targets.filter(|&t| t != ctx.node.0) {
+            if let Some(traffic) = self.traffic {
+                traffic.add(Traffic::FRAME);
+            }
             let mut msg = Vec::with_capacity(HEADER_LEN);
             encode_header(self.query, id, FLAG_LAST, 0, 0, &mut msg);
             ctx.to_mux

@@ -256,11 +256,15 @@ impl MetricsSnapshot {
             .map(|(_, v)| v)
     }
 
-    /// Append a derived counter (fabric/scheduler values merged in by the
-    /// cluster at snapshot time), keeping name order.
-    pub fn push_counter(&mut self, name: &str, value: u64) {
+    /// Add `value` to counter `name`, which is created in name order if
+    /// absent: how the clusters merge in the nodes' counters at snapshot
+    /// time, summing each over the nodes.
+    pub fn add_counter(&mut self, name: &str, value: u64) {
         let pos = self.counters.partition_point(|(n, _)| n.as_str() < name);
-        self.counters.insert(pos, (name.to_string(), value));
+        match self.counters.get_mut(pos) {
+            Some((n, v)) if n == name => *v += value,
+            _ => self.counters.insert(pos, (name.to_string(), value)),
+        }
     }
 
     /// Human-readable rendering, one instrument per line.
@@ -333,10 +337,11 @@ mod tests {
         reg.gauge("queries.active").set(1);
         reg.histogram("admission.wait_us").observe(17);
         let mut snap = reg.snapshot();
-        snap.push_counter("net.scheduler.rounds", 9);
-        snap.push_counter("aaa.first", 1);
+        snap.add_counter("net.scheduler.rounds", 9);
+        snap.add_counter("aaa.first", 1);
+        snap.add_counter("net.scheduler.rounds", 4);
         assert_eq!(snap.counter("queries.completed"), Some(3));
-        assert_eq!(snap.counter("net.scheduler.rounds"), Some(9));
+        assert_eq!(snap.counter("net.scheduler.rounds"), Some(13));
         // Insertion keeps sorted order.
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         let mut sorted = names.clone();

@@ -1,8 +1,8 @@
 //! Physical query plans.
 //!
-//! Plans are trees of physical operators, built by hand per query (the
-//! paper's plans are produced by HyPer's optimizer; ours are the unnested,
-//! distributed plans of Figure 6 written out explicitly). Exchange
+//! Plans are trees of physical operators, lowered from logical queries by
+//! [`crate::planner`] (the paper's plans are produced by HyPer's optimizer;
+//! ours take the unnested, distributed shape of Figure 6). Exchange
 //! operators mark where tuples cross server boundaries; everything else
 //! runs node-locally with morsel-driven parallelism.
 

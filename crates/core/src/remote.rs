@@ -29,15 +29,14 @@
 //! | `Join` (node id, peer addresses, engine knobs) | `JoinOk` after the data mesh is up |
 //! | `Load` (scale factor) | `LoadOk` (local rows per table) |
 //! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
-//! | `Retire` (query) | `RetireOk` (per-query bytes/messages) |
+//! | `Retire` (query) | `RetireOk` (the bytes and messages the query handed the node's multiplexer) |
 //! | `Abort` (query) | — |
-//! | `Stats` | `StatsOk` (node socket, multiplexer, query-worker and seeded-aggregate counters) |
+//! | `Stats` | `StatsOk` (the node's counters as (name, value) pairs: `NodeCtx::counters` and the `net.mesh.*` socket totals) |
 //! | `Shutdown` | — (the node process exits) |
 //!
-//! Per-query network counters are read at *retire* time: the coordinator
-//! only retires once it holds the final gathered result, which implies
-//! every node's sends for the query have left its multiplexer and been
-//! recorded.
+//! A query's traffic is read at *retire* time, whatever its outcome: each
+//! node counted what the query's worker there handed its multiplexer, and
+//! retiring joins that worker first, so nothing it sent is missed.
 //!
 //! **Latency invariant.** A stage is a request/reply round trip of small
 //! frames, so its floor is set by how soon each frame leaves the sender,
@@ -84,16 +83,14 @@ use parking_lot::{Mutex, RwLock};
 use hsqp_net::socket::{
     read_frame, read_preamble, send_preamble, Frame, HandshakeRole, Preamble, WIRE_VERSION,
 };
-use hsqp_net::{
-    Fabric, FabricConfig, NetStats, NodeId, QueryId, QueryNetStats, QueryStatsRegistry,
-    SocketConfig, SocketTransport,
-};
+use hsqp_net::{Fabric, FabricConfig, NetStats, NodeId, QueryId, SocketConfig, SocketTransport};
 use hsqp_storage::placement::chunk_split;
 use hsqp_tpch::{TpchDb, TpchTable};
 
 use crate::cluster::ClusterConfig;
 use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome, StageReplies};
 use crate::error::EngineError;
+use crate::exchange::Traffic;
 use crate::exec::{start_node, NodeCtx, StageJob, StageReply};
 use crate::metrics::MetricsSnapshot;
 use crate::serial::{
@@ -222,14 +219,12 @@ impl NodeServer {
         )?;
         let net_stats = Arc::clone(transport.stats());
 
-        let query_stats = Arc::new(QueryStatsRegistry::new());
         let ctx = start_node(
             NodeId(node),
             &cfg,
             Arc::new(Fabric::new(nodes, FabricConfig::default())),
             Box::new(transport),
             None,
-            Arc::clone(&query_stats),
         );
 
         let writer = Arc::new(Mutex::new(control.try_clone()?));
@@ -244,7 +239,7 @@ impl NodeServer {
                     break;
                 }
             };
-            match self.handle_frame(&frame, &ctx, &writer, &query_stats, &net_stats) {
+            match self.handle_frame(&frame, &ctx, &writer, &net_stats) {
                 Ok(true) => {}
                 Ok(false) => {
                     eprintln!("[node {node}] shutdown requested");
@@ -267,32 +262,24 @@ impl NodeServer {
         frame: &[u8],
         ctx: &Arc<NodeCtx>,
         writer: &Arc<Mutex<TcpStream>>,
-        query_stats: &Arc<QueryStatsRegistry>,
-        net_stats: &Arc<NetStats>,
+        net_stats: &NetStats,
     ) -> Result<bool, String> {
         let mut r = Rd::new(frame);
         match r.u8()? {
             OP_LOAD => {
                 let sf = r.f64()?;
                 let db = TpchDb::generate(sf);
-                let mut rows: Vec<(TpchTable, u64)> = Vec::new();
+                let mut rows = Vec::new();
                 for (kind, table) in db.into_tables() {
                     let part = chunk_split(&table, ctx.nodes as usize)
                         .into_iter()
                         .nth(ctx.node.idx())
                         .expect("own chunk");
-                    rows.push((kind, part.rows() as u64));
+                    rows.push((kind.name(), part.rows() as u64));
                     ctx.tables.write().insert(kind, Arc::new(part));
                 }
-                send_reply(writer, |out| {
-                    serial::put_u8(out, OP_LOAD_OK);
-                    serial::put_u32(out, rows.len() as u32);
-                    for (kind, n) in &rows {
-                        serial::put_str(out, kind.name());
-                        serial::put_u64(out, *n);
-                    }
-                })
-                .map_err(|e| e.to_string())?;
+                send_reply(writer, |out| put_named(out, OP_LOAD_OK, &rows))
+                    .map_err(|e| e.to_string())?;
             }
             OP_STAGE => {
                 let query = r.u32()?;
@@ -301,8 +288,6 @@ impl NodeServer {
                 let params = decode_values(r.take(params_len)?)?;
                 let stage_len = r.u32()? as usize;
                 let envelope = decode_stage_tagged(r.take(stage_len)?)?;
-                // The multiplexer counts the query's sends until it retires.
-                query_stats.register(QueryId(query));
                 let writer = Arc::clone(writer);
                 let job = StageJob {
                     stage_idx,
@@ -324,34 +309,21 @@ impl NodeServer {
             }
             OP_RETIRE => {
                 let query = QueryId(r.u32()?);
-                // Retire first: it joins the query's worker, whose last sends
-                // must be counted before they are read.
-                NodeCtx::retire(std::slice::from_ref(ctx), query);
-                let stats = query_stats.register(query);
-                query_stats.retire(query);
-                send_reply(writer, |out| {
-                    serial::put_u8(out, OP_RETIRE_OK);
-                    serial::put_u32(out, query.0);
-                    serial::put_u64(out, stats.bytes_sent());
-                    serial::put_u64(out, stats.messages_sent());
-                })
-                .map_err(|e| e.to_string())?;
+                let sent = NodeCtx::retire(std::slice::from_ref(ctx), query);
+                send_reply(writer, |out| put_retire_ok(out, query.0, sent))
+                    .map_err(|e| e.to_string())?;
             }
             OP_ABORT => ctx.abort(QueryId(r.u32()?)),
             OP_STATS => {
-                send_reply(writer, |out| {
-                    serial::put_u8(out, OP_STATS_OK);
-                    serial::put_u64(out, net_stats.bytes_sent());
-                    serial::put_u64(out, net_stats.bytes_received());
-                    serial::put_u64(out, net_stats.messages_sent());
-                    serial::put_u64(out, net_stats.messages_received());
-                    serial::put_u64(out, ctx.to_mux.wakeups());
-                    serial::put_u64(out, ctx.to_mux.empty_wakeups());
-                    serial::put_u64(out, ctx.stage_workers_spawned());
-                    serial::put_u64(out, ctx.aggs_seeded());
-                    serial::put_u64(out, ctx.agg_rows_dropped());
-                })
-                .map_err(|e| e.to_string())?;
+                let mut counters = ctx.counters();
+                counters.extend([
+                    ("net.mesh.bytes_sent", net_stats.bytes_sent()),
+                    ("net.mesh.bytes_received", net_stats.bytes_received()),
+                    ("net.mesh.messages_sent", net_stats.messages_sent()),
+                    ("net.mesh.messages_received", net_stats.messages_received()),
+                ]);
+                send_reply(writer, |out| put_named(out, OP_STATS_OK, &counters))
+                    .map_err(|e| e.to_string())?;
             }
             OP_SHUTDOWN => return Ok(false),
             op => return Err(format!("unknown control opcode {op}")),
@@ -365,6 +337,25 @@ impl NodeServer {
 fn send_reply<W: Write>(writer: &Mutex<W>, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
     let frame = Frame::build(body)?;
     frame.write_to(&mut *writer.lock())
+}
+
+/// Body of a `LoadOk` or `StatsOk` reply: `op`, then a list of named
+/// counts (rows per table, or counters).
+fn put_named(out: &mut Vec<u8>, op: u8, named: &[(&str, u64)]) {
+    serial::put_u8(out, op);
+    serial::put_u32(out, named.len() as u32);
+    for (name, n) in named {
+        serial::put_str(out, name);
+        serial::put_u64(out, *n);
+    }
+}
+
+/// Body of a `RetireOk` reply: what `query` handed the node's multiplexer.
+fn put_retire_ok(out: &mut Vec<u8>, query: u32, sent: Traffic) {
+    serial::put_u8(out, OP_RETIRE_OK);
+    serial::put_u32(out, query);
+    serial::put_u64(out, sent.bytes);
+    serial::put_u64(out, sent.messages);
 }
 
 /// Body of a node's reply to a stage: `StageDone`, whose gathered result
@@ -428,30 +419,28 @@ impl Default for ProcessClusterConfig {
 /// A control reply routed to the query that awaits it.
 enum NodeReply {
     /// `StageDone` or `StageFail` of stage `stage`.
-    Stage {
-        stage: u32,
-        reply: StageReply,
-    },
-    RetireOk {
-        bytes: u64,
-        msgs: u64,
-    },
+    Stage { stage: u32, reply: StageReply },
+    /// What the query handed the node's multiplexer.
+    RetireOk(Traffic),
     /// The node's control connection died.
     NodeDown(String),
 }
 
 /// Replies to coordinator-wide (non-query) requests.
 enum CtlReply {
+    /// Local rows per table name.
     LoadOk(Vec<(String, u64)>),
-    /// Bytes sent, bytes received, messages sent, messages received; then
-    /// the multiplexer's wake-ups, how many of them found nothing, the
-    /// query workers started, the aggregates seeded by a join's probe side
-    /// and the input rows they dropped.
-    StatsOk([u64; STATS]),
+    /// The node's counters by metric name.
+    StatsOk(Vec<(String, u64)>),
 }
 
-/// Counters in a `StatsOk` reply.
-const STATS: usize = 9;
+/// A control reply as it came off the wire.
+enum Reply {
+    /// For the query with this id.
+    Query(u32, NodeReply),
+    /// For the coordinator-wide request in flight.
+    Ctl(CtlReply),
+}
 
 type ReplyChannel = (Sender<(usize, NodeReply)>, Receiver<(usize, NodeReply)>);
 
@@ -586,7 +575,6 @@ impl ProcessCluster {
         Ok(Self {
             coordinator: Coordinator::start(
                 Arc::clone(&backend) as Arc<dyn Backend>,
-                Arc::new(QueryStatsRegistry::new()),
                 cfg.max_concurrent,
                 &cfg.tenants,
             ),
@@ -616,7 +604,7 @@ impl ProcessCluster {
             },
             |reply| match reply {
                 CtlReply::LoadOk(rows) => Some(rows),
-                CtlReply::StatsOk(..) => None,
+                CtlReply::StatsOk(_) => None,
             },
         )?;
         let mut totals: HashMap<TpchTable, u64> = HashMap::new();
@@ -639,8 +627,15 @@ impl ProcessCluster {
     /// cluster-wide sums: `(bytes_sent, bytes_received, messages_sent,
     /// messages_received)`.
     pub fn net_stats(&self) -> Result<(u64, u64, u64, u64), EngineError> {
-        let [bs, br, ms, mr, ..] = self.backend.node_stats()?;
-        Ok((bs, br, ms, mr))
+        let mut snap = MetricsSnapshot::default();
+        self.backend.node_stats(&mut snap)?;
+        let mesh = |name: &str| snap.counter(&format!("net.mesh.{name}")).unwrap_or(0);
+        Ok((
+            mesh("bytes_sent"),
+            mesh("bytes_received"),
+            mesh("messages_sent"),
+            mesh("messages_received"),
+        ))
     }
 
     /// Shut the node processes down and disconnect. In-flight queries
@@ -723,8 +718,9 @@ impl RemoteBackend {
         Ok(replies)
     }
 
-    /// The nodes' [`CtlReply::StatsOk`] counters, summed.
-    fn node_stats(&self) -> Result<[u64; STATS], EngineError> {
+    /// Add the nodes' [`CtlReply::StatsOk`] counters to `snap`, summed by
+    /// name.
+    fn node_stats(&self, snap: &mut MetricsSnapshot) -> Result<(), EngineError> {
         let replies = self.control_op(
             "reporting stats",
             self.reply_timeout,
@@ -734,10 +730,10 @@ impl RemoteBackend {
                 CtlReply::LoadOk(_) => None,
             },
         )?;
-        Ok(replies.into_iter().fold([0; STATS], |mut sum, node| {
-            sum.iter_mut().zip(node).for_each(|(s, n)| *s += n);
-            sum
-        }))
+        for (name, value) in replies.into_iter().flatten() {
+            snap.add_counter(&name, value);
+        }
+        Ok(())
     }
 
     /// The reply channel of a query that has shipped a stage.
@@ -843,12 +839,13 @@ impl Backend for RemoteBackend {
         }
     }
 
-    /// Per-query network counters are read at retire time: every node
-    /// reports what it sent for the query. Best-effort: a query that never
-    /// shipped a stage has nothing to release, dead nodes do not report.
-    fn retire(&self, query: QueryId, stats: &QueryNetStats) {
+    /// Every node reports what the query handed its multiplexer.
+    /// Best-effort: a query that never shipped a stage has nothing to
+    /// release, dead nodes do not report.
+    fn retire(&self, query: QueryId) -> Traffic {
+        let mut sent = Traffic::default();
         let Some(rx) = self.replies_of(query) else {
-            return;
+            return sent;
         };
         let retire = |out: &mut Vec<u8>| {
             serial::put_u8(out, OP_RETIRE);
@@ -856,38 +853,22 @@ impl Backend for RemoteBackend {
         };
         if !self.dead.load(Ordering::SeqCst) && self.broadcast(retire).is_ok() {
             let acks = collect_replies(&rx, self.conns.len(), self.reply_timeout, |r| match r {
-                NodeReply::RetireOk { bytes, msgs } => Some((bytes, msgs)),
-                NodeReply::NodeDown(_) => Some((0, 0)),
+                NodeReply::RetireOk(traffic) => Some(traffic),
+                NodeReply::NodeDown(_) => Some(Traffic::default()),
                 // Stray stage replies of an aborted query.
-                _ => None,
+                NodeReply::Stage { .. } => None,
             });
-            for (bytes, msgs) in acks {
-                stats.add(bytes, msgs);
+            for traffic in acks {
+                sent += traffic;
             }
         }
         self.pending.lock().remove(&query.0);
+        sent
     }
 
-    /// The socket mesh's totals, the multiplexers' wake-up counts, the
-    /// query workers started and the seeded aggregates, polled from the
-    /// nodes.
+    /// The nodes' counters, polled from them and summed by name.
     fn node_counters(&self, snap: &mut MetricsSnapshot) {
-        const NAMES: [&str; STATS] = [
-            "net.mesh.bytes_sent",
-            "net.mesh.bytes_received",
-            "net.mesh.messages_sent",
-            "net.mesh.messages_received",
-            "exchange.mux.wakeups",
-            "exchange.mux.empty_wakeups",
-            "exec.stage_workers_spawned",
-            "exec.aggs_seeded",
-            "exec.agg_rows_dropped",
-        ];
-        if let Ok(counters) = self.node_stats() {
-            for (name, value) in NAMES.iter().zip(counters) {
-                snap.push_counter(name, value);
-            }
-        }
+        let _ = self.node_stats(snap);
     }
 }
 
@@ -902,68 +883,61 @@ fn coord_reader(node: usize, mut stream: TcpStream, backend: &RemoteBackend) {
                 return fail_pending(backend, node, &format!("control connection lost: {e}"));
             }
         };
-        let mut r = Rd::new(&frame);
-        let routed: Result<(), String> = (|| {
-            match r.u8()? {
-                OP_STAGE_DONE => {
-                    let query = r.u32()?;
-                    let stage = r.u32()?;
-                    let rows = r.u64()?;
-                    let table = match r.u8()? {
-                        0 => None,
-                        _ => Some(decode_table(r.take_rest())?),
-                    };
-                    let reply = StageReply::Done {
-                        rows,
-                        table,
-                        profile: None,
-                    };
-                    route(backend, node, query, NodeReply::Stage { stage, reply });
-                }
-                OP_STAGE_FAIL => {
-                    let query = r.u32()?;
-                    let stage = r.u32()?;
-                    let reply = match (r.u8()?, r.str()?) {
-                        (0, why) => StageReply::Failed(why),
-                        (_, why) => StageReply::Refused(why),
-                    };
-                    route(backend, node, query, NodeReply::Stage { stage, reply });
-                }
-                OP_RETIRE_OK => {
-                    let query = r.u32()?;
-                    let bytes = r.u64()?;
-                    let msgs = r.u64()?;
-                    route(backend, node, query, NodeReply::RetireOk { bytes, msgs });
-                }
-                OP_LOAD_OK => {
-                    let count = r.u32()? as usize;
-                    let mut rows = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let name = r.str()?;
-                        let n = r.u64()?;
-                        rows.push((name, n));
-                    }
-                    let _ = backend.ctl_tx.send((node, CtlReply::LoadOk(rows)));
-                }
-                OP_STATS_OK => {
-                    let mut counters = [0; STATS];
-                    for c in &mut counters {
-                        *c = r.u64()?;
-                    }
-                    let _ = backend.ctl_tx.send((node, CtlReply::StatsOk(counters)));
-                }
-                op => return Err(format!("unexpected reply opcode {op}")),
+        match decode_reply(&frame) {
+            Ok(Reply::Query(query, reply)) => route(backend, node, query, reply),
+            Ok(Reply::Ctl(reply)) => {
+                let _ = backend.ctl_tx.send((node, reply));
             }
-            Ok(())
-        })();
-        if let Err(e) = routed {
-            return fail_pending(
-                backend,
-                node,
-                &format!("protocol error from node {node}: {e}"),
-            );
+            Err(e) => {
+                return fail_pending(
+                    backend,
+                    node,
+                    &format!("protocol error from node {node}: {e}"),
+                );
+            }
         }
     }
+}
+
+/// Decode one reply frame. Total: a frame that is cut short, has bytes
+/// left over or declares more list entries than it has bytes is an
+/// `Err`, never a panic or an allocation of the declared size.
+fn decode_reply(frame: &[u8]) -> Result<Reply, String> {
+    let mut r = Rd::new(frame);
+    let named = |r: &mut Rd| r.vec(|r| Ok((r.str()?, r.u64()?)));
+    let reply = match r.u8()? {
+        OP_STAGE_DONE => {
+            let (query, stage, rows) = (r.u32()?, r.u32()?, r.u64()?);
+            let table = match r.u8()? {
+                0 => None,
+                _ => Some(decode_table(r.take_rest())?),
+            };
+            let reply = StageReply::Done {
+                rows,
+                table,
+                profile: None,
+            };
+            Reply::Query(query, NodeReply::Stage { stage, reply })
+        }
+        OP_STAGE_FAIL => {
+            let (query, stage) = (r.u32()?, r.u32()?);
+            let reply = match (r.u8()?, r.str()?) {
+                (0, why) => StageReply::Failed(why),
+                (_, why) => StageReply::Refused(why),
+            };
+            Reply::Query(query, NodeReply::Stage { stage, reply })
+        }
+        OP_RETIRE_OK => {
+            let query = r.u32()?;
+            let (bytes, messages) = (r.u64()?, r.u64()?);
+            Reply::Query(query, NodeReply::RetireOk(Traffic { bytes, messages }))
+        }
+        OP_LOAD_OK => Reply::Ctl(CtlReply::LoadOk(named(&mut r)?)),
+        OP_STATS_OK => Reply::Ctl(CtlReply::StatsOk(named(&mut r)?)),
+        op => return Err(format!("unexpected reply opcode {op}")),
+    };
+    r.finish()?;
+    Ok(reply)
 }
 
 /// Mark the cluster dead and fail every pending query.
@@ -1097,8 +1071,8 @@ mod tests {
         let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
         // Node 1's answer to a `Stats` that timed out is still in the
         // channel when both nodes answer the `Load` that follows it.
-        tx.send((1, CtlReply::StatsOk([1, 2, 3, 4, 5, 6, 7, 8, 9])))
-            .unwrap();
+        let stats = vec![("exec.aggs_seeded".to_string(), 9)];
+        tx.send((1, CtlReply::StatsOk(stats))).unwrap();
         tx.send((0, loaded(13))).unwrap();
         tx.send((1, loaded(12))).unwrap();
         let pick_load = |reply| match reply {
@@ -1119,6 +1093,102 @@ mod tests {
         let loads = collect_replies(&rx, 2, Duration::from_millis(40), pick_load);
         assert_eq!(loads.len(), 1);
         assert!(started.elapsed() >= Duration::from_millis(40));
+    }
+
+    /// One frame of every reply the coordinator decodes, as the nodes
+    /// build them.
+    fn reply_frames() -> Vec<Vec<u8>> {
+        let db = TpchDb::generate(0.001);
+        let done = |rows, table| StageReply::Done {
+            rows,
+            table,
+            profile: None,
+        };
+        let mut frames: Vec<Vec<u8>> = [
+            done(25, Some(db.table(TpchTable::Nation).clone())),
+            done(0, None),
+            StageReply::Refused("does not compile".into()),
+            StageReply::Failed("query aborted".into()),
+        ]
+        .iter()
+        .map(|reply| {
+            let mut out = Vec::new();
+            put_stage_reply(&mut out, 7, 2, reply);
+            out
+        })
+        .collect();
+        let mut out = Vec::new();
+        put_retire_ok(
+            &mut out,
+            7,
+            Traffic {
+                bytes: 4242,
+                messages: 17,
+            },
+        );
+        frames.push(out);
+        let mut out = Vec::new();
+        put_named(&mut out, OP_LOAD_OK, &[("nation", 13), ("region", 5)]);
+        frames.push(out);
+        let mut out = Vec::new();
+        put_named(
+            &mut out,
+            OP_STATS_OK,
+            &[("exec.aggs_seeded", 3), ("net.mesh.bytes_sent", 1 << 40)],
+        );
+        frames.push(out);
+        frames
+    }
+
+    #[test]
+    fn replies_decode_whole_and_every_truncation_is_an_error() {
+        let frames = reply_frames();
+        for frame in &frames {
+            assert!(decode_reply(frame).is_ok(), "opcode {}", frame[0]);
+            for len in 0..frame.len() {
+                assert!(
+                    decode_reply(&frame[..len]).is_err(),
+                    "opcode {} cut to {len} of {} bytes decoded",
+                    frame[0],
+                    frame.len()
+                );
+            }
+        }
+        // Fixed-size replies and lists are exact: a byte more is an error.
+        for frame in &frames[4..] {
+            let mut longer = frame.clone();
+            longer.push(0);
+            assert!(decode_reply(&longer).is_err(), "opcode {}", frame[0]);
+        }
+        match decode_reply(&frames[4]) {
+            Ok(Reply::Query(7, NodeReply::RetireOk(sent))) => {
+                assert_eq!((sent.bytes, sent.messages), (4242, 17));
+            }
+            _ => panic!("RetireOk did not decode"),
+        }
+        match decode_reply(&frames[6]) {
+            Ok(Reply::Ctl(CtlReply::StatsOk(counters))) => assert_eq!(
+                counters,
+                [
+                    ("exec.aggs_seeded".to_string(), 3),
+                    ("net.mesh.bytes_sent".to_string(), 1 << 40)
+                ]
+            ),
+            _ => panic!("StatsOk did not decode"),
+        }
+    }
+
+    #[test]
+    fn a_forged_list_count_is_an_error_not_an_allocation() {
+        for op in [OP_LOAD_OK, OP_STATS_OK] {
+            for count in [3, 1 << 20, u32::MAX] {
+                let mut frame = vec![op];
+                serial::put_u32(&mut frame, count);
+                serial::put_str(&mut frame, "nation");
+                serial::put_u64(&mut frame, 25);
+                assert!(decode_reply(&frame).is_err(), "op {op}, count {count}");
+            }
+        }
     }
 
     #[test]
@@ -1178,15 +1248,34 @@ mod tests {
         );
     }
 
+    /// Both clusters count a query's traffic where its node hands it to
+    /// the multiplexer, so with one worker per node (which makes message
+    /// boundaries deterministic) and the same message size they count the
+    /// same bytes and messages.
     #[test]
     fn two_process_cluster_matches_in_process() {
+        let engine = RemoteEngineConfig {
+            workers_per_node: 1,
+            message_capacity: 32 * 1024,
+        };
         let addrs = spawn_nodes(2);
-        let pc = ProcessCluster::connect(&addrs, ProcessClusterConfig::default()).unwrap();
+        let pc = ProcessCluster::connect(
+            &addrs,
+            ProcessClusterConfig {
+                engine,
+                ..ProcessClusterConfig::default()
+            },
+        )
+        .unwrap();
         pc.load_tpch(0.001).unwrap();
         assert!(pc.table_rows(TpchTable::Lineitem).unwrap() > 1000);
 
-        let local =
-            crate::cluster::Cluster::start(crate::cluster::ClusterConfig::quick(2)).unwrap();
+        let local = crate::cluster::Cluster::start(ClusterConfig {
+            workers_per_node: engine.workers_per_node,
+            message_capacity: engine.message_capacity,
+            ..ClusterConfig::quick(2)
+        })
+        .unwrap();
         local.load_tpch(0.001).unwrap();
 
         for qn in [1u32, 3, 6, 11] {
@@ -1198,11 +1287,12 @@ mod tests {
                 reference.table.rows(),
                 "Q{qn} row count"
             );
-            if qn != 1 {
-                // Q1 is single-node-gatherable only at larger SF; the join
-                // queries must actually shuffle.
-                continue;
-            }
+            assert!(reference.messages_sent > 0, "Q{qn} sends nothing");
+            assert_eq!(
+                (remote.bytes_shuffled, remote.messages_sent),
+                (reference.bytes_shuffled, reference.messages_sent),
+                "Q{qn} traffic (bytes, messages)"
+            );
         }
         local.shutdown();
         pc.shutdown();

@@ -166,7 +166,7 @@ impl<'a> Rd<'a> {
         }
     }
 
-    fn vec<T>(
+    pub(crate) fn vec<T>(
         &mut self,
         mut dec: impl FnMut(&mut Self) -> DecodeResult<T>,
     ) -> DecodeResult<Vec<T>> {

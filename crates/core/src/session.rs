@@ -239,9 +239,9 @@ impl Session {
     /// queries execute at once over the shared exchange fabric — every
     /// wire message and temp relation is tagged with the query's id, so
     /// overlapping queries stay fully isolated. The handle exposes
-    /// [`wait`](QueryHandle::wait), [`try_result`](QueryHandle::try_result),
-    /// [`cancel`](QueryHandle::cancel), and live per-query fabric
-    /// statistics ([`net_stats`](QueryHandle::net_stats)).
+    /// [`wait`](QueryHandle::wait), [`try_result`](QueryHandle::try_result)
+    /// and [`cancel`](QueryHandle::cancel); the result carries the query's
+    /// own traffic.
     pub fn submit(&self, query: impl Into<LogicalQuery>) -> Result<QueryHandle, EngineError> {
         self.submit_with(query, &SubmitOptions::default())
     }

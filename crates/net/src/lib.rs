@@ -42,6 +42,6 @@ pub use link::LinkSpec;
 pub use rdma::{CompletionMode, RdmaConfig, RdmaEndpoint, RdmaNetwork};
 pub use sched::{NetScheduler, Schedule};
 pub use socket::{SocketConfig, SocketTransport};
-pub use stats::{NetStats, QueryId, QueryNetStats, QueryStatsRegistry};
+pub use stats::{NetStats, QueryId};
 pub use tcp::{IpoibMode, TcpConfig, TcpEndpoint, TcpNetwork};
 pub use transport::{Doorbell, Transport, TransportEvent};

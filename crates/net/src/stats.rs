@@ -1,17 +1,13 @@
-//! Per-node and per-query network accounting.
+//! Per-node network accounting.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-
-use parking_lot::RwLock;
 
 /// Identifier of one query admitted to the engine.
 ///
 /// Every wire message carries the id of the query it belongs to, so the
-/// fabric can attribute traffic to individual queries even when several are
-/// in flight over the shared multiplexers.
+/// receiving node routes it to that query's exchange even when several
+/// queries are in flight over the shared multiplexers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub u32);
 
@@ -136,99 +132,6 @@ impl NetStats {
     }
 }
 
-/// Live network counters of one query: bytes and messages its exchanges
-/// put on the wire across all nodes.
-///
-/// Handed out by the [`QueryStatsRegistry`]; the communication multiplexers
-/// update it on every send, so a caller holding a clone of the `Arc` can
-/// watch a query's fabric usage while it runs.
-#[derive(Debug, Default)]
-pub struct QueryNetStats {
-    bytes_sent: AtomicU64,
-    messages_sent: AtomicU64,
-}
-
-impl QueryNetStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one wire message of `bytes` bytes sent for this query.
-    pub fn record_send(&self, bytes: u64) {
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.messages_sent.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold in counters reported by another party (an out-of-process
-    /// coordinator merging the per-node totals its nodes report back).
-    pub fn add(&self, bytes: u64, messages: u64) {
-        self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-        self.messages_sent.fetch_add(messages, Ordering::Relaxed);
-    }
-
-    /// Bytes this query has shipped over the fabric so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
-    }
-
-    /// Wire messages this query has sent so far.
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed)
-    }
-}
-
-/// Registry mapping in-flight queries to their [`QueryNetStats`].
-///
-/// The cluster registers a query at admission and retires it at completion;
-/// multiplexers look up the id decoded from each message header. Retiring
-/// removes the registry entry (bounding memory across millions of queries)
-/// without invalidating `Arc`s already handed to query handles.
-#[derive(Debug, Default)]
-pub struct QueryStatsRegistry {
-    queries: RwLock<HashMap<u32, Arc<QueryNetStats>>>,
-}
-
-impl QueryStatsRegistry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register `query`, returning its live counters (idempotent: a second
-    /// registration returns the same counters).
-    pub fn register(&self, query: QueryId) -> Arc<QueryNetStats> {
-        if let Some(s) = self.queries.read().get(&query.0) {
-            return Arc::clone(s);
-        }
-        Arc::clone(
-            self.queries
-                .write()
-                .entry(query.0)
-                .or_insert_with(|| Arc::new(QueryNetStats::new())),
-        )
-    }
-
-    /// Attribute one sent message to `query`. Messages of unregistered
-    /// queries (e.g. stragglers of an already-retired query) are dropped.
-    pub fn record_send(&self, query: QueryId, bytes: u64) {
-        if let Some(s) = self.queries.read().get(&query.0) {
-            s.record_send(bytes);
-        }
-    }
-
-    /// Drop the registry entry for `query`. Counters stay readable through
-    /// previously returned `Arc`s.
-    pub fn retire(&self, query: QueryId) {
-        self.queries.write().remove(&query.0);
-    }
-
-    /// Number of queries currently tracked.
-    pub fn tracked(&self) -> usize {
-        self.queries.read().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,27 +156,5 @@ mod tests {
         s.reset();
         assert_eq!(s.bytes_sent(), 0);
         assert_eq!(s.total_cpu(), Duration::ZERO);
-    }
-
-    #[test]
-    fn registry_attributes_per_query_and_retires() {
-        let reg = QueryStatsRegistry::new();
-        let a = reg.register(QueryId(1));
-        let b = reg.register(QueryId(2));
-        assert_eq!(reg.tracked(), 2);
-        reg.record_send(QueryId(1), 100);
-        reg.record_send(QueryId(1), 50);
-        reg.record_send(QueryId(2), 7);
-        assert_eq!(a.bytes_sent(), 150);
-        assert_eq!(a.messages_sent(), 2);
-        assert_eq!(b.bytes_sent(), 7);
-        // Registering twice yields the same counters.
-        assert_eq!(reg.register(QueryId(1)).bytes_sent(), 150);
-        // Retired queries drop from the registry but the handle stays live;
-        // straggler sends are dropped.
-        reg.retire(QueryId(1));
-        assert_eq!(reg.tracked(), 1);
-        reg.record_send(QueryId(1), 999);
-        assert_eq!(a.bytes_sent(), 150);
     }
 }

@@ -5,7 +5,7 @@
 //! 1. overlap several queries over the shared exchange fabric (the
 //!    dispatcher admits up to `max_concurrent` at once and the network
 //!    scheduler arbitrates among them),
-//! 2. watch a query's per-query fabric statistics while it runs,
+//! 2. poll a query for its result instead of blocking on it,
 //! 3. cancel a query and keep the engine healthy.
 //!
 //! ```bash
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         started.elapsed().as_secs_f64() * 1e3
     );
 
-    // --- try_result + live stats: poll instead of blocking -------------
+    // --- try_result: poll instead of blocking ---------------------------
     let handle = session.submit(&tpch_logical(21)?)?;
     let mut polls = 0u32;
     let result = loop {
@@ -58,8 +58,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::thread::sleep(std::time::Duration::from_millis(5));
     };
     println!(
-        "Q21 finished after {polls} polls; live counter saw {} messages",
-        handle.net_stats().messages_sent()
+        "Q21 finished after {polls} polls; it sent {} messages",
+        result.messages_sent
     );
     println!("Q21 rows: {}\n", result.row_count());
 

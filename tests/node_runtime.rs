@@ -2,15 +2,21 @@
 //! query worker on every node, however many stages it runs, on the
 //! in-process cluster and on node servers over loopback TCP alike
 //! (`exec.stage_workers_spawned`). A stage runner that spawned a thread
-//! per stage and node would read Σ stages × nodes instead.
+//! per stage and node would read Σ stages × nodes instead. And the worker
+//! counts what its query hands the node's multiplexer, so a query that
+//! fails is charged exactly what it sent.
 
 mod support;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
+use hsqp::engine::exchange::HEADER_LEN;
+use hsqp::engine::expr::{col, lit};
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
-use hsqp::engine::Coordinator;
+use hsqp::engine::serve::TenantId;
+use hsqp::engine::{Coordinator, Plan};
+use hsqp::tpch::TpchTable;
 
 const SF: f64 = 0.005;
 const NODES: u16 = 2;
@@ -60,5 +66,38 @@ fn every_query_starts_one_worker_per_node_on_both_clusters() {
     let (remote_stages, workers) = pass(&remote);
     assert_eq!(remote_stages, stages, "the same plans ran");
     assert_eq!(workers, workers_per_pass, "over sockets, {stages} stages");
+    remote.shutdown();
+}
+
+/// Run a stage that no node compiles: every node refuses it and aborts its
+/// peers with one header-only frame each, and those frames are all the
+/// query sent. It fails, and its tenant is charged them.
+fn refused_query_charges_its_abort_frames(cluster: &Coordinator) {
+    let refused = Plan::scan(TpchTable::Nation)
+        .filter(col("n_comment").add(lit(1)).gt(lit(0)))
+        .gather();
+    assert!(cluster.run_plan(&refused).is_err());
+    let metrics = cluster.metrics();
+    let tenant = |field: &str| {
+        let name = format!("tenant.{}.{field}", TenantId::DEFAULT_NAME);
+        metrics.counter(&name)
+    };
+    let frames = u64::from(NODES) * u64::from(NODES - 1);
+    assert_eq!(tenant("failed"), Some(1));
+    assert_eq!(tenant("messages_sent"), Some(frames));
+    assert_eq!(tenant("bytes_shuffled"), Some(frames * HEADER_LEN as u64));
+}
+
+#[test]
+fn a_failed_query_is_charged_what_it_sent_on_both_clusters() {
+    let local = Cluster::start(ClusterConfig::quick(NODES)).unwrap();
+    local.load_tpch(0.001).unwrap();
+    refused_query_charges_its_abort_frames(&local);
+    local.shutdown();
+
+    let nodes = support::loopback_nodes(NODES as usize);
+    let remote = ProcessCluster::connect(&nodes, ProcessClusterConfig::default()).unwrap();
+    remote.load_tpch(0.001).unwrap();
+    refused_query_charges_its_abort_frames(&remote);
     remote.shutdown();
 }
