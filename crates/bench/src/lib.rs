@@ -1,11 +1,11 @@
 //! # hsqp-bench — experiment harnesses
 //!
-//! Shared helpers for the figure/table binaries (`src/bin/`) and Criterion
-//! micro benches (`benches/`). Every binary regenerates one table or figure
-//! of the paper, most of them with the paper's values next to their own. Two
-//! adjustments make a laptop-sized run comparable to the paper's cluster:
-//! [`corrected_time`] for hosts with fewer cores than simulated parallel
-//! units, and [`rescaled_link`] for the compute:network balance.
+//! Shared helpers for the figure/table binaries (`src/bin/`). Every binary
+//! regenerates one table or figure of the paper, most of them with the
+//! paper's values next to their own. Two adjustments make a laptop-sized
+//! run comparable to the paper's cluster: [`corrected_time`] for hosts with
+//! fewer cores than simulated parallel units, and [`rescaled_link`] for the
+//! compute:network balance.
 
 use std::time::Duration;
 

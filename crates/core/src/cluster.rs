@@ -42,7 +42,6 @@ use crate::exchange::Traffic;
 use crate::exec::{start_node, NodeCtx, StageJob};
 use crate::metrics::MetricsSnapshot;
 use crate::serve::{TenantConfig, TenantId};
-use crate::stats::StatsCatalog;
 
 /// Which network stack the multiplexers use (the three lines of Figure 3).
 #[derive(Debug, Clone)]
@@ -225,9 +224,11 @@ impl ClusterConfig {
 pub struct Cluster {
     coordinator: Coordinator,
     backend: Arc<LocalBackend>,
-    /// Column statistics sampled while loading data, consumed by
-    /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster).
-    stats: Mutex<Option<Arc<StatsCatalog>>>,
+    /// The scale factor of the TPC-H data last loaded by
+    /// [`load_tpch_db`](Self::load_tpch_db), which
+    /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster)
+    /// plans from.
+    sf: Mutex<Option<f64>>,
 }
 
 /// The nodes of a simulated cluster and how a stage runs on them.
@@ -315,7 +316,7 @@ impl Cluster {
         Ok(Self {
             coordinator,
             backend,
-            stats: Mutex::new(None),
+            sf: Mutex::new(None),
         })
     }
 
@@ -340,27 +341,21 @@ impl Cluster {
         self.load_tpch_db(TpchDb::generate(sf))
     }
 
-    /// Distribute an already-generated TPC-H database.
-    ///
-    /// Each relation is sampled into the cluster's statistics catalog
-    /// before it is split, so planners built with
-    /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster) see
-    /// whole-table NDV/min-max/null-fraction statistics.
+    /// Distribute an already-generated TPC-H database, and record its
+    /// scale factor: planners built with
+    /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster) plan
+    /// from the statistics declared for it and the exact loaded row counts.
     pub fn load_tpch_db(&self, db: TpchDb) -> Result<(), EngineError> {
         let n = self.backend.nodes.len();
-        let mut catalog = match &*self.stats.lock() {
-            Some(existing) => (**existing).clone(),
-            None => StatsCatalog::new(),
-        };
+        let sf = db.scale_factor();
         for (kind, table) in db.into_tables() {
-            catalog.sample_table(kind, &table);
             let parts: Vec<Table> = match self.backend.cfg.placement {
                 Placement::Chunked => chunk_split(&table, n),
                 Placement::Partitioned => hash_partition(&table, 0, n),
             };
             self.load_table(kind, parts)?;
         }
-        *self.stats.lock() = Some(Arc::new(catalog));
+        *self.sf.lock() = Some(sf);
         Ok(())
     }
 
@@ -380,10 +375,11 @@ impl Cluster {
         Ok(())
     }
 
-    /// The column statistics sampled at load time, if data was loaded via
-    /// [`load_tpch`](Self::load_tpch) / [`load_tpch_db`](Self::load_tpch_db).
-    pub fn stats_catalog(&self) -> Option<Arc<StatsCatalog>> {
-        self.stats.lock().clone()
+    /// The scale factor of the TPC-H data loaded via
+    /// [`load_tpch`](Self::load_tpch) / [`load_tpch_db`](Self::load_tpch_db),
+    /// if any was.
+    pub fn tpch_scale_factor(&self) -> Option<f64> {
+        *self.sf.lock()
     }
 
     /// Total rows of `table` across all nodes, if it is loaded (the

@@ -196,6 +196,15 @@ fn selectivity(e: &Expr) -> f64 {
     }
 }
 
+/// Replace the estimates of `stats` with the row counts `rows` knows.
+fn set_exact_rows(stats: &mut TableStats, rows: impl Fn(TpchTable) -> Option<u64>) {
+    for table in TpchTable::ALL {
+        if let Some(rows) = rows(table) {
+            stats.set_rows(table, rows as f64);
+        }
+    }
+}
+
 /// Mirror a comparison operator for a swapped operand order
 /// (`5 < x` ≡ `x > 5`).
 fn flip_cmp(op: CmpOp) -> CmpOp {
@@ -218,21 +227,40 @@ impl Planner {
         }
     }
 
-    /// A planner configured from a running cluster: node count from the
-    /// cluster, cardinalities from the actually loaded relations (falling
-    /// back to SF-1 estimates for relations that are not loaded), and
-    /// column statistics sampled when the cluster loaded its data.
-    pub fn for_cluster(cluster: &Cluster) -> Self {
-        let mut cfg = PlannerConfig::new(cluster.config().nodes);
-        for table in TpchTable::ALL {
-            if let Some(rows) = cluster.table_rows(table) {
-                cfg.stats.set_rows(table, rows as f64);
-            }
-        }
-        cfg.catalog = cluster.stats_catalog();
-        cfg.partitioned =
-            cluster.config().placement == hsqp_storage::placement::Placement::Partitioned;
+    /// The planner for TPC-H data at scale factor `sf` on `nodes` nodes:
+    /// the statistics declared for `sf`
+    /// ([`StatsCatalog::declared_tpch`]), with the exact row counts `rows`
+    /// reports in place of the spec-derived ones. Every TPC-H planner,
+    /// whichever cluster runs its plans, is built here, so that every
+    /// cluster runs the same plans from the same numbers.
+    pub fn for_tpch(nodes: u16, sf: f64, rows: impl Fn(TpchTable) -> Option<u64>) -> Self {
+        let mut cfg = PlannerConfig::new(nodes);
+        cfg.stats = TableStats::for_scale_factor(sf);
+        cfg.catalog = Some(Arc::new(StatsCatalog::declared_tpch(sf)));
+        set_exact_rows(&mut cfg.stats, rows);
         Self::new(cfg)
+    }
+
+    /// A planner configured from a running cluster: node count and
+    /// placement from the cluster, and [`for_tpch`](Self::for_tpch) at the
+    /// scale factor it loaded with its exact row counts. A cluster whose
+    /// relations were only loaded table by table plans without column
+    /// statistics, from its loaded row counts (SF-1 estimates for the
+    /// relations it does not hold).
+    pub fn for_cluster(cluster: &Cluster) -> Self {
+        let nodes = cluster.config().nodes;
+        let rows = |table| cluster.table_rows(table);
+        let mut planner = match cluster.tpch_scale_factor() {
+            Some(sf) => Self::for_tpch(nodes, sf, rows),
+            None => {
+                let mut cfg = PlannerConfig::new(nodes);
+                set_exact_rows(&mut cfg.stats, rows);
+                Self::new(cfg)
+            }
+        };
+        planner.cfg.partitioned =
+            cluster.config().placement == hsqp_storage::placement::Placement::Partitioned;
+        planner
     }
 
     /// The active configuration.
@@ -2404,14 +2432,53 @@ mod tests {
             &["o_orderkey"],
             JoinKind::Inner,
         );
-        let mut with_catalog = PlannerConfig::new(4);
-        with_catalog.stats = TableStats::for_scale_factor(0.01);
-        with_catalog.catalog = Some(Arc::new(StatsCatalog::declared_tpch(0.01)));
-        let plan = Planner::new(with_catalog).plan(&lp).unwrap();
+        let plan = Planner::for_tpch(4, 0.01, |_| None).plan(&lp).unwrap();
         assert_eq!(
             broadcasts(&plan),
             1,
             "catalog min/max bounds the filter to a tiny fraction of orders"
         );
+    }
+
+    /// A loaded simulated session and a socket coordinator plan the 22
+    /// queries identically. The second planner is built by hand as the
+    /// benchmark's socket workload builds its own: spec-derived row counts
+    /// overridden by the exact ones, and the declared catalog.
+    #[test]
+    fn both_clusters_plan_every_tpch_query_identically() {
+        use crate::queries::{tpch_logical, ALL_QUERIES};
+        use crate::session::Session;
+
+        for sf in [0.01, 0.05] {
+            for nodes in [2, 4] {
+                let session = Session::builder().nodes(nodes).tpch(sf).build().unwrap();
+                let mut stats = TableStats::for_scale_factor(sf);
+                for table in TpchTable::ALL {
+                    if let Some(rows) = session.cluster().table_rows(table) {
+                        stats.set_rows(table, rows as f64);
+                    }
+                }
+                let socket = Planner::new(PlannerConfig {
+                    stats,
+                    catalog: Some(Arc::new(StatsCatalog::declared_tpch(sf))),
+                    ..PlannerConfig::new(nodes)
+                });
+                let simulated = session.planner();
+                for n in ALL_QUERIES {
+                    let logical = tpch_logical(n).unwrap();
+                    let shape = |p: &Planner| -> Vec<(StageRole, String)> {
+                        let query = p.plan_query(&logical).unwrap();
+                        let stages = query.stages.into_iter();
+                        stages.map(|s| (s.role, s.plan.explain())).collect()
+                    };
+                    assert_eq!(
+                        shape(&simulated),
+                        shape(&socket),
+                        "Q{n} at SF {sf} on {nodes} nodes"
+                    );
+                }
+                session.shutdown();
+            }
+        }
     }
 }

@@ -130,7 +130,8 @@ impl SessionBuilder {
 
     /// How the planner sources cardinality estimates (default
     /// [`StatsMode::Static`]): `Static` prices alternatives against the
-    /// sampled statistics catalog, and `Feedback` additionally re-plans
+    /// statistics declared for the loaded scale factor (see
+    /// [`Planner::for_tpch`]), and `Feedback` additionally re-plans
     /// later stages of multi-stage queries against observed cardinalities
     /// and remembers them across submissions in the session's
     /// [`FeedbackCache`].
@@ -189,9 +190,9 @@ impl Session {
         self.cluster.load_tpch_db(db)
     }
 
-    /// A planner whose cardinality estimates reflect the currently loaded
-    /// relations, running in the session's [`StatsMode`] with the
-    /// session's [`FeedbackCache`] attached.
+    /// The planner for the cluster's loaded data
+    /// ([`Planner::for_cluster`]), running in the session's [`StatsMode`]
+    /// with the session's [`FeedbackCache`] attached.
     pub fn planner(&self) -> Planner {
         let mut p = Planner::for_cluster(&self.cluster);
         let cfg = p.config_mut();

@@ -2,42 +2,32 @@
 //!
 //! The planner's placement decisions (broadcast vs repartition,
 //! pre-aggregation vs raw reshuffle, CTE materialization) are only as good
-//! as their cardinality inputs. This module supplies them at three levels
-//! of fidelity:
+//! as their cardinality inputs. This module supplies them from two sources:
 //!
 //! 1. **Declared statistics** ([`StatsCatalog::declared_tpch`]) — row
 //!    counts, NDVs, and min/max ranges derived from the TPC-H spec at a
-//!    given scale factor. Used when no data is reachable (e.g. the
-//!    coordinator of an out-of-process cluster, or `--explain` without a
-//!    loaded database).
-//! 2. **Sampled statistics** ([`TableStatistics::sample`]) — computed from
-//!    the actually loaded relations at load time: exact row counts,
-//!    per-column distinct-value estimates, null fractions, and numeric
-//!    min/max, from a strided sample of up to [`SAMPLE_CAP`] rows.
-//! 3. **Runtime feedback** ([`FeedbackCache`]) — *observed* stage-result
+//!    given scale factor. Every TPC-H planner plans from them, whichever
+//!    cluster runs the plan: [`Planner::for_tpch`] builds each one, with
+//!    the exact row counts the cluster reports where it has them.
+//! 2. **Runtime feedback** ([`FeedbackCache`]) — *observed* stage-result
 //!    cardinalities keyed by a fingerprint of the logical plan that
 //!    produced them. Multi-stage queries re-plan later stages against the
 //!    actuals of earlier ones, and repeated submissions of the same
 //!    (sub)query are planned against what it really produced last time.
+//!
+//! [`Planner::for_tpch`]: crate::planner::Planner::for_tpch
 //!
 //! The estimator functions ([`eq_selectivity`], [`range_selectivity`],
 //! [`join_key_selectivity`], [`conjunction_selectivity`]) implement the
 //! textbook System-R assumptions: uniform values within a column,
 //! independence between predicates, and key containment across joins.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
-use hsqp_storage::{decimal_to_f64, Column, DataType, Table};
-use hsqp_tpch::TpchTable;
 use parking_lot::Mutex;
 
 use crate::expr::CmpOp;
 use crate::logical::LogicalPlan;
-
-/// How many rows [`TableStatistics::sample`] inspects per column at most
-/// (strided over the whole relation, so head-sorted inputs do not bias the
-/// min/max or the distinct-value count).
-pub const SAMPLE_CAP: usize = 65_536;
 
 /// How the planner sources its cardinality estimates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,96 +102,10 @@ impl ColumnStats {
 /// Statistics for one relation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableStatistics {
-    /// Exact (sampled) or declared row count.
+    /// Declared row count.
     pub rows: f64,
     /// Per-column statistics, keyed by column name.
     pub columns: BTreeMap<String, ColumnStats>,
-}
-
-impl TableStatistics {
-    /// Compute statistics from loaded data: exact row count plus per-column
-    /// NDV / null-fraction / numeric min-max from a strided sample of up to
-    /// [`SAMPLE_CAP`] rows.
-    ///
-    /// The distinct count uses a two-regime extrapolation: a sample that is
-    /// mostly unique is assumed key-like (NDV scales with the table), while
-    /// a sample dominated by duplicates is assumed to have saturated the
-    /// value domain (NDV is the sampled distinct count).
-    pub fn sample(table: &Table) -> Self {
-        let rows = table.rows();
-        let stride = rows.div_ceil(SAMPLE_CAP).max(1);
-        let mut columns = BTreeMap::new();
-        for (field, col) in table.schema().fields().iter().zip(table.columns()) {
-            columns.insert(
-                field.name.clone(),
-                sample_column(col, field.dtype, rows, stride),
-            );
-        }
-        Self {
-            rows: rows as f64,
-            columns,
-        }
-    }
-}
-
-/// Sample one column: every `stride`-th row up to `rows`.
-fn sample_column(col: &Column, dtype: DataType, rows: usize, stride: usize) -> ColumnStats {
-    let mut seen: HashSet<u64> = HashSet::new();
-    let mut nulls = 0usize;
-    let mut sampled = 0usize;
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut idx = 0usize;
-    while idx < rows {
-        sampled += 1;
-        if !col.is_valid(idx) {
-            nulls += 1;
-        } else {
-            match col {
-                Column::I64(v, _) => {
-                    seen.insert(fnv1a(&v[idx].to_le_bytes()));
-                    let promoted = if dtype == DataType::Decimal {
-                        decimal_to_f64(v[idx])
-                    } else {
-                        v[idx] as f64
-                    };
-                    min = min.min(promoted);
-                    max = max.max(promoted);
-                }
-                Column::F64(v, _) => {
-                    seen.insert(fnv1a(&v[idx].to_bits().to_le_bytes()));
-                    min = min.min(v[idx]);
-                    max = max.max(v[idx]);
-                }
-                Column::Str(v, _) => {
-                    seen.insert(fnv1a(v.get(idx).as_bytes()));
-                }
-            }
-        }
-        idx += stride;
-    }
-    let d = seen.len() as f64;
-    let non_null = (sampled - nulls).max(1) as f64;
-    let ndv = if sampled >= rows {
-        d // full scan: exact
-    } else if d * 2.0 >= non_null {
-        // Mostly unique in the sample: key-like, scale with the table.
-        (d * rows as f64 / sampled as f64).min(rows as f64)
-    } else {
-        // Duplicates dominate: the sample has (mostly) seen the domain.
-        d
-    };
-    let numeric = min.is_finite() && max.is_finite();
-    ColumnStats {
-        ndv: ndv.max(1.0),
-        min: numeric.then_some(min),
-        max: numeric.then_some(max),
-        null_fraction: if sampled == 0 {
-            0.0
-        } else {
-            nulls as f64 / sampled as f64
-        },
-    }
 }
 
 /// The statistics catalog: per-table row counts and column statistics.
@@ -219,11 +123,6 @@ impl StatsCatalog {
     /// Register (or replace) the statistics of one relation.
     pub fn insert(&mut self, name: impl Into<String>, stats: TableStatistics) {
         self.tables.insert(name.into(), stats);
-    }
-
-    /// Sample a loaded TPC-H relation into the catalog.
-    pub fn sample_table(&mut self, table: TpchTable, data: &Table) {
-        self.insert(table.name(), TableStatistics::sample(data));
     }
 
     /// Statistics of `table`, if registered.
@@ -246,14 +145,18 @@ impl StatsCatalog {
     }
 
     /// Declared statistics for a TPC-H database at scale factor `sf`,
-    /// derived from the spec: exact row counts, key NDVs, value-domain
-    /// sizes of the enumerated attributes, and date/money ranges. Used
-    /// where no data can be sampled (remote coordinators, `--explain`).
+    /// derived from the spec and the generator: row counts, key NDVs,
+    /// value-domain sizes of the enumerated attributes, and date/money
+    /// ranges. The one source of column statistics for TPC-H planning;
+    /// build planners with [`Planner::for_tpch`] rather than from this.
+    ///
+    /// [`Planner::for_tpch`]: crate::planner::Planner::for_tpch
     pub fn declared_tpch(sf: f64) -> Self {
         use hsqp_storage::date_from_ymd;
         let suppliers = (10_000.0 * sf).max(4.0);
         let customers = (150_000.0 * sf).max(10.0);
         let parts = (200_000.0 * sf).max(20.0);
+        let partsupp = parts * 4.0;
         let orders = customers * 10.0;
         let lineitem = orders * 4.0;
         let date_lo = date_from_ymd(1992, 1, 1) as f64;
@@ -332,17 +235,17 @@ impl StatsCatalog {
         );
         add(
             "partsupp",
-            parts * 4.0,
+            partsupp,
             vec![
                 ("ps_partkey", key(parts)),
                 ("ps_suppkey", key(suppliers)),
                 (
                     "ps_availqty",
-                    ColumnStats::with_ndv(9_999.0).with_range(1.0, 9_999.0),
+                    ColumnStats::with_ndv(partsupp.min(9_999.0)).with_range(1.0, 9_999.0),
                 ),
                 (
                     "ps_supplycost",
-                    ColumnStats::with_ndv(99_901.0).with_range(1.0, 1_000.0),
+                    ColumnStats::with_ndv(partsupp.min(99_901.0)).with_range(1.0, 1_000.0),
                 ),
             ],
         );
@@ -351,8 +254,12 @@ impl StatsCatalog {
             orders,
             vec![
                 ("o_orderkey", key(orders)),
-                // Two thirds of customers have placed at least one order.
-                ("o_custkey", key(customers * 2.0 / 3.0)),
+                // Two thirds of customers have placed at least one order,
+                // and their keys span all customers.
+                (
+                    "o_custkey",
+                    ColumnStats::with_ndv(customers * 2.0 / 3.0).with_range(1.0, customers),
+                ),
                 (
                     "o_orderdate",
                     ColumnStats::with_ndv(2_406.0).with_range(date_lo, date_hi - 151.0),
@@ -530,27 +437,10 @@ pub fn plan_fingerprint(plan: &LogicalPlan) -> u64 {
     w.0
 }
 
-/// FNV-1a over a byte slice (the sampler's value hash).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hsqp_storage::{Field, Schema};
-
-    fn int_table(values: Vec<i64>) -> Table {
-        Table::new(
-            Schema::new(vec![Field::new("v", DataType::Int64)]),
-            vec![Column::I64(values, None)],
-        )
-    }
+    use hsqp_tpch::TpchTable;
 
     #[test]
     fn equality_selectivity_follows_ndv() {
@@ -608,30 +498,66 @@ mod tests {
     }
 
     #[test]
-    fn sampling_measures_ndv_nulls_and_range() {
-        // 1000 rows cycling through 10 values: low-cardinality regime.
-        let t = int_table((0..1000).map(|i| i % 10).collect());
-        let s = TableStatistics::sample(&t);
-        assert_eq!(s.rows, 1000.0);
-        let c = &s.columns["v"];
-        assert_eq!(c.ndv, 10.0);
-        assert_eq!(c.min, Some(0.0));
-        assert_eq!(c.max, Some(9.0));
-        assert_eq!(c.null_fraction, 0.0);
-
-        // All-distinct: key-like regime, NDV tracks the row count.
-        let t = int_table((0..1000).collect());
-        let s = TableStatistics::sample(&t);
-        assert_eq!(s.columns["v"].ndv, 1000.0);
-    }
-
-    #[test]
     fn declared_tpch_scales_with_sf() {
         let c = StatsCatalog::declared_tpch(0.01);
         assert_eq!(c.table("orders").unwrap().rows, 15_000.0);
         assert_eq!(c.column("lineitem", "l_orderkey").unwrap().ndv, 15_000.0);
         assert_eq!(c.column_anywhere("l_quantity").unwrap().ndv, 50.0);
         assert!(c.column_anywhere("no_such_column").is_none());
+    }
+
+    /// Every column the TPC-H catalog declares, against the generated data
+    /// at two scale factors: the values lie inside the declared range, no
+    /// NDV exceeds its table's rows, and every declared domain of at most
+    /// 200 values is exactly the number of distinct values generated.
+    #[test]
+    fn declared_statistics_describe_generated_data() {
+        use hsqp_storage::{decimal_to_f64, Column, DataType};
+        use hsqp_tpch::TpchDb;
+        use std::collections::HashSet;
+
+        for sf in [0.01, 0.05] {
+            let db = TpchDb::generate(sf);
+            let catalog = StatsCatalog::declared_tpch(sf);
+            for table in TpchTable::ALL {
+                let declared = catalog.table(table.name()).expect("declared table");
+                let data = db.table(table);
+                for (name, stats) in &declared.columns {
+                    let what = format!("{name} at SF {sf}");
+                    assert!(
+                        stats.ndv <= declared.rows,
+                        "{what}: NDV {} above {} rows",
+                        stats.ndv,
+                        declared.rows
+                    );
+                    let (distinct, range) = match data.column_by_name(name) {
+                        Column::I64(v, None) => {
+                            let decimal = data.schema().field(name).dtype == DataType::Decimal;
+                            let promote =
+                                |x: i64| if decimal { decimal_to_f64(x) } else { x as f64 };
+                            let lo = v.iter().copied().min().map(promote);
+                            let hi = v.iter().copied().max().map(promote);
+                            (v.iter().collect::<HashSet<_>>().len(), lo.zip(hi))
+                        }
+                        Column::Str(v, None) => {
+                            let values = (0..data.rows()).map(|i| v.get(i));
+                            (values.collect::<HashSet<_>>().len(), None)
+                        }
+                        _ => panic!("{what}: floats or NULLs, which TPC-H does not generate"),
+                    };
+                    if let (Some(min), Some(max)) = (stats.min, stats.max) {
+                        let (lo, hi) = range.unwrap_or_else(|| panic!("{what}: not numeric"));
+                        assert!(
+                            min <= lo && hi <= max,
+                            "{what}: generated [{lo}, {hi}] outside declared [{min}, {max}]"
+                        );
+                    }
+                    if stats.ndv <= 200.0 {
+                        assert_eq!(distinct as f64, stats.ndv, "{what}: distinct values");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -609,7 +609,7 @@ mod tests {
         ])
     }
 
-    fn sample_table() -> Table {
+    fn partsupp_like_table() -> Table {
         let schema = partsupp_like_schema();
         let mut avail = Column::empty(DataType::Int64);
         avail.push_value(&Value::I64(7));
@@ -702,7 +702,7 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_all_rows() {
-        let t = sample_table();
+        let t = partsupp_like_table();
         let ser = RowSerializer::new(t.schema());
         let de = RowDeserializer::new(t.schema());
         let mut buf = Vec::new();
@@ -712,7 +712,7 @@ mod tests {
 
     #[test]
     fn chunk_layout_is_figure_8_in_column_runs() {
-        let t = sample_table();
+        let t = partsupp_like_table();
         let ser = RowSerializer::new(t.schema());
         let mut buf = Vec::new();
         ser.serialize_range(&t, 0..3, &mut buf);
@@ -734,7 +734,7 @@ mod tests {
 
     #[test]
     fn chunk_is_its_rows_plus_four_bytes_and_nulls_are_compact() {
-        let t = sample_table();
+        let t = partsupp_like_table();
         let ser = RowSerializer::new(t.schema());
         let mut sizes = Vec::new();
         ser.row_sizes(&t, Rows::Span(0, 3), &mut sizes);
@@ -811,7 +811,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "truncated")]
     fn truncated_buffer_panics() {
-        let t = sample_table();
+        let t = partsupp_like_table();
         let ser = RowSerializer::new(t.schema());
         let de = RowDeserializer::new(t.schema());
         let mut buf = Vec::new();

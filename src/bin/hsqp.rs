@@ -34,16 +34,16 @@ use std::time::{Duration, Instant};
 use hsqp::benchjson::Json;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
 use hsqp::engine::logical::LogicalQuery;
-use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
+use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
 use hsqp::engine::serve::{parse_tenant_spec, ArrivalProcess, SubmitOptions, TenantConfig};
-use hsqp::engine::stats::{FeedbackCache, StatsCatalog, StatsMode};
+use hsqp::engine::stats::{FeedbackCache, StatsMode};
 use hsqp::engine::vm::compile_stage;
 use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile};
 use hsqp::engine::{EngineError, QueryResult};
 use hsqp::storage::Schema;
-use hsqp::tpch::{TpchDb, TpchTable};
+use hsqp::tpch::TpchDb;
 
 const USAGE: &str = "\
 hsqp — end-to-end TPC-H driver over the simulated cluster
@@ -64,11 +64,11 @@ OPTIONS:
                            cardinalities (cached across queries)
     --explain              Print each stage's physical plan, cost-model
                            decisions and compiled programs without running
-                           anything (planned from SF-derived estimates, so
-                           a choice near a threshold can differ from a
-                           live run's). With --analyze, queries run and
-                           each execution's plan and profile print as one
-                           block on stderr
+                           anything (planned from the statistics a live
+                           run uses, with spec-derived row counts instead
+                           of the exact loaded ones). With --analyze,
+                           queries run and each execution's plan and
+                           profile print as one block on stderr
     --cluster <LIST>       Comma-separated hsqp-node addresses, e.g.
                            127.0.0.1:7401,127.0.0.1:7402: run on those
                            processes over TCP instead of the simulated
@@ -352,16 +352,11 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
 /// directly in the operator trees.
 fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
     eprintln!(
-        "note: --explain plans from SF-derived cardinality estimates; \
-         a live run plans from exact loaded row counts, which can \
-         flip choices near a threshold"
+        "note: --explain plans from the same statistics as a live run; \
+         only its row counts differ (spec-derived here, exact once loaded)"
     );
-    let planner = Planner::new(PlannerConfig {
-        stats: TableStats::for_scale_factor(args.sf),
-        mode: args.stats,
-        catalog: Some(Arc::new(StatsCatalog::declared_tpch(args.sf))),
-        ..PlannerConfig::new(args.nodes)
-    });
+    let mut planner = Planner::for_tpch(args.nodes, args.sf, |_| None);
+    planner.config_mut().mode = args.stats;
     let mut out = String::new();
     for &n in queries {
         let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
@@ -608,8 +603,9 @@ impl Bench {
 }
 
 /// Start whichever cluster the flags select, load TPC-H into it, and build
-/// the distributed planner from its exact loaded row counts, running in the
-/// requested stats mode with a process-wide feedback cache attached.
+/// its planner (`Planner::for_tpch`: the declared statistics and the exact
+/// loaded row counts), running in the requested stats mode with a
+/// process-wide feedback cache attached.
 fn start_loaded_cluster(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
     let mut bench = match &args.cluster {
         None => start_simulated(args, banner_suffix)?,
@@ -673,20 +669,7 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
     pc.load_tpch(args.sf)
         .map_err(|e| format!("load failed: {e}"))?;
     let load_ms = load_started.elapsed().as_secs_f64() * 1e3;
-    let mut stats = TableStats::for_scale_factor(args.sf);
-    for t in TpchTable::ALL {
-        if let Some(rows) = pc.table_rows(t) {
-            stats.set_rows(t, rows as f64);
-        }
-    }
-    // The coordinator holds none of the data, so nothing can be sampled
-    // here; plan against the spec-declared column statistics at this scale
-    // factor instead.
-    let planner = Planner::new(PlannerConfig {
-        stats,
-        catalog: Some(Arc::new(StatsCatalog::declared_tpch(args.sf))),
-        ..PlannerConfig::new(pc.nodes())
-    });
+    let planner = Planner::for_tpch(pc.nodes(), args.sf, |t| pc.table_rows(t));
     Ok(Bench {
         cluster: Box::new(pc),
         planner,

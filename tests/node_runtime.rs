@@ -11,7 +11,7 @@ mod support;
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::exchange::HEADER_LEN;
 use hsqp::engine::expr::{col, lit};
-use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
+use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::TenantId;
@@ -21,13 +21,10 @@ use hsqp::tpch::TpchTable;
 const SF: f64 = 0.005;
 const NODES: u16 = 2;
 
-/// Run the 22 builder queries on `cluster`, loaded at [`SF`] on [`NODES`]
-/// nodes; then the stages it ran and the query workers its nodes started.
-fn pass(cluster: &Coordinator) -> (u64, u64) {
-    let planner = Planner::new(PlannerConfig {
-        stats: TableStats::for_scale_factor(SF),
-        ..PlannerConfig::new(NODES)
-    });
+/// Run the 22 builder queries, planned by `planner`, on `cluster`, loaded
+/// at [`SF`] on [`NODES`] nodes; then the stages it ran and the query
+/// workers its nodes started.
+fn pass(cluster: &Coordinator, planner: &Planner) -> (u64, u64) {
     for n in ALL_QUERIES {
         let query = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
         cluster.run(&query).unwrap_or_else(|e| panic!("Q{n}: {e}"));
@@ -46,7 +43,7 @@ fn every_query_starts_one_worker_per_node_on_both_clusters() {
 
     let local = Cluster::start(ClusterConfig::quick(NODES)).unwrap();
     local.load_tpch(SF).unwrap();
-    let (stages, workers) = pass(&local);
+    let (stages, workers) = pass(&local, &Planner::for_cluster(&local));
     assert!(
         stages > ALL_QUERIES.len() as u64,
         "some query runs more than one stage ({stages} stages)"
@@ -63,7 +60,8 @@ fn every_query_starts_one_worker_per_node_on_both_clusters() {
     let nodes = support::loopback_nodes(NODES as usize);
     let remote = ProcessCluster::connect(&nodes, ProcessClusterConfig::default()).unwrap();
     remote.load_tpch(SF).unwrap();
-    let (remote_stages, workers) = pass(&remote);
+    let planner = Planner::for_tpch(NODES, SF, |t| remote.table_rows(t));
+    let (remote_stages, workers) = pass(&remote, &planner);
     assert_eq!(remote_stages, stages, "the same plans ran");
     assert_eq!(workers, workers_per_pass, "over sockets, {stages} stages");
     remote.shutdown();

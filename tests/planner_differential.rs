@@ -271,6 +271,10 @@ fn aggregate_build_cases() -> (Vec<(String, LogicalQuery)>, u64) {
 /// against the oracle; and the aggregates seeded, which are the seeded
 /// cases' on every node.
 fn aggregate_builds_match_oracle_on(cluster: &Coordinator, nodes: u16, what: &str) {
+    // No column statistics: these hand-made cases are not TPC-H queries
+    // anyone plans with `Planner::for_tpch`, and the seeded count below
+    // pins their shapes (each aggregate on a join's build side), which
+    // the flat heuristics keep fixed whatever the declared catalog says.
     let planner = Planner::new(PlannerConfig {
         stats: TableStats::for_scale_factor(SF),
         ..PlannerConfig::new(nodes)
@@ -421,14 +425,13 @@ proptest! {
         lp in arb_logical(),
         nodes in 1u16..6,
     ) {
-        use hsqp::engine::stats::{StatsCatalog, StatsMode};
+        use hsqp::engine::stats::StatsMode;
         // Every stats mode must lower every valid plan: cost-based pruning
         // may pick different exchanges, never reject or panic.
         for mode in [StatsMode::Static, StatsMode::Feedback] {
-            let mut cfg = PlannerConfig::new(nodes);
-            cfg.mode = mode;
-            cfg.catalog = Some(std::sync::Arc::new(StatsCatalog::declared_tpch(0.01)));
-            let plan = Planner::new(cfg).plan(&lp);
+            let mut planner = Planner::for_tpch(nodes, 0.01, |_| None);
+            planner.config_mut().mode = mode;
+            let plan = planner.plan(&lp);
             prop_assert!(
                 plan.is_ok(),
                 "valid logical plan rejected under {:?}: {:?}",

@@ -8,7 +8,7 @@ mod support;
 use std::time::Duration;
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
-use hsqp::engine::planner::{Planner, PlannerConfig};
+use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::tpch_logical;
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::EngineError;
@@ -66,7 +66,7 @@ fn killing_a_node_mid_query_errors_within_timeout() {
     pc.load_tpch(0.01).expect("load TPC-H");
 
     // Sanity: the cluster works before the kill.
-    let planner = Planner::new(PlannerConfig::new(2));
+    let planner = Planner::for_tpch(2, 0.01, |t| pc.table_rows(t));
     let q3 = planner
         .plan_query(&tpch_logical(3).expect("build Q3"))
         .expect("plan Q3");

@@ -296,16 +296,10 @@ fn profiling_off_leaves_no_profile() {
 /// the nodes report them through `Stats`.
 #[test]
 fn seeded_aggregates_keep_only_the_groups_the_probe_side_matches() {
-    use hsqp::engine::planner::{PlannerConfig, TableStats};
     use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
     use hsqp::engine::Coordinator;
 
     const SF: f64 = 0.01;
-    let planner = Planner::new(PlannerConfig {
-        stats: TableStats::for_scale_factor(SF),
-        ..PlannerConfig::new(2)
-    });
-    let plan = |n: u32| planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
     let counters = |cluster: &Coordinator| {
         let metrics = cluster.metrics();
         let counter = |name| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
@@ -328,6 +322,9 @@ fn seeded_aggregates_keep_only_the_groups_the_probe_side_matches() {
     })
     .unwrap();
     local.load_tpch(SF).unwrap();
+    // Both clusters run the plans of the loaded simulated one.
+    let planner = Planner::for_cluster(&local);
+    let plan = |n: u32| planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
     let q21 = aggregates(&local.run(&plan(21)).unwrap());
     let by_order: Vec<u64> = q21
         .iter()

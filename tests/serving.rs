@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
 use hsqp::engine::error::EngineError;
-use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
+use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, Query};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
 use hsqp::engine::serve::{SubmitOptions, TenantConfig};
@@ -65,12 +65,10 @@ fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
 }
 
 /// TPC-H query `n` planned for the two nodes of a [`Serving`] cluster
-/// loaded at `sf`.
+/// loaded at `sf`, from spec-derived row counts as `hsqp --explain` plans
+/// it (a [`Serving`] cluster shows only its coordinator).
 fn planned(n: u32, sf: f64) -> Query {
-    let planner = Planner::new(PlannerConfig {
-        stats: TableStats::for_scale_factor(sf),
-        ..PlannerConfig::new(2)
-    });
+    let planner = Planner::for_tpch(2, sf, |_| None);
     planner.plan_query(&tpch_logical(n).unwrap()).unwrap()
 }
 
