@@ -7,7 +7,7 @@
 //! alternatives of one decision matter, and every decision produces a
 //! human-readable rationale that `--explain` surfaces.
 //!
-//! Three decisions are priced:
+//! Four decisions are priced:
 //!
 //! * **Broadcast vs repartition** for a distributed hash join
 //!   ([`CostModel::join_exchange`]): shipping `(n−1)` copies of the build
@@ -23,6 +23,14 @@
 //!   ([`CostModel::cte_placement`]): replicating the temp once against
 //!   leaving it partitioned and (likely) re-exchanging it at each of its
 //!   downstream consumers.
+//! * **Which side of a repartitioned join to filter, if either**
+//!   ([`CostModel::join_filter`]): the bytes a Bloom filter over the keys
+//!   of the side that runs first keeps the other side's repartition from
+//!   shipping, against shipping the filters, testing every row against
+//!   them and one more barrier between the nodes. The choice also fixes
+//!   which side runs first.
+
+use crate::plan::JoinSide;
 
 /// Estimated width of one row carrying `cols` columns, in bytes. The
 /// engine's columns are 8-byte words (ints, dates, floats, scaled
@@ -39,6 +47,37 @@ pub const HASH_BUILD_ROW: f64 = 128.0;
 /// CPU charge (byte-equivalents) per row folded into an aggregation
 /// (group lookup + state update ≈ moving one word).
 pub const AGG_ROW: f64 = 8.0;
+
+/// CPU charge (byte-equivalents) per row a repartition tests against a
+/// join filter: one more key hash and one word loaded.
+pub const BLOOM_TEST_ROW: f64 = 1.0;
+
+/// Bytes a join filter ships per row of the side that runs first: ten
+/// bits per key rounded up to a power of two (fifteen on average), and an
+/// 8-byte tag beside every 8-byte word.
+pub const BLOOM_KEY_BYTES: f64 = 4.0;
+
+/// Charge (byte-equivalents) for a summary round: a barrier at which every
+/// node waits for the slowest node's first side, plus one more message
+/// latency — on two vCPUs an exchange of a few words takes ~100 µs in
+/// process, and longer over loopback sockets.
+pub const BLOOM_ROUND: f64 = 32_768.0;
+
+/// One side of a repartitioned join that a filter may go on, as
+/// [`CostModel::join_filter`] prices it.
+#[derive(Debug, Clone, Copy)]
+pub struct FilterOption {
+    /// The side to filter; the other one runs first.
+    pub side: JoinSide,
+    /// Rows its repartition ships.
+    pub shipped_rows: f64,
+    /// Columns of what it ships.
+    pub shipped_cols: usize,
+    /// Rows of the side that runs first, whose keys fill the filters.
+    pub first_rows: f64,
+    /// Fraction of the shipped rows whose key the first side holds.
+    pub pass: f64,
+}
 
 /// The cost model for one cluster size.
 #[derive(Debug, Clone, Copy)]
@@ -239,6 +278,65 @@ impl CostModel {
         };
         (broadcast, decision)
     }
+
+    /// Price filtering each side in `options` against filtering neither.
+    /// A filter saves the remote share of the bytes its side would ship
+    /// for the rows whose key misses, and costs its words on the wire from
+    /// every node to every other, a test per shipped row, and one round.
+    /// Returns the side to filter, if a filter pays, and the decision.
+    pub fn join_filter(
+        &self,
+        site: impl Into<String>,
+        options: &[FilterOption],
+    ) -> (Option<JoinSide>, Decision) {
+        // Per option: the bytes it saves and what it spends.
+        let priced: Vec<(&FilterOption, f64, f64)> = options
+            .iter()
+            .map(|o| {
+                let shipped = o.shipped_rows * self.remote_fraction() * row_bytes(o.shipped_cols);
+                let spent = o.first_rows * (self.nodes - 1.0) * BLOOM_KEY_BYTES
+                    + o.shipped_rows * BLOOM_TEST_ROW
+                    + BLOOM_ROUND;
+                (o, shipped * (1.0 - o.pass), spent)
+            })
+            .collect();
+        // Relative to filtering neither side, which costs nothing extra.
+        let best = priced
+            .iter()
+            .map(|&(o, saved, spent)| (o.side, spent - saved))
+            .min_by(|a, b| a.1.total_cmp(&b.1));
+        let chosen = best.filter(|&(_, cost)| cost < 0.0);
+        let rationale = priced
+            .iter()
+            .map(|(o, saved, spent)| {
+                format!(
+                    "{:?} ~{:.0}×{:.0}B, {:.0}% pass: saves {} for {}",
+                    o.side,
+                    o.shipped_rows,
+                    row_bytes(o.shipped_cols),
+                    o.pass * 100.0,
+                    cu(*saved),
+                    cu(*spent),
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("; ");
+        let decision = Decision {
+            site: site.into(),
+            chosen: match chosen {
+                Some((JoinSide::Probe, _)) => "filter probe",
+                Some((JoinSide::Build, _)) => "filter build",
+                None => "no filter",
+            },
+            cost: chosen.map_or(0.0, |(_, cost)| cost),
+            rejected_cost: match chosen {
+                Some(_) => 0.0,
+                None => best.map_or(0.0, |(_, cost)| cost),
+            },
+            rationale,
+        };
+        (chosen.map(|(side, _)| side), decision)
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +392,35 @@ mod tests {
         // extra local pass is pure overhead.
         let (pre, d) = m.pre_aggregation("a", 6e6, 6e6, 3, 3);
         assert!(!pre, "{}", d.render());
+    }
+
+    #[test]
+    fn join_filters_pay_where_most_shipped_rows_miss() {
+        let m = CostModel::new(2, 1_000.0);
+        let option = |side, pass| FilterOption {
+            side,
+            shipped_rows: 1e5,
+            shipped_cols: 3,
+            first_rows: 1e4,
+            pass,
+        };
+        // The side whose rows miss more is filtered.
+        let (side, d) = m.join_filter(
+            "j",
+            &[option(JoinSide::Probe, 0.5), option(JoinSide::Build, 0.1)],
+        );
+        assert_eq!(side, Some(JoinSide::Build), "{}", d.render());
+        assert!(d.cost < d.rejected_cost);
+        // A filter every row passes saves nothing.
+        let (side, d) = m.join_filter("j", &[option(JoinSide::Probe, 1.0)]);
+        assert_eq!(side, None, "{}", d.render());
+        assert!(d.rationale.contains("100% pass"));
+        // Nor does one over a side too small to pay for its round.
+        let small = FilterOption {
+            shipped_rows: 500.0,
+            ..option(JoinSide::Probe, 0.0)
+        };
+        assert_eq!(m.join_filter("j", &[small]).0, None);
     }
 
     #[test]

@@ -42,6 +42,12 @@
 //!
 //! Message buffers belong to the node's [`MessagePool`] throughout; see
 //! [`crate::exchange`] for who holds them when.
+//!
+//! **Join filters.** A hash join whose plan filters one side runs the other
+//! side first and then a *summary round* (`summary_round`): one broadcast
+//! exchange in which every node sends a Bloom filter over its keys of that
+//! side. The filtered side's repartition then sends only the rows whose
+//! key may be in the filter of the node the row is headed for.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -57,7 +63,7 @@ use parking_lot::{Mutex, RwLock};
 use hsqp_net::{Fabric, NetScheduler, NodeId, QueryId, Transport as NetTransport};
 use hsqp_numa::{AllocPolicy, CostModel, Topology};
 use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
-use hsqp_storage::{decimal_to_f64, Column, Schema, Table, Value};
+use hsqp_storage::{decimal_to_f64, Column, DataType, Field, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
 use crate::cluster::{ClusterConfig, EngineKind};
@@ -68,9 +74,10 @@ use crate::exchange::{
 use crate::expr::Expr;
 use crate::local::{MorselDriver, WorkerCtx};
 use crate::ops::{
-    aggregate_with, canon_f64_bits, probe_join, sort_table, BatchSource, JoinTable, Morsels,
+    aggregate_with, canon_f64_bits, hash_keys, join_key_cols, key_valid, probe_join, sort_table,
+    BatchSource, BloomFilter, JoinTable, Morsels,
 };
-use crate::plan::{AggPhase, AggSpec, ExchangeKind, MapExpr, Plan};
+use crate::plan::{AggPhase, AggSpec, ExchangeKind, JoinSide, MapExpr, Plan};
 use crate::profile::{plan_node_count, NodeRecorder};
 use crate::queries::{QueryStage, StageRole};
 use crate::serve::CancelToken;
@@ -125,6 +132,10 @@ pub struct NodeCtx {
     /// input rows those keys dropped.
     aggs_seeded: AtomicU64,
     agg_rows_dropped: AtomicU64,
+    /// Rows this node's repartitions did not send because a join's filter
+    /// holds no key of theirs, and the bytes its summary rounds sent.
+    bloom_rows_dropped: AtomicU64,
+    bloom_bytes: AtomicU64,
     /// The multiplexer thread, joined by [`stop`](Self::stop).
     mux: Mutex<Option<JoinHandle<()>>>,
 }
@@ -229,6 +240,8 @@ pub(crate) fn start_node(
         workers_spawned: AtomicU64::new(0),
         aggs_seeded: AtomicU64::new(0),
         agg_rows_dropped: AtomicU64::new(0),
+        bloom_rows_dropped: AtomicU64::new(0),
+        bloom_bytes: AtomicU64::new(0),
         mux: Mutex::new(Some(mux)),
     })
 }
@@ -330,8 +343,10 @@ impl NodeCtx {
     /// The node's counters since it started, by metric name: the
     /// multiplexer's wake-ups and how many of them found nothing, the query
     /// workers started, the aggregates seeded by the probe side of the join
-    /// above them and the input rows they dropped. Both clusters sum them
-    /// over the nodes; a new node counter is one more entry here.
+    /// above them and the input rows they dropped, the rows repartitions
+    /// dropped by a join's filters and the bytes of the summary rounds that
+    /// exchanged those filters. Both clusters sum them over the nodes; a
+    /// new node counter is one more entry here.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         vec![
@@ -340,6 +355,8 @@ impl NodeCtx {
             ("exec.stage_workers_spawned", load(&self.workers_spawned)),
             ("exec.aggs_seeded", load(&self.aggs_seeded)),
             ("exec.agg_rows_dropped", load(&self.agg_rows_dropped)),
+            ("exec.bloom_rows_dropped", load(&self.bloom_rows_dropped)),
+            ("exchange.bloom_bytes", load(&self.bloom_bytes)),
         ]
     }
 
@@ -553,6 +570,10 @@ pub struct NodeExec<'a> {
     /// The query's traffic on this node, kept by its worker; `None` outside
     /// a worker, where nothing reads it.
     traffic: Option<&'a TrafficCounter>,
+    /// What the summary rounds of the stage's joins left for the
+    /// repartitions of the sides they filter, by the exchange's operator
+    /// index; each exchange takes its own when it starts.
+    send_filters: Mutex<HashMap<usize, SendFilter>>,
 }
 
 impl<'a> NodeExec<'a> {
@@ -572,6 +593,7 @@ impl<'a> NodeExec<'a> {
             programs: None,
             cancel: None,
             traffic: None,
+            send_filters: Mutex::new(HashMap::new()),
         }
     }
 
@@ -677,9 +699,9 @@ impl<'a> NodeExec<'a> {
     }
 
     /// [`execute_at`](Self::execute_at) for an operator on a join's build
-    /// side, `seed` holding the join's probe keys if [`seeding_keys`]
-    /// found the aggregate they meet: `Filter` and `Map` hand them down,
-    /// and the aggregate may take them as its groups.
+    /// side, `seed` holding the join's probe keys if [`Plan::seeding_keys`]
+    /// found the aggregate they meet: `Filter` and `Map` hand them down, and
+    /// the aggregate may take them as its groups.
     fn execute_seeded(&self, plan: &Plan, idx: usize, seed: Option<&Seed<'_>>) -> Batch {
         self.enter(idx);
         let (out, rows_in) = match plan {
@@ -737,29 +759,58 @@ impl<'a> NodeExec<'a> {
                 probe_keys,
                 build_keys,
                 kind,
+                filter,
             } => {
                 // Pre-order: probe renders first, so it is idx + 1 and the
                 // build subtree starts after the whole probe subtree. The
-                // build side executes first — unless the probe side's keys
-                // can seed the aggregate under it, which the plan alone
-                // decides: exchange ids are handed out in execution order,
-                // so every node must run the two sides in the same order.
-                let build_idx_base = idx + 1 + plan_node_count(probe);
-                let early_probe = seeding_keys(build, build_keys).map(|keys| {
-                    let probe_t = self.execute_at(probe, idx + 1);
+                // side a filter is on runs second: the other side runs
+                // first and fills every node's filter in a summary round.
+                // Without a filter the build side runs first — unless the
+                // probe side's keys can seed the aggregate under it. The
+                // plan alone decides: exchange ids are handed out in
+                // execution order, so every node must run the two sides
+                // and the summary round in the same order.
+                let (probe_idx, build_idx_base) = (idx + 1, idx + 1 + plan_node_count(probe));
+                let site = filter.map(|side| {
+                    let (depth, keys) = plan.filter_site(side).unwrap_or_else(|| {
+                        panic!("a {kind:?} join cannot filter its {side:?} side")
+                    });
+                    let root = match side {
+                        JoinSide::Probe => probe_idx,
+                        JoinSide::Build => build_idx_base,
+                    };
+                    (root + depth, keys)
+                });
+                let probe_first = match filter {
+                    Some(side) => *side == JoinSide::Build,
+                    None => build.seeding_keys(build_keys).is_some(),
+                };
+                let early_probe = probe_first.then(|| {
+                    let probe_t = self.execute_at(probe, probe_idx);
+                    if let Some((exchange, keys)) = &site {
+                        self.summary_round(idx, &probe_t, probe_keys, *exchange, keys);
+                    }
+                    probe_t
+                });
+                let seed_cols: Option<Vec<usize>> = early_probe.as_ref().and_then(|probe_t| {
                     let schema = probe_t.schema();
-                    let cols: Vec<usize> = keys
-                        .iter()
-                        .map(|&k| schema.index_of(&probe_keys[k]))
-                        .collect();
-                    (probe_t, cols)
+                    let keys = build.seeding_keys(build_keys)?;
+                    Some(
+                        keys.iter()
+                            .map(|&k| schema.index_of(&probe_keys[k]))
+                            .collect(),
+                    )
                 });
                 let seed = early_probe
                     .as_ref()
+                    .zip(seed_cols.as_deref())
                     .map(|(probe, cols)| Seed { probe, cols });
                 let build_t = self
                     .execute_seeded(build, build_idx_base, seed.as_ref())
                     .into_arc();
+                if let (false, Some((exchange, keys))) = (probe_first, &site) {
+                    self.summary_round(idx, &build_t, build_keys, *exchange, keys);
+                }
                 let build_idx: Vec<usize> = build_keys
                     .iter()
                     .map(|k| build_t.schema().index_of(k))
@@ -767,8 +818,8 @@ impl<'a> NodeExec<'a> {
                 let build_rows = build_t.rows() as u64;
                 let jt = JoinTable::build_cancellable(build_t, &build_idx, self.cancel);
                 let probe_t = match early_probe {
-                    Some((probe_t, _)) => probe_t,
-                    None => self.execute_at(probe, idx + 1),
+                    Some(probe_t) => probe_t,
+                    None => self.execute_at(probe, probe_idx),
                 };
                 let probe_idx: Vec<usize> = probe_keys
                     .iter()
@@ -832,6 +883,82 @@ impl<'a> NodeExec<'a> {
             rec.op_exit(idx, rows_in, out.rows() as u64);
         }
         out
+    }
+
+    /// The summary round of join operator `join`, whose side `first` ran
+    /// first here: build this node's Bloom filter over the keys `keys` of
+    /// `first`, broadcast its words tagged by node and word, and keep
+    /// every node's filter for the repartition at operator `exchange`,
+    /// where `keys_there` name the other side's keys. That exchange tests
+    /// each row only against the filter of the node it sends the row to:
+    /// the join is co-partitioned, so node *j*'s filter holds every key of
+    /// `first` a row headed for node *j* can meet — no OR of the filters,
+    /// no agreement on a size, no estimate. The round is an exchange like
+    /// any other (it takes the next exchange id, on every node alike, and
+    /// its messages count as the query's traffic); its time is the join's.
+    fn summary_round(
+        &self,
+        join: usize,
+        first: &Table,
+        keys: &[String],
+        exchange: usize,
+        keys_there: &[String],
+    ) {
+        let ctx = self.ctx;
+        let key_idx: Vec<usize> = keys.iter().map(|k| first.schema().index_of(k)).collect();
+        let own = BloomFilter::over(first, &key_idx);
+        let node = u64::from(ctx.node.0) << 32;
+        let tags = (0..own.words().len() as u64).map(|w| (node | w) as i64);
+        let summary = Table::new(
+            Schema::new(vec![
+                Field::new("tag", DataType::Int64),
+                Field::new("word", DataType::Int64),
+            ]),
+            vec![
+                Column::I64(tags.collect(), None),
+                Column::I64(own.words().iter().map(|&w| w as i64).collect(), None),
+            ],
+        );
+        let de = RowDeserializer::new(summary.schema());
+        let (pieces, _, sent) = self.exchange_loop(
+            join,
+            &ExchangeKind::Broadcast,
+            &summary,
+            |_| de.empty_columns(),
+            |columns, body| decode_message(&de, body, columns),
+            |_| {},
+        );
+        ctx.bloom_bytes.fetch_add(sent.bytes, Ordering::Relaxed);
+        // Every word of every node's filter arrives once, in no set order.
+        let tagged = || {
+            pieces.iter().flat_map(|columns| {
+                let (tags, words) = (columns[0].i64_values(), columns[1].i64_values());
+                tags.iter().zip(words).map(|(&tag, &word)| {
+                    let (node, at) = (tag as u64 >> 32, tag as u64 & u64::from(u32::MAX));
+                    (node as usize, at as usize, word as u64)
+                })
+            })
+        };
+        let mut words = vec![Vec::new(); ctx.nodes as usize];
+        for (node, _, _) in tagged() {
+            let filter: &mut Vec<u64> = words
+                .get_mut(node)
+                .unwrap_or_else(|| panic!("a filter word from node {node}"));
+            filter.push(0);
+        }
+        for (node, at, word) in tagged() {
+            let slot = words[node].get_mut(at);
+            *slot.unwrap_or_else(|| panic!("word {at} of a shorter filter from node {node}")) =
+                word;
+        }
+        let filters = words.into_iter().map(BloomFilter::from_words).collect();
+        self.send_filters.lock().insert(
+            exchange,
+            SendFilter {
+                keys: keys_there.to_vec(),
+                filters,
+            },
+        );
     }
 
     // -- local pipelines ----------------------------------------------------
@@ -1002,7 +1129,7 @@ impl<'a> NodeExec<'a> {
         let schema = input.schema();
         let de = RowDeserializer::new(schema);
         let share = |own: usize| self.expected_share(kind, own);
-        let (pieces, _) = self.exchange_loop(
+        let (pieces, _, _) = self.exchange_loop(
             op_idx,
             kind,
             input,
@@ -1040,9 +1167,13 @@ impl<'a> NodeExec<'a> {
     /// to and to its own receive hub — so no worker of this node takes the
     /// exchange for drained while another still has rows for it.
     ///
+    /// A repartition a join's [summary round](Self::summary_round) left
+    /// filters for sends only the rows whose key has no NULL part and may
+    /// be in the filter of the node the row is headed for.
+    ///
     /// `share` makes a worker's part of whatever the consumer builds, and
-    /// `land` returns the rows it decoded. Returns the workers' shares and
-    /// the rows landed on this node.
+    /// `land` returns the rows it decoded. Returns the workers' shares, the
+    /// rows landed on this node and what this node sent other nodes.
     fn exchange_loop<S: Send>(
         &self,
         op_idx: usize,
@@ -1051,7 +1182,7 @@ impl<'a> NodeExec<'a> {
         share: impl Fn(WorkerCtx) -> S + Sync,
         land: impl Fn(&mut S, &[u8]) -> usize + Sync,
         close: impl Fn(&mut S) + Sync,
-    ) -> (Vec<S>, u64) {
+    ) -> (Vec<S>, u64, Traffic) {
         let ctx = self.ctx;
         let id = self.next_exchange.fetch_add(1, Ordering::Relaxed);
         let coordinator = ctx.node.0 == 0;
@@ -1076,12 +1207,25 @@ impl<'a> NodeExec<'a> {
             }
             ExchangeKind::Broadcast | ExchangeKind::Gather => None,
         };
+        let units = ctx.classic_units.unwrap_or(1) as usize;
         let buckets = match &partition_by {
-            Some(_) => ctx.nodes as usize * ctx.classic_units.unwrap_or(1) as usize,
+            Some(_) => ctx.nodes as usize * units,
             // Broadcast: the one destination that stands for every node.
             // Gather: bucket 0, the coordinator's.
             None => 1,
         };
+        // A join's filters for this repartition: the filter key columns,
+        // whether any of them holds NULLs, and per bucket the filter of the
+        // node it goes to.
+        let filter = self.send_filters.lock().remove(&op_idx);
+        let filter = filter.as_ref().map(|f| {
+            let key_idx: Vec<usize> = f.keys.iter().map(|k| input.schema().index_of(k)).collect();
+            let cols = join_key_cols(input, &key_idx);
+            let nullable = cols.iter().any(|(c, _)| c.validity().is_some());
+            let by_bucket: Vec<&BloomFilter> =
+                (0..buckets).map(|b| &f.filters[b / units]).collect();
+            (cols, nullable, by_bucket)
+        });
         // The coordinator keeps its rows at a gather; the consumer sees to
         // them.
         let rows_to_send = if gather && coordinator {
@@ -1109,12 +1253,14 @@ impl<'a> NodeExec<'a> {
             _guard: AbortOnUnwind<'a>,
             writer: MessageWriter<'a>,
             bucket_of: Vec<u32>,
+            hashes: Vec<u64>,
             selections: Vec<Vec<usize>>,
             share: S,
             send: Duration,
             wait: Duration,
             messages: u64,
             rows: u64,
+            dropped: u64,
         }
         // Land what the receive queues hold; `block` until they are drained
         // for good. Blocked time is the worker's share of network wait at
@@ -1171,12 +1317,14 @@ impl<'a> NodeExec<'a> {
                     ),
                 },
                 bucket_of: Vec::new(),
+                hashes: Vec::new(),
                 selections: vec![Vec::new(); buckets],
                 share: share(w),
                 send: Duration::ZERO,
                 wait: Duration::ZERO,
                 messages: 0,
                 rows: 0,
+                dropped: 0,
             },
             |st, w, m| {
                 let t0 = Instant::now();
@@ -1187,8 +1335,27 @@ impl<'a> NodeExec<'a> {
                     // bucket's message.
                     Some(key_cols) => {
                         bucket_vector(key_cols, m.range(), buckets, &mut st.bucket_of);
-                        for (row, &bucket) in m.range().zip(&st.bucket_of) {
-                            st.selections[bucket as usize].push(row);
+                        match &filter {
+                            Some((cols, nullable, by_bucket)) => {
+                                st.hashes.clear();
+                                hash_keys(cols, m.range(), &mut st.hashes);
+                                let rows = m.range().zip(&st.bucket_of).zip(&st.hashes);
+                                for ((row, &bucket), &hash) in rows {
+                                    let bucket = bucket as usize;
+                                    if (!*nullable || key_valid(cols, row))
+                                        && by_bucket[bucket].may_hold(hash)
+                                    {
+                                        st.selections[bucket].push(row);
+                                    } else {
+                                        st.dropped += 1;
+                                    }
+                                }
+                            }
+                            None => {
+                                for (row, &bucket) in m.range().zip(&st.bucket_of) {
+                                    st.selections[bucket as usize].push(row);
+                                }
+                            }
                         }
                         for (bucket, selection) in st.selections.iter_mut().enumerate() {
                             st.writer.write(bucket, input, Rows::Sel(selection));
@@ -1233,8 +1400,18 @@ impl<'a> NodeExec<'a> {
                 *load += st.rows;
             }
         }
+        let dropped: u64 = workers.iter().map(|st| st.dropped).sum();
+        ctx.bloom_rows_dropped.fetch_add(dropped, Ordering::Relaxed);
         let landed = workers.iter().map(|st| st.rows).sum();
-        (workers.into_iter().map(|st| st.share).collect(), landed)
+        let mut sent = Traffic::default();
+        for st in &workers {
+            sent += st.writer.sent();
+        }
+        (
+            workers.into_iter().map(|st| st.share).collect(),
+            landed,
+            sent,
+        )
     }
 
     /// End this node's part in exchange `id`: a last-marker to its own
@@ -1324,7 +1501,7 @@ impl BatchSource for Landing<'_, '_> {
             share.batch.iter_mut().for_each(Column::clear);
             share.handing_on += t0.elapsed();
         };
-        let (shares, landed) = exec.exchange_loop(
+        let (shares, landed, _) = exec.exchange_loop(
             self.op_idx,
             self.kind,
             input,
@@ -1397,44 +1574,14 @@ struct Seed<'t> {
     cols: &'t [usize],
 }
 
-/// Whether a join's probe side runs first to seed the aggregate under its
-/// build side, decided from the plan alone: the build side must be
-/// `Filter`/`Map`* over a `Single` or `Final` aggregate with groups, and
-/// every group column must be a build key, renamed at most by `Map` outputs
-/// that are bare column references. Returns, per group column, the index
-/// of its join key.
-///
-/// Dropping the build rows whose key no probe row holds is then exact for
-/// every join kind: no exchange lies between the join and the aggregate, so
-/// a node's probe rows meet only the build rows of its own aggregate, and
-/// `Filter` and a renaming `Map` act on a group at a time.
-fn seeding_keys(build: &Plan, build_keys: &[String]) -> Option<Vec<usize>> {
-    let mut names: Vec<Option<&str>> = build_keys.iter().map(|k| Some(k.as_str())).collect();
-    let mut plan = build;
-    loop {
-        match plan {
-            Plan::Filter { input, .. } => plan = input,
-            Plan::Map { input, outputs } => {
-                for name in &mut names {
-                    let source = outputs.iter().find(|o| Some(o.name.as_str()) == *name);
-                    *name = source.and_then(|o| match (&o.expr, o.dtype) {
-                        (Expr::Col(below), None) => Some(below.as_str()),
-                        _ => None,
-                    });
-                }
-                plan = input;
-            }
-            Plan::Aggregate {
-                group_by, phase, ..
-            } if !group_by.is_empty() && *phase != AggPhase::Partial => {
-                return group_by
-                    .iter()
-                    .map(|g| names.iter().position(|n| *n == Some(g.as_str())))
-                    .collect();
-            }
-            _ => return None,
-        }
-    }
+/// The filters a join's summary round leaves for the repartition of its
+/// other side.
+struct SendFilter {
+    /// The filtered side's join keys, by their names in the exchange's
+    /// input.
+    keys: Vec<String>,
+    /// Per node, a filter over the keys of the first side's rows there.
+    filters: Vec<BloomFilter>,
 }
 
 /// Project `t` to the named columns, in order.

@@ -135,7 +135,7 @@ fn str_word(bytes: &[u8]) -> u64 {
 
 /// Append the key hash of every row in `rows` to `out`: one running hash
 /// per row, fed a key column at a time by a loop picked once per column.
-fn hash_keys(cols: &[JoinKeyCol<'_>], rows: Range<usize>, out: &mut Vec<u64>) {
+pub(crate) fn hash_keys(cols: &[JoinKeyCol<'_>], rows: Range<usize>, out: &mut Vec<u64>) {
     fn feed(out: &mut [u64], start: usize, valid: Option<&Bitmap>, word: impl Fn(usize) -> u64) {
         match valid {
             None => out
@@ -163,7 +163,7 @@ fn hash_keys(cols: &[JoinKeyCol<'_>], rows: Range<usize>, out: &mut Vec<u64>) {
 }
 
 /// Whether no part of row `row`'s key is NULL (a NULL never joins).
-fn key_valid(cols: &[JoinKeyCol<'_>], row: usize) -> bool {
+pub(crate) fn key_valid(cols: &[JoinKeyCol<'_>], row: usize) -> bool {
     cols.iter().all(|(c, _)| c.is_valid(row))
 }
 
@@ -421,6 +421,77 @@ impl JoinTable {
             }
         }
     }
+}
+
+/// Bits a [`BloomFilter`] spends per key, at least: with three bits set in
+/// a 64-bit word per key, about 2 % of absent keys then test positive
+/// (0.5 % at the 20 bits rounding up may leave).
+pub(crate) const BLOOM_BITS_PER_KEY: usize = 10;
+
+/// A register-blocked Bloom filter over join keys (Putze, Sanders and
+/// Singler, WEA 2007): a key sets three bits of one `u64` word. The word
+/// is picked by the top of the key's [`hash_keys`] hash, as a join table
+/// picks its slot, and the bits by its low bits, so a test is one load and
+/// one compare. Equal Int64, Float64 and promoted Decimal keys hash alike,
+/// and so test alike. A key that was inserted always tests positive; one
+/// that was not does so rarely.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct BloomFilter {
+    words: Vec<u64>,
+}
+
+impl BloomFilter {
+    /// A filter over the keys in columns `key_cols` of `table` that have no
+    /// NULL part, sized from the table's rows: at least
+    /// [`BLOOM_BITS_PER_KEY`] bits per row, in a power of two of words.
+    pub fn over(table: &Table, key_cols: &[usize]) -> Self {
+        let bits = table.rows() * BLOOM_BITS_PER_KEY;
+        let mut words = vec![0u64; bits.div_ceil(64).next_power_of_two()];
+        let cols = join_key_cols(table, key_cols);
+        let nullable = cols.iter().any(|(c, _)| c.validity().is_some());
+        let mut hashes = Vec::with_capacity(CANCEL_CHECK_ROWS);
+        for block in 0..table.rows().div_ceil(CANCEL_CHECK_ROWS) {
+            let block =
+                block * CANCEL_CHECK_ROWS..table.rows().min((block + 1) * CANCEL_CHECK_ROWS);
+            hashes.clear();
+            hash_keys(&cols, block.clone(), &mut hashes);
+            for (row, &hash) in block.zip(&hashes) {
+                if nullable && !key_valid(&cols, row) {
+                    continue;
+                }
+                let slots = words.len();
+                words[slot_of(hash, slots)] |= bloom_bits(hash);
+            }
+        }
+        Self { words }
+    }
+
+    /// A filter from the words of one built by [`over`](Self::over); no
+    /// words make a filter that holds nothing.
+    pub fn from_words(mut words: Vec<u64>) -> Self {
+        if words.is_empty() {
+            words.push(0);
+        }
+        Self { words }
+    }
+
+    /// The filter's words.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Whether a key of hash `hash` may be in the filter.
+    #[inline]
+    pub fn may_hold(&self, hash: u64) -> bool {
+        let bits = bloom_bits(hash);
+        self.words[slot_of(hash, self.words.len())] & bits == bits
+    }
+}
+
+/// The three bits a key of hash `hash` sets in its filter word.
+#[inline]
+fn bloom_bits(hash: u64) -> u64 {
+    1 << (hash & 63) | 1 << (hash >> 6 & 63) | 1 << (hash >> 12 & 63)
 }
 
 /// What a probing worker keeps from batch to batch: the result so far and
@@ -1979,5 +2050,65 @@ mod tests {
                 "limit {limit}"
             );
         }
+    }
+
+    /// One nullable key column of `dtype` holding `keys`, NULL where `None`.
+    fn key_table(dtype: DataType, keys: &[Option<i64>]) -> Table {
+        let valid: Bitmap = keys.iter().map(Option::is_some).collect();
+        let raw = keys.iter().map(|k| k.unwrap_or(0));
+        let column = match dtype {
+            DataType::Float64 => Column::F64(raw.map(|k| k as f64).collect(), Some(valid)),
+            // Cents: the Decimal holding the number `k`.
+            DataType::Decimal => Column::I64(raw.map(|k| k * 100).collect(), Some(valid)),
+            _ => Column::I64(raw.collect(), Some(valid)),
+        };
+        Table::new(Schema::new(vec![Field::nullable("k", dtype)]), vec![column])
+    }
+
+    /// Whether row `row` of `t`'s only column may be in `filter`.
+    fn may_hold(filter: &BloomFilter, t: &Table, row: usize) -> bool {
+        let mut hashes = Vec::new();
+        hash_keys(&join_key_cols(t, &[0]), row..row + 1, &mut hashes);
+        filter.may_hold(hashes[0])
+    }
+
+    /// A filter holds every non-NULL key it was built over — as an Int64,
+    /// a Float64 or a Decimal of the same number alike — is sized at ten
+    /// bits a row or more, and passes few keys it was not built over. A
+    /// NULL key is not inserted: the filter over keys with NULLs among
+    /// them is the filter over the same keys without the NULLs.
+    #[test]
+    fn bloom_filters_hold_their_keys_and_no_nulls() {
+        let keys: Vec<Option<i64>> = (0..3_000).map(|i| (i % 5 != 0).then_some(i * 7)).collect();
+        let present: Vec<Option<i64>> = keys.iter().copied().filter(Option::is_some).collect();
+        let absent: Vec<Option<i64>> = (0..3_000).map(|i| Some(i * 7 + 3)).collect();
+        let types = [DataType::Int64, DataType::Float64, DataType::Decimal];
+        for built in types {
+            let filter = BloomFilter::over(&key_table(built, &keys), &[0]);
+            assert!(filter.words().len() * 64 >= keys.len() * BLOOM_BITS_PER_KEY);
+            assert!(filter.words().len().is_power_of_two());
+            assert_eq!(
+                filter,
+                BloomFilter::over(&key_table(built, &present), &[0]),
+                "a NULL key was inserted ({built:?})"
+            );
+            for tested in types {
+                let held = key_table(tested, &present);
+                assert!(
+                    (0..present.len()).all(|row| may_hold(&filter, &held, row)),
+                    "{tested:?} keys missing from a filter over {built:?} keys"
+                );
+                let others = key_table(tested, &absent);
+                let passed = (0..absent.len())
+                    .filter(|&row| may_hold(&filter, &others, row))
+                    .count();
+                assert!(passed < absent.len() / 20, "{passed} absent keys pass");
+            }
+        }
+        assert_eq!(
+            BloomFilter::over(&key_table(DataType::Int64, &[]), &[0]).words(),
+            [0]
+        );
+        assert!(!BloomFilter::from_words(Vec::new()).may_hold(0));
     }
 }

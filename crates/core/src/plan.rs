@@ -24,6 +24,27 @@ pub enum JoinKind {
     LeftAnti,
 }
 
+impl JoinKind {
+    /// Whether rows of `side` that no row of the other side matches may be
+    /// dropped before the join: never those of a side whose unmatched rows
+    /// appear in the result (a LeftOuter or LeftAnti join's probe side).
+    pub fn may_filter(self, side: JoinSide) -> bool {
+        match self {
+            JoinKind::Inner | JoinKind::LeftSemi => true,
+            JoinKind::LeftOuter | JoinKind::LeftAnti => side == JoinSide::Build,
+        }
+    }
+}
+
+/// One input of a [`Plan::HashJoin`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinSide {
+    /// The streaming side.
+    Probe,
+    /// The side materialized into the hash table.
+    Build,
+}
+
 /// Aggregate functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFunc {
@@ -195,6 +216,15 @@ pub enum Plan {
         build_keys: Vec<String>,
         /// Join semantics.
         kind: JoinKind,
+        /// The side whose repartition drops every row whose key no row of
+        /// the other side holds on the node the row is headed for: the
+        /// other side runs first, and each node broadcasts a Bloom filter
+        /// over its keys in one summary round (the Bloomjoin, Mackert and
+        /// Lohman, VLDB 1986). Only a side [`filter_site`](Plan::filter_site)
+        /// finds may be named. `None`: no filter, and the build side runs
+        /// first unless the probe side's keys can
+        /// [seed](Plan::seeding_keys) an aggregate under it.
+        filter: Option<JoinSide>,
     },
     /// Hash aggregation.
     Aggregate {
@@ -304,6 +334,7 @@ impl Plan {
             probe_keys: probe_keys.iter().map(|s| s.to_string()).collect(),
             build_keys: build_keys.iter().map(|s| s.to_string()).collect(),
             kind,
+            filter: None,
         }
     }
 
@@ -393,6 +424,7 @@ impl Plan {
                 probe_keys,
                 build_keys,
                 kind,
+                filter,
                 ..
             } => {
                 let _ = write!(
@@ -401,6 +433,9 @@ impl Plan {
                     probe_keys.join(", "),
                     build_keys.join(", ")
                 );
+                if let Some(side) = filter {
+                    let _ = write!(out, " (filter {side:?})");
+                }
             }
             Plan::Aggregate {
                 group_by, phase, ..
@@ -442,6 +477,127 @@ impl Plan {
             .iter()
             .map(|c| c.exchange_count())
             .sum::<usize>()
+    }
+
+    /// Where a filter on `side` of this `HashJoin` acts, if its kind
+    /// [allows](JoinKind::may_filter) one there and a repartition ships
+    /// that side: a `HashPartition` exchange below only `Filter`s, `Map`s
+    /// that pass every key on as a bare column and aggregates grouped by
+    /// every key. Returns how many levels below the side's root the
+    /// exchange lies, and the side's keys by their names in its input;
+    /// `None` for any other plan.
+    ///
+    /// A row that exchange sends to node *j* meets the join on node *j*,
+    /// with its key unchanged, or not at all, since nothing on the way
+    /// ships rows or computes keys; and a group keeps its rows' key. So a
+    /// row whose key no row of the join's other side holds on node *j*
+    /// can be dropped there, before it is sent, whatever partitions the
+    /// other side.
+    pub fn filter_site(&self, side: JoinSide) -> Option<(usize, Vec<String>)> {
+        let Plan::HashJoin {
+            probe,
+            build,
+            probe_keys,
+            build_keys,
+            kind,
+            ..
+        } = self
+        else {
+            return None;
+        };
+        let (plan, keys) = match side {
+            JoinSide::Probe => (probe, probe_keys),
+            JoinSide::Build => (build, build_keys),
+        };
+        kind.may_filter(side)
+            .then(|| plan.filtered_exchange(keys))
+            .flatten()
+    }
+
+    /// The exchange [`filter_site`](Self::filter_site) looks for under
+    /// `self`, a join side keyed by `keys`.
+    fn filtered_exchange(&self, keys: &[String]) -> Option<(usize, Vec<String>)> {
+        let mut names: Vec<Option<&str>> = keys.iter().map(|k| Some(k.as_str())).collect();
+        let (mut plan, mut depth) = (self, 0);
+        loop {
+            let (below, levels, renamed) = plan.below_renames(names);
+            let keys: Vec<&str> = renamed.iter().copied().collect::<Option<_>>()?;
+            depth += levels;
+            match below {
+                Plan::Aggregate {
+                    input, group_by, ..
+                } if keys
+                    .iter()
+                    .all(|k| group_by.iter().any(|g| g.as_str() == *k)) =>
+                {
+                    (plan, depth) = (input, depth + 1);
+                }
+                Plan::Exchange {
+                    kind: ExchangeKind::HashPartition(_),
+                    ..
+                } => return Some((depth, keys.iter().map(|k| k.to_string()).collect())),
+                _ => return None,
+            }
+            names = renamed;
+        }
+    }
+
+    /// Whether a join's probe side runs first to seed the aggregate under
+    /// its build side `self`, keyed by `build_keys`, decided from the plan
+    /// alone: the build side must be `Filter`/`Map`* over a `Single` or
+    /// `Final` aggregate with groups, and every group column must be a
+    /// build key, renamed at most by `Map` outputs that are bare column
+    /// references. Returns, per group column, the index of its join key.
+    ///
+    /// Dropping the build rows whose key no probe row holds is then exact
+    /// for every join kind: no exchange lies between the join and the
+    /// aggregate, so a node's probe rows meet only the build rows of its
+    /// own aggregate, and `Filter` and a renaming `Map` act on a group at a
+    /// time.
+    pub fn seeding_keys(&self, build_keys: &[String]) -> Option<Vec<usize>> {
+        let names = build_keys.iter().map(|k| Some(k.as_str())).collect();
+        match self.below_renames(names) {
+            (
+                Plan::Aggregate {
+                    group_by, phase, ..
+                },
+                _,
+                names,
+            ) if !group_by.is_empty() && *phase != AggPhase::Partial => group_by
+                .iter()
+                .map(|g| names.iter().position(|n| *n == Some(g.as_str())))
+                .collect(),
+            _ => None,
+        }
+    }
+
+    /// The walk [`filtered_exchange`](Self::filtered_exchange) and
+    /// [`seeding_keys`](Self::seeding_keys) share: down from `self`
+    /// through `Filter`s and `Map`s to the first other operator. Returns
+    /// it, how many levels down it lies, and the names `names` have there
+    /// (`None` for one a `Map` computes or drops).
+    fn below_renames<'p>(
+        &'p self,
+        mut names: Vec<Option<&'p str>>,
+    ) -> (&'p Plan, usize, Vec<Option<&'p str>>) {
+        let (mut plan, mut depth) = (self, 0);
+        loop {
+            plan = match plan {
+                Plan::Filter { input, .. } => input,
+                Plan::Map { input, outputs } => {
+                    for name in &mut names {
+                        let source = outputs.iter().find(|o| Some(o.name.as_str()) == *name);
+                        *name = source.and_then(|o| match (&o.expr, o.dtype) {
+                            (Expr::Col(below), None) => Some(below.as_str()),
+                            _ => None,
+                        });
+                    }
+                    input
+                }
+                _ => return (plan, depth, names),
+            };
+            depth += 1;
+        }
     }
 
     /// Direct children of this node.

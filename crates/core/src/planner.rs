@@ -1,7 +1,7 @@
 //! The distributed planner: lowers [`LogicalPlan`]s to physical [`Plan`]s.
 //!
 //! The paper's distributed plans come out of HyPer's optimizer (Figure 6);
-//! this module reproduces the three decisions that matter for distribution:
+//! this module reproduces the four decisions that matter for distribution:
 //!
 //! 1. **Exchange placement** — a hash-repartition is inserted wherever an
 //!    operator needs co-partitioned input and the data is not already
@@ -16,6 +16,11 @@
 //!    reshuffle of the (small) partial states, and a merge; `count(distinct)`
 //!    falls back to a raw reshuffle, and aggregations whose input is already
 //!    partitioned by a group key stay node-local.
+//! 4. **Join filters** (the Bloomjoin) — a repartitioned join may filter
+//!    the repartition of one side by the keys of the other, which then runs
+//!    first ([`Plan::HashJoin`]'s `filter`), when the bytes the filter
+//!    keeps off the wire outweigh shipping it, testing every row and one
+//!    more barrier.
 //!
 //! Scans are pruned to the columns the plan actually uses and filters
 //! directly above a scan are pushed into it ("columns that are not required
@@ -27,11 +32,11 @@ use std::sync::Arc;
 use hsqp_tpch::TpchTable;
 
 use crate::cluster::Cluster;
-use crate::cost::CostModel;
+use crate::cost::{CostModel, FilterOption};
 use crate::error::EngineError;
 use crate::expr::{CmpOp, Expr};
 use crate::logical::{JoinStrategy, LogicalPlan, LogicalQuery};
-use crate::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, Plan, SortKey};
+use crate::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, JoinSide, Plan, SortKey};
 use crate::queries::{Query, QueryStage, StageRole};
 use crate::stats::{self, plan_fingerprint, FeedbackCache, StatsCatalog, StatsMode};
 
@@ -162,6 +167,10 @@ struct Lowered {
     cols: Vec<String>,
     part: Part,
     est: f64,
+    /// Estimated rows and columns of what the nearest repartition below
+    /// ships, if only `Filter`s, `Map`s and aggregates lie between: what a
+    /// join filter on this subplan could keep off the wire.
+    shipped: Option<(f64, usize)>,
 }
 
 fn planner_err<T>(msg: impl Into<String>) -> Result<T, EngineError> {
@@ -738,6 +747,7 @@ impl Planner {
                         cols: info.cols.clone(),
                         part: info.part.clone(),
                         est: info.est,
+                        shipped: None,
                     })
                 } else {
                     Ok(Lowered {
@@ -748,6 +758,7 @@ impl Planner {
                         part: prune_part(info.part.clone(), &keep),
                         est: info.est,
                         cols: keep,
+                        shipped: None,
                     })
                 }
             }
@@ -770,6 +781,7 @@ impl Planner {
                     cols: child.cols,
                     part: child.part,
                     est: (child.est * self.sel(predicate)).max(1.0),
+                    shipped: child.shipped,
                 })
             }
             LogicalPlan::Project { input, outputs } => {
@@ -803,6 +815,7 @@ impl Planner {
                     cols,
                     part,
                     est: child.est,
+                    shipped: child.shipped,
                 })
             }
             LogicalPlan::Join {
@@ -836,6 +849,7 @@ impl Planner {
                     cols: child.cols,
                     part,
                     est: (*n as f64).min(child.est),
+                    shipped: None,
                 })
             }
         }
@@ -890,6 +904,7 @@ impl Planner {
             cols,
             part,
             est: self.cfg.stats.rows(table),
+            shipped: None,
         }
     }
 
@@ -974,6 +989,7 @@ impl Planner {
                 cols,
                 part,
                 est,
+                shipped: None,
             });
         }
 
@@ -1019,6 +1035,7 @@ impl Planner {
                 cols,
                 part,
                 est,
+                shipped: None,
             });
         }
 
@@ -1067,12 +1084,81 @@ impl Planner {
                 class
             })
             .collect();
+        let mut plan = join_plan(l.plan, r.plan, left_keys, right_keys, kind);
+        self.choose_join_filter(&mut plan, (l.est, l.shipped), (r.est, r.shipped));
         Ok(Lowered {
-            plan: join_plan(l.plan, r.plan, left_keys, right_keys, kind),
+            plan,
             cols: cols.clone(),
             part: prune_part(Part::Hash(classes), &cols),
             est,
+            shipped: None,
         })
+    }
+
+    /// The fourth decision: which side of `join`, a co-partitioned hash
+    /// join whose probe and build sides were estimated at `probe` and
+    /// `build` (rows, and what their repartition ships), to filter by the
+    /// other side's keys, if either. A side qualifies where
+    /// [`Plan::filter_site`] finds it. Of its shipped rows, those whose key
+    /// the first side holds pass: the keys of both sides are taken to be
+    /// drawn independently from one domain, the largest declared NDV among
+    /// the key columns, of which the first side holds as many as it has
+    /// rows, up to all. Without statistics on any key column, the first
+    /// side's rows over the shipped rows.
+    fn choose_join_filter(
+        &mut self,
+        join: &mut Plan,
+        probe: (f64, Option<(f64, usize)>),
+        build: (f64, Option<(f64, usize)>),
+    ) {
+        let Plan::HashJoin {
+            probe_keys,
+            build_keys,
+            ..
+        } = &*join
+        else {
+            return;
+        };
+        let domain = self.catalog().and_then(|cat| {
+            let ndvs = probe_keys.iter().chain(build_keys);
+            ndvs.filter_map(|k| cat.column_anywhere(k).map(|c| c.ndv))
+                .reduce(f64::max)
+        });
+        let options: Vec<FilterOption> = [JoinSide::Probe, JoinSide::Build]
+            .into_iter()
+            .filter(|&side| join.filter_site(side).is_some())
+            .filter_map(|side| {
+                let ((_, shipped), (first_rows, _)) = match side {
+                    JoinSide::Probe => (probe, build),
+                    JoinSide::Build => (build, probe),
+                };
+                let (shipped_rows, shipped_cols) = shipped?;
+                let pass = match domain {
+                    Some(d) => first_rows.min(d) / d,
+                    None => (first_rows / shipped_rows).min(1.0),
+                };
+                Some(FilterOption {
+                    side,
+                    shipped_rows,
+                    shipped_cols,
+                    first_rows,
+                    pass,
+                })
+            })
+            .collect();
+        if options.is_empty() {
+            return;
+        }
+        let site = format!(
+            "filter join on {}={}",
+            probe_keys.join(","),
+            build_keys.join(",")
+        );
+        let (side, d) = self.cost_model().join_filter(site, &options);
+        self.note(d);
+        if let Plan::HashJoin { filter, .. } = join {
+            *filter = side;
+        }
     }
 
     fn lower_aggregate(
@@ -1118,12 +1204,14 @@ impl Planner {
                     plan: agg_node(child.plan, AggPhase::Single),
                     cols,
                     est: 1.0,
+                    shipped: None,
                 },
                 _ if has_distinct => Lowered {
                     plan: agg_node(child.plan.gather(), AggPhase::Single),
                     cols,
                     part: Part::Single,
                     est: 1.0,
+                    shipped: None,
                 },
                 _ => Lowered {
                     plan: agg_node(
@@ -1133,6 +1221,7 @@ impl Planner {
                     cols,
                     part: Part::Single,
                     est: 1.0,
+                    shipped: None,
                 },
             });
         }
@@ -1155,6 +1244,7 @@ impl Planner {
                 cols,
                 part,
                 est,
+                shipped: child.shipped,
             });
         }
 
@@ -1195,6 +1285,7 @@ impl Planner {
                 cols,
                 part: out_part,
                 est,
+                shipped: Some((child.est, child.cols.len())),
             });
         }
         // Figure 6(c): pre-aggregate locally, reshuffle the partial states
@@ -1204,8 +1295,12 @@ impl Planner {
             input: Box::new(partial),
             kind: ExchangeKind::HashPartition(group_by.to_vec()),
         };
+        // Each node ships at most its share of the input in partial states.
+        let nodes = f64::from(self.cfg.nodes.max(1));
+        let partials = est.min(child.est / nodes) * nodes;
         Ok(Lowered {
             plan: agg_node(shuffled, AggPhase::Final),
+            shipped: Some((partials, cols.len())),
             cols,
             part: out_part,
             est,
@@ -1240,6 +1335,7 @@ impl Planner {
             cols: child.cols,
             part,
             est,
+            shipped: None,
         })
     }
 }
@@ -1521,6 +1617,7 @@ impl QueryPlanner {
                     cols,
                     part,
                     est,
+                    ..
                 } = self.p.lower(&plan, None)?;
                 let (est, feedback_rows) = self.corrected(fp, est);
                 // Materialize the temp on every node when replicating once
@@ -1661,17 +1758,20 @@ fn visit_cte_scans(plan: &LogicalPlan, f: &mut impl FnMut(&str)) {
 
 /// Wrap `plan` in an exchange and update the partitioning property.
 fn exchange(l: Lowered, kind: ExchangeKind, part: Part) -> Lowered {
-    let part = match &kind {
-        ExchangeKind::HashPartition(keys) => Part::Hash(
-            keys.iter()
-                .map(|k| {
-                    let mut c = BTreeSet::new();
-                    c.insert(k.clone());
-                    c
-                })
-                .collect(),
+    let (part, shipped) = match &kind {
+        ExchangeKind::HashPartition(keys) => (
+            Part::Hash(
+                keys.iter()
+                    .map(|k| {
+                        let mut c = BTreeSet::new();
+                        c.insert(k.clone());
+                        c
+                    })
+                    .collect(),
+            ),
+            Some((l.est, l.cols.len())),
         ),
-        _ => part,
+        _ => (part, None),
     };
     Lowered {
         plan: Plan::Exchange {
@@ -1681,6 +1781,7 @@ fn exchange(l: Lowered, kind: ExchangeKind, part: Part) -> Lowered {
         cols: l.cols,
         part,
         est: l.est,
+        shipped,
     }
 }
 
@@ -1697,6 +1798,7 @@ fn join_plan(
         probe_keys: probe_keys.to_vec(),
         build_keys: build_keys.to_vec(),
         kind,
+        filter: None,
     }
 }
 
@@ -1735,12 +1837,14 @@ fn fold_plan(plan: Plan) -> Plan {
             probe_keys,
             build_keys,
             kind,
+            filter,
         } => Plan::HashJoin {
             probe: Box::new(fold_plan(*probe)),
             build: Box::new(fold_plan(*build)),
             probe_keys,
             build_keys,
             kind,
+            filter,
         },
         Plan::Aggregate {
             input,
@@ -2444,6 +2548,56 @@ mod tests {
     /// queries identically. The second planner is built by hand as the
     /// benchmark's socket workload builds its own: spec-derived row counts
     /// overridden by the exact ones, and the declared catalog.
+    /// The fourth decision on TPC-H at SF 0.05 on two nodes: a join of
+    /// lineitem and orders filters the side whose repartition ships the
+    /// rows that cannot join — the larger one, or the one whose partner
+    /// is filtered hard — and a join whose keys every row of the other
+    /// side holds filters nothing.
+    #[test]
+    fn join_filters_go_where_shipped_rows_cannot_join() {
+        use crate::plan::JoinSide::{Build, Probe};
+        use crate::queries::tpch_logical;
+        fn filters(plan: &Plan, out: &mut Vec<(String, Option<JoinSide>)>) {
+            if let Plan::HashJoin {
+                probe_keys, filter, ..
+            } = plan
+            {
+                if plan
+                    .filter_site(Probe)
+                    .or(plan.filter_site(Build))
+                    .is_some()
+                {
+                    out.push((probe_keys.join(","), *filter));
+                }
+            }
+            plan.children().into_iter().for_each(|c| filters(c, out));
+        }
+        let planner = Planner::for_tpch(2, 0.05, |_| None);
+        let expected: [(u32, &[(&str, Option<JoinSide>)]); 6] = [
+            (3, &[("l_orderkey", Some(Probe))]),
+            (4, &[("o_orderkey", Some(Build))]),
+            (12, &[("l_orderkey", Some(Build))]),
+            (14, &[("l_partkey", None)]),
+            (18, &[("o_custkey", None), ("o_orderkey", Some(Probe))]),
+            (
+                21,
+                &[
+                    ("l_orderkey", Some(Build)),
+                    ("l_orderkey", Some(Build)),
+                    ("l_orderkey", Some(Probe)),
+                ],
+            ),
+        ];
+        for (n, want) in expected {
+            let query = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
+            let mut got = Vec::new();
+            query.stages.iter().for_each(|s| filters(&s.plan, &mut got));
+            let want: Vec<(String, Option<JoinSide>)> =
+                want.iter().map(|(k, f)| (k.to_string(), *f)).collect();
+            assert_eq!(got, want, "Q{n}");
+        }
+    }
+
     #[test]
     fn both_clusters_plan_every_tpch_query_identically() {
         use crate::queries::{tpch_logical, ALL_QUERIES};

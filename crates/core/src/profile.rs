@@ -523,7 +523,8 @@ impl QueryProfile {
                     op.rows_out(),
                     fmt_dur(op.wall_max()),
                 );
-                if op.is_exchange() {
+                // A join that filters a side sends its summary round.
+                if op.is_exchange() || op.bytes_sent() > 0 {
                     let _ = write!(
                         out,
                         ", net wait {}, {} sent",

@@ -22,7 +22,9 @@ use hsqp_storage::{DataType, Field, Schema, Table, Value};
 use hsqp_tpch::TpchTable;
 
 use crate::expr::{ArithOp, CmpOp, Expr};
-use crate::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, MapExpr, Plan, SortKey};
+use crate::plan::{
+    AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, JoinSide, MapExpr, Plan, SortKey,
+};
 use crate::queries::{Query, QueryStage, StageRole};
 use crate::wire::{RowDeserializer, RowSerializer};
 
@@ -30,8 +32,15 @@ use crate::wire::{RowDeserializer, RowSerializer};
 pub const SERIAL_MAGIC: u32 = 0x504C_414E;
 /// Version of the plan encoding. Bump on any incompatible change — the
 /// round-trip tests pin the format, and decode rejects mismatches.
-/// v2 added the tenant / deadline tail to stage envelopes.
-pub const SERIAL_VERSION: u16 = 2;
+/// v2 added the tenant / deadline tail to stage envelopes; v3 the side a
+/// hash join filters.
+pub const SERIAL_VERSION: u16 = 3;
+
+/// How deeply plans and expressions may nest in what is decoded, counted
+/// together: the decoder recurses once per level, so a forged input of a
+/// few kilobytes could otherwise overflow the decoding thread's stack. The
+/// deepest TPC-H stage nests about 20 levels.
+const MAX_NESTING: usize = 256;
 
 // ---------------------------------------------------------------------------
 // Primitive writers / reader
@@ -91,13 +100,19 @@ pub(crate) fn put_strs(out: &mut Vec<u8>, items: &[String]) {
 pub(crate) struct Rd<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Plans and expressions being decoded around the cursor.
+    depth: usize,
 }
 
 pub(crate) type DecodeResult<T> = Result<T, String>;
 
 impl<'a> Rd<'a> {
     pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     pub(crate) fn take(&mut self, n: usize) -> DecodeResult<&'a [u8]> {
@@ -181,6 +196,18 @@ impl<'a> Rd<'a> {
             out.push(dec(self)?);
         }
         Ok(out)
+    }
+
+    /// Decode one level of a recursive value with `dec`, failing past
+    /// [`MAX_NESTING`] levels instead of recursing on.
+    fn nested<T>(&mut self, dec: impl FnOnce(&mut Self) -> DecodeResult<T>) -> DecodeResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(format!("plan nested deeper than {MAX_NESTING} levels"));
+        }
+        self.depth += 1;
+        let out = dec(self);
+        self.depth -= 1;
+        out
     }
 
     pub(crate) fn strs(&mut self) -> DecodeResult<Vec<String>> {
@@ -324,6 +351,24 @@ fn dec_join_kind(r: &mut Rd<'_>) -> DecodeResult<JoinKind> {
     })
 }
 
+fn enc_join_side(out: &mut Vec<u8>, side: JoinSide) {
+    put_u8(
+        out,
+        match side {
+            JoinSide::Probe => 0,
+            JoinSide::Build => 1,
+        },
+    );
+}
+
+fn dec_join_side(r: &mut Rd<'_>) -> DecodeResult<JoinSide> {
+    Ok(match r.u8()? {
+        0 => JoinSide::Probe,
+        1 => JoinSide::Build,
+        t => return Err(format!("invalid JoinSide tag {t}")),
+    })
+}
+
 fn enc_agg_func(out: &mut Vec<u8>, f: AggFunc) {
     put_u8(
         out,
@@ -459,6 +504,10 @@ fn enc_expr(out: &mut Vec<u8>, e: &Expr) {
 }
 
 fn dec_expr(r: &mut Rd<'_>) -> DecodeResult<Expr> {
+    r.nested(dec_expr_level)
+}
+
+fn dec_expr_level(r: &mut Rd<'_>) -> DecodeResult<Expr> {
     Ok(match r.u8()? {
         0 => Expr::Col(r.str()?),
         1 => Expr::LitI64(r.i64()?),
@@ -551,6 +600,7 @@ fn enc_plan(out: &mut Vec<u8>, p: &Plan) {
             probe_keys,
             build_keys,
             kind,
+            filter,
         } => {
             put_u8(out, 4);
             enc_plan(out, probe);
@@ -558,6 +608,7 @@ fn enc_plan(out: &mut Vec<u8>, p: &Plan) {
             put_strs(out, probe_keys);
             put_strs(out, build_keys);
             enc_join_kind(out, *kind);
+            put_opt(out, filter.as_ref(), |o, side| enc_join_side(o, *side));
         }
         Plan::Aggregate {
             input,
@@ -600,6 +651,10 @@ fn enc_plan(out: &mut Vec<u8>, p: &Plan) {
 }
 
 fn dec_plan(r: &mut Rd<'_>) -> DecodeResult<Plan> {
+    r.nested(dec_plan_level)
+}
+
+fn dec_plan_level(r: &mut Rd<'_>) -> DecodeResult<Plan> {
     Ok(match r.u8()? {
         0 => Plan::Scan {
             table: dec_table_ref(r)?,
@@ -630,6 +685,7 @@ fn dec_plan(r: &mut Rd<'_>) -> DecodeResult<Plan> {
             probe_keys: r.strs()?,
             build_keys: r.strs()?,
             kind: dec_join_kind(r)?,
+            filter: r.opt(dec_join_side)?,
         },
         5 => Plan::Aggregate {
             input: Box::new(dec_plan(r)?),
@@ -912,6 +968,92 @@ mod tests {
             let back = decode_query(&bytes).expect("decode");
             assert_eq!(q, back, "Q{n} did not survive the round trip");
         }
+    }
+
+    #[test]
+    fn join_filters_roundtrip() {
+        use crate::plan::JoinSide;
+        for filter in [None, Some(JoinSide::Probe), Some(JoinSide::Build)] {
+            let mut plan = Plan::scan(TpchTable::Lineitem)
+                .repartition(&["l_orderkey"])
+                .join(
+                    Plan::scan(TpchTable::Orders).repartition(&["o_orderkey"]),
+                    &["l_orderkey"],
+                    &["o_orderkey"],
+                    JoinKind::Inner,
+                );
+            if let Plan::HashJoin { filter: f, .. } = &mut plan {
+                *f = filter;
+            }
+            let q = Query::single(0, plan);
+            assert_eq!(decode_query(&encode_query(&q)).unwrap(), q, "{filter:?}");
+        }
+    }
+
+    /// A stage envelope and a query envelope around a plan of `levels`
+    /// nested `Filter`s, and the two around a scan filtered by `levels`
+    /// nested `NOT`s.
+    fn nested(levels: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut filters = vec![2u8; levels];
+        filters.push(0);
+        enc_table_ref(&mut filters, TpchTable::Nation);
+        filters.extend([0, 0]);
+        let mut nots = vec![0u8];
+        enc_table_ref(&mut nots, TpchTable::Nation);
+        put_u8(&mut nots, 1);
+        nots.extend(std::iter::repeat_n(8u8, levels));
+        [filters, nots]
+            .into_iter()
+            .map(|plan| {
+                let mut stage = Vec::new();
+                envelope(&mut stage);
+                stage.extend_from_slice(&plan);
+                let mut query = Vec::new();
+                envelope(&mut query);
+                put_u32(&mut query, 1);
+                put_u32(&mut query, 1);
+                query.extend_from_slice(&plan);
+                (stage, query)
+            })
+            .collect()
+    }
+
+    /// A forged plan nested 3 000 levels deep, 3 KB of input: decoding
+    /// recursed once per level and overflowed the 2 MiB stack of a thread
+    /// like the node server's. It must stop at `MAX_NESTING` levels with
+    /// an error, through both entry points a node decodes with.
+    #[test]
+    fn plans_nested_past_the_bound_are_errors_not_overflows() {
+        std::thread::spawn(|| {
+            for (stage, query) in nested(3_000) {
+                for err in [
+                    decode_stage_tagged(&stage).map(|_| ()).unwrap_err(),
+                    decode_query(&query).map(|_| ()).unwrap_err(),
+                ] {
+                    assert!(err.contains("nested deeper"), "unexpected error: {err}");
+                }
+            }
+        })
+        .join()
+        .expect("decoding returned an error");
+    }
+
+    /// Plans right at the bound still decode: `MAX_NESTING - 2` filters
+    /// over a scan, where the innermost filter's comparison of a column
+    /// with a literal reaches the bound.
+    #[test]
+    fn plans_nested_to_the_bound_decode() {
+        use crate::expr::{col, lit};
+        let deep = |filters: usize| {
+            let plan = (0..filters).fold(Plan::scan(TpchTable::Nation), |p, _| {
+                p.filter(col("n_nationkey").lt(lit(1)))
+            });
+            encode_query(&Query::single(0, plan))
+        };
+        decode_query(&deep(MAX_NESTING - 2)).unwrap();
+        assert!(decode_query(&deep(MAX_NESTING - 1))
+            .unwrap_err()
+            .contains("nested deeper"));
     }
 
     #[test]

@@ -2213,8 +2213,21 @@ impl StageCompiler<'_> {
                 fields.map(Schema::new)
             }
             Plan::HashJoin {
-                probe, build, kind, ..
+                probe,
+                build,
+                kind,
+                filter,
+                ..
             } => {
+                if let Some(side) = filter.filter(|&side| plan.filter_site(side).is_none()) {
+                    self.failure.get_or_insert_with(|| {
+                        format!(
+                            "operator {idx}: a {kind:?} join cannot filter its {side:?} side \
+                             (its kind keeps that side's unmatched rows, or no repartition \
+                             ships it)"
+                        )
+                    });
+                }
                 let p = self.walk(probe);
                 let b = self.walk(build);
                 let (p, b) = (p?, b?);

@@ -293,7 +293,10 @@ fn profiling_off_leaves_no_profile() {
 /// a quarter of its lineitems, too many to seed with, so its aggregate
 /// still emits every order. The registry counts the two seeded aggregates
 /// on each node and the rows they dropped — the same over sockets, where
-/// the nodes report them through `Stats`.
+/// the nodes report them through `Stats`. Those rows are few: the joins
+/// filter the repartitions under both aggregates by the same probe keys,
+/// so only the rows a filter passes by mistake reach a seeded aggregate
+/// without a group to go to.
 #[test]
 fn seeded_aggregates_keep_only_the_groups_the_probe_side_matches() {
     use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
@@ -345,7 +348,7 @@ fn seeded_aggregates_keep_only_the_groups_the_probe_side_matches() {
     assert_eq!(per_order, [15_000], "Q18's aggregates: {q18:?}");
     let (seeded, dropped) = counters(&local);
     assert_eq!(seeded, 4, "Q21's two aggregates on each node");
-    assert_eq!(dropped, 93_590);
+    assert_eq!(dropped, 639);
     local.shutdown();
 
     let remote = ProcessCluster::connect(
