@@ -26,6 +26,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use hsqp_net::socket::MAX_FRAME;
 use hsqp_net::{
     CompletionMode, Fabric, FabricConfig, LinkSpec, NetScheduler, NodeId, QueryId, RdmaConfig,
     RdmaNetwork, TcpConfig, TcpNetwork, Transport as NetTransport,
@@ -38,7 +39,7 @@ use hsqp_tpch::{TpchDb, TpchTable};
 use crate::coordinator::{Backend, Coordinator, StageCall, StageOutcome, StageReplies};
 pub use crate::coordinator::{QueryHandle, QueryResult};
 use crate::error::EngineError;
-use crate::exchange::Traffic;
+use crate::exchange::{Traffic, HEADER_LEN};
 use crate::exec::{start_node, NodeCtx, StageJob};
 use crate::metrics::MetricsSnapshot;
 use crate::serve::{TenantConfig, TenantId};
@@ -211,6 +212,13 @@ impl ClusterConfig {
         }
         if self.message_capacity < 1024 {
             return Err(EngineError::Config("message capacity below 1 KiB".into()));
+        }
+        // A message and its header travel as one socket frame.
+        if self.message_capacity > MAX_FRAME - HEADER_LEN {
+            return Err(EngineError::Config(format!(
+                "message capacity above {} bytes, a frame less its header",
+                MAX_FRAME - HEADER_LEN
+            )));
         }
         Coordinator::validate(self.max_concurrent, &self.tenants)
     }
@@ -516,6 +524,15 @@ mod tests {
             ..ClusterConfig::quick(1)
         })
         .is_err());
+        // A message and its header fill one frame at most.
+        let capacity = |message_capacity| ClusterConfig {
+            message_capacity,
+            ..ClusterConfig::quick(1)
+        };
+        assert!(capacity(MAX_FRAME - HEADER_LEN).validate().is_ok());
+        for too_big in [MAX_FRAME - HEADER_LEN + 1, MAX_FRAME, usize::MAX] {
+            assert!(capacity(too_big).validate().is_err(), "{too_big}");
+        }
         assert!(Cluster::start(ClusterConfig {
             max_concurrent: 0,
             ..ClusterConfig::quick(1)

@@ -28,7 +28,8 @@
 //!   of the side that runs first keeps the other side's repartition from
 //!   shipping, against shipping the filters, testing every row against
 //!   them and one more barrier between the nodes. The choice also fixes
-//!   which side runs first.
+//!   which side runs first: the filtered side runs second; with no
+//!   filter, the build side runs first.
 
 use crate::plan::JoinSide;
 
@@ -75,7 +76,11 @@ pub struct FilterOption {
     pub shipped_cols: usize,
     /// Rows of the side that runs first, whose keys fill the filters.
     pub first_rows: f64,
-    /// Fraction of the shipped rows whose key the first side holds.
+    /// Fraction of the shipped rows whose key the first side holds: the
+    /// planner takes it as the first side's rows over the keys' domain —
+    /// per key pair the larger declared NDV, multiplied over the pairs of
+    /// a composite key and capped at the rows of the smallest table
+    /// holding a key column — up to all.
     pub pass: f64,
 }
 

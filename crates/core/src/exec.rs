@@ -128,10 +128,6 @@ pub struct NodeCtx {
     workers: Mutex<HashMap<QueryId, QueryWorker>>,
     /// Query workers started since the node started.
     workers_spawned: AtomicU64,
-    /// Aggregates run with a join's probe keys as their groups, and the
-    /// input rows those keys dropped.
-    aggs_seeded: AtomicU64,
-    agg_rows_dropped: AtomicU64,
     /// Rows this node's repartitions did not send because a join's filter
     /// holds no key of theirs, and the bytes its summary rounds sent.
     bloom_rows_dropped: AtomicU64,
@@ -238,8 +234,6 @@ pub(crate) fn start_node(
         fabric,
         workers: Mutex::new(HashMap::new()),
         workers_spawned: AtomicU64::new(0),
-        aggs_seeded: AtomicU64::new(0),
-        agg_rows_dropped: AtomicU64::new(0),
         bloom_rows_dropped: AtomicU64::new(0),
         bloom_bytes: AtomicU64::new(0),
         mux: Mutex::new(Some(mux)),
@@ -342,19 +336,16 @@ impl NodeCtx {
 
     /// The node's counters since it started, by metric name: the
     /// multiplexer's wake-ups and how many of them found nothing, the query
-    /// workers started, the aggregates seeded by the probe side of the join
-    /// above them and the input rows they dropped, the rows repartitions
-    /// dropped by a join's filters and the bytes of the summary rounds that
-    /// exchanged those filters. Both clusters sum them over the nodes; a
-    /// new node counter is one more entry here.
+    /// workers started, the rows repartitions dropped by a join's filters
+    /// and the bytes of the summary rounds that exchanged those filters.
+    /// Both clusters sum them over the nodes; a new node counter is one
+    /// more entry here.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         vec![
             ("exchange.mux.wakeups", self.to_mux.wakeups()),
             ("exchange.mux.empty_wakeups", self.to_mux.empty_wakeups()),
             ("exec.stage_workers_spawned", load(&self.workers_spawned)),
-            ("exec.aggs_seeded", load(&self.aggs_seeded)),
-            ("exec.agg_rows_dropped", load(&self.agg_rows_dropped)),
             ("exec.bloom_rows_dropped", load(&self.bloom_rows_dropped)),
             ("exchange.bloom_bytes", load(&self.bloom_bytes)),
         ]
@@ -643,10 +634,8 @@ impl<'a> NodeExec<'a> {
         }
     }
 
-    /// Aggregate operator `idx` over `source`, with the keys of `seed` as
-    /// its only groups if they [qualify](SEED_RATIO) — against the rows of
-    /// the source's shape: a table's, or what this node puts into the
-    /// exchange that lands.
+    /// Aggregate operator `idx` over `source`: a table, or what this node
+    /// puts into the exchange that lands.
     fn aggregate_from<B: BatchSource>(
         &self,
         idx: usize,
@@ -654,22 +643,10 @@ impl<'a> NodeExec<'a> {
         group_by: &[String],
         aggs: &[AggSpec],
         phase: AggPhase,
-        seed: Option<&Seed<'_>>,
     ) -> Batch {
-        let (input_rows, shape) = (source.shape().rows(), source.shape().schema());
+        let shape = source.shape().schema();
         let group_idx: Vec<usize> = group_by.iter().map(|g| shape.index_of(g)).collect();
-        let seeds: Option<Vec<&Column>> = seed
-            .filter(|s| s.probe.rows() * SEED_RATIO <= input_rows)
-            .filter(|s| {
-                let probe = s.probe.schema().fields();
-                let groups = group_idx.iter().map(|&g| shape.fields()[g].dtype);
-                s.cols
-                    .iter()
-                    .zip(groups)
-                    .all(|(&c, dtype)| probe[c].dtype == dtype)
-            })
-            .map(|s| s.cols.iter().map(|&c| s.probe.column(c)).collect());
-        let (out, dropped) = aggregate_with(
+        Batch::Owned(aggregate_with(
             source,
             &group_idx,
             aggs,
@@ -679,30 +656,14 @@ impl<'a> NodeExec<'a> {
                 AggPhase::Final => &[],
                 _ => &self.programs_at(idx).aggs,
             },
-            seeds.as_deref(),
             self.cancel,
-        );
-        if seeds.is_some() {
-            self.ctx.aggs_seeded.fetch_add(1, Ordering::Relaxed);
-            self.ctx
-                .agg_rows_dropped
-                .fetch_add(dropped, Ordering::Relaxed);
-        }
-        Batch::Owned(out)
+        ))
     }
 
     /// Execute the operator at pre-order index `idx` (see
     /// [`crate::profile::plan_labels`] for the numbering), recording its
     /// span when profiling is on.
     fn execute_at(&self, plan: &Plan, idx: usize) -> Batch {
-        self.execute_seeded(plan, idx, None)
-    }
-
-    /// [`execute_at`](Self::execute_at) for an operator on a join's build
-    /// side, `seed` holding the join's probe keys if [`Plan::seeding_keys`]
-    /// found the aggregate they meet: `Filter` and `Map` hand them down, and
-    /// the aggregate may take them as its groups.
-    fn execute_seeded(&self, plan: &Plan, idx: usize, seed: Option<&Seed<'_>>) -> Batch {
         self.enter(idx);
         let (out, rows_in) = match plan {
             Plan::Scan {
@@ -741,14 +702,14 @@ impl<'a> NodeExec<'a> {
                 (out, rows_in)
             }
             Plan::Filter { input, .. } => {
-                let t = self.execute_seeded(input, idx + 1, seed);
+                let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
                 let rows = self.filter_indices(&t, self.filter_at(idx));
                 let cols: Vec<usize> = (0..t.schema().len()).collect();
                 (Batch::Owned(gather_rows(&t, &cols, &rows)), rows_in)
             }
             Plan::Map { input, outputs } => {
-                let t = self.execute_seeded(input, idx + 1, seed);
+                let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
                 let progs = self.programs_at(idx);
                 (Batch::Owned(self.map(t, outputs, progs)), rows_in)
@@ -765,11 +726,10 @@ impl<'a> NodeExec<'a> {
                 // build subtree starts after the whole probe subtree. The
                 // side a filter is on runs second: the other side runs
                 // first and fills every node's filter in a summary round.
-                // Without a filter the build side runs first — unless the
-                // probe side's keys can seed the aggregate under it. The
-                // plan alone decides: exchange ids are handed out in
-                // execution order, so every node must run the two sides
-                // and the summary round in the same order.
+                // Without a filter the build side runs first. The plan
+                // alone decides: exchange ids are handed out in execution
+                // order, so every node must run the two sides and the
+                // summary round in the same order.
                 let (probe_idx, build_idx_base) = (idx + 1, idx + 1 + plan_node_count(probe));
                 let site = filter.map(|side| {
                     let (depth, keys) = plan.filter_site(side).unwrap_or_else(|| {
@@ -781,10 +741,7 @@ impl<'a> NodeExec<'a> {
                     };
                     (root + depth, keys)
                 });
-                let probe_first = match filter {
-                    Some(side) => *side == JoinSide::Build,
-                    None => build.seeding_keys(build_keys).is_some(),
-                };
+                let probe_first = *filter == Some(JoinSide::Build);
                 let early_probe = probe_first.then(|| {
                     let probe_t = self.execute_at(probe, probe_idx);
                     if let Some((exchange, keys)) = &site {
@@ -792,22 +749,7 @@ impl<'a> NodeExec<'a> {
                     }
                     probe_t
                 });
-                let seed_cols: Option<Vec<usize>> = early_probe.as_ref().and_then(|probe_t| {
-                    let schema = probe_t.schema();
-                    let keys = build.seeding_keys(build_keys)?;
-                    Some(
-                        keys.iter()
-                            .map(|&k| schema.index_of(&probe_keys[k]))
-                            .collect(),
-                    )
-                });
-                let seed = early_probe
-                    .as_ref()
-                    .zip(seed_cols.as_deref())
-                    .map(|(probe, cols)| Seed { probe, cols });
-                let build_t = self
-                    .execute_seeded(build, build_idx_base, seed.as_ref())
-                    .into_arc();
+                let build_t = self.execute_at(build, build_idx_base).into_arc();
                 if let (false, Some((exchange, keys))) = (probe_first, &site) {
                     self.summary_round(idx, &build_t, build_keys, *exchange, keys);
                 }
@@ -855,7 +797,7 @@ impl<'a> NodeExec<'a> {
                         input: &t,
                         rows: Cell::new(0),
                     };
-                    let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase, seed);
+                    let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase);
                     (out, landing.rows.into_inner())
                 }
                 _ => {
@@ -864,7 +806,7 @@ impl<'a> NodeExec<'a> {
                         table: &t,
                         driver: &self.ctx.driver,
                     };
-                    let out = self.aggregate_from(idx, &morsels, group_by, aggs, *phase, seed);
+                    let out = self.aggregate_from(idx, &morsels, group_by, aggs, *phase);
                     (out, t.rows() as u64)
                 }
             },
@@ -1556,22 +1498,6 @@ impl BatchSource for Landing<'_, '_> {
         self.rows.set(rows);
         states
     }
-}
-
-/// A join's probe side seeds the aggregate under its build side only where
-/// the aggregate's input on this node holds at least this many rows per
-/// probe row. Every seed costs a group insert whether a row reaches it or
-/// not, so seeding pays only when most groups fall outside the probe side:
-/// a TPC-H order has four lineitems, so Q18 (orders probing a lineitem
-/// aggregate) sits at 4 and would gain nothing, while Q20 sits near 33 and
-/// Q21 near 80.
-const SEED_RATIO: usize = 8;
-
-/// A join's probe side, handed to the aggregate under its build side: per
-/// group column of the aggregate, the probe column that meets it.
-struct Seed<'t> {
-    probe: &'t Table,
-    cols: &'t [usize],
 }
 
 /// The filters a join's summary round leaves for the repartition of its

@@ -622,10 +622,6 @@ impl BatchSource for Morsels<'_> {
 /// Maps keys to dense group ids, in the order the keys are first seen. The
 /// table owns its key values, a typed column per key part with a row per
 /// group: the batch a key came in is overwritten by the next.
-///
-/// A *closed* table ([`seeded`](Self::seeded)) holds a fixed set of keys
-/// and makes no group: a row whose key it does not hold is dropped, and it
-/// records which of its groups a row reached.
 #[derive(Clone)]
 struct GroupTable {
     heads: Vec<u32>,
@@ -636,11 +632,6 @@ struct GroupTable {
     /// The group of every row of the batch last assigned, and its hashes.
     gids: Vec<u32>,
     batch_hashes: Vec<u64>,
-    /// A closed table's: per group, whether a row has reached it.
-    hits: Option<Vec<bool>>,
-    /// A closed table's: the rows of the batch last assigned that found
-    /// their group, `gids` naming it.
-    kept: Vec<u32>,
 }
 
 impl GroupTable {
@@ -653,26 +644,7 @@ impl GroupTable {
             keys,
             gids: Vec::new(),
             batch_hashes: Vec::new(),
-            hits: None,
-            kept: Vec::new(),
         }
-    }
-
-    /// A closed table over keys typed like the (empty) `keys`, holding the
-    /// distinct keys of `seeds` (typed alike) that have no NULL part.
-    fn seeded(keys: Vec<Column>, seeds: &[JoinKeyCol<'_>]) -> Self {
-        let mut table = Self::new(keys);
-        let rows = seeds.first().map_or(0, |(c, _)| c.len());
-        let nullable = seeds.iter().any(|(c, _)| c.validity().is_some());
-        let mut hashes = Vec::with_capacity(rows);
-        hash_keys(seeds, 0..rows, &mut hashes);
-        for (row, hash) in hashes.into_iter().enumerate() {
-            if (!nullable || key_valid(seeds, row)) && table.find(hash, seeds, row) == NIL {
-                table.insert(hash, seeds, row);
-            }
-        }
-        table.hits = Some(vec![false; table.groups()]);
-        table
     }
 
     fn groups(&self) -> usize {
@@ -681,9 +653,7 @@ impl GroupTable {
 
     /// Find or make the group of every row in `rows` of the key columns
     /// `cols` (none of them promoted: a group key is compared with keys of
-    /// its own column only), leaving the ids in `self.gids` — or, if the
-    /// table is closed, find the groups of the rows it holds a key for,
-    /// leaving those rows in `self.kept`.
+    /// its own column only), leaving the ids in `self.gids`.
     fn assign(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
         self.batch_hashes.clear();
         hash_keys(cols, rows.clone(), &mut self.batch_hashes);
@@ -694,46 +664,23 @@ impl GroupTable {
     /// `self.batch_hashes` (where a test puts hashes that collide).
     fn assign_hashed(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
         self.gids.clear();
-        match self.hits.take() {
-            None => {
-                for (i, row) in rows.enumerate() {
-                    let hash = self.batch_hashes[i];
-                    let mut gid = self.find(hash, cols, row);
-                    if gid == NIL {
-                        gid = self.insert(hash, cols, row);
-                    }
-                    self.gids.push(gid);
+        for (i, row) in rows.enumerate() {
+            let hash = self.batch_hashes[i];
+            let mut gid = self.heads[slot_of(hash, self.heads.len())];
+            while gid != NIL {
+                // The stored hash spares a key that merely shares the slot
+                // the comparison of its parts.
+                let keys = self.keys.iter().map(|k| (k, false));
+                if self.hashes[gid as usize] == hash && keys_equal(cols, row, keys, gid as usize) {
+                    break;
                 }
+                gid = self.next[gid as usize];
             }
-            Some(mut hits) => {
-                self.kept.clear();
-                for (i, row) in rows.enumerate() {
-                    let gid = self.find(self.batch_hashes[i], cols, row);
-                    if gid != NIL {
-                        hits[gid as usize] = true;
-                        self.kept.push(row as u32);
-                        self.gids.push(gid);
-                    }
-                }
-                self.hits = Some(hits);
+            if gid == NIL {
+                gid = self.insert(hash, cols, row);
             }
+            self.gids.push(gid);
         }
-    }
-
-    /// The group of row `row` of `cols`, whose key hashes to `hash`, or
-    /// `NIL`.
-    fn find(&self, hash: u64, cols: &[JoinKeyCol<'_>], row: usize) -> u32 {
-        let mut gid = self.heads[slot_of(hash, self.heads.len())];
-        while gid != NIL {
-            // The stored hash spares a key that merely shares the slot the
-            // comparison of its parts.
-            let keys = self.keys.iter().map(|k| (k, false));
-            if self.hashes[gid as usize] == hash && keys_equal(cols, row, keys, gid as usize) {
-                break;
-            }
-            gid = self.next[gid as usize];
-        }
-        gid
     }
 
     fn insert(&mut self, hash: u64, cols: &[JoinKeyCol<'_>], row: usize) -> u32 {
@@ -1166,25 +1113,6 @@ pub fn aggregate(
     driver: &MorselDriver,
     params: &[Value],
 ) -> Table {
-    aggregate_seeded(input, group_by, aggs, phase, driver, params, None)
-}
-
-/// [`aggregate`], and with `seeds` — a column per group column, typed like
-/// it — only over the groups whose key is a row of `seeds` with no NULL
-/// part: an input row with any other key is dropped before its aggregate
-/// inputs are read, and a seed no input row reaches is not emitted.
-///
-/// # Panics
-/// As [`aggregate`]; and when `seeds` has not one column per group column.
-pub fn aggregate_seeded(
-    input: &Table,
-    group_by: &[usize],
-    aggs: &[AggSpec],
-    phase: AggPhase,
-    driver: &MorselDriver,
-    params: &[Value],
-    seeds: Option<&[&Column]>,
-) -> Table {
     let programs: Vec<(String, ExprProgram)> = match phase {
         AggPhase::Final => Vec::new(),
         _ => aggs
@@ -1199,25 +1127,19 @@ pub fn aggregate_seeded(
         table: input,
         driver,
     };
-    aggregate_with(
-        &input, group_by, aggs, phase, params, &programs, seeds, None,
-    )
-    .0
+    aggregate_with(&input, group_by, aggs, phase, params, &programs, None)
 }
 
-/// [`aggregate_seeded`] over any [`BatchSource`], given the aggregates'
-/// compiled input programs (one per aggregate, aligned by position; see
+/// [`aggregate`] over any [`BatchSource`], given the aggregates' compiled
+/// input programs (one per aggregate, aligned by position; see
 /// [`OpPrograms::aggs`](crate::vm::OpPrograms::aggs)), which are bound once
 /// against the source's shape here. `Final`-phase merges read the
-/// partial-state columns directly and take no programs. Returns the
-/// result and the input rows the seeds dropped.
+/// partial-state columns directly and take no programs.
 ///
 /// # Panics
 /// Panics when a program does not bind against the source's shape (the
-/// stage fails with the bind error), when a phase other than `Final` is
-/// not given exactly one program per aggregate, or when `seeds` has not
-/// one column per group column.
-#[allow(clippy::too_many_arguments)]
+/// stage fails with the bind error), or when a phase other than `Final` is
+/// not given exactly one program per aggregate.
 pub fn aggregate_with<B: BatchSource>(
     input: &B,
     group_by: &[usize],
@@ -1225,9 +1147,8 @@ pub fn aggregate_with<B: BatchSource>(
     phase: AggPhase,
     params: &[Value],
     programs: &[(String, ExprProgram)],
-    seeds: Option<&[&Column]>,
     cancel: Option<&CancelToken>,
-) -> (Table, u64) {
+) -> Table {
     assert!(
         phase != AggPhase::Partial || aggs.iter().all(|a| a.func != AggFunc::CountDistinct),
         "count(distinct) cannot be pre-aggregated"
@@ -1237,10 +1158,6 @@ pub fn aggregate_with<B: BatchSource>(
         "{} input programs for {} aggregates",
         programs.len(),
         aggs.len()
-    );
-    assert!(
-        seeds.is_none_or(|s| s.len() == group_by.len()),
-        "one seed column per group column"
     );
     let shape = input.shape();
 
@@ -1267,31 +1184,18 @@ pub fn aggregate_with<B: BatchSource>(
 
     // Every state column is typed before the first row: MIN/MAX results
     // take the *static* type of their input (evaluated over zero rows), so
-    // empty partials keep the same schema as populated ones. A seeded
-    // table's state has a slot per seed before the first batch, so a
-    // worker that gets none still merges.
-    let keys: Vec<Column> = group_by
-        .iter()
-        .map(|&i| Column::empty(shape.schema().fields()[i].dtype))
-        .collect();
-    let table = match seeds {
-        Some(seeds) => {
-            let seeds: Vec<JoinKeyCol<'_>> = seeds.iter().map(|&c| (c, false)).collect();
-            GroupTable::seeded(keys, &seeds)
-        }
-        None => GroupTable::new(keys),
-    };
-    let mut empty = Groups {
+    // empty partials keep the same schema as populated ones.
+    let empty = Groups {
+        table: GroupTable::new(
+            group_by
+                .iter()
+                .map(|&i| Column::empty(shape.schema().fields()[i].dtype))
+                .collect(),
+        ),
         aggs: (0..aggs.len())
             .map(|i| AggCol::new(aggs[i].func, &inputs[i].read(shape, 0..0, params).0))
             .collect(),
-        batch: Vec::new(),
-        dropped: 0,
-        table,
     };
-    for state in &mut empty.aggs {
-        state.resize(empty.table.groups());
-    }
     let mut workers = input
         .drive(
             || empty.clone(),
@@ -1300,73 +1204,26 @@ pub fn aggregate_with<B: BatchSource>(
                 let keys: Vec<JoinKeyCol<'_>> =
                     group_by.iter().map(|&i| (batch.column(i), false)).collect();
                 worker.table.assign(&keys, rows.clone());
-                // A closed table keeps only the rows whose group it holds:
-                // the inputs are read at those alone, gathered into the
-                // worker's own batch.
-                let kept = worker.table.kept.len();
-                let (batch, rows) = match worker.table.hits {
-                    Some(_) if kept < rows.len() => {
-                        worker.dropped += (rows.len() - kept) as u64;
-                        if kept == 0 {
-                            return;
-                        }
-                        if worker.batch.is_empty() {
-                            let fields = batch.schema().fields().iter();
-                            worker.batch = fields.map(|f| Column::empty(f.dtype)).collect();
-                        }
-                        for (dst, src) in worker.batch.iter_mut().zip(batch.columns()) {
-                            dst.clear();
-                            dst.extend_gather(src, &worker.table.kept);
-                        }
-                        let columns = std::mem::take(&mut worker.batch);
-                        (
-                            Cow::Owned(Table::new(batch.schema().clone(), columns)),
-                            0..kept,
-                        )
-                    }
-                    _ => (Cow::Borrowed(batch), rows),
-                };
                 for (i, state) in worker.aggs.iter_mut().enumerate() {
-                    let (vals, weights) = inputs[i].read(&batch, rows.clone(), params);
+                    let (vals, weights) = inputs[i].read(batch, rows.clone(), params);
                     state.resize(worker.table.groups());
                     state.update(&worker.table.gids, &vals, weights.as_deref());
-                }
-                if let Cow::Owned(gathered) = batch {
-                    worker.batch = gathered.into_columns();
                 }
             },
         )
         .into_iter();
 
-    // The first worker's groups stand; the others' are looked up in them —
-    // except in a closed table, whose every clone has the same groups.
+    // The first worker's groups stand; the others' are looked up in them.
     let Groups {
         mut table,
         aggs: mut states,
-        mut dropped,
-        ..
     } = workers.next().unwrap_or(empty);
-    let same: Vec<u32> = match table.hits {
-        Some(_) => (0..table.groups() as u32).collect(),
-        None => Vec::new(),
-    };
     for other in workers {
-        dropped += other.dropped;
-        let map = match (&mut table.hits, &other.table.hits) {
-            (Some(ours), Some(theirs)) => {
-                ours.iter_mut().zip(theirs).for_each(|(a, b)| *a |= *b);
-                &same
-            }
-            _ => {
-                let keys: Vec<JoinKeyCol<'_>> =
-                    other.table.keys.iter().map(|k| (k, false)).collect();
-                table.assign(&keys, 0..other.table.groups());
-                &table.gids
-            }
-        };
+        let keys: Vec<JoinKeyCol<'_>> = other.table.keys.iter().map(|k| (k, false)).collect();
+        table.assign(&keys, 0..other.table.groups());
         for (ours, theirs) in states.iter_mut().zip(other.aggs) {
             ours.resize(table.groups());
-            ours.merge(theirs, map);
+            ours.merge(theirs, &table.gids);
         }
     }
     // Global aggregate over empty input still yields one row (Final/Single).
@@ -1380,7 +1237,6 @@ pub fn aggregate_with<B: BatchSource>(
         .iter()
         .map(|&i| shape.schema().fields()[i].clone())
         .collect();
-    let hits = table.hits.take();
     let mut columns = table.keys;
     for (a, mut state) in aggs.iter().zip(states) {
         state.resize(groups);
@@ -1407,15 +1263,7 @@ pub fn aggregate_with<B: BatchSource>(
         }
         columns.extend(out);
     }
-    let out = Table::new(Schema::new(fields), columns);
-    // A seed no row reached is no group.
-    match hits {
-        Some(hits) if hits.contains(&false) => {
-            let reached: Vec<usize> = (0..groups).filter(|&g| hits[g]).collect();
-            (out.gather(&reached), dropped)
-        }
-        _ => (out, dropped),
-    }
+    Table::new(Schema::new(fields), columns)
 }
 
 /// Where an aggregate reads its input.
@@ -1457,14 +1305,11 @@ impl AggInput<'_> {
 }
 
 /// One worker's aggregation state: its groups and, per aggregate, a column
-/// of state with a slot per group; with a closed table, the rows a batch
-/// kept and the count of those it dropped.
+/// of state with a slot per group.
 #[derive(Clone)]
 struct Groups {
     table: GroupTable,
     aggs: Vec<AggCol>,
-    batch: Vec<Column>,
-    dropped: u64,
 }
 
 // ---------------------------------------------------------------------------

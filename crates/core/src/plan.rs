@@ -222,8 +222,7 @@ pub enum Plan {
         /// over its keys in one summary round (the Bloomjoin, Mackert and
         /// Lohman, VLDB 1986). Only a side [`filter_site`](Plan::filter_site)
         /// finds may be named. `None`: no filter, and the build side runs
-        /// first unless the probe side's keys can
-        /// [seed](Plan::seeding_keys) an aggregate under it.
+        /// first.
         filter: Option<JoinSide>,
     },
     /// Hash aggregation.
@@ -517,84 +516,29 @@ impl Plan {
     /// The exchange [`filter_site`](Self::filter_site) looks for under
     /// `self`, a join side keyed by `keys`.
     fn filtered_exchange(&self, keys: &[String]) -> Option<(usize, Vec<String>)> {
-        let mut names: Vec<Option<&str>> = keys.iter().map(|k| Some(k.as_str())).collect();
-        let (mut plan, mut depth) = (self, 0);
-        loop {
-            let (below, levels, renamed) = plan.below_renames(names);
-            let keys: Vec<&str> = renamed.iter().copied().collect::<Option<_>>()?;
-            depth += levels;
-            match below {
-                Plan::Aggregate {
-                    input, group_by, ..
-                } if keys
-                    .iter()
-                    .all(|k| group_by.iter().any(|g| g.as_str() == *k)) =>
-                {
-                    (plan, depth) = (input, depth + 1);
-                }
-                Plan::Exchange {
-                    kind: ExchangeKind::HashPartition(_),
-                    ..
-                } => return Some((depth, keys.iter().map(|k| k.to_string()).collect())),
-                _ => return None,
-            }
-            names = renamed;
-        }
-    }
-
-    /// Whether a join's probe side runs first to seed the aggregate under
-    /// its build side `self`, keyed by `build_keys`, decided from the plan
-    /// alone: the build side must be `Filter`/`Map`* over a `Single` or
-    /// `Final` aggregate with groups, and every group column must be a
-    /// build key, renamed at most by `Map` outputs that are bare column
-    /// references. Returns, per group column, the index of its join key.
-    ///
-    /// Dropping the build rows whose key no probe row holds is then exact
-    /// for every join kind: no exchange lies between the join and the
-    /// aggregate, so a node's probe rows meet only the build rows of its
-    /// own aggregate, and `Filter` and a renaming `Map` act on a group at a
-    /// time.
-    pub fn seeding_keys(&self, build_keys: &[String]) -> Option<Vec<usize>> {
-        let names = build_keys.iter().map(|k| Some(k.as_str())).collect();
-        match self.below_renames(names) {
-            (
-                Plan::Aggregate {
-                    group_by, phase, ..
-                },
-                _,
-                names,
-            ) if !group_by.is_empty() && *phase != AggPhase::Partial => group_by
-                .iter()
-                .map(|g| names.iter().position(|n| *n == Some(g.as_str())))
-                .collect(),
-            _ => None,
-        }
-    }
-
-    /// The walk [`filtered_exchange`](Self::filtered_exchange) and
-    /// [`seeding_keys`](Self::seeding_keys) share: down from `self`
-    /// through `Filter`s and `Map`s to the first other operator. Returns
-    /// it, how many levels down it lies, and the names `names` have there
-    /// (`None` for one a `Map` computes or drops).
-    fn below_renames<'p>(
-        &'p self,
-        mut names: Vec<Option<&'p str>>,
-    ) -> (&'p Plan, usize, Vec<Option<&'p str>>) {
+        let mut names: Vec<&str> = keys.iter().map(String::as_str).collect();
         let (mut plan, mut depth) = (self, 0);
         loop {
             plan = match plan {
                 Plan::Filter { input, .. } => input,
                 Plan::Map { input, outputs } => {
                     for name in &mut names {
-                        let source = outputs.iter().find(|o| Some(o.name.as_str()) == *name);
-                        *name = source.and_then(|o| match (&o.expr, o.dtype) {
-                            (Expr::Col(below), None) => Some(below.as_str()),
-                            _ => None,
-                        });
+                        let source = outputs.iter().find(|o| o.name == *name)?;
+                        *name = match (&source.expr, source.dtype) {
+                            (Expr::Col(below), None) => below.as_str(),
+                            _ => return None,
+                        };
                     }
                     input
                 }
-                _ => return (plan, depth, names),
+                Plan::Aggregate {
+                    input, group_by, ..
+                } if names.iter().all(|k| group_by.iter().any(|g| g == k)) => input,
+                Plan::Exchange {
+                    kind: ExchangeKind::HashPartition(_),
+                    ..
+                } => return Some((depth, names.iter().map(|k| k.to_string()).collect())),
+                _ => return None,
             };
             depth += 1;
         }

@@ -20,7 +20,9 @@
 //!    the repartition of one side by the keys of the other, which then runs
 //!    first ([`Plan::HashJoin`]'s `filter`), when the bytes the filter
 //!    keeps off the wire outweigh shipping it, testing every row and one
-//!    more barrier.
+//!    more barrier. What a filter keeps off is priced from the domain of
+//!    the join's keys: for a composite key, the product of its parts'
+//!    NDVs, capped at the rows of the smallest table holding a key.
 //!
 //! Scans are pruned to the columns the plan actually uses and filters
 //! directly above a scan are pushed into it ("columns that are not required
@@ -1101,10 +1103,10 @@ impl Planner {
     /// other side's keys, if either. A side qualifies where
     /// [`Plan::filter_site`] finds it. Of its shipped rows, those whose key
     /// the first side holds pass: the keys of both sides are taken to be
-    /// drawn independently from one domain, the largest declared NDV among
-    /// the key columns, of which the first side holds as many as it has
-    /// rows, up to all. Without statistics on any key column, the first
-    /// side's rows over the shipped rows.
+    /// drawn independently from one domain ([`join_key_domain`]), of which
+    /// the first side holds as many as it has rows, up to all. Without
+    /// statistics on any key column, the first side's rows over the
+    /// shipped rows.
     fn choose_join_filter(
         &mut self,
         join: &mut Plan,
@@ -1119,11 +1121,9 @@ impl Planner {
         else {
             return;
         };
-        let domain = self.catalog().and_then(|cat| {
-            let ndvs = probe_keys.iter().chain(build_keys);
-            ndvs.filter_map(|k| cat.column_anywhere(k).map(|c| c.ndv))
-                .reduce(f64::max)
-        });
+        let domain = self
+            .catalog()
+            .and_then(|cat| join_key_domain(cat, probe_keys, build_keys));
         let options: Vec<FilterOption> = [JoinSide::Probe, JoinSide::Build]
             .into_iter()
             .filter(|&side| join.filter_site(side).is_some())
@@ -1800,6 +1800,31 @@ fn join_plan(
         kind,
         filter: None,
     }
+}
+
+/// The domain the keys of a join on `probe_keys` = `build_keys` are drawn
+/// from, by the declared statistics: per key pair, the larger NDV of its
+/// two columns, pairs without statistics skipped; over the pairs, the
+/// product of those, but no more than the rows of the smallest table that
+/// holds a key column, since a table holds no more distinct keys than
+/// rows. `None` when no key column has statistics.
+fn join_key_domain(
+    cat: &StatsCatalog,
+    probe_keys: &[String],
+    build_keys: &[String],
+) -> Option<f64> {
+    let mut rows = f64::INFINITY;
+    let mut ndv = |key: &str| {
+        let table = cat.table_holding(key)?;
+        rows = rows.min(table.rows);
+        Some(table.columns[key].ndv)
+    };
+    let domain = probe_keys
+        .iter()
+        .zip(build_keys)
+        .filter_map(|(p, b)| ndv(p).into_iter().chain(ndv(b)).reduce(f64::max))
+        .reduce(|a, b| a * b)?;
+    Some(domain.min(rows))
 }
 
 /// Constant-fold every expression site of a lowered physical plan:
@@ -2544,15 +2569,14 @@ mod tests {
         );
     }
 
-    /// A loaded simulated session and a socket coordinator plan the 22
-    /// queries identically. The second planner is built by hand as the
-    /// benchmark's socket workload builds its own: spec-derived row counts
-    /// overridden by the exact ones, and the declared catalog.
     /// The fourth decision on TPC-H at SF 0.05 on two nodes: a join of
     /// lineitem and orders filters the side whose repartition ships the
     /// rows that cannot join — the larger one, or the one whose partner
     /// is filtered hard — and a join whose keys every row of the other
-    /// side holds filters nothing.
+    /// side holds filters nothing. That holds for composite keys too:
+    /// every lineitem of Q9 has its partsupp row, while Q20's partsupp
+    /// rows are twice the (part, supplier) pairs its lineitem aggregate
+    /// holds.
     #[test]
     fn join_filters_go_where_shipped_rows_cannot_join() {
         use crate::plan::JoinSide::{Build, Probe};
@@ -2573,12 +2597,17 @@ mod tests {
             plan.children().into_iter().for_each(|c| filters(c, out));
         }
         let planner = Planner::for_tpch(2, 0.05, |_| None);
-        let expected: [(u32, &[(&str, Option<JoinSide>)]); 6] = [
+        let expected: [(u32, &[(&str, Option<JoinSide>)]); 8] = [
             (3, &[("l_orderkey", Some(Probe))]),
             (4, &[("o_orderkey", Some(Build))]),
+            (
+                9,
+                &[("l_orderkey", Some(Build)), ("l_partkey,l_suppkey", None)],
+            ),
             (12, &[("l_orderkey", Some(Build))]),
             (14, &[("l_partkey", None)]),
             (18, &[("o_custkey", None), ("o_orderkey", Some(Probe))]),
+            (20, &[("ps_partkey,ps_suppkey", Some(Build))]),
             (
                 21,
                 &[
@@ -2598,6 +2627,48 @@ mod tests {
         }
     }
 
+    /// The domain a join's keys are drawn from: one key pair's is its
+    /// larger NDV; a composite key's is the product of its pairs', pairs
+    /// without statistics skipped, but no more than the rows of the
+    /// smallest table holding a key column.
+    #[test]
+    fn join_key_domains_multiply_up_to_the_smallest_key_table() {
+        use crate::stats::{ColumnStats, TableStatistics};
+        let table = |rows, columns: &[(&str, f64)]| TableStatistics {
+            rows,
+            columns: columns
+                .iter()
+                .map(|&(c, ndv)| (c.to_string(), ColumnStats::with_ndv(ndv)))
+                .collect(),
+        };
+        let mut cat = StatsCatalog::new();
+        cat.insert("a", table(100.0, &[("a_x", 10.0), ("a_y", 20.0)]));
+        cat.insert("b", table(50.0, &[("b_x", 8.0), ("b_y", 30.0)]));
+        cat.insert("c", table(1000.0, &[("c_x", 10.0), ("c_y", 20.0)]));
+        let domain = |probe: &[&str], build: &[&str]| {
+            let keys = |k: &[&str]| k.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+            join_key_domain(&cat, &keys(probe), &keys(build))
+        };
+        assert_eq!(domain(&["a_x"], &["b_x"]), Some(10.0), "the larger NDV");
+        assert_eq!(domain(&["b_y"], &["renamed"]), Some(30.0), "one side's");
+        assert_eq!(domain(&["c_x", "c_y"], &["r_x", "r_y"]), Some(200.0));
+        assert_eq!(
+            domain(&["a_x", "a_y"], &["b_x", "b_y"]),
+            Some(50.0),
+            "10 × 30 capped at b's rows"
+        );
+        assert_eq!(
+            domain(&["a_x", "r_y"], &["b_x", "s_y"]),
+            Some(10.0),
+            "a pair without statistics adds nothing"
+        );
+        assert_eq!(domain(&["r_x"], &["s_x"]), None);
+    }
+
+    /// A loaded simulated session and a socket coordinator plan the 22
+    /// queries identically. The second planner is built by hand as the
+    /// benchmark's socket workload builds its own: spec-derived row counts
+    /// overridden by the exact ones, and the declared catalog.
     #[test]
     fn both_clusters_plan_every_tpch_query_identically() {
         use crate::queries::{tpch_logical, ALL_QUERIES};

@@ -199,15 +199,17 @@ impl NodeServer {
         let (node, cfg, addrs) =
             parse().map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let nodes = cfg.nodes;
-        if node >= nodes || addrs.len() != nodes as usize || cfg.validate().is_err() {
-            return Err(io::Error::new(
+        let inconsistent = |why: String| {
+            io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "inconsistent Join: node {node} of {nodes}, {} addrs",
-                    addrs.len()
-                ),
-            ));
+                format!("inconsistent Join: {why}"),
+            )
+        };
+        if node >= nodes || addrs.len() != nodes as usize {
+            let why = format!("node {node} of {nodes}, {} addrs", addrs.len());
+            return Err(inconsistent(why));
         }
+        cfg.validate().map_err(|e| inconsistent(e.to_string()))?;
 
         eprintln!("[node {node}] joining {nodes}-node mesh");
         let transport = SocketTransport::connect_mesh_pending(
@@ -977,6 +979,7 @@ mod tests {
     use crate::planner::{Planner, PlannerConfig};
     use crate::queries::{tpch_logical, Query};
     use crate::serve::SubmitOptions;
+    use hsqp_net::socket::MAX_FRAME;
 
     /// TPC-H query `n` as the planner lowers it for two nodes.
     fn planned(n: u32) -> Query {
@@ -1065,13 +1068,45 @@ mod tests {
         assert!(wire.is_empty());
     }
 
+    /// A `Join` whose message capacity a frame cannot carry with its
+    /// header — `u64::MAX` would overflow the pool's buffer size, 1 GiB
+    /// leaves no room for the header — is refused as `InvalidData` before
+    /// the node joins a mesh or builds its message pool.
+    #[test]
+    fn a_join_with_an_oversized_message_capacity_is_refused() {
+        for capacity in [u64::MAX, MAX_FRAME as u64] {
+            let server = NodeServer::bind("127.0.0.1:0").unwrap();
+            let addr = server.local_addr().unwrap().to_string();
+            let node = std::thread::spawn(move || server.run());
+            let mut control = TcpStream::connect(&addr).unwrap();
+            let preamble = Preamble {
+                version: WIRE_VERSION,
+                role: HandshakeRole::Control,
+                node: 0,
+                nodes: 1,
+            };
+            send_preamble(&mut control, &preamble).unwrap();
+            let join = Frame::build(|join| {
+                serial::put_u8(join, OP_JOIN);
+                serial::put_u16(join, 0);
+                serial::put_u16(join, 1);
+                serial::put_u16(join, 1);
+                serial::put_u64(join, capacity);
+                serial::put_strs(join, &[addr]);
+            });
+            join.unwrap().write_to(&mut control).unwrap();
+            let err = node.join().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{capacity}: {err}");
+        }
+    }
+
     #[test]
     fn collecting_replies_skips_answers_to_other_requests() {
         let (tx, rx) = unbounded();
         let loaded = |rows| CtlReply::LoadOk(vec![("nation".to_string(), rows)]);
         // Node 1's answer to a `Stats` that timed out is still in the
         // channel when both nodes answer the `Load` that follows it.
-        let stats = vec![("exec.aggs_seeded".to_string(), 9)];
+        let stats = vec![("exec.bloom_rows_dropped".to_string(), 9)];
         tx.send((1, CtlReply::StatsOk(stats))).unwrap();
         tx.send((0, loaded(13))).unwrap();
         tx.send((1, loaded(12))).unwrap();
@@ -1134,7 +1169,10 @@ mod tests {
         put_named(
             &mut out,
             OP_STATS_OK,
-            &[("exec.aggs_seeded", 3), ("net.mesh.bytes_sent", 1 << 40)],
+            &[
+                ("exec.bloom_rows_dropped", 3),
+                ("net.mesh.bytes_sent", 1 << 40),
+            ],
         );
         frames.push(out);
         frames
@@ -1170,7 +1208,7 @@ mod tests {
             Ok(Reply::Ctl(CtlReply::StatsOk(counters))) => assert_eq!(
                 counters,
                 [
-                    ("exec.aggs_seeded".to_string(), 3),
+                    ("exec.bloom_rows_dropped".to_string(), 3),
                     ("net.mesh.bytes_sent".to_string(), 1 << 40)
                 ]
             ),

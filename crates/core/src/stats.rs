@@ -141,7 +141,15 @@ impl StatsCatalog {
     /// through joins and projections — renamed columns simply miss and the
     /// caller falls back to its flat heuristic.
     pub fn column_anywhere(&self, column: &str) -> Option<&ColumnStats> {
-        self.tables.values().find_map(|t| t.columns.get(column))
+        self.table_holding(column)?.columns.get(column)
+    }
+
+    /// The statistics of the table holding `column`, found as
+    /// [`column_anywhere`](Self::column_anywhere) finds the column.
+    pub(crate) fn table_holding(&self, column: &str) -> Option<&TableStatistics> {
+        self.tables
+            .values()
+            .find(|t| t.columns.contains_key(column))
     }
 
     /// Declared statistics for a TPC-H database at scale factor `sf`,

@@ -142,9 +142,26 @@ const FRAME_PREFIX: usize = 4;
 /// sees anything. On an unbuffered socket use [`Frame`] instead — two
 /// small writes followed by a read are the pattern Nagle's algorithm and
 /// delayed ACKs punish.
+///
+/// Fails with `InvalidInput` when the payload exceeds [`MAX_FRAME`], as
+/// [`Frame::build`] does, and writes nothing then.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = frame_len(payload.len())?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)
+}
+
+/// The length prefix of a frame whose body is `len` bytes: `InvalidInput`
+/// past [`MAX_FRAME`] (the reader would reject it anyway; the writer must
+/// not truncate the length silently).
+fn frame_len(len: usize) -> io::Result<u32> {
+    if len > MAX_FRAME {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
+        ));
+    }
+    Ok(len as u32)
 }
 
 /// One complete frame — length prefix and body — in a single buffer.
@@ -159,20 +176,12 @@ pub struct Frame(Vec<u8>);
 
 impl Frame {
     /// Build a frame whose body is whatever `body` appends to the buffer.
-    /// Fails with `InvalidInput` when the body exceeds [`MAX_FRAME`] (the
-    /// reader would reject it anyway; the writer must not truncate the
-    /// length silently).
+    /// Fails with `InvalidInput` when the body exceeds [`MAX_FRAME`].
     pub fn build(body: impl FnOnce(&mut Vec<u8>)) -> io::Result<Self> {
         let mut buf = vec![0u8; FRAME_PREFIX];
         body(&mut buf);
-        let len = buf.len() - FRAME_PREFIX;
-        if len > MAX_FRAME {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
-            ));
-        }
-        buf[..FRAME_PREFIX].copy_from_slice(&(len as u32).to_le_bytes());
+        let len = frame_len(buf.len() - FRAME_PREFIX)?;
+        buf[..FRAME_PREFIX].copy_from_slice(&len.to_le_bytes());
         Ok(Self(buf))
     }
 
@@ -633,6 +642,18 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"abc");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert!(read_frame(&mut r).is_err()); // clean EOF
+    }
+
+    /// Both writers take their length prefix from `frame_len`, which
+    /// refuses a body the reader would refuse instead of truncating its
+    /// length to 32 bits.
+    #[test]
+    fn a_frame_past_the_cap_is_refused_not_truncated() {
+        assert_eq!(frame_len(MAX_FRAME).unwrap(), 1 << 30);
+        for len in [MAX_FRAME + 1, 1 << 32, usize::MAX] {
+            let err = frame_len(len).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{len}");
+        }
     }
 
     /// A sink that counts how often it is written to.

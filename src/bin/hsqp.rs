@@ -117,7 +117,7 @@ struct Args {
     explain: bool,
     transport: String,
     engine: String,
-    message_kb: usize,
+    message_bytes: usize,
     clients: u16,
     rounds: u32,
     open_loop: Option<f64>,
@@ -155,7 +155,7 @@ fn parse_args() -> Result<Args, String> {
         explain: false,
         transport: "rdma".to_string(),
         engine: "hybrid".to_string(),
-        message_kb: 32,
+        message_bytes: 32 * 1024,
         clients: 1,
         rounds: 1,
         open_loop: None,
@@ -238,7 +238,12 @@ fn parse_flag(args: &mut Args, flag: &str, value: String) -> Result<(), String> 
         }
         "--transport" => args.transport = value,
         "--engine" => args.engine = value,
-        "--message-kb" => args.message_kb = positive(flag, &value)?,
+        "--message-kb" => {
+            let kb: usize = positive(flag, &value)?;
+            args.message_bytes = kb
+                .checked_mul(1024)
+                .ok_or_else(|| format!("{flag} {kb} is too large"))?;
+        }
         "--clients" => args.clients = positive(flag, &value)?,
         "--rounds" => args.rounds = positive(flag, &value)?,
         "--open-loop" => {
@@ -296,7 +301,7 @@ fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
         transport,
         engine,
         numa_cost_ns: 0.0,
-        message_capacity: args.message_kb * 1024,
+        message_capacity: args.message_bytes,
         max_concurrent: args.clients,
         tenants: args.tenants.clone(),
         // Spans are recorded only when something reads them.
@@ -657,7 +662,7 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
     let cfg = ProcessClusterConfig {
         engine: RemoteEngineConfig {
             workers_per_node: args.workers,
-            message_capacity: args.message_kb * 1024,
+            message_capacity: args.message_bytes,
         },
         max_concurrent: args.clients,
         tenants: args.tenants.clone(),

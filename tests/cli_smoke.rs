@@ -166,6 +166,7 @@ fn driver_rejects_bad_flags() {
         &["--queries", "23"],
         &["--queries", ""],
         &["--message-kb", "0"],
+        &["--message-kb", "18014398509481984"],
         &["--clients", "0"],
         &["--rounds", "0"],
         &["--clients", "many"],

@@ -375,30 +375,52 @@ fn tpch_answers_do_not_depend_on_join_filters() {
     cluster.shutdown();
 }
 
-/// Q3 and Q21 at SF 0.01 on two nodes of one worker, on the simulated
-/// cluster and on two node servers over loopback sockets: the rows the
-/// filters dropped, the bytes the summary rounds sent, and each query's
-/// bytes and messages are exact, and the same on both.
+/// Q3, Q18, Q20 and Q21 at SF 0.01 on two nodes of one worker, on the
+/// simulated cluster and on two node servers over loopback sockets: each
+/// query's rows dropped by its filters, bytes its summary rounds sent, and
+/// bytes and messages are exact, and the same on both. The aggregates
+/// under Q21's filtered joins see only the order keys the filters pass:
+/// the 531 the joins above them need, and the filters' false positives
+/// (102 and 94). Q18's per-order aggregate is under the side of its join
+/// that runs first and fills the filter, so it emits every order.
 #[test]
 fn both_clusters_count_join_filters_exactly() {
     const TPCH_SF: f64 = 0.01;
     const MESSAGE: usize = 32 * 1024;
-    type Counts = (u64, u64, Vec<(u64, u64)>);
-    let counts = |cluster: &Coordinator, queries: &[Query]| -> Counts {
-        let traffic: Vec<(u64, u64)> = queries
+    const QUERIES: [u32; 4] = [3, 18, 20, 21];
+    /// Rows dropped, summary-round bytes, bytes and messages of a query.
+    type Counts = [u64; 4];
+    let counts = |cluster: &Coordinator, queries: &[Query]| -> Vec<Counts> {
+        let filters = || {
+            let metrics = cluster.metrics();
+            let counter = |name| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
+            (
+                counter("exec.bloom_rows_dropped"),
+                counter("exchange.bloom_bytes"),
+            )
+        };
+        queries
             .iter()
             .map(|q| {
+                let (rows, bytes) = filters();
                 let result: QueryResult = cluster.run(q).unwrap();
-                (result.bytes_shuffled, result.messages_sent)
+                let (rows_after, bytes_after) = filters();
+                [
+                    rows_after - rows,
+                    bytes_after - bytes,
+                    result.bytes_shuffled,
+                    result.messages_sent,
+                ]
             })
-            .collect();
-        let metrics = cluster.metrics();
-        let counter = |name| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
-        (
-            counter("exec.bloom_rows_dropped"),
-            counter("exchange.bloom_bytes"),
-            traffic,
-        )
+            .collect()
+    };
+    // Rows out of the aggregates a query's profile labels `prefix`.
+    let aggregate_rows = |result: &QueryResult, prefix: &str| -> Vec<u64> {
+        let profile = result.profile.as_ref().expect("profiling defaults on");
+        let ops = profile.stages.iter().flat_map(|s| &s.ops);
+        ops.filter(|op| op.label.starts_with(prefix))
+            .map(|op| op.rows_out())
+            .collect()
     };
 
     let local = Cluster::start(ClusterConfig {
@@ -409,11 +431,16 @@ fn both_clusters_count_join_filters_exactly() {
     .unwrap();
     local.load_tpch(TPCH_SF).unwrap();
     let planner = Planner::for_cluster(&local);
-    let queries: Vec<Query> = [3, 21]
+    let queries: Vec<Query> = QUERIES
         .iter()
         .map(|&n| planner.plan_query(&tpch_logical(n).unwrap()).unwrap())
         .collect();
     let in_process = counts(&local, &queries);
+    let q21 = local.run(&queries[3]).unwrap();
+    let by_order = ["[ao_orderkey]", "[lo_orderkey]"]
+        .map(|keys| aggregate_rows(&q21, &format!("Aggregate Single by {keys}")));
+    let q18 = local.run(&queries[1]).unwrap();
+    let per_order = aggregate_rows(&q18, "Aggregate Final by [l_orderkey]");
     local.shutdown();
 
     let remote = ProcessCluster::connect(
@@ -433,8 +460,15 @@ fn both_clusters_count_join_filters_exactly() {
 
     assert_eq!(
         in_process,
-        (124_771, 41_112, vec![(41_834, 18), (128_625, 41)]),
-        "rows dropped, summary bytes, (bytes, messages) of Q3 and Q21"
+        [
+            [31_250, 4_134, 41_834, 18],
+            [14_998, 70, 151_156, 22],
+            [8_727, 1_062, 10_339, 29],
+            [93_521, 36_978, 128_625, 41],
+        ],
+        "rows dropped, summary bytes, bytes and messages of Q3, Q18, Q20 and Q21"
     );
     assert_eq!(over_sockets, in_process, "over sockets");
+    assert_eq!(by_order, [[633], [625]], "Q21's aggregates by order");
+    assert_eq!(per_order, [15_000], "Q18's aggregate by order");
 }

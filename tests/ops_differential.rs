@@ -5,8 +5,7 @@
 //! Random tables cover every key shape the planner can emit — Int64,
 //! Decimal, Float64 and Utf8 parts, nullable and not, one to three of them,
 //! sides of different numeric types — all four join kinds, all six
-//! aggregate functions in one phase and in two, on one worker and on three,
-//! and seeded with a set of group keys as a join's probe side seeds them.
+//! aggregate functions in one phase and in two, on one worker and on three.
 //! Results are compared as sorted multisets with a float tolerance.
 //!
 //! Every join also runs against a table whose keys all share one chain
@@ -23,7 +22,7 @@ use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::exec::NodeExec;
 use hsqp::engine::expr::{col, lit};
 use hsqp::engine::local::MorselDriver;
-use hsqp::engine::ops::{aggregate, aggregate_seeded, probe_join, JoinTable};
+use hsqp::engine::ops::{aggregate, probe_join, JoinTable};
 use hsqp::engine::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, Plan};
 use hsqp::engine::QueryId;
 use hsqp::numa::Topology;
@@ -307,20 +306,6 @@ fn reference_agg(func: AggFunc, inputs: &[Value]) -> Value {
     }
 }
 
-/// The rows of `groups`, a reference aggregate whose first `parts` columns
-/// are its key, whose key is a row of `seeds` with no NULL part.
-fn restricted_to(groups: Vec<Vec<Value>>, seeds: &Table, parts: usize) -> Vec<Vec<Value>> {
-    let keys: Vec<Vec<GroupPart>> = rows_of(seeds)
-        .iter()
-        .filter(|seed| seed.iter().all(|v| !v.is_null()))
-        .map(|seed| seed.iter().map(group_part).collect())
-        .collect();
-    groups
-        .into_iter()
-        .filter(|row| keys.contains(&row[..parts].iter().map(group_part).collect()))
-        .collect()
-}
-
 /// `aggs` — each a function over one input column — grouped by `group_by`.
 fn reference_aggregate(
     input: &Table,
@@ -539,43 +524,10 @@ proptest! {
         let group_by: Vec<usize> = (0..parts).collect();
         let shape = format!("{:?} by {:?}", chosen, &table.schema().fields()[..parts]);
 
-        // Seeds for the group keys, as a join's probe side holds them: keys
-        // of input rows, drawn with repeats, and keys from the pools that
-        // the input may not hold, NULL parts among them; or none at all.
-        let seeds = {
-            let fields: Vec<Field> = table.schema().fields()[..parts]
-                .iter()
-                .map(|f| Field::nullable(f.name.clone(), f.dtype))
-                .collect();
-            let (pooled, drawn) = match rng.below(8) {
-                0 => (0, 0),
-                _ => (rng.below(6), if rows == 0 { 0 } else { rng.below(8) }),
-            };
-            let pooled = arb_table(&mut rng, fields, pooled);
-            let mut cols = pooled.columns().to_vec();
-            let input = rows_of(&table);
-            for _ in 0..drawn {
-                let row = &input[rng.below(rows)];
-                cols.iter_mut().zip(row).for_each(|(c, v)| c.push_value(v));
-            }
-            Table::new(pooled.schema().clone(), cols)
-        };
-        let seed_cols: Vec<&Column> = seeds.columns().iter().collect();
-        let seeded = |input: &Table, aggs: &[AggSpec], phase, workers| {
-            let seeds = Some(&seed_cols[..]);
-            aggregate_seeded(input, &group_by, aggs, phase, &driver(workers), &[], seeds)
-        };
-        let seeding = format!("seeded with {:?}", rows_of(&seeds));
-
         for workers in [1, 3] {
             let got = aggregate(&table, &group_by, &specs(&chosen), AggPhase::Single, &driver(workers), &[]);
             let want = reference_aggregate(&table, &group_by, &chosen);
-            same_rows(rows_of(&got), want.clone(), &format!("single phase, {workers} workers, {shape}"))?;
-            if parts > 0 {
-                let got = seeded(&table, &specs(&chosen), AggPhase::Single, workers);
-                let what = format!("single phase, {workers} workers, {shape}, {seeding}");
-                same_rows(rows_of(&got), restricted_to(want, &seeds, parts), &what)?;
-            }
+            same_rows(rows_of(&got), want, &format!("single phase, {workers} workers, {shape}"))?;
 
             // Two phases: each half pre-aggregated as a node would, the
             // partial states merged. COUNT(DISTINCT) has no partial state.
@@ -596,12 +548,7 @@ proptest! {
             partials.append(&partial(&halves[1]));
             let merged = aggregate(&partials, &group_by, &aggs, AggPhase::Final, &driver(workers), &[]);
             let want = reference_aggregate(&table, &group_by, &mergeable);
-            same_rows(rows_of(&merged), want.clone(), &format!("two phases, {workers} workers, {shape}"))?;
-            if parts > 0 {
-                let merged = seeded(&partials, &aggs, AggPhase::Final, workers);
-                let what = format!("two phases, {workers} workers, {shape}, {seeding}");
-                same_rows(rows_of(&merged), restricted_to(want, &seeds, parts), &what)?;
-            }
+            same_rows(rows_of(&merged), want, &format!("two phases, {workers} workers, {shape}"))?;
         }
     }
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::expr::{col, lit, litf, param, Expr};
 use hsqp::engine::logical::{LogicalPlan, LogicalQuery};
-use hsqp::engine::plan::{AggFunc, AggSpec, SortKey};
+use hsqp::engine::plan::{AggFunc, AggSpec, JoinSide, Plan, SortKey};
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
@@ -200,16 +200,13 @@ fn decimal_joins_float64_keys_across_repartition() {
 
 // --- joins over an aggregate build side ----------------------------------
 
-/// Joins whose build side is an aggregate keyed by the join key, where the
-/// probe side runs first and its keys seed the aggregate's groups: a tiny
+/// Joins whose build side is an aggregate keyed by the join key: a tiny
 /// probe — the first orders' keys times 300, so that half of them are an
 /// order's and half are not — joined four ways to lineitem grouped by
-/// order, and
-/// how many of them are seeded on every node. Last, a Decimal probe key
-/// (`l_quantity`) joined by value to an Int64 group (`p_size`): its keys
-/// are raw cents, which would match no group they seeded, so it is not
-/// seeded.
-fn aggregate_build_cases() -> (Vec<(String, LogicalQuery)>, u64) {
+/// order. Last, a Decimal probe key (`l_quantity`) joined by value to an
+/// Int64 group (`p_size`): a filter over either side's keys must hold the
+/// other side's by value, not by their raw cents.
+fn aggregate_build_cases() -> Vec<(String, LogicalQuery)> {
     use hsqp::engine::logical::JoinStrategy;
     use hsqp::engine::plan::{JoinKind, MapExpr};
     let probe = LogicalPlan::scan(TpchTable::Orders)
@@ -242,9 +239,8 @@ fn aggregate_build_cases() -> (Vec<(String, LogicalQuery)>, u64) {
             (format!("{kind:?} join to lines per order"), (&join).into())
         })
         .collect();
-    let seeded = cases.len() as u64;
-    // COUNT(DISTINCT) has no partial phase, so every part row reaches the
-    // aggregate: enough input rows per probe row for it to be seeded.
+    // COUNT(DISTINCT) has no partial phase, so every part row is shipped
+    // to the aggregate.
     let quantities = LogicalPlan::scan(TpchTable::Lineitem)
         .filter(col("l_orderkey").lt(lit(20)))
         .project(&["l_orderkey", "l_linenumber", "l_quantity"]);
@@ -264,38 +260,67 @@ fn aggregate_build_cases() -> (Vec<(String, LogicalQuery)>, u64) {
         JoinStrategy::Repartition,
     );
     cases.push(("Decimal key joined to Int64 groups".into(), (&join).into()));
-    (cases, seeded)
+    cases
+}
+
+/// Set the filter of every join in `plan` to `side`; `false` if a join's
+/// [`Plan::filter_site`] finds no such side.
+fn set_join_filters(plan: &mut Plan, side: Option<JoinSide>) -> bool {
+    let own = match plan {
+        Plan::HashJoin { .. } if side.is_some_and(|s| plan.filter_site(s).is_none()) => false,
+        Plan::HashJoin { filter, .. } => {
+            *filter = side;
+            true
+        }
+        _ => true,
+    };
+    own && match plan {
+        Plan::Scan { .. } | Plan::TempScan { .. } => true,
+        Plan::Filter { input, .. }
+        | Plan::Map { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Exchange { input, .. } => set_join_filters(input, side),
+        Plan::HashJoin { probe, build, .. } => {
+            set_join_filters(probe, side) && set_join_filters(build, side)
+        }
+    }
 }
 
 /// Every case of [`aggregate_build_cases`] on `cluster`, of `nodes` nodes,
-/// against the oracle; and the aggregates seeded, which are the seeded
-/// cases' on every node.
+/// against the oracle: with its join's filter cleared, and then set to
+/// each side `Plan::filter_site` allows, of which there is at least one.
 fn aggregate_builds_match_oracle_on(cluster: &Coordinator, nodes: u16, what: &str) {
     // No column statistics: these hand-made cases are not TPC-H queries
-    // anyone plans with `Planner::for_tpch`, and the seeded count below
-    // pins their shapes (each aggregate on a join's build side), which
-    // the flat heuristics keep fixed whatever the declared catalog says.
+    // anyone plans with `Planner::for_tpch`.
     let planner = Planner::new(PlannerConfig {
         stats: TableStats::for_scale_factor(SF),
         ..PlannerConfig::new(nodes)
     });
     let oracle = Oracle::new(db());
-    let seeded = || cluster.metrics().counter("exec.aggs_seeded").unwrap();
-    let before = seeded();
-    let (cases, seeded_cases) = aggregate_build_cases();
-    for (name, query) in &cases {
-        let got = cluster
-            .run(&planner.plan_query(query).unwrap())
-            .unwrap_or_else(|e| panic!("{name} ({what}): {e}"));
+    for (name, query) in &aggregate_build_cases() {
         let answer = oracle.answer(query);
         assert!(!answer.rel.rows.is_empty(), "{name} has an empty answer");
-        support::assert_matches(&got.table, &answer, &format!("{name} ({what})"));
+        let planned = planner.plan_query(query).unwrap();
+        let mut filtered = 0;
+        for side in [None, Some(JoinSide::Probe), Some(JoinSide::Build)] {
+            let mut query = planned.clone();
+            if !query
+                .stages
+                .iter_mut()
+                .all(|s| set_join_filters(&mut s.plan, side))
+            {
+                continue;
+            }
+            filtered += usize::from(side.is_some());
+            let case = format!("{name}, filter {side:?} ({what})");
+            let got = cluster
+                .run(&query)
+                .unwrap_or_else(|e| panic!("{case}: {e}"));
+            support::assert_matches(&got.table, &answer, &case);
+        }
+        assert!(filtered > 0, "{name} has no side to filter ({what})");
     }
-    assert_eq!(
-        seeded() - before,
-        seeded_cases * u64::from(nodes),
-        "aggregates seeded ({what})"
-    );
 }
 
 #[test]

@@ -4,8 +4,6 @@
 //! concurrent queries must keep their profiles isolated, and a cancelled
 //! query must yield its partial profile without wedging anything.
 
-mod support;
-
 use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::planner::Planner;
@@ -284,88 +282,4 @@ fn profiling_off_leaves_no_profile() {
     let result = cluster.run(&q6).unwrap();
     assert!(result.profile.is_none());
     cluster.shutdown();
-}
-
-/// The aggregates under a join's build side keep only the groups the probe
-/// side can match, counted exactly at SF 0.01 on two nodes of one worker:
-/// Q21's two `COUNT(DISTINCT)` aggregates by order keep the 531 orders the
-/// joins above them need (of some 15 000 without a seed); Q18's orders are
-/// a quarter of its lineitems, too many to seed with, so its aggregate
-/// still emits every order. The registry counts the two seeded aggregates
-/// on each node and the rows they dropped — the same over sockets, where
-/// the nodes report them through `Stats`. Those rows are few: the joins
-/// filter the repartitions under both aggregates by the same probe keys,
-/// so only the rows a filter passes by mistake reach a seeded aggregate
-/// without a group to go to.
-#[test]
-fn seeded_aggregates_keep_only_the_groups_the_probe_side_matches() {
-    use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
-    use hsqp::engine::Coordinator;
-
-    const SF: f64 = 0.01;
-    let counters = |cluster: &Coordinator| {
-        let metrics = cluster.metrics();
-        let counter = |name| metrics.counter(name).unwrap_or_else(|| panic!("no {name}"));
-        (
-            counter("exec.aggs_seeded"),
-            counter("exec.agg_rows_dropped"),
-        )
-    };
-    let aggregates = |result: &hsqp::engine::cluster::QueryResult| -> Vec<(String, u64)> {
-        let profile = result.profile.as_ref().expect("profiling defaults on");
-        let ops = profile.stages.iter().flat_map(|s| &s.ops);
-        ops.filter(|op| op.label.starts_with("Aggregate"))
-            .map(|op| (op.label.clone(), op.rows_out()))
-            .collect()
-    };
-
-    let local = Cluster::start(ClusterConfig {
-        workers_per_node: 1,
-        ..ClusterConfig::quick(2)
-    })
-    .unwrap();
-    local.load_tpch(SF).unwrap();
-    // Both clusters run the plans of the loaded simulated one.
-    let planner = Planner::for_cluster(&local);
-    let plan = |n: u32| planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
-    let q21 = aggregates(&local.run(&plan(21)).unwrap());
-    let by_order: Vec<u64> = q21
-        .iter()
-        .filter(|(label, _)| label.starts_with("Aggregate Single by [ao_orderkey]"))
-        .chain(
-            q21.iter()
-                .filter(|(label, _)| label.starts_with("Aggregate Single by [lo_orderkey]")),
-        )
-        .map(|(_, rows)| *rows)
-        .collect();
-    assert_eq!(by_order, [531, 531], "Q21's aggregates: {q21:?}");
-    let q18 = aggregates(&local.run(&plan(18)).unwrap());
-    let per_order: Vec<u64> = q18
-        .iter()
-        .filter(|(label, _)| label.contains("by [l_orderkey]") && !label.contains("Partial"))
-        .map(|(_, rows)| *rows)
-        .collect();
-    assert_eq!(per_order, [15_000], "Q18's aggregates: {q18:?}");
-    let (seeded, dropped) = counters(&local);
-    assert_eq!(seeded, 4, "Q21's two aggregates on each node");
-    assert_eq!(dropped, 639);
-    local.shutdown();
-
-    let remote = ProcessCluster::connect(
-        &support::loopback_nodes(2),
-        ProcessClusterConfig {
-            engine: RemoteEngineConfig {
-                workers_per_node: 1,
-                ..RemoteEngineConfig::default()
-            },
-            ..ProcessClusterConfig::default()
-        },
-    )
-    .unwrap();
-    remote.load_tpch(SF).unwrap();
-    for n in [21, 18] {
-        remote.run(&plan(n)).unwrap();
-    }
-    assert_eq!(counters(&remote), (seeded, dropped), "over sockets");
-    remote.shutdown();
 }
