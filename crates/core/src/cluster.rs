@@ -5,9 +5,9 @@
 //! (`start_node`: worker pool, NUMA topology, message pool, multiplexer
 //! thread), distributes relations across them per the configured
 //! placement, and owns a [`Coordinator`] — to which it derefs, so
-//! `cluster.submit(..)`, `run`, `configure_tenant`, `metrics`, … are the
-//! coordinator's. Admission, scheduling, the stage loop and cleanup live
-//! there ([`crate::coordinator`]), shared with the socket cluster.
+//! `cluster.submit(..)`, `run`, `metrics`, … are the coordinator's.
+//! Admission, scheduling, the stage loop and cleanup live there
+//! ([`crate::coordinator`]), shared with the socket cluster.
 //!
 //! What is particular to this cluster is its `Backend`, and that is only
 //! how a stage reaches the nodes: a direct call. Each node runs the stage
@@ -42,7 +42,6 @@ use crate::error::EngineError;
 use crate::exchange::{Traffic, HEADER_LEN};
 use crate::exec::{start_node, NodeCtx, StageJob};
 use crate::metrics::MetricsSnapshot;
-use crate::serve::{TenantConfig, TenantId};
 
 /// Which network stack the multiplexers use (the three lines of Figure 3).
 #[derive(Debug, Clone)]
@@ -143,10 +142,9 @@ pub struct ClusterConfig {
     ///
     /// [`QueryProfile`]: crate::profile::QueryProfile
     pub profiling: bool,
-    /// Pre-registered tenants with their scheduling weights and admission
-    /// caps. Tenants not listed here self-register with
-    /// [`TenantConfig::default`] (weight 1, no caps) on first submission.
-    pub tenants: Vec<(String, TenantConfig)>,
+    /// Submissions that may wait for a dispatcher at once; one more is
+    /// rejected with [`EngineError::Admission`]. `None` = unbounded.
+    pub max_queued: Option<usize>,
 }
 
 impl ClusterConfig {
@@ -168,7 +166,7 @@ impl ClusterConfig {
             switch_contention: true,
             max_concurrent: 4,
             profiling: true,
-            tenants: Vec::new(),
+            max_queued: None,
         }
     }
 
@@ -220,7 +218,7 @@ impl ClusterConfig {
                 MAX_FRAME - HEADER_LEN
             )));
         }
-        Coordinator::validate(self.max_concurrent, &self.tenants)
+        Coordinator::validate(self.max_concurrent, self.max_queued)
     }
 }
 
@@ -319,7 +317,7 @@ impl Cluster {
         let coordinator = Coordinator::start(
             Arc::clone(&backend) as Arc<dyn Backend>,
             backend.cfg.max_concurrent,
-            &backend.cfg.tenants,
+            backend.cfg.max_queued,
         );
         Ok(Self {
             coordinator,
@@ -434,7 +432,6 @@ impl Backend for LocalBackend {
     fn run_stage(
         &self,
         call: &StageCall<'_>,
-        _tenant: &TenantId,
         submitted: Instant,
     ) -> Result<StageOutcome, EngineError> {
         let (tx, rx) = mpsc::channel();
@@ -538,6 +535,12 @@ mod tests {
             ..ClusterConfig::quick(1)
         })
         .is_err());
+        let queue = |max_queued| ClusterConfig {
+            max_queued,
+            ..ClusterConfig::quick(1)
+        };
+        assert!(queue(Some(0)).validate().is_err());
+        assert!(queue(Some(1)).validate().is_ok());
     }
 
     /// A worker that fails on what it receives takes its node's other

@@ -8,18 +8,18 @@
 //! back: a call and a channel inside the process ([`crate::cluster`]) or
 //! the control protocol over TCP ([`crate::remote`]); both fold the replies
 //! with one `StageReplies`. The [`Coordinator`] is written once on top of
-//! that: query ids, the weighted-fair submit queue and its dispatcher pool,
-//! [`QueryHandle`]s, deadlines and cancellation, the stage loop
-//! (validation, parameter binding, feedback rows), the mapping of a stopped
-//! query to its typed error, metrics and tenant counters, and
-//! retire-exactly-once cleanup.
+//! that: query ids, the admission queue (one FIFO, capped at `max_queued`)
+//! and the `max_concurrent` dispatchers that drain it, [`QueryHandle`]s,
+//! deadlines and cancellation, the stage loop (validation, parameter
+//! binding, feedback rows), the mapping of a stopped query to its typed
+//! error, metrics, and retire-exactly-once cleanup.
 //!
 //! [`Cluster`](crate::cluster::Cluster) and
 //! [`ProcessCluster`](crate::remote::ProcessCluster) set nodes up, load
 //! data, and deref to the `Coordinator` they own, so `submit`, `run`,
-//! `configure_tenant`, … are the same code on either.
+//! `metrics`, … are the same code on either.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,7 +38,7 @@ use crate::plan::Plan;
 use crate::planner::QueryPlanner;
 use crate::profile::{QueryProfile, StageProfile, StageRecorder};
 use crate::queries::{Query, QueryStage, StageRole};
-use crate::serve::{CancelToken, SubmitOptions, TenantConfig, TenantId, TenantMetrics, WdrrQueue};
+use crate::serve::{CancelToken, SubmitOptions};
 
 /// One stage of one query: what a node needs to execute its share of it.
 pub(crate) struct StageCall<'a> {
@@ -158,13 +158,11 @@ pub(crate) trait Backend: Send + Sync {
     /// Run one stage on every node and wait for all of them. Materialized
     /// output stays on the nodes. Must return within about a morsel of
     /// `call.cancel` stopping (cancelled or past its deadline), with any
-    /// error: the coordinator maps it to the token's reason. `tenant` is
-    /// for the nodes' logs, `submitted` the anchor of the query's profile
-    /// timeline.
+    /// error: the coordinator maps it to the token's reason. `submitted` is
+    /// the anchor of the query's profile timeline.
     fn run_stage(
         &self,
         call: &StageCall<'_>,
-        tenant: &TenantId,
         submitted: Instant,
     ) -> Result<StageOutcome, EngineError>;
 
@@ -222,7 +220,6 @@ enum HandleState {
 /// State shared between a [`QueryHandle`] and the dispatcher.
 struct QueryShared {
     id: QueryId,
-    tenant: TenantId,
     cancel: CancelToken,
     state: Mutex<HandleState>,
     done: Condvar,
@@ -286,11 +283,6 @@ impl QueryHandle {
         }
     }
 
-    /// The tenant this query was submitted as.
-    pub fn tenant(&self) -> &TenantId {
-        &self.shared.tenant
-    }
-
     /// Take the result if the query has completed; `None` while it is
     /// still queued or running. A completed result can be taken once.
     pub fn try_result(&self) -> Option<Result<QueryResult, EngineError>> {
@@ -349,8 +341,13 @@ struct DispatchMetrics {
     completed: Arc<Counter>,
     failed: Arc<Counter>,
     cancelled: Arc<Counter>,
+    rejected: Arc<Counter>,
     admission_wait_us: Arc<Histogram>,
     stage_rounds: Arc<Counter>,
+    /// What the nodes reported sending for each retired query, whatever
+    /// its outcome.
+    bytes_shuffled: Arc<Counter>,
+    messages_sent: Arc<Counter>,
 }
 
 impl DispatchMetrics {
@@ -362,8 +359,11 @@ impl DispatchMetrics {
             completed: reg.counter("queries.completed"),
             failed: reg.counter("queries.failed"),
             cancelled: reg.counter("queries.cancelled"),
+            rejected: reg.counter("queries.rejected"),
             admission_wait_us: reg.histogram("dispatcher.admission_wait_us"),
             stage_rounds: reg.counter("stages.executed"),
+            bytes_shuffled: reg.counter("queries.bytes_shuffled"),
+            messages_sent: reg.counter("queries.messages_sent"),
         }
     }
 }
@@ -374,9 +374,12 @@ struct Inner {
     down: AtomicBool,
     metrics: MetricsRegistry,
     dm: DispatchMetrics,
-    /// Per-tenant admission queues drained weighted-deficit round-robin
-    /// by the dispatcher pool.
-    submit_queue: WdrrQueue<Submission>,
+    /// Admitted queries no dispatcher has picked up yet, oldest first.
+    queue: Mutex<VecDeque<Submission>>,
+    /// Rung when a submission is queued and when the coordinator closes.
+    wake: Condvar,
+    /// Submissions the queue holds before rejecting more.
+    max_queued: Option<usize>,
 }
 
 /// Admits, schedules and runs queries on a cluster's nodes. See the
@@ -390,12 +393,12 @@ pub struct Coordinator {
 
 impl Coordinator {
     /// Start the dispatcher pool over `backend`: up to `max_concurrent`
-    /// queries run their stages at once; the rest wait in their tenant's
-    /// queue and are drained weighted-deficit round-robin across tenants.
+    /// queries run their stages at once; the rest wait in the queue, first
+    /// come first served, and at most `max_queued` of them.
     pub(crate) fn start(
         backend: Arc<dyn Backend>,
         max_concurrent: u16,
-        tenants: &[(String, TenantConfig)],
+        max_queued: Option<usize>,
     ) -> Self {
         let metrics = MetricsRegistry::new();
         let inner = Arc::new(Inner {
@@ -404,7 +407,9 @@ impl Coordinator {
             down: AtomicBool::new(false),
             dm: DispatchMetrics::new(&metrics),
             metrics,
-            submit_queue: WdrrQueue::new(tenants),
+            queue: Mutex::new(VecDeque::new()),
+            wake: Condvar::new(),
+            max_queued,
         });
         let dispatchers = (0..max_concurrent)
             .map(|d| {
@@ -412,9 +417,8 @@ impl Coordinator {
                 std::thread::Builder::new()
                     .name(format!("dispatch-{d}"))
                     .spawn(move || {
-                        while let Some((tenant, sub)) = inner.submit_queue.pop() {
+                        while let Some(sub) = inner.next_submission() {
                             inner.execute_submission(sub);
-                            inner.submit_queue.finish(&tenant);
                         }
                     })
                     .expect("spawn dispatcher")
@@ -430,31 +434,35 @@ impl Coordinator {
     /// the cluster starts anything it would have to tear down again.
     pub(crate) fn validate(
         max_concurrent: u16,
-        tenants: &[(String, TenantConfig)],
+        max_queued: Option<usize>,
     ) -> Result<(), EngineError> {
         if max_concurrent == 0 {
             return Err(EngineError::Config(
                 "need at least one concurrent query slot".into(),
             ));
         }
-        tenants.iter().try_for_each(|(name, t)| t.validate(name))
+        if max_queued == Some(0) {
+            return Err(EngineError::Config(
+                "max_queued must be at least 1 (or unset)".into(),
+            ));
+        }
+        Ok(())
     }
 
-    /// Submit a query for asynchronous execution as the default tenant
-    /// with no deadline, returning immediately with a [`QueryHandle`]. At
-    /// most `max_concurrent` queries run at once; the rest wait their turn
-    /// per the weighted-fair schedule.
+    /// Submit a query for asynchronous execution with no deadline,
+    /// returning immediately with a [`QueryHandle`]. At most
+    /// `max_concurrent` queries run at once; the rest wait their turn in
+    /// submission order.
     pub fn submit(&self, query: &Query) -> Result<QueryHandle, EngineError> {
         self.submit_with(query, &SubmitOptions::default())
     }
 
-    /// Submit a query under explicit serving options: the tenant it is
-    /// scheduled and accounted as, and an optional deadline after which
-    /// it is cooperatively cancelled (morsel-bounded) and resolves to
-    /// [`EngineError::DeadlineExceeded`].
+    /// Submit a query under explicit serving options: an optional deadline
+    /// after which it is cooperatively cancelled (morsel-bounded) and
+    /// resolves to [`EngineError::DeadlineExceeded`].
     ///
-    /// Fails fast with [`EngineError::Admission`] when the tenant is at
-    /// its `max_queued` cap.
+    /// Fails fast with [`EngineError::Admission`] when the queue already
+    /// holds `max_queued` submissions.
     pub fn submit_with(
         &self,
         query: &Query,
@@ -494,7 +502,6 @@ impl Coordinator {
         let id = QueryId(inner.next_query.fetch_add(1, Ordering::Relaxed));
         let shared = Arc::new(QueryShared {
             id,
-            tenant: opts.tenant.clone(),
             cancel: CancelToken::with_deadline(opts.deadline.map(|d| submitted + d)),
             state: Mutex::new(HandleState::Pending),
             done: Condvar::new(),
@@ -505,16 +512,21 @@ impl Coordinator {
             submitted,
             shared: Arc::clone(&shared),
         };
-        inner.dm.queue_depth.inc();
-        if let Err(e) = inner.submit_queue.push(&opts.tenant, submission) {
-            inner.dm.queue_depth.dec();
-            if matches!(e, EngineError::Admission(_)) {
-                inner.tenant_counter(&opts.tenant, "rejected").inc();
-            }
-            return Err(e);
+        let mut queue = inner.queue.lock();
+        if inner.down.load(Ordering::SeqCst) {
+            return Err(EngineError::ClusterDown);
         }
+        if let Some(cap) = inner.max_queued.filter(|&cap| queue.len() >= cap) {
+            inner.dm.rejected.inc();
+            return Err(EngineError::Admission(format!(
+                "{cap} queries already wait for a dispatcher (max_queued={cap})"
+            )));
+        }
+        inner.dm.queue_depth.inc();
+        queue.push_back(submission);
+        drop(queue);
         inner.dm.submitted.inc();
-        inner.tenant_counter(&opts.tenant, "submitted").inc();
+        inner.wake.notify_one();
         Ok(QueryHandle { shared })
     }
 
@@ -542,58 +554,13 @@ impl Coordinator {
         self.run(&Query::single(0, plan.clone()))
     }
 
-    /// Register `tenant` (or update its entitlements if already known)
-    /// without restarting the cluster.
-    pub fn configure_tenant(&self, tenant: &str, cfg: TenantConfig) -> Result<(), EngineError> {
-        cfg.validate(tenant)?;
-        self.inner
-            .submit_queue
-            .configure(&TenantId::new(tenant), cfg);
-        Ok(())
-    }
-
     /// Snapshot the metrics registry — dispatcher counters and gauges, the
-    /// admission-wait histogram, per-tenant counters — plus the nodes'
-    /// counters.
+    /// admission-wait histogram, the traffic of retired queries — plus the
+    /// nodes' counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.inner.metrics.snapshot();
         self.inner.backend.node_counters(&mut snap);
         snap
-    }
-
-    /// Per-tenant serving counters rolled up from the metrics registry,
-    /// sorted by tenant name. Tenants appear once they have submitted at
-    /// least one query (or had one rejected).
-    pub fn tenant_metrics(&self) -> Vec<TenantMetrics> {
-        let snap = self.inner.metrics.snapshot();
-        let mut by_tenant: HashMap<String, TenantMetrics> = HashMap::new();
-        for (name, value) in &snap.counters {
-            let Some(rest) = name.strip_prefix("tenant.") else {
-                continue;
-            };
-            let Some((tenant, field)) = rest.rsplit_once('.') else {
-                continue;
-            };
-            let entry = by_tenant
-                .entry(tenant.to_string())
-                .or_insert_with(|| TenantMetrics {
-                    tenant: tenant.to_string(),
-                    ..TenantMetrics::default()
-                });
-            match field {
-                "submitted" => entry.submitted = *value,
-                "completed" => entry.completed = *value,
-                "failed" => entry.failed = *value,
-                "cancelled" => entry.cancelled = *value,
-                "rejected" => entry.rejected = *value,
-                "bytes_shuffled" => entry.bytes_shuffled = *value,
-                "messages_sent" => entry.messages_sent = *value,
-                _ => {}
-            }
-        }
-        let mut out: Vec<TenantMetrics> = by_tenant.into_values().collect();
-        out.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        out
     }
 
     /// Stop admitting and join the dispatcher pool: in-flight queries
@@ -603,7 +570,10 @@ impl Coordinator {
         if self.inner.down.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.submit_queue.close();
+        // Taking the queue's lock once the flag is set means no dispatcher
+        // is between reading the flag and waiting when the wake-up comes.
+        drop(self.inner.queue.lock());
+        self.inner.wake.notify_all();
         for h in self.dispatchers.lock().drain(..) {
             let _ = h.join();
         }
@@ -617,11 +587,27 @@ impl Drop for Coordinator {
 }
 
 impl Inner {
+    /// The oldest queued submission, blocking while the queue is empty and
+    /// open. After [`Coordinator::close`] the backlog still drains (each
+    /// one fails with [`EngineError::ClusterDown`]), then `None`.
+    fn next_submission(&self) -> Option<Submission> {
+        let mut queue = self.queue.lock();
+        loop {
+            if let Some(sub) = queue.pop_front() {
+                return Some(sub);
+            }
+            if self.down.load(Ordering::SeqCst) {
+                return None;
+            }
+            self.wake.wait(&mut queue);
+        }
+    }
+
     /// Run one admitted query to completion on this dispatcher thread and
     /// publish its result. Whatever happens — success, error,
     /// cancellation — the query is retired on the backend afterwards, so it
     /// can neither wedge the nodes nor leak, and the traffic the nodes
-    /// report for it is charged to its tenant.
+    /// report for it is counted.
     fn execute_submission(&self, mut sub: Submission) {
         let queue_wait = sub.submitted.elapsed();
         self.dm.queue_depth.dec();
@@ -673,29 +659,17 @@ impl Inner {
                 profile: (!profile.stages.is_empty()).then(|| profile.clone()),
             }
         });
-        let tenant = &shared.tenant;
-        let (all, outcome) = match &result {
-            Ok(_) => (&self.dm.completed, "completed"),
-            Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                (&self.dm.cancelled, "cancelled")
-            }
-            Err(_) => (&self.dm.failed, "failed"),
-        };
-        all.inc();
-        self.tenant_counter(tenant, outcome).inc();
-        // Whatever this query put on the wire (completed or not) is
-        // charged to its tenant.
-        self.tenant_counter(tenant, "bytes_shuffled")
-            .add(sent.bytes);
-        self.tenant_counter(tenant, "messages_sent")
-            .add(sent.messages);
+        match &result {
+            Ok(_) => &self.dm.completed,
+            Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => &self.dm.cancelled,
+            Err(_) => &self.dm.failed,
+        }
+        .inc();
+        // Whatever this query put on the wire is counted, completed or not.
+        self.dm.bytes_shuffled.add(sent.bytes);
+        self.dm.messages_sent.add(sent.messages);
         *shared.state.lock() = HandleState::Done(Some(result));
         shared.done.notify_all();
-    }
-
-    /// The counter `tenant.<name>.<field>`, created on first use.
-    fn tenant_counter(&self, tenant: &TenantId, field: &str) -> Arc<Counter> {
-        self.metrics.counter(&format!("tenant.{tenant}.{field}"))
     }
 
     /// The stage loop; returns the result stage's table.
@@ -744,9 +718,7 @@ impl Inner {
                 params: &params,
                 cancel,
             };
-            let outcome = self
-                .backend
-                .run_stage(&call, &shared.tenant, sub.submitted)?;
+            let outcome = self.backend.run_stage(&call, sub.submitted)?;
             self.dm.stage_rounds.inc();
             if let Some(profile) = outcome.profile {
                 shared.profile.lock().stages.push(profile);
@@ -853,7 +825,6 @@ mod tests {
         fn run_stage(
             &self,
             call: &StageCall<'_>,
-            _tenant: &TenantId,
             _submitted: Instant,
         ) -> Result<StageOutcome, EngineError> {
             self.calls.lock().push(("stage", call.query.0));
@@ -931,14 +902,14 @@ mod tests {
     /// Arm `fault` for the second stage, run the query under `opts` on a
     /// coordinator with a single dispatcher slot (cancelling it after a
     /// moment if `cancel`), and check everything the coordinator promises
-    /// about a failed query, its traffic charged to its tenant included.
+    /// about a failed query, its traffic counted included.
     /// Returns the error the handle resolved to.
     fn fail_second_stage(fault: Fault, opts: &SubmitOptions, cancel: bool) -> EngineError {
         let fake = Arc::new(Fake {
             fault: Mutex::new(Some((1, fault))),
             calls: Mutex::new(Vec::new()),
         });
-        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, &[]);
+        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, None);
         let handle = coordinator.submit_with(&two_stages(), opts).unwrap();
         let id = handle.id().0;
         if cancel {
@@ -960,14 +931,13 @@ mod tests {
             .collect();
         assert_eq!(calls, ["stage", "stage", "abort", "retire"], "{fault:?}");
 
-        // What the nodes reported at retire is charged to the tenant,
-        // although the query failed.
-        let tenant = |field: &str| {
-            let name = format!("tenant.{}.{field}", opts.tenant);
-            coordinator.metrics().counter(&name)
-        };
-        assert_eq!(tenant("bytes_shuffled"), Some(RETIRED.bytes), "{fault:?}");
-        assert_eq!(tenant("messages_sent"), Some(RETIRED.messages), "{fault:?}");
+        // What the nodes reported at retire is counted, although the query
+        // failed.
+        let sent = |name: &str| coordinator.metrics().counter(name);
+        let bytes = "queries.bytes_shuffled";
+        let messages = "queries.messages_sent";
+        assert_eq!(sent(bytes), Some(RETIRED.bytes), "{fault:?}");
+        assert_eq!(sent(messages), Some(RETIRED.messages), "{fault:?}");
 
         // The only dispatcher slot was released, and the fault is spent.
         let next = coordinator
@@ -978,8 +948,8 @@ mod tests {
             (next.bytes_shuffled, next.messages_sent),
             (RETIRED.bytes, RETIRED.messages)
         );
-        assert_eq!(tenant("bytes_shuffled"), Some(2 * RETIRED.bytes));
-        assert_eq!(tenant("messages_sent"), Some(2 * RETIRED.messages));
+        assert_eq!(sent(bytes), Some(2 * RETIRED.bytes));
+        assert_eq!(sent(messages), Some(2 * RETIRED.messages));
         let metrics = coordinator.metrics();
         let moved = match error {
             EngineError::Cancelled | EngineError::DeadlineExceeded => "queries.cancelled",
@@ -1021,13 +991,48 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5));
     }
 
+    /// Closing drains the queue: the running query ends as it would, each
+    /// queued one fails with `ClusterDown`, and so does a submission made
+    /// after the close.
+    #[test]
+    fn close_fails_the_backlog_and_later_submissions() {
+        let fake = Arc::new(Fake {
+            fault: Mutex::new(Some((1, Fault::Block))),
+            calls: Mutex::new(Vec::new()),
+        });
+        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, None);
+        let running = coordinator.submit(&two_stages()).unwrap();
+        while coordinator.metrics().gauge("queries.active") != Some(1) {
+            std::thread::yield_now();
+        }
+        let queued: Vec<QueryHandle> = (0..2)
+            .map(|_| coordinator.submit(&two_stages()).unwrap())
+            .collect();
+        std::thread::scope(|s| {
+            s.spawn(|| coordinator.close());
+            while !coordinator.inner.down.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            running.cancel();
+        });
+        let resolved = |h: &QueryHandle| h.wait_timeout(Duration::from_secs(10)).expect("resolved");
+        assert!(matches!(resolved(&running), Err(EngineError::Cancelled)));
+        for handle in &queued {
+            assert!(matches!(resolved(handle), Err(EngineError::ClusterDown)));
+        }
+        assert!(matches!(
+            coordinator.submit(&two_stages()),
+            Err(EngineError::ClusterDown)
+        ));
+    }
+
     #[test]
     fn invalid_plans_never_reach_the_backend() {
         let fake = Arc::new(Fake {
             fault: Mutex::new(None),
             calls: Mutex::new(Vec::new()),
         });
-        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, &[]);
+        let coordinator = Coordinator::start(Arc::clone(&fake) as Arc<dyn Backend>, 1, None);
         let dangling = coordinator.run_plan(&Plan::temp_scan("nope").gather());
         assert!(
             matches!(dangling, Err(EngineError::Planner(_))),

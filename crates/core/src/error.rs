@@ -26,9 +26,8 @@ pub enum EngineError {
     /// [`QueryHandle::cancel`](crate::cluster::QueryHandle::cancel) before
     /// it produced a result.
     Cancelled,
-    /// The submitting tenant was over one of its admission caps
-    /// (`max_queued` / `max_concurrent`) and the query was rejected
-    /// without being enqueued.
+    /// The admission queue already held `max_queued` submissions, and the
+    /// query was rejected without being enqueued.
     Admission(String),
     /// The query's deadline elapsed before it produced a result; the
     /// engine cancelled it cooperatively and freed its resources.
@@ -75,7 +74,7 @@ mod tests {
         assert!(EngineError::Execution("no rows".into())
             .to_string()
             .contains("no rows"));
-        assert!(EngineError::Admission("tenant t over max_queued".into())
+        assert!(EngineError::Admission("queue at max_queued".into())
             .to_string()
             .contains("max_queued"));
         assert!(EngineError::DeadlineExceeded

@@ -47,10 +47,10 @@
 //! [`metrics`] registry aggregates dispatcher and fabric health across
 //! queries.
 //!
-//! The [`serve`] module makes the engine multi-tenant: queries are tagged
-//! with a [`TenantId`], admitted against per-tenant caps, scheduled by
-//! weighted deficit round-robin, and cancelled cooperatively at morsel
-//! granularity (explicit [`QueryHandle::cancel`] or a per-query deadline).
+//! Queries are admitted into one FIFO (`max_queued` caps how many may
+//! wait), drained by `max_concurrent` dispatchers, and cancelled
+//! cooperatively at morsel granularity ([`QueryHandle::cancel`] or a
+//! per-query deadline in [`SubmitOptions`], both from [`serve`]).
 
 pub mod cluster;
 pub mod coordinator;
@@ -87,9 +87,7 @@ pub use plan::{AggFunc, AggSpec, ExchangeKind, JoinKind, Plan, SortKey};
 pub use planner::{Planner, PlannerConfig, QueryPlanner, TableStats};
 pub use profile::{chrome_trace, QueryProfile};
 pub use remote::{NodeServer, ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
-pub use serve::{
-    ArrivalProcess, CancelToken, StopReason, SubmitOptions, TenantConfig, TenantId, TenantMetrics,
-};
+pub use serve::{CancelToken, StopReason, SubmitOptions};
 pub use session::{Session, SessionBuilder};
 pub use stats::{ColumnStats, FeedbackCache, StatsCatalog, StatsMode, TableStatistics};
 pub use vm::{CompiledStage, ExprProgram};

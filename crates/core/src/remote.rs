@@ -10,8 +10,8 @@
 //! (`NodeCtx::{stage, abort, retire, stop}`). A [`ProcessCluster`] is the
 //! set-up and load shell on the other side: it connects to the nodes, has
 //! them load data, and owns a [`Coordinator`] — to which it derefs, so
-//! `submit`, `run`, `configure_tenant`, `metrics`, … are the coordinator's,
-//! the same code that drives a simulated cluster ([`crate::coordinator`]).
+//! `submit`, `run`, `metrics`, … are the coordinator's, the same code that
+//! drives a simulated cluster ([`crate::coordinator`]).
 //! What is particular to this cluster is its `Backend`: a stage is
 //! serialized ([`crate::serial`]) and shipped to every node over the
 //! control protocol below, and node 0's reply carries the gathered table —
@@ -28,7 +28,7 @@
 //! |---|---|
 //! | `Join` (node id, peer addresses, engine knobs) | `JoinOk` after the data mesh is up |
 //! | `Load` (scale factor) | `LoadOk` (local rows per table) |
-//! | `Stage` (query, stage index, params, serialized stage) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
+//! | `Stage` (query, stage index, params, serialized stage and the deadline budget left) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
 //! | `Retire` (query) | `RetireOk` (the bytes and messages the query handed the node's multiplexer) |
 //! | `Abort` (query) | — |
 //! | `Stats` | `StatsOk` (the node's counters as (name, value) pairs: `NodeCtx::counters` and the `net.mesh.*` socket totals) |
@@ -94,9 +94,9 @@ use crate::exchange::Traffic;
 use crate::exec::{start_node, NodeCtx, StageJob, StageReply};
 use crate::metrics::MetricsSnapshot;
 use crate::serial::{
-    self, decode_stage_tagged, decode_table, decode_values, encode_stage_tagged, encode_values, Rd,
+    self, decode_stage, decode_table, decode_values, encode_stage, encode_values, Rd,
 };
-use crate::serve::{CancelToken, TenantConfig, TenantId};
+use crate::serve::CancelToken;
 
 // Control-protocol opcodes (requests < 100, replies >= 100).
 const OP_JOIN: u8 = 0;
@@ -289,16 +289,14 @@ impl NodeServer {
                 let params_len = r.u32()? as usize;
                 let params = decode_values(r.take(params_len)?)?;
                 let stage_len = r.u32()? as usize;
-                let envelope = decode_stage_tagged(r.take(stage_len)?)?;
+                let (stage, deadline_us) = decode_stage(r.take(stage_len)?)?;
                 let writer = Arc::clone(writer);
                 let job = StageJob {
                     stage_idx,
-                    stage: Arc::new(envelope.stage),
+                    stage: Arc::new(stage),
                     params,
                     // The budget left when the coordinator encoded the stage.
-                    deadline: envelope
-                        .deadline_us
-                        .map(|us| Instant::now() + Duration::from_micros(us)),
+                    deadline: deadline_us.map(|us| Instant::now() + Duration::from_micros(us)),
                     profile: None,
                     reply: Box::new(move |reply| {
                         let _ = send_reply(&writer, |out| {
@@ -401,9 +399,9 @@ pub struct ProcessClusterConfig {
     /// Queries the dispatcher runs concurrently; further submissions
     /// queue (as [`ClusterConfig::max_concurrent`](crate::cluster::ClusterConfig)).
     pub max_concurrent: u16,
-    /// Pre-registered tenants with their scheduling weights and admission
-    /// caps; others self-register with [`TenantConfig::default`].
-    pub tenants: Vec<(String, TenantConfig)>,
+    /// Submissions that may wait for a dispatcher at once (as
+    /// [`ClusterConfig::max_queued`](crate::cluster::ClusterConfig)).
+    pub max_queued: Option<usize>,
 }
 
 impl Default for ProcessClusterConfig {
@@ -413,7 +411,7 @@ impl Default for ProcessClusterConfig {
             connect_timeout: Duration::from_secs(10),
             reply_timeout: Duration::from_secs(60),
             max_concurrent: 4,
-            tenants: Vec::new(),
+            max_queued: None,
         }
     }
 }
@@ -496,7 +494,7 @@ impl ProcessCluster {
         if addrs.is_empty() {
             return Err(EngineError::Config("need at least one node address".into()));
         }
-        Coordinator::validate(cfg.max_concurrent, &cfg.tenants)?;
+        Coordinator::validate(cfg.max_concurrent, cfg.max_queued)?;
         let nodes = addrs.len() as u16;
         let io_err = |what: &str, e: io::Error| {
             EngineError::Execution(format!("cluster connect: {what}: {e}"))
@@ -578,7 +576,7 @@ impl ProcessCluster {
             coordinator: Coordinator::start(
                 Arc::clone(&backend) as Arc<dyn Backend>,
                 cfg.max_concurrent,
-                &cfg.tenants,
+                cfg.max_queued,
             ),
             backend,
             readers,
@@ -745,11 +743,7 @@ impl RemoteBackend {
     }
 
     /// Ship the stage to every node and wait for all their replies.
-    fn ship_stage(
-        &self,
-        call: &StageCall<'_>,
-        tenant: &TenantId,
-    ) -> Result<StageOutcome, EngineError> {
+    fn ship_stage(&self, call: &StageCall<'_>) -> Result<StageOutcome, EngineError> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(EngineError::Execution("a cluster node is down".into()));
         }
@@ -767,7 +761,7 @@ impl RemoteBackend {
             .deadline()
             .map(|dl| dl.saturating_duration_since(Instant::now()).as_micros() as u64);
         let params_bytes = encode_values(call.params);
-        let stage_bytes = encode_stage_tagged(call.stage, Some(tenant.as_str()), remaining);
+        let stage_bytes = encode_stage(call.stage, remaining);
         self.broadcast(|out| {
             serial::put_u8(out, OP_STAGE);
             serial::put_u32(out, id);
@@ -818,10 +812,9 @@ impl Backend for RemoteBackend {
     fn run_stage(
         &self,
         call: &StageCall<'_>,
-        tenant: &TenantId,
         _submitted: Instant,
     ) -> Result<StageOutcome, EngineError> {
-        let outcome = self.ship_stage(call, tenant);
+        let outcome = self.ship_stage(call);
         if outcome.is_err() {
             // A node that stopped at the deadline it was shipped reports
             // `StageFail`; by then ours has passed too. Looking at the
@@ -1373,15 +1366,14 @@ mod tests {
         // nodes stop at a morsel boundary and the coordinator returns the
         // typed error instead of wedging on the stage replies.
         let q = planned(9);
-        let opts = SubmitOptions::tenant("gold").with_deadline(Duration::from_millis(2));
+        let opts = SubmitOptions::default().with_deadline(Duration::from_millis(2));
         match pc.run_with(&q, &opts) {
             Err(EngineError::DeadlineExceeded) => {}
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        // The cluster survives for the next query, and the tenant tag
-        // rides along on the successful path too.
+        // The cluster survives for the next query.
         let ok = planned(6);
-        let r = pc.run_with(&ok, &SubmitOptions::tenant("gold")).unwrap();
+        let r = pc.run(&ok).unwrap();
         assert!(r.table.rows() > 0);
         pc.shutdown();
     }

@@ -33,8 +33,8 @@ pub const SERIAL_MAGIC: u32 = 0x504C_414E;
 /// Version of the plan encoding. Bump on any incompatible change — the
 /// round-trip tests pin the format, and decode rejects mismatches.
 /// v2 added the tenant / deadline tail to stage envelopes; v3 the side a
-/// hash join filters.
-pub const SERIAL_VERSION: u16 = 3;
+/// hash join filters; v4 dropped the tenant.
+pub const SERIAL_VERSION: u16 = 4;
 
 /// How deeply plans and expressions may nest in what is decoded, counted
 /// together: the decoder recurses once per level, so a forged input of a
@@ -763,61 +763,28 @@ fn dec_stage_body(r: &mut Rd<'_>) -> DecodeResult<QueryStage> {
     })
 }
 
-/// A decoded stage plus the serving-layer tags the coordinator attached:
-/// which tenant submitted the query and how many microseconds of its
-/// deadline budget remain (measured at encode time).
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageEnvelope {
-    /// The stage itself.
-    pub stage: QueryStage,
-    /// Submitting tenant, if the coordinator tagged one.
-    pub tenant: Option<String>,
-    /// Remaining deadline budget in microseconds, if the query has one.
-    pub deadline_us: Option<u64>,
-}
-
-/// Encode one query stage (the unit the coordinator ships per `Stage`
-/// command).
-pub fn encode_stage(stage: &QueryStage) -> Vec<u8> {
-    encode_stage_tagged(stage, None, None)
-}
-
-/// Encode one query stage together with its serving-layer tags (tenant
-/// name and remaining deadline budget in microseconds).
-pub fn encode_stage_tagged(
-    stage: &QueryStage,
-    tenant: Option<&str>,
-    deadline_us: Option<u64>,
-) -> Vec<u8> {
+/// Encode one query stage with the microseconds left of its query's
+/// deadline, if it has one (the unit the coordinator ships per `Stage`
+/// command; a budget, because the nodes' clocks are not the
+/// coordinator's).
+pub fn encode_stage(stage: &QueryStage, deadline_us: Option<u64>) -> Vec<u8> {
     let mut out = Vec::new();
     envelope(&mut out);
     enc_stage_body(&mut out, stage);
-    put_opt(&mut out, tenant, put_str);
     put_opt(&mut out, deadline_us.as_ref(), |o, v| put_u64(o, *v));
     out
 }
 
-/// Decode one query stage; rejects version skew, unknown tags, truncated
-/// input, and trailing garbage. Drops the serving-layer tags — use
-/// [`decode_stage_tagged`] to keep them.
-pub fn decode_stage(buf: &[u8]) -> DecodeResult<QueryStage> {
-    Ok(decode_stage_tagged(buf)?.stage)
-}
-
-/// Decode one query stage together with its serving-layer tags (inverse
-/// of [`encode_stage_tagged`]).
-pub fn decode_stage_tagged(buf: &[u8]) -> DecodeResult<StageEnvelope> {
+/// Decode one query stage and its deadline budget (inverse of
+/// [`encode_stage`]); rejects version skew, unknown tags, truncated input,
+/// and trailing garbage.
+pub fn decode_stage(buf: &[u8]) -> DecodeResult<(QueryStage, Option<u64>)> {
     let mut r = Rd::new(buf);
     check_envelope(&mut r)?;
     let stage = dec_stage_body(&mut r)?;
-    let tenant = r.opt(|x| x.str())?;
     let deadline_us = r.opt(|x| x.u64())?;
     r.finish()?;
-    Ok(StageEnvelope {
-        stage,
-        tenant,
-        deadline_us,
-    })
+    Ok((stage, deadline_us))
 }
 
 /// Encode a whole multi-stage query.
@@ -1027,7 +994,7 @@ mod tests {
         std::thread::spawn(|| {
             for (stage, query) in nested(3_000) {
                 for err in [
-                    decode_stage_tagged(&stage).map(|_| ()).unwrap_err(),
+                    decode_stage(&stage).map(|_| ()).unwrap_err(),
                     decode_query(&query).map(|_| ()).unwrap_err(),
                 ] {
                     assert!(err.contains("nested deeper"), "unexpected error: {err}");
@@ -1057,26 +1024,58 @@ mod tests {
     }
 
     #[test]
-    fn stage_tags_roundtrip() {
+    fn stages_roundtrip_with_and_without_a_deadline() {
         let q = planned(6);
         let stage = &q.stages[0];
+        for deadline_us in [None, Some(0), Some(1_500_000), Some(u64::MAX)] {
+            let (back, budget) = decode_stage(&encode_stage(stage, deadline_us)).unwrap();
+            assert_eq!((&back, budget), (stage, deadline_us));
+        }
+    }
 
-        // Untagged stages survive through both the plain and tagged paths.
-        let plain = encode_stage(stage);
-        assert_eq!(&decode_stage(&plain).unwrap(), stage);
-        let env = decode_stage_tagged(&plain).unwrap();
-        assert_eq!(&env.stage, stage);
-        assert_eq!(env.tenant, None);
-        assert_eq!(env.deadline_us, None);
-
-        // Tagged stages carry tenant and deadline through the round trip,
-        // and the plain decoder still accepts (and drops) the tags.
-        let tagged = encode_stage_tagged(stage, Some("gold"), Some(1_500_000));
-        let env = decode_stage_tagged(&tagged).unwrap();
-        assert_eq!(&env.stage, stage);
-        assert_eq!(env.tenant.as_deref(), Some("gold"));
-        assert_eq!(env.deadline_us, Some(1_500_000));
-        assert_eq!(&decode_stage(&tagged).unwrap(), stage);
+    /// Every stage of the 22 TPC-H queries as planned for two nodes at
+    /// SF 0.01, encoded as the coordinator ships it: whole, it decodes to
+    /// itself; cut short at any length it is an error; with any one byte
+    /// set to 0x00 or 0xFF or its low bit flipped it decodes or is an
+    /// error, and never panics. On a thread with the node server's 2 MiB
+    /// stack, where a node decodes what it is sent.
+    #[test]
+    fn stages_decode_whole_and_every_cut_or_forged_byte_is_handled() {
+        let sweep = || {
+            let planner = Planner::for_tpch(2, 0.01, |_| None);
+            for n in 1..=22 {
+                let q = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
+                for (s, stage) in q.stages.iter().enumerate() {
+                    let bytes = encode_stage(stage, Some(1_500_000));
+                    assert_eq!(decode_stage(&bytes).unwrap().0, *stage, "Q{n} stage {s}");
+                    for len in 0..bytes.len() {
+                        assert!(
+                            decode_stage(&bytes[..len]).is_err(),
+                            "Q{n} stage {s} cut to {len} of {} bytes decoded",
+                            bytes.len()
+                        );
+                    }
+                    let mut forged = bytes.clone();
+                    for (i, &byte) in bytes.iter().enumerate() {
+                        for b in [0x00, 0xFF, byte ^ 0x01] {
+                            forged[i] = b;
+                            let decoded = std::panic::catch_unwind(|| decode_stage(&forged));
+                            assert!(
+                                decoded.is_ok(),
+                                "Q{n} stage {s}: byte {i} set to {b:#04x} panicked the decoder"
+                            );
+                        }
+                        forged[i] = byte;
+                    }
+                }
+            }
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(sweep)
+            .unwrap()
+            .join()
+            .expect("the sweep finished");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::logical::{LogicalPlan, LogicalQuery};
 use crate::plan::Plan;
 use crate::planner::Planner;
 use crate::queries::Query;
-use crate::serve::{SubmitOptions, TenantConfig, TenantMetrics};
+use crate::serve::SubmitOptions;
 use crate::stats::{FeedbackCache, StatsMode};
 
 /// Fluent configuration for a [`Session`].
@@ -104,14 +104,6 @@ impl SessionBuilder {
     /// baselines.
     pub fn profiling(mut self, on: bool) -> Self {
         self.cfg.profiling = on;
-        self
-    }
-
-    /// Declare a tenant up front: its weighted-fair share and admission
-    /// caps (tenants not declared here self-register with defaults on
-    /// first submit — weight 1, no caps). Call once per tenant.
-    pub fn tenant(mut self, name: &str, cfg: TenantConfig) -> Self {
-        self.cfg.tenants.push((name.to_string(), cfg));
         self
     }
 
@@ -247,21 +239,9 @@ impl Session {
         self.submit_with(query, &SubmitOptions::default())
     }
 
-    /// [`submit`](Self::submit) on behalf of a tenant: the query joins
-    /// that tenant's queue, is admitted against its caps, and is scheduled
-    /// by weighted deficit round-robin against the other tenants' queues.
-    pub fn submit_as(
-        &self,
-        tenant: &str,
-        query: impl Into<LogicalQuery>,
-    ) -> Result<QueryHandle, EngineError> {
-        self.submit_with(query, &SubmitOptions::tenant(tenant))
-    }
-
-    /// [`submit`](Self::submit) with full serving-layer options: tenant
-    /// attribution plus an optional deadline after which the query is
-    /// cancelled cooperatively (morsel-bounded) and its handle resolves to
-    /// [`EngineError::DeadlineExceeded`].
+    /// [`submit`](Self::submit) with serving options: an optional deadline
+    /// after which the query is cancelled cooperatively (morsel-bounded)
+    /// and its handle resolves to [`EngineError::DeadlineExceeded`].
     pub fn submit_with(
         &self,
         query: impl Into<LogicalQuery>,
@@ -311,20 +291,6 @@ impl Session {
         self.cluster.metrics()
     }
 
-    /// Per-tenant serving rollups (submitted / completed / failed /
-    /// cancelled / rejected counts plus attributed network traffic),
-    /// sorted by tenant name.
-    pub fn tenant_metrics(&self) -> Vec<TenantMetrics> {
-        self.cluster.tenant_metrics()
-    }
-
-    /// Adjust a tenant's weight or admission caps at run time (applies to
-    /// scheduling decisions from now on; already-queued queries keep their
-    /// slots).
-    pub fn configure_tenant(&self, tenant: &str, cfg: TenantConfig) -> Result<(), EngineError> {
-        self.cluster.configure_tenant(tenant, cfg)
-    }
-
     /// Tear the session down: consumes the session, whose drop stops the
     /// simulated cluster's multiplexer threads and joins each one — so a
     /// forgotten `shutdown()` cannot leak them either. Provided as the
@@ -372,29 +338,6 @@ mod tests {
         // The planner saw real loaded cardinalities.
         let planner = s.planner();
         assert!(planner.config().stats.rows(TpchTable::Lineitem) > 100.0);
-        s.shutdown();
-    }
-
-    #[test]
-    fn tenant_submission_rolls_up_metrics() {
-        let s = Session::builder()
-            .nodes(1)
-            .tpch(0.001)
-            .tenant("gold", TenantConfig::weighted(4))
-            .build()
-            .unwrap();
-        let plan = LogicalPlan::scan(TpchTable::Nation)
-            .aggregate(&[], vec![AggSpec::new(AggFunc::Count, lit(1), "cnt")]);
-        let r = s.submit_as("gold", &plan).unwrap().wait().unwrap();
-        assert_eq!(r.row_count(), 1);
-        let rollups = s.tenant_metrics();
-        let gold = rollups
-            .iter()
-            .find(|m| m.tenant == "gold")
-            .expect("gold tenant rollup");
-        assert_eq!(gold.submitted, 1);
-        assert_eq!(gold.completed, 1);
-        assert_eq!(gold.failed + gold.cancelled + gold.rejected, 0);
         s.shutdown();
     }
 

@@ -7,9 +7,7 @@
 #
 #   examples/process_cluster.sh                       # 4 nodes, SF 0.01, all 22
 #   NODES=2 SF=0.1 examples/process_cluster.sh --queries 1,3,6 --metrics
-#   examples/process_cluster.sh --clients 4 --rounds 2
-#   NODES=2 examples/process_cluster.sh --clients 2 --queries 1,6 \
-#       --open-loop 1440000 --duration 4 --tenants gold:4,silver:1
+#   examples/process_cluster.sh --clients 4 --rounds 2 # concurrent clients
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -11,17 +11,9 @@
 //! gives each query's row count (which must agree across executions) and
 //! times, their geometric mean, and queries/hour with latency percentiles.
 //!
-//! With `--open-loop RATE` arrivals come at a fixed offered load
-//! (queries/hour) whatever completes, optionally round-robin across
-//! weighted tenants (`--tenants gold:4,silver:1`), and the report records
-//! latency and queue-wait percentiles overall and per tenant — the
-//! latency-vs-offered-load methodology of the paper's serving evaluation.
-//!
 //! ```bash
 //! cargo run --release --bin hsqp -- --sf 0.01 --nodes 4 --output timings.json
 //! cargo run --release --bin hsqp -- --sf 0.01 --nodes 4 --clients 4 --rounds 3
-//! cargo run --release --bin hsqp -- --sf 0.01 --open-loop 40000 --duration 10 \
-//!     --tenants gold:4,silver:1
 //! ```
 
 use std::collections::HashMap;
@@ -29,7 +21,7 @@ use std::fmt::Write as _;
 use std::ops::Deref;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use hsqp::benchjson::Json;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
@@ -37,7 +29,7 @@ use hsqp::engine::logical::LogicalQuery;
 use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
-use hsqp::engine::serve::{parse_tenant_spec, ArrivalProcess, SubmitOptions, TenantConfig};
+use hsqp::engine::serve::SubmitOptions;
 use hsqp::engine::stats::{FeedbackCache, StatsMode};
 use hsqp::engine::vm::compile_stage;
 use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile};
@@ -64,11 +56,10 @@ OPTIONS:
                            cardinalities (cached across queries)
     --explain              Print each stage's physical plan, cost-model
                            decisions and compiled programs without running
-                           anything (planned from the statistics a live
-                           run uses, with spec-derived row counts instead
-                           of the exact loaded ones). With --analyze,
-                           queries run and each execution's plan and
-                           profile print as one block on stderr
+                           anything (planned from the statistics and the
+                           exact row counts a live run plans from). With
+                           --analyze, queries run and each execution's
+                           plan and profile print as one block on stderr
     --cluster <LIST>       Comma-separated hsqp-node addresses, e.g.
                            127.0.0.1:7401,127.0.0.1:7402: run on those
                            processes over TCP instead of the simulated
@@ -82,19 +73,6 @@ OPTIONS:
                            query set --rounds times, one query at a time;
                            the dispatcher admits up to N queries at once
     --rounds <R>           Passes over the query set per client (default 1)
-    --open-loop <RATE>     Open-loop serving benchmark: arrivals at RATE
-                           queries/hour for --duration seconds, whatever
-                           completes; queries still running at the window
-                           end are cancelled. --clients sets the slots
-    --duration <S>         Open-loop window in seconds (default 10)
-    --arrivals <A>         poisson | uniform open-loop inter-arrival times
-                           (default poisson)
-    --tenants <SPEC>       name:weight list, e.g. gold:4,silver:1 (bare
-                           name = weight 1): open-loop arrivals go
-                           round-robin to the tenants, whose queues are
-                           served by weighted deficit round-robin
-    --deadline-ms <N>      Per-query deadline for --open-loop submissions
-    --seed <N>             Arrival-process RNG seed (default 42)
     --output <PATH>        Also write the JSON report to PATH
     --analyze              EXPLAIN ANALYZE: after each execution, print its
                            plan tree with actual rows, wall time, bytes
@@ -120,12 +98,6 @@ struct Args {
     message_bytes: usize,
     clients: u16,
     rounds: u32,
-    open_loop: Option<f64>,
-    duration_s: f64,
-    arrivals: ArrivalProcess,
-    tenants: Vec<(String, TenantConfig)>,
-    deadline_ms: Option<u64>,
-    seed: u64,
     output: Option<String>,
     analyze: bool,
     trace_out: Option<String>,
@@ -158,12 +130,6 @@ fn parse_args() -> Result<Args, String> {
         message_bytes: 32 * 1024,
         clients: 1,
         rounds: 1,
-        open_loop: None,
-        duration_s: 10.0,
-        arrivals: ArrivalProcess::Poisson,
-        tenants: Vec::new(),
-        deadline_ms: None,
-        seed: 42,
         output: None,
         analyze: false,
         trace_out: None,
@@ -246,37 +212,6 @@ fn parse_flag(args: &mut Args, flag: &str, value: String) -> Result<(), String> 
         }
         "--clients" => args.clients = positive(flag, &value)?,
         "--rounds" => args.rounds = positive(flag, &value)?,
-        "--open-loop" => {
-            let rate: f64 = value
-                .parse()
-                .map_err(|_| format!("invalid --open-loop rate {value:?}"))?;
-            if !rate.is_finite() || rate <= 0.0 {
-                return Err("--open-loop rate (queries/hour) must be positive".into());
-            }
-            args.open_loop = Some(rate);
-        }
-        "--duration" => {
-            args.duration_s = value
-                .parse()
-                .ok()
-                .filter(|s: &f64| s.is_finite() && *s > 0.0)
-                .ok_or_else(|| format!("--duration must be positive seconds, got {value:?}"))?;
-        }
-        "--arrivals" => {
-            args.arrivals = ArrivalProcess::parse(&value).map_err(|e| e.to_string())?;
-        }
-        "--tenants" => {
-            args.tenants = parse_tenant_spec(&value).map_err(|e| e.to_string())?;
-            if args.tenants.is_empty() {
-                return Err("--tenants must name at least one tenant".into());
-            }
-        }
-        "--deadline-ms" => args.deadline_ms = Some(positive(flag, &value)?),
-        "--seed" => {
-            args.seed = value
-                .parse()
-                .map_err(|_| format!("invalid --seed {value:?}"))?;
-        }
         "--output" => args.output = Some(value),
         "--trace-out" => args.trace_out = Some(value),
         other => return Err(format!("unknown flag {other:?} (see --help)")),
@@ -303,7 +238,6 @@ fn cluster_config(args: &Args) -> Result<ClusterConfig, String> {
         numa_cost_ns: 0.0,
         message_capacity: args.message_bytes,
         max_concurrent: args.clients,
-        tenants: args.tenants.clone(),
         // Spans are recorded only when something reads them.
         profiling: args.analyze || args.trace_out.is_some(),
         ..ClusterConfig::paper(args.nodes)
@@ -352,15 +286,14 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
 }
 
 /// Print each stage's lowered physical plan without executing anything
-/// (no data generation, no cluster): exchange placement, broadcast vs
-/// repartition choices, and the compiled expression programs are visible
-/// directly in the operator trees.
+/// (no cluster): exchange placement, broadcast vs repartition choices, and
+/// the compiled expression programs are visible directly in the operator
+/// trees.
 fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
-    eprintln!(
-        "note: --explain plans from the same statistics as a live run; \
-         only its row counts differ (spec-derived here, exact once loaded)"
-    );
-    let mut planner = Planner::for_tpch(args.nodes, args.sf, |_| None);
+    // The data is generated only to be counted: a loaded cluster of either
+    // kind reports these row counts, and a live run plans from them.
+    let db = TpchDb::generate(args.sf);
+    let mut planner = Planner::for_tpch(args.nodes, args.sf, |t| Some(db.table(t).rows() as u64));
     planner.config_mut().mode = args.stats;
     let mut out = String::new();
     for &n in queries {
@@ -558,12 +491,12 @@ fn submit_planned(
     planner: &Planner,
     n: u32,
     planned: &Planned,
-    opts: &SubmitOptions,
 ) -> Result<QueryHandle, EngineError> {
     match planned {
-        Planned::Physical { query, .. } => coordinator.submit_with(query, opts),
+        Planned::Physical { query, .. } => coordinator.submit(query),
         Planned::Adaptive(logical) => {
-            coordinator.submit_adaptive(planner.begin_query(logical)?, n, opts)
+            let opts = SubmitOptions::default();
+            coordinator.submit_adaptive(planner.begin_query(logical)?, n, &opts)
         }
     }
 }
@@ -665,7 +598,6 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
             message_capacity: args.message_bytes,
         },
         max_concurrent: args.clients,
-        tenants: args.tenants.clone(),
         ..ProcessClusterConfig::default()
     };
     let pc =
@@ -720,9 +652,7 @@ fn run_client(
     for _ in 0..args.rounds {
         for (n, planned) in plans {
             let n = *n;
-            match submit_planned(coordinator, planner, n, planned, &SubmitOptions::default())
-                .and_then(QueryHandle::wait)
-            {
+            match submit_planned(coordinator, planner, n, planned).and_then(QueryHandle::wait) {
                 Ok(result) => {
                     let block = out.record(args, planner, n, planned, result);
                     let o = out.obs.last().expect("just recorded");
@@ -743,7 +673,7 @@ fn run_client(
     out
 }
 
-/// The closed loop every run without `--open-loop` is: `--clients` threads
+/// The closed loop every run is: `--clients` threads
 /// each run `--rounds` passes over the query set through the concurrent
 /// submission API, sharing one cluster whose dispatcher admits up to
 /// `--clients` queries at once. The default run is its one-client,
@@ -834,192 +764,6 @@ fn run_closed_loop(args: &Args, queries: &[u32]) -> Result<(), String> {
     Ok(())
 }
 
-/// One tenant's open-loop arrivals: the latencies (arrival to completion)
-/// and queue waits of those that completed, and how each one ended.
-#[derive(Clone, Default)]
-struct Tally {
-    latencies: Vec<f64>,
-    waits: Vec<f64>,
-    completed: usize,
-    /// At the window end or by their deadline.
-    cancelled: usize,
-    /// At admission (tenant over `max_queued`).
-    rejected: usize,
-    failed: usize,
-}
-
-/// Open-loop serving benchmark: arrivals at a fixed offered load
-/// (independent of completions), attributed round-robin to the configured
-/// tenants, reported as latency / queue-wait distributions overall and
-/// per tenant ("hsqp-openloop-v1").
-fn run_open_loop(args: &Args, queries: &[u32], rate: f64) -> Result<(), String> {
-    let tenants: Vec<(String, TenantConfig)> = if args.tenants.is_empty() {
-        vec![("default".to_string(), TenantConfig::default())]
-    } else {
-        args.tenants.clone()
-    };
-    let window = Duration::from_secs_f64(args.duration_s);
-    let offsets = args.arrivals.offsets(rate, window, args.seed);
-    let arrivals_name = match args.arrivals {
-        ArrivalProcess::Poisson => "poisson",
-        ArrivalProcess::Uniform => "uniform",
-    };
-
-    let bench = start_loaded_cluster(
-        args,
-        &format!(
-            ", open-loop {rate} q/h x {}s, {} slots",
-            args.duration_s, args.clients
-        ),
-    )?;
-    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
-    let plans = plan_queries(args, planner, queries)?;
-
-    eprintln!(
-        "open-loop: {} {arrivals_name} arrivals over {}s (seed {}), tenants [{}]",
-        offsets.len(),
-        args.duration_s,
-        args.seed,
-        tenants
-            .iter()
-            .map(|(n, c)| format!("{n}:{}", c.weight))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-
-    // Submissions go through the coordinator's tenant-aware dispatcher
-    // (weighted-fair queues, admission caps), so queue-wait numbers come
-    // from the engine itself.
-    let start = Instant::now();
-    let mut pending = Vec::new();
-    let mut per_tenant = vec![Tally::default(); tenants.len()];
-    let mut exec = Executions::default();
-    for (i, &off) in offsets.iter().enumerate() {
-        let due = start + off;
-        if let Some(gap) = due.checked_duration_since(Instant::now()) {
-            std::thread::sleep(gap);
-        }
-        let t = i % tenants.len();
-        let (qn, planned) = &plans[i % plans.len()];
-        let mut opts = SubmitOptions::tenant(&tenants[t].0);
-        if let Some(ms) = args.deadline_ms {
-            opts = opts.with_deadline(Duration::from_millis(ms));
-        }
-        match submit_planned(coordinator, planner, *qn, planned, &opts) {
-            Ok(handle) => pending.push((t, *qn, planned, handle)),
-            Err(EngineError::Admission(_)) => per_tenant[t].rejected += 1,
-            Err(e) => {
-                exec.errors.push((*qn, e.to_string()));
-                per_tenant[t].failed += 1;
-            }
-        }
-    }
-    // Hold the window open to its full length, then cancel whatever is
-    // still queued or running — open loop measures the window, not the
-    // drain.
-    let window_end = start + window;
-    if let Some(rest) = window_end.checked_duration_since(Instant::now()) {
-        std::thread::sleep(rest);
-    }
-    // Cancel everything first (a no-op CAS on already-finished queries),
-    // *then* collect: waiting on handles one at a time would let the
-    // dispatcher keep completing the not-yet-cancelled tail after the
-    // window, skewing the per-tenant completion counts.
-    for (_, _, _, handle) in &pending {
-        handle.cancel();
-    }
-    for (t, qn, planned, handle) in pending {
-        let tally = &mut per_tenant[t];
-        match handle.wait() {
-            Ok(r) => {
-                eprint!("{}", exec.record(args, planner, qn, planned, r));
-                let o = exec.obs.last().expect("just recorded");
-                tally.latencies.push(o.ms);
-                tally.waits.push(o.queue_wait_ms);
-                tally.completed += 1;
-            }
-            Err(EngineError::Cancelled) | Err(EngineError::DeadlineExceeded) => {
-                tally.cancelled += 1;
-            }
-            Err(e) => {
-                exec.errors.push((qn, e.to_string()));
-                tally.failed += 1;
-            }
-        }
-    }
-    exec.write_trace(args)?;
-
-    let mut failures = Vec::new();
-    let entries = exec.query_entries(queries, &mut failures);
-    let mut latencies: Vec<f64> = exec.obs.iter().map(|o| o.ms).collect();
-    let mut waits: Vec<f64> = exec.obs.iter().map(|o| o.queue_wait_ms).collect();
-    let count = |c: usize| Json::Num(c as f64);
-    let total = |f: fn(&Tally) -> usize| per_tenant.iter().map(f).sum::<usize>();
-    let (completed, cancelled) = (total(|t| t.completed), total(|t| t.cancelled));
-    let (rejected, failed) = (total(|t| t.rejected), total(|t| t.failed));
-    let submitted = completed + cancelled + rejected + failed;
-    let tenant_entries: Vec<Json> = per_tenant
-        .iter_mut()
-        .zip(&tenants)
-        .map(|(c, (name, cfg))| {
-            eprintln!(
-                "tenant {name:<10} weight {:<3} {:>5} completed  {:>5} cancelled  \
-                 {:>5} rejected  {:>3} failed",
-                cfg.weight, c.completed, c.cancelled, c.rejected, c.failed
-            );
-            Json::obj([
-                ("tenant", Json::Str(name.clone())),
-                ("weight", Json::Num(cfg.weight.into())),
-                ("completed", count(c.completed)),
-                ("cancelled", count(c.cancelled)),
-                ("rejected", count(c.rejected)),
-                ("failed", count(c.failed)),
-                ("latency_ms", percentiles(&mut c.latencies)),
-                ("queue_wait_ms", percentiles(&mut c.waits)),
-            ])
-        })
-        .collect();
-
-    for f in &failures {
-        eprintln!("FAILED: {f}");
-    }
-    eprintln!(
-        "{submitted} arrivals: {completed} completed, {cancelled} cancelled at window end, \
-         {rejected} rejected, {failed} failed"
-    );
-    let report = bench.finish(
-        args,
-        [
-            ("schema", Json::Str("hsqp-openloop-v1".into())),
-            ("offered_rate_per_hour", Json::Num(rate)),
-            ("duration_s", Json::Num(args.duration_s)),
-            ("arrivals", Json::Str(arrivals_name.into())),
-            ("seed", Json::Num(args.seed as f64)),
-            ("clients", Json::Num(args.clients.into())),
-            (
-                "deadline_ms",
-                args.deadline_ms
-                    .map_or(Json::Null, |ms| Json::Num(ms as f64)),
-            ),
-            ("submitted", count(submitted)),
-            ("completed", count(completed)),
-            ("cancelled", count(cancelled)),
-            ("rejected", count(rejected)),
-            ("failed", count(failed)),
-            ("latency_ms", percentiles(&mut latencies)),
-            ("queue_wait_ms", percentiles(&mut waits)),
-            ("tenants", Json::Arr(tenant_entries)),
-            ("failures", count(failures.len())),
-            ("queries", Json::Arr(entries)),
-        ],
-    );
-    emit_report(&report, &args.output)?;
-    if !failures.is_empty() {
-        return Err(format!("{} open-loop failures", failures.len()));
-    }
-    Ok(())
-}
-
 /// Print the report to stdout and, with `--output`, write it to a file.
 fn emit_report(report: &Json, output: &Option<String>) -> Result<(), String> {
     let text = format!("{report}\n");
@@ -1064,13 +808,7 @@ fn run() -> Result<(), String> {
         return explain(&args, &queries);
     }
 
-    match args.open_loop {
-        Some(_) if args.rounds > 1 => {
-            Err("--rounds applies to the closed-loop mode, not --open-loop".into())
-        }
-        Some(rate) => run_open_loop(&args, &queries, rate),
-        None => run_closed_loop(&args, &queries),
-    }
+    run_closed_loop(&args, &queries)
 }
 
 fn main() -> ExitCode {

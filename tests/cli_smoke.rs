@@ -152,7 +152,8 @@ fn driver_clients_mode_reports_throughput_and_matching_rows() {
 fn driver_rejects_bad_flags() {
     // The flags that picked one of two query sources and one of two
     // expression engines are unknown now, as are the trajectory file, the
-    // profiling switch and the planner's legacy heuristics.
+    // profiling switch, the planner's legacy heuristics and the open-loop
+    // driver's six.
     let plan_mode = format!("--{}-mode", "plan");
     let expr_engine = format!("--{}-engine", "expr");
     let bench_out = format!("--{}-out", "bench");
@@ -177,6 +178,12 @@ fn driver_rejects_bad_flags() {
         &[bench_out.as_str(), "x"],
         &["--profile", "on"],
         &["--stats", "off"],
+        &["--open-loop", "1000"],
+        &["--duration", "4"],
+        &["--arrivals", "uniform"],
+        &["--tenants", "gold:4,silver:1"],
+        &["--deadline-ms", "50"],
+        &["--seed", "42"],
     ]);
 }
 
@@ -271,6 +278,31 @@ fn driver_explain_prints_compiled_programs() {
     );
 }
 
+/// The query banners and cost-model decisions of a plan listing, in order.
+fn decisions(listing: &[u8]) -> Vec<String> {
+    String::from_utf8_lossy(listing)
+        .lines()
+        .filter(|l| l.starts_with("== Q") || l.trim_start().starts_with("decision:"))
+        .map(str::to_string)
+        .collect()
+}
+
+/// `--explain` shows the plans a run executes: it plans from the same
+/// exact row counts, so every cost-model decision it prints is the one
+/// `--explain --analyze` prints for the execution.
+#[test]
+fn driver_explain_decides_as_the_run_does() {
+    let args = ["--sf", "0.05", "--nodes", "2", "--explain"];
+    let listed = decisions(&run_driver(&args).stdout);
+    let ran = decisions(&run_driver(&[&args[..], &["--analyze"]].concat()).stderr);
+    assert_eq!(listed.iter().filter(|l| l.starts_with("== Q")).count(), 22);
+    assert!(listed.len() > 2 * 22, "too few decisions:\n{listed:#?}");
+    for (i, (l, r)) in listed.iter().zip(&ran).enumerate() {
+        assert_eq!(l, r, "line {i} of the decisions differs");
+    }
+    assert_eq!(listed.len(), ran.len());
+}
+
 /// `--explain --analyze` executes the queries and emits each query's plan
 /// (with compiled programs) and its profile as one coherent stderr block —
 /// the profiler must not interleave into the middle of a plan.
@@ -330,6 +362,5 @@ fn driver_rejects_bad_observability_flags() {
         &["--trace-out"],
         &["--cluster", "127.0.0.1:1", "--analyze"],
         &["--cluster", "127.0.0.1:1", "--trace-out", "trace.json"],
-        &["--open-loop", "1000", "--rounds", "2"],
     ]);
 }

@@ -14,7 +14,6 @@ use hsqp::engine::expr::{col, lit};
 use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
-use hsqp::engine::serve::TenantId;
 use hsqp::engine::{Coordinator, Plan};
 use hsqp::tpch::TpchTable;
 
@@ -69,21 +68,20 @@ fn every_query_starts_one_worker_per_node_on_both_clusters() {
 
 /// Run a stage that no node compiles: every node refuses it and aborts its
 /// peers with one header-only frame each, and those frames are all the
-/// query sent. It fails, and its tenant is charged them.
+/// query sent. It fails, and they are counted as its traffic.
 fn refused_query_charges_its_abort_frames(cluster: &Coordinator) {
     let refused = Plan::scan(TpchTable::Nation)
         .filter(col("n_comment").add(lit(1)).gt(lit(0)))
         .gather();
     assert!(cluster.run_plan(&refused).is_err());
     let metrics = cluster.metrics();
-    let tenant = |field: &str| {
-        let name = format!("tenant.{}.{field}", TenantId::DEFAULT_NAME);
-        metrics.counter(&name)
-    };
     let frames = u64::from(NODES) * u64::from(NODES - 1);
-    assert_eq!(tenant("failed"), Some(1));
-    assert_eq!(tenant("messages_sent"), Some(frames));
-    assert_eq!(tenant("bytes_shuffled"), Some(frames * HEADER_LEN as u64));
+    assert_eq!(metrics.counter("queries.failed"), Some(1));
+    assert_eq!(metrics.counter("queries.messages_sent"), Some(frames));
+    assert_eq!(
+        metrics.counter("queries.bytes_shuffled"),
+        Some(frames * HEADER_LEN as u64)
+    );
 }
 
 #[test]

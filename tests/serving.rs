@@ -1,46 +1,37 @@
-//! Integration tests for the multi-tenant serving layer: weighted-fair
-//! scheduling under saturation (no starvation, service in weight
-//! proportion), morsel-bounded cancellation latency, deadline /
-//! `wait_timeout` no-wedge regressions, and fast admission-cap rejection —
-//! each case run on a simulated cluster and on a `ProcessCluster` over
-//! in-thread `NodeServer`s, since the serving layer is one `Coordinator`
-//! over either — plus an open-loop CLI smoke over both.
+//! Integration tests for serving: morsel-bounded cancellation latency,
+//! deadline / `wait_timeout` no-wedge regressions, and fast rejection past
+//! the admission queue's `max_queued` cap — each case run on a simulated
+//! cluster and on a `ProcessCluster` over in-thread `NodeServer`s, since
+//! serving is one `Coordinator` over either.
 
 mod support;
 
 use std::ops::Deref;
-use std::process::Command;
 use std::time::{Duration, Instant};
 
-use hsqp::engine::cluster::{Cluster, ClusterConfig, QueryHandle};
+use hsqp::engine::cluster::{Cluster, ClusterConfig};
 use hsqp::engine::error::EngineError;
 use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, Query};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
-use hsqp::engine::serve::{SubmitOptions, TenantConfig};
+use hsqp::engine::serve::SubmitOptions;
 use hsqp::engine::Coordinator;
 
-use support::{loopback_nodes, NodeProc};
+use support::loopback_nodes;
 
 /// A loaded 2-node cluster with a single dispatcher slot. The cases see
 /// only its [`Coordinator`]; dropping it shuts the cluster down.
 type Serving = Box<dyn Deref<Target = Coordinator>>;
 
-/// Starts a [`Serving`] cluster with the given tenants, loaded at `sf`.
-type Start = fn(f64, &[(&str, TenantConfig)]) -> Serving;
+/// Starts a [`Serving`] cluster loaded at `sf` whose queue holds at most
+/// `max_queued` submissions.
+type Start = fn(f64, Option<usize>) -> Serving;
 
-fn owned(tenants: &[(&str, TenantConfig)]) -> Vec<(String, TenantConfig)> {
-    tenants
-        .iter()
-        .map(|(n, c)| (n.to_string(), c.clone()))
-        .collect()
-}
-
-fn simulated(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
+fn simulated(sf: f64, max_queued: Option<usize>) -> Serving {
     eprintln!("on a simulated cluster"); // shown with a failure
     let cluster = Cluster::start(ClusterConfig {
         max_concurrent: 1,
-        tenants: owned(tenants),
+        max_queued,
         ..ClusterConfig::quick(2)
     })
     .expect("start cluster");
@@ -51,12 +42,12 @@ fn simulated(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
 /// Two node servers on threads of this process (stand-ins for `hsqp-node`
 /// children; they exit when the coordinator shuts them down) and the
 /// coordinator connected to them over loopback TCP.
-fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
+fn over_sockets(sf: f64, max_queued: Option<usize>) -> Serving {
     eprintln!("on node servers over sockets"); // shown with a failure
     let addrs = loopback_nodes(2);
     let cfg = ProcessClusterConfig {
         max_concurrent: 1,
-        tenants: owned(tenants),
+        max_queued,
         ..ProcessClusterConfig::default()
     };
     let cluster = ProcessCluster::connect(&addrs, cfg).expect("connect");
@@ -65,8 +56,8 @@ fn over_sockets(sf: f64, tenants: &[(&str, TenantConfig)]) -> Serving {
 }
 
 /// TPC-H query `n` planned for the two nodes of a [`Serving`] cluster
-/// loaded at `sf`, from spec-derived row counts as `hsqp --explain` plans
-/// it (a [`Serving`] cluster shows only its coordinator).
+/// loaded at `sf`, from spec-derived row counts (a [`Serving`] cluster
+/// shows only its coordinator).
 fn planned(n: u32, sf: f64) -> Query {
     let planner = Planner::for_tpch(2, sf, |_| None);
     planner.plan_query(&tpch_logical(n).unwrap()).unwrap()
@@ -80,97 +71,11 @@ fn wait_until_running(cluster: &Coordinator) {
     }
 }
 
-/// A backlogged 4:1 tenant pair must be *served* in weight proportion:
-/// plug the single dispatcher slot with a long query, enqueue an
-/// interleaved gold/silver backlog behind it, then reconstruct the pickup
-/// order from each query's measured `queue_wait` — any early window of
-/// picks must be dominated by gold roughly 4:1, and silver must not
-/// starve.
-fn weighted_fair_scheduling(start: Start) {
-    let cluster = start(
-        0.01,
-        &[
-            ("gold", TenantConfig::weighted(4)),
-            ("silver", TenantConfig::weighted(1)),
-        ],
-    );
-    let plug = planned(9, 0.01);
-    let fast = planned(6, 0.01);
-    let serial_rows = cluster.run(&fast).expect("serial Q6").row_count();
-
-    // Occupy the only dispatcher slot, then enqueue the backlog while it
-    // holds the slot — every backlog query starts queued, so the WDRR
-    // schedule alone decides pickup order.
-    let plug_handle = cluster
-        .submit_with(&plug, &SubmitOptions::tenant("gold"))
-        .expect("submit plug");
-    wait_until_running(&cluster);
-    let base = Instant::now();
-    let backlog: Vec<(&str, Instant, QueryHandle)> = (0..40)
-        .map(|i| {
-            let tenant = if i % 2 == 0 { "gold" } else { "silver" };
-            let submitted = Instant::now();
-            let handle = cluster
-                .submit_with(&fast, &SubmitOptions::tenant(tenant))
-                .expect("submit backlog query");
-            (tenant, submitted, handle)
-        })
-        .collect();
-
-    plug_handle.wait().expect("plug completes");
-    let mut picks: Vec<(Duration, &str)> = Vec::new();
-    for (tenant, submitted, handle) in backlog {
-        let result = handle.wait().expect("backlog query completes");
-        assert_eq!(result.row_count(), serial_rows, "row drift under load");
-        assert!(
-            result.queue_wait > Duration::ZERO,
-            "backlog query was picked up before the plug released the slot"
-        );
-        // Pickup instant = submission instant + measured queue wait.
-        picks.push((submitted + result.queue_wait - base, tenant));
-    }
-    picks.sort();
-
-    let gold_early = picks.iter().take(25).filter(|(_, t)| *t == "gold").count();
-    let silver_early = 25 - gold_early;
-    // Exact DRR gives 20 gold in the first 25 picks here; leave slack for
-    // cursor position. 4:1 weights must clearly beat fair-share (12.5).
-    assert!(
-        (17..=22).contains(&gold_early),
-        "expected ~4:1 gold-dominated pickup order, got {gold_early} gold \
-         in the first 25 picks"
-    );
-    assert!(
-        silver_early >= 3,
-        "silver starved: only {silver_early} of the first 25 picks"
-    );
-
-    // Per-tenant rollups saw every submission complete, and the traffic
-    // of gold's join-heavy plug (on sockets: what the nodes reported when
-    // it retired).
-    let metrics = cluster.tenant_metrics();
-    let gold = metrics
-        .iter()
-        .find(|m| m.tenant.as_str() == "gold")
-        .expect("gold metrics");
-    let silver = metrics
-        .iter()
-        .find(|m| m.tenant.as_str() == "silver")
-        .expect("silver metrics");
-    assert_eq!(gold.submitted, 21);
-    assert_eq!(gold.completed, 21);
-    assert_eq!(silver.submitted, 20);
-    assert_eq!(silver.completed, 20);
-    assert_eq!(gold.failed + gold.cancelled + gold.rejected, 0);
-    assert_eq!(silver.failed + silver.cancelled + silver.rejected, 0);
-    assert!(gold.bytes_shuffled > silver.bytes_shuffled);
-}
-
 /// `cancel()` must take effect at morsel granularity: cancelling a
 /// long-running query mid-flight resolves its handle far faster than
 /// letting the query finish would, and the cluster stays healthy.
 fn cancellation_latency(start: Start) {
-    let cluster = start(0.02, &[]);
+    let cluster = start(0.02, None);
     let heavy = planned(9, 0.02);
     let next = planned(3, 0.02);
     let next_rows = cluster.run(&next).expect("baseline Q3").row_count();
@@ -214,7 +119,7 @@ fn cancellation_latency(start: Start) {
 /// error, a timed-out wait leaves the handle usable, and follow-up
 /// queries run normally.
 fn deadline_and_wait_timeout(start: Start) {
-    let cluster = start(0.01, &[]);
+    let cluster = start(0.01, None);
     let heavy = planned(9, 0.01);
     let fast = planned(6, 0.01);
 
@@ -222,7 +127,7 @@ fn deadline_and_wait_timeout(start: Start) {
     let handle = cluster
         .submit_with(
             &heavy,
-            &SubmitOptions::tenant("t").with_deadline(Duration::from_millis(2)),
+            &SubmitOptions::default().with_deadline(Duration::from_millis(2)),
         )
         .expect("submit with deadline");
     let outcome = handle.wait();
@@ -261,74 +166,45 @@ fn deadline_and_wait_timeout(start: Start) {
 }
 
 /// Over-cap submissions are rejected fast with the typed admission error
-/// while under-cap submissions queue and complete; the cap applies per
-/// tenant, not globally.
+/// while under-cap submissions queue and complete, and the queue admits
+/// again once it drains.
 fn admission_cap(start: Start) {
-    let cluster = start(
-        0.01,
-        &[
-            ("capped", {
-                TenantConfig {
-                    weight: 1,
-                    max_queued: Some(1),
-                    max_concurrent: Some(1),
-                }
-            }),
-            ("open", TenantConfig::weighted(1)),
-        ],
-    );
+    let cluster = start(0.01, Some(1));
     let heavy = planned(9, 0.01);
     let fast = planned(6, 0.01);
 
     // Plug the single dispatcher slot so subsequent submissions queue.
-    let plug = cluster
-        .submit_with(&heavy, &SubmitOptions::tenant("open"))
-        .expect("submit plug");
+    let plug = cluster.submit(&heavy).expect("submit plug");
     wait_until_running(&cluster);
-    let queued = cluster
-        .submit_with(&fast, &SubmitOptions::tenant("capped"))
-        .expect("first capped submission queues");
-    match cluster.submit_with(&fast, &SubmitOptions::tenant("capped")) {
+    let queued = cluster.submit(&fast).expect("first submission queues");
+    match cluster.submit(&fast) {
         Err(EngineError::Admission(msg)) => {
             assert!(msg.contains("max_queued"), "unexpected message: {msg}")
         }
         Err(other) => panic!("expected Admission rejection, got {other:?}"),
         Ok(_) => panic!("over-cap submission was admitted"),
     }
-    // Another tenant is unaffected by capped's limits.
-    let open_ok = cluster
-        .submit_with(&fast, &SubmitOptions::tenant("open"))
-        .expect("open tenant submission queues");
 
     plug.wait().expect("plug completes");
-    queued.wait().expect("queued capped query completes");
-    open_ok.wait().expect("open query completes");
+    queued.wait().expect("queued query completes");
 
-    // With the queue drained the capped tenant admits again.
+    // With the queue drained it admits again.
     cluster
-        .submit_with(&fast, &SubmitOptions::tenant("capped"))
-        .expect("capped admits after drain")
+        .submit(&fast)
+        .expect("admits after drain")
         .wait()
         .expect("and completes");
 
-    let metrics = cluster.tenant_metrics();
-    let capped = metrics
-        .iter()
-        .find(|m| m.tenant.as_str() == "capped")
-        .expect("capped metrics");
-    assert_eq!(capped.rejected, 1);
-    assert_eq!(capped.completed, 2);
+    let metrics = cluster.metrics();
+    assert_eq!(metrics.counter("queries.rejected"), Some(1));
+    assert_eq!(metrics.counter("queries.submitted"), Some(3));
+    assert_eq!(metrics.counter("queries.completed"), Some(3));
 }
 
 /// Both clusters, one after the other: the cases are timing-sensitive
 /// (a plug has to outlive the submissions queued behind it), so they do
 /// not also compete with their own twin for the host's cores.
 const BOTH: [Start; 2] = [simulated, over_sockets];
-
-#[test]
-fn weighted_fair_scheduling_serves_in_weight_proportion() {
-    BOTH.into_iter().for_each(weighted_fair_scheduling);
-}
 
 #[test]
 fn cancellation_latency_is_morsel_bounded() {
@@ -343,74 +219,4 @@ fn deadline_and_wait_timeout_do_not_wedge() {
 #[test]
 fn admission_cap_rejects_over_queue_submissions() {
     BOTH.into_iter().for_each(admission_cap);
-}
-
-// ---------------------------------------------------------------------------
-// Open-loop CLI smoke over both backends
-// ---------------------------------------------------------------------------
-
-/// Run `hsqp` with the given extra args and return stdout, asserting
-/// success.
-fn run_open_loop_cli(extra: &[&str]) -> String {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_hsqp"));
-    cmd.args([
-        "--sf",
-        "0.001",
-        "--queries",
-        "1,6",
-        "--open-loop",
-        "120000",
-        "--duration",
-        "2",
-        "--tenants",
-        "gold:4,silver:1",
-        "--seed",
-        "7",
-    ]);
-    cmd.args(extra);
-    let out = cmd.output().expect("run hsqp --open-loop");
-    assert!(
-        out.status.success(),
-        "open-loop run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("utf8 report")
-}
-
-fn assert_open_loop_report(report: &str) {
-    for needle in [
-        "\"schema\": \"hsqp-openloop-v1\"",
-        "\"arrivals\": \"poisson\"",
-        "\"tenant\": \"gold\"",
-        "\"tenant\": \"silver\"",
-        "\"queue_wait_ms\"",
-        "\"failed\": 0",
-    ] {
-        assert!(
-            report.contains(needle),
-            "open-loop report missing {needle}: {report}"
-        );
-    }
-}
-
-/// Open-loop smoke on the in-process backend: the run completes, reports
-/// the versioned schema, per-tenant sections, and zero failures.
-#[test]
-fn open_loop_smoke_local_backend() {
-    let report = run_open_loop_cli(&["--nodes", "2"]);
-    assert_open_loop_report(&report);
-}
-
-/// Open-loop smoke on the out-of-process backend: two real `hsqp-node`
-/// servers, `--clients` dispatcher slots, same report contract.
-#[test]
-fn open_loop_smoke_remote_backend() {
-    let nodes: Vec<NodeProc> = (0..2).map(|_| NodeProc::spawn()).collect();
-    let addrs = nodes
-        .iter()
-        .map(|n| n.addr.clone())
-        .collect::<Vec<_>>()
-        .join(",");
-    let report = run_open_loop_cli(&["--cluster", &addrs, "--clients", "2"]);
-    assert_open_loop_report(&report);
 }
