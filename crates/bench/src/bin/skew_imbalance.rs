@@ -62,7 +62,10 @@ fn shuffle_time(engine: EngineKind, nodes: u16, workers: u16, table: &Table) -> 
     // Only lineitem matters for this micro-plan; load a tiny db for the rest.
     cluster.load_tpch_db(TpchDb::generate(0.001)).expect("load");
     cluster
-        .load_table(TpchTable::Lineitem, chunk_split(table, nodes as usize))
+        .load_table(
+            TpchTable::Lineitem,
+            chunk_split(table.clone(), nodes as usize),
+        )
         .expect("load skewed");
     let plan = Plan::scan(TpchTable::Lineitem)
         .repartition(&["l_orderkey"])

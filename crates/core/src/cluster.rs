@@ -347,8 +347,10 @@ impl Cluster {
         self.load_tpch_db(TpchDb::generate(sf))
     }
 
-    /// Distribute an already-generated TPC-H database, and record its
-    /// scale factor: planners built with
+    /// Distribute an already-generated TPC-H database, a relation and
+    /// within it a column at a time (the relation's columns are dropped as
+    /// they are cut, so no row is ever held twice), and record its scale
+    /// factor: planners built with
     /// [`Planner::for_cluster`](crate::planner::Planner::for_cluster) plan
     /// from the statistics declared for it and the exact loaded row counts.
     pub fn load_tpch_db(&self, db: TpchDb) -> Result<(), EngineError> {
@@ -356,8 +358,8 @@ impl Cluster {
         let sf = db.scale_factor();
         for (kind, table) in db.into_tables() {
             let parts: Vec<Table> = match self.backend.cfg.placement {
-                Placement::Chunked => chunk_split(&table, n),
-                Placement::Partitioned => hash_partition(&table, 0, n),
+                Placement::Chunked => chunk_split(table, n),
+                Placement::Partitioned => hash_partition(table, 0, n),
             };
             self.load_table(kind, parts)?;
         }

@@ -43,6 +43,13 @@
 //! Message buffers belong to the node's [`MessagePool`] throughout; see
 //! [`crate::exchange`] for who holds them when.
 //!
+//! **Scans into aggregates.** A filtered or projected scan directly under
+//! an aggregate is the aggregate's other streamed source (`ScanBatches`):
+//! each worker selects a morsel and hands the aggregate a batch of the
+//! survivors' projected columns, which it clears and refills — the
+//! scan's result is never a table either. Every other operator's input
+//! is a table.
+//!
 //! **Join filters.** A hash join whose plan filters one side runs the other
 //! side first and then a *summary round* (`summary_round`): one broadcast
 //! exchange in which every node sends a Bloom filter over its keys of that
@@ -778,15 +785,21 @@ impl<'a> NodeExec<'a> {
                 ));
                 (out, rows_in)
             }
+            // An aggregate reads its input a batch at a time, from one of
+            // three sources. What an exchange delivers is aggregated as it
+            // lands (`Landing`), and what a filtered or projected scan keeps
+            // is aggregated a morsel at a time as the scan selects it
+            // (`ScanBatches`): neither becomes a table. Any other input is
+            // a table, read a morsel at a time (`Morsels`). The exchange or
+            // scan is operator idx + 1: entered here, exited by its source
+            // when its loop ends, and the aggregate's time is taken out of
+            // its span.
             Plan::Aggregate {
                 input,
                 group_by,
                 aggs,
                 phase,
             } => match &**input {
-                // What an exchange delivers is aggregated as it lands and
-                // never becomes a table. The exchange is operator idx + 1:
-                // entered here, exited by the landing when its loop ends.
                 Plan::Exchange { input: below, kind } => {
                     self.enter(idx + 1);
                     let t = self.execute_at(below, idx + 2);
@@ -799,6 +812,29 @@ impl<'a> NodeExec<'a> {
                     };
                     let out = self.aggregate_from(idx, &landing, group_by, aggs, *phase);
                     (out, landing.rows.into_inner())
+                }
+                Plan::Scan {
+                    table,
+                    filter,
+                    project,
+                } if filter.is_some() || project.is_some() => {
+                    self.enter(idx + 1);
+                    let t = self.ctx.local_table(*table);
+                    let filter = (filter.as_ref())
+                        .map(|_| (bind(self.filter_at(idx + 1), &t), project.as_deref()));
+                    let scan = ScanBatches::new(self, idx + 1, &t, filter);
+                    let out = self.aggregate_from(idx, &scan, group_by, aggs, *phase);
+                    (out, scan.rows.into_inner())
+                }
+                Plan::TempScan {
+                    name,
+                    project: Some(_),
+                } => {
+                    self.enter(idx + 1);
+                    let t = self.ctx.query_temp(self.query, name);
+                    let scan = ScanBatches::new(self, idx + 1, &t, None);
+                    let out = self.aggregate_from(idx, &scan, group_by, aggs, *phase);
+                    (out, scan.rows.into_inner())
                 }
                 _ => {
                     let t = self.execute_at(input, idx + 1);
@@ -1497,6 +1533,142 @@ impl BatchSource for Landing<'_, '_> {
         }
         self.rows.set(rows);
         states
+    }
+}
+
+/// A filtered or projected scan, operator `op_idx`, as a [`BatchSource`]
+/// for the aggregate above it. With a filter, each worker selects a morsel
+/// of the table, gathers the projected columns of the rows it keeps into
+/// one batch of its own, hands the batch on, and clears and refills it for
+/// the next morsel: what the scan keeps is never a table, and what it
+/// allocates is a morsel's worth per worker. Without one every row is
+/// kept, and the table's own morsels are handed on: the aggregate reads
+/// its columns by name, so a projection needs no copy.
+struct ScanBatches<'a, 'b> {
+    exec: &'a NodeExec<'b>,
+    op_idx: usize,
+    table: &'a Table,
+    filtered: Option<Filtered<'a>>,
+    /// Rows handed on, once driven.
+    rows: Cell<u64>,
+}
+
+/// What a filtered scan hands on: the rows its filter, bound to the table,
+/// keeps, in the columns it projects, as batches shaped like `shape`.
+struct Filtered<'a> {
+    filter: BoundProgram<'a>,
+    cols: Vec<usize>,
+    shape: Table,
+}
+
+impl<'a, 'b> ScanBatches<'a, 'b> {
+    /// The scan of `table`, with its bound filter and projection if it
+    /// filters.
+    fn new(
+        exec: &'a NodeExec<'b>,
+        op_idx: usize,
+        table: &'a Table,
+        filter: Option<(BoundProgram<'a>, Option<&[String]>)>,
+    ) -> Self {
+        let schema = table.schema();
+        let filtered = filter.map(|(filter, project)| {
+            let cols: Vec<usize> = match project {
+                Some(names) => names.iter().map(|n| schema.index_of(n)).collect(),
+                None => (0..schema.len()).collect(),
+            };
+            Filtered {
+                filter,
+                shape: Table::empty(schema.project(&cols)),
+                cols,
+            }
+        });
+        Self {
+            exec,
+            op_idx,
+            table,
+            filtered,
+            rows: Cell::new(0),
+        }
+    }
+}
+
+impl BatchSource for ScanBatches<'_, '_> {
+    fn shape(&self) -> &Table {
+        self.filtered.as_ref().map_or(self.table, |f| &f.shape)
+    }
+
+    fn drive<S, I, E>(&self, init: I, each: E) -> Vec<S>
+    where
+        S: Send,
+        I: Fn() -> S + Sync,
+        E: Fn(&mut S, &Table, Range<usize>) + Sync,
+    {
+        let (exec, table, filtered) = (self.exec, self.table, &self.filtered);
+        struct Share<S> {
+            sel: Vec<u32>,
+            batch: Vec<Column>,
+            state: S,
+            /// Rows kept.
+            kept: u64,
+            /// Time spent in `each`.
+            handing_on: Duration,
+        }
+        let shares = exec.ctx.driver.run(
+            table.rows(),
+            |_| Share {
+                sel: Vec::new(),
+                batch: filtered
+                    .as_ref()
+                    .map_or(Vec::new(), |f| f.shape.columns().to_vec()),
+                state: init(),
+                kept: 0,
+                handing_on: Duration::ZERO,
+            },
+            |share, _, m| {
+                exec.check_cancel();
+                let Some(Filtered {
+                    filter,
+                    cols,
+                    shape,
+                }) = filtered
+                else {
+                    let t0 = Instant::now();
+                    each(&mut share.state, table, m.range());
+                    share.handing_on += t0.elapsed();
+                    share.kept += m.len() as u64;
+                    return;
+                };
+                filter.select(table, m.range(), exec.params, &mut share.sel);
+                if share.sel.is_empty() {
+                    return;
+                }
+                // A batch holds room for the most rows a morsel has kept,
+                // never twice that: each column grows only to fit.
+                let kept = share.sel.len();
+                for (column, &c) in share.batch.iter_mut().zip(cols) {
+                    let like = table.column(c);
+                    column.clear();
+                    column.reserve(kept, like.str_bytes() * kept / like.len().max(1));
+                    column.extend_gather(like, &share.sel);
+                }
+                let t0 = Instant::now();
+                let columns = std::mem::take(&mut share.batch);
+                let batch = Table::new(shape.schema().clone(), columns);
+                each(&mut share.state, &batch, 0..batch.rows());
+                share.batch = batch.into_columns();
+                share.handing_on += t0.elapsed();
+                share.kept += kept as u64;
+            },
+        );
+        let kept = shares.iter().map(|s| s.kept).sum();
+        if let Some(rec) = exec.recorder {
+            // As a landing's: the workers' average time in the consumer.
+            let handing_on: Duration = shares.iter().map(|s| s.handing_on).sum();
+            rec.op_exclude(self.op_idx, handing_on / shares.len() as u32);
+            rec.op_exit(self.op_idx, table.rows() as u64, kept);
+        }
+        self.rows.set(kept);
+        shares.into_iter().map(|s| s.state).collect()
     }
 }
 

@@ -654,7 +654,21 @@ impl GroupTable {
     /// Find or make the group of every row in `rows` of the key columns
     /// `cols` (none of them promoted: a group key is compared with keys of
     /// its own column only), leaving the ids in `self.gids`.
+    ///
+    /// Without key columns there is one group, and every row is in it: no
+    /// hash, no chain.
     fn assign(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
+        if cols.is_empty() {
+            self.gids.clear();
+            if !rows.is_empty() {
+                if self.groups() == 0 {
+                    // The hash an empty key has.
+                    self.insert(0, cols, rows.start);
+                }
+                self.gids.resize(rows.len(), 0);
+            }
+            return;
+        }
         self.batch_hashes.clear();
         hash_keys(cols, rows.clone(), &mut self.batch_hashes);
         self.assign_hashed(cols, rows);

@@ -84,7 +84,7 @@ use hsqp_net::socket::{
     read_frame, read_preamble, send_preamble, Frame, HandshakeRole, Preamble, WIRE_VERSION,
 };
 use hsqp_net::{Fabric, FabricConfig, NetStats, NodeId, QueryId, SocketConfig, SocketTransport};
-use hsqp_storage::placement::chunk_split;
+use hsqp_storage::placement::own_chunk;
 use hsqp_tpch::{TpchDb, TpchTable};
 
 use crate::cluster::ClusterConfig;
@@ -273,10 +273,8 @@ impl NodeServer {
                 let db = TpchDb::generate(sf);
                 let mut rows = Vec::new();
                 for (kind, table) in db.into_tables() {
-                    let part = chunk_split(&table, ctx.nodes as usize)
-                        .into_iter()
-                        .nth(ctx.node.idx())
-                        .expect("own chunk");
+                    // Only this node's rows are copied, a column at a time.
+                    let part = own_chunk(table, ctx.nodes as usize, ctx.node.idx());
                     rows.push((kind.name(), part.rows() as u64));
                     ctx.tables.write().insert(kind, Arc::new(part));
                 }

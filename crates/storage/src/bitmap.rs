@@ -78,6 +78,34 @@ impl Bitmap {
         }
     }
 
+    /// Bits `range` as a bitmap of their own, a word at a time.
+    ///
+    /// # Panics
+    /// Panics when `range` is out of bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Bitmap {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "bits {range:?} out of range {}",
+            self.len
+        );
+        let (first, shift) = (range.start / 64, range.start % 64);
+        let words = (first..first + range.len().div_ceil(64))
+            .map(|w| {
+                let high = match (shift, self.words.get(w + 1)) {
+                    (0, _) | (_, None) => 0,
+                    (_, Some(next)) => next << (64 - shift),
+                };
+                self.words[w] >> shift | high
+            })
+            .collect();
+        let mut bm = Self {
+            words,
+            len: range.len(),
+        };
+        bm.mask_tail();
+        bm
+    }
+
     /// Bit at `idx`.
     ///
     /// # Panics
@@ -190,6 +218,18 @@ mod tests {
                         head.count_set() + if value { extra } else { 0 }
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn slices_equal_their_bits_at_every_offset() {
+        let pattern = |i: usize| i % 3 == 1 || i % 7 == 2;
+        let whole: Bitmap = (0..200).map(pattern).collect();
+        for start in 0..=130 {
+            for len in [0, 1, 63, 64, 65, 70] {
+                let want: Bitmap = (start..start + len).map(pattern).collect();
+                assert_eq!(whole.slice(start..start + len), want, "{start} + {len}");
             }
         }
     }

@@ -153,6 +153,21 @@ impl StringColumn {
         }
     }
 
+    /// Strings `rows` as a column of their own: their bytes as one run,
+    /// their offsets rebased, each allocated with exactly the room it
+    /// takes.
+    ///
+    /// # Panics
+    /// Panics when `rows` is out of bounds.
+    pub fn slice(&self, rows: Range<usize>) -> StringColumn {
+        let offsets = &self.offsets[rows.start..=rows.end];
+        let (from, to) = (offsets[0], offsets[offsets.len() - 1]);
+        StringColumn {
+            offsets: offsets.iter().map(|&o| o - from).collect(),
+            data: self.data[from as usize..to as usize].to_vec(),
+        }
+    }
+
     /// Current end offset, after checking that `more` bytes still fit.
     fn end_after(&self, more: usize) -> u32 {
         u32::try_from(self.data.len() + more).expect("string column exceeds 4 GiB");
@@ -361,6 +376,95 @@ impl Column {
         }
     }
 
+    /// Rows `range` as a new column: one contiguous copy, allocated with
+    /// exactly the room it takes (strings as one run of bytes, their
+    /// offsets rebased). A validity bitmap stays a bitmap.
+    ///
+    /// # Panics
+    /// Panics when `range` is out of bounds.
+    pub fn slice(&self, range: Range<usize>) -> Column {
+        let validity = |bm: &Option<Bitmap>| bm.as_ref().map(|b| b.slice(range.clone()));
+        match self {
+            Column::I64(v, bm) => Column::I64(v[range.clone()].to_vec(), validity(bm)),
+            Column::F64(v, bm) => Column::F64(v[range.clone()].to_vec(), validity(bm)),
+            Column::Str(v, bm) => Column::Str(v.slice(range.clone()), validity(bm)),
+        }
+    }
+
+    /// Deal the rows out to `counts.len()` columns: row `i` goes to column
+    /// `to[i]`, and the rows of each keep their order. `counts[p]` is how
+    /// many rows go to column `p`, so each is allocated once with exactly
+    /// the room it takes (a string column's bytes are counted first). A
+    /// validity bitmap stays a bitmap in every part.
+    ///
+    /// # Panics
+    /// Panics when `to` is not one entry per row, names a part past
+    /// `counts`, or deals a part other than `counts` says.
+    pub fn scatter(&self, to: &[u32], counts: &[usize]) -> Vec<Column> {
+        fn values<T: Copy>(src: &[T], to: &[u32], counts: &[usize]) -> Vec<Vec<T>> {
+            let mut parts: Vec<Vec<T>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+            for (&v, &p) in src.iter().zip(to) {
+                parts[p as usize].push(v);
+            }
+            parts
+        }
+        assert_eq!(to.len(), self.len(), "a part for every row");
+        let validity: Vec<Option<Bitmap>> = match self.validity() {
+            None => vec![None; counts.len()],
+            Some(bm) => {
+                let mut parts = vec![Bitmap::new(); counts.len()];
+                for (row, &p) in to.iter().enumerate() {
+                    parts[p as usize].push(bm.get(row));
+                }
+                parts.into_iter().map(Some).collect()
+            }
+        };
+        let parts: Vec<Column> = match self {
+            Column::I64(v, _) => values(v, to, counts)
+                .into_iter()
+                .map(|v| Column::I64(v, None))
+                .collect(),
+            Column::F64(v, _) => values(v, to, counts)
+                .into_iter()
+                .map(|v| Column::F64(v, None))
+                .collect(),
+            Column::Str(v, _) => {
+                let mut bytes = vec![0usize; counts.len()];
+                for (row, &p) in to.iter().enumerate() {
+                    bytes[p as usize] += v.bytes(row).len();
+                }
+                let mut parts: Vec<StringColumn> = counts
+                    .iter()
+                    .zip(bytes)
+                    .map(|(&rows, bytes)| {
+                        let mut offsets = Vec::with_capacity(rows + 1);
+                        offsets.push(0);
+                        StringColumn {
+                            offsets,
+                            data: Vec::with_capacity(bytes),
+                        }
+                    })
+                    .collect();
+                for (row, &p) in to.iter().enumerate() {
+                    parts[p as usize].push_bytes(v.bytes(row));
+                }
+                parts.into_iter().map(|v| Column::Str(v, None)).collect()
+            }
+        };
+        parts
+            .into_iter()
+            .zip(validity)
+            .zip(counts)
+            .map(|((mut part, bm), &rows)| {
+                assert_eq!(part.len(), rows, "rows dealt to a part");
+                match &mut part {
+                    Column::I64(_, v) | Column::F64(_, v) | Column::Str(_, v) => *v = bm,
+                }
+                part
+            })
+            .collect()
+    }
+
     /// Append `src[i]` for every `i` in `rows`, in that order; a row of
     /// [`Column::NULL_ROW`] appends a NULL. A run of at least 16
     /// consecutive rows is copied as one slice (a selection that keeps most
@@ -444,16 +548,17 @@ impl Column {
         }
     }
 
-    /// Make room for `rows` more rows — holding `str_bytes` bytes of
-    /// string data, if this is a string column — so that appending them
-    /// does not regrow the column.
+    /// Make room for exactly `rows` more rows — holding `str_bytes` bytes
+    /// of string data, if this is a string column — so that appending them
+    /// does not regrow the column, and a column that already has the room
+    /// is left as it is.
     pub fn reserve(&mut self, rows: usize, str_bytes: usize) {
         match self {
-            Column::I64(v, _) => v.reserve(rows),
-            Column::F64(v, _) => v.reserve(rows),
+            Column::I64(v, _) => v.reserve_exact(rows),
+            Column::F64(v, _) => v.reserve_exact(rows),
             Column::Str(v, _) => {
-                v.offsets.reserve(rows);
-                v.data.reserve(str_bytes);
+                v.offsets.reserve_exact(rows);
+                v.data.reserve_exact(str_bytes);
             }
         }
     }
@@ -762,6 +867,48 @@ mod tests {
             });
         }
         c
+    }
+
+    /// The rows a column holds room for, and its string bytes.
+    fn capacity(c: &Column) -> (usize, usize) {
+        match c {
+            Column::I64(v, _) => (v.capacity(), 0),
+            Column::F64(v, _) => (v.capacity(), 0),
+            Column::Str(v, _) => (v.offsets.capacity() - 1, v.data.capacity()),
+        }
+    }
+
+    #[test]
+    fn slices_are_gathered_ranges_in_exactly_their_room() {
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+                let src = nullable_column(dtype, 0..150, null);
+                for range in [0..0, 0..150, 3..70, 64..128, 149..150] {
+                    let slice = src.slice(range.clone());
+                    assert_eq!(slice, src.gather(&range.clone().collect::<Vec<_>>()));
+                    assert_eq!(capacity(&slice), (range.len(), slice.str_bytes()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_deals_rows_in_order_in_exactly_their_room() {
+        for dtype in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+                let src = nullable_column(dtype, 0..150, null);
+                let to: Vec<u32> = (0..150u32).map(|i| i * 7 % 11 % 4).collect();
+                let mut counts = vec![0; 5];
+                to.iter().for_each(|&p| counts[p as usize] += 1);
+                let parts = src.scatter(&to, &counts);
+                assert_eq!(parts.len(), 5);
+                for (p, part) in parts.iter().enumerate() {
+                    let mine: Vec<usize> = (0..150).filter(|&r| to[r] as usize == p).collect();
+                    assert_eq!(part, &src.gather(&mine), "{dtype:?} part {p}");
+                    assert_eq!(capacity(part), (mine.len(), part.str_bytes()));
+                }
+            }
+        }
     }
 
     #[test]

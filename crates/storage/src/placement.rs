@@ -1,6 +1,19 @@
 //! Data placement across the cluster, plus the CRC32 hash the engine
 //! partitions by (§3.2: tuples are partitioned "according to the CRC32 hash
 //! value of the join attributes").
+//!
+//! Placement consumes the relation it cuts, a column at a time: each
+//! column is cut into its per-node parts and dropped before the next one
+//! is cut, so a relation and its parts are resident together for one
+//! column's worth only, and loading a database never holds a second copy
+//! of it. A chunk is one contiguous copy of its range of every column
+//! ([`Column::slice`]); a hash partition computes the part of every row
+//! once from the key column and deals every column out in one pass
+//! ([`Column::scatter`]). Either way the parts are, row for row, what
+//! gathering their rows from the relation would give, and each column of
+//! a part is allocated with exactly the room it takes.
+
+use std::ops::Range;
 
 use crate::column::Column;
 use crate::table::Table;
@@ -161,43 +174,73 @@ pub enum Placement {
     Partitioned,
 }
 
-/// Split a table into `n` contiguous chunks of near-equal size ("as
-/// generated by dbgen").
-pub fn chunk_split(table: &Table, n: usize) -> Vec<Table> {
-    assert!(n > 0, "need at least one chunk");
-    let rows = table.rows();
-    let base = rows / n;
-    let extra = rows % n;
-    let mut out = Vec::with_capacity(n);
-    let mut start = 0;
-    for i in 0..n {
-        let len = base + usize::from(i < extra);
-        let indices: Vec<usize> = (start..start + len).collect();
-        out.push(table.gather(&indices));
-        start += len;
-    }
-    out
+/// The rows of chunk `i` when `rows` rows are cut into `n` contiguous
+/// chunks of near-equal size: the first `rows % n` chunks hold one row
+/// more than the others.
+pub fn chunk_range(rows: usize, n: usize, i: usize) -> Range<usize> {
+    assert!(i < n, "chunk {i} of {n}");
+    let (base, extra) = (rows / n, rows % n);
+    let start = i * base + i.min(extra);
+    start..start + base + usize::from(i < extra)
 }
 
-/// Hash-partition a table into `n` parts by the CRC32 of `key_col`.
-pub fn hash_partition(table: &Table, key_col: usize, n: usize) -> Vec<Table> {
+/// Split a table into `n` contiguous chunks of near-equal size ("as
+/// generated by dbgen"), a column at a time.
+pub fn chunk_split(table: Table, n: usize) -> Vec<Table> {
+    assert!(n > 0, "need at least one chunk");
+    let rows = table.rows();
+    cut_columns(table, n, |column| {
+        (0..n)
+            .map(|i| column.slice(chunk_range(rows, n, i)))
+            .collect()
+    })
+}
+
+/// Chunk `i` of [`chunk_split`]`(table, n)`, without cutting the others: a
+/// node that generates the whole relation keeps only its own rows.
+pub fn own_chunk(table: Table, n: usize, i: usize) -> Table {
+    let range = chunk_range(table.rows(), n, i);
+    cut_columns(table, 1, |column| vec![column.slice(range.clone())])
+        .pop()
+        .expect("one part")
+}
+
+/// Hash-partition a table into `n` parts by the CRC32 of `key_col`: the
+/// part of every row is computed once from the key column, then every
+/// column is dealt out to the parts in one pass. Each part keeps its rows
+/// in table order.
+pub fn hash_partition(table: Table, key_col: usize, n: usize) -> Vec<Table> {
     assert!(n > 0, "need at least one partition");
-    let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let col = table.column(key_col);
-    match col {
-        Column::I64(values, _) => {
-            for (row, &v) in values.iter().enumerate() {
-                buckets[crc32_i64(v) as usize % n].push(row);
-            }
-        }
-        _ => {
-            for row in 0..table.rows() {
-                let v = col.value(row);
-                buckets[crc32_value(&v) as usize % n].push(row);
-            }
+    let part = |hash: u32| (hash as usize % n) as u32;
+    let to: Vec<u32> = match table.column(key_col) {
+        Column::I64(values, _) => values.iter().map(|&v| part(crc32_i64(v))).collect(),
+        col => (0..table.rows())
+            .map(|row| part(crc32_value(&col.value(row))))
+            .collect(),
+    };
+    let mut counts = vec![0usize; n];
+    for &p in &to {
+        counts[p as usize] += 1;
+    }
+    cut_columns(table, n, |column| column.scatter(&to, &counts))
+}
+
+/// Cut `table` into `n` tables of its schema, a column at a time: `cut`
+/// turns a column into its `n` parts, and the column is dropped before the
+/// next is cut, so the relation and its parts are held at once only one
+/// column's worth.
+fn cut_columns(table: Table, n: usize, mut cut: impl FnMut(Column) -> Vec<Column>) -> Vec<Table> {
+    let schema = table.schema().clone();
+    let mut parts: Vec<Vec<Column>> = (0..n).map(|_| Vec::with_capacity(schema.len())).collect();
+    for column in table.into_columns() {
+        for (part, piece) in parts.iter_mut().zip(cut(column)) {
+            part.push(piece);
         }
     }
-    buckets.into_iter().map(|idx| table.gather(&idx)).collect()
+    parts
+        .into_iter()
+        .map(|columns| Table::new(schema.clone(), columns))
+        .collect()
 }
 
 #[cfg(test)]
@@ -267,7 +310,7 @@ mod tests {
     #[test]
     fn chunk_split_covers_everything() {
         let t = table(10);
-        let chunks = chunk_split(&t, 3);
+        let chunks = chunk_split(t, 3);
         assert_eq!(chunks.len(), 3);
         let total: usize = chunks.iter().map(Table::rows).sum();
         assert_eq!(total, 10);
@@ -281,7 +324,7 @@ mod tests {
     #[test]
     fn chunk_split_more_chunks_than_rows() {
         let t = table(2);
-        let chunks = chunk_split(&t, 5);
+        let chunks = chunk_split(t, 5);
         assert_eq!(chunks.len(), 5);
         let total: usize = chunks.iter().map(Table::rows).sum();
         assert_eq!(total, 2);
@@ -290,7 +333,7 @@ mod tests {
     #[test]
     fn hash_partition_is_disjoint_and_complete() {
         let t = table(1000);
-        let parts = hash_partition(&t, 0, 4);
+        let parts = hash_partition(t, 0, 4);
         assert_eq!(parts.len(), 4);
         let mut seen: Vec<i64> = parts
             .iter()
@@ -307,10 +350,83 @@ mod tests {
     #[test]
     fn hash_partition_routes_by_key_consistently() {
         let t = table(100);
-        let parts = hash_partition(&t, 0, 3);
+        let parts = hash_partition(t, 0, 3);
         for (i, p) in parts.iter().enumerate() {
             for &k in p.column(0).i64_values() {
                 assert_eq!(crc32_i64(k) as usize % 3, i);
+            }
+        }
+    }
+
+    /// Three columns, one of each physical type, strings of several
+    /// lengths and a NULL in every fifth row of the float column.
+    fn mixed(n: usize) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::nullable("f", DataType::Float64),
+            Field::new("s", DataType::Utf8),
+        ]);
+        let mut f = Column::empty(DataType::Float64);
+        for i in 0..n {
+            f.push_value(&if i % 5 == 3 {
+                Value::Null
+            } else {
+                Value::F64(i as f64 / 4.0)
+            });
+        }
+        let s = (0..n).map(|i| "xyzé".repeat(i % 4)).collect();
+        Table::new(
+            schema,
+            vec![
+                Column::I64((0..n as i64).map(|k| k * 7 - 3).collect(), None),
+                f,
+                Column::Str(s, None),
+            ],
+        )
+    }
+
+    #[test]
+    fn parts_are_the_gathered_rows() {
+        for rows in [0, 1, 7, 130] {
+            let t = mixed(rows);
+            for n in 1..5 {
+                let chunks = chunk_split(t.clone(), n);
+                for (i, chunk) in chunks.iter().enumerate() {
+                    let range: Vec<usize> = chunk_range(rows, n, i).collect();
+                    assert_eq!(chunk, &t.gather(&range), "{rows} rows, chunk {i} of {n}");
+                    assert_eq!(&own_chunk(t.clone(), n, i), chunk);
+                }
+                let parts = hash_partition(t.clone(), 0, n);
+                for (i, part) in parts.iter().enumerate() {
+                    let keys = t.column(0).i64_values();
+                    let mine: Vec<usize> = (0..rows)
+                        .filter(|&r| crc32_i64(keys[r]) as usize % n == i)
+                        .collect();
+                    assert_eq!(part, &t.gather(&mine), "{rows} rows, part {i} of {n}");
+                }
+                // A string key hashes its bytes.
+                let parts = hash_partition(t.clone(), 2, n);
+                for (i, part) in parts.iter().enumerate() {
+                    let mine: Vec<usize> = (0..rows)
+                        .filter(|&r| crc32_value(&t.value(r, 2)) as usize % n == i)
+                        .collect();
+                    assert_eq!(part, &t.gather(&mine), "by string, part {i} of {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunks_tile_the_rows() {
+        for rows in [0, 1, 9, 10, 11] {
+            for n in 1..6 {
+                let ranges: Vec<_> = (0..n).map(|i| chunk_range(rows, n, i)).collect();
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[n - 1].end, rows);
+                for w in ranges.windows(2) {
+                    assert_eq!(w[0].end, w[1].start);
+                    assert!(w[0].len() == w[1].len() || w[0].len() == w[1].len() + 1);
+                }
             }
         }
     }

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let cluster = Cluster::start(cfg)?;
         cluster.load_tpch_db(TpchDb::generate(0.001))?;
-        cluster.load_table(TpchTable::Lineitem, chunk_split(&skewed, 3))?;
+        cluster.load_table(TpchTable::Lineitem, chunk_split(skewed.clone(), 3))?;
         let r = cluster.run_plan(&plan)?;
         // Input per parallel unit: whole servers under hybrid parallelism
         // (any worker consumes any message), workers under classic exchange

@@ -324,6 +324,21 @@ fn ms(v: f64) -> Json {
     Json::Num((v * 1e3).round() / 1e3)
 }
 
+/// This process's peak resident set (`VmHWM` of `/proc/self/status`) in
+/// MB, or `null` where that cannot be read. With `--cluster` it is the
+/// coordinator's alone: the nodes are processes of their own.
+fn peak_rss_mb() -> Json {
+    let kb = std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        });
+    kb.map_or(Json::Null, |kb| {
+        Json::Num((kb / 1024.0 * 10.0).round() / 10.0)
+    })
+}
+
 /// `{p50, p90, p99, max}` of an unsorted millisecond sample.
 fn percentiles(samples: &mut [f64]) -> Json {
     samples.sort_by(f64::total_cmp);
@@ -529,6 +544,7 @@ impl Bench {
             ("engine", Json::Str(args.engine.clone())),
             ("generate_ms", ms(self.gen_ms)),
             ("load_ms", ms(self.load_ms)),
+            ("peak_rss_mb", peak_rss_mb()),
         ];
         Json::Obj(
             header

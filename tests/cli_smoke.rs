@@ -97,6 +97,8 @@ fn driver_2node_sf001_emits_wellformed_json() {
     let throughput = report.get("throughput").expect("throughput block");
     assert_eq!(num(throughput, "total_queries"), queries.len() as f64);
     assert!(num(&report, "geomean_ms").is_finite());
+    // The driver's own peak resident set: at least the generated data.
+    assert!(num(&report, "peak_rss_mb") > 1.0);
 
     let q1 = &queries[0];
     assert_eq!(num(q1, "query"), 1.0);

@@ -385,8 +385,11 @@ mod content {
                         ..ClusterConfig::quick(nodes)
                     })
                     .unwrap();
-                    c.load_table(TpchTable::Region, chunk_split(&whole, nodes as usize))
-                        .unwrap();
+                    c.load_table(
+                        TpchTable::Region,
+                        chunk_split(whole.clone(), nodes as usize),
+                    )
+                    .unwrap();
                     let units = match engine {
                         EngineKind::Classic => workers as usize,
                         EngineKind::Hybrid => 1,

@@ -173,7 +173,7 @@ proptest! {
             ..ClusterConfig::quick(nodes)
         })
         .unwrap();
-        c.load_table(TpchTable::Region, chunk_split(&relation, nodes as usize)).unwrap();
+        c.load_table(TpchTable::Region, chunk_split(relation.clone(), nodes as usize)).unwrap();
         let plan = Plan::Aggregate {
             input: Box::new(Plan::Exchange {
                 input: Box::new(Plan::scan(TpchTable::Region)),

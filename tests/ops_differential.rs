@@ -543,12 +543,117 @@ proptest! {
             let partial = |half: &Table| {
                 aggregate(half, &group_by, &aggs, AggPhase::Partial, &driver(workers), &[])
             };
-            let halves = chunk_split(&table, 2);
+            let halves = chunk_split(table.clone(), 2);
             let mut partials = partial(&halves[0]);
             partials.append(&partial(&halves[1]));
             let merged = aggregate(&partials, &group_by, &aggs, AggPhase::Final, &driver(workers), &[]);
             let want = reference_aggregate(&table, &group_by, &mergeable);
             same_rows(rows_of(&merged), want, &format!("two phases, {workers} workers, {shape}"))?;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Keyless aggregates
+// ---------------------------------------------------------------------------
+
+/// An aggregate without group columns has one group, which every row is
+/// in (the kernel neither hashes nor looks it up): all six functions over
+/// inputs of every type, in one phase and in two, on one to three workers
+/// and morsels of seven rows. Over no rows, a Single or Final aggregate
+/// still yields its one row and a Partial one yields none.
+#[test]
+fn keyless_aggregates_equal_the_reference() {
+    let mut rng = Rng(0x6b65_796c_6573_7321);
+    let fields = vec![
+        Field::nullable("v_int", DataType::Int64),
+        Field::nullable("v_dec", DataType::Decimal),
+        Field::nullable("v_flt", DataType::Float64),
+        Field::nullable("v_str", DataType::Utf8),
+    ];
+    let (v_int, v_dec, v_flt, v_str) = (0, 1, 2, 3);
+    let all = [
+        (AggFunc::Sum, v_int),
+        (AggFunc::Sum, v_dec),
+        (AggFunc::Avg, v_flt),
+        (AggFunc::Avg, v_dec),
+        (AggFunc::Count, v_str),
+        (AggFunc::Count, v_flt),
+        (AggFunc::Min, v_int),
+        (AggFunc::Min, v_str),
+        (AggFunc::Max, v_flt),
+        (AggFunc::Max, v_str),
+        (AggFunc::CountDistinct, v_int),
+        (AggFunc::CountDistinct, v_str),
+    ];
+    let mergeable: Vec<(AggFunc, usize)> = all
+        .iter()
+        .copied()
+        .filter(|(func, _)| *func != AggFunc::CountDistinct)
+        .collect();
+    for rows in [0, 1, 6, 7, 8, 50, 300] {
+        let table = arb_table(&mut rng, fields.clone(), rows);
+        // Small numbers, NULL where the random ones were: sums within the
+        // tolerance, minima without NaNs.
+        let mut cols = table.columns().to_vec();
+        let ints = (0..rows).map(|_| rng.below(9) as i64 - 4).collect();
+        cols[v_int] = Column::I64(ints, cols[v_int].validity().cloned());
+        let floats = (0..rows)
+            .map(|_| rng.below(33) as f64 / 8.0 - 2.0)
+            .collect();
+        cols[v_flt] = Column::F64(floats, cols[v_flt].validity().cloned());
+        let table = Table::new(table.schema().clone(), cols);
+        let specs = |aggs: &[(AggFunc, usize)]| -> Vec<AggSpec> {
+            aggs.iter()
+                .enumerate()
+                .map(|(i, &(func, c))| {
+                    let name = &table.schema().fields()[c].name;
+                    AggSpec::new(func, col(name), &format!("a{i}"))
+                })
+                .collect()
+        };
+        for workers in [1, 2, 3] {
+            let what = format!("{rows} rows, {workers} workers");
+            let single = aggregate(
+                &table,
+                &[],
+                &specs(&all),
+                AggPhase::Single,
+                &driver(workers),
+                &[],
+            );
+            assert_eq!(single.rows(), 1, "single phase, {what}");
+            let want = reference_aggregate(&table, &[], &all);
+            same_rows(rows_of(&single), want, &format!("single phase, {what}")).unwrap();
+
+            // Three nodes' partials, merged; a node without rows sends none.
+            let aggs = specs(&mergeable);
+            let mut partials = Table::empty(
+                aggregate(&table, &[], &aggs, AggPhase::Partial, &driver(1), &[])
+                    .schema()
+                    .clone(),
+            );
+            for part in chunk_split(table.clone(), 3) {
+                let partial =
+                    aggregate(&part, &[], &aggs, AggPhase::Partial, &driver(workers), &[]);
+                assert_eq!(
+                    partial.rows(),
+                    usize::from(part.rows() > 0),
+                    "partial, {what}"
+                );
+                partials.append(&partial);
+            }
+            let merged = aggregate(
+                &partials,
+                &[],
+                &aggs,
+                AggPhase::Final,
+                &driver(workers),
+                &[],
+            );
+            assert_eq!(merged.rows(), 1, "final phase, {what}");
+            let want = reference_aggregate(&table, &[], &mergeable);
+            same_rows(rows_of(&merged), want, &format!("two phases, {what}")).unwrap();
         }
     }
 }
@@ -643,7 +748,7 @@ fn signed_zeros_are_one_group_and_one_distinct_member() {
     let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
     let one_zero_each = zeros.gather(&[0, 2, 1]);
     cluster
-        .load_table(TpchTable::Region, chunk_split(&one_zero_each, 2))
+        .load_table(TpchTable::Region, chunk_split(one_zero_each, 2))
         .unwrap();
     let repartitioned = |group_by: &[&str], aggs: &[AggSpec]| -> Vec<Table> {
         let plan = Plan::Aggregate {

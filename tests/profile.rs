@@ -121,6 +121,52 @@ fn repartition_conserves_rows_across_nodes() {
     cluster.shutdown();
 }
 
+/// Q1's and Q6's filtered lineitem scans stream into the aggregate above
+/// them, and still profile as scans: a span of their own on every node,
+/// inside the aggregate's, every lineitem in and the rows the filter keeps
+/// out — which is what the aggregate reads.
+#[test]
+fn a_scan_that_streams_into_its_aggregate_keeps_its_span() {
+    use hsqp::tpch::TpchTable;
+
+    let cluster = cluster(2, 1);
+    let lineitems = cluster.table_rows(TpchTable::Lineitem).unwrap();
+    for n in [1, 6] {
+        let query = plan(&cluster, n);
+        let result = cluster.run(&query).unwrap();
+        let profile = result.profile.as_ref().expect("profiling defaults on");
+        let stage = &profile.stages[0];
+        assert_spans_nest(stage, &format!("Q{n}"));
+        let scan = (stage.ops.iter())
+            .position(|op| op.label.starts_with("Scan lineitem"))
+            .unwrap_or_else(|| panic!("Q{n} scans lineitem"));
+        let aggregate = (0..scan)
+            .rev()
+            .find(|&p| stage.children_of(p).contains(&scan))
+            .expect("the scan's parent");
+        let (scan, aggregate) = (&stage.ops[scan], &stage.ops[aggregate]);
+        assert!(
+            aggregate.label.starts_with("Aggregate"),
+            "{}",
+            aggregate.label
+        );
+        assert_eq!(scan.rows_in(), lineitems, "Q{n}");
+        assert!(
+            scan.rows_out() > 0 && scan.rows_out() < lineitems,
+            "Q{n}: the filter kept {} of {lineitems}",
+            scan.rows_out()
+        );
+        assert_eq!(aggregate.rows_in(), scan.rows_out(), "Q{n}");
+        for (node, span) in scan.nodes.iter().enumerate() {
+            assert!(
+                span.wall > std::time::Duration::ZERO,
+                "Q{n}: no scan span on node {node}"
+            );
+        }
+    }
+    cluster.shutdown();
+}
+
 /// What the exchange writer and the consumers report must add up to what
 /// the fabric and the nodes saw: every data message is attributed to its
 /// exchange operator (the fabric additionally carries one 15-byte last

@@ -178,7 +178,7 @@ proptest! {
 
     #[test]
     fn hash_partition_is_disjoint_and_complete(t in arb_table(), n in 1usize..6) {
-        let parts = hash_partition(&t, 0, n);
+        let parts = hash_partition(t.clone(), 0, n);
         let total: usize = parts.iter().map(Table::rows).sum();
         prop_assert_eq!(total, t.rows());
         let mut all: Vec<i64> = parts
@@ -193,7 +193,7 @@ proptest! {
 
     #[test]
     fn chunk_split_preserves_order_and_rows(t in arb_table(), n in 1usize..6) {
-        let parts = chunk_split(&t, n);
+        let parts = chunk_split(t.clone(), n);
         prop_assert_eq!(parts.len(), n);
         let rebuilt: Vec<i64> = parts
             .iter()
