@@ -70,7 +70,9 @@ use parking_lot::{Mutex, RwLock};
 use hsqp_net::{Fabric, NetScheduler, NodeId, QueryId, Transport as NetTransport};
 use hsqp_numa::{AllocPolicy, CostModel, Topology};
 use hsqp_storage::placement::{canon_i64_bytes, crc32_finish, crc32_update, CRC32_INIT};
-use hsqp_storage::{decimal_to_f64, Column, DataType, Field, Schema, Table, Value};
+use hsqp_storage::{
+    bytes_held, decimal_to_f64, Column, DataType, Field, Schema, StrForm, Table, Value,
+};
 use hsqp_tpch::TpchTable;
 
 use crate::cluster::{ClusterConfig, EngineKind};
@@ -344,12 +346,16 @@ impl NodeCtx {
     /// The node's counters since it started, by metric name: the
     /// multiplexer's wake-ups and how many of them found nothing, the query
     /// workers started, the rows repartitions dropped by a join's filters
-    /// and the bytes of the summary rounds that exchanged those filters.
-    /// Both clusters sum them over the nodes; a new node counter is one
-    /// more entry here.
+    /// and the bytes of the summary rounds that exchanged those filters —
+    /// and the bytes its loaded relations hold now, each dictionary
+    /// counted once. Both clusters sum them over the nodes; a new node
+    /// counter is one more entry here.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let tables = self.tables.read();
+        let held = bytes_held(tables.values().flat_map(|t| t.columns()));
         vec![
+            ("storage.bytes_held", held as u64),
             ("exchange.mux.wakeups", self.to_mux.wakeups()),
             ("exchange.mux.empty_wakeups", self.to_mux.empty_wakeups()),
             ("exec.stage_workers_spawned", load(&self.workers_spawned)),
@@ -1211,6 +1217,14 @@ impl<'a> NodeExec<'a> {
         } else {
             input.rows()
         };
+        // A morsel's buckets and each bucket's share of its rows (an eighth
+        // to spare), sized once: grown by doubling they would ask the
+        // allocator for about twice that, at every exchange.
+        let morsel = rows_to_send.min(ctx.driver.morsel_size());
+        let (bucket_room, selection_room) = match partition_by {
+            Some(_) => (morsel, morsel.div_ceil(buckets) * 9 / 8),
+            None => (0, 0),
+        };
         let stealing = !ctx.is_classic();
         let still_sending = AtomicUsize::new(ctx.driver.workers() as usize);
 
@@ -1294,9 +1308,11 @@ impl<'a> NodeExec<'a> {
                         buckets,
                     ),
                 },
-                bucket_of: Vec::new(),
+                bucket_of: Vec::with_capacity(bucket_room),
                 hashes: Vec::new(),
-                selections: vec![Vec::new(); buckets],
+                selections: (0..buckets)
+                    .map(|_| Vec::with_capacity(selection_room))
+                    .collect(),
                 share: share(w),
                 send: Duration::ZERO,
                 wait: Duration::ZERO,
@@ -1617,9 +1633,13 @@ impl BatchSource for ScanBatches<'_, '_> {
             table.rows(),
             |_| Share {
                 sel: Vec::new(),
-                batch: filtered
-                    .as_ref()
-                    .map_or(Vec::new(), |f| f.shape.columns().to_vec()),
+                // In the table's forms: a coded column's batch is codes.
+                batch: filtered.as_ref().map_or(Vec::new(), |f| {
+                    f.cols
+                        .iter()
+                        .map(|&c| table.column(c).empty_like())
+                        .collect()
+                }),
                 state: init(),
                 kept: 0,
                 handing_on: Duration::ZERO,
@@ -1689,15 +1709,14 @@ fn project_table(t: &Table, names: &[String]) -> Table {
 }
 
 /// Columns `cols` of `t` at `rows` (a selection from `filter_indices`),
-/// each gathered onto a column reserved for them.
+/// each gathered onto a column of its form reserved for them.
 fn gather_rows(t: &Table, cols: &[usize], rows: &[u32]) -> Table {
     let schema = t.schema().project(cols);
     let columns = cols
         .iter()
-        .zip(schema.fields())
-        .map(|(&c, f)| {
+        .map(|&c| {
             let src = t.column(c);
-            let mut out = Column::empty(f.dtype);
+            let mut out = src.empty_like();
             // As large a share of the string bytes as of the rows.
             out.reserve(rows.len(), src.str_bytes() * rows.len() / src.len().max(1));
             out.extend_gather(src, rows);
@@ -1761,7 +1780,9 @@ pub fn row_bucket(key_cols: &[(&Column, bool)], row: usize, buckets: usize) -> u
             (Column::I64(v, _), true) => crc32_update(crc, &decimal_key_bytes(v[row])),
             (Column::I64(v, _), false) => crc32_update(crc, &canon_i64_bytes(v[row])),
             (Column::F64(v, _), _) => crc32_update(crc, &f64_key_bytes(v[row])),
-            (Column::Str(v, _), _) => crc32_update(crc, v.get(row).as_bytes()),
+            // A NULL string hashes as "", what a plain column holds there.
+            (Column::Str(..), _) if !c.is_valid(row) => crc,
+            (Column::Str(v, _), _) => crc32_update(crc, v.bytes(row)),
         });
     crc32_finish(crc) as usize % buckets
 }
@@ -1787,12 +1808,24 @@ pub fn bucket_vector(
             (Column::I64(v, _), true) => feed(out, &v[rows.clone()], decimal_key_bytes),
             (Column::I64(v, _), false) => feed(out, &v[rows.clone()], canon_i64_bytes),
             (Column::F64(v, _), _) => feed(out, &v[rows.clone()], f64_key_bytes),
-            (Column::Str(v, _), _) => {
-                let bounds = v.offsets()[rows.start..=rows.end].windows(2);
-                for (crc, w) in out.iter_mut().zip(bounds) {
-                    *crc = crc32_update(*crc, &v.data()[w[0] as usize..w[1] as usize]);
+            (Column::Str(v, bm), _) => match v.form() {
+                StrForm::Plain { offsets, data } => {
+                    let bounds = offsets[rows.start..=rows.end].windows(2);
+                    for (crc, w) in out.iter_mut().zip(bounds) {
+                        *crc = crc32_update(*crc, &data[w[0] as usize..w[1] as usize]);
+                    }
                 }
-            }
+                // An entry's bytes, found through the dictionary's offsets;
+                // a NULL row's code stands for no string.
+                StrForm::Coded { codes, dict } => {
+                    let codes = codes[rows.clone()].iter();
+                    for ((crc, &code), row) in out.iter_mut().zip(codes).zip(rows.clone()) {
+                        if bm.as_ref().is_none_or(|bm| bm.get(row)) {
+                            *crc = crc32_update(*crc, dict.bytes(code));
+                        }
+                    }
+                }
+            },
         }
     }
     for crc in out {

@@ -27,7 +27,9 @@ use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
-use hsqp_storage::{decimal_to_f64, Bitmap, Column, DataType, Field, Schema, Table, Value};
+use hsqp_storage::{
+    decimal_to_f64, Bitmap, Column, DataType, Dictionary, Field, Schema, StrForm, Table, Value,
+};
 
 use crate::local::MorselDriver;
 use crate::plan::{AggFunc, AggPhase, AggSpec, JoinKind, SortKey};
@@ -157,7 +159,16 @@ pub(crate) fn hash_keys(cols: &[JoinKeyCol<'_>], rows: Range<usize>, out: &mut V
                 float_word(decimal_to_f64(v[r]))
             }),
             (Column::F64(v, bm), _) => feed(out, start, bm.as_ref(), |r| float_word(v[r])),
-            (Column::Str(v, bm), _) => feed(out, start, bm.as_ref(), |r| str_word(v.bytes(r))),
+            (Column::Str(v, bm), _) => match v.form() {
+                StrForm::Plain { offsets, data } => feed(out, start, bm.as_ref(), |r| {
+                    str_word(&data[offsets[r] as usize..offsets[r + 1] as usize])
+                }),
+                // A code hashes as its entry's bytes: a word per entry.
+                StrForm::Coded { codes, dict } => {
+                    let words = dict.per_entry(str_word);
+                    feed(out, start, bm.as_ref(), |r| words[codes[r] as usize]);
+                }
+            },
         }
     }
 }
@@ -619,6 +630,10 @@ impl BatchSource for Morsels<'_> {
     }
 }
 
+/// Most composite codes a [`GroupTable`] indexes directly: the product,
+/// over the key parts, of each dictionary's entries plus one for NULL.
+const DENSE_CODES: usize = 1 << 16;
+
 /// Maps keys to dense group ids, in the order the keys are first seen. The
 /// table owns its key values, a typed column per key part with a row per
 /// group: the batch a key came in is overwritten by the next.
@@ -632,6 +647,20 @@ struct GroupTable {
     /// The group of every row of the batch last assigned, and its hashes.
     gids: Vec<u32>,
     batch_hashes: Vec<u64>,
+    /// Groups of keys whose every part is coded, by composite code.
+    coded: Option<CodedGroups>,
+}
+
+/// The groups of keys whose every part is a code: per composite code —
+/// part by part, NULL as 0 and code `c` as `c + 1`, in mixed radix — its
+/// group, or [`NIL`] before its first row. A cache over the chains: a
+/// group is made and found there first, so the chains hold every group
+/// whatever its keys' form.
+#[derive(Clone)]
+struct CodedGroups {
+    /// The dictionaries of the key parts, in order.
+    dicts: Vec<Arc<Dictionary>>,
+    gids: Vec<u32>,
 }
 
 impl GroupTable {
@@ -644,6 +673,7 @@ impl GroupTable {
             keys,
             gids: Vec::new(),
             batch_hashes: Vec::new(),
+            coded: None,
         }
     }
 
@@ -656,7 +686,10 @@ impl GroupTable {
     /// its own column only), leaving the ids in `self.gids`.
     ///
     /// Without key columns there is one group, and every row is in it: no
-    /// hash, no chain.
+    /// hash, no chain. When every key part is coded and the composite codes
+    /// number at most [`DENSE_CODES`], a row's group is read off an array
+    /// its composite code indexes ([`CodedGroups`]); only a key seen for
+    /// the first time is hashed.
     fn assign(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
         if cols.is_empty() {
             self.gids.clear();
@@ -669,9 +702,73 @@ impl GroupTable {
             }
             return;
         }
+        if self.assign_coded(cols, rows.clone()) {
+            return;
+        }
         self.batch_hashes.clear();
         hash_keys(cols, rows.clone(), &mut self.batch_hashes);
         self.assign_hashed(cols, rows);
+    }
+
+    /// [`assign`](Self::assign) by composite code; false, having done
+    /// nothing, when a key part is not coded or there are too many codes.
+    fn assign_coded(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) -> bool {
+        let mut parts = Vec::with_capacity(cols.len());
+        let mut codes_in_all = 1usize;
+        for &(c, _) in cols {
+            let Column::Str(v, valid) = c else {
+                return false;
+            };
+            let StrForm::Coded { codes, dict } = v.form() else {
+                return false;
+            };
+            codes_in_all = codes_in_all.saturating_mul(dict.len() + 1);
+            if codes_in_all > DENSE_CODES {
+                return false;
+            }
+            parts.push((codes, dict, valid.as_ref()));
+        }
+        let same_dicts = |c: &CodedGroups| {
+            c.dicts.len() == parts.len()
+                && c.dicts
+                    .iter()
+                    .zip(&parts)
+                    .all(|(a, (_, b, _))| Arc::ptr_eq(a, b))
+        };
+        let mut coded = match self.coded.take() {
+            Some(c) if same_dicts(&c) => c,
+            // Other dictionaries: a new array, whose keys the chains find.
+            _ => CodedGroups {
+                dicts: parts.iter().map(|(_, d, _)| Arc::clone(d)).collect(),
+                gids: vec![NIL; codes_in_all],
+            },
+        };
+        // The composite codes, a key part at a time, in `gids` first.
+        self.gids.clear();
+        self.gids.resize(rows.len(), 0);
+        for (codes, dict, valid) in parts {
+            let radix = dict.len() as u32 + 1;
+            let codes = codes[rows.clone()].iter().map(|&c| u32::from(c) + 1);
+            match valid {
+                None => (self.gids.iter_mut().zip(codes)).for_each(|(k, c)| *k = *k * radix + c),
+                Some(bm) => (self.gids.iter_mut().zip(codes).zip(rows.clone()))
+                    .for_each(|((k, c), r)| *k = *k * radix + if bm.get(r) { c } else { 0 }),
+            }
+        }
+        for i in 0..rows.len() {
+            let code = self.gids[i] as usize;
+            let mut gid = coded.gids[code];
+            if gid == NIL {
+                let row = rows.start + i;
+                self.batch_hashes.clear();
+                hash_keys(cols, row..row + 1, &mut self.batch_hashes);
+                gid = self.find_or_insert(self.batch_hashes[0], cols, row);
+                coded.gids[code] = gid;
+            }
+            self.gids[i] = gid;
+        }
+        self.coded = Some(coded);
+        true
     }
 
     /// [`assign`](Self::assign), the hashes of `rows` being in
@@ -679,22 +776,25 @@ impl GroupTable {
     fn assign_hashed(&mut self, cols: &[JoinKeyCol<'_>], rows: Range<usize>) {
         self.gids.clear();
         for (i, row) in rows.enumerate() {
-            let hash = self.batch_hashes[i];
-            let mut gid = self.heads[slot_of(hash, self.heads.len())];
-            while gid != NIL {
-                // The stored hash spares a key that merely shares the slot
-                // the comparison of its parts.
-                let keys = self.keys.iter().map(|k| (k, false));
-                if self.hashes[gid as usize] == hash && keys_equal(cols, row, keys, gid as usize) {
-                    break;
-                }
-                gid = self.next[gid as usize];
-            }
-            if gid == NIL {
-                gid = self.insert(hash, cols, row);
-            }
+            let gid = self.find_or_insert(self.batch_hashes[i], cols, row);
             self.gids.push(gid);
         }
+    }
+
+    /// The group of row `row`'s key, whose hash is `hash`: found along its
+    /// chain, or made.
+    fn find_or_insert(&mut self, hash: u64, cols: &[JoinKeyCol<'_>], row: usize) -> u32 {
+        let mut gid = self.heads[slot_of(hash, self.heads.len())];
+        while gid != NIL {
+            // The stored hash spares a key that merely shares the slot the
+            // comparison of its parts.
+            let keys = self.keys.iter().map(|k| (k, false));
+            if self.hashes[gid as usize] == hash && keys_equal(cols, row, keys, gid as usize) {
+                return gid;
+            }
+            gid = self.next[gid as usize];
+        }
+        self.insert(hash, cols, row)
     }
 
     fn insert(&mut self, hash: u64, cols: &[JoinKeyCol<'_>], row: usize) -> u32 {
@@ -1192,7 +1292,11 @@ pub fn aggregate_with<B: BatchSource>(
             .collect(),
         _ => programs
             .iter()
-            .map(|(_, p)| AggInput::Program(p.bind(shape).unwrap_or_else(|e| panic!("{e}"))))
+            .zip(aggs)
+            .map(|((_, p), a)| match a.func {
+                AggFunc::Count if p.is_constant() => AggInput::EveryRow,
+                _ => AggInput::Program(p.bind(shape).unwrap_or_else(|e| panic!("{e}"))),
+            })
             .collect(),
     };
 
@@ -1219,8 +1323,16 @@ pub fn aggregate_with<B: BatchSource>(
                     group_by.iter().map(|&i| (batch.column(i), false)).collect();
                 worker.table.assign(&keys, rows.clone());
                 for (i, state) in worker.aggs.iter_mut().enumerate() {
-                    let (vals, weights) = inputs[i].read(batch, rows.clone(), params);
                     state.resize(worker.table.groups());
+                    if let (AggInput::EveryRow, AggCol::Count(counts)) = (&inputs[i], &mut *state) {
+                        worker
+                            .table
+                            .gids
+                            .iter()
+                            .for_each(|&g| counts[g as usize] += 1);
+                        continue;
+                    }
+                    let (vals, weights) = inputs[i].read(batch, rows.clone(), params);
                     state.update(&worker.table.gids, &vals, weights.as_deref());
                 }
             },
@@ -1251,7 +1363,8 @@ pub fn aggregate_with<B: BatchSource>(
         .iter()
         .map(|&i| shape.schema().fields()[i].clone())
         .collect();
-    let mut columns = table.keys;
+    // Keys of coded rows are coded too; they leave as plain strings.
+    let mut columns: Vec<Column> = table.keys.into_iter().map(Column::decode).collect();
     for (a, mut state) in aggs.iter().zip(states) {
         state.resize(groups);
         let out = state.finish(a.func, phase);
@@ -1287,6 +1400,9 @@ enum AggInput<'p> {
     /// A Final merge's partial-state columns: the values and, for COUNT and
     /// AVG, the counts.
     State(usize, Option<usize>),
+    /// COUNT of a constant, which is never NULL: every row counts, and
+    /// nothing is evaluated.
+    EveryRow,
 }
 
 impl AggInput<'_> {
@@ -1314,6 +1430,7 @@ impl AggInput<'_> {
                 };
                 (column(*vals), weights.map(column))
             }
+            AggInput::EveryRow => (Cow::Owned(Column::I64(vec![1; rows.len()], None)), None),
         }
     }
 }
@@ -1693,6 +1810,84 @@ mod tests {
                 .collect();
             assert_eq!(table.gids, first_seen, "{dtype:?}");
             assert_eq!(table.groups(), table.keys[1].len());
+        }
+    }
+
+    /// Strings with NULLs among them, and the same strings coded.
+    fn plain_and_coded(words: &[Option<&str>]) -> (Column, Column) {
+        let mut plain = Column::empty(DataType::Utf8);
+        for w in words {
+            plain.push_value(&w.map_or(Value::Null, |w| Value::Str(w.into())));
+        }
+        let coded = plain.clone().encode();
+        assert!(coded.str_values().dictionary().is_some());
+        (plain, coded)
+    }
+
+    #[test]
+    fn a_code_hashes_as_its_string() {
+        let words = [
+            Some("AIR"),
+            None,
+            Some(""),
+            Some("REG AIR"),
+            Some("a long ship mode"),
+        ];
+        let (plain, coded) = plain_and_coded(&words);
+        let ints = Column::I64(vec![3, 1, 4, 1, 5], None);
+        for key in [vec![&plain], vec![&ints, &plain], vec![&plain, &plain]] {
+            let coded_key: Vec<JoinKeyCol<'_>> = key
+                .iter()
+                .map(|&c| (if std::ptr::eq(c, &plain) { &coded } else { c }, false))
+                .collect();
+            let plain_key: Vec<JoinKeyCol<'_>> = key.iter().map(|&c| (c, false)).collect();
+            for rows in [0..5, 1..4] {
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                hash_keys(&plain_key, rows.clone(), &mut a);
+                hash_keys(&coded_key, rows, &mut b);
+                assert_eq!(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn coded_keys_find_their_groups_whatever_the_dictionary() {
+        let words = [
+            Some("R"),
+            Some("A"),
+            None,
+            Some("N"),
+            Some("A"),
+            Some("R"),
+            None,
+        ];
+        let (plain, coded) = plain_and_coded(&words);
+        // The same strings under a dictionary of their own.
+        let (_, recoded) = plain_and_coded(&words);
+        let flags = Column::I64(vec![0, 1, 0, 1, 0, 1, 0], None);
+        let mut table = GroupTable::new(vec![Column::empty(DataType::Utf8); 2]);
+        let mut ids = Vec::new();
+        for (a, b) in [
+            (&coded, &coded),
+            (&plain, &plain),
+            (&recoded, &coded),
+            (&coded, &plain),
+        ] {
+            table.assign(&[(a, false), (b, false)], 0..7);
+            ids.push(table.gids.clone());
+        }
+        // Ids in first-seen order, NULL one key; every batch finds the
+        // groups the first made.
+        assert!(ids.iter().all(|g| g == &[0, 1, 2, 3, 1, 0, 2]), "{ids:?}");
+        assert_eq!(table.groups(), 4);
+        // With an Int64 part the keys are hashed, codes by their strings.
+        let mut mixed = GroupTable::new(vec![
+            Column::empty(DataType::Utf8),
+            Column::empty(DataType::Int64),
+        ]);
+        for strings in [&coded, &plain, &recoded] {
+            mixed.assign(&[(strings, false), (&flags, false)], 0..7);
+            assert_eq!(mixed.gids, [0, 1, 2, 3, 4, 5, 2]);
         }
     }
 

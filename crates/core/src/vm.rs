@@ -19,6 +19,12 @@
 //! (Kleene) logic, and `CASE` takes its `ELSE` branch where the condition
 //! is NULL.
 //!
+//! String kernels read a coded column (see [`hsqp_storage::column`])
+//! through a reader picked once per vector. A comparison with a constant
+//! or a parameter, `LIKE` and `IN` over codes evaluate the predicate once
+//! per dictionary entry and then look each row's code up in the answers.
+//! A string a program outputs is plain.
+//!
 //! Filters run through [`BoundProgram::select`], which refines a `u32`
 //! selection vector (MonetDB/X100's technique): a top-level `AND` runs one
 //! conjunct at a time, each later conjunct only at the rows still
@@ -40,8 +46,8 @@ use std::fmt;
 use std::ops::Range;
 
 use hsqp_storage::{
-    decimal_to_f64, year_of_date, Bitmap, Column, DataType, Field, Schema, StringColumn, Table,
-    Value,
+    decimal_to_f64, year_of_date, Bitmap, Column, DataType, Dictionary, Field, Schema, StrForm,
+    StringColumn, Table, Value,
 };
 use hsqp_tpch::TpchTable;
 
@@ -720,6 +726,14 @@ impl ExprProgram {
         self.out
     }
 
+    /// Whether the program is one constant, which is never NULL.
+    pub(crate) fn is_constant(&self) -> bool {
+        matches!(
+            self.insts[..],
+            [Inst::ConstI64(_) | Inst::ConstF64(_) | Inst::ConstStr(_) | Inst::ConstBool(_)]
+        )
+    }
+
     /// Number of instructions.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -978,17 +992,54 @@ impl F64s<'_> {
 /// Strings as bytes: comparisons, `IN` and `LIKE` never check UTF-8.
 #[derive(Clone, Copy)]
 enum Strs<'a> {
-    V(&'a StringColumn, usize),
+    /// A plain column's offsets and bytes: position `p` is row `base + p`.
+    V(&'a [u32], &'a [u8], usize),
+    /// A coded column's codes from the vector's first row on, and their
+    /// dictionary.
+    C(&'a [u8], &'a Dictionary),
     S(&'a [u8]),
 }
 
 impl<'a> Strs<'a> {
+    /// The reader of string `base + p` of `c` at position `p`.
+    fn of(c: &'a StringColumn, base: usize) -> Strs<'a> {
+        match c.form() {
+            StrForm::Plain { offsets, data } => Strs::V(offsets, data, base),
+            StrForm::Coded { codes, dict } => Strs::C(&codes[base..], dict),
+        }
+    }
+
     #[inline]
     fn get(self, p: usize) -> &'a [u8] {
         match self {
-            Strs::V(c, base) => c.bytes(base + p),
+            Strs::V(offsets, data, base) => {
+                &data[offsets[base + p] as usize..offsets[base + p + 1] as usize]
+            }
+            Strs::C(codes, dict) => dict.bytes(codes[p]),
             Strs::S(s) => s,
         }
+    }
+}
+
+/// Deliver `test` of every string of a vector to `out`: once per
+/// dictionary entry and a lookup per row when the strings are codes, row
+/// by row otherwise.
+fn test_strs<'a>(
+    strs: Strs<'_>,
+    n: usize,
+    valid: Valid<'a>,
+    out: Out<'_>,
+    test: impl Fn(&[u8]) -> bool,
+) -> Option<Slot<'a>> {
+    match strs {
+        Strs::S(s) => answer(out, n, valid, test(s)),
+        Strs::C(codes, dict) => {
+            let answers = dict.per_entry(test);
+            deliver(out, n, valid, |p| answers[codes[p] as usize])
+        }
+        Strs::V(offsets, data, base) => deliver(out, n, valid, |p| {
+            test(&data[offsets[base + p] as usize..offsets[base + p + 1] as usize])
+        }),
     }
 }
 
@@ -1057,7 +1108,7 @@ impl Vals<'_> {
 
     fn strs(&self) -> Strs<'_> {
         match self {
-            Vals::Str(c, base) => Strs::V(c, *base),
+            Vals::Str(c, base) => Strs::of(c, *base),
             Vals::ScalStr(s) => Strs::S(s.as_bytes()),
             other => panic!(
                 "expected string expression, got {} values",
@@ -1098,12 +1149,9 @@ impl<'a> Slot<'a> {
             Vals::I64(v) => VecData::I64(v.into_owned()),
             Vals::F64(v) => VecData::F64(v.into_owned()),
             Vals::Dec(v) => VecData::F64(v.iter().map(|&x| decimal_to_f64(x)).collect()),
-            Vals::Str(Cow::Owned(c), 0) if c.len() == n => VecData::Str(c),
-            Vals::Str(c, base) => {
-                let mut out = StringColumn::new();
-                out.extend_rows(&c, base..base + n);
-                VecData::Str(out)
-            }
+            Vals::Str(Cow::Owned(c), 0) if c.len() == n => VecData::Str(c.decode()),
+            // A loaded column's rows, as plain strings whatever its form.
+            Vals::Str(c, base) => VecData::Str(c.slice(base..base + n).decode()),
             Vals::Bool(v) => VecData::Bool(v),
             Vals::ScalI64(x) => VecData::I64(vec![x; n]),
             Vals::ScalF64(x) => VecData::F64(vec![x; n]),
@@ -1344,11 +1392,8 @@ fn cmp_str<'a, O: Keeps>(
     out: Out<'_>,
 ) -> Option<Slot<'a>> {
     match (a.strs(), b.strs()) {
-        (Strs::S(x), Strs::S(y)) => answer(out, n, valid, O::keeps(x, y)),
-        (Strs::V(c, base), Strs::S(y)) => {
-            deliver(out, n, valid, |p| O::keeps(c.bytes(base + p), y))
-        }
-        (Strs::S(_), Strs::V(..)) => unreachable!("{SCALAR_ON_THE_RIGHT}"),
+        (x, Strs::S(y)) => test_strs(x, n, valid, out, |s| O::keeps(s, y)),
+        (Strs::S(_), _) => unreachable!("{SCALAR_ON_THE_RIGHT}"),
         (x, y) => deliver(out, n, valid, |p| O::keeps(x.get(p), y.get(p))),
     }
 }
@@ -1508,9 +1553,10 @@ fn substr_of(s: &[u8], start: u32, len: u32) -> &str {
 fn substr(s: Slot<'_>, start: u32, len: u32, n: usize) -> Slot<'_> {
     let vals = match s.vals {
         Vals::Str(c, base) => {
+            let strs = Strs::of(&c, base);
             let mut out = StringColumn::with_capacity(n, len as usize);
             for p in 0..n {
-                out.push(substr_of(c.bytes(base + p), start, len));
+                out.push(substr_of(strs.get(p), start, len));
             }
             Vals::Str(Cow::Owned(out), 0)
         }
@@ -1901,18 +1947,12 @@ impl<'p> BoundProgram<'p> {
         match inst {
             Inst::Like(l) => {
                 let like = &prog.likes[*l as usize].0;
-                match vals.strs() {
-                    Strs::S(s) => answer(out, n, valid, like.matches(s)),
-                    Strs::V(c, base) => deliver(out, n, valid, |p| like.matches(c.bytes(base + p))),
-                }
+                test_strs(vals.strs(), n, valid, out, |s| like.matches(s))
             }
             Inst::InStr(l) => {
                 let options = &prog.str_lists[*l as usize];
                 let is_in = |s: &[u8]| options.iter().any(|o| o.as_bytes() == s);
-                match vals.strs() {
-                    Strs::S(s) => answer(out, n, valid, is_in(s)),
-                    Strs::V(c, base) => deliver(out, n, valid, |p| is_in(c.bytes(base + p))),
-                }
+                test_strs(vals.strs(), n, valid, out, is_in)
             }
             Inst::InI64(l) => {
                 let options = &prog.i64_lists[*l as usize];

@@ -44,7 +44,7 @@
 use std::fmt;
 use std::ops::Range;
 
-use hsqp_storage::{Bitmap, Column, DataType, Schema, StringColumn, Table};
+use hsqp_storage::{Bitmap, Column, DataType, Dictionary, Schema, StrForm, StringColumn, Table};
 
 /// How one field travels on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,7 +138,7 @@ impl<'a> Rows<'a> {
         }
     }
 
-    fn iter(self) -> impl Iterator<Item = usize> + 'a {
+    fn iter(self) -> impl Iterator<Item = usize> + Clone + 'a {
         let (span, sel) = match self {
             Rows::Span(start, end) => (start..end, &[][..]),
             Rows::Sel(sel) => (0..0, sel),
@@ -219,27 +219,34 @@ impl RowSerializer {
         for &(idx, class) in &self.plan {
             let column = table.column(idx);
             // Every string's length first, then what NULL rows do not send.
-            let offs = match column {
-                Column::Str(v, _) => Some(v.offsets()),
+            let form = match column {
+                Column::Str(v, _) => Some(v.form()),
                 _ => None,
             };
-            match (offs, rows) {
-                (Some(offs), Rows::Span(start, end)) => {
-                    for (size, w) in out.iter_mut().zip(offs[start..=end].windows(2)) {
+            match (form, rows) {
+                (Some(StrForm::Plain { offsets, .. }), Rows::Span(start, end)) => {
+                    for (size, w) in out.iter_mut().zip(offsets[start..=end].windows(2)) {
                         *size += (w[1] - w[0]) as usize;
                     }
                 }
-                (Some(offs), Rows::Sel(sel)) => {
+                (Some(StrForm::Plain { offsets, .. }), Rows::Sel(sel)) => {
                     for (size, &i) in out.iter_mut().zip(sel) {
-                        *size += (offs[i + 1] - offs[i]) as usize;
+                        *size += (offsets[i + 1] - offsets[i]) as usize;
+                    }
+                }
+                (Some(StrForm::Coded { codes, dict }), rows) => {
+                    let lens = dict.per_entry(<[u8]>::len);
+                    for (size, i) in out.iter_mut().zip(rows.iter()) {
+                        *size += lens[codes[i] as usize];
                     }
                 }
                 (None, _) => {}
             }
             if let Some(bm) = column.validity().filter(|_| class.nullable()) {
+                let string = |i| column.str_values().bytes(i).len();
                 for (size, i) in out.iter_mut().zip(rows.iter()) {
                     if !bm.get(i) {
-                        *size -= offs.map_or(8, |o| 4 + (o[i + 1] - o[i]) as usize);
+                        *size -= form.map_or(8, |_| 4 + string(i));
                     }
                 }
             }
@@ -307,9 +314,13 @@ fn put_fixed<T: Copy>(
 }
 
 /// Write the lengths, then the bytes, of the strings of `rows` that are
-/// present (all, without `nulls`).
+/// present (all, without `nulls`). A coded column writes its entries'
+/// bytes, their lengths read off a table per entry.
 fn put_strings(out: &mut Vec<u8>, col: &StringColumn, rows: Rows<'_>, nulls: Option<&Bitmap>) {
-    let (offs, data) = (col.offsets(), col.data());
+    let (offs, data) = match col.form() {
+        StrForm::Plain { offsets, data } => (offsets, data),
+        StrForm::Coded { codes, dict } => return put_coded(out, codes, dict, rows, nulls),
+    };
     let bytes_of = |i: usize| &data[offs[i] as usize..offs[i + 1] as usize];
     if let Some(bm) = nulls {
         let present = || rows.iter().filter(|&i| bm.get(i));
@@ -339,6 +350,36 @@ fn put_strings(out: &mut Vec<u8>, col: &StringColumn, rows: Rows<'_>, nulls: Opt
                 out.extend_from_slice(bytes_of(i));
             }
         }
+    }
+}
+
+/// [`put_strings`] of a coded column: the codes of the rows present.
+fn put_coded(
+    out: &mut Vec<u8>,
+    codes: &[u8],
+    dict: &Dictionary,
+    rows: Rows<'_>,
+    nulls: Option<&Bitmap>,
+) {
+    match (rows, nulls) {
+        (Rows::Span(start, end), None) => put_entries(out, dict, codes[start..end].iter().copied()),
+        (Rows::Sel(sel), None) => put_entries(out, dict, sel.iter().map(|&i| codes[i])),
+        (rows, Some(bm)) => {
+            let present = rows.iter().filter(|&i| bm.get(i));
+            put_entries(out, dict, present.map(|i| codes[i]))
+        }
+    }
+}
+
+/// Write the lengths, then the bytes, of the dictionary entries `picked`
+/// names, each length read off a table per entry.
+fn put_entries(out: &mut Vec<u8>, dict: &Dictionary, picked: impl Iterator<Item = u8> + Clone) {
+    let lens = dict.per_entry(|e| e.len() as u32);
+    for c in picked.clone() {
+        out.extend_from_slice(&lens[c as usize].to_le_bytes());
+    }
+    for c in picked {
+        out.extend_from_slice(dict.bytes(c));
     }
 }
 
@@ -772,6 +813,55 @@ mod tests {
             encode_by_value(t.schema(), &t, &rows, &mut slow);
             assert_eq!(fast, slow, "span {rows:?}");
             assert_same_rows(&de.deserialize(&fast), &t, &rows);
+        }
+    }
+
+    /// A coded column sends its strings, byte for byte what its plain form
+    /// sends: short entries and a long one, NULLs among them, over spans
+    /// and selections.
+    #[test]
+    fn coded_strings_travel_as_their_plain_form() {
+        let t = mixed_table(131);
+        let long = "a string longer than any other in the dictionary";
+        let mut words = Column::empty(DataType::Utf8);
+        for i in 0..131 {
+            words.push_value(&match i % 7 {
+                0 => Value::Str(long.into()),
+                1 => Value::Null,
+                _ => t.value(i, 0),
+            });
+        }
+        let plain = Table::new(t.schema().clone(), [&[words], &t.columns()[1..]].concat());
+        let coded = Table::new(
+            plain.schema().clone(),
+            plain
+                .columns()
+                .iter()
+                .cloned()
+                .map(Column::encode)
+                .collect(),
+        );
+        for c in [0, 3] {
+            assert!(coded.column(c).str_values().dictionary().is_some());
+        }
+        let ser = RowSerializer::new(plain.schema());
+        let every_third: Vec<usize> = (0..131).step_by(3).collect();
+        let backwards: Vec<usize> = (0..131).rev().collect();
+        for rows in [
+            Rows::Span(0, 131),
+            Rows::Span(5, 9),
+            Rows::Sel(&every_third),
+            Rows::Sel(&backwards),
+        ] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ser.serialize(&plain, rows, &mut a);
+            ser.serialize(&coded, rows, &mut b);
+            assert_eq!(a, b);
+            let (mut sa, mut sb) = (Vec::new(), Vec::new());
+            ser.row_sizes(&plain, rows, &mut sa);
+            ser.row_sizes(&coded, rows, &mut sb);
+            assert_eq!(sa, sb);
+            assert_eq!(b.len(), 4 + sb.iter().sum::<usize>());
         }
     }
 

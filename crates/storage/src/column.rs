@@ -1,40 +1,208 @@
 //! Typed columns.
+//!
+//! A string column has one of two forms, and the data chooses which. The
+//! **plain** form packs the strings back to back with an offset per row.
+//! The **coded** form holds one `u8` code per row into a [`Dictionary`] of
+//! at most [`Dictionary::MAX`] strings, shared behind an `Arc` by every
+//! column cut from the one that was coded (the operation on compressed
+//! columns of Abadi, Madden and Ferreira, SIGMOD 2006). One rule codes: a
+//! string column with at most 256 distinct values is coded, any other
+//! stays plain — applied to a column that exists by [`Column::encode`],
+//! and string by string, so that the column is never held plain, by a
+//! [`StringBuilder`].
+//!
+//! Every reader works on either form through [`StringColumn::get`],
+//! [`bytes`](StringColumn::bytes) and [`iter`](StringColumn::iter).
+//! Kernels match on [`StringColumn::form`] once per column or batch and
+//! then read the offsets and bytes, or the codes and a per-entry table.
+//! `slice`, `scatter`, `gather`, `extend_gather` and `extend_rows` keep a
+//! column coded while every row they take comes from its dictionary (the
+//! same `Arc`); an empty column takes the dictionary of the first coded
+//! rows it is given. Anything else decodes a coded column to plain, once.
+//! A NULL row of a coded column holds some code: only its validity bit
+//! says it is NULL.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::bitmap::Bitmap;
 use crate::types::{DataType, Value};
 
-/// Byte-packed UTF-8 string column (offsets + contiguous data), the layout
-/// HyPer's columnar format and our wire format (Figure 8) both favour.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StringColumn {
+/// The distinct strings of a coded [`StringColumn`], at most
+/// [`MAX`](Self::MAX): the string with code `c` is entry `c`. The entries
+/// lie back to back.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Dictionary {
     offsets: Vec<u32>,
     data: Vec<u8>,
 }
 
-impl StringColumn {
-    /// An empty string column.
-    pub fn new() -> Self {
+impl Dictionary {
+    /// Most entries a dictionary holds: a code is one byte.
+    pub const MAX: usize = 256;
+
+    /// An empty dictionary.
+    fn new() -> Self {
         Self {
             offsets: vec![0],
             data: Vec::new(),
         }
     }
 
-    /// Pre-allocate for `rows` strings of `avg_len` average size.
+    /// Append an entry.
+    fn push(&mut self, bytes: &[u8]) {
+        self.data.extend_from_slice(bytes);
+        self.offsets
+            .push(u32::try_from(self.data.len()).expect("a small dictionary"));
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// True when there is no entry.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of the entry with code `code`.
+    ///
+    /// # Panics
+    /// Panics when there is no such entry.
+    #[inline]
+    pub fn bytes(&self, code: u8) -> &[u8] {
+        let c = code as usize;
+        &self.data[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// The entries' bytes, in code order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|w| &self.data[w[0] as usize..w[1] as usize])
+    }
+
+    /// Bytes the dictionary holds: its strings and an offset per entry and
+    /// one more.
+    pub fn byte_size(&self) -> usize {
+        self.data.len() + self.offsets.len() * 4
+    }
+
+    /// What `f` gives for every entry, in code order, in a table a code
+    /// indexes without a bounds check; entries past the last are `T`'s
+    /// default.
+    pub fn per_entry<T: Copy + Default>(&self, f: impl Fn(&[u8]) -> T) -> [T; Self::MAX] {
+        let mut table = [T::default(); Self::MAX];
+        for (slot, entry) in table.iter_mut().zip(self.entries()) {
+            *slot = f(entry);
+        }
+        table
+    }
+}
+
+/// How a [`StringColumn`] holds its rows: what a kernel matches on, once.
+#[derive(Debug, Clone, Copy)]
+pub enum StrForm<'a> {
+    /// String `i` is `data[offsets[i]..offsets[i + 1]]`.
+    Plain {
+        /// `len() + 1` row boundaries.
+        offsets: &'a [u32],
+        /// All strings back to back.
+        data: &'a [u8],
+    },
+    /// String `i` is entry `codes[i]` of `dict`.
+    Coded {
+        /// One code per row.
+        codes: &'a [u8],
+        /// The entries.
+        dict: &'a Arc<Dictionary>,
+    },
+}
+
+#[derive(Debug, Clone)]
+enum Form {
+    Plain {
+        offsets: Vec<u32>,
+        data: Vec<u8>,
+    },
+    Coded {
+        codes: Vec<u8>,
+        dict: Arc<Dictionary>,
+    },
+}
+
+/// A column of UTF-8 strings, plain (offsets and contiguous bytes, the
+/// layout HyPer's columnar format and our wire format of Figure 8 both
+/// favour) or coded (a byte per row into a shared [`Dictionary`]); see the
+/// [module docs](self). Two columns are equal when they hold the same
+/// strings, whatever their forms.
+#[derive(Debug, Clone)]
+pub struct StringColumn {
+    form: Form,
+}
+
+impl Default for StringColumn {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for StringColumn {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && (0..self.len()).all(|i| self.bytes(i) == other.bytes(i))
+    }
+}
+
+/// Append one string to a plain column's parts.
+#[inline]
+fn push_plain(offsets: &mut Vec<u32>, data: &mut Vec<u8>, bytes: &[u8]) {
+    data.extend_from_slice(bytes);
+    offsets.push(u32::try_from(data.len()).expect("string column exceeds 4 GiB"));
+}
+
+/// The current end of a plain column's data, after checking that `more`
+/// bytes still fit behind it.
+fn end_after(data: &[u8], more: usize) -> u32 {
+    u32::try_from(data.len() + more).expect("string column exceeds 4 GiB");
+    data.len() as u32
+}
+
+impl StringColumn {
+    /// An empty (plain) string column.
+    pub fn new() -> Self {
+        Self::plain(vec![0], Vec::new())
+    }
+
+    /// Pre-allocate a plain column for `rows` strings of `avg_len` average
+    /// size.
     pub fn with_capacity(rows: usize, avg_len: usize) -> Self {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
+        Self::plain(offsets, Vec::with_capacity(rows * avg_len))
+    }
+
+    fn plain(offsets: Vec<u32>, data: Vec<u8>) -> Self {
         Self {
-            offsets,
-            data: Vec::with_capacity(rows * avg_len),
+            form: Form::Plain { offsets, data },
+        }
+    }
+
+    fn coded(codes: Vec<u8>, dict: &Arc<Dictionary>) -> Self {
+        Self {
+            form: Form::Coded {
+                codes,
+                dict: Arc::clone(dict),
+            },
         }
     }
 
     /// Number of strings.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        match &self.form {
+            Form::Plain { offsets, .. } => offsets.len() - 1,
+            Form::Coded { codes, .. } => codes.len(),
+        }
     }
 
     /// True when no strings are stored.
@@ -42,20 +210,65 @@ impl StringColumn {
         self.len() == 0
     }
 
-    /// Append a string.
+    /// How the column holds its rows.
+    #[inline]
+    pub fn form(&self) -> StrForm<'_> {
+        match &self.form {
+            Form::Plain { offsets, data } => StrForm::Plain { offsets, data },
+            Form::Coded { codes, dict } => StrForm::Coded { codes, dict },
+        }
+    }
+
+    /// The dictionary, when the column is coded.
+    pub fn dictionary(&self) -> Option<&Arc<Dictionary>> {
+        match &self.form {
+            Form::Plain { .. } => None,
+            Form::Coded { dict, .. } => Some(dict),
+        }
+    }
+
+    /// The plain form's parts, decoding a coded column first (once: it
+    /// stays plain).
+    fn plain_mut(&mut self) -> (&mut Vec<u32>, &mut Vec<u8>) {
+        if let Form::Coded { codes, dict } = &self.form {
+            let mut offsets = Vec::with_capacity(codes.len() + 1);
+            offsets.push(0);
+            let lens = dict.per_entry(<[u8]>::len);
+            let mut data = Vec::with_capacity(codes.iter().map(|&c| lens[c as usize]).sum());
+            for &c in codes {
+                push_plain(&mut offsets, &mut data, dict.bytes(c));
+            }
+            self.form = Form::Plain { offsets, data };
+        }
+        match &mut self.form {
+            Form::Plain { offsets, data } => (offsets, data),
+            Form::Coded { .. } => unreachable!("decoded above"),
+        }
+    }
+
+    /// The codes of this column if it can take rows coded by `dict`: it is
+    /// coded by `dict` already, or it is empty and takes `dict` on.
+    fn codes_for(&mut self, dict: &Arc<Dictionary>) -> Option<&mut Vec<u8>> {
+        let same = matches!(&self.form, Form::Coded { dict: d, .. } if Arc::ptr_eq(d, dict));
+        if !same {
+            if !self.is_empty() {
+                return None;
+            }
+            *self = Self::coded(Vec::new(), dict);
+        }
+        match &mut self.form {
+            Form::Coded { codes, .. } => Some(codes),
+            Form::Plain { .. } => unreachable!("coded above"),
+        }
+    }
+
+    /// Append a string (a coded column is decoded first).
     ///
     /// # Panics
     /// Panics if total data exceeds `u32::MAX` bytes.
     pub fn push(&mut self, s: &str) {
-        self.push_bytes(s.as_bytes());
-    }
-
-    /// Append a string given as its bytes, which the caller took from a
-    /// string column (so they are UTF-8, and are not checked again).
-    fn push_bytes(&mut self, bytes: &[u8]) {
-        self.data.extend_from_slice(bytes);
-        let end = u32::try_from(self.data.len()).expect("string column exceeds 4 GiB");
-        self.offsets.push(end);
+        let (offsets, data) = self.plain_mut();
+        push_plain(offsets, data, s.as_bytes());
     }
 
     /// String at row `idx`.
@@ -63,10 +276,8 @@ impl StringColumn {
     /// # Panics
     /// Panics when out of bounds.
     pub fn get(&self, idx: usize) -> &str {
-        let start = self.offsets[idx] as usize;
-        let end = self.offsets[idx + 1] as usize;
         // Safety: only `push` writes data, and it only appends whole strings.
-        std::str::from_utf8(&self.data[start..end]).expect("column holds valid UTF-8")
+        std::str::from_utf8(self.bytes(idx)).expect("column holds valid UTF-8")
     }
 
     /// Bytes of the string at row `idx` (no UTF-8 check: key kernels hash
@@ -76,28 +287,45 @@ impl StringColumn {
     /// Panics when out of bounds.
     #[inline]
     pub fn bytes(&self, idx: usize) -> &[u8] {
-        &self.data[self.offsets[idx] as usize..self.offsets[idx + 1] as usize]
+        match &self.form {
+            Form::Plain { offsets, data } => {
+                &data[offsets[idx] as usize..offsets[idx + 1] as usize]
+            }
+            Form::Coded { codes, dict } => dict.bytes(codes[idx]),
+        }
     }
 
-    /// Total bytes of string data.
+    /// Bytes of string data held: the strings' in the plain form, the
+    /// dictionary's in the coded form.
     pub fn data_len(&self) -> usize {
-        self.data.len()
+        match &self.form {
+            Form::Plain { data, .. } => data.len(),
+            Form::Coded { dict, .. } => dict.byte_size(),
+        }
     }
 
-    /// Row boundaries into [`data`](Self::data): string `i` occupies
-    /// `offsets()[i]..offsets()[i + 1]`; `len() + 1` entries.
-    pub fn offsets(&self) -> &[u32] {
-        &self.offsets
+    /// Bytes the strings take in the plain form: exact for a plain column;
+    /// for a coded one its rows times the dictionary's mean entry, rounded
+    /// up (what a column that decodes them reserves).
+    pub fn plain_bytes(&self) -> usize {
+        match &self.form {
+            Form::Plain { data, .. } => data.len(),
+            Form::Coded { codes, dict } => {
+                (codes.len() * dict.data.len()).div_ceil(dict.len().max(1))
+            }
+        }
     }
 
-    /// All strings back to back (column kernels read runs of it without a
-    /// UTF-8 check per string).
-    pub fn data(&self) -> &[u8] {
-        &self.data
+    /// Bytes the column holds: its strings and an offset per row and one
+    /// more when plain, a code per row and the dictionary when coded.
+    pub fn byte_size(&self) -> usize {
+        match &self.form {
+            Form::Plain { offsets, data } => data.len() + offsets.len() * 4,
+            Form::Coded { codes, dict } => codes.len() + dict.byte_size(),
+        }
     }
 
-    /// Append every string of `other`: one copy of its data, its offsets
-    /// rebased.
+    /// Append every string of `other`.
     ///
     /// # Panics
     /// Panics if total data exceeds `u32::MAX` bytes.
@@ -105,78 +333,308 @@ impl StringColumn {
         self.extend_rows(other, 0..other.len());
     }
 
-    /// Append strings `rows` of `other`: one copy of their data, their
-    /// offsets rebased.
+    /// Append strings `rows` of `other`: their codes when both columns
+    /// are coded by one dictionary (or this one is empty), else one copy
+    /// of their bytes, their offsets rebased.
     ///
     /// # Panics
     /// Panics when `rows` is out of bounds, or if total data exceeds
     /// `u32::MAX` bytes.
     pub fn extend_rows(&mut self, other: &StringColumn, rows: Range<usize>) {
-        let offsets = &other.offsets[rows.start..=rows.end];
-        let (from, to) = (offsets[0], offsets[offsets.len() - 1]);
-        let base = self.end_after((to - from) as usize);
-        self.data
-            .extend_from_slice(&other.data[from as usize..to as usize]);
-        self.offsets
-            .extend(offsets[1..].iter().map(|&o| base + (o - from)));
+        match other.form() {
+            StrForm::Coded { codes, dict } => {
+                let codes = &codes[rows];
+                match self.codes_for(dict) {
+                    Some(mine) => mine.extend_from_slice(codes),
+                    None => {
+                        let (offsets, data) = self.plain_mut();
+                        offsets.reserve(codes.len());
+                        for &c in codes {
+                            push_plain(offsets, data, dict.bytes(c));
+                        }
+                    }
+                }
+            }
+            StrForm::Plain {
+                offsets: theirs,
+                data: bytes,
+            } => {
+                let theirs = &theirs[rows.start..=rows.end];
+                let (from, to) = (theirs[0], theirs[theirs.len() - 1]);
+                let (offsets, data) = self.plain_mut();
+                let base = end_after(data, (to - from) as usize);
+                data.extend_from_slice(&bytes[from as usize..to as usize]);
+                offsets.extend(theirs[1..].iter().map(|&o| base + (o - from)));
+            }
+        }
     }
 
     /// Append `lens.len()` strings that lie back to back in `data`, the
-    /// `i`-th being `lens[i]` bytes long. Fails, leaving the column as it
-    /// was, when the lengths do not add up to `data.len()` or one of them
-    /// ends inside a character.
+    /// `i`-th being `lens[i]` bytes long (a coded column is decoded
+    /// first). Fails, leaving the column's strings as they were, when the
+    /// lengths do not add up to `data.len()` or one of them ends inside a
+    /// character.
     ///
     /// # Panics
     /// Panics if total data exceeds `u32::MAX` bytes.
     pub fn extend_from_run(
         &mut self,
-        data: &str,
+        run: &str,
         lens: impl Iterator<Item = u32>,
     ) -> Result<(), SplitRun> {
-        let base = self.end_after(data.len());
-        let rows_before = self.offsets.len();
+        let (offsets, data) = self.plain_mut();
+        let base = end_after(data, run.len());
+        let rows_before = offsets.len();
         let mut end = 0usize;
         let mut whole = true;
-        self.offsets.extend(lens.map(|len| {
+        offsets.extend(lens.map(|len| {
             end = end.saturating_add(len as usize);
-            whole &= data.is_char_boundary(end);
-            // A wrapped sum fails the boundary check (`end > data.len()`),
+            whole &= run.is_char_boundary(end);
+            // A wrapped sum fails the boundary check (`end > run.len()`),
             // so the value stored here is never kept.
             base.wrapping_add(end as u32)
         }));
-        if whole && end == data.len() {
-            self.data.extend_from_slice(data.as_bytes());
+        if whole && end == run.len() {
+            data.extend_from_slice(run.as_bytes());
             Ok(())
         } else {
-            self.offsets.truncate(rows_before);
+            offsets.truncate(rows_before);
             Err(SplitRun)
         }
     }
 
-    /// Strings `rows` as a column of their own: their bytes as one run,
-    /// their offsets rebased, each allocated with exactly the room it
-    /// takes.
+    /// Strings `rows` as a column of their own, in this column's form,
+    /// allocated with exactly the room they take: their codes, or their
+    /// bytes as one run with their offsets rebased.
     ///
     /// # Panics
     /// Panics when `rows` is out of bounds.
     pub fn slice(&self, rows: Range<usize>) -> StringColumn {
-        let offsets = &self.offsets[rows.start..=rows.end];
-        let (from, to) = (offsets[0], offsets[offsets.len() - 1]);
-        StringColumn {
-            offsets: offsets.iter().map(|&o| o - from).collect(),
-            data: self.data[from as usize..to as usize].to_vec(),
+        match self.form() {
+            StrForm::Coded { codes, dict } => Self::coded(codes[rows].to_vec(), dict),
+            StrForm::Plain { offsets, data } => {
+                let offsets = &offsets[rows.start..=rows.end];
+                let (from, to) = (offsets[0], offsets[offsets.len() - 1]);
+                Self::plain(
+                    offsets.iter().map(|&o| o - from).collect(),
+                    data[from as usize..to as usize].to_vec(),
+                )
+            }
         }
     }
 
-    /// Current end offset, after checking that `more` bytes still fit.
-    fn end_after(&self, more: usize) -> u32 {
-        u32::try_from(self.data.len() + more).expect("string column exceeds 4 GiB");
-        self.data.len() as u32
+    /// The column in the plain form: itself when it is plain, its strings
+    /// decoded once when it is coded.
+    pub fn decode(mut self) -> StringColumn {
+        self.plain_mut();
+        self
+    }
+
+    /// The column coded when it holds at least one string and at most
+    /// [`Dictionary::MAX`] distinct ones, entries numbered in the order
+    /// they first appear; otherwise the column as it is. A coded column is
+    /// returned as it is.
+    pub fn encode(self) -> StringColumn {
+        if self.dictionary().is_some() {
+            return self;
+        }
+        let mut coding = StringBuilder::with_capacity(self.len(), 0);
+        for i in 0..self.len() {
+            if !coding.code(self.bytes(i)) {
+                return self;
+            }
+        }
+        coding.finish()
     }
 
     /// Iterate all strings.
     pub fn iter(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
+    }
+}
+
+/// A dictionary being built, and the lookup that finds a string's code in
+/// it: an open-addressing table of four slots per possible entry, by
+/// [`StrKey`].
+struct Coder {
+    dict: Dictionary,
+    slots: Vec<Option<(StrKey, u8)>>,
+}
+
+impl Coder {
+    const SLOTS: usize = 4 * Dictionary::MAX;
+
+    fn new() -> Self {
+        Self {
+            dict: Dictionary::new(),
+            slots: vec![None; Self::SLOTS],
+        }
+    }
+
+    /// The code of `bytes`, whose key is `key`: its entry's, made if there
+    /// is none yet — unless the dictionary is full.
+    #[inline]
+    fn code(&mut self, key: StrKey, bytes: &[u8]) -> Option<u8> {
+        let mut slot = key.slot(Self::SLOTS);
+        loop {
+            match self.slots[slot] {
+                Some((k, code)) if k == key && (key.whole() || self.dict.bytes(code) == bytes) => {
+                    return Some(code)
+                }
+                Some(_) => slot = (slot + 1) % Self::SLOTS,
+                None if self.dict.len() == Dictionary::MAX => return None,
+                None => {
+                    let code = self.dict.len() as u8;
+                    self.dict.push(bytes);
+                    self.slots[slot] = Some((key, code));
+                    return Some(code);
+                }
+            }
+        }
+    }
+
+    /// The dictionary, in exactly its room.
+    fn finish(mut self) -> Dictionary {
+        self.dict.offsets.shrink_to_fit();
+        self.dict.data.shrink_to_fit();
+        self.dict
+    }
+}
+
+/// Builds a string column a string at a time by [`StringColumn::encode`]'s
+/// rule, so that a column with few values is never held plain: it codes
+/// every string it is given until the 257th distinct one, which decodes
+/// what it holds into a plain column, once; the rest is pushed plain.
+pub struct StringBuilder {
+    /// Rows and mean bytes a row the column is sized for.
+    rows: usize,
+    avg_len: usize,
+    building: Building,
+}
+
+enum Building {
+    Coding { codes: Vec<u8>, coder: Coder },
+    Plain(StringColumn),
+}
+
+impl StringBuilder {
+    /// A builder for `rows` strings of `avg_len` average size: room for
+    /// their codes, or, once it turns plain, for their bytes.
+    pub fn with_capacity(rows: usize, avg_len: usize) -> Self {
+        Self {
+            rows,
+            avg_len,
+            building: Building::Coding {
+                codes: Vec::with_capacity(rows),
+                coder: Coder::new(),
+            },
+        }
+    }
+
+    /// Append a string.
+    ///
+    /// # Panics
+    /// Panics if a plain column's data exceeds `u32::MAX` bytes.
+    pub fn push(&mut self, s: &str) {
+        if !self.code(s.as_bytes()) {
+            self.plain().push(s);
+        }
+    }
+
+    /// Append the code of `bytes`, if the builder still codes and `bytes`
+    /// is not the 257th distinct string; false, having done nothing, if not.
+    fn code(&mut self, bytes: &[u8]) -> bool {
+        let Building::Coding { codes, coder } = &mut self.building else {
+            return false;
+        };
+        coder
+            .code(StrKey::of(bytes), bytes)
+            .map(|c| codes.push(c))
+            .is_some()
+    }
+
+    /// The plain column, into which the strings coded so far are decoded
+    /// the first time it is asked for.
+    fn plain(&mut self) -> &mut StringColumn {
+        if let Building::Coding { codes, coder } = &self.building {
+            let rows = self.rows.max(codes.len() + 1);
+            let mut plain = StringColumn::with_capacity(rows, self.avg_len);
+            let (offsets, data) = plain.plain_mut();
+            for &c in codes {
+                push_plain(offsets, data, coder.dict.bytes(c));
+            }
+            self.building = Building::Plain(plain);
+        }
+        match &mut self.building {
+            Building::Plain(plain) => plain,
+            Building::Coding { .. } => unreachable!("decoded above"),
+        }
+    }
+
+    /// The column: coded if it has rows and every string got a code.
+    pub fn finish(self) -> StringColumn {
+        match self.building {
+            Building::Coding { codes, .. } if codes.is_empty() => StringColumn::new(),
+            Building::Coding { mut codes, coder } => {
+                codes.shrink_to_fit();
+                StringColumn::coded(codes, &Arc::new(coder.finish()))
+            }
+            Building::Plain(plain) => plain,
+        }
+    }
+}
+
+impl<'a> FromIterator<&'a str> for StringBuilder {
+    fn from_iter<T: IntoIterator<Item = &'a str>>(iter: T) -> Self {
+        let mut builder = StringBuilder::with_capacity(0, 0);
+        iter.into_iter().for_each(|s| builder.push(s));
+        builder
+    }
+}
+
+impl FromIterator<String> for StringBuilder {
+    fn from_iter<T: IntoIterator<Item = String>>(iter: T) -> Self {
+        let mut builder = StringBuilder::with_capacity(0, 0);
+        iter.into_iter().for_each(|s| builder.push(&s));
+        builder
+    }
+}
+
+/// A string's length and its first and last eight bytes (a string shorter
+/// than eight bytes as one word, zero-filled): the whole string when it is
+/// at most 16 bytes long.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StrKey {
+    len: usize,
+    head: u64,
+    tail: u64,
+}
+
+impl StrKey {
+    #[inline]
+    fn of(bytes: &[u8]) -> StrKey {
+        let (head, tail) = match (bytes.first_chunk(), bytes.last_chunk()) {
+            (Some(head), Some(tail)) => (u64::from_le_bytes(*head), u64::from_le_bytes(*tail)),
+            _ => (bytes.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b)), 0),
+        };
+        StrKey {
+            len: bytes.len(),
+            head,
+            tail,
+        }
+    }
+
+    fn whole(&self) -> bool {
+        self.len <= 16
+    }
+
+    /// Its slot among `slots`, a power of two: the top bits of a
+    /// multiply-fold hash.
+    #[inline]
+    fn slot(&self, slots: usize) -> usize {
+        const FOLD: u64 = 0x9e37_79b9_7f4a_7c15;
+        let h = (self.head ^ self.len as u64).wrapping_mul(FOLD) ^ self.tail;
+        (h.wrapping_mul(FOLD) >> (64 - slots.trailing_zeros())) as usize
     }
 }
 
@@ -205,11 +663,36 @@ impl<'a> FromIterator<&'a str> for StringColumn {
     }
 }
 
+/// Bytes `columns` hold ([`Column::byte_size`]), each dictionary counted
+/// once however many of them share it.
+pub fn bytes_held<'a>(columns: impl IntoIterator<Item = &'a Column>) -> usize {
+    let mut dicts: Vec<*const Dictionary> = Vec::new();
+    columns
+        .into_iter()
+        .map(|c| match c {
+            Column::Str(v, _) => match v.form() {
+                StrForm::Coded { codes, dict } => {
+                    let seen = dicts.contains(&Arc::as_ptr(dict));
+                    if !seen {
+                        dicts.push(Arc::as_ptr(dict));
+                    }
+                    codes.len() + if seen { 0 } else { dict.byte_size() }
+                }
+                StrForm::Plain { .. } => c.byte_size(),
+            },
+            _ => c.byte_size(),
+        })
+        .sum()
+}
+
 /// A column of values, optionally with a validity bitmap.
 ///
 /// Integer-backed logical types (Int64, Date, Decimal) all use the `I64`
-/// physical representation; the logical type lives in the schema.
-#[derive(Debug, Clone, PartialEq)]
+/// physical representation; the logical type lives in the schema. Two
+/// columns are equal when they hold the same values and the same validity
+/// bitmaps; string columns whatever their forms, and only at valid rows (a
+/// NULL row of a coded column holds some code, of a plain one `""`).
+#[derive(Debug, Clone)]
 pub enum Column {
     /// 64-bit integers (also dates and scaled decimals).
     I64(Vec<i64>, Option<Bitmap>),
@@ -219,17 +702,61 @@ pub enum Column {
     Str(StringColumn, Option<Bitmap>),
 }
 
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Column::I64(a, x), Column::I64(b, y)) => a == b && x == y,
+            (Column::F64(a, x), Column::F64(b, y)) => a == b && x == y,
+            (Column::Str(a, x), Column::Str(b, y)) => {
+                x == y
+                    && a.len() == b.len()
+                    && (0..a.len()).all(|i| !self.is_valid(i) || a.bytes(i) == b.bytes(i))
+            }
+            _ => false,
+        }
+    }
+}
+
 impl Column {
     /// The row index [`extend_gather`](Self::extend_gather) reads as "no
     /// row": the build side of a left-outer miss.
     pub const NULL_ROW: u32 = u32::MAX;
 
-    /// An empty column of physical type matching `dtype`.
+    /// An empty column of physical type matching `dtype` (a string column
+    /// is plain).
     pub fn empty(dtype: DataType) -> Self {
         match dtype {
             DataType::Int64 | DataType::Date | DataType::Decimal => Column::I64(Vec::new(), None),
             DataType::Float64 => Column::F64(Vec::new(), None),
             DataType::Utf8 => Column::Str(StringColumn::new(), None),
+        }
+    }
+
+    /// An empty column of this one's physical type and form: a coded
+    /// string column's shares its dictionary.
+    pub fn empty_like(&self) -> Self {
+        match self {
+            Column::I64(..) => Column::I64(Vec::new(), None),
+            Column::F64(..) => Column::F64(Vec::new(), None),
+            Column::Str(v, _) => Column::Str(v.slice(0..0), None),
+        }
+    }
+
+    /// Code a string column by [`StringColumn::encode`]'s rule; any other
+    /// column is returned as it is.
+    pub fn encode(self) -> Self {
+        match self {
+            Column::Str(v, bm) => Column::Str(v.encode(), bm),
+            other => other,
+        }
+    }
+
+    /// The column with its strings in the plain form (any other column as
+    /// it is).
+    pub fn decode(self) -> Self {
+        match self {
+            Column::Str(v, bm) => Column::Str(v.decode(), bm),
+            other => other,
         }
     }
 
@@ -343,16 +870,18 @@ impl Column {
         }
     }
 
-    /// Approximate heap size in bytes (for shuffle-volume accounting).
+    /// Bytes the column's values take (its validity bitmap is not
+    /// counted): eight per number, [`StringColumn::byte_size`] for strings.
     pub fn byte_size(&self) -> usize {
         match self {
             Column::I64(v, _) => v.len() * 8,
             Column::F64(v, _) => v.len() * 8,
-            Column::Str(v, _) => v.data_len() + (v.len() + 1) * 4,
+            Column::Str(v, _) => v.byte_size(),
         }
     }
 
-    /// Copy the rows selected by `indices` into a new column.
+    /// Copy the rows selected by `indices` into a new column, in this
+    /// column's form.
     ///
     /// # Panics
     /// Panics when any index is out of bounds.
@@ -367,18 +896,27 @@ impl Column {
                 Column::F64(data, gather_validity(bm, indices))
             }
             Column::Str(v, bm) => {
-                let mut out = StringColumn::with_capacity(indices.len(), 16);
-                for &i in indices {
-                    out.push_bytes(v.bytes(i));
-                }
+                let out = match v.form() {
+                    StrForm::Coded { codes, dict } => {
+                        StringColumn::coded(indices.iter().map(|&i| codes[i]).collect(), dict)
+                    }
+                    StrForm::Plain { .. } => {
+                        let mut out = StringColumn::with_capacity(indices.len(), 16);
+                        let (offsets, data) = out.plain_mut();
+                        for &i in indices {
+                            push_plain(offsets, data, v.bytes(i));
+                        }
+                        out
+                    }
+                };
                 Column::Str(out, gather_validity(bm, indices))
             }
         }
     }
 
     /// Rows `range` as a new column: one contiguous copy, allocated with
-    /// exactly the room it takes (strings as one run of bytes, their
-    /// offsets rebased). A validity bitmap stays a bitmap.
+    /// exactly the room it takes (strings in their column's form). A
+    /// validity bitmap stays a bitmap.
     ///
     /// # Panics
     /// Panics when `range` is out of bounds.
@@ -428,28 +966,39 @@ impl Column {
                 .into_iter()
                 .map(|v| Column::F64(v, None))
                 .collect(),
-            Column::Str(v, _) => {
-                let mut bytes = vec![0usize; counts.len()];
-                for (row, &p) in to.iter().enumerate() {
-                    bytes[p as usize] += v.bytes(row).len();
+            Column::Str(v, _) => match v.form() {
+                StrForm::Coded { codes, dict } => values(codes, to, counts)
+                    .into_iter()
+                    .map(|codes| Column::Str(StringColumn::coded(codes, dict), None))
+                    .collect(),
+                StrForm::Plain { offsets, data } => {
+                    let bytes_of =
+                        |row: usize| &data[offsets[row] as usize..offsets[row + 1] as usize];
+                    let mut bytes = vec![0usize; counts.len()];
+                    for (row, &p) in to.iter().enumerate() {
+                        bytes[p as usize] += bytes_of(row).len();
+                    }
+                    let mut parts: Vec<(Vec<u32>, Vec<u8>)> = counts
+                        .iter()
+                        .zip(bytes)
+                        .map(|(&rows, bytes)| {
+                            let mut offsets = Vec::with_capacity(rows + 1);
+                            offsets.push(0);
+                            (offsets, Vec::with_capacity(bytes))
+                        })
+                        .collect();
+                    for (row, &p) in to.iter().enumerate() {
+                        let (offsets, data) = &mut parts[p as usize];
+                        push_plain(offsets, data, bytes_of(row));
+                    }
+                    parts
+                        .into_iter()
+                        .map(|(offsets, data)| {
+                            Column::Str(StringColumn::plain(offsets, data), None)
+                        })
+                        .collect()
                 }
-                let mut parts: Vec<StringColumn> = counts
-                    .iter()
-                    .zip(bytes)
-                    .map(|(&rows, bytes)| {
-                        let mut offsets = Vec::with_capacity(rows + 1);
-                        offsets.push(0);
-                        StringColumn {
-                            offsets,
-                            data: Vec::with_capacity(bytes),
-                        }
-                    })
-                    .collect();
-                for (row, &p) in to.iter().enumerate() {
-                    parts[p as usize].push_bytes(v.bytes(row));
-                }
-                parts.into_iter().map(|v| Column::Str(v, None)).collect()
-            }
+            },
         };
         parts
             .into_iter()
@@ -469,7 +1018,9 @@ impl Column {
     /// [`Column::NULL_ROW`] appends a NULL. A run of at least 16
     /// consecutive rows is copied as one slice (a selection that keeps most
     /// of its input is a few long runs); other rows are copied one at a
-    /// time. The validity bitmap stays absent until the first NULL arrives.
+    /// time. Strings go as codes when `src` is coded and this column is
+    /// coded by the same dictionary or empty, else as bytes. The validity
+    /// bitmap stays absent until the first NULL arrives.
     ///
     /// # Panics
     /// Panics on physical type mismatch or when an index is out of bounds.
@@ -505,17 +1056,36 @@ impl Column {
                 bm
             }
             (Column::Str(a, bm), Column::Str(b, _)) => {
-                a.offsets.reserve(rows.len());
-                for piece in (Pieces { rows }) {
-                    match piece {
-                        Piece::Run(run) => a.extend_rows(b, run),
-                        Piece::Rows(rows) => {
+                match b.form() {
+                    StrForm::Coded { codes, dict } => match a.codes_for(dict) {
+                        Some(mine) => values(mine, codes, rows),
+                        None => {
+                            let (offsets, data) = a.plain_mut();
+                            offsets.reserve(rows.len());
                             for &i in rows {
-                                a.push_bytes(if i == Column::NULL_ROW {
-                                    &[]
-                                } else {
-                                    b.bytes(i as usize)
-                                });
+                                let bytes = match i {
+                                    Column::NULL_ROW => &[][..],
+                                    i => dict.bytes(codes[i as usize]),
+                                };
+                                push_plain(offsets, data, bytes);
+                            }
+                        }
+                    },
+                    StrForm::Plain { .. } => {
+                        a.plain_mut().0.reserve(rows.len());
+                        for piece in (Pieces { rows }) {
+                            match piece {
+                                Piece::Run(run) => a.extend_rows(b, run),
+                                Piece::Rows(rows) => {
+                                    let (offsets, data) = a.plain_mut();
+                                    for &i in rows {
+                                        let bytes = match i {
+                                            Column::NULL_ROW => &[][..],
+                                            i => b.bytes(i as usize),
+                                        };
+                                        push_plain(offsets, data, bytes);
+                                    }
+                                }
                             }
                         }
                     }
@@ -540,31 +1110,37 @@ impl Column {
         }
     }
 
-    /// Bytes of string data (0 for a column that is not a string column).
+    /// Bytes the strings take in the plain form, what a plain column
+    /// reserves for them ([`StringColumn::plain_bytes`]; 0 for a column
+    /// that is not a string column).
     pub fn str_bytes(&self) -> usize {
         match self {
-            Column::Str(v, _) => v.data_len(),
+            Column::Str(v, _) => v.plain_bytes(),
             _ => 0,
         }
     }
 
     /// Make room for exactly `rows` more rows — holding `str_bytes` bytes
-    /// of string data, if this is a string column — so that appending them
-    /// does not regrow the column, and a column that already has the room
-    /// is left as it is.
+    /// of string data, if this is a plain string column; a coded one makes
+    /// room for their codes — so that appending them does not regrow the
+    /// column, and a column that already has the room is left as it is.
     pub fn reserve(&mut self, rows: usize, str_bytes: usize) {
         match self {
             Column::I64(v, _) => v.reserve_exact(rows),
             Column::F64(v, _) => v.reserve_exact(rows),
-            Column::Str(v, _) => {
-                v.offsets.reserve_exact(rows);
-                v.data.reserve_exact(str_bytes);
-            }
+            Column::Str(v, _) => match &mut v.form {
+                Form::Plain { offsets, data } => {
+                    offsets.reserve_exact(rows);
+                    data.reserve_exact(str_bytes);
+                }
+                Form::Coded { codes, .. } => codes.reserve_exact(rows),
+            },
         }
     }
 
     /// Drop every row and keep the room they took, so that a column that
-    /// is filled again and again is allocated once.
+    /// is filled again and again is allocated once (a coded column keeps
+    /// its dictionary).
     pub fn clear(&mut self) {
         let validity = match self {
             Column::I64(v, bm) => {
@@ -576,8 +1152,13 @@ impl Column {
                 bm
             }
             Column::Str(v, bm) => {
-                v.offsets.truncate(1);
-                v.data.clear();
+                match &mut v.form {
+                    Form::Plain { offsets, data } => {
+                        offsets.truncate(1);
+                        data.clear();
+                    }
+                    Form::Coded { codes, .. } => codes.clear(),
+                }
                 bm
             }
         };
@@ -874,7 +1455,10 @@ mod tests {
         match c {
             Column::I64(v, _) => (v.capacity(), 0),
             Column::F64(v, _) => (v.capacity(), 0),
-            Column::Str(v, _) => (v.offsets.capacity() - 1, v.data.capacity()),
+            Column::Str(v, _) => match &v.form {
+                Form::Plain { offsets, data } => (offsets.capacity() - 1, data.capacity()),
+                Form::Coded { codes, .. } => (codes.capacity(), 0),
+            },
         }
     }
 
@@ -988,5 +1572,219 @@ mod tests {
     #[should_panic(expected = "expected i64")]
     fn typed_accessor_mismatch_panics() {
         Column::F64(vec![], None).i64_values();
+    }
+
+    /// A string column whose row `i` is NULL when `null(i)`, else one of
+    /// `words`, coded.
+    fn coded_column(words: &[&str], rows: usize, null: fn(usize) -> bool) -> Column {
+        let mut c = Column::empty(DataType::Utf8);
+        for i in 0..rows {
+            c.push_value(&match null(i) {
+                true => Value::Null,
+                false => Value::Str(words[i * 7 % words.len()].to_string()),
+            });
+        }
+        let coded = c.encode();
+        assert!(is_coded(&coded), "{} distinct words are coded", words.len());
+        coded
+    }
+
+    fn is_coded(c: &Column) -> bool {
+        matches!(c, Column::Str(v, _) if v.dictionary().is_some())
+    }
+
+    fn dict_of(c: &Column) -> &Arc<Dictionary> {
+        c.str_values().dictionary().expect("a coded column")
+    }
+
+    const WORDS: [&str; 5] = ["MAIL", "", "REG AIR", "éclair", "SHIP"];
+
+    #[test]
+    fn coded_and_plain_forms_hold_the_same_strings() {
+        for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+            let coded = coded_column(&WORDS, 40, null);
+            let plain = coded.clone().decode();
+            assert!(!is_coded(&plain));
+            assert_eq!(coded, plain, "equality compares strings, not forms");
+            for r in 0..40 {
+                assert_eq!(coded.value(r), plain.value(r));
+            }
+            let (c, p) = (coded.str_values(), plain.str_values());
+            assert_eq!(dict_of(&coded).len(), WORDS.len());
+            let valid: Vec<usize> = (0..40).filter(|&r| coded.is_valid(r)).collect();
+            for &r in &valid {
+                assert_eq!((c.get(r), c.bytes(r)), (p.get(r), p.bytes(r)));
+            }
+            // One byte a row and the dictionary (its entries and their
+            // offsets), against four and the bytes.
+            let entries: usize = WORDS.iter().map(|w| w.len()).sum();
+            assert_eq!(coded.byte_size(), 40 + entries + (WORDS.len() + 1) * 4);
+            let mut held: Vec<&[u8]> = dict_of(&coded).entries().collect();
+            let mut words = WORDS.map(str::as_bytes);
+            held.sort();
+            words.sort();
+            assert_eq!(held, words);
+            assert_eq!(plain.byte_size(), p.data_len() + 41 * 4);
+            let mut other = coded.clone();
+            other.push_value(&Value::Str("x".into()));
+            assert_ne!(other, plain);
+        }
+    }
+
+    #[test]
+    fn the_257th_distinct_value_keeps_a_column_plain() {
+        let words: Vec<String> = (0..257).map(|i| format!("w{i}")).collect();
+        let column = |n: usize| -> Column {
+            let c: StringColumn = (0..600).map(|i| words[i % n].as_str()).collect();
+            Column::Str(c, None).encode()
+        };
+        let at_most = column(256);
+        assert_eq!(dict_of(&at_most).len(), 256);
+        assert!(at_most
+            .str_values()
+            .iter()
+            .eq((0..600).map(|i| words[i % 256].as_str())));
+        let past = column(257);
+        assert!(!is_coded(&past));
+        assert_eq!(past, column(257).decode());
+        // Nothing to code in an empty column.
+        assert!(!is_coded(&Column::empty(DataType::Utf8).encode()));
+        assert!(!is_coded(&Column::I64(vec![1], None).encode()));
+    }
+
+    #[test]
+    fn a_builder_codes_as_encode_does_and_turns_plain_at_the_257th_value() {
+        let words: Vec<String> = (0..300).map(|i| format!("word number {i}")).collect();
+        for distinct in [1, 5, 256, 257, 300] {
+            let strings = (0..700).map(|i| words[i * 7 % distinct].as_str());
+            let mut builder = StringBuilder::with_capacity(500, 12);
+            strings.clone().for_each(|s| builder.push(s));
+            let built = builder.finish();
+            let encoded = strings.collect::<StringColumn>().encode();
+            assert_eq!(built, encoded, "{distinct} values");
+            assert_eq!(built.dictionary().is_some(), distinct <= 256);
+            assert_eq!(encoded.dictionary().is_some(), distinct <= 256);
+            if let (Some(a), Some(b)) = (built.dictionary(), encoded.dictionary()) {
+                assert_eq!(a, b, "entries in first-seen order");
+            }
+        }
+        assert!(StringBuilder::with_capacity(0, 0).finish().is_empty());
+        let few: StringBuilder = ["b", "a", "b"].into_iter().collect();
+        assert_eq!(few.finish().iter().collect::<Vec<_>>(), ["b", "a", "b"]);
+    }
+
+    #[test]
+    fn cutting_a_coded_column_keeps_its_dictionary() {
+        for null in [(|_| false) as fn(usize) -> bool, |i| i % 3 == 1] {
+            let src = coded_column(&WORDS, 150, null);
+            let plain = src.clone().decode();
+            let shares = |c: &Column| Arc::ptr_eq(dict_of(c), dict_of(&src));
+            for range in [0..0, 0..150, 3..70, 149..150] {
+                let slice = src.slice(range.clone());
+                assert!(shares(&slice));
+                assert_eq!(slice, plain.slice(range.clone()));
+                assert_eq!(capacity(&slice), (range.len(), 0));
+            }
+            let picks = [149, 0, 7, 7, 64];
+            assert!(shares(&src.gather(&picks)));
+            assert_eq!(src.gather(&picks), plain.gather(&picks));
+            let to: Vec<u32> = (0..150u32).map(|i| i * 7 % 11 % 4).collect();
+            let mut counts = vec![0; 4];
+            to.iter().for_each(|&p| counts[p as usize] += 1);
+            for (c, p) in src
+                .scatter(&to, &counts)
+                .iter()
+                .zip(plain.scatter(&to, &counts))
+            {
+                assert!(shares(c));
+                assert_eq!(c, &p);
+            }
+            let rows: Vec<u32> =
+                [&[3u32, Column::NULL_ROW][..], &(20..60).collect::<Vec<_>>()].concat();
+            let mut coded = src.slice(0..10);
+            coded.extend_gather(&src, &rows);
+            assert!(
+                shares(&coded),
+                "gathered rows of its own dictionary stay codes"
+            );
+            let mut want = plain.slice(0..10);
+            want.extend_gather(&plain, &rows);
+            assert_eq!(coded, want);
+            assert_eq!(coded.value(11), Value::Null, "NULL_ROW");
+            // An empty column takes the dictionary of the first coded rows,
+            // and keeps it when cleared.
+            let mut empty = Column::empty(DataType::Utf8);
+            empty.extend_gather(&src, &rows);
+            assert!(shares(&empty));
+            assert_eq!(empty, want.slice(10..want.len()));
+            empty.clear();
+            assert!(shares(&empty));
+            let mut appended = Column::empty(DataType::Utf8);
+            appended.append(&src);
+            appended.append(&src.slice(5..9));
+            assert!(shares(&appended));
+            assert_eq!(appended.len(), 154);
+        }
+    }
+
+    #[test]
+    fn rows_of_another_dictionary_decode_a_column_once() {
+        let a = coded_column(&WORDS, 30, |i| i % 4 == 2);
+        let b = coded_column(&WORDS[1..], 30, |_| false);
+        let plain = |c: &Column| c.clone().decode();
+        // Two codings of like words are two dictionaries.
+        assert!(!Arc::ptr_eq(dict_of(&a), dict_of(&b)));
+
+        let mut rows = a.clone();
+        let Column::Str(s, _) = &mut rows else {
+            unreachable!()
+        };
+        s.extend_rows(b.str_values(), 4..20);
+        let mut want = plain(&a);
+        let Column::Str(w, _) = &mut want else {
+            unreachable!()
+        };
+        w.extend_rows(plain(&b).str_values(), 4..20);
+        assert!(rows.str_values().dictionary().is_none());
+        assert_eq!(rows.str_values(), want.str_values());
+
+        let picks = [0, Column::NULL_ROW, 29, 3];
+        let mut gathered = a.clone();
+        gathered.extend_gather(&b, &picks);
+        let mut want = plain(&a);
+        want.extend_gather(&plain(&b), &picks);
+        assert!(!is_coded(&gathered));
+        assert_eq!(gathered, want);
+
+        let mut appended = a.clone();
+        appended.append(&plain(&b));
+        let mut want = plain(&a);
+        want.append(&plain(&b));
+        assert!(!is_coded(&appended));
+        assert_eq!(appended, want);
+
+        let mut pushed = a.clone();
+        pushed.push_value(&Value::Str("new".into()));
+        assert!(!is_coded(&pushed));
+        assert_eq!(pushed.value(30), Value::Str("new".into()));
+        assert_eq!(pushed.slice(0..30), a);
+    }
+
+    #[test]
+    fn a_shared_dictionary_is_held_once() {
+        let src = coded_column(&WORDS, 100, |_| false);
+        let parts = [src.slice(0..60), src.slice(60..100)];
+        let dict = dict_of(&src).byte_size();
+        assert_eq!(bytes_held(&parts), 100 + dict);
+        assert_eq!(
+            parts.iter().map(Column::byte_size).sum::<usize>(),
+            100 + 2 * dict
+        );
+        let ints = Column::I64(vec![1, 2], None);
+        let other = coded_column(&WORDS, 10, |_| false);
+        assert_eq!(
+            bytes_held([&parts[0], &ints, &other, &parts[1]]),
+            100 + dict + 16 + other.byte_size()
+        );
     }
 }

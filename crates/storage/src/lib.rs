@@ -8,7 +8,9 @@
 //!   and proleptic-Gregorian date arithmetic (TPC-H dates are day numbers).
 //! * [`bitmap`] — validity bitmaps for nullable columns.
 //! * [`column`](mod@column) — typed columns: 64-bit integers (also carrying dates and
-//!   fixed-point decimals), 64-bit floats, and byte-packed UTF-8 strings.
+//!   fixed-point decimals), 64-bit floats, and UTF-8 strings — byte-packed,
+//!   or one-byte codes into a shared dictionary when a column holds at
+//!   most 256 distinct values.
 //! * [`table`] — schemas, tables, row access, and morsel iteration.
 //! * [`placement`] — chunked vs hash-partitioned data placement across the
 //!   cluster (§4.1: "we assign relation chunks to servers as generated by
@@ -21,6 +23,6 @@ pub mod table;
 pub mod types;
 
 pub use bitmap::Bitmap;
-pub use column::{Column, StringColumn};
+pub use column::{bytes_held, Column, Dictionary, StrForm, StringBuilder, StringColumn};
 pub use table::{Field, Morsel, Schema, Table};
 pub use types::{date_from_ymd, decimal_to_f64, year_of_date, DataType, Value};

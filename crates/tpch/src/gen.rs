@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use hsqp_storage::{date_from_ymd, Column, Schema, StringColumn, Table};
+use hsqp_storage::{date_from_ymd, Column, Schema, StringBuilder, Table};
 
 use crate::schema;
 use crate::text;
@@ -167,37 +167,41 @@ impl TpchDb {
 
 fn gen_region() -> Table {
     let keys = Column::I64((0..5).collect(), None);
-    let names: StringColumn = text::REGIONS.into_iter().collect();
-    let comments: StringColumn = (0..5).map(|_| "region comment").collect();
+    let names: StringBuilder = text::REGIONS.into_iter().collect();
+    let comments: StringBuilder = (0..5).map(|_| "region comment").collect();
     Table::new(
         schema::region(),
-        vec![keys, Column::Str(names, None), Column::Str(comments, None)],
+        vec![
+            keys,
+            Column::Str(names.finish(), None),
+            Column::Str(comments.finish(), None),
+        ],
     )
 }
 
 fn gen_nation(rng: &mut StdRng) -> Table {
     let keys = Column::I64((0..25).collect(), None);
-    let names: StringColumn = text::NATIONS.iter().map(|&(n, _)| n).collect();
+    let names: StringBuilder = text::NATIONS.iter().map(|&(n, _)| n).collect();
     let regions = Column::I64(text::NATIONS.iter().map(|&(_, r)| r).collect(), None);
-    let comments: StringColumn = (0..25).map(|_| text::comment(rng, 5)).collect();
+    let comments: StringBuilder = (0..25).map(|_| text::comment(rng, 5)).collect();
     Table::new(
         schema::nation(),
         vec![
             keys,
-            Column::Str(names, None),
+            Column::Str(names.finish(), None),
             regions,
-            Column::Str(comments, None),
+            Column::Str(comments.finish(), None),
         ],
     )
 }
 
 fn gen_supplier(rng: &mut StdRng, n: i64) -> Table {
-    let mut names = StringColumn::with_capacity(n as usize, 18);
-    let mut addresses = StringColumn::with_capacity(n as usize, 18);
+    let mut names = StringBuilder::with_capacity(n as usize, 18);
+    let mut addresses = StringBuilder::with_capacity(n as usize, 18);
     let mut nationkeys = Vec::with_capacity(n as usize);
-    let mut phones = StringColumn::with_capacity(n as usize, 15);
+    let mut phones = StringBuilder::with_capacity(n as usize, 15);
     let mut acctbals = Vec::with_capacity(n as usize);
-    let mut comments = StringColumn::with_capacity(n as usize, 40);
+    let mut comments = StringBuilder::with_capacity(n as usize, 40);
     for k in 1..=n {
         names.push(&format!("Supplier#{k:09}"));
         addresses.push(&text::address(rng));
@@ -211,24 +215,24 @@ fn gen_supplier(rng: &mut StdRng, n: i64) -> Table {
         schema::supplier(),
         vec![
             Column::I64((1..=n).collect(), None),
-            Column::Str(names, None),
-            Column::Str(addresses, None),
+            Column::Str(names.finish(), None),
+            Column::Str(addresses.finish(), None),
             Column::I64(nationkeys, None),
-            Column::Str(phones, None),
+            Column::Str(phones.finish(), None),
             Column::I64(acctbals, None),
-            Column::Str(comments, None),
+            Column::Str(comments.finish(), None),
         ],
     )
 }
 
 fn gen_customer(rng: &mut StdRng, n: i64) -> Table {
-    let mut names = StringColumn::with_capacity(n as usize, 18);
-    let mut addresses = StringColumn::with_capacity(n as usize, 18);
+    let mut names = StringBuilder::with_capacity(n as usize, 18);
+    let mut addresses = StringBuilder::with_capacity(n as usize, 18);
     let mut nationkeys = Vec::with_capacity(n as usize);
-    let mut phones = StringColumn::with_capacity(n as usize, 15);
+    let mut phones = StringBuilder::with_capacity(n as usize, 15);
     let mut acctbals = Vec::with_capacity(n as usize);
-    let mut segments = StringColumn::with_capacity(n as usize, 10);
-    let mut comments = StringColumn::with_capacity(n as usize, 40);
+    let mut segments = StringBuilder::with_capacity(n as usize, 10);
+    let mut comments = StringBuilder::with_capacity(n as usize, 40);
     for k in 1..=n {
         names.push(&format!("Customer#{k:09}"));
         addresses.push(&text::address(rng));
@@ -244,26 +248,26 @@ fn gen_customer(rng: &mut StdRng, n: i64) -> Table {
         schema::customer(),
         vec![
             Column::I64((1..=n).collect(), None),
-            Column::Str(names, None),
-            Column::Str(addresses, None),
+            Column::Str(names.finish(), None),
+            Column::Str(addresses.finish(), None),
             Column::I64(nationkeys, None),
-            Column::Str(phones, None),
+            Column::Str(phones.finish(), None),
             Column::I64(acctbals, None),
-            Column::Str(segments, None),
-            Column::Str(comments, None),
+            Column::Str(segments.finish(), None),
+            Column::Str(comments.finish(), None),
         ],
     )
 }
 
 fn gen_part(rng: &mut StdRng, n: i64) -> Table {
-    let mut names = StringColumn::with_capacity(n as usize, 32);
-    let mut mfgrs = StringColumn::with_capacity(n as usize, 14);
-    let mut brands = StringColumn::with_capacity(n as usize, 8);
-    let mut types = StringColumn::with_capacity(n as usize, 22);
+    let mut names = StringBuilder::with_capacity(n as usize, 32);
+    let mut mfgrs = StringBuilder::with_capacity(n as usize, 14);
+    let mut brands = StringBuilder::with_capacity(n as usize, 8);
+    let mut types = StringBuilder::with_capacity(n as usize, 22);
     let mut sizes = Vec::with_capacity(n as usize);
-    let mut containers = StringColumn::with_capacity(n as usize, 9);
+    let mut containers = StringBuilder::with_capacity(n as usize, 9);
     let mut prices = Vec::with_capacity(n as usize);
-    let mut comments = StringColumn::with_capacity(n as usize, 20);
+    let mut comments = StringBuilder::with_capacity(n as usize, 20);
     for k in 1..=n {
         names.push(&text::part_name(rng));
         let m = rng.random_range(1..=5);
@@ -290,14 +294,14 @@ fn gen_part(rng: &mut StdRng, n: i64) -> Table {
         schema::part(),
         vec![
             Column::I64((1..=n).collect(), None),
-            Column::Str(names, None),
-            Column::Str(mfgrs, None),
-            Column::Str(brands, None),
-            Column::Str(types, None),
+            Column::Str(names.finish(), None),
+            Column::Str(mfgrs.finish(), None),
+            Column::Str(brands.finish(), None),
+            Column::Str(types.finish(), None),
             Column::I64(sizes, None),
-            Column::Str(containers, None),
+            Column::Str(containers.finish(), None),
             Column::I64(prices, None),
-            Column::Str(comments, None),
+            Column::Str(comments.finish(), None),
         ],
     )
 }
@@ -309,7 +313,7 @@ fn gen_partsupp(rng: &mut StdRng, parts: i64, suppliers: i64) -> Table {
     let mut suppkeys = Vec::with_capacity(rows);
     let mut qtys = Vec::with_capacity(rows);
     let mut costs = Vec::with_capacity(rows);
-    let mut comments = StringColumn::with_capacity(rows, 30);
+    let mut comments = StringBuilder::with_capacity(rows, 30);
     for p in 1..=parts {
         for j in 0..per_part {
             partkeys.push(p);
@@ -327,7 +331,7 @@ fn gen_partsupp(rng: &mut StdRng, parts: i64, suppliers: i64) -> Table {
             Column::I64(suppkeys, None),
             Column::I64(qtys, None),
             Column::I64(costs, None),
-            Column::Str(comments, None),
+            Column::Str(comments.finish(), None),
         ],
     )
 }
@@ -348,13 +352,13 @@ fn gen_orders_lineitem(
     let o_rows = orders as usize;
     let mut o_orderkey = Vec::with_capacity(o_rows);
     let mut o_custkey = Vec::with_capacity(o_rows);
-    let mut o_status = StringColumn::with_capacity(o_rows, 1);
+    let mut o_status = StringBuilder::with_capacity(o_rows, 1);
     let mut o_totalprice = Vec::with_capacity(o_rows);
     let mut o_orderdate = Vec::with_capacity(o_rows);
-    let mut o_priority = StringColumn::with_capacity(o_rows, 10);
-    let mut o_clerk = StringColumn::with_capacity(o_rows, 15);
+    let mut o_priority = StringBuilder::with_capacity(o_rows, 10);
+    let mut o_clerk = StringBuilder::with_capacity(o_rows, 15);
     let mut o_shipprio = Vec::with_capacity(o_rows);
-    let mut o_comment = StringColumn::with_capacity(o_rows, 40);
+    let mut o_comment = StringBuilder::with_capacity(o_rows, 40);
 
     let l_rows = o_rows * 4;
     let mut l_orderkey = Vec::with_capacity(l_rows);
@@ -365,14 +369,14 @@ fn gen_orders_lineitem(
     let mut l_extprice = Vec::with_capacity(l_rows);
     let mut l_discount = Vec::with_capacity(l_rows);
     let mut l_tax = Vec::with_capacity(l_rows);
-    let mut l_returnflag = StringColumn::with_capacity(l_rows, 1);
-    let mut l_linestatus = StringColumn::with_capacity(l_rows, 1);
+    let mut l_returnflag = StringBuilder::with_capacity(l_rows, 1);
+    let mut l_linestatus = StringBuilder::with_capacity(l_rows, 1);
     let mut l_shipdate = Vec::with_capacity(l_rows);
     let mut l_commitdate = Vec::with_capacity(l_rows);
     let mut l_receiptdate = Vec::with_capacity(l_rows);
-    let mut l_shipinstruct = StringColumn::with_capacity(l_rows, 15);
-    let mut l_shipmode = StringColumn::with_capacity(l_rows, 5);
-    let mut l_comment = StringColumn::with_capacity(l_rows, 20);
+    let mut l_shipinstruct = StringBuilder::with_capacity(l_rows, 15);
+    let mut l_shipmode = StringBuilder::with_capacity(l_rows, 5);
+    let mut l_comment = StringBuilder::with_capacity(l_rows, 20);
 
     for ok in 1..=orders {
         // Spec: only two out of three customers ever place orders; the
@@ -457,13 +461,13 @@ fn gen_orders_lineitem(
         vec![
             Column::I64(o_orderkey, None),
             Column::I64(o_custkey, None),
-            Column::Str(o_status, None),
+            Column::Str(o_status.finish(), None),
             Column::I64(o_totalprice, None),
             Column::I64(o_orderdate, None),
-            Column::Str(o_priority, None),
-            Column::Str(o_clerk, None),
+            Column::Str(o_priority.finish(), None),
+            Column::Str(o_clerk.finish(), None),
             Column::I64(o_shipprio, None),
-            Column::Str(o_comment, None),
+            Column::Str(o_comment.finish(), None),
         ],
     );
     let lineitem_table = Table::new(
@@ -477,14 +481,14 @@ fn gen_orders_lineitem(
             Column::I64(l_extprice, None),
             Column::I64(l_discount, None),
             Column::I64(l_tax, None),
-            Column::Str(l_returnflag, None),
-            Column::Str(l_linestatus, None),
+            Column::Str(l_returnflag.finish(), None),
+            Column::Str(l_linestatus.finish(), None),
             Column::I64(l_shipdate, None),
             Column::I64(l_commitdate, None),
             Column::I64(l_receiptdate, None),
-            Column::Str(l_shipinstruct, None),
-            Column::Str(l_shipmode, None),
-            Column::Str(l_comment, None),
+            Column::Str(l_shipinstruct.finish(), None),
+            Column::Str(l_shipmode.finish(), None),
+            Column::Str(l_comment.finish(), None),
         ],
     );
     (orders_table, lineitem_table)
@@ -497,6 +501,61 @@ mod tests {
 
     fn tiny() -> TpchDb {
         TpchDb::generate(0.001)
+    }
+
+    /// The string columns generation codes: every one with at most 256
+    /// distinct values. Once the supplier relation has more than 256 rows
+    /// (SF > 0.0256) they are these fifteen, the same at every larger
+    /// scale; high-cardinality strings stay plain.
+    #[test]
+    fn strings_with_at_most_256_values_are_coded() {
+        let coded = |db: &TpchDb| -> Vec<String> {
+            let mut names = Vec::new();
+            for t in TpchTable::ALL {
+                let table = db.table(t);
+                for (f, c) in table.schema().fields().iter().zip(table.columns()) {
+                    if let Column::Str(v, _) = c {
+                        let distinct: HashSet<&str> = v.iter().collect();
+                        assert_eq!(
+                            v.dictionary().is_some(),
+                            distinct.len() <= 256,
+                            "{}",
+                            f.name
+                        );
+                        if v.dictionary().is_some() {
+                            names.push(f.name.clone());
+                        }
+                    }
+                }
+            }
+            names
+        };
+        assert_eq!(
+            coded(&TpchDb::generate(0.03)),
+            [
+                "r_name",
+                "r_comment",
+                "n_name",
+                "n_comment",
+                "c_mktsegment",
+                "p_mfgr",
+                "p_brand",
+                "p_type",
+                "p_container",
+                "o_orderstatus",
+                "o_orderpriority",
+                "l_returnflag",
+                "l_linestatus",
+                "l_shipinstruct",
+                "l_shipmode",
+            ]
+        );
+        // Where supplier has at most 256 rows, its strings are coded too.
+        let tiny = coded(&tiny());
+        assert!(["s_name", "s_comment", "l_shipmode"]
+            .iter()
+            .all(|n| tiny.iter().any(|t| t == n)));
+        assert!(!tiny.iter().any(|t| t == "l_comment" || t == "o_clerk"));
     }
 
     #[test]

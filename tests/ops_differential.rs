@@ -8,6 +8,11 @@
 //! aggregate functions in one phase and in two, on one worker and on three.
 //! Results are compared as sorted multisets with a float tolerance.
 //!
+//! String keys also come coded — a byte per row into a dictionary, as
+//! table generation stores a column with at most 256 distinct values —
+//! grouped alone, with each other and with Int64 keys, and joined against
+//! plain strings that crossed an exchange.
+//!
 //! Every join also runs against a table whose keys all share one chain
 //! ([`JoinTable::build_in_one_chain`]): there a probe meets every build
 //! key, so an equality that is too generous for some key shape shows as
@@ -23,7 +28,7 @@ use hsqp::engine::exec::NodeExec;
 use hsqp::engine::expr::{col, lit};
 use hsqp::engine::local::MorselDriver;
 use hsqp::engine::ops::{aggregate, probe_join, JoinTable};
-use hsqp::engine::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, Plan};
+use hsqp::engine::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, MapExpr, Plan};
 use hsqp::engine::QueryId;
 use hsqp::numa::Topology;
 use hsqp::storage::placement::chunk_split;
@@ -551,6 +556,131 @@ proptest! {
             same_rows(rows_of(&merged), want, &format!("two phases, {workers} workers, {shape}"))?;
         }
     }
+}
+
+/// Whether column `c` holds codes.
+fn is_coded(c: &Column) -> bool {
+    matches!(c, Column::Str(s, _) if s.dictionary().is_some())
+}
+
+// Group keys that are codes — alone, several, or beside an Int64 key, NULL
+// in about a fifth of the rows of a nullable one — group as their strings
+// do, in one phase and in two, on one to three workers.
+proptest! {
+    #[test]
+    fn aggregates_over_coded_keys_equal_a_btreemap(seed in any::<u64>()) {
+        let mut rng = Rng(seed);
+        let parts = 1 + rng.below(3);
+        let mut fields: Vec<Field> = (0..parts)
+            .map(|part| {
+                // The first part is a string; the others either.
+                let dtype = match part {
+                    0 => DataType::Utf8,
+                    _ => rng.pick(&[DataType::Utf8, DataType::Int64]),
+                };
+                arb_field(&mut rng, format!("g{part}"), dtype)
+            })
+            .collect();
+        fields.push(Field::nullable("v_int", DataType::Int64));
+        fields.push(Field::nullable("v_str", DataType::Utf8));
+        let rows = 1 + rng.below(80);
+        let plain = arb_table(&mut rng, fields, rows);
+        // Small integers to sum, as above: NULL where the random ones were.
+        let mut cols = plain.columns().to_vec();
+        let small_ints = (0..rows).map(|_| rng.below(9) as i64 - 4).collect();
+        cols[parts] = Column::I64(small_ints, cols[parts].validity().cloned());
+        let plain = Table::new(plain.schema().clone(), cols);
+        let table = Table::new(
+            plain.schema().clone(),
+            plain.columns().iter().cloned().map(Column::encode).collect(),
+        );
+        for (f, c) in table.schema().fields().iter().zip(table.columns()) {
+            prop_assert_eq!(is_coded(c), f.dtype == DataType::Utf8, "{}", f.name);
+        }
+        let (v_int, v_str) = (parts, parts + 1);
+        let chosen = [
+            (AggFunc::Count, v_str),
+            (AggFunc::Sum, v_int),
+            (AggFunc::Min, v_str),
+            (AggFunc::Max, v_str),
+        ];
+        let specs: Vec<AggSpec> = chosen
+            .iter()
+            .enumerate()
+            .map(|(i, &(func, c))| {
+                AggSpec::new(func, col(&table.schema().fields()[c].name), &format!("a{i}"))
+            })
+            .collect();
+        let group_by: Vec<usize> = (0..parts).collect();
+        let want = reference_aggregate(&plain, &group_by, &chosen);
+        let shape = format!("by {:?}", &table.schema().fields()[..parts]);
+        for workers in 1..=3 {
+            let got = aggregate(&table, &group_by, &specs, AggPhase::Single, &driver(workers), &[]);
+            prop_assert!(got.columns().iter().all(|c| !is_coded(c)), "keys leave plain");
+            same_rows(rows_of(&got), want.clone(), &format!("single, {workers} workers, {shape}"))?;
+            // One half coded, the other decoded: the Final phase merges
+            // the plain keys both Partial phases emit.
+            let halves = chunk_split(table.clone(), 2);
+            let decoded = Table::new(
+                table.schema().clone(),
+                halves[1].columns().iter().cloned().map(Column::decode).collect(),
+            );
+            let partial = |half: &Table| {
+                aggregate(half, &group_by, &specs, AggPhase::Partial, &driver(workers), &[])
+            };
+            let mut partials = partial(&halves[0]);
+            partials.append(&partial(&decoded));
+            let merged = aggregate(&partials, &group_by, &specs, AggPhase::Final, &driver(workers), &[]);
+            same_rows(rows_of(&merged), want.clone(), &format!("two phases, {workers} workers, {shape}"))?;
+        }
+    }
+}
+
+/// A join on `n_name` whose one side is the coded column of the nation
+/// relation as it was loaded and whose other side is every nation's name,
+/// broadcast — decoded from the wire, so plain — meets each nation once,
+/// the coded side probing and building.
+#[test]
+fn coded_keys_join_plain_keys_that_crossed_an_exchange() {
+    let cluster = Cluster::start(ClusterConfig::quick(2)).unwrap();
+    cluster.load_tpch(0.001).unwrap();
+    let nation = cluster.node_ctx(0).tables.read()[&TpchTable::Nation].clone();
+    assert!(is_coded(nation.column_by_name("n_name")), "loaded coded");
+    let coded = || Plan::scan_cols(TpchTable::Nation, &["n_name", "n_nationkey"]);
+    let plain = || {
+        Plan::scan(TpchTable::Nation)
+            .map(vec![
+                MapExpr::new("b_name", col("n_name")),
+                MapExpr::new("b_key", col("n_nationkey")),
+            ])
+            .broadcast()
+    };
+    for (plan, name_at, key_at) in [
+        (
+            coded().join(plain(), &["n_name"], &["b_name"], JoinKind::Inner),
+            0,
+            3,
+        ),
+        (
+            plain().join(coded(), &["b_name"], &["n_name"], JoinKind::Inner),
+            2,
+            1,
+        ),
+    ] {
+        let result = cluster.run_plan(&plan.gather()).unwrap().table;
+        let mut pairs: Vec<(i64, i64)> = (0..result.rows())
+            .map(|r| {
+                let key = |c: usize| result.value(r, c).as_i64();
+                assert_eq!(result.value(r, name_at), result.value(r, 2 - name_at));
+                (key(key_at), key(4 - key_at))
+            })
+            .collect();
+        pairs.sort_unstable();
+        // The oracle: each of the 25 nations equals itself and no other.
+        let want: Vec<(i64, i64)> = (0..25).map(|k| (k, k)).collect();
+        assert_eq!(pairs, want);
+    }
+    cluster.shutdown();
 }
 
 // ---------------------------------------------------------------------------

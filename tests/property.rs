@@ -520,3 +520,113 @@ proptest! {
         prop_assert_eq!(decode_query(&bytes).unwrap(), q);
     }
 }
+
+/// A string column of few distinct values, NULL in some rows, plain and
+/// coded (a byte per row into a dictionary of its strings).
+fn arb_coded() -> impl Strategy<Value = (Column, Column)> {
+    proptest::collection::vec(proptest::option::of("[a-cé ]{0,3}"), 1..80).prop_map(|words| {
+        let mut plain = Column::empty(DataType::Utf8);
+        for w in words {
+            plain.push_value(&w.map_or(Value::Null, Value::Str));
+        }
+        let coded = plain.clone().encode();
+        (plain, coded)
+    })
+}
+
+fn is_coded(c: &Column) -> bool {
+    matches!(c, Column::Str(s, _) if s.dictionary().is_some())
+}
+
+// The coded and the plain form of a column are one column to everything
+// that cuts, gathers, routes, hashes and serializes it.
+proptest! {
+    #[test]
+    fn coded_columns_cut_and_gather_as_plain_ones(
+        pair in arb_coded(),
+        picks in proptest::collection::vec(any::<u32>(), 0..40),
+        cut in any::<u32>(),
+    ) {
+        let (plain, coded) = pair;
+        let n = plain.len();
+        prop_assert!(is_coded(&coded));
+        prop_assert_eq!(&coded, &plain);
+        let dict = coded.str_values().dictionary().unwrap().byte_size();
+        prop_assert_eq!(coded.byte_size(), n + dict);
+
+        let picks: Vec<usize> = picks.iter().map(|&p| p as usize % n).collect();
+        let gathered = coded.gather(&picks);
+        prop_assert!(is_coded(&gathered));
+        prop_assert_eq!(&gathered, &plain.gather(&picks));
+
+        let at = cut as usize % (n + 1);
+        for range in [0..at, at..n] {
+            let slice = coded.slice(range.clone());
+            prop_assert!(is_coded(&slice));
+            prop_assert_eq!(&slice, &plain.slice(range));
+        }
+
+        let to: Vec<u32> = (0..n).map(|r| picks.get(r).map_or(0, |&p| (p % 3) as u32)).collect();
+        let mut counts = vec![0; 3];
+        to.iter().for_each(|&p| counts[p as usize] += 1);
+        for (c, p) in coded.scatter(&to, &counts).iter().zip(plain.scatter(&to, &counts)) {
+            prop_assert!(is_coded(c));
+            prop_assert_eq!(c, &p);
+        }
+
+        // Gathered onto a slice of itself, with rows of no row among them.
+        let rows: Vec<u32> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| if i % 5 == 4 { Column::NULL_ROW } else { p as u32 })
+            .collect();
+        let (mut c, mut p) = (coded.slice(0..at), plain.slice(0..at));
+        c.extend_gather(&coded, &rows);
+        p.extend_gather(&plain, &rows);
+        prop_assert!(is_coded(&c));
+        prop_assert_eq!(&c, &p);
+        // Rows of another dictionary decode the column.
+        let other = plain.clone().encode();
+        c.extend_gather(&other, &rows);
+        p.extend_gather(&plain, &rows);
+        prop_assert!(!is_coded(&c));
+        prop_assert_eq!(&c, &p);
+    }
+
+    #[test]
+    fn coded_strings_route_and_serialize_as_plain_ones(
+        pair in arb_coded(),
+        ints in proptest::collection::vec(any::<i64>(), 80..81),
+        buckets in 1usize..9,
+    ) {
+        let (plain, coded) = pair;
+        let n = plain.len();
+        let ids = Column::I64(ints[..n].to_vec(), None);
+        let mut want = Vec::new();
+        bucket_vector(&[(&ids, false), (&plain, false)], 0..n, buckets, &mut want);
+        let mut got = Vec::new();
+        bucket_vector(&[(&ids, false), (&coded, false)], 0..n, buckets, &mut got);
+        prop_assert_eq!(&got, &want);
+        for (row, &wanted) in want.iter().enumerate() {
+            let bucket = row_bucket(&[(&ids, false), (&coded, false)], row, buckets);
+            prop_assert_eq!(bucket, wanted as usize);
+            prop_assert_eq!(bucket, row_bucket(&[(&ids, false), (&plain, false)], row, buckets));
+        }
+
+        let schema = Schema::new(vec![Field::new("k", DataType::Int64), Field::nullable("s", DataType::Utf8)]);
+        let as_table = |c: &Column| Table::new(schema.clone(), vec![ids.clone(), c.clone()]);
+        let (p, c) = (as_table(&plain), as_table(&coded));
+        let ser = RowSerializer::new(&schema);
+        let sel: Vec<usize> = (0..n).rev().step_by(2).collect();
+        for rows in [Rows::Span(0, n), Rows::Sel(&sel)] {
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            ser.serialize(&p, rows, &mut a);
+            ser.serialize(&c, rows, &mut b);
+            prop_assert_eq!(&a, &b);
+            let (mut sa, mut sb) = (Vec::new(), Vec::new());
+            ser.row_sizes(&p, rows, &mut sa);
+            ser.row_sizes(&c, rows, &mut sb);
+            prop_assert_eq!(&sa, &sb);
+        }
+    }
+}

@@ -6,11 +6,13 @@
 //! 1. proptest: random well-typed expressions over random nullable
 //!    mixed-dtype tables must evaluate identically (values, validity, and
 //!    selection masks; floats bit for bit) under `ExprProgram` and the
-//!    oracle, evaluated row at a time.
+//!    oracle, evaluated row at a time — over each table as generated and
+//!    with its strings coded (one-byte codes into a dictionary).
 //! 2. deterministic kernel cases: one test per typed kernel family
 //!    (comparisons, arithmetic, strings, dates, CASE, NULL handling)
 //!    pinning the edges proptest may not hit every run — Decimal scale,
-//!    division by zero, NaN ordering, NULL parameters, byte-wise SUBSTRING.
+//!    division by zero, NaN ordering, NULL parameters, byte-wise SUBSTRING —
+//!    and every string predicate over every column TPC-H generation codes.
 //! 3. end-to-end: every stage of every planned TPC-H query compiles, and a
 //!    plan with an expression that cannot be typed fails as a planner
 //!    error before it runs, on both clusters.
@@ -30,7 +32,7 @@ use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::vm::{compile_stage, EvalVec, ExprProgram, VecData};
 use hsqp::engine::{Coordinator, EngineError, ProcessCluster, ProcessClusterConfig};
 use hsqp::storage::{date_from_ymd, Column, DataType, Field, Schema, Table, Value};
-use hsqp::tpch::{schema as tpch_schema, TpchTable};
+use hsqp::tpch::{schema as tpch_schema, TpchDb, TpchTable};
 
 use support::oracle::{Rel, Ty};
 
@@ -268,6 +270,24 @@ fn random_selection(rows: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
+/// `t` with every string column coded, as table generation codes one
+/// (each has at most 256 distinct values here, and then at least one row).
+fn coded(t: &Table) -> Table {
+    let columns = t.columns().iter().cloned().map(Column::encode).collect();
+    Table::new(t.schema().clone(), columns)
+}
+
+/// [`check_agree_with`] the test parameters, over `t` as it is and with its
+/// strings coded.
+fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
+    let ps = test_params();
+    check_agree_with(e, t, &ps)?;
+    let c = coded(t);
+    let codes = |c: &Column| matches!(c, Column::Str(s, _) if s.dictionary().is_some());
+    prop_assert!(t.rows() == 0 || codes(c.column_by_name("s")), "s is coded");
+    check_agree_with(e, &c, &ps)
+}
+
 /// Compile `e`, bind it, and check it against the oracle row by row, over
 /// the full table and over a sub-range (validity bitmaps are
 /// range-relative — a classic off-by-offset trap): the same type, the same
@@ -275,8 +295,7 @@ fn random_selection(rows: usize, seed: u64) -> Vec<u32> {
 /// where the oracle finds it true — as a mask, through `select` over both
 /// ranges, and through `refine` of a seeded random starting selection (in
 /// order and reversed).
-fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
-    let ps = test_params();
+fn check_agree_with(e: &Expr, t: &Table, ps: &[Value]) -> Result<(), TestCaseError> {
     let prog = match ExprProgram::compile(e, t.schema()) {
         Ok(p) => p,
         Err(err) => {
@@ -289,16 +308,16 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
         .bind(t)
         .map_err(|err| TestCaseError::fail(format!("bind failed: {err} — {e:?}")))?;
     let rel = Rel::of_table(t);
-    let oracle = rel.scope(&ps);
+    let oracle = rel.scope(ps);
     let ty = oracle.ty(e);
     let ranges: [Range<usize>; 2] = [0..t.rows(), t.rows() / 3..t.rows()];
     let is_true = |r: u32| oracle.holds(e, &rel.rows[r as usize]) == Some(true);
     let mut sel = Vec::new();
     for range in ranges {
-        let got = bound.eval(t, range.clone(), &ps);
+        let got = bound.eval(t, range.clone(), ps);
         prop_assert_eq!(got.len(), range.len(), "length mismatch for {:?}", e);
         prop_assert_eq!(kind(&got), ty, "type mismatch for {:?}", e);
-        let mask = (ty == Ty::Bool).then(|| bound.eval_mask(t, range.clone(), &ps));
+        let mask = (ty == Ty::Bool).then(|| bound.eval_mask(t, range.clone(), ps));
         for (i, row) in rel.rows[range.clone()].iter().enumerate() {
             let want = oracle.value(e, row);
             prop_assert!(
@@ -316,7 +335,7 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
         }
         if ty == Ty::Bool {
             // `sel` still holds the last range's rows: select replaces them.
-            bound.select(t, range.clone(), &ps, &mut sel);
+            bound.select(t, range.clone(), ps, &mut sel);
             let want: Vec<u32> = (range.start as u32..range.end as u32)
                 .filter(|&r| is_true(r))
                 .collect();
@@ -330,7 +349,7 @@ fn check_agree(e: &Expr, t: &Table) -> Result<(), TestCaseError> {
         for _ in 0..2 {
             let want: Vec<u32> = start.iter().copied().filter(|&r| is_true(r)).collect();
             let mut sel = start.clone();
-            bound.refine(t, &ps, &mut sel);
+            bound.refine(t, ps, &mut sel);
             prop_assert_eq!(&sel, &want, "refine {:?} for {:?}", start, e);
             start.reverse();
         }
@@ -444,6 +463,97 @@ fn kernel_cmp_f64_including_nan() {
     ] {
         check(e);
     }
+}
+
+/// Every column TPC-H generation codes — those with at most 256 distinct
+/// values — under every string predicate: the six comparisons
+/// with a value the column holds, BETWEEN, IN and NOT IN, LIKE by prefix,
+/// suffix and infix, NOT LIKE, IS NULL, and comparisons with a string
+/// parameter. Each column is a morsel of its rows and two NULL rows
+/// gathered onto it, still coded; it is checked coded and decoded.
+#[test]
+fn kernel_coded_tpch_columns() {
+    let db = TpchDb::generate(0.001);
+    let mut names = Vec::new();
+    for kind in TpchTable::ALL {
+        let table = db.table(kind);
+        for (i, field) in table.schema().fields().iter().enumerate() {
+            let src = table.column(i);
+            let Column::Str(strings, _) = src else {
+                continue;
+            };
+            if strings.dictionary().is_none() {
+                continue;
+            }
+            names.push(field.name.clone());
+            let rows = src.len() as u32;
+            let mut column = src.slice(0..src.len().min(200));
+            column.extend_gather(src, &[0, Column::NULL_ROW, rows - 1, Column::NULL_ROW]);
+            assert!(column.str_values().dictionary().is_some(), "{}", field.name);
+            let schema = Schema::new(vec![Field::nullable(field.name.clone(), DataType::Utf8)]);
+            let t = Table::new(schema, vec![column]);
+            let (v, w) = (strings.get(0), strings.get(strings.len() - 1));
+            let (lo, hi) = if v <= w { (v, w) } else { (w, v) };
+            let at = |i: usize| v.char_indices().nth(i).map_or(v.len(), |(at, _)| at);
+            let (prefix, suffix) = (&v[..at(2)], &v[at(v.chars().count().saturating_sub(2))..]);
+            let infix = &v[at(1)..at(3)];
+            let c = || col(&field.name);
+            let exprs = [
+                c().eq(lits(v)),
+                c().ne(lits(v)),
+                c().lt(lits(v)),
+                c().le(lits(w)),
+                lits(v).gt(c()),
+                c().ge(lits(w)),
+                c().between(lits(lo), lits(hi)),
+                c().in_str(&[v, "NOT A VALUE"]),
+                c().in_str(&[w, v]).not(),
+                c().like(&format!("{prefix}%")),
+                c().like(&format!("%{suffix}")),
+                c().like(&format!("%{infix}%")),
+                c().like(&format!("{prefix}%")).not(),
+                c().is_null(),
+                c().is_null().not(),
+                c().eq(param(0)),
+                param(0).lt(c()),
+                c().ge(param(0)).and(c().ne(lits(w))),
+            ];
+            for e in exprs {
+                for (form, t) in [("coded", &t), ("plain", &decoded(&t))] {
+                    check_agree_with(&e, t, &[Value::Str(v.to_string())])
+                        .unwrap_or_else(|err| panic!("{} {form}: {err:?}", field.name));
+                }
+            }
+        }
+    }
+    // At this scale every relation but lineitem and orders is small enough
+    // for more of its strings to be coded; these fifteen are coded at every
+    // scale.
+    for name in [
+        "r_name",
+        "r_comment",
+        "n_name",
+        "n_comment",
+        "c_mktsegment",
+        "p_mfgr",
+        "p_brand",
+        "p_type",
+        "p_container",
+        "o_orderstatus",
+        "o_orderpriority",
+        "l_returnflag",
+        "l_linestatus",
+        "l_shipinstruct",
+        "l_shipmode",
+    ] {
+        assert!(names.iter().any(|n| n == name), "{name} is coded");
+    }
+}
+
+/// `t` with every string column plain.
+fn decoded(t: &Table) -> Table {
+    let columns = t.columns().iter().cloned().map(Column::decode).collect();
+    Table::new(t.schema().clone(), columns)
 }
 
 #[test]
