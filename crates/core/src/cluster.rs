@@ -378,7 +378,7 @@ impl Cluster {
             )));
         }
         for (node, part) in nodes.iter().zip(parts) {
-            node.tables.write().insert(kind, Arc::new(part));
+            node.tables.write().insert(kind, part);
         }
         Ok(())
     }
@@ -583,6 +583,32 @@ mod tests {
         c.shutdown();
     }
 
+    /// A projected scan and a `Map`'s bare column hand on the loaded
+    /// column itself; only the computed output is new.
+    #[test]
+    fn scans_and_maps_share_the_loaded_columns() {
+        use crate::exec::NodeExec;
+        use crate::plan::MapExpr;
+        let c = Cluster::start(ClusterConfig::quick(1)).unwrap();
+        c.load_tpch(0.001).unwrap();
+        let ctx = c.node_ctx(0);
+        let stored = ctx.tables.read()[&TpchTable::Nation].clone();
+        let keys = stored.column_by_name("n_nationkey").i64_values();
+        let plan = Plan::scan_cols(TpchTable::Nation, &["n_name", "n_nationkey"]).map(vec![
+            MapExpr::new("k", col("n_nationkey")),
+            MapExpr::new("k1", col("n_nationkey").add(lit(1))),
+            MapExpr::new("name", col("n_name")),
+        ]);
+        let out = NodeExec::new(ctx, QueryId(1), &[], 0).execute(&plan);
+        assert_eq!(out.column(0).i64_values().as_ptr(), keys.as_ptr());
+        assert_ne!(out.column(1).i64_values().as_ptr(), keys.as_ptr());
+        assert!(Arc::ptr_eq(
+            out.shared_column(2),
+            stored.shared_column(stored.schema().index_of("n_name"))
+        ));
+        c.shutdown();
+    }
+
     #[test]
     fn single_node_scan_and_aggregate() {
         let c = Cluster::start(ClusterConfig::quick(1)).unwrap();
@@ -759,12 +785,7 @@ mod tests {
         // fails (its copy of the stage does not compile); node 0 partitions
         // its rows and blocks waiting for node 1's last-markers. Node 1's
         // abort frame must unblock it.
-        let good = c.backend.nodes[0]
-            .tables
-            .read()
-            .get(&TpchTable::Nation)
-            .map(|t| Table::clone(t))
-            .unwrap();
+        let good = c.backend.nodes[0].tables.read()[&TpchTable::Nation].clone();
         let bad = Table::empty(Schema::new(vec![Field::new("wrong", DataType::Int64)]));
         c.load_table(TpchTable::Nation, vec![good, bad]).unwrap();
         let q = Query::single(

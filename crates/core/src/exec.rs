@@ -48,7 +48,9 @@
 //! each worker selects a morsel and hands the aggregate a batch of the
 //! survivors' projected columns, which it clears and refills — the
 //! scan's result is never a table either. Every other operator's input
-//! is a table.
+//! is a table; an unfiltered scan's is the stored relation's own columns,
+//! shared (a [`Table`] holds its columns behind `Arc`s), as are the bare
+//! columns a `Map` passes through.
 //!
 //! **Join filters.** A hash join whose plan filters one side runs the other
 //! side first and then a *summary round* (`summary_round`): one broadcast
@@ -58,7 +60,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::ops::{Deref, Range};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -119,13 +121,13 @@ pub struct NodeCtx {
     /// Command channel to the multiplexer thread, with its bell.
     pub to_mux: MuxSender,
     /// Loaded base relations (this node's placement share).
-    pub tables: RwLock<HashMap<TpchTable, Arc<Table>>>,
+    pub tables: RwLock<HashMap<TpchTable, Table>>,
     /// Temporary relations materialized by in-flight queries' stages,
     /// namespaced per query so overlapping multi-stage queries cannot read
     /// (or clobber) each other's temps. The query worker inserts after each
     /// `Materialize` stage, and retiring the query removes the whole
     /// namespace, whether it finished, failed, or was cancelled.
-    pub temps: RwLock<HashMap<QueryId, HashMap<String, Arc<Table>>>>,
+    pub temps: RwLock<HashMap<QueryId, HashMap<String, Table>>>,
     /// Rows deserialized per worker across all exchanges (skew diagnosis:
     /// with work stealing the loads balance; with static classic-exchange
     /// ownership a skewed partition overloads one unit).
@@ -401,7 +403,7 @@ impl NodeCtx {
         let recorder = job
             .profile
             .map(|anchor| NodeRecorder::new(anchor, plan_node_count(&stage.plan)));
-        let batch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             // Exchange ids are per-query: each stage gets its own disjoint
             // range, and the query id in the wire header isolates them from
             // every other in-flight query.
@@ -414,20 +416,19 @@ impl NodeCtx {
             };
             exec.execute(&stage.plan)
         }));
-        let batch = match batch {
-            Ok(batch) => batch,
+        let out = match out {
+            Ok(out) => out,
             Err(payload) => return StageReply::Failed(panic_message(payload.as_ref())),
         };
-        let rows = batch.rows() as u64;
+        let rows = out.rows() as u64;
         let table = match &stage.role {
             StageRole::Materialize(name) => {
                 let mut temps = self.temps.write();
-                let ns = temps.entry(query).or_default();
-                ns.insert(name.clone(), batch.into_arc());
+                temps.entry(query).or_default().insert(name.clone(), out);
                 None
             }
             // Only node 0 holds the gathered output.
-            StageRole::Params | StageRole::Result => (self.node.0 == 0).then(|| batch.into_table()),
+            StageRole::Params | StageRole::Result => (self.node.0 == 0).then_some(out),
         };
         StageReply::Done {
             rows,
@@ -481,7 +482,8 @@ impl NodeCtx {
         }
     }
 
-    fn local_table(&self, t: TpchTable) -> Arc<Table> {
+    /// This node's part of base relation `t`, sharing its columns.
+    fn local_table(&self, t: TpchTable) -> Table {
         self.tables
             .read()
             .get(&t)
@@ -493,8 +495,9 @@ impl NodeCtx {
         self.classic_units.is_some()
     }
 
-    /// This node's share of query `query`'s temp relation `name`.
-    fn query_temp(&self, query: QueryId, name: &str) -> Arc<Table> {
+    /// This node's share of query `query`'s temp relation `name`, sharing
+    /// its columns.
+    fn query_temp(&self, query: QueryId, name: &str) -> Table {
         self.temps
             .read()
             .get(&query)
@@ -507,48 +510,6 @@ impl NodeCtx {
                 )
             })
             .clone()
-    }
-}
-
-/// One operator's node-local result: either a freshly computed table or a
-/// shared reference to an already materialized one (a base-relation or
-/// temp-relation scan with no filter and no projection). Sharing avoids
-/// deep-copying materialized CTEs on every `Plan::TempScan` — doubly
-/// important with concurrent queries multiplying scan counts.
-pub enum Batch {
-    /// A table this operator computed and owns.
-    Owned(Table),
-    /// A shared, immutable materialized table.
-    Shared(Arc<Table>),
-}
-
-impl Deref for Batch {
-    type Target = Table;
-
-    fn deref(&self) -> &Table {
-        match self {
-            Batch::Owned(t) => t,
-            Batch::Shared(t) => t,
-        }
-    }
-}
-
-impl Batch {
-    /// The table by value (clones only if it is shared and referenced
-    /// elsewhere).
-    pub fn into_table(self) -> Table {
-        match self {
-            Batch::Owned(t) => t,
-            Batch::Shared(t) => Arc::try_unwrap(t).unwrap_or_else(|t| (*t).clone()),
-        }
-    }
-
-    /// The table behind an `Arc` (no copy in the shared case).
-    pub fn into_arc(self) -> Arc<Table> {
-        match self {
-            Batch::Owned(t) => Arc::new(t),
-            Batch::Shared(t) => t,
-        }
     }
 }
 
@@ -621,7 +582,7 @@ impl<'a> NodeExec<'a> {
     /// # Panics
     /// Panics when an executor made by [`new`](Self::new) is given a plan
     /// that does not compile.
-    pub fn execute(&self, plan: &Plan) -> Batch {
+    pub fn execute(&self, plan: &Plan) -> Table {
         if self.programs.is_some() {
             return self.execute_at(plan, 0);
         }
@@ -656,10 +617,10 @@ impl<'a> NodeExec<'a> {
         group_by: &[String],
         aggs: &[AggSpec],
         phase: AggPhase,
-    ) -> Batch {
+    ) -> Table {
         let shape = source.shape().schema();
         let group_idx: Vec<usize> = group_by.iter().map(|g| shape.index_of(g)).collect();
-        Batch::Owned(aggregate_with(
+        aggregate_with(
             source,
             &group_idx,
             aggs,
@@ -670,13 +631,13 @@ impl<'a> NodeExec<'a> {
                 _ => &self.programs_at(idx).aggs,
             },
             self.cancel,
-        ))
+        )
     }
 
     /// Execute the operator at pre-order index `idx` (see
     /// [`crate::profile::plan_labels`] for the numbering), recording its
     /// span when profiling is on.
-    fn execute_at(&self, plan: &Plan, idx: usize) -> Batch {
+    fn execute_at(&self, plan: &Plan, idx: usize) -> Table {
         self.enter(idx);
         let (out, rows_in) = match plan {
             Plan::Scan {
@@ -696,21 +657,21 @@ impl<'a> NodeExec<'a> {
                             Some(names) => names.iter().map(|n| t.schema().index_of(n)).collect(),
                             None => (0..t.schema().len()).collect(),
                         };
-                        Batch::Owned(gather_rows(&t, &cols, &rows))
+                        gather_rows(&t, &cols, &rows)
                     }
-                    (None, Some(names)) => Batch::Owned(project_table(&t, names)),
-                    // No transform: share the loaded relation.
-                    (None, None) => Batch::Shared(t),
+                    // The loaded relation's columns, shared.
+                    (None, Some(names)) => project_table(&t, names),
+                    (None, None) => t,
                 };
                 (out, rows_in)
             }
             Plan::TempScan { name, project } => {
                 let t = self.ctx.query_temp(self.query, name);
                 let rows_in = t.rows() as u64;
+                // The materialized temp's columns, shared.
                 let out = match project {
-                    Some(names) => Batch::Owned(project_table(&t, names)),
-                    // No transform: share the materialized temp.
-                    None => Batch::Shared(t),
+                    Some(names) => project_table(&t, names),
+                    None => t,
                 };
                 (out, rows_in)
             }
@@ -719,13 +680,13 @@ impl<'a> NodeExec<'a> {
                 let rows_in = t.rows() as u64;
                 let rows = self.filter_indices(&t, self.filter_at(idx));
                 let cols: Vec<usize> = (0..t.schema().len()).collect();
-                (Batch::Owned(gather_rows(&t, &cols, &rows)), rows_in)
+                (gather_rows(&t, &cols, &rows), rows_in)
             }
             Plan::Map { input, outputs } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
                 let progs = self.programs_at(idx);
-                (Batch::Owned(self.map(t, outputs, progs)), rows_in)
+                (self.map(&t, outputs, progs), rows_in)
             }
             Plan::HashJoin {
                 probe,
@@ -762,7 +723,7 @@ impl<'a> NodeExec<'a> {
                     }
                     probe_t
                 });
-                let build_t = self.execute_at(build, build_idx_base).into_arc();
+                let build_t = self.execute_at(build, build_idx_base);
                 if let (false, Some((exchange, keys))) = (probe_first, &site) {
                     self.summary_round(idx, &build_t, build_keys, *exchange, keys);
                 }
@@ -781,14 +742,14 @@ impl<'a> NodeExec<'a> {
                     .map(|k| probe_t.schema().index_of(k))
                     .collect();
                 let rows_in = build_rows + probe_t.rows() as u64;
-                let out = Batch::Owned(probe_join(
+                let out = probe_join(
                     &probe_t,
                     &jt,
                     &probe_idx,
                     *kind,
                     &self.ctx.driver,
                     self.cancel,
-                ));
+                );
                 (out, rows_in)
             }
             // An aggregate reads its input a batch at a time, from one of
@@ -855,12 +816,12 @@ impl<'a> NodeExec<'a> {
             Plan::Sort { input, keys, limit } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
-                (Batch::Owned(sort_table(&t, keys, *limit)), rows_in)
+                (sort_table(&t, keys, *limit), rows_in)
             }
             Plan::Exchange { input, kind } => {
                 let t = self.execute_at(input, idx + 1);
                 let rows_in = t.rows() as u64;
-                (Batch::Owned(self.collect_exchange(idx, kind, &t)), rows_in)
+                (self.collect_exchange(idx, kind, &t), rows_in)
             }
         };
         if let Some(rec) = self.recorder {
@@ -1002,11 +963,10 @@ impl<'a> NodeExec<'a> {
     }
 
     /// A Map over `t`: every computed output evaluated a morsel at a time
-    /// and its pieces concatenated once; every bare column reference taken
-    /// whole from `t` — moved out of an owned input (by the last output to
-    /// name it), cloned once from a shared one. A Map of bare column
-    /// references only renames, and runs no morsel loop.
-    fn map(&self, t: Batch, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
+    /// and its pieces concatenated once; every bare column reference
+    /// shares `t`'s column. A Map of bare column references only renames,
+    /// and runs no morsel loop.
+    fn map(&self, t: &Table, outputs: &[MapExpr], progs: &OpPrograms) -> Table {
         // Bind this operator's compiled output programs once; a bare
         // column reference has none. It passes through raw: evaluating it
         // would promote a Decimal column to f64 and lose the fixed-point
@@ -1015,9 +975,9 @@ impl<'a> NodeExec<'a> {
         let bound: Vec<Option<BoundProgram<'_>>> = progs
             .outputs
             .iter()
-            .map(|(_, p)| p.as_ref().map(|p| bind(p, &t)))
+            .map(|(_, p)| p.as_ref().map(|p| bind(p, t)))
             .collect();
-        let schema = map_schema(&t, outputs, &bound, self.params);
+        let schema = map_schema(t, outputs, &bound, self.params);
         let bare: Vec<Option<usize>> = outputs
             .iter()
             .zip(&bound)
@@ -1033,26 +993,17 @@ impl<'a> NodeExec<'a> {
         } else {
             let computed_at: Vec<usize> =
                 (0..outputs.len()).filter(|&i| bare[i].is_none()).collect();
-            self.map_computed(&t, &programs, &schema.project(&computed_at))
+            self.map_computed(t, &programs, &schema.project(&computed_at))
         }
         .into_iter();
-        let mut input = match t {
-            Batch::Owned(t) => Ok(t.into_columns().into_iter().map(Some).collect::<Vec<_>>()),
-            Batch::Shared(t) => Err(t),
-        };
         let columns = bare
             .iter()
-            .enumerate()
-            .map(|(i, b)| match (b, &mut input) {
-                (None, _) => computed.next().expect("a column per computed output"),
-                (Some(c), Err(shared)) => shared.column(*c).clone(),
-                (Some(c), Ok(owned)) if bare[i + 1..].contains(b) => {
-                    owned[*c].clone().expect("moved last")
-                }
-                (Some(c), Ok(owned)) => owned[*c].take().expect("moved once"),
+            .map(|b| match b {
+                None => Arc::new(computed.next().expect("a column per computed output")),
+                Some(c) => Arc::clone(t.shared_column(*c)),
             })
             .collect();
-        Table::new(schema, columns)
+        Table::shared(schema, columns)
     }
 
     /// The outputs `programs` compute over `t`, morsel-parallel: each
@@ -1127,16 +1078,15 @@ impl<'a> NodeExec<'a> {
             |columns, body| decode_message(&de, body, columns),
             |_| {},
         );
-        let pieces = pieces
+        let mut pieces: Vec<Table> = pieces
             .into_iter()
             .map(|columns| Table::new(schema.clone(), columns))
             .collect();
-        let mut out = Table::concat(schema, pieces);
         // The coordinator's own rows pass through a gather unserialized.
         if matches!(kind, ExchangeKind::Gather) && self.ctx.node.0 == 0 {
-            out.append(input);
+            pieces.push(input.clone());
         }
-        out
+        Table::concat(schema, pieces)
     }
 
     /// The one message loop of an exchange (Figure 7), run by every worker

@@ -229,9 +229,8 @@ fn keys_equal<'b>(
 
 /// A materialized join hash table over the build side: per slot, a chain
 /// of build rows in ascending order (`heads`, then `next` from row to
-/// row). The keys stay where they are, in the build columns; the build
-/// side is held behind an `Arc` so a shared temp relation (a materialized
-/// CTE) can back the table without being deep-copied.
+/// row). The keys stay where they are, in the build columns, which the
+/// build side shares with the relation it was scanned from.
 pub struct JoinTable {
     build: Arc<Table>,
     key_cols: Vec<usize>,

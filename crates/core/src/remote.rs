@@ -276,7 +276,7 @@ impl NodeServer {
                     // Only this node's rows are copied, a column at a time.
                     let part = own_chunk(table, ctx.nodes as usize, ctx.node.idx());
                     rows.push((kind.name(), part.rows() as u64));
-                    ctx.tables.write().insert(kind, Arc::new(part));
+                    ctx.tables.write().insert(kind, part);
                 }
                 send_reply(writer, |out| put_named(out, OP_LOAD_OK, &rows))
                     .map_err(|e| e.to_string())?;

@@ -372,14 +372,27 @@ fn put_coded(
 }
 
 /// Write the lengths, then the bytes, of the dictionary entries `picked`
-/// names, each length read off a table per entry.
+/// names, each length read off a table per entry: the lengths into one
+/// run of slots, as [`put_strings`] writes a plain column's, then the bytes
+/// into one run sized from those lengths.
 fn put_entries(out: &mut Vec<u8>, dict: &Dictionary, picked: impl Iterator<Item = u8> + Clone) {
     let lens = dict.per_entry(|e| e.len() as u32);
-    for c in picked.clone() {
-        out.extend_from_slice(&lens[c as usize].to_le_bytes());
+    let at = out.len();
+    out.resize(at + picked.clone().count() * 4, 0);
+    let mut total = 0;
+    for (slot, c) in out[at..].chunks_exact_mut(4).zip(picked.clone()) {
+        let len = lens[c as usize];
+        slot.copy_from_slice(&len.to_le_bytes());
+        total += len as usize;
     }
+    let at = out.len();
+    out.resize(at + total, 0);
+    let mut run = &mut out[at..];
     for c in picked {
-        out.extend_from_slice(dict.bytes(c));
+        let bytes = dict.bytes(c);
+        let (head, rest) = std::mem::take(&mut run).split_at_mut(bytes.len());
+        head.copy_from_slice(bytes);
+        run = rest;
     }
 }
 
@@ -831,15 +844,14 @@ mod tests {
                 _ => t.value(i, 0),
             });
         }
-        let plain = Table::new(t.schema().clone(), [&[words], &t.columns()[1..]].concat());
+        let rest = t.columns().skip(1).cloned();
+        let plain = Table::new(
+            t.schema().clone(),
+            [words].into_iter().chain(rest).collect(),
+        );
         let coded = Table::new(
             plain.schema().clone(),
-            plain
-                .columns()
-                .iter()
-                .cloned()
-                .map(Column::encode)
-                .collect(),
+            plain.columns().cloned().map(Column::encode).collect(),
         );
         for c in [0, 3] {
             assert!(coded.column(c).str_values().dictionary().is_some());
@@ -862,6 +874,45 @@ mod tests {
             ser.row_sizes(&coded, rows, &mut sb);
             assert_eq!(sa, sb);
             assert_eq!(b.len(), 4 + sb.iter().sum::<usize>());
+        }
+    }
+
+    /// A coded column writes its lengths and its bytes as one run each:
+    /// with empty entries, rows picked twice, no row at all, and NULLs in
+    /// some or every row, it sends what the plain column of the same
+    /// strings sends.
+    #[test]
+    fn coded_and_plain_columns_of_the_same_strings_send_the_same_bytes() {
+        let schema = Schema::new(vec![Field::nullable("s", DataType::Utf8)]);
+        let words = ["", "x", "", "yz", "日本", ""];
+        let column = |null: fn(usize) -> bool| {
+            let mut c = Column::empty(DataType::Utf8);
+            for i in 0..40 {
+                c.push_value(&match null(i) {
+                    true => Value::Null,
+                    false => Value::Str(words[i % words.len()].into()),
+                });
+            }
+            c
+        };
+        let ser = RowSerializer::new(&schema);
+        let twice: Vec<usize> = (0..40).flat_map(|i| [i, i]).collect();
+        let nulls: [fn(usize) -> bool; 3] = [|_| false, |i| i % 3 == 0, |_| true];
+        for null in nulls {
+            let plain = Table::new(schema.clone(), vec![column(null)]);
+            let coded = Table::new(schema.clone(), vec![column(null).encode()]);
+            assert!(coded.column(0).str_values().dictionary().is_some());
+            for rows in [
+                Rows::Span(0, 40),
+                Rows::Span(7, 7),
+                Rows::Sel(&twice),
+                Rows::Sel(&[]),
+            ] {
+                let (mut a, mut b) = (vec![9], vec![9]);
+                ser.serialize(&plain, rows, &mut a);
+                ser.serialize(&coded, rows, &mut b);
+                assert_eq!(a, b, "{rows:?}");
+            }
         }
     }
 

@@ -1,4 +1,12 @@
 //! Schemas, tables, and morsel iteration.
+//!
+//! A [`Table`] holds each column behind an `Arc`. Cloning a table,
+//! projecting it or passing one of its columns on into another table costs
+//! a reference count per column and copies no data, so a scan reads a
+//! relation's columns where they are stored and only the operators that
+//! compute something allocate. Mutation is copy-on-write: [`Table::append`]
+//! and [`Table::concat`] write into a column only it holds, and copy a
+//! column that another table still shares first.
 
 use std::sync::Arc;
 
@@ -117,11 +125,12 @@ impl Morsel {
 /// morsels; HyPer's are on the order of 10k–100k tuples).
 pub const MORSEL_SIZE: usize = 16_384;
 
-/// A columnar table: a schema plus equally-long columns.
+/// A columnar table: a schema plus equally-long columns, each shared
+/// behind an `Arc` (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     rows: usize,
 }
 
@@ -131,6 +140,14 @@ impl Table {
     /// # Panics
     /// Panics on arity or length mismatch.
     pub fn new(schema: Schema, columns: Vec<Column>) -> Self {
+        Self::shared(schema, columns.into_iter().map(Arc::new).collect())
+    }
+
+    /// Build a table of columns that other tables may share.
+    ///
+    /// # Panics
+    /// Panics on arity or length mismatch.
+    pub fn shared(schema: Schema, columns: Vec<Arc<Column>>) -> Self {
         assert_eq!(
             schema.len(),
             columns.len(),
@@ -138,7 +155,7 @@ impl Table {
             schema.len(),
             columns.len()
         );
-        let rows = columns.first().map_or(0, Column::len);
+        let rows = columns.first().map_or(0, |c| c.len());
         for (f, c) in schema.fields().iter().zip(&columns) {
             assert_eq!(
                 c.len(),
@@ -177,17 +194,23 @@ impl Table {
     }
 
     /// The columns in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = &Column> + '_ {
+        self.columns.iter().map(|c| &**c)
     }
 
-    /// The columns by value, in schema order.
+    /// The columns by value, in schema order: a column no other table
+    /// shares is moved out, a shared one is copied.
     pub fn into_columns(self) -> Vec<Column> {
-        self.columns
+        self.columns.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// Column at position `idx`.
     pub fn column(&self, idx: usize) -> &Column {
+        &self.columns[idx]
+    }
+
+    /// Column at position `idx`, to share with another table.
+    pub fn shared_column(&self, idx: usize) -> &Arc<Column> {
         &self.columns[idx]
     }
 
@@ -208,7 +231,7 @@ impl Table {
 
     /// Approximate in-memory size in bytes.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(Column::byte_size).sum()
+        self.columns().map(Column::byte_size).sum()
     }
 
     /// Split the table into constant-size morsels.
@@ -225,25 +248,27 @@ impl Table {
 
     /// Copy selected rows into a new table.
     pub fn gather(&self, indices: &[usize]) -> Table {
-        let columns = self.columns.iter().map(|c| c.gather(indices)).collect();
+        let columns = self.columns().map(|c| c.gather(indices)).collect();
         Table::new(self.schema.clone(), columns)
     }
 
-    /// Append all rows of `other`.
+    /// Append all rows of `other`, first copying any column of this table
+    /// that another table shares.
     ///
     /// # Panics
     /// Panics when schemas differ.
     pub fn append(&mut self, other: &Table) {
         assert_eq!(self.schema, other.schema, "schema mismatch on append");
-        for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.append(b);
+        for (a, b) in self.columns.iter_mut().zip(other.columns()) {
+            Arc::make_mut(a).append(b);
         }
         self.rows += other.rows;
     }
 
     /// The rows of `pieces`, in order, as one table. A lone non-empty
     /// piece is moved, not copied; several are copied once, into columns
-    /// sized for all of them.
+    /// sized for all of them (a column the first piece shares with another
+    /// table is copied as it is sized).
     ///
     /// # Panics
     /// Panics when a piece's schema is not `schema`.
@@ -256,8 +281,8 @@ impl Table {
         let rest: Vec<Table> = pieces.collect();
         if !rest.is_empty() {
             for (i, column) in out.columns.iter_mut().enumerate() {
-                let parts = rest.iter().map(|p| &p.columns[i]);
-                column.reserve(
+                let parts = rest.iter().map(|p| p.column(i));
+                Arc::make_mut(column).reserve(
                     parts.clone().map(Column::len).sum(),
                     parts.map(Column::str_bytes).sum(),
                 );
@@ -269,11 +294,15 @@ impl Table {
         out
     }
 
-    /// Keep only the columns at `indices` (projection pushdown).
+    /// Keep only the columns at `indices` (projection pushdown), shared
+    /// with this table.
     pub fn project(&self, indices: &[usize]) -> Table {
         let schema = self.schema.project(indices);
-        let columns = indices.iter().map(|&i| self.columns[i].clone()).collect();
-        Table::new(schema, columns)
+        let columns = indices
+            .iter()
+            .map(|&i| Arc::clone(&self.columns[i]))
+            .collect();
+        Table::shared(schema, columns)
     }
 }
 
@@ -349,6 +378,8 @@ mod tests {
         a.append(&g);
         assert_eq!(a.rows(), 5);
         assert_eq!(a.value(3, 1), Value::Str("c".into()));
+        // The table `a` was cloned from shares nothing it appended.
+        assert_eq!(t, sample());
     }
 
     #[test]
@@ -367,6 +398,10 @@ mod tests {
 
         let joined = Table::concat(t.schema(), vec![t.gather(&[2]), empty(), t.clone()]);
         assert_eq!(joined, t.gather(&[2, 0, 1, 2]));
+        // A first piece that shares its columns is copied, not written.
+        let joined = Table::concat(t.schema(), vec![t.clone(), t.gather(&[1])]);
+        assert_eq!(joined, t.gather(&[0, 1, 2, 1]));
+        assert_eq!(t, sample());
     }
 
     #[test]
@@ -376,6 +411,47 @@ mod tests {
         assert_eq!(p.schema().len(), 1);
         assert_eq!(p.schema().fields()[0].name, "name");
         assert_eq!(p.rows(), 3);
+        // Shared, not copied.
+        assert!(Arc::ptr_eq(p.shared_column(0), t.shared_column(1)));
+        let ids = t.project(&[0]);
+        assert_eq!(
+            ids.column(0).i64_values().as_ptr(),
+            t.column(0).i64_values().as_ptr()
+        );
+    }
+
+    #[test]
+    fn appending_to_a_table_alone_writes_in_place() {
+        let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);
+        let mut t = Table::new(schema, vec![Column::I64(Vec::with_capacity(8), None)]);
+        let data = t.column(0).i64_values().as_ptr();
+        let more = Table::new(t.schema().clone(), vec![Column::I64(vec![1, 2, 3], None)]);
+        t.append(&more);
+        t.append(&more);
+        assert_eq!(t.column(0).i64_values(), &[1, 2, 3, 1, 2, 3]);
+        assert_eq!(t.column(0).i64_values().as_ptr(), data);
+    }
+
+    #[test]
+    fn into_columns_moves_a_column_alone_and_copies_a_shared_one() {
+        let schema = Schema::new(vec![
+            Field::new("a", DataType::Int64),
+            Field::new("b", DataType::Int64),
+        ]);
+        let t = Table::new(
+            schema,
+            vec![Column::I64(vec![1, 2], None), Column::I64(vec![3, 4], None)],
+        );
+        let (a, b) = (
+            t.column(0).i64_values().as_ptr(),
+            t.column(1).i64_values().as_ptr(),
+        );
+        let kept = t.project(&[1]);
+        let columns = t.into_columns();
+        assert_eq!(columns[0].i64_values().as_ptr(), a, "moved");
+        assert_eq!(&columns[1], kept.column(0));
+        assert_eq!(kept.column(0).i64_values().as_ptr(), b);
+        assert_ne!(columns[1].i64_values().as_ptr(), b, "copied");
     }
 
     #[test]

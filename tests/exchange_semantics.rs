@@ -333,9 +333,7 @@ mod content {
             let nodes: Vec<_> = (0..c.config().nodes)
                 .map(|n| {
                     scope.spawn(move || {
-                        NodeExec::new(c.node_ctx(n), QueryId(query), &[], 0)
-                            .execute(plan)
-                            .into_table()
+                        NodeExec::new(c.node_ctx(n), QueryId(query), &[], 0).execute(plan)
                     })
                 })
                 .collect();

@@ -118,9 +118,7 @@ fn run_on_every_node(c: &Cluster, plan: &Plan, query: u32) -> Vec<Table> {
         let nodes: Vec<_> = (0..c.config().nodes)
             .map(|n| {
                 scope.spawn(move || {
-                    NodeExec::new(c.node_ctx(n), QueryId(query), &[], 0)
-                        .execute(plan)
-                        .into_table()
+                    NodeExec::new(c.node_ctx(n), QueryId(query), &[], 0).execute(plan)
                 })
             })
             .collect();

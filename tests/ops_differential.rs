@@ -488,7 +488,7 @@ proptest! {
         // Sums are compared with a tolerance that means nothing at 2^63,
         // and a NaN input has no minimum: the numbers that are added and
         // ordered are small ones, NULL where the random ones were.
-        let mut cols = table.columns().to_vec();
+        let mut cols = table.columns().cloned().collect::<Vec<_>>();
         let small_ints = (0..rows).map(|_| rng.below(9) as i64 - 4).collect();
         cols[parts] = Column::I64(small_ints, cols[parts].validity().cloned());
         let small_floats = (0..rows).map(|_| rng.below(33) as f64 / 8.0 - 2.0).collect();
@@ -586,13 +586,13 @@ proptest! {
         let rows = 1 + rng.below(80);
         let plain = arb_table(&mut rng, fields, rows);
         // Small integers to sum, as above: NULL where the random ones were.
-        let mut cols = plain.columns().to_vec();
+        let mut cols = plain.columns().cloned().collect::<Vec<_>>();
         let small_ints = (0..rows).map(|_| rng.below(9) as i64 - 4).collect();
         cols[parts] = Column::I64(small_ints, cols[parts].validity().cloned());
         let plain = Table::new(plain.schema().clone(), cols);
         let table = Table::new(
             plain.schema().clone(),
-            plain.columns().iter().cloned().map(Column::encode).collect(),
+            plain.columns().cloned().map(Column::encode).collect(),
         );
         for (f, c) in table.schema().fields().iter().zip(table.columns()) {
             prop_assert_eq!(is_coded(c), f.dtype == DataType::Utf8, "{}", f.name);
@@ -616,14 +616,14 @@ proptest! {
         let shape = format!("by {:?}", &table.schema().fields()[..parts]);
         for workers in 1..=3 {
             let got = aggregate(&table, &group_by, &specs, AggPhase::Single, &driver(workers), &[]);
-            prop_assert!(got.columns().iter().all(|c| !is_coded(c)), "keys leave plain");
+            prop_assert!(got.columns().all(|c| !is_coded(c)), "keys leave plain");
             same_rows(rows_of(&got), want.clone(), &format!("single, {workers} workers, {shape}"))?;
             // One half coded, the other decoded: the Final phase merges
             // the plain keys both Partial phases emit.
             let halves = chunk_split(table.clone(), 2);
             let decoded = Table::new(
                 table.schema().clone(),
-                halves[1].columns().iter().cloned().map(Column::decode).collect(),
+                halves[1].columns().cloned().map(Column::decode).collect(),
             );
             let partial = |half: &Table| {
                 aggregate(half, &group_by, &specs, AggPhase::Partial, &driver(workers), &[])
@@ -725,7 +725,7 @@ fn keyless_aggregates_equal_the_reference() {
         let table = arb_table(&mut rng, fields.clone(), rows);
         // Small numbers, NULL where the random ones were: sums within the
         // tolerance, minima without NaNs.
-        let mut cols = table.columns().to_vec();
+        let mut cols = table.columns().cloned().collect::<Vec<_>>();
         let ints = (0..rows).map(|_| rng.below(9) as i64 - 4).collect();
         cols[v_int] = Column::I64(ints, cols[v_int].validity().cloned());
         let floats = (0..rows)
@@ -808,7 +808,7 @@ fn count_distinct_compacting_many_times_equals_a_btreemap() {
     ];
     let table = arb_table(&mut rng, fields, 20_000);
     // Five groups and NULL, where the pool's integers would make a dozen.
-    let mut cols = table.columns().to_vec();
+    let mut cols = table.columns().cloned().collect::<Vec<_>>();
     let groups = (0..table.rows()).map(|_| rng.below(5) as i64).collect();
     cols[0] = Column::I64(groups, cols[0].validity().cloned());
     let table = Table::new(table.schema().clone(), cols);
@@ -896,9 +896,7 @@ fn signed_zeros_are_one_group_and_one_distinct_member() {
                 .map(|n| {
                     let plan = &plan;
                     scope.spawn(move || {
-                        NodeExec::new(cluster.node_ctx(n), QueryId(1), &[], 0)
-                            .execute(plan)
-                            .into_table()
+                        NodeExec::new(cluster.node_ctx(n), QueryId(1), &[], 0).execute(plan)
                     })
                 })
                 .collect();

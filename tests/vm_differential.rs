@@ -273,7 +273,7 @@ fn random_selection(rows: usize, seed: u64) -> Vec<u32> {
 /// `t` with every string column coded, as table generation codes one
 /// (each has at most 256 distinct values here, and then at least one row).
 fn coded(t: &Table) -> Table {
-    let columns = t.columns().iter().cloned().map(Column::encode).collect();
+    let columns = t.columns().cloned().map(Column::encode).collect();
     Table::new(t.schema().clone(), columns)
 }
 
@@ -552,7 +552,7 @@ fn kernel_coded_tpch_columns() {
 
 /// `t` with every string column plain.
 fn decoded(t: &Table) -> Table {
-    let columns = t.columns().iter().cloned().map(Column::decode).collect();
+    let columns = t.columns().cloned().map(Column::decode).collect();
     Table::new(t.schema().clone(), columns)
 }
 
