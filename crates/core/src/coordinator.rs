@@ -11,8 +11,8 @@
 //! that: query ids, the admission queue (one FIFO, capped at `max_queued`)
 //! and the `max_concurrent` dispatchers that drain it, [`QueryHandle`]s,
 //! deadlines and cancellation, the stage loop (validation, parameter
-//! binding, feedback rows), the mapping of a stopped query to its typed
-//! error, metrics, and retire-exactly-once cleanup.
+//! binding), the mapping of a stopped query to its typed error, metrics,
+//! and retire-exactly-once cleanup.
 //!
 //! [`Cluster`](crate::cluster::Cluster) and
 //! [`ProcessCluster`](crate::remote::ProcessCluster) set nodes up, load
@@ -35,7 +35,6 @@ use crate::exec::{panic_message, StageReply};
 use crate::expr::Expr;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use crate::plan::Plan;
-use crate::planner::QueryPlanner;
 use crate::profile::{QueryProfile, StageProfile, StageRecorder};
 use crate::queries::{Query, QueryStage, StageRole};
 use crate::serve::{CancelToken, SubmitOptions};
@@ -54,8 +53,6 @@ pub(crate) struct StageCall<'a> {
 
 /// What a stage left behind once every node finished it.
 pub(crate) struct StageOutcome {
-    /// Each node's local result cardinality (feedback planning).
-    pub node_rows: Vec<u64>,
     /// Node 0's output of a `Params` or `Result` stage.
     pub node0: Option<Table>,
     /// The stage's merged spans, where the backend can collect them.
@@ -98,15 +95,11 @@ impl StageReplies {
         let stage_idx = call.stage_idx;
         let refused = |r: &Option<StageReply>| matches!(r, Some(StageReply::Refused(_)));
         let refused_everywhere = self.replies.iter().all(refused);
-        let (mut node_rows, mut node0, mut profiles) = (Vec::new(), None, Vec::new());
+        let nodes = self.replies.len();
+        let (mut node0, mut profiles) = (None, Vec::new());
         for (node, reply) in self.replies.into_iter().enumerate() {
             match reply {
-                Some(StageReply::Done {
-                    rows,
-                    table,
-                    profile,
-                }) => {
-                    node_rows.push(rows);
+                Some(StageReply::Done { table, profile }) => {
                     if node == 0 {
                         node0 = table;
                     }
@@ -132,7 +125,7 @@ impl StageReplies {
             }
         }
         // Labelled from node 0's programs; every node compiled the same.
-        let profile = (profiles.len() == node_rows.len()).then(|| {
+        let profile = (profiles.len() == nodes).then(|| {
             let (recorders, programs): (Vec<_>, Vec<_>) = profiles.into_iter().unzip();
             let stage = call.stage;
             StageRecorder::from_nodes(recorders).finish(
@@ -140,14 +133,9 @@ impl StageReplies {
                 &programs[0],
                 stage.role.label(),
                 stage.estimated_rows,
-                stage.feedback_rows,
             )
         });
-        Ok(StageOutcome {
-            node_rows,
-            node0,
-            profile,
-        })
+        Ok(StageOutcome { node0, profile })
     }
 }
 
@@ -317,17 +305,10 @@ impl QueryHandle {
     }
 }
 
-/// Where a query's stages come from: a pre-planned physical [`Query`], or
-/// a [`QueryPlanner`] that lowers each stage only after the previous one's
-/// observed cardinalities were fed back.
-enum StageFeed {
-    Fixed(std::vec::IntoIter<QueryStage>),
-    Adaptive(Box<QueryPlanner>),
-}
-
 /// One admitted query waiting for (or holding) a dispatcher slot.
 struct Submission {
-    feed: StageFeed,
+    /// The query's stages, in execution order.
+    stages: std::vec::IntoIter<QueryStage>,
     submitted: Instant,
     shared: Arc<QueryShared>,
 }
@@ -473,30 +454,6 @@ impl Coordinator {
                 "query needs at least one stage".into(),
             ));
         }
-        let feed = StageFeed::Fixed(query.stages.clone().into_iter());
-        self.enqueue(feed, query.number, opts)
-    }
-
-    /// Submit a query for feedback-driven adaptive execution: each stage
-    /// is planned just before it runs, against the cardinalities observed
-    /// from the stages that already finished (see
-    /// [`Planner::begin_query`](crate::planner::Planner::begin_query)).
-    /// `number` tags the query's profile for reporting (0 for ad-hoc).
-    pub fn submit_adaptive(
-        &self,
-        planner: QueryPlanner,
-        number: u32,
-        opts: &SubmitOptions,
-    ) -> Result<QueryHandle, EngineError> {
-        self.enqueue(StageFeed::Adaptive(Box::new(planner)), number, opts)
-    }
-
-    fn enqueue(
-        &self,
-        feed: StageFeed,
-        number: u32,
-        opts: &SubmitOptions,
-    ) -> Result<QueryHandle, EngineError> {
         let inner = &self.inner;
         let submitted = Instant::now();
         let id = QueryId(inner.next_query.fetch_add(1, Ordering::Relaxed));
@@ -505,10 +462,10 @@ impl Coordinator {
             cancel: CancelToken::with_deadline(opts.deadline.map(|d| submitted + d)),
             state: Mutex::new(HandleState::Pending),
             done: Condvar::new(),
-            profile: Mutex::new(QueryProfile::new(id, number)),
+            profile: Mutex::new(QueryProfile::new(id, query.number)),
         });
         let submission = Submission {
-            feed,
+            stages: query.stages.clone().into_iter(),
             submitted,
             shared: Arc::clone(&shared),
         };
@@ -679,13 +636,7 @@ impl Inner {
         let mut params: Vec<Value> = Vec::new();
         let mut materialized: Vec<String> = Vec::new();
         let mut final_table: Option<Table> = None;
-        let mut stage_idx = 0u32;
-        loop {
-            let stage = match &mut sub.feed {
-                StageFeed::Fixed(stages) => stages.next(),
-                StageFeed::Adaptive(planner) => planner.next_stage()?,
-            };
-            let Some(stage) = stage else { break };
+        for (stage_idx, stage) in (0u32..).zip(sub.stages.by_ref()) {
             // Cooperative cancellation point: between stages (and before
             // the first), where nothing is in flight. Backends check the
             // same token per morsel.
@@ -754,10 +705,6 @@ impl Inner {
                 }
                 StageRole::Materialize(name) => materialized.push(name),
             }
-            if let StageFeed::Adaptive(planner) = &mut sub.feed {
-                planner.observe_rows(&outcome.node_rows);
-            }
-            stage_idx += 1;
         }
 
         final_table.ok_or_else(|| EngineError::Planner("query has no result stage".into()))
@@ -851,7 +798,6 @@ mod tests {
                     fail("node 0 failed stage 1: query stopped between morsels")
                 }
                 None => Ok(StageOutcome {
-                    node_rows: vec![0, 0],
                     node0: Some(Table::empty(Schema::new(vec![Field::new(
                         "x",
                         DataType::Int64,
@@ -885,7 +831,6 @@ mod tests {
             plan,
             role,
             estimated_rows: None,
-            feedback_rows: None,
         };
         Query {
             stages: vec![

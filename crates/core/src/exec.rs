@@ -175,11 +175,9 @@ pub(crate) struct StageJob {
 
 /// A node's answer to one stage.
 pub(crate) enum StageReply {
-    /// The node's local result cardinality; node 0's output of a `Params`
-    /// or `Result` stage; the spans it recorded, with the programs that
-    /// label them.
+    /// Node 0's output of a `Params` or `Result` stage; the spans the
+    /// node recorded, with the programs that label them.
     Done {
-        rows: u64,
         table: Option<Table>,
         profile: Option<(NodeRecorder, CompiledStage)>,
     },
@@ -420,7 +418,6 @@ impl NodeCtx {
             Ok(out) => out,
             Err(payload) => return StageReply::Failed(panic_message(payload.as_ref())),
         };
-        let rows = out.rows() as u64;
         let table = match &stage.role {
             StageRole::Materialize(name) => {
                 let mut temps = self.temps.write();
@@ -431,7 +428,6 @@ impl NodeCtx {
             StageRole::Params | StageRole::Result => (self.node.0 == 0).then_some(out),
         };
         StageReply::Done {
-            rows,
             table,
             profile: recorder.map(|rec| (rec, programs)),
         }

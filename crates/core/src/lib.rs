@@ -84,10 +84,10 @@ pub use hsqp_net::QueryId;
 pub use logical::{JoinStrategy, LogicalPlan};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use plan::{AggFunc, AggSpec, ExchangeKind, JoinKind, Plan, SortKey};
-pub use planner::{Planner, PlannerConfig, QueryPlanner, TableStats};
+pub use planner::{Planner, PlannerConfig, TableStats};
 pub use profile::{chrome_trace, QueryProfile};
 pub use remote::{NodeServer, ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
 pub use serve::{CancelToken, StopReason, SubmitOptions};
 pub use session::{Session, SessionBuilder};
-pub use stats::{ColumnStats, FeedbackCache, StatsCatalog, StatsMode, TableStatistics};
+pub use stats::{ColumnStats, StatsCatalog, TableStatistics};
 pub use vm::{CompiledStage, ExprProgram};

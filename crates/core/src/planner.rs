@@ -40,7 +40,7 @@ use crate::expr::{CmpOp, Expr};
 use crate::logical::{JoinStrategy, LogicalPlan, LogicalQuery};
 use crate::plan::{AggFunc, AggPhase, AggSpec, ExchangeKind, JoinKind, JoinSide, Plan, SortKey};
 use crate::queries::{Query, QueryStage, StageRole};
-use crate::stats::{self, plan_fingerprint, FeedbackCache, StatsCatalog, StatsMode};
+use crate::stats::{self, StatsCatalog};
 
 /// Base-relation cardinality estimates, the planner's cost-model input.
 #[derive(Debug, Clone)]
@@ -96,17 +96,10 @@ pub struct PlannerConfig {
     pub broadcast_max_rows: f64,
     /// Base-relation cardinalities.
     pub stats: TableStats,
-    /// How estimates are sourced: catalog-driven costing
-    /// ([`StatsMode::Static`]) or costing plus runtime feedback
-    /// ([`StatsMode::Feedback`]).
-    pub mode: StatsMode,
     /// Per-column statistics (NDV, min/max, null fractions) feeding the
     /// selectivity and group-count estimators. `None` falls back to flat
     /// per-operator heuristics.
     pub catalog: Option<Arc<StatsCatalog>>,
-    /// Observed-cardinality cache consulted (and, by the execution
-    /// drivers, fed) in [`StatsMode::Feedback`].
-    pub feedback: Option<Arc<FeedbackCache>>,
     /// Whether base tables are hash-partitioned on their first column
     /// ([`Placement::Partitioned`](hsqp_storage::placement::Placement)),
     /// letting scans claim a partitioning property that elides exchanges.
@@ -120,9 +113,7 @@ impl PlannerConfig {
             nodes,
             broadcast_max_rows: 1_000.0,
             stats: TableStats::default(),
-            mode: StatsMode::Static,
             catalog: None,
-            feedback: None,
             partitioned: false,
         }
     }
@@ -279,13 +270,6 @@ impl Planner {
         &self.cfg
     }
 
-    /// Mutable access to the configuration, for callers (like
-    /// [`Session`](crate::session::Session)) that wire a stats mode or a
-    /// shared [`FeedbackCache`] into an already-constructed planner.
-    pub fn config_mut(&mut self) -> &mut PlannerConfig {
-        &mut self.cfg
-    }
-
     /// The cost model for this planner's cluster size.
     fn cost_model(&self) -> CostModel {
         CostModel::new(self.cfg.nodes, self.cfg.broadcast_max_rows)
@@ -346,12 +330,7 @@ impl Planner {
     /// names, and queries without a result stage — all as
     /// [`EngineError::Planner`].
     pub fn plan_query(&self, query: &LogicalQuery) -> Result<Query, EngineError> {
-        let mut qp = self.begin_query(query)?;
-        let mut stages: Vec<QueryStage> = Vec::new();
-        while let Some(stage) = qp.next_stage()? {
-            stages.push(stage);
-        }
-        Query::from_stages(0, stages)
+        Ok(self.plan_query_explained(query)?.0)
     }
 
     /// Like [`plan_query`](Self::plan_query), but also returns the
@@ -360,30 +339,100 @@ impl Planner {
         &self,
         query: &LogicalQuery,
     ) -> Result<(Query, Vec<Vec<String>>), EngineError> {
-        let mut qp = self.begin_query(query)?;
-        let mut stages: Vec<QueryStage> = Vec::new();
-        while let Some(stage) = qp.next_stage()? {
+        let StageOrder {
+            requirements,
+            consumers,
+            order,
+        } = self.stage_order(query)?;
+        let mut p = self.clone();
+        let mut stages = Vec::with_capacity(order.len());
+        let mut notes = Vec::with_capacity(order.len());
+        let last = query.stages().len() - 1;
+        for item in order {
+            let stage = match item {
+                Item::Cte(i) => {
+                    let (name, plan) = &query.ctes()[i];
+                    // Prune the materialization to the union of its
+                    // consumers' required columns: temps stop carrying
+                    // attributes no stage reads (e.g. Q2's "candidates"
+                    // dragging s_comment into the min-cost aggregate).
+                    let pruned;
+                    let plan = match requirements.get(name) {
+                        Some(Some(req)) => {
+                            let full = p.logical_columns(plan)?;
+                            let mut keep: Vec<&str> = full
+                                .iter()
+                                .filter(|c| req.contains(*c))
+                                .map(String::as_str)
+                                .collect();
+                            if keep.is_empty() {
+                                // Consumed only for row counts: keep one column.
+                                keep.push(full[0].as_str());
+                            }
+                            if keep.len() < full.len() {
+                                pruned = plan.clone().project(&keep);
+                                &pruned
+                            } else {
+                                plan
+                            }
+                        }
+                        _ => plan,
+                    };
+                    let Lowered {
+                        plan: lowered,
+                        cols,
+                        part,
+                        est,
+                        ..
+                    } = p.lower(plan, None)?;
+                    // Materialize the temp on every node when replicating
+                    // once beats each downstream consumer re-exchanging it;
+                    // larger single-consumer temps stay distributed the way
+                    // the plan produced them (keeping their partitioning
+                    // property).
+                    let consumers = consumers.get(name).copied().unwrap_or(0).max(1);
+                    let (mplan, part) = match part {
+                        distributed @ (Part::Any | Part::Hash(_)) => {
+                            let (broadcast, d) = p.cost_model().cte_placement(
+                                format!("cte {name}"),
+                                est,
+                                cols.len(),
+                                consumers,
+                            );
+                            p.note(d);
+                            if broadcast {
+                                (lowered.broadcast(), Part::Replicated)
+                            } else {
+                                (lowered, distributed)
+                            }
+                        }
+                        other => (lowered, other),
+                    };
+                    p.ctes.insert(name.clone(), CteInfo { cols, part, est });
+                    QueryStage {
+                        plan: fold_plan(mplan),
+                        role: StageRole::Materialize(name.clone()),
+                        estimated_rows: Some(est),
+                    }
+                }
+                Item::Stage(i) => {
+                    let lowered = p.lower(&query.stages()[i], None)?;
+                    let est = lowered.est;
+                    QueryStage {
+                        plan: fold_plan(finish_on_coordinator(lowered)),
+                        role: if i == last {
+                            StageRole::Result
+                        } else {
+                            StageRole::Params
+                        },
+                        estimated_rows: Some(est),
+                    }
+                }
+            };
             stages.push(stage);
+            notes.push(p.take_notes());
         }
-        let notes = qp.into_stage_notes();
         Ok((Query::from_stages(0, stages)?, notes))
-    }
-
-    /// Begin incremental, stage-at-a-time planning of `query`.
-    ///
-    /// The returned [`QueryPlanner`] emits one physical [`QueryStage`] per
-    /// [`next_stage`](QueryPlanner::next_stage) call; after executing each
-    /// stage the driver reports the observed per-node result cardinalities
-    /// via [`observe_rows`](QueryPlanner::observe_rows), and in
-    /// [`StatsMode::Feedback`] later stages of the same query are planned
-    /// against those actuals (and the observation is recorded in the
-    /// session's [`FeedbackCache`] for future submissions).
-    ///
-    /// Validates the whole query shape up front (duplicate CTE names,
-    /// unknown CTEs, parameter availability), so a `QueryPlanner` that is
-    /// handed out can only fail later on genuine lowering errors.
-    pub fn begin_query(&self, query: &LogicalQuery) -> Result<QueryPlanner, EngineError> {
-        QueryPlanner::new(self.clone(), query.clone())
     }
 
     /// Output column names of `logical` (what [`plan`](Self::plan) will
@@ -1348,58 +1397,28 @@ enum Item {
     Stage(usize),
 }
 
-/// What the most recently emitted stage will produce, held until the
-/// driver reports the observed cardinalities.
-#[derive(Debug)]
-struct PendingStage {
-    fp: u64,
-    kind: PendingKind,
-}
-
-#[derive(Debug)]
-enum PendingKind {
-    /// A materialized temp; `replicated` temps hold a full copy per node
-    /// (count one node), partitioned ones are summed across nodes.
-    Materialize { name: String, replicated: bool },
-    /// A coordinator-complete scalar or result stage: the full row count
-    /// lives on node 0 (other nodes report empty batches).
-    Coordinator,
-}
-
-/// Incremental, feedback-aware planner for one [`LogicalQuery`].
-///
-/// Produced by [`Planner::begin_query`]. Call
-/// [`next_stage`](Self::next_stage) to plan the next physical stage,
-/// execute it, then report the observed per-node result cardinalities via
-/// [`observe_rows`](Self::observe_rows) — in [`StatsMode::Feedback`] the
-/// remaining stages are planned against those actuals instead of the
-/// static estimates, and every observation is recorded in the session's
-/// [`FeedbackCache`] (keyed by plan fingerprint) so repeated submissions
-/// start from corrected numbers.
-///
-/// Stage order interleaves CTEs and scalar stages: a CTE that references
-/// `Expr::Param` is deferred until the binding scalar stage has run, which
-/// is what lets CTE subplans use earlier stages' results.
-#[derive(Debug)]
-pub struct QueryPlanner {
-    p: Planner,
-    query: LogicalQuery,
+/// A [`LogicalQuery`]'s stages in emission order, with what lowering its
+/// CTEs needs.
+struct StageOrder {
+    /// The columns each CTE's consumers read (`None`: every column).
     requirements: BTreeMap<String, Option<BTreeSet<String>>>,
     /// How many times each CTE is scanned downstream (stages + later CTEs).
     consumers: BTreeMap<String, usize>,
     order: Vec<Item>,
-    next: usize,
-    params_bound: usize,
-    pending: Option<PendingStage>,
-    stage_notes: Vec<Vec<String>>,
 }
 
-impl QueryPlanner {
-    fn new(p: Planner, query: LogicalQuery) -> Result<Self, EngineError> {
+impl Planner {
+    /// Validate the shape of `query` (duplicate or unknown CTE names,
+    /// parameter availability) and order its stages.
+    ///
+    /// The order interleaves CTEs and scalar stages: a CTE that references
+    /// `Expr::Param` is deferred until the binding scalar stage, which is
+    /// what lets CTE subplans use earlier stages' results.
+    fn stage_order(&self, query: &LogicalQuery) -> Result<StageOrder, EngineError> {
         if query.stages().is_empty() {
             return planner_err("query needs at least one stage");
         }
-        let requirements = p.cte_requirements(&query)?;
+        let requirements = self.cte_requirements(query)?;
 
         let names: Vec<&str> = query.ctes().iter().map(|(n, _)| n.as_str()).collect();
         let index_of = |name: &str| names.iter().position(|n| *n == name);
@@ -1438,7 +1457,7 @@ impl QueryPlanner {
         // Parameter widths each scalar stage will bind, resolved with every
         // CTE's schema pre-registered (order follows registration, so CTEs
         // may only reference earlier CTEs — same constraint lowering has).
-        let mut probe = p.clone();
+        let mut probe = self.clone();
         for (name, plan) in query.ctes() {
             if probe.ctes.contains_key(name) {
                 return planner_err(format!("duplicate CTE name {name:?}"));
@@ -1525,203 +1544,11 @@ impl QueryPlanner {
             ));
         }
 
-        Ok(Self {
-            p,
-            query,
+        Ok(StageOrder {
             requirements,
             consumers,
             order,
-            next: 0,
-            params_bound: 0,
-            pending: None,
-            stage_notes: Vec::new(),
         })
-    }
-
-    /// Whether every stage has been emitted.
-    pub fn finished(&self) -> bool {
-        self.next >= self.order.len()
-    }
-
-    /// Total number of physical stages this query plans to.
-    pub fn total_stages(&self) -> usize {
-        self.order.len()
-    }
-
-    /// The rendered cost-model decisions of each emitted stage so far.
-    pub fn stage_notes(&self) -> &[Vec<String>] {
-        &self.stage_notes
-    }
-
-    /// Consume the planner, returning every stage's rendered decisions.
-    pub fn into_stage_notes(self) -> Vec<Vec<String>> {
-        self.stage_notes
-    }
-
-    /// Feedback-corrected estimate: `(effective, Some(observed))` when the
-    /// cache overrides the static estimate, `(static, None)` otherwise.
-    fn corrected(&self, fp: u64, est: f64) -> (f64, Option<f64>) {
-        if self.p.cfg.mode == StatsMode::Feedback {
-            if let Some(fb) = &self.p.cfg.feedback {
-                if let Some(rows) = fb.lookup(fp) {
-                    return (rows.max(1.0), Some(rows));
-                }
-            }
-        }
-        (est, None)
-    }
-
-    /// Plan the next stage, or `None` when the query is fully planned.
-    ///
-    /// In [`StatsMode::Feedback`] the stage is planned against every
-    /// cardinality observed so far — call
-    /// [`observe_rows`](Self::observe_rows) after executing each stage to
-    /// keep the loop closed; skipping the call merely leaves the static
-    /// estimates in force.
-    pub fn next_stage(&mut self) -> Result<Option<QueryStage>, EngineError> {
-        let Some(&item) = self.order.get(self.next) else {
-            return Ok(None);
-        };
-        self.next += 1;
-        self.pending = None;
-        match item {
-            Item::Cte(i) => {
-                let (name, plan) = self.query.ctes()[i].clone();
-                let fp = plan_fingerprint(&plan);
-                // Prune the materialization to the union of its consumers'
-                // required columns: temps stop carrying attributes no stage
-                // reads (e.g. Q2's "candidates" dragging s_comment into the
-                // min-cost aggregate).
-                let plan = match self.requirements.get(&name) {
-                    Some(Some(req)) => {
-                        let full = self.p.logical_columns(&plan)?;
-                        let mut keep: Vec<&str> = full
-                            .iter()
-                            .filter(|c| req.contains(*c))
-                            .map(String::as_str)
-                            .collect();
-                        if keep.is_empty() {
-                            // Consumed only for row counts: keep one column.
-                            keep.push(full[0].as_str());
-                        }
-                        if keep.len() < full.len() {
-                            plan.clone().project(&keep)
-                        } else {
-                            plan
-                        }
-                    }
-                    _ => plan,
-                };
-                let Lowered {
-                    plan: lowered,
-                    cols,
-                    part,
-                    est,
-                    ..
-                } = self.p.lower(&plan, None)?;
-                let (est, feedback_rows) = self.corrected(fp, est);
-                // Materialize the temp on every node when replicating once
-                // beats each downstream consumer re-exchanging it; larger
-                // single-consumer temps stay distributed the way the plan
-                // produced them (keeping their partitioning property).
-                let consumers = self.consumers.get(&name).copied().unwrap_or(0).max(1);
-                let (mplan, part) = match part {
-                    p @ (Part::Any | Part::Hash(_)) => {
-                        let (broadcast, d) = self.p.cost_model().cte_placement(
-                            format!("cte {name}"),
-                            est,
-                            cols.len(),
-                            consumers,
-                        );
-                        self.p.note(d);
-                        if broadcast {
-                            (lowered.broadcast(), Part::Replicated)
-                        } else {
-                            (lowered, p)
-                        }
-                    }
-                    p => (lowered, p),
-                };
-                let replicated = matches!(part, Part::Replicated | Part::Single);
-                self.p
-                    .ctes
-                    .insert(name.clone(), CteInfo { cols, part, est });
-                self.pending = Some(PendingStage {
-                    fp,
-                    kind: PendingKind::Materialize {
-                        name: name.clone(),
-                        replicated,
-                    },
-                });
-                self.stage_notes.push(self.p.take_notes());
-                Ok(Some(QueryStage {
-                    plan: fold_plan(mplan),
-                    role: StageRole::Materialize(name),
-                    estimated_rows: Some(est),
-                    feedback_rows,
-                }))
-            }
-            Item::Stage(i) => {
-                let stage = self.query.stages()[i].clone();
-                let fp = plan_fingerprint(&stage);
-                let lowered = self.p.lower(&stage, None)?;
-                let n_cols = lowered.cols.len();
-                let (est, feedback_rows) = self.corrected(fp, lowered.est);
-                let plan = fold_plan(finish_on_coordinator(lowered));
-                let role = if i == self.query.stages().len() - 1 {
-                    StageRole::Result
-                } else {
-                    self.params_bound += n_cols;
-                    StageRole::Params
-                };
-                self.pending = Some(PendingStage {
-                    fp,
-                    kind: PendingKind::Coordinator,
-                });
-                self.stage_notes.push(self.p.take_notes());
-                Ok(Some(QueryStage {
-                    plan,
-                    role,
-                    estimated_rows: Some(est),
-                    feedback_rows,
-                }))
-            }
-        }
-    }
-
-    /// Report the observed per-node result cardinalities of the stage most
-    /// recently returned by [`next_stage`](Self::next_stage).
-    ///
-    /// In [`StatsMode::Feedback`] the observation is recorded in the
-    /// session's [`FeedbackCache`] and — for materialized temps — replaces
-    /// the temp's estimate so the remaining stages re-plan against the
-    /// actual cardinality. In other modes this is a no-op.
-    pub fn observe_rows(&mut self, per_node: &[u64]) {
-        let Some(pending) = self.pending.take() else {
-            return;
-        };
-        if self.p.cfg.mode != StatsMode::Feedback {
-            return;
-        }
-        let observed = match &pending.kind {
-            // Replicated temps hold the full result on every node;
-            // coordinator stages hold it on node 0 only.
-            PendingKind::Materialize {
-                replicated: true, ..
-            }
-            | PendingKind::Coordinator => per_node.first().copied().unwrap_or(0) as f64,
-            PendingKind::Materialize {
-                replicated: false, ..
-            } => per_node.iter().sum::<u64>() as f64,
-        };
-        if let Some(fb) = &self.p.cfg.feedback {
-            fb.record(pending.fp, observed);
-        }
-        if let PendingKind::Materialize { name, .. } = pending.kind {
-            if let Some(info) = self.p.ctes.get_mut(&name) {
-                info.est = observed.max(1.0);
-            }
-        }
     }
 }
 
@@ -2479,47 +2306,6 @@ mod tests {
             planner(2).plan_query(&q),
             Err(EngineError::Planner(_))
         ));
-    }
-
-    #[test]
-    fn feedback_cache_flips_cte_to_broadcast() {
-        use crate::logical::LogicalQuery;
-        // A CTE whose static estimate is huge stays partitioned; after one
-        // execution observes a tiny actual, the next submission broadcasts.
-        let q = LogicalQuery::cte(
-            "big",
-            LogicalPlan::scan(TpchTable::Lineitem).project(&["l_orderkey", "l_quantity"]),
-        )
-        .then(LogicalPlan::scan(TpchTable::Orders).join(
-            LogicalPlan::from_cte("big"),
-            &["o_orderkey"],
-            &["l_orderkey"],
-            JoinKind::Inner,
-        ));
-        let fb = Arc::new(FeedbackCache::new());
-        let mut cfg = PlannerConfig::new(4);
-        cfg.mode = StatsMode::Feedback;
-        cfg.feedback = Some(Arc::clone(&fb));
-        let p = Planner::new(cfg);
-
-        let mut qp = p.begin_query(&q).unwrap();
-        let s0 = qp.next_stage().unwrap().unwrap();
-        assert!(s0.feedback_rows.is_none(), "cache starts empty");
-        assert_eq!(broadcasts(&s0.plan), 0, "60k-row temp stays partitioned");
-        qp.observe_rows(&[3, 2, 2, 3]);
-        let _result_stage = qp.next_stage().unwrap().unwrap();
-        qp.observe_rows(&[10, 0, 0, 0]);
-        assert!(qp.next_stage().unwrap().is_none());
-        assert!(!fb.is_empty(), "observations land in the session cache");
-
-        let mut qp = p.begin_query(&q).unwrap();
-        let s0 = qp.next_stage().unwrap().unwrap();
-        assert_eq!(s0.feedback_rows, Some(10.0), "partitioned temp sums nodes");
-        assert!(
-            broadcasts(&s0.plan) >= 1,
-            "corrected 10-row temp must be broadcast: {:?}",
-            s0.plan
-        );
     }
 
     #[test]

@@ -215,7 +215,6 @@ impl StageRecorder {
         programs: &CompiledStage,
         role: String,
         estimated_rows: Option<f64>,
-        feedback_rows: Option<f64>,
     ) -> StageProfile {
         // Compiled-program ids woven into the labels: profile rows name the
         // same `p0`, `p1`, … programs `--explain` lists.
@@ -281,7 +280,7 @@ impl StageRecorder {
         StageProfile {
             role,
             estimated_rows,
-            feedback_rows,
+            feedback_rows: None,
             start,
             wall: end.saturating_sub(start),
             ops,
@@ -393,9 +392,10 @@ pub struct StageProfile {
     /// The planner's cardinality estimate for the stage result (None for
     /// a plan built by hand, which carries no estimates).
     pub estimated_rows: Option<f64>,
-    /// The feedback-corrected cardinality that overrode the static
-    /// estimate, when the stage was planned in feedback mode against a
-    /// prior observation of the same plan.
+    /// Always `None`: no planner corrects its estimates any more.
+    ///
+    /// Kept only because hsqp_bench names it; ROADMAP item 1 removes that
+    /// reference, then this goes.
     pub feedback_rows: Option<f64>,
     /// Stage start, measured from query submission (earliest node).
     pub start: Duration,
@@ -498,10 +498,9 @@ impl QueryProfile {
         let mut out = String::new();
         let total = self.stages.len();
         for (i, stage) in self.stages.iter().enumerate() {
-            let est = match (stage.estimated_rows, stage.feedback_rows) {
-                (Some(e), Some(fb)) => format!("est ~{e:.0} rows · fb {fb:.0} rows, "),
-                (Some(e), None) => format!("est ~{e:.0} rows, "),
-                (None, _) => String::new(),
+            let est = match stage.estimated_rows {
+                Some(e) => format!("est ~{e:.0} rows, "),
+                None => String::new(),
             };
             let _ = writeln!(
                 out,
@@ -724,7 +723,6 @@ mod tests {
             &CompiledStage::default(),
             "result".into(),
             Some(42.0),
-            None,
         );
         assert_eq!(sp.ops.len(), 5);
         // Result stages count the coordinator's root output only; the raw
@@ -753,13 +751,7 @@ mod tests {
             )
             .gather();
         let rec = StageRecorder::new(Instant::now(), 1, plan_node_count(&plan));
-        let sp = rec.finish(
-            &plan,
-            &CompiledStage::default(),
-            "result".into(),
-            None,
-            None,
-        );
+        let sp = rec.finish(&plan, &CompiledStage::default(), "result".into(), None);
         assert_eq!(sp.children_of(0), vec![1]);
         assert_eq!(sp.children_of(1), vec![2, 3]);
         assert!(sp.children_of(2).is_empty());
@@ -779,11 +771,10 @@ mod tests {
             &CompiledStage::default(),
             "result".into(),
             Some(9.0),
-            Some(4.0),
         ));
         let text = profile.render();
         assert!(text.contains("stage 1/1: result"));
-        assert!(text.contains("est ~9 rows · fb 4 rows"));
+        assert!(text.contains("[est ~9 rows, actual 1 rows"));
         assert!(text.contains("Exchange Gather"));
         let trace = chrome_trace(std::slice::from_ref(&profile));
         assert!(trace.starts_with("{\"traceEvents\":["));

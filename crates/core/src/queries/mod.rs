@@ -52,12 +52,6 @@ pub struct QueryStage {
     /// against profiled actuals in EXPLAIN output. `None` for a plan built
     /// by hand, which carries no estimates.
     pub estimated_rows: Option<f64>,
-    /// The feedback-corrected cardinality that overrode the static
-    /// estimate, when the planner ran in
-    /// [`StatsMode::Feedback`](crate::stats::StatsMode) and its
-    /// [`FeedbackCache`](crate::stats::FeedbackCache) held an observation
-    /// for this stage's plan. `None` when the static estimate was used.
-    pub feedback_rows: Option<f64>,
 }
 
 /// A multi-stage physical query: parameter and materialization stages run
@@ -79,7 +73,6 @@ impl Query {
                 plan,
                 role: StageRole::Result,
                 estimated_rows: None,
-                feedback_rows: None,
             }],
             number,
         }
@@ -158,7 +151,6 @@ mod tests {
             plan: Plan::scan(TpchTable::Nation).gather(),
             role,
             estimated_rows: None,
-            feedback_rows: None,
         };
         assert!(matches!(
             Query::from_stages(1, vec![]),

@@ -28,7 +28,7 @@
 //! |---|---|
 //! | `Join` (node id, peer addresses, engine knobs) | `JoinOk` after the data mesh is up |
 //! | `Load` (scale factor) | `LoadOk` (local rows per table) |
-//! | `Stage` (query, stage index, params, serialized stage and the deadline budget left) | `StageDone` (rows, node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
+//! | `Stage` (query, stage index, params, serialized stage and the deadline budget left) | `StageDone` (node 0 attaches the table) or `StageFail` (whether the stage did not compile, why) |
 //! | `Retire` (query) | `RetireOk` (the bytes and messages the query handed the node's multiplexer) |
 //! | `Abort` (query) | — |
 //! | `Stats` | `StatsOk` (the node's counters as (name, value) pairs: `NodeCtx::counters` and the `net.mesh.*` socket totals) |
@@ -366,8 +366,7 @@ fn put_stage_reply(out: &mut Vec<u8>, query: u32, stage_idx: u32, reply: &StageR
     serial::put_u32(out, query);
     serial::put_u32(out, stage_idx);
     match reply {
-        StageReply::Done { rows, table, .. } => {
-            serial::put_u64(out, *rows);
+        StageReply::Done { table, .. } => {
             serial::put_u8(out, u8::from(table.is_some()));
             if let Some(t) = table {
                 serial::enc_table(out, t);
@@ -900,13 +899,12 @@ fn decode_reply(frame: &[u8]) -> Result<Reply, String> {
     let named = |r: &mut Rd| r.vec(|r| Ok((r.str()?, r.u64()?)));
     let reply = match r.u8()? {
         OP_STAGE_DONE => {
-            let (query, stage, rows) = (r.u32()?, r.u32()?, r.u64()?);
+            let (query, stage) = (r.u32()?, r.u32()?);
             let table = match r.u8()? {
                 0 => None,
                 _ => Some(decode_table(r.take_rest())?),
             };
             let reply = StageReply::Done {
-                rows,
                 table,
                 profile: None,
             };
@@ -1019,14 +1017,13 @@ mod tests {
         let db = TpchDb::generate(0.001);
         let table = db.table(TpchTable::Nation);
         let writer = Mutex::new(CountingWrite::default());
-        let done = |rows, table| StageReply::Done {
-            rows,
+        let done = |table| StageReply::Done {
             table,
             profile: None,
         };
         let replies = [
-            done(25, Some(table.clone())),
-            done(0, None),
+            done(Some(table.clone())),
+            done(None),
             StageReply::Refused("does not compile".into()),
         ];
         for (stage, reply) in (2..).zip(&replies) {
@@ -1041,13 +1038,13 @@ mod tests {
         let mut r = Rd::new(&frame);
         assert_eq!(r.u8().unwrap(), OP_STAGE_DONE);
         assert_eq!((r.u32().unwrap(), r.u32().unwrap()), (7, 2));
-        assert_eq!((r.u64().unwrap(), r.u8().unwrap()), (25, 1));
+        assert_eq!(r.u8().unwrap(), 1);
         // Encoded in place, the table is byte-identical to `encode_table`.
         let body = r.take_rest();
         assert_eq!(body, &serial::encode_table(table)[..]);
         assert_eq!(decode_table(body).unwrap().rows(), table.rows());
         let frame = read_frame(&mut wire).unwrap();
-        assert_eq!(frame.len(), 1 + 4 + 4 + 8 + 1);
+        assert_eq!(frame.len(), 1 + 4 + 4 + 1);
         assert_eq!(frame.last(), Some(&0));
         let frame = read_frame(&mut wire).unwrap();
         let mut r = Rd::new(&frame);
@@ -1125,14 +1122,13 @@ mod tests {
     /// build them.
     fn reply_frames() -> Vec<Vec<u8>> {
         let db = TpchDb::generate(0.001);
-        let done = |rows, table| StageReply::Done {
-            rows,
+        let done = |table| StageReply::Done {
             table,
             profile: None,
         };
         let mut frames: Vec<Vec<u8>> = [
-            done(25, Some(db.table(TpchTable::Nation).clone())),
-            done(0, None),
+            done(Some(db.table(TpchTable::Nation).clone())),
+            done(None),
             StageReply::Refused("does not compile".into()),
             StageReply::Failed("query aborted".into()),
         ]

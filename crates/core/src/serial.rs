@@ -33,8 +33,9 @@ pub const SERIAL_MAGIC: u32 = 0x504C_414E;
 /// Version of the plan encoding. Bump on any incompatible change — the
 /// round-trip tests pin the format, and decode rejects mismatches.
 /// v2 added the tenant / deadline tail to stage envelopes; v3 the side a
-/// hash join filters; v4 dropped the tenant.
-pub const SERIAL_VERSION: u16 = 4;
+/// hash join filters; v4 dropped the tenant; v5 dropped the feedback
+/// estimate.
+pub const SERIAL_VERSION: u16 = 5;
 
 /// How deeply plans and expressions may nest in what is decoded, counted
 /// together: the decoder recurses once per level, so a forged input of a
@@ -751,7 +752,6 @@ fn enc_stage_body(out: &mut Vec<u8>, stage: &QueryStage) {
     enc_plan(out, &stage.plan);
     enc_role(out, &stage.role);
     put_opt(out, stage.estimated_rows.as_ref(), |o, v| put_f64(o, *v));
-    put_opt(out, stage.feedback_rows.as_ref(), |o, v| put_f64(o, *v));
 }
 
 fn dec_stage_body(r: &mut Rd<'_>) -> DecodeResult<QueryStage> {
@@ -759,7 +759,6 @@ fn dec_stage_body(r: &mut Rd<'_>) -> DecodeResult<QueryStage> {
         plan: dec_plan(r)?,
         role: dec_role(r)?,
         estimated_rows: r.opt(|x| x.f64())?,
-        feedback_rows: r.opt(|x| x.f64())?,
     })
 }
 
@@ -1041,38 +1040,72 @@ mod tests {
     /// stack, where a node decodes what it is sent.
     #[test]
     fn stages_decode_whole_and_every_cut_or_forged_byte_is_handled() {
-        let sweep = || {
+        on_small_stack(|| {
             let planner = Planner::for_tpch(2, 0.01, |_| None);
             for n in 1..=22 {
                 let q = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
                 for (s, stage) in q.stages.iter().enumerate() {
-                    let bytes = encode_stage(stage, Some(1_500_000));
-                    assert_eq!(decode_stage(&bytes).unwrap().0, *stage, "Q{n} stage {s}");
-                    for len in 0..bytes.len() {
-                        assert!(
-                            decode_stage(&bytes[..len]).is_err(),
-                            "Q{n} stage {s} cut to {len} of {} bytes decoded",
-                            bytes.len()
-                        );
-                    }
-                    let mut forged = bytes.clone();
-                    for (i, &byte) in bytes.iter().enumerate() {
-                        for b in [0x00, 0xFF, byte ^ 0x01] {
-                            forged[i] = b;
-                            let decoded = std::panic::catch_unwind(|| decode_stage(&forged));
-                            assert!(
-                                decoded.is_ok(),
-                                "Q{n} stage {s}: byte {i} set to {b:#04x} panicked the decoder"
-                            );
-                        }
-                        forged[i] = byte;
-                    }
+                    sweep(
+                        &format!("Q{n} stage {s}"),
+                        &encode_stage(stage, Some(1_500_000)),
+                        stage,
+                        |b| decode_stage(b).map(|(stage, _)| stage),
+                    );
                 }
             }
-        };
+        });
+    }
+
+    /// The same sweep over the 22 queries encoded whole, which share the
+    /// stage body with [`encode_stage`].
+    #[test]
+    fn queries_decode_whole_and_every_cut_or_forged_byte_is_handled() {
+        on_small_stack(|| {
+            let planner = Planner::for_tpch(2, 0.01, |_| None);
+            for n in 1..=22 {
+                let q = planner.plan_query(&tpch_logical(n).unwrap()).unwrap();
+                sweep(&format!("Q{n}"), &encode_query(&q), &q, decode_query);
+            }
+        });
+    }
+
+    /// `bytes` decodes whole to `expected`, every cut of it is an error,
+    /// and no forged byte panics the decoder.
+    fn sweep<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        bytes: &[u8],
+        expected: &T,
+        decode: impl Fn(&[u8]) -> DecodeResult<T>,
+    ) {
+        assert_eq!(decode(bytes).unwrap(), *expected, "{what}");
+        for len in 0..bytes.len() {
+            assert!(
+                decode(&bytes[..len]).is_err(),
+                "{what} cut to {len} of {} bytes decoded",
+                bytes.len()
+            );
+        }
+        let mut forged = bytes.to_vec();
+        for (i, &byte) in bytes.iter().enumerate() {
+            for b in [0x00, 0xFF, byte ^ 0x01] {
+                forged[i] = b;
+                let decoded =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| decode(&forged)));
+                assert!(
+                    decoded.is_ok(),
+                    "{what}: byte {i} set to {b:#04x} panicked the decoder"
+                );
+            }
+            forged[i] = byte;
+        }
+    }
+
+    /// Run `f` on a thread with the node server's 2 MiB stack, where a node
+    /// decodes what it is sent.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
         std::thread::Builder::new()
             .stack_size(2 << 20)
-            .spawn(sweep)
+            .spawn(f)
             .unwrap()
             .join()
             .expect("the sweep finished");

@@ -27,8 +27,6 @@
 //! session.shutdown();
 //! ```
 
-use std::sync::Arc;
-
 use hsqp_tpch::TpchDb;
 
 use crate::cluster::{Cluster, ClusterConfig, EngineKind, QueryHandle, QueryResult, Transport};
@@ -38,7 +36,7 @@ use crate::plan::Plan;
 use crate::planner::Planner;
 use crate::queries::Query;
 use crate::serve::SubmitOptions;
-use crate::stats::{FeedbackCache, StatsMode};
+use crate::stats::StatsMode;
 
 /// Fluent configuration for a [`Session`].
 ///
@@ -50,7 +48,6 @@ use crate::stats::{FeedbackCache, StatsMode};
 pub struct SessionBuilder {
     cfg: ClusterConfig,
     sf: Option<f64>,
-    stats: StatsMode,
 }
 
 impl SessionBuilder {
@@ -58,7 +55,6 @@ impl SessionBuilder {
         Self {
             cfg: ClusterConfig::quick(4),
             sf: None,
-            stats: StatsMode::Static,
         }
     }
 
@@ -120,15 +116,13 @@ impl SessionBuilder {
         self
     }
 
-    /// How the planner sources cardinality estimates (default
-    /// [`StatsMode::Static`]): `Static` prices alternatives against the
-    /// statistics declared for the loaded scale factor (see
-    /// [`Planner::for_tpch`]), and `Feedback` additionally re-plans
-    /// later stages of multi-stage queries against observed cardinalities
-    /// and remembers them across submissions in the session's
-    /// [`FeedbackCache`].
-    pub fn stats_mode(mut self, mode: StatsMode) -> Self {
-        self.stats = mode;
+    /// Accepts [`StatsMode::Static`], the only mode, and changes nothing:
+    /// the planner always prices alternatives against the statistics
+    /// declared for the loaded scale factor (see [`Planner::for_tpch`]).
+    ///
+    /// Kept only because hsqp_bench names it; ROADMAP item 1 removes that
+    /// reference, then this goes.
+    pub fn stats_mode(self, _mode: StatsMode) -> Self {
         self
     }
 
@@ -145,11 +139,7 @@ impl SessionBuilder {
         if let Some(sf) = self.sf {
             cluster.load_tpch(sf)?;
         }
-        Ok(Session {
-            cluster,
-            stats: self.stats,
-            feedback: Arc::new(FeedbackCache::new()),
-        })
+        Ok(Session { cluster })
     }
 }
 
@@ -157,8 +147,6 @@ impl SessionBuilder {
 /// [`run`](Session::run), get tables back.
 pub struct Session {
     cluster: Cluster,
-    stats: StatsMode,
-    feedback: Arc<FeedbackCache>,
 }
 
 impl Session {
@@ -183,26 +171,9 @@ impl Session {
     }
 
     /// The planner for the cluster's loaded data
-    /// ([`Planner::for_cluster`]), running in the session's [`StatsMode`]
-    /// with the session's [`FeedbackCache`] attached.
+    /// ([`Planner::for_cluster`]).
     pub fn planner(&self) -> Planner {
-        let mut p = Planner::for_cluster(&self.cluster);
-        let cfg = p.config_mut();
-        cfg.mode = self.stats;
-        cfg.feedback = Some(Arc::clone(&self.feedback));
-        p
-    }
-
-    /// The session's stats mode.
-    pub fn stats_mode(&self) -> StatsMode {
-        self.stats
-    }
-
-    /// The session's observed-cardinality cache: keyed by plan
-    /// fingerprint, consulted by the planner in [`StatsMode::Feedback`],
-    /// fed by every adaptive execution.
-    pub fn feedback_cache(&self) -> &Arc<FeedbackCache> {
-        &self.feedback
+        Planner::for_cluster(&self.cluster)
     }
 
     /// Lower `logical` to the distributed physical plan [`run`](Self::run)
@@ -247,16 +218,7 @@ impl Session {
         query: impl Into<LogicalQuery>,
         opts: &SubmitOptions,
     ) -> Result<QueryHandle, EngineError> {
-        let query = query.into();
-        if self.stats == StatsMode::Feedback {
-            // Stage-at-a-time planning: each stage is lowered only after
-            // the previous one ran, so its estimates see the observed
-            // cardinalities of this query's earlier stages and of prior
-            // submissions (via the session FeedbackCache).
-            let qp = self.planner().begin_query(&query)?;
-            return self.cluster.submit_adaptive(qp, 0, opts);
-        }
-        let physical = self.planner().plan_query(&query)?;
+        let physical = self.planner().plan_query(&query.into())?;
         self.cluster.submit_with(&physical, opts)
     }
 

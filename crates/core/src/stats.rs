@@ -1,19 +1,13 @@
-//! The statistics catalog and runtime cardinality feedback.
+//! The statistics catalog: declared row counts, NDVs and min/max ranges
+//! derived from the TPC-H spec at a given scale factor
+//! ([`StatsCatalog::declared_tpch`]).
 //!
 //! The planner's placement decisions (broadcast vs repartition,
 //! pre-aggregation vs raw reshuffle, CTE materialization) are only as good
-//! as their cardinality inputs. This module supplies them from two sources:
-//!
-//! 1. **Declared statistics** ([`StatsCatalog::declared_tpch`]) — row
-//!    counts, NDVs, and min/max ranges derived from the TPC-H spec at a
-//!    given scale factor. Every TPC-H planner plans from them, whichever
-//!    cluster runs the plan: [`Planner::for_tpch`] builds each one, with
-//!    the exact row counts the cluster reports where it has them.
-//! 2. **Runtime feedback** ([`FeedbackCache`]) — *observed* stage-result
-//!    cardinalities keyed by a fingerprint of the logical plan that
-//!    produced them. Multi-stage queries re-plan later stages against the
-//!    actuals of earlier ones, and repeated submissions of the same
-//!    (sub)query are planned against what it really produced last time.
+//! as their cardinality inputs. Every TPC-H planner plans from these
+//! statistics, whichever cluster runs the plan: [`Planner::for_tpch`]
+//! builds each one, with the exact row counts the cluster reports where it
+//! has them. A query is planned once, before it runs.
 //!
 //! [`Planner::for_tpch`]: crate::planner::Planner::for_tpch
 //!
@@ -22,48 +16,20 @@
 //! textbook System-R assumptions: uniform values within a column,
 //! independence between predicates, and key containment across joins.
 
-use std::collections::{BTreeMap, HashMap};
-
-use parking_lot::Mutex;
+use std::collections::BTreeMap;
 
 use crate::expr::CmpOp;
-use crate::logical::LogicalPlan;
 
-/// How the planner sources its cardinality estimates.
+/// How the planner sources its cardinality estimates. Only catalog-driven
+/// estimates exist.
+///
+/// Kept only because hsqp_bench names it; ROADMAP item 1 removes that
+/// reference, then this goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatsMode {
     /// Catalog-driven estimates (NDV, min/max, null fractions) feeding the
-    /// cost model; no runtime feedback.
+    /// cost model.
     Static,
-    /// [`Static`](StatsMode::Static) plus runtime feedback: multi-stage
-    /// queries re-plan later stages against observed cardinalities, and a
-    /// per-session [`FeedbackCache`] corrects repeated-query estimates.
-    Feedback,
-}
-
-impl StatsMode {
-    /// Parse a CLI-style mode name (`static`, `feedback`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "static" => Some(Self::Static),
-            "feedback" => Some(Self::Feedback),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style mode name.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Static => "static",
-            Self::Feedback => "feedback",
-        }
-    }
-}
-
-impl std::fmt::Display for StatsMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Per-column statistics.
@@ -384,67 +350,6 @@ pub fn group_count(ndvs: &[Option<f64>], input_rows: f64) -> Option<f64> {
     Some(product.clamp(1.0, input_rows.max(1.0)))
 }
 
-// -- runtime feedback -------------------------------------------------------
-
-/// Session-scoped cache of observed stage cardinalities, keyed by
-/// [`plan_fingerprint`]. Thread-safe; shared between the planner (lookups
-/// while planning) and the execution driver (records as stages finish).
-#[derive(Debug, Default)]
-pub struct FeedbackCache {
-    entries: Mutex<HashMap<u64, f64>>,
-}
-
-impl FeedbackCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record the observed global row count of the plan fingerprinted as
-    /// `fp`. The latest observation wins (predicates on parameters may
-    /// shift cardinalities between runs; recent history is the best guess).
-    pub fn record(&self, fp: u64, rows: f64) {
-        self.entries.lock().insert(fp, rows.max(0.0));
-    }
-
-    /// The last observed cardinality of the plan fingerprinted as `fp`.
-    pub fn lookup(&self, fp: u64) -> Option<f64> {
-        self.entries.lock().get(&fp).copied()
-    }
-
-    /// Number of distinct plans with recorded observations.
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// Whether no observations have been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Structural fingerprint of a logical plan, used as the [`FeedbackCache`]
-/// key. Hashes the plan's canonical debug rendering (which covers every
-/// operator, expression, and literal), so two structurally identical plans
-/// collide on purpose — parameters appear as `Param(i)` markers, keeping
-/// the fingerprint stable across executions that bind different values.
-pub fn plan_fingerprint(plan: &LogicalPlan) -> u64 {
-    struct FnvWriter(u64);
-    impl std::fmt::Write for FnvWriter {
-        fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for b in s.as_bytes() {
-                self.0 ^= u64::from(*b);
-                self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-            }
-            Ok(())
-        }
-    }
-    use std::fmt::Write as _;
-    let mut w = FnvWriter(0xcbf2_9ce4_8422_2325);
-    let _ = write!(w, "{plan:?}");
-    w.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,22 +471,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn feedback_cache_round_trips_and_overwrites() {
-        let plan = LogicalPlan::scan(TpchTable::Nation);
-        let fp = plan_fingerprint(&plan);
-        assert_eq!(fp, plan_fingerprint(&LogicalPlan::scan(TpchTable::Nation)));
-        assert_ne!(fp, plan_fingerprint(&LogicalPlan::scan(TpchTable::Region)));
-
-        let cache = FeedbackCache::new();
-        assert!(cache.is_empty());
-        assert_eq!(cache.lookup(fp), None);
-        cache.record(fp, 42.0);
-        assert_eq!(cache.lookup(fp), Some(42.0));
-        cache.record(fp, 7.0);
-        assert_eq!(cache.lookup(fp), Some(7.0), "latest observation wins");
-        assert_eq!(cache.len(), 1);
     }
 }

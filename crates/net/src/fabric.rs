@@ -288,8 +288,13 @@ mod tests {
 
     #[test]
     fn contention_inflates_service_time() {
+        // A window far wider than both reservations, so that neither call
+        // sleeps: a first call that overslept past its 10 ms would retire
+        // the first message before the second arrives, which then sees no
+        // contention.
         let cfg = FabricConfig {
             contention_alpha: 0.5,
+            send_window: Duration::from_secs(1),
             ..fast_cfg()
         };
         let f = Fabric::new(3, cfg);
@@ -312,9 +317,11 @@ mod tests {
 
     #[test]
     fn no_contention_when_disabled() {
+        // The same wide window as `contention_inflates_service_time`.
         let cfg = FabricConfig {
             switch_contention: false,
             contention_alpha: 0.5,
+            send_window: Duration::from_secs(1),
             ..fast_cfg()
         };
         let f = Fabric::new(3, cfg);

@@ -46,7 +46,8 @@ use crate::transport::{Doorbell, Transport, TransportEvent};
 pub const WIRE_MAGIC: u32 = 0x4853_5150;
 /// Protocol version of the handshake, framing, and control opcodes.
 /// Bumped on any incompatible change; mismatches are rejected loudly.
-pub const WIRE_VERSION: u16 = 2;
+/// v3 dropped the row count from the engine's `StageDone` reply.
+pub const WIRE_VERSION: u16 = 3;
 /// Upper bound on a single frame (sanity check against corrupt lengths).
 pub const MAX_FRAME: usize = 1 << 30;
 

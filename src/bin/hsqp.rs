@@ -20,20 +20,15 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::ops::Deref;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Instant;
 
 use hsqp::benchjson::Json;
 use hsqp::engine::cluster::{Cluster, ClusterConfig, EngineKind, Transport};
-use hsqp::engine::logical::LogicalQuery;
 use hsqp::engine::planner::Planner;
 use hsqp::engine::queries::{tpch_logical, Query, StageRole, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig, RemoteEngineConfig};
-use hsqp::engine::serve::SubmitOptions;
-use hsqp::engine::stats::{FeedbackCache, StatsMode};
 use hsqp::engine::vm::compile_stage;
-use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile};
-use hsqp::engine::{EngineError, QueryResult};
+use hsqp::engine::{chrome_trace, Coordinator, QueryHandle, QueryProfile, QueryResult};
 use hsqp::storage::Schema;
 use hsqp::tpch::TpchDb;
 
@@ -49,11 +44,6 @@ OPTIONS:
     --workers <N>          Worker threads per server (default 2)
     --queries <LIST>       Comma-separated query numbers, e.g. 1,3,6
                            (default: all 22)
-    --stats <M>            static | feedback (default static): price plan
-                           choices against the statistics catalog;
-                           feedback also plans each stage of a multi-stage
-                           query after the previous one ran, from observed
-                           cardinalities (cached across queries)
     --explain              Print each stage's physical plan, cost-model
                            decisions and compiled programs without running
                            anything (planned from the statistics and the
@@ -91,7 +81,6 @@ struct Args {
     workers: u16,
     cluster: Option<Vec<String>>,
     queries: Option<Vec<u32>>,
-    stats: StatsMode,
     explain: bool,
     transport: String,
     engine: String,
@@ -123,7 +112,6 @@ fn parse_args() -> Result<Args, String> {
         workers: 2,
         cluster: None,
         queries: None,
-        stats: StatsMode::Static,
         explain: false,
         transport: "rdma".to_string(),
         engine: "hybrid".to_string(),
@@ -197,11 +185,6 @@ fn parse_flag(args: &mut Args, flag: &str, value: String) -> Result<(), String> 
             }
             args.queries = Some(list);
         }
-        "--stats" => {
-            args.stats = StatsMode::parse(&value).ok_or_else(|| {
-                format!("unknown stats mode {value:?} (expected static | feedback)")
-            })?;
-        }
         "--transport" => args.transport = value,
         "--engine" => args.engine = value,
         "--message-kb" => {
@@ -258,13 +241,11 @@ fn render_query_plan(args: &Args, n: u32, query: &Query, notes: &[Vec<String>]) 
             StageRole::Materialize(name) => format!(" materialize {name:?}"),
             StageRole::Result => " result".to_string(),
         };
-        // Stages carry the planner's cardinality estimate (and, in feedback
-        // mode, the observed cardinality that overrode it); a profiled run
+        // Stages carry the planner's cardinality estimate; a profiled run
         // (--analyze) prints the actuals next to it.
-        let est = match (stage.estimated_rows, stage.feedback_rows) {
-            (Some(e), Some(fb)) => format!("  [est ~{e:.0} rows · fb {fb:.0} rows]"),
-            (Some(e), None) => format!("  [est ~{e:.0} rows]"),
-            (None, _) => String::new(),
+        let est = match stage.estimated_rows {
+            Some(e) => format!("  [est ~{e:.0} rows]"),
+            None => String::new(),
         };
         let _ = writeln!(out, "-- stage {}/{total}:{role}{est}", i + 1);
         // Cost-model decisions the planner made while lowering this stage
@@ -293,8 +274,7 @@ fn explain(args: &Args, queries: &[u32]) -> Result<(), String> {
     // The data is generated only to be counted: a loaded cluster of either
     // kind reports these row counts, and a live run plans from them.
     let db = TpchDb::generate(args.sf);
-    let mut planner = Planner::for_tpch(args.nodes, args.sf, |t| Some(db.table(t).rows() as u64));
-    planner.config_mut().mode = args.stats;
+    let planner = Planner::for_tpch(args.nodes, args.sf, |t| Some(db.table(t).rows() as u64));
     let mut out = String::new();
     for &n in queries {
         let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
@@ -376,14 +356,7 @@ impl Executions {
     /// Keep one successful execution: its observation and, for
     /// `--trace-out`, its profile. Returns its `--analyze` block, led by
     /// its plan under `--explain` (empty without `--analyze`).
-    fn record(
-        &mut self,
-        args: &Args,
-        planner: &Planner,
-        n: u32,
-        planned: &Planned,
-        result: QueryResult,
-    ) -> String {
+    fn record(&mut self, args: &Args, n: u32, planned: &Planned, result: QueryResult) -> String {
         self.obs.push(Observation {
             query: n,
             ms: result.elapsed.as_secs_f64() * 1e3,
@@ -397,15 +370,7 @@ impl Executions {
             return block;
         };
         if args.analyze && args.explain {
-            block = match planned {
-                Planned::Physical { query, notes } => render_query_plan(args, n, query, notes),
-                // Re-planned after the run, so the printed estimates include
-                // the feedback corrections this execution just recorded.
-                Planned::Adaptive(logical) => match planner.plan_query_explained(logical) {
-                    Ok((q, notes)) => render_query_plan(args, n, &q, &notes),
-                    Err(e) => format!("== Q{n}: replan for explain failed: {e}\n"),
-                },
-            };
+            block = render_query_plan(args, n, &planned.query, &planned.notes);
         }
         if args.analyze {
             block.push_str(&profile.render());
@@ -486,34 +451,11 @@ impl Executions {
     }
 }
 
-/// A query ready to execute: a fixed physical plan (with the cost-model
-/// decision notes recorded while planning it), or — in feedback mode — a
-/// logical query the backend re-plans stage-at-a-time on every execution.
-enum Planned {
-    Physical {
-        query: Query,
-        notes: Vec<Vec<String>>,
-    },
-    Adaptive(LogicalQuery),
-}
-
-/// Submit one planned query, planning stage-at-a-time when it is adaptive
-/// (each execution builds a fresh per-execution
-/// [`QueryPlanner`](hsqp::engine::planner::QueryPlanner) sharing the
-/// process-wide feedback cache). Safe to call from many client threads.
-fn submit_planned(
-    coordinator: &Coordinator,
-    planner: &Planner,
-    n: u32,
-    planned: &Planned,
-) -> Result<QueryHandle, EngineError> {
-    match planned {
-        Planned::Physical { query, .. } => coordinator.submit(query),
-        Planned::Adaptive(logical) => {
-            let opts = SubmitOptions::default();
-            coordinator.submit_adaptive(planner.begin_query(logical)?, n, &opts)
-        }
-    }
+/// A query ready to execute: its physical plan, with the cost-model
+/// decision notes recorded while planning it.
+struct Planned {
+    query: Query,
+    notes: Vec<Vec<String>>,
 }
 
 /// A started cluster with TPC-H loaded — simulated in this process, or
@@ -558,17 +500,12 @@ impl Bench {
 
 /// Start whichever cluster the flags select, load TPC-H into it, and build
 /// its planner (`Planner::for_tpch`: the declared statistics and the exact
-/// loaded row counts), running in the requested stats mode with a
-/// process-wide feedback cache attached.
+/// loaded row counts).
 fn start_loaded_cluster(args: &Args, banner_suffix: &str) -> Result<Bench, String> {
-    let mut bench = match &args.cluster {
-        None => start_simulated(args, banner_suffix)?,
-        Some(addrs) => connect_processes(args, addrs, banner_suffix)?,
-    };
-    let cfg = bench.planner.config_mut();
-    cfg.mode = args.stats;
-    cfg.feedback = Some(Arc::new(FeedbackCache::new()));
-    Ok(bench)
+    match &args.cluster {
+        None => start_simulated(args, banner_suffix),
+        Some(addrs) => connect_processes(args, addrs, banner_suffix),
+    }
 }
 
 /// Generate TPC-H at the requested scale factor, start the simulated
@@ -631,46 +568,33 @@ fn connect_processes(args: &Args, addrs: &[String], banner_suffix: &str) -> Resu
     })
 }
 
-/// Build each requested query once: a fixed physical plan, or the logical
-/// query itself when feedback-mode execution will re-plan it
-/// stage-at-a-time.
-fn plan_queries(
-    args: &Args,
-    planner: &Planner,
-    queries: &[u32],
-) -> Result<Vec<(u32, Planned)>, String> {
+/// Plan each requested query once.
+fn plan_queries(planner: &Planner, queries: &[u32]) -> Result<Vec<(u32, Planned)>, String> {
     queries
         .iter()
         .map(|&n| {
             let logical = tpch_logical(n).map_err(|e| format!("query {n}: {e}"))?;
-            let planned = if args.stats == StatsMode::Feedback {
-                Planned::Adaptive(logical)
-            } else {
-                let (query, notes) = planner
-                    .plan_query_explained(&logical)
-                    .map_err(|e| format!("query {n}: {e}"))?;
-                Planned::Physical { query, notes }
-            };
-            Ok((n, planned))
+            let (query, notes) = planner
+                .plan_query_explained(&logical)
+                .map_err(|e| format!("query {n}: {e}"))?;
+            Ok((n, Planned { query, notes }))
         })
         .collect()
 }
 
 /// One closed-loop client: `--rounds` passes over `plans`, submitting each
 /// query once the previous one finished.
-fn run_client(
-    args: &Args,
-    coordinator: &Coordinator,
-    planner: &Planner,
-    plans: &[(u32, Planned)],
-) -> Executions {
+fn run_client(args: &Args, coordinator: &Coordinator, plans: &[(u32, Planned)]) -> Executions {
     let mut out = Executions::default();
     for _ in 0..args.rounds {
         for (n, planned) in plans {
             let n = *n;
-            match submit_planned(coordinator, planner, n, planned).and_then(QueryHandle::wait) {
+            match coordinator
+                .submit(&planned.query)
+                .and_then(QueryHandle::wait)
+            {
                 Ok(result) => {
-                    let block = out.record(args, planner, n, planned, result);
+                    let block = out.record(args, n, planned, result);
                     let o = out.obs.last().expect("just recorded");
                     // One write per execution: concurrent clients' lines
                     // and --analyze blocks never interleave.
@@ -699,18 +623,17 @@ fn run_closed_loop(args: &Args, queries: &[u32]) -> Result<(), String> {
         args,
         &format!(", {} clients x {} rounds", args.clients, args.rounds),
     )?;
-    let (coordinator, planner): (&Coordinator, &Planner) = (&bench.cluster, &bench.planner);
+    let coordinator: &Coordinator = &bench.cluster;
 
     // Plan every query once up front: all clients submit identical
     // physical plans, so row-count differences can only come from the
-    // concurrent execution path. (In feedback mode each execution
-    // re-plans adaptively against the shared cache instead.)
-    let plans = plan_queries(args, planner, queries)?;
+    // concurrent execution path.
+    let plans = plan_queries(&bench.planner, queries)?;
 
     let wall_started = Instant::now();
     let clients: Vec<Executions> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..args.clients)
-            .map(|_| scope.spawn(|| run_client(args, coordinator, planner, &plans)))
+            .map(|_| scope.spawn(|| run_client(args, coordinator, &plans)))
             .collect();
         handles
             .into_iter()

@@ -154,8 +154,8 @@ fn driver_clients_mode_reports_throughput_and_matching_rows() {
 fn driver_rejects_bad_flags() {
     // The flags that picked one of two query sources and one of two
     // expression engines are unknown now, as are the trajectory file, the
-    // profiling switch, the planner's legacy heuristics and the open-loop
-    // driver's six.
+    // profiling switch, the planner's legacy heuristics, the open-loop
+    // driver's six and the statistics mode.
     let plan_mode = format!("--{}-mode", "plan");
     let expr_engine = format!("--{}-engine", "expr");
     let bench_out = format!("--{}-out", "bench");
@@ -180,6 +180,8 @@ fn driver_rejects_bad_flags() {
         &[bench_out.as_str(), "x"],
         &["--profile", "on"],
         &["--stats", "off"],
+        &["--stats", "static"],
+        &["--stats", "feedback"],
         &["--open-loop", "1000"],
         &["--duration", "4"],
         &["--arrivals", "uniform"],

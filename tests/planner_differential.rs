@@ -1,8 +1,8 @@
 //! Differential tests for the distributed planner: all 22 TPC-H queries on
 //! the logical query builder must return the reference evaluator's answers
 //! (`tests/support/oracle.rs`, which shares no code with the engine) on 2-
-//! and 4-node clusters, with static and with feedback statistics — plus
-//! property tests that random filter/aggregate logical plans and random
+//! and 4-node clusters, run through `Session::run` — plus property tests
+//! that random filter/aggregate logical plans and random
 //! multi-stage `LogicalQuery`s (random parameter arity, CTE reuse) lower
 //! through the planner without panicking.
 
@@ -19,6 +19,7 @@ use hsqp::engine::plan::{AggFunc, AggSpec, JoinSide, Plan, SortKey};
 use hsqp::engine::planner::{Planner, PlannerConfig, TableStats};
 use hsqp::engine::queries::{tpch_logical, ALL_QUERIES};
 use hsqp::engine::remote::{ProcessCluster, ProcessClusterConfig};
+use hsqp::engine::session::Session;
 use hsqp::engine::Coordinator;
 use hsqp::storage::{date_from_ymd, Table};
 use hsqp::tpch::{TpchDb, TpchTable};
@@ -58,21 +59,19 @@ fn assert_answers(n: u32, got: &Table, what: &str) {
     support::assert_matches(got, &answers()[n as usize - 1], &format!("Q{n} ({what})"));
 }
 
+/// The session path a caller takes: `Session::run` plans each query with
+/// `Planner::for_cluster` on a `ClusterConfig::quick` cluster and runs it.
 fn builder_matches_oracle_on(nodes: u16) {
-    let cluster = Cluster::start(ClusterConfig::quick(nodes)).unwrap();
-    cluster.load_tpch_db(db().clone()).unwrap();
-    let planner = Planner::for_cluster(&cluster);
+    let session = Session::builder().nodes(nodes).build().unwrap();
+    session.load_tpch_db(db().clone()).unwrap();
     for n in ALL_QUERIES {
-        let query = planner
-            .plan_query(&tpch_logical(n).unwrap())
-            .unwrap_or_else(|e| panic!("planning Q{n} failed: {e}"));
-        let built = cluster
-            .run(&query)
+        let built = session
+            .run(tpch_logical(n).unwrap())
             .unwrap_or_else(|e| panic!("builder Q{n} failed: {e}"))
             .table;
         assert_answers(n, &built, &format!("{nodes} nodes"));
     }
-    cluster.shutdown();
+    session.shutdown();
 }
 
 #[test]
@@ -83,54 +82,6 @@ fn builder_matches_oracle_on_2_nodes() {
 #[test]
 fn builder_matches_oracle_on_4_nodes() {
     builder_matches_oracle_on(4);
-}
-
-/// Feedback-driven re-planning may change *plans*, never *answers*: all 22
-/// queries must return the oracle's answers in `--stats feedback` and
-/// `--stats static`, and in feedback mode both on the first (cold-cache)
-/// submission and on the second, where corrected estimates are in force.
-fn feedback_matches_static_on(nodes: u16) {
-    use hsqp::engine::session::Session;
-    use hsqp::engine::stats::StatsMode;
-    let session = |mode: StatsMode| {
-        let session = Session::builder()
-            .nodes(nodes)
-            .stats_mode(mode)
-            .build()
-            .unwrap();
-        session.load_tpch_db(db().clone()).unwrap();
-        session
-    };
-    let stat = session(StatsMode::Static);
-    let fb = session(StatsMode::Feedback);
-    for n in ALL_QUERIES {
-        let logical = tpch_logical(n).unwrap();
-        let run = |s: &Session, what: &str| {
-            let result = s
-                .run(&logical)
-                .unwrap_or_else(|e| panic!("{what} Q{n} failed: {e}"));
-            assert_answers(n, &result.table, &format!("{what}, {nodes} nodes"));
-        };
-        run(&stat, "static");
-        run(&fb, "feedback, cold");
-        run(&fb, "feedback, warm");
-    }
-    assert!(
-        !fb.feedback_cache().is_empty(),
-        "feedback session recorded no observations"
-    );
-    stat.shutdown();
-    fb.shutdown();
-}
-
-#[test]
-fn feedback_matches_static_on_2_nodes() {
-    feedback_matches_static_on(2);
-}
-
-#[test]
-fn feedback_matches_static_on_4_nodes() {
-    feedback_matches_static_on(4);
 }
 
 /// Regression: a fixed-point Decimal key equi-joined against a Float64 key
@@ -450,24 +401,13 @@ proptest! {
         lp in arb_logical(),
         nodes in 1u16..6,
     ) {
-        use hsqp::engine::stats::StatsMode;
-        // Every stats mode must lower every valid plan: cost-based pruning
-        // may pick different exchanges, never reject or panic.
-        for mode in [StatsMode::Static, StatsMode::Feedback] {
-            let mut planner = Planner::for_tpch(nodes, 0.01, |_| None);
-            planner.config_mut().mode = mode;
-            let plan = planner.plan(&lp);
-            prop_assert!(
-                plan.is_ok(),
-                "valid logical plan rejected under {:?}: {:?}",
-                mode,
-                plan.err()
-            );
-            // The lowered plan must end complete on the coordinator: its
-            // root is a gather, a sort above one, or a coordinator-only
-            // aggregate.
-            prop_assert!(plan.unwrap().exchange_count() >= 1);
-        }
+        // The planner must lower every valid plan: cost-based pruning may
+        // pick different exchanges, never reject or panic.
+        let plan = Planner::for_tpch(nodes, 0.01, |_| None).plan(&lp);
+        prop_assert!(plan.is_ok(), "valid logical plan rejected: {:?}", plan.err());
+        // The lowered plan must end complete on the coordinator: its root
+        // is a gather, a sort above one, or a coordinator-only aggregate.
+        prop_assert!(plan.unwrap().exchange_count() >= 1);
     }
 }
 

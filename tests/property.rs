@@ -513,7 +513,7 @@ proptest! {
             .map(vec![MapExpr::new("e", expr)])
             .gather();
         let q = Query {
-            stages: vec![QueryStage { plan, role: StageRole::Result, estimated_rows: None, feedback_rows: None }],
+            stages: vec![QueryStage { plan, role: StageRole::Result, estimated_rows: None }],
             number: 0,
         };
         let bytes = encode_query(&q);
